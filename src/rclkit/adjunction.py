@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import random
-
-from .category import (Morphism, ObjectExpr, basis_morphisms, compose,
-                       hom_dim_expr, postcompose_mat, precompose_mat, unflatten)
+from .category import (Morphism, ObjectExpr, basis_morphisms, block_diagonal,
+                       compose, hom_basis, hom_dim_expr, morphism_inverse,
+                       postcompose_mat, precompose_mat, unflatten)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, identity_nat, is_full_embedding,
                       is_identity_functor, nat_equal, validate_nat)
-from .linalg import Mat, nullspace, solve
+from .linalg import Mat, candidate_stream, difference_rows, nullspace, solve
 from .report import Report
 
 
@@ -80,64 +79,15 @@ def hom_bijection(adj: Adjunction, a: ObjectExpr, b: ObjectExpr):
     A, B = L.source, R.source
     la = L.apply_obj(a)
     rb = R.apply_obj(b)
-    d_fwd = hom_dim_expr(B, la, b)
-    d_bwd = hom_dim_expr(A, a, rb)
     unit_a = adj.unit.at(a)
     counit_b = adj.counit.at(b)
-    fwd_cols = []
-    for q in range(d_fwd):
-        coords = [B.field.zero] * d_fwd
-        coords[q] = B.field.one
-        f = unflatten(B, la, b, coords)
-        fwd_cols.append(compose(R.apply(f), unit_a).flatten())
-    bwd_cols = []
-    for q in range(d_bwd):
-        coords = [A.field.zero] * d_bwd
-        coords[q] = A.field.one
-        g = unflatten(A, a, rb, coords)
-        bwd_cols.append(compose(counit_b, L.apply(g)).flatten())
-    fwd = Mat(A.field, d_bwd, d_fwd,
-              [[fwd_cols[q][r] for q in range(d_fwd)] for r in range(d_bwd)])
-    bwd = Mat(A.field, d_fwd, d_bwd,
-              [[bwd_cols[q][r] for q in range(d_bwd)] for r in range(d_fwd)])
+    fwd = Mat.from_columns(A.field, hom_dim_expr(A, a, rb),
+                           [compose(R.apply(f), unit_a).flatten()
+                            for f in hom_basis(B, la, b)])
+    bwd = Mat.from_columns(A.field, hom_dim_expr(B, la, b),
+                           [compose(counit_b, L.apply(g)).flatten()
+                            for g in hom_basis(A, a, rb)])
     return fwd, bwd
-
-
-def morphism_inverse(m: Morphism):
-    """Two-sided inverse of a morphism, or None (linear solve)."""
-    cat = m.cat
-    post = postcompose_mat(m, m.target)  # Hom(target, source) -> End(target)
-    want = Morphism.identity(cat, m.target).flatten()
-    sol = solve(post, Mat.column(cat.field, want))
-    if sol is None:
-        return None
-    inv = unflatten(cat, m.target, m.source, sol.col(0))
-    if not compose(inv, m).equal(Morphism.identity(cat, m.source)):
-        return None
-    if not compose(m, inv).equal(Morphism.identity(cat, m.target)):
-        return None
-    return inv
-
-
-def block_diag_nat(family, from_f: LinearFunctor, to_f: LinearFunctor,
-                   obj: ObjectExpr) -> Morphism:
-    """Block-diagonal morphism from_f(obj) -> to_f(obj) assembled from a
-    per-generator family of morphisms from_f(g) -> to_f(g)."""
-    cat = from_f.target
-    src = from_f.apply_obj(obj)
-    tgt = to_f.apply_obj(obj)
-    F = cat.field
-    blocks = [[list((F.zero,) * cat.hom_dim(s, t)) for s in src.summands]
-              for t in tgt.summands]
-    soff = toff = 0
-    for g in obj.summands:
-        comp = family[g]
-        for li in range(len(comp.target.summands)):
-            for lj in range(len(comp.source.summands)):
-                blocks[toff + li][soff + lj] = list(comp.blocks[li][lj])
-        soff += len(comp.source.summands)
-        toff += len(comp.target.summands)
-    return Morphism(cat, src, tgt, [[tuple(v) for v in row] for row in blocks])
 
 
 def _single_gen_image_map(f: LinearFunctor):
@@ -206,14 +156,11 @@ def _conjugated_functor(f: LinearFunctor, new_objects, conj, conj_inv, name):
             d = src.hom_dim(g, h)
             if d == 0:
                 continue
-            cols = []
-            for q in range(d):
-                mor = Morphism.basis_element(src, g, h, q)
-                img = compose(conj[h], compose(f.apply(mor), conj_inv[g]))
-                cols.append(img.flatten())
             rows = hom_dim_expr(tgt, new_objects[g], new_objects[h])
-            hom_maps[(g, h)] = Mat(tgt.field, rows, d,
-                                   [[cols[q][r] for q in range(d)] for r in range(rows)])
+            hom_maps[(g, h)] = Mat.from_columns(
+                tgt.field, rows,
+                [compose(conj[h], compose(f.apply(mor), conj_inv[g])).flatten()
+                 for mor in hom_basis(src, ObjectExpr(g), ObjectExpr(h))])
     return LinearFunctor(src, tgt, new_objects, hom_maps, name=name)
 
 
@@ -253,7 +200,7 @@ def _normalize_unit_side(adj: Adjunction) -> NormalizationResult:
     R2 = _conjugated_functor(R, new_objects, conj, conj_inv, R.name)
     unit_comps = {}
     for g in A.generators:
-        c_at = block_diag_nat(conj, R, R2, L.object_map[g])
+        c_at = block_diagonal(A, [conj[s] for s in L.object_map[g].summands])
         unit_comps[g] = compose(c_at, adj.unit.components[g])
     counit_comps = {}
     for y in B.generators:
@@ -300,9 +247,8 @@ def _normalize_counit_side(adj: Adjunction) -> NormalizationResult:
     L2 = _conjugated_functor(L, new_objects, conj, conj_inv, L.name)
     counit_comps = {}
     for y in B.generators:
-        c_at = block_diag_nat(conj, L, L2, R.object_map[y])
-        counit_comps[y] = compose(adj.counit.components[y],
-                                  block_diag_nat(conj_inv, L2, L, R.object_map[y]))
+        c_at = block_diagonal(B, [conj_inv[s] for s in R.object_map[y].summands])
+        counit_comps[y] = compose(adj.counit.components[y], c_at)
     unit_comps = {}
     for x in A.generators:
         unit_comps[x] = compose(R.apply(conj[x]), adj.unit.components[x])
@@ -322,13 +268,14 @@ def rewire_adjunction(adj: Adjunction, old: LinearFunctor, new: LinearFunctor,
                       for g in L.source.generators}
         counit_comps = {}
         for y in R.source.generators:
-            c_at = block_diag_nat(conj_inv, new, old, R.object_map[y])
+            c_at = block_diagonal(old.target,
+                                  [conj_inv[s] for s in R.object_map[y].summands])
             counit_comps[y] = compose(adj.counit.components[y], c_at)
         return make_adjunction(new, R, unit_comps, counit_comps, name=adj.name)
     if R is old:
         unit_comps = {}
         for g in L.source.generators:
-            c_at = block_diag_nat(conj, old, new, L.object_map[g])
+            c_at = block_diagonal(old.target, [conj[s] for s in L.object_map[g].summands])
             unit_comps[g] = compose(c_at, adj.unit.components[g])
         counit_comps = {y: compose(adj.counit.components[y], L.apply(conj_inv[y]))
                         for y in R.source.generators}
@@ -352,7 +299,7 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "",
     rl = compose_functors(right, left)
     ida = identity_functor(A)
     basis, shape = _nat_solution_space(ida, rl)
-    for vec in _candidate_vectors(A.field, basis, max_tries):
+    for vec in candidate_stream(A.field, basis, 7042, max_tries):
         unit_comps = _unpack_components(ida, rl, shape, vec)
         adj = _solve_counit_given_unit(left, right, unit_comps, name)
         if adj is not None:
@@ -370,27 +317,14 @@ def _nat_solution_space(from_f: LinearFunctor, to_f: LinearFunctor):
         d = hom_dim_expr(cat, from_f.object_map[g], to_f.object_map[g])
         shape.append((g, total, d))
         total += d
-    offset = {g: (o, d) for (g, o, d) in shape}
-    rows = []
-    for a, b, _, f in basis_morphisms(src):
-        # to_f(f) o comp_a - comp_b o from_f(f) = 0
-        post = postcompose_mat(to_f.apply(f), from_f.object_map[a])
-        pre = precompose_mat(from_f.apply(f), to_f.object_map[b])
-        oa, da = offset[a]
-        ob, db = offset[b]
-        for r in range(post.rows):
-            row = [cat.field.zero] * total
-            for c in range(da):
-                row[oa + c] = cat.field.add(row[oa + c], post.data[r][c])
-            for c in range(db):
-                row[ob + c] = cat.field.sub(row[ob + c], pre.data[r][c])
-            rows.append(row)
+    offset = {g: o for (g, o, d) in shape}
+    # to_f(f) o comp_a - comp_b o from_f(f) = 0
+    rows = difference_rows(cat.field, total, [
+        (postcompose_mat(to_f.apply(f), from_f.object_map[a]), offset[a],
+         precompose_mat(from_f.apply(f), to_f.object_map[b]), offset[b])
+        for a, b, _, f in basis_morphisms(src)])
     if total == 0:
         return [], shape
-    if not rows:
-        basis = [tuple(cat.field.one if i == j else cat.field.zero
-                       for i in range(total)) for j in range(total)]
-        return basis, shape
     return nullspace(Mat(cat.field, len(rows), total, rows)), shape
 
 
@@ -398,30 +332,6 @@ def _unpack_components(from_f, to_f, shape, vec):
     cat = from_f.target
     return {g: unflatten(cat, from_f.object_map[g], to_f.object_map[g], vec[o:o + d])
             for (g, o, d) in shape}
-
-
-def _candidate_vectors(field, basis, max_tries):
-    """Deterministic stream of nonzero combinations of basis vectors."""
-    if not basis:
-        yield ()
-        return
-    n = len(basis[0])
-    for v in basis:
-        yield tuple(v)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield tuple(field.add(a, b) for a, b in zip(basis[i], basis[j]))
-    rng = random.Random(7042)
-    pool = field.sample_scalars() + [field.zero]
-    for _ in range(max_tries):
-        vec = [field.zero] * n
-        for b in basis:
-            c = pool[rng.randrange(len(pool))]
-            if field.is_zero(c):
-                continue
-            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, b)]
-        if any(not field.is_zero(x) for x in vec):
-            yield tuple(vec)
 
 
 def _stacked_offsets(obj: ObjectExpr, offset):
@@ -439,22 +349,12 @@ def _counit_placement(lr: LinearFunctor, obj: ObjectExpr) -> Mat:
     """Matrix sending stacked per-summand counit coordinates to the flat
     coordinates of the block-diagonal morphism lr(obj) -> obj."""
     B = lr.source
-    dims = [hom_dim_expr(B, lr.object_map[s], ObjectExpr((s,))) for s in obj.summands]
-    total = sum(dims)
+    parts = [Morphism.zero(B, lr.object_map[s], ObjectExpr(s)) for s in obj.summands]
     cols = []
-    for idx in range(total):
-        coords = [B.field.zero] * total
-        coords[idx] = B.field.one
-        fam = {}
-        pos = 0
-        for s, d in zip(obj.summands, dims):
-            fam[s] = unflatten(B, lr.object_map[s], ObjectExpr((s,)), coords[pos:pos + d])
-            pos += d
-        mor = block_diag_nat(fam, lr, identity_functor(B), obj)
-        cols.append(mor.flatten())
-    rows = len(cols[0]) if cols else hom_dim_expr(B, lr.apply_obj(obj), obj)
-    return Mat(B.field, rows, total,
-               [[cols[q][r] for q in range(total)] for r in range(rows)])
+    for k, s in enumerate(obj.summands):
+        for e in hom_basis(B, lr.object_map[s], ObjectExpr(s)):
+            cols.append(block_diagonal(B, parts[:k] + [e] + parts[k + 1:]).flatten())
+    return Mat.from_columns(B.field, hom_dim_expr(B, lr.apply_obj(obj), obj), cols)
 
 
 def _solve_counit_given_unit(left, right, unit_comps, name):
@@ -469,22 +369,13 @@ def _solve_counit_given_unit(left, right, unit_comps, name):
         shape.append((y, total, d))
         total += d
     offset = {y: (o, d) for (y, o, d) in shape}
-    rows, rhs = [], []
 
     # Naturality: eps_b o lr(f) = f o eps_a for every basis f: a -> b in B.
-    for a, b, _, f in basis_morphisms(B):
-        oa, da = offset[a]
-        ob, db = offset[b]
-        post = precompose_mat(lr.apply(f), ObjectExpr((b,)))  # eps_b |-> eps_b o lr(f)
-        pre = postcompose_mat(f, lr.object_map[a])            # eps_a |-> f o eps_a
-        for r in range(post.rows):
-            row = [F.zero] * total
-            for c in range(db):
-                row[ob + c] = F.add(row[ob + c], post.data[r][c])
-            for c in range(da):
-                row[oa + c] = F.sub(row[oa + c], pre.data[r][c])
-            rows.append(row)
-            rhs.append(F.zero)
+    rows = difference_rows(F, total, [
+        (precompose_mat(lr.apply(f), ObjectExpr(b)), offset[b][0],
+         postcompose_mat(f, lr.object_map[a]), offset[a][0])
+        for a, b, _, f in basis_morphisms(B)])
+    rhs = [F.zero] * len(rows)
 
     # Triangle 1: counit at (L g) composed with L(unit_g) equals 1_{L g}.
     for g in A.generators:
@@ -504,18 +395,14 @@ def _solve_counit_given_unit(left, right, unit_comps, name):
     for y in B.generators:
         ry = right.object_map[y]
         o, d = offset[y]
-        eta_ry = _unit_at(unit_comps, ry, A)
+        eta_ry = block_diagonal(A, [unit_comps[g] for g in ry.summands])
         ident = Morphism.identity(A, ry).flatten()
-        cols = []
-        for q in range(d):
-            coords = [F.zero] * d
-            coords[q] = F.one
-            eps = unflatten(B, lr.object_map[y], ObjectExpr((y,)), coords)
-            cols.append(compose(right.apply(eps), eta_ry).flatten())
+        mat = Mat.from_columns(F, len(ident),
+                               [compose(right.apply(eps), eta_ry).flatten()
+                                for eps in hom_basis(B, lr.object_map[y], ObjectExpr(y))])
         for r in range(len(ident)):
             row = [F.zero] * total
-            for q in range(d):
-                row[o + q] = cols[q][r]
+            row[o:o + d] = mat.data[r]
             rows.append(row)
             rhs.append(ident[r])
 
@@ -531,20 +418,3 @@ def _solve_counit_given_unit(left, right, unit_comps, name):
     adj = make_adjunction(left, right, unit_comps, counit_comps, name=name)
     return adj if validate_adjunction(adj).ok_all else None
 
-
-def _unit_at(unit_comps, obj: ObjectExpr, A) -> Morphism:
-    """Unit component at a formal sum assembled from generator components."""
-    F = A.field
-    tgt_summands = []
-    for g in obj.summands:
-        tgt_summands.extend(unit_comps[g].target.summands)
-    tgt = ObjectExpr(tgt_summands)
-    blocks = [[list((F.zero,) * A.hom_dim(s, t)) for s in obj.summands]
-              for t in tgt.summands]
-    toff = 0
-    for j, g in enumerate(obj.summands):
-        comp = unit_comps[g]
-        for li in range(len(comp.target.summands)):
-            blocks[toff + li][j] = list(comp.blocks[li][0])
-        toff += len(comp.target.summands)
-    return Morphism(A, obj, tgt, [[tuple(v) for v in row] for row in blocks])

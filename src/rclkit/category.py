@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import PresentationError
-from .linalg import Mat, SubspaceBasis
+from .linalg import Mat, SubspaceBasis, nullspace, solve
 from .report import Report
 
 
@@ -300,34 +300,62 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(cat, src, tgt, blocks)
 
 
+def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
+    """The basis morphisms of Hom(a, b), in flat coordinate order."""
+    z, one = cat.field.zero, cat.field.one
+    blocks = [[(z,) * cat.hom_dim(s, t) for s in a.summands] for t in b.summands]
+    for row in blocks:
+        for j, zeros in enumerate(row):
+            for q in range(len(zeros)):
+                row[j] = zeros[:q] + (one,) + zeros[q + 1:]
+                yield Morphism(cat, a, b, blocks)
+            row[j] = zeros
+
+
 def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
     """Matrix of Hom(a, g.source) -> Hom(a, g.target), h |-> g o h."""
     cat = g.cat
-    dim_in = hom_dim_expr(cat, a, g.source)
-    cols = []
-    for q in range(dim_in):
-        coords = [cat.field.zero] * dim_in
-        coords[q] = cat.field.one
-        h = unflatten(cat, a, g.source, coords)
-        cols.append(compose(g, h).flatten())
-    rows = hom_dim_expr(cat, a, g.target)
-    return Mat(cat.field, rows, dim_in,
-               [[cols[q][r] for q in range(dim_in)] for r in range(rows)])
+    return Mat.from_columns(cat.field, hom_dim_expr(cat, a, g.target),
+                            [compose(g, h).flatten() for h in hom_basis(cat, a, g.source)])
 
 
 def precompose_mat(f: Morphism, b: ObjectExpr) -> Mat:
     """Matrix of Hom(f.target, b) -> Hom(f.source, b), h |-> h o f."""
     cat = f.cat
-    dim_in = hom_dim_expr(cat, f.target, b)
-    cols = []
-    for q in range(dim_in):
-        coords = [cat.field.zero] * dim_in
-        coords[q] = cat.field.one
-        h = unflatten(cat, f.target, b, coords)
-        cols.append(compose(h, f).flatten())
-    rows = hom_dim_expr(cat, f.source, b)
-    return Mat(cat.field, rows, dim_in,
-               [[cols[q][r] for q in range(dim_in)] for r in range(rows)])
+    return Mat.from_columns(cat.field, hom_dim_expr(cat, f.source, b),
+                            [compose(h, f).flatten() for h in hom_basis(cat, f.target, b)])
+
+
+def morphism_inverse(m: Morphism):
+    """Two-sided inverse of a morphism, or None (linear solve)."""
+    cat = m.cat
+    post = postcompose_mat(m, m.target)  # Hom(target, source) -> End(target)
+    want = Morphism.identity(cat, m.target).flatten()
+    sol = solve(post, Mat.column(cat.field, want))
+    if sol is None:
+        return None
+    inv = unflatten(cat, m.target, m.source, sol.col(0))
+    if not compose(inv, m).equal(Morphism.identity(cat, m.source)):
+        return None
+    if not compose(m, inv).equal(Morphism.identity(cat, m.target)):
+        return None
+    return inv
+
+
+def block_diagonal(cat: FinLinCategory, parts) -> Morphism:
+    """Block-diagonal morphism with the given morphisms on the diagonal; its
+    source and target are the concatenations of theirs."""
+    src = ObjectExpr(tuple(s for p in parts for s in p.source.summands))
+    tgt = ObjectExpr(tuple(t for p in parts for t in p.target.summands))
+    z = cat.field.zero
+    blocks = [[(z,) * cat.hom_dim(s, t) for s in src.summands] for t in tgt.summands]
+    soff = toff = 0
+    for p in parts:
+        for li, row in enumerate(p.blocks):
+            blocks[toff + li][soff:soff + len(row)] = row
+        soff += len(p.source.summands)
+        toff += len(p.target.summands)
+    return Morphism(cat, src, tgt, blocks)
 
 
 def basis_morphisms(cat: FinLinCategory):
@@ -343,11 +371,8 @@ def basis_morphisms(cat: FinLinCategory):
 def _end_algebra_tables(cat: FinLinCategory, g: str):
     """Left-multiplication matrices of End(g) in its chosen basis."""
     n = cat.hom_dim(g, g)
-    mats = []
-    for u in range(n):
-        cols = [cat.comp_vec(g, g, g, u, v) for v in range(n)]
-        mats.append(Mat(cat.field, n, n, [[cols[v][r] for v in range(n)] for r in range(n)]))
-    return mats
+    return [Mat.from_columns(cat.field, n, [cat.comp_vec(g, g, g, u, v) for v in range(n)])
+            for u in range(n)]
 
 
 def end_radical(cat: FinLinCategory, g: str):
@@ -368,7 +393,6 @@ def end_radical(cat: FinLinCategory, g: str):
                 tr = F.add(tr, prod.data[i][i])
             row.append(tr)
         gram.append(row)
-    from .linalg import nullspace
     vecs = nullspace(Mat(F, n, n, gram))
     return SubspaceBasis.from_vectors(F, n, vecs)
 
@@ -496,16 +520,9 @@ def ideal_subspace(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, x: Subcate
     vectors = []
     for m in x.members:
         mid = ObjectExpr((m,))
-        d_in = hom_dim_expr(cat, a, mid)
-        d_out = hom_dim_expr(cat, mid, b)
-        for q in range(d_in):
-            coords_in = [cat.field.zero] * d_in
-            coords_in[q] = cat.field.one
-            g = unflatten(cat, a, mid, coords_in)
-            for p in range(d_out):
-                coords_out = [cat.field.zero] * d_out
-                coords_out[p] = cat.field.one
-                h = unflatten(cat, mid, b, coords_out)
+        outs = list(hom_basis(cat, mid, b))
+        for g in hom_basis(cat, a, mid):
+            for h in outs:
                 vectors.append(compose(h, g).flatten())
     return SubspaceBasis.from_vectors(cat.field, dim, vectors)
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       basis_morphisms, compose, hom_dim_expr, unflatten)
+                       basis_morphisms, block_diagonal, compose, hom_basis,
+                       hom_dim_expr, unflatten)
 from .errors import PresentationError
-from .linalg import Mat
+from .linalg import Mat, rank
 from .report import Report
 
 
@@ -110,13 +111,11 @@ def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "")
             d = inner.source.hom_dim(g, h)
             if d == 0:
                 continue
-            cols = []
-            for q in range(d):
-                f = Morphism.basis_element(inner.source, g, h, q)
-                cols.append(outer.apply(inner.apply(f)).flatten())
             rows = hom_dim_expr(outer.target, object_map[g], object_map[h])
-            hom_maps[(g, h)] = Mat(outer.target.field, rows, d,
-                                   [[cols[q][r] for q in range(d)] for r in range(rows)])
+            hom_maps[(g, h)] = Mat.from_columns(
+                outer.target.field, rows,
+                [outer.apply(inner.apply(f)).flatten()
+                 for f in hom_basis(inner.source, ObjectExpr(g), ObjectExpr(h))])
     return LinearFunctor(inner.source, outer.target, object_map, hom_maps,
                          name=name or ("%s*%s" % (outer.name, inner.name)))
 
@@ -184,7 +183,6 @@ def kernel_subcategory(f: LinearFunctor) -> Subcategory:
 
 def is_full_embedding(f: LinearFunctor) -> bool:
     """Hom maps bijective on every generator pair."""
-    from .linalg import rank
     for g in f.source.generators:
         for h in f.source.generators:
             d = f.source.hom_dim(g, h)
@@ -217,21 +215,7 @@ class NatTransform:
 
     def at(self, obj: ObjectExpr) -> Morphism:
         """Component at a formal sum: block diagonal of generator components."""
-        cat = self.from_f.target
-        src = self.from_f.apply_obj(obj)
-        tgt = self.to_f.apply_obj(obj)
-        F = cat.field
-        blocks = [[list((F.zero,) * cat.hom_dim(s, t)) for s in src.summands]
-                  for t in tgt.summands]
-        soff = toff = 0
-        for g in obj.summands:
-            comp = self.components[g]
-            for li in range(len(comp.target.summands)):
-                for lj in range(len(comp.source.summands)):
-                    blocks[toff + li][soff + lj] = list(comp.blocks[li][lj])
-            soff += len(comp.source.summands)
-            toff += len(comp.target.summands)
-        return Morphism(cat, src, tgt, [[tuple(v) for v in row] for row in blocks])
+        return block_diagonal(self.from_f.target, [self.components[g] for g in obj.summands])
 
     def __repr__(self):
         return "NatTransform(%s: %s => %s)" % (self.name or "?",

@@ -7,6 +7,8 @@ data.  Dimensions are desk scale; no attempt at sparsity.
 
 from __future__ import annotations
 
+import random
+
 
 class Mat:
     """Immutable-by-convention dense matrix over a field."""
@@ -28,6 +30,13 @@ class Mat:
         rows = len(data)
         cols = len(data[0]) if data else 0
         return cls(field, rows, cols, data)
+
+    @classmethod
+    def from_columns(cls, field, rows: int, columns):
+        """Matrix whose j-th column is columns[j]; rows is given so that a
+        matrix without columns keeps its height."""
+        columns = list(columns)
+        return cls(field, rows, len(columns), [[c[r] for c in columns] for r in range(rows)])
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -294,6 +303,49 @@ def subspace_ops(u: SubspaceBasis, v: SubspaceBasis):
         "contains": u.contains(v),
         "quotient_dim": u.quotient_dim(),
     }
+
+
+def difference_rows(field, total: int, constraints):
+    """Rows of the homogeneous system P u - Q v = 0 over a stacked unknown
+    vector of length total.  Each constraint is (P, u_offset, Q, v_offset):
+    the blocks u and v start at those offsets and may coincide."""
+    rows = []
+    for p_mat, p_off, q_mat, q_off in constraints:
+        for r in range(p_mat.rows):
+            row = [field.zero] * total
+            for c in range(p_mat.cols):
+                row[p_off + c] = field.add(row[p_off + c], p_mat.data[r][c])
+            for c in range(q_mat.cols):
+                row[q_off + c] = field.sub(row[q_off + c], q_mat.data[r][c])
+            rows.append(row)
+    return rows
+
+
+def candidate_stream(field, basis, seed: int, max_tries: int):
+    """Deterministic stream of points of the span of basis: the basis vectors,
+    then the sums basis[i] + basis[j] for i < j, then max_tries seeded random
+    combinations, of which zero vectors are skipped.  An empty basis yields
+    the empty vector once."""
+    if not basis:
+        yield ()
+        return
+    n = len(basis[0])
+    for v in basis:
+        yield tuple(v)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            yield tuple(field.add(a, b) for a, b in zip(basis[i], basis[j]))
+    rng = random.Random(seed)
+    pool = field.sample_scalars() + [field.zero]
+    for _ in range(max_tries):
+        vec = [field.zero] * n
+        for b in basis:
+            c = pool[rng.randrange(len(pool))]
+            if field.is_zero(c):
+                continue
+            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, b)]
+        if any(not field.is_zero(x) for x in vec):
+            yield tuple(vec)
 
 
 def invert(m: Mat):

@@ -11,18 +11,19 @@ as unchecked.
 from __future__ import annotations
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       compose, hom_dim_expr, is_isomorphic, morphism_in,
-                       postcompose_mat, precompose_mat, restrict_category,
-                       unflatten)
+                       compose, hom_basis, hom_dim_expr, is_isomorphic,
+                       morphism_in, morphism_inverse, postcompose_mat,
+                       precompose_mat, restrict_category, unflatten)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, compose_functors, functor_equal,
                       validate_functor, validate_nat)
 from .linalg import Mat, nullspace, rank, solve
 from .quotient import QuotientCategory, build_quotient, induce_functor
-from .recollement import Recollement, quotient_recollement, supp_image
+from .recollement import (Recollement, _restricted_functor, quotient_recollement,
+                          supp_image)
 from .report import Report
 from .triangulated import (Triangle, TriangulatedPresentation,
-                           d_monic_witness, is_D_epic, is_D_monic)
+                           d_approximation_failure, is_D_epic, is_D_monic)
 
 
 class StandardTriangle:
@@ -118,17 +119,11 @@ class MutationData:
                 raise InconsistentDataError(
                     "no approximation ladder for %s -> %s" % (x, y))
             dmor = unflatten(cat, tx.y, ty.y, sol.col(0))
-        up = precompose_mat(tx.g, ty.z)                     # z |-> z o beta_x
-        down = postcompose_mat(ty.h, tx.z)                  # z |-> gamma_y o z
-        rhs1 = compose(ty.g, dmor).flatten()
-        rhs2 = compose(self.tri.shift.apply(f), tx.h).flatten()
-        mat = up.vstack(down)
-        target = Mat.column(cat.field, list(rhs1) + list(rhs2))
-        sol = solve(mat, target)
-        if sol is None:
+        zmor = _ladder_solve(tx.g, ty.h, compose(ty.g, dmor),
+                             compose(self.tri.shift.apply(f), tx.h))
+        if zmor is None:
             raise InconsistentDataError(
                 "no shift-ladder completion for %s -> %s" % (x, y))
-        zmor = unflatten(cat, tx.z, ty.z, sol.col(0))
         return dmor, zmor
 
     def shift_nullspace(self, x: str, y: str):
@@ -147,18 +142,14 @@ class MutationData:
         hom_maps = {}
         for x in q.survivors:
             for y in q.survivors:
-                dq = pres.hom_dim(x, y)
-                if dq == 0:
-                    continue
                 cols = []
-                for qidx in range(dq):
+                for qidx in range(pres.hom_dim(x, y)):
                     rep_mor = morphism_in(self.tri.cat, q.lift_basis(x, y, qidx))
                     _, zmor = self._solve_shift(x, y, rep_mor)
                     cols.append(self.to_quotient(zmor).flatten())
-                rows = hom_dim_expr(pres, object_map[x], object_map[y])
-                hom_maps[(x, y)] = Mat(pres.field, rows, dq,
-                                       [[cols[qc][r] for qc in range(dq)]
-                                        for r in range(rows)])
+                if cols:
+                    hom_maps[(x, y)] = Mat.from_columns(
+                        pres.field, hom_dim_expr(pres, object_map[x], object_map[y]), cols)
         return LinearFunctor(pres, pres, object_map, hom_maps, name="sigma")
 
 
@@ -273,8 +264,8 @@ def standard_triangle(m: MutationData, f: Morphism, witness=None,
     if len(x) != 1 or x[0] not in m.fixed:
         raise PreconditionError("source must be a single generator with a fixed triangle")
     x = x[0]
-    if not is_D_monic(cat, f, m.d):
-        w = d_monic_witness(cat, f, m.d)
+    w = d_approximation_failure(f, m.d, monic=True)
+    if w is not None:
         raise PreconditionError("morphism is not monic for the approximating "
                                 "subcategory", witness="fails against %s" % w)
     if witness is None:
@@ -294,13 +285,9 @@ def standard_triangle(m: MutationData, f: Morphism, witness=None,
     if sol is None:
         raise InconsistentDataError("monic morphism admits no lift of the approximation")
     ymor = unflatten(cat, witness.y, t0.y, sol.col(0))
-    up = precompose_mat(witness.g, t0.z)
-    down = postcompose_mat(t0.h, witness.z)
-    rhs = list(compose(t0.g, ymor).flatten()) + list(witness.h.flatten())
-    sol = solve(up.vstack(down), Mat.column(cat.field, rhs))
-    if sol is None:
+    zmor = _ladder_solve(witness.g, t0.h, compose(t0.g, ymor), witness.h)
+    if zmor is None:
         raise InconsistentDataError("no ladder completion onto the fixed triangle")
-    zmor = unflatten(cat, witness.z, t0.z, sol.col(0))
     st = StandardTriangle(
         witness.x, witness.y, witness.z, witness.f, witness.g, witness.h,
         ymor, zmor,
@@ -391,23 +378,18 @@ def verify_quotient_triangulation(m: MutationData) -> Report:
 
     for xg in q.survivors:
         for yg in q.survivors:
-            classes = []
-            dq = pres.hom_dim(xg, yg)
-            for qidx in range(dq):
-                coords = [pres.field.zero] * dq
-                coords[qidx] = pres.field.one
-                classes.append(("basis%d" % qidx, coords))
-            classes.append(("zero", [pres.field.zero] * dq))
+            src, tgt = ObjectExpr((xg,)), ObjectExpr((yg,))
+            classes = [("basis%d" % qidx, fbar)
+                       for qidx, fbar in enumerate(hom_basis(pres, src, tgt))]
+            classes.append(("zero", Morphism.zero(pres, src, tgt)))
             if xg == yg:
-                classes.append(("identity", list(pres.identities[xg])))
+                classes.append(("identity", Morphism.identity(pres, src)))
             seen = set()
-            for label, coords in classes:
-                key_coords = tuple(coords)
-                if key_coords in seen:
+            for label, fbar in classes:
+                if fbar.flatten() in seen:
                     continue
-                seen.add(key_coords)
+                seen.add(fbar.flatten())
                 key = "tr1.%s-%s.%s" % (xg, yg, label)
-                fbar = unflatten(pres, ObjectExpr((xg,)), ObjectExpr((yg,)), coords)
                 famb = m.lift(fbar)
                 try:
                     monic = make_D_monic(m, famb)
@@ -458,29 +440,26 @@ def _commuting_squares(m: MutationData, t1, t2):
 
 
 def _class_candidates(pres, src: ObjectExpr, tgt: ObjectExpr):
-    d = hom_dim_expr(pres, src, tgt)
-    out = [Morphism.zero(pres, src, tgt)]
-    for qidx in range(d):
-        coords = [pres.field.zero] * d
-        coords[qidx] = pres.field.one
-        out.append(unflatten(pres, src, tgt, coords))
+    out = [Morphism.zero(pres, src, tgt)] + list(hom_basis(pres, src, tgt))
     if src.summands == tgt.summands and not src.is_zero():
         out.append(Morphism.identity(pres, src))
     return out
 
 
 def _tr3_completion(m: MutationData, t1, t2, a, b):
-    pres = m.quotient.presentation
-    F = pres.field
-    d = hom_dim_expr(pres, t1.qz_obj, t2.qz_obj)
-    up = precompose_mat(t1.qg, t2.qz_obj)          # c |-> c o g1
-    down = postcompose_mat(t2.qz, t1.qz_obj)       # c |-> z2 o c
-    rhs = list(compose(t2.qg, b).flatten()) + \
-        list(compose(m.sigma.apply(a), t1.qz).flatten())
-    sol = solve(up.vstack(down), Mat.column(F, rhs))
+    return _ladder_solve(t1.qg, t2.qz, compose(t2.qg, b),
+                         compose(m.sigma.apply(a), t1.qz))
+
+
+def _ladder_solve(g: Morphism, h: Morphism, r1: Morphism, r2: Morphism):
+    """The canonical c: g.target -> h.source with c o g = r1 and h o c = r2,
+    or None when no such c exists."""
+    cat = g.cat
+    mat = precompose_mat(g, h.source).vstack(postcompose_mat(h, g.target))
+    sol = solve(mat, Mat.column(cat.field, r1.flatten() + r2.flatten()))
     if sol is None:
         return None
-    return unflatten(pres, t1.qz_obj, t2.qz_obj, sol.col(0))
+    return unflatten(cat, g.target, h.source, sol.col(0))
 
 
 class ExactFunctorData:
@@ -536,7 +515,6 @@ class ExactFunctorData:
             else:
                 for e in sub.failures():
                     rep.fail("exact.shift-iso.%s" % e.key, e.witness)
-            from .adjunction import morphism_inverse
             bad = [g for g in F.source.generators
                    if morphism_inverse(self.shift_iso.components[g]) is None]
             if bad:
@@ -623,13 +601,7 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
     if res_src is F.source and res_tgt is F.target:
         fres = F
     else:
-        object_map = {g: ObjectExpr(F.object_map[g].summands) for g in res_src.generators}
-        hom_maps = {}
-        for g in res_src.generators:
-            for h in res_src.generators:
-                if res_src.hom_dim(g, h):
-                    hom_maps[(g, h)] = F.hom_maps[(g, h)]
-        fres = LinearFunctor(res_src, res_tgt, object_map, hom_maps, name=F.name)
+        fres = _restricted_functor(F, res_src, res_tgt)
     tilde = induce_functor(fres, m.quotient, m2.quotient, name=F.name + "~")
 
     ok = True
@@ -647,10 +619,8 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
     pres = m.quotient.presentation
     for xg in m.quotient.survivors:
         for yg in m.quotient.survivors:
-            for qidx in range(pres.hom_dim(xg, yg)):
-                coords = [pres.field.zero] * pres.hom_dim(xg, yg)
-                coords[qidx] = pres.field.one
-                fbar = unflatten(pres, ObjectExpr((xg,)), ObjectExpr((yg,)), coords)
+            for qidx, fbar in enumerate(hom_basis(pres, ObjectExpr((xg,)),
+                                                  ObjectExpr((yg,)))):
                 lhs = tilde.apply(mutation_shift(m, fbar))
                 rhs = mutation_shift(m2, tilde.apply(fbar))
                 if not lhs.equal(rhs):
@@ -689,7 +659,6 @@ def _image_is_standard(e: ExactFunctorData, m: MutationData, m2: MutationData,
         # invertible (or everything vanished).
         if img_qf.target.is_zero():
             return img_qg.target.is_zero()
-        from .adjunction import morphism_inverse
         return morphism_inverse(img_qg) is not None
     famb = F.apply(st.f)
     witness = e.push_triangle(Triangle(st.x, st.y, st.zv, st.f, st.g, st.h))
@@ -701,26 +670,8 @@ def _image_is_standard(e: ExactFunctorData, m: MutationData, m2: MutationData,
     if rebuilt.quotient_data() == img_data:
         return True
     # Same first two maps; accept any isomorphism of sextuples fixing them.
-    pres = m2.quotient.presentation
-    F2 = pres.field
-    up = precompose_mat(img_qg, rebuilt.qz_obj)
-    down = postcompose_mat(rebuilt.qz, img_qg.target)
-    d = hom_dim_expr(pres, img_qg.target, rebuilt.qz_obj)
-    if d == 0:
-        return img_qg.target.is_zero() and rebuilt.qz_obj.is_zero()
-    rhs = list(rebuilt.qg.flatten()) + list(img_qz.flatten())
-    total = d
-    rows = []
-    for r in range(up.rows):
-        rows.append(list(up.data[r]))
-    for r in range(down.rows):
-        rows.append(list(down.data[r]))
-    sol = solve(Mat(F2, len(rows), total, rows), Mat.column(F2, rhs))
-    if sol is None:
-        return False
-    from .adjunction import morphism_inverse
-    c = unflatten(pres, img_qg.target, rebuilt.qz_obj, sol.col(0))
-    return morphism_inverse(c) is not None
+    c = _ladder_solve(img_qg, rebuilt.qz, rebuilt.qg, img_qz)
+    return c is not None and morphism_inverse(c) is not None
 
 
 SLOT_PLAN = (("i_up", "mid", "left"), ("i_lo", "left", "mid"),

@@ -108,23 +108,10 @@ class QuotientCategory:
                 names = tuple(parent.basis_names(a, b)[i] for i in free)
                 if names:
                     hom_bases[(a, b)] = names
-                sec_cols = []
-                for i in free:
-                    col = [F.zero] * d
-                    col[i] = F.one
-                    sec_cols.append(col)
-                self.section[(a, b)] = Mat(F, d, len(free),
-                                           [[sec_cols[q][r] for q in range(len(free))]
-                                            for r in range(d)])
-                red_rows = []
-                for r in range(d):
-                    unit = [F.zero] * d
-                    unit[r] = F.one
-                    red_rows.append(sub.coset_coords(unit))
-                self.reduction[(a, b)] = Mat(F, len(free), d,
-                                             [[red_rows[c][r] for c in range(d)]
-                                              for r in range(len(free))]) \
-                    if d else Mat(F, len(free), 0, [[] for _ in range(len(free))])
+                ident = Mat.identity(F, d)
+                self.section[(a, b)] = Mat.from_columns(F, d, [ident.col(i) for i in free])
+                self.reduction[(a, b)] = Mat.from_columns(
+                    F, len(free), [sub.coset_coords(ident.col(r)) for r in range(d)])
         for a in survivors:
             identities[a] = self.reduce_coords(a, a, parent.identities[a])
         for a in survivors:

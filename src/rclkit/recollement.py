@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adjunction import (Adjunction, normalize_embedding, rewire_adjunction,
-                         validate_adjunction)
-from .category import FinLinCategory, ObjectExpr, Subcategory, is_isomorphic, restrict_category
+from .adjunction import (Adjunction, make_adjunction, normalize_embedding,
+                         rewire_adjunction, validate_adjunction)
+from .category import (FinLinCategory, ObjectExpr, Subcategory, is_isomorphic,
+                       morphism_in, restrict_category)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, compose_functors, image_subcategory,
                       is_identity_functor, kernel_subcategory, validate_functor)
@@ -210,18 +211,10 @@ def _restricted_functor(f: LinearFunctor, src: FinLinCategory, tgt: FinLinCatego
 
 def _restricted_adjunction(adj: Adjunction, left: LinearFunctor,
                            right: LinearFunctor) -> Adjunction:
-    from .adjunction import make_adjunction
-    from .category import Morphism
-    unit_comps = {}
-    for g in left.source.generators:
-        c = adj.unit.components[g]
-        unit_comps[g] = Morphism(left.source, ObjectExpr(c.source.summands),
-                                 ObjectExpr(c.target.summands), c.blocks)
-    counit_comps = {}
-    for h in right.source.generators:
-        c = adj.counit.components[h]
-        counit_comps[h] = Morphism(right.source, ObjectExpr(c.source.summands),
-                                   ObjectExpr(c.target.summands), c.blocks)
+    unit_comps = {g: morphism_in(left.source, adj.unit.components[g])
+                  for g in left.source.generators}
+    counit_comps = {h: morphism_in(right.source, adj.counit.components[h])
+                    for h in right.source.generators}
     return make_adjunction(left, right, unit_comps, counit_comps, name=adj.name)
 
 

@@ -4,21 +4,22 @@ basic triangles, and decidable membership in the distinguished class.
 The distinguished class is the closure of the basic table under rotation,
 finite direct sums and isomorphism of sextuples.  Membership is decided by
 matching vertex multisets against sums of rotated basic triangles and then
-searching for an isomorphism of sextuples; the isomorphism search solves the
-linear commutation constraints and looks for an invertible point of the
+searching for an isomorphism of sextuples.  Both that search and the one in
+`complete_monic` (an isomorphism of first maps) go through one solver,
+`invertible_commuting_tuple`: it takes the Hom spaces of the unknown
+morphisms and the commutation constraints P u_i = Q u_j between them, solves
+the linear system, and looks for a simultaneously invertible point of the
 solution space with a deterministic seeded sampler.
 """
 
 from __future__ import annotations
 
-import random
-
-from .category import (Morphism, ObjectExpr, compose, hom_dim_expr,
-                       postcompose_mat, precompose_mat, unflatten)
-from .adjunction import morphism_inverse
+from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_basis,
+                       hom_dim_expr, morphism_inverse, postcompose_mat,
+                       precompose_mat, unflatten)
 from .errors import PresentationError
 from .functor import LinearFunctor, compose_functors, is_identity_functor, validate_functor
-from .linalg import Mat, nullspace, rank
+from .linalg import Mat, candidate_stream, difference_rows, nullspace, rank
 from .report import Report
 
 _SEARCH_SEED = 20240811
@@ -128,50 +129,46 @@ class TriangulatedPresentation:
 
     def direct_sum(self, parts) -> Triangle:
         cat = self.cat
-        xs = ObjectExpr(sum((p.x.summands for p in parts), ()))
-        ys = ObjectExpr(sum((p.y.summands for p in parts), ()))
-        zs = ObjectExpr(sum((p.z.summands for p in parts), ()))
-        f = _block_diag_mor(cat, xs, ys, [(p.x, p.y, p.f) for p in parts])
-        g = _block_diag_mor(cat, ys, zs, [(p.y, p.z, p.g) for p in parts])
-        tx = self.shift.apply_obj(xs)
-        h = _block_diag_mor(cat, zs, tx, [(p.z, self.shift.apply_obj(p.x), p.h) for p in parts])
-        return Triangle(xs, ys, zs, f, g, h, name="+".join(p.name or "?" for p in parts))
+        f = block_diagonal(cat, [p.f for p in parts])
+        g = block_diagonal(cat, [p.g for p in parts])
+        h = block_diagonal(cat, [p.h for p in parts])
+        return Triangle(f.source, f.target, g.target, f, g, h,
+                        name="+".join(p.name or "?" for p in parts))
 
-    def _candidate_combos(self, mx, my, mz):
-        """Multisets of atoms whose summed vertex multisets match (mx,my,mz)."""
+    def _candidate_combos(self, objs):
+        """Multisets of atoms whose leading len(objs) vertices, summed, have
+        the vertex multisets of objs."""
         atoms = self.atoms()
+        k = len(objs)
         results = []
 
-        def rec(idx, remx, remy, remz, chosen):
-            if not remx and not remy and not remz:
+        def rec(idx, rems, chosen):
+            if not any(rems):
                 results.append(list(chosen))
                 return
             if idx == len(atoms):
                 return
             a = atoms[idx]
-            ax, ay, az = (_count(a.x), _count(a.y), _count(a.z))
+            counts = [v.multiplicities() for v in a.vertices()[:k]]
             # Try zero or more copies of atom idx.
             copies = 0
-            rx, ry, rz = dict(remx), dict(remy), dict(remz)
+            rest = [dict(r) for r in rems]
             while True:
-                rec(idx + 1, rx, ry, rz, chosen + [a] * copies)
-                if _fits(ax, rx) and _fits(ay, ry) and _fits(az, rz) \
-                        and (ax or ay or az):
-                    _subtract(ax, rx)
-                    _subtract(ay, ry)
-                    _subtract(az, rz)
+                rec(idx + 1, rest, chosen + [a] * copies)
+                if any(counts) and all(_fits(c, r) for c, r in zip(counts, rest)):
+                    for c, r in zip(counts, rest):
+                        _subtract(c, r)
                     copies += 1
                 else:
                     break
-            return
 
-        rec(0, _count_obj(mx), _count_obj(my), _count_obj(mz), [])
+        rec(0, [dict(o.multiplicities()) for o in objs], [])
         return results
 
     def membership(self, t: Triangle):
         """Witness that t is isomorphic to a sum of rotated basic triangles,
         or None.  The witness records the combination and the isomorphism."""
-        for combo in self._candidate_combos(t.x, t.y, t.z):
+        for combo in self._candidate_combos(t.vertices()):
             if not combo:
                 if t.x.is_zero() and t.y.is_zero() and t.z.is_zero():
                     return {"combo": (), "iso": None}
@@ -188,65 +185,23 @@ class TriangulatedPresentation:
         Searches sums of atoms with matching first two vertices and
         transports along an isomorphism of the first map.
         """
-        cat = self.cat
-        atoms = self.atoms()
-        for combo in self._candidate_pairs(f.source, f.target):
+        for combo in self._candidate_combos((f.source, f.target)):
             if not combo:
                 continue
             ts = self.direct_sum(combo)
-            pair = _solve_pair_iso(cat, ts.f, f)
+            # a: f.source -> ts.x, b: f.target -> ts.y with ts.f a = b f
+            pair = invertible_commuting_tuple(
+                self.cat, ((f.source, ts.x), (f.target, ts.y)),
+                ((postcompose_mat(ts.f, f.source), 0, precompose_mat(f, ts.y), 1),))
             if pair is None:
                 continue
-            a, b = pair  # a: f.source -> ts.x, b: f.target -> ts.y, ts.f a = b f
-            a_inv = morphism_inverse(a)
-            if a_inv is None:
-                continue
-            b_inv = morphism_inverse(b)
-            if b_inv is None:
-                continue
+            a, b = pair
             g2 = compose(ts.g, b)
-            h2 = compose(self.shift.apply(a_inv), ts.h)
+            h2 = compose(self.shift.apply(morphism_inverse(a)), ts.h)
             return Triangle(ObjectExpr(f.source.summands), ObjectExpr(f.target.summands),
                             ObjectExpr(ts.z.summands), f, g2, h2,
                             name="completion")
         return None
-
-    def _candidate_pairs(self, x, y):
-        atoms = self.atoms()
-        results = []
-
-        def rec(idx, remx, remy, chosen):
-            if not remx and not remy:
-                results.append(list(chosen))
-                return
-            if idx == len(atoms):
-                return
-            a = atoms[idx]
-            ax, ay = _count(a.x), _count(a.y)
-            copies = 0
-            rx, ry = dict(remx), dict(remy)
-            while True:
-                rec(idx + 1, rx, ry, chosen + [a] * copies)
-                if _fits(ax, rx) and _fits(ay, ry) and (ax or ay):
-                    _subtract(ax, rx)
-                    _subtract(ay, ry)
-                    copies += 1
-                else:
-                    break
-
-        rec(0, _count_obj(x), _count_obj(y), [])
-        return results
-
-
-def _count(obj: ObjectExpr):
-    out = {}
-    for s in obj.summands:
-        out[s] = out.get(s, 0) + 1
-    return out
-
-
-def _count_obj(obj: ObjectExpr):
-    return _count(obj)
 
 
 def _fits(small, big):
@@ -258,20 +213,6 @@ def _subtract(small, big):
         big[k] -= v
         if big[k] == 0:
             del big[k]
-
-
-def _block_diag_mor(cat, src: ObjectExpr, tgt: ObjectExpr, parts) -> Morphism:
-    F = cat.field
-    blocks = [[list((F.zero,) * cat.hom_dim(s, t)) for s in src.summands]
-              for t in tgt.summands]
-    soff = toff = 0
-    for (ps, pt, pm) in parts:
-        for li in range(len(pt.summands)):
-            for lj in range(len(ps.summands)):
-                blocks[toff + li][soff + lj] = list(pm.blocks[li][lj])
-        soff += len(ps.summands)
-        toff += len(pt.summands)
-    return Morphism(cat, src, tgt, [[tuple(v) for v in row] for row in blocks])
 
 
 def identity_triangle(tri: TriangulatedPresentation, g: str) -> Triangle:
@@ -288,40 +229,37 @@ def identity_triangle(tri: TriangulatedPresentation, g: str) -> Triangle:
 def _invertible_candidate(field, parts, basis, max_tries=400):
     """Search a linear space of morphism tuples for a simultaneously
     invertible point; deterministic (fixed seed)."""
-    if not basis:
-        mors = parts([])
-        if all(morphism_inverse(m) is not None for m in mors):
-            return mors
-        return None
-
-    def split(vec):
-        return parts(vec)
-
-    for v in basis:
-        mors = split(v)
-        invs = [morphism_inverse(m) for m in mors]
-        if all(i is not None for i in invs):
-            return mors
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            v = tuple(field.add(a, b) for a, b in zip(basis[i], basis[j]))
-            mors = split(v)
-            if all(morphism_inverse(m) is not None for m in mors):
-                return mors
-    rng = random.Random(_SEARCH_SEED)
-    pool = field.sample_scalars() + [field.zero]
-    n = len(basis[0])
-    for _ in range(max_tries):
-        vec = [field.zero] * n
-        for b in basis:
-            c = pool[rng.randrange(len(pool))]
-            if field.is_zero(c):
-                continue
-            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, b)]
-        mors = split(vec)
+    for vec in candidate_stream(field, basis, _SEARCH_SEED, max_tries):
+        mors = parts(vec)
         if all(morphism_inverse(m) is not None for m in mors):
             return mors
     return None
+
+
+def invertible_commuting_tuple(cat, spaces, constraints):
+    """Simultaneously invertible morphisms u_0, ..., u_{n-1} with u_i in
+    Hom(*spaces[i]) satisfying P u_i = Q u_j for each constraint (P, i, Q, j),
+    where P and Q are matrices of linear maps on those Hom spaces; or None.
+
+    The unknowns are stacked in the given order, which fixes the canonical
+    nullspace basis and hence the search order and the tuple found."""
+    F = cat.field
+    dims = [hom_dim_expr(cat, s, t) for s, t in spaces]
+    offsets = [sum(dims[:i]) for i in range(len(dims))]
+    total = sum(dims)
+
+    def split(vec):
+        if not vec:
+            vec = [F.zero] * total
+        return tuple(unflatten(cat, s, t, vec[o:o + d])
+                     for (s, t), o, d in zip(spaces, offsets, dims))
+
+    if total == 0:
+        mors = split(())
+        return mors if all(morphism_inverse(m) is not None for m in mors) else None
+    rows = difference_rows(F, total, [(p, offsets[i], q, offsets[j])
+                                      for p, i, q, j in constraints])
+    return _invertible_candidate(F, split, nullspace(Mat(F, len(rows), total, rows)))
 
 
 def triangle_iso(tri: TriangulatedPresentation, ts: Triangle, t: Triangle):
@@ -330,181 +268,52 @@ def triangle_iso(tri: TriangulatedPresentation, ts: Triangle, t: Triangle):
     Constraints: t.f a = b ts.f, t.g b = c ts.g, t.h c = T(a) ts.h.
     """
     cat = tri.cat
-    F = cat.field
-    da = hom_dim_expr(cat, ts.x, t.x)
-    db = hom_dim_expr(cat, ts.y, t.y)
-    dc = hom_dim_expr(cat, ts.z, t.z)
-    total = da + db + dc
-    if total == 0:
-        mors = (Morphism.zero(cat, ts.x, t.x), Morphism.zero(cat, ts.y, t.y),
-                Morphism.zero(cat, ts.z, t.z))
-        if all(morphism_inverse(m) is not None for m in mors):
-            return mors
-        return None
-    rows = []
-
-    def add_constraint(post, pre, off_post, off_pre):
-        # post * u - pre * v = 0 where u sits at off_post, v at off_pre
-        for r in range(post.rows):
-            row = [F.zero] * total
-            for c in range(post.cols):
-                row[off_post + c] = F.add(row[off_post + c], post.data[r][c])
-            for c in range(pre.cols):
-                row[off_pre + c] = F.sub(row[off_pre + c], pre.data[r][c])
-            rows.append(row)
-
-    add_constraint(postcompose_mat(t.f, ts.x), precompose_mat(ts.f, t.y), 0, da)
-    add_constraint(postcompose_mat(t.g, ts.y), precompose_mat(ts.g, t.z), da, da + db)
-    # t.h c = T(a) ts.h: as linear maps of c and a respectively.
-    post_h = postcompose_mat(t.h, ts.z)
-    # a |-> T(a) o ts.h: first apply shift hom map on a, then precompose.
-    pre_h = precompose_mat(ts.h, tri.shift.apply_obj(t.x))
-    shift_mat = _functor_hom_mat(tri.shift, ts.x, t.x)
-    ta_mat = pre_h.mul(shift_mat)
-    for r in range(post_h.rows):
-        row = [F.zero] * total
-        for c in range(post_h.cols):
-            row[da + db + c] = F.add(row[da + db + c], post_h.data[r][c])
-        for c in range(ta_mat.cols):
-            row[c] = F.sub(row[c], ta_mat.data[r][c])
-        rows.append(row)
-
-    basis = nullspace(Mat(F, len(rows), total, rows)) if rows else \
-        [tuple(F.one if i == j else F.zero for i in range(total)) for j in range(total)]
-
-    def split(vec):
-        if not vec:
-            vec = [F.zero] * total
-        return (unflatten(cat, ts.x, t.x, vec[:da]),
-                unflatten(cat, ts.y, t.y, vec[da:da + db]),
-                unflatten(cat, ts.z, t.z, vec[da + db:]))
-
-    found = _invertible_candidate(F, split, basis)
-    if found is None:
-        return None
-    return tuple(found)
+    shift = tri.shift
+    # a |-> T(a) o ts.h: the shift's action on Hom(ts.x, t.x), then precompose.
+    shift_mat = Mat.from_columns(cat.field,
+                                 hom_dim_expr(cat, shift.apply_obj(ts.x), shift.apply_obj(t.x)),
+                                 [shift.apply(u).flatten() for u in hom_basis(cat, ts.x, t.x)])
+    return invertible_commuting_tuple(
+        cat, ((ts.x, t.x), (ts.y, t.y), (ts.z, t.z)),
+        ((postcompose_mat(t.f, ts.x), 0, precompose_mat(ts.f, t.y), 1),
+         (postcompose_mat(t.g, ts.y), 1, precompose_mat(ts.g, t.z), 2),
+         (postcompose_mat(t.h, ts.z), 2,
+          precompose_mat(ts.h, shift.apply_obj(t.x)).mul(shift_mat), 0)))
 
 
-def _functor_hom_mat(f: LinearFunctor, a: ObjectExpr, b: ObjectExpr) -> Mat:
-    """Matrix of Hom(a,b) -> Hom(F a, F b) in flat coordinates."""
-    cat = f.source
-    d = hom_dim_expr(cat, a, b)
-    cols = []
-    for q in range(d):
-        coords = [cat.field.zero] * d
-        coords[q] = cat.field.one
-        cols.append(f.apply(unflatten(cat, a, b, coords)).flatten())
-    rows = hom_dim_expr(f.target, f.apply_obj(a), f.apply_obj(b))
-    return Mat(f.target.field, rows, d,
-               [[cols[q][r] for q in range(d)] for r in range(rows)])
+def d_approximation_failure(f: Morphism, d, monic: bool):
+    """First member D of d at which f is not a D-approximation, or None.
 
-
-def _solve_pair_iso(cat, f0: Morphism, f1: Morphism):
-    """Invertible (a, b) with f0 a = b f1 (a: f1.src -> f0.src etc), or None."""
-    F = cat.field
-    da = hom_dim_expr(cat, f1.source, f0.source)
-    db = hom_dim_expr(cat, f1.target, f0.target)
-    total = da + db
-    if total == 0:
-        mors = (Morphism.zero(cat, f1.source, f0.source),
-                Morphism.zero(cat, f1.target, f0.target))
-        if all(morphism_inverse(m) is not None for m in mors):
-            return mors
-        return None
-    rows = []
-    post = postcompose_mat(f0, f1.source)   # a |-> f0 o a
-    pre = precompose_mat(f1, f0.target)     # b |-> b o f1
-    for r in range(post.rows):
-        row = [F.zero] * total
-        for c in range(post.cols):
-            row[c] = F.add(row[c], post.data[r][c])
-        for c in range(pre.cols):
-            row[da + c] = F.sub(row[da + c], pre.data[r][c])
-        rows.append(row)
-    basis = nullspace(Mat(F, len(rows), total, rows)) if rows else \
-        [tuple(F.one if i == j else F.zero for i in range(total)) for j in range(total)]
-
-    def split(vec):
-        if not vec:
-            vec = [F.zero] * total
-        return (unflatten(cat, f1.source, f0.source, vec[:da]),
-                unflatten(cat, f1.target, f0.target, vec[da:]))
-
-    found = _invertible_candidate(F, split, basis)
-    if found is None:
-        return None
-    return tuple(found)
+    monic: every map f.source -> D factors through f (pre-composition onto
+    Hom(f.source, D)); otherwise every map D -> f.target factors through f
+    (post-composition onto Hom(D, f.target))."""
+    hom_mat = precompose_mat if monic else postcompose_mat
+    for m in d.members:
+        mat = hom_mat(f, ObjectExpr((m,)))
+        if rank(mat) != mat.rows:
+            return m
+    return None
 
 
 def is_D_epic(cat, f: Morphism, d) -> bool:
     """Post-composition surjective on Hom(D, -) for every member D."""
-    for m in d.members:
-        mobj = ObjectExpr((m,))
-        mat = postcompose_mat(f, mobj)
-        if rank(mat) != hom_dim_expr(cat, mobj, f.target):
-            return False
-    return True
+    return d_approximation_failure(f, d, monic=False) is None
 
 
 def is_D_monic(cat, f: Morphism, d) -> bool:
     """Pre-composition surjective on Hom(-, D) for every member D."""
-    for m in d.members:
-        mobj = ObjectExpr((m,))
-        mat = precompose_mat(f, mobj)
-        if rank(mat) != hom_dim_expr(cat, f.source, mobj):
-            return False
-    return True
-
-
-def d_monic_witness(cat, f: Morphism, d):
-    """A member D where pre-composition fails to be surjective, or None."""
-    for m in d.members:
-        mobj = ObjectExpr((m,))
-        mat = precompose_mat(f, mobj)
-        if rank(mat) != hom_dim_expr(cat, f.source, mobj):
-            return m
-    return None
+    return d_approximation_failure(f, d, monic=True) is None
 
 
 def canonical_right_approximation(cat, x: ObjectExpr, d) -> Morphism:
     """Evaluation morphism from a sum of member copies onto x; always a
     right approximation in a finite presentation."""
-    F = cat.field
-    src_summands = []
-    cols = []
-    for m in d.members:
-        mobj = ObjectExpr((m,))
-        dim = hom_dim_expr(cat, mobj, x)
-        for q in range(dim):
-            coords = [F.zero] * dim
-            coords[q] = F.one
-            src_summands.append(m)
-            cols.append(unflatten(cat, mobj, x, coords))
-    src = ObjectExpr(src_summands)
-    blocks = []
-    for i, t in enumerate(x.summands):
-        row = []
-        for j, mor in enumerate(cols):
-            row.append(mor.blocks[i][0])
-        blocks.append(row)
-    return Morphism(cat, src, x, blocks)
+    parts = [(m, u) for m in d.members for u in hom_basis(cat, ObjectExpr((m,)), x)]
+    blocks = [[u.blocks[i][0] for _, u in parts] for i in range(len(x.summands))]
+    return Morphism(cat, ObjectExpr([m for m, _ in parts]), x, blocks)
 
 
 def canonical_left_approximation(cat, x: ObjectExpr, d) -> Morphism:
     """Coevaluation morphism from x into a sum of member copies."""
-    F = cat.field
-    tgt_summands = []
-    rows_m = []
-    for m in d.members:
-        mobj = ObjectExpr((m,))
-        dim = hom_dim_expr(cat, x, mobj)
-        for q in range(dim):
-            coords = [F.zero] * dim
-            coords[q] = F.one
-            tgt_summands.append(m)
-            rows_m.append(unflatten(cat, x, mobj, coords))
-    tgt = ObjectExpr(tgt_summands)
-    blocks = []
-    for i, mor in enumerate(rows_m):
-        blocks.append([mor.blocks[0][j] for j in range(len(x.summands))])
-    return Morphism(cat, x, tgt, blocks)
+    parts = [(m, u) for m in d.members for u in hom_basis(cat, x, ObjectExpr((m,)))]
+    return Morphism(cat, x, ObjectExpr([m for m, _ in parts]), [u.blocks[0] for _, u in parts])

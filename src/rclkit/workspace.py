@@ -43,7 +43,8 @@ from __future__ import annotations
 import hashlib
 
 from .adjunction import make_adjunction
-from .category import FinLinCategory, Morphism, ObjectExpr, Subcategory
+from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
+                       hom_dim_expr, unflatten)
 from .errors import InputError
 from .field import make_field
 from .functor import (LinearFunctor, NatTransform, compose_functors,
@@ -197,6 +198,13 @@ class _Parser:
             self.error("expected a number", tok)
         return tok
 
+    def expect_int(self) -> int:
+        tok = self.expect_number()
+        try:
+            return int(tok.value)
+        except ValueError:
+            self.error("expected an integer, got %r" % tok.value, tok)
+
     def at_word(self, word) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.value == word
@@ -229,8 +237,8 @@ class _Parser:
         out = []
         while not (self.peek().kind == "punct" and self.peek().value == "}"):
             self.expect_punct("(")
-            i = int(self.expect_number().value)
-            j = int(self.expect_number().value)
+            i = self.expect_int()
+            j = self.expect_int()
             self.expect_punct(")")
             out.append(((i, j), self.parse_coeffs()))
         self.expect_punct("}")
@@ -253,7 +261,7 @@ def parse(text: str) -> Workspace:
     p = _Parser(_tokenize(text))
     p.expect_word("rclkit")
     p.expect_word("workspace")
-    version = int(p.expect_number().value)
+    version = p.expect_int()
     if version != FORMAT_VERSION:
         p.error("unsupported format version %d" % version)
 
@@ -267,7 +275,7 @@ def parse(text: str) -> Workspace:
             if kind.value == "rationals":
                 decls.append(("field", None, {"kind": "rationals"}, kw))
             elif kind.value == "prime":
-                pnum = int(p.expect_number().value)
+                pnum = p.expect_int()
                 decls.append(("field", None, {"kind": "prime", "p": pnum}, kw))
             else:
                 p.error("unknown field kind %r" % kind.value, kind)
@@ -834,7 +842,6 @@ def _build_functor(name, src, tgt, body):
         if g not in object_map:
             raise InputError([Diagnostic(body["pos"].line, body["pos"].col,
                                          "functor %s: no image for %s" % (name, g))])
-    from .category import hom_dim_expr
     cols = {}
     for (a, b, bname, morph, tok) in body["maps"]:
         names = {n: k for k, n in enumerate(src.basis_names(a, b))}
@@ -851,11 +858,9 @@ def _build_functor(name, src, tgt, body):
             if d == 0:
                 continue
             rows = hom_dim_expr(tgt, object_map[a], object_map[b])
-            data = [[field.zero] * d for _ in range(rows)]
-            for qidx, flat in cols.get((a, b), {}).items():
-                for r in range(rows):
-                    data[r][qidx] = flat[r]
-            hom_maps[(a, b)] = Mat(field, rows, d, data)
+            given = cols.get((a, b), {})
+            hom_maps[(a, b)] = Mat.from_columns(
+                field, rows, [given.get(q, (field.zero,) * rows) for q in range(d)])
     return LinearFunctor(src, tgt, object_map, hom_maps, name=name)
 
 
@@ -979,7 +984,6 @@ def serialize(ws: Workspace) -> str:
                 col = mat.col(q)
                 if all(field.is_zero(x) for x in col):
                     continue
-                from .category import unflatten
                 mor = unflatten(f.target, f.object_map[a], f.object_map[b], col)
                 out.append("  map (%s %s %s) -> %s" % (a, b, bname, _fmt_morph(f.target, mor)))
         out.append("}")

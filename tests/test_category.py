@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                             compose, hom_dim_expr, hom_space, ideal_subspace,
-                             is_isomorphic, unflatten, validate_category)
+                             block_diagonal, compose, hom_dim_expr, hom_space,
+                             ideal_subspace, is_isomorphic, unflatten,
+                             validate_category)
 from rclkit.errors import PresentationError
 from rclkit.field import QQ
 
@@ -126,3 +127,25 @@ def test_subcategory_membership(ws_a2):
     assert not sub.contains_object(cat.obj("S2", "P1"))
     with pytest.raises(PresentationError):
         Subcategory(cat, ["nope"])
+
+
+def test_block_diagonal_with_zero_target_summand(ws_a2):
+    cat = ws_a2.categories["A2"]
+    soc = Morphism.single(cat, "S2", "P1", (Fraction(2),))
+    to_zero = Morphism.zero(cat, cat.obj("S1"), ObjectExpr(()))
+    top = Morphism.single(cat, "P1", "S1", (Fraction(3),))
+    got = block_diagonal(cat, [soc, to_zero, top])
+    # Rows are the targets P1, S1; columns the sources S2, S1, P1.  The
+    # middle part adds a column and no row.
+    want = Morphism(cat, cat.obj("S2", "S1", "P1"), cat.obj("P1", "S1"), [
+        [(Fraction(2),), (), (Fraction(0),)],
+        [(), (Fraction(0),), (Fraction(3),)],
+    ])
+    assert got.equal(want)
+
+
+def test_block_diagonal_of_no_parts(ws_a2):
+    cat = ws_a2.categories["A2"]
+    got = block_diagonal(cat, [])
+    assert got.source.summands == () and got.target.summands == ()
+    assert got.blocks == ()

@@ -1,3 +1,5 @@
+import pytest
+
 from rclkit.cli import main
 
 
@@ -93,12 +95,22 @@ def test_triangulate_quotient_command(fixture_dir, capsys):
     assert "result.unchecked" in out
 
 
-def test_parse_error_exit2(tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    ("rclkit workspace 1\nfunctor f { source X target Y }\n", "unknown category"),
+    ("rclkit workspace 1/0\n", "expected an integer"),
+    ("rclkit workspace 1\nfield { kind prime 7/2 }\n", "expected an integer"),
+    ("rclkit workspace 1\nfunctor f { source C target C\n"
+     "  map (A A e) -> { (1/2 0) { e 1 } } }\n", "expected an integer"),
+], ids=["unknown-category", "fractional-version", "fractional-prime",
+        "fractional-block-index"])
+def test_parse_error_exit2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.rcl"
-    bad.write_text("rclkit workspace 1\nfunctor f { source X target Y }\n")
+    bad.write_text(text)
     code, _, err = run(["validate", str(bad)], capsys)
     assert code == 2
-    assert "unknown category" in err
+    assert message in err
+    assert "line" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_exit2(capsys):

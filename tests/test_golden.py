@@ -1,9 +1,9 @@
 """Golden certificates: the seven README example commands must reproduce the
 stored `--out` certificate byte for byte, with the same exit code.
 
-The files under tests/golden/ were written by the engine before the
-one-primitive-per-concept refactor, so they pin every verdict, witness and
-search count (e.g. "552 commuting squares completed") across refactors.
+The files under tests/golden/ pin every verdict, witness and search count
+(e.g. "552 commuting squares completed"), so a change that means to keep
+the engine's behaviour must leave them byte-identical.
 """
 
 from pathlib import Path
