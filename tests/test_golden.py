@@ -1,5 +1,6 @@
-"""Golden certificates: the seven README example commands must reproduce the
-stored `--out` certificate byte for byte, with the same exit code.
+"""Golden certificates: the seven README example commands, plus the restrict
+and left-quotient pipelines, must reproduce the stored `--out` certificate
+byte for byte, with the same exit code.
 
 The files under tests/golden/ pin every verdict, witness and search count
 (e.g. "552 commuting squares completed"), so a change that means to keep
@@ -27,6 +28,11 @@ CASES = [
      ["tri-recollement", "fix_prod.rcl", "--d", "C1.M2"], 0),
     ("tri-recollement-c2-m2",
      ["tri-recollement", "fix_prod.rcl", "--d", "C2.M2"], 1),
+    ("restrict-s2", ["restrict", "fix_a2.rcl", "--x", "S2"], 0),
+    # The witness "j_lo(j_up(P1)) contains S1" pins the order in which the
+    # four closure hypotheses are checked.
+    ("restrict-p1", ["restrict", "fix_a2.rcl", "--x", "P1"], 1),
+    ("left-quotient-v", ["left-quotient", "fix_a2.rcl", "--xp", "V"], 0),
 ]
 
 
