@@ -137,14 +137,50 @@ def normalize_embedding(adj: Adjunction, side: str = "auto") -> NormalizationRes
     if side == "auto":
         side = _detect_embedding_side(adj)
     if side == "left":
-        if not is_full_embedding(adj.left):
-            raise PreconditionError("not a full embedding", witness=adj.left.name)
-        return _normalize_unit_side(adj)
-    if side == "right":
-        if not is_full_embedding(adj.right):
-            raise PreconditionError("not a full embedding", witness=adj.right.name)
-        return _normalize_counit_side(adj)
-    raise ValueError("side must be left, right or auto")
+        emb, other, iso, replaced = adj.left, adj.right, adj.unit, "right"
+    elif side == "right":
+        emb, other, iso, replaced = adj.right, adj.left, adj.counit, "left"
+    else:
+        raise ValueError("side must be left, right or auto")
+    if not is_full_embedding(emb):
+        raise PreconditionError("not a full embedding", witness=emb.name)
+    A = emb.source
+    if is_identity_functor(compose_functors(other, emb)) \
+            and nat_equal(iso, identity_nat(identity_functor(A))):
+        return NormalizationResult(adj)
+    image = _single_gen_image_map(emb)
+    if image is None:
+        raise PreconditionError("embedding image is not generator-to-generator",
+                                witness=emb.name)
+    preimage = {}
+    for a, img in image.items():
+        if img in preimage:
+            raise PreconditionError("embedding hits the same generator twice", witness=img)
+        preimage[img] = a
+    iso_inv = {}
+    for a in A.generators:
+        inv = morphism_inverse(iso.components[a])
+        if inv is None:
+            raise PreconditionError("%s component is not invertible"
+                                    % ("unit" if side == "left" else "counit"), witness=a)
+        iso_inv[a] = inv
+    # conj[b]: other(b) -> new(b); for b = emb(a) that is other(emb(a)) -> a,
+    # the inverse unit (left embeds) or the counit (right embeds) at a.
+    new_objects, conj, conj_inv = {}, {}, {}
+    for b in other.source.generators:
+        if b in preimage:
+            a = preimage[b]
+            new_objects[b] = ObjectExpr((a,))
+            conj[b], conj_inv[b] = ((iso_inv[a], iso.components[a]) if side == "left"
+                                    else (iso.components[a], iso_inv[a]))
+        else:
+            new_objects[b] = other.object_map[b]
+            conj[b] = conj_inv[b] = Morphism.identity(A, other.object_map[b])
+    new = _conjugated_functor(other, new_objects, conj, conj_inv, other.name)
+    adj2 = rewire_adjunction(adj, replaced, new, conj, conj_inv)
+    if not is_identity_functor(compose_functors(new, emb)):
+        raise InconsistentDataError("strictification failed for %s" % adj.name)
+    return NormalizationResult(adj2, replaced, other, new, conj, conj_inv)
 
 
 def _conjugated_functor(f: LinearFunctor, new_objects, conj, conj_inv, name):
@@ -164,123 +200,29 @@ def _conjugated_functor(f: LinearFunctor, new_objects, conj, conj_inv, name):
     return LinearFunctor(src, tgt, new_objects, hom_maps, name=name)
 
 
-def _normalize_unit_side(adj: Adjunction) -> NormalizationResult:
-    """Left adjoint embeds: conjugate the right adjoint."""
-    L, R = adj.left, adj.right
-    A, B = L.source, L.target
-    if is_identity_functor(compose_functors(R, L)) \
-            and nat_equal(adj.unit, identity_nat(identity_functor(A))):
-        return NormalizationResult(adj)
-    phi = _single_gen_image_map(L)
-    if phi is None:
-        raise PreconditionError("embedding image is not generator-to-generator",
-                                witness=L.name)
-    inv_phi = {}
-    for g, img in phi.items():
-        if img in inv_phi:
-            raise PreconditionError("embedding hits the same generator twice", witness=img)
-        inv_phi[img] = g
-    unit_inv = {}
-    for g in A.generators:
-        inv = morphism_inverse(adj.unit.components[g])
-        if inv is None:
-            raise PreconditionError("unit component is not invertible", witness=g)
-        unit_inv[g] = inv
-    new_objects, conj, conj_inv = {}, {}, {}
-    for y in B.generators:
-        if y in inv_phi:
-            x = inv_phi[y]
-            new_objects[y] = ObjectExpr((x,))
-            conj[y] = unit_inv[x]                 # R(y) = RL(x) -> x
-            conj_inv[y] = adj.unit.components[x]  # x -> R(y)
-        else:
-            new_objects[y] = R.object_map[y]
-            conj[y] = Morphism.identity(A, R.object_map[y])
-            conj_inv[y] = conj[y]
-    R2 = _conjugated_functor(R, new_objects, conj, conj_inv, R.name)
-    unit_comps = {}
-    for g in A.generators:
-        c_at = block_diagonal(A, [conj[s] for s in L.object_map[g].summands])
-        unit_comps[g] = compose(c_at, adj.unit.components[g])
-    counit_comps = {}
-    for y in B.generators:
-        counit_comps[y] = compose(adj.counit.components[y], L.apply(conj_inv[y]))
-    adj2 = make_adjunction(L, R2, unit_comps, counit_comps, name=adj.name)
-    if not is_identity_functor(compose_functors(R2, L)):
-        raise InconsistentDataError("strictification failed for %s" % adj.name)
-    return NormalizationResult(adj2, "right", R, R2, conj, conj_inv)
-
-
-def _normalize_counit_side(adj: Adjunction) -> NormalizationResult:
-    """Right adjoint embeds: conjugate the left adjoint."""
-    L, R = adj.left, adj.right
-    A, B = L.source, L.target
-    if is_identity_functor(compose_functors(L, R)) \
-            and nat_equal(adj.counit, identity_nat(identity_functor(B))):
-        return NormalizationResult(adj)
-    psi = _single_gen_image_map(R)
-    if psi is None:
-        raise PreconditionError("embedding image is not generator-to-generator",
-                                witness=R.name)
-    inv_psi = {}
-    for y, img in psi.items():
-        if img in inv_psi:
-            raise PreconditionError("embedding hits the same generator twice", witness=img)
-        inv_psi[img] = y
-    counit_inv = {}
-    for y in B.generators:
-        inv = morphism_inverse(adj.counit.components[y])
-        if inv is None:
-            raise PreconditionError("counit component is not invertible", witness=y)
-        counit_inv[y] = inv
-    new_objects, conj, conj_inv = {}, {}, {}
-    for x in A.generators:
-        if x in inv_psi:
-            y = inv_psi[x]
-            new_objects[x] = ObjectExpr((y,))
-            conj[x] = adj.counit.components[y]  # L(x) = LR(y) -> y
-            conj_inv[x] = counit_inv[y]
-        else:
-            new_objects[x] = L.object_map[x]
-            conj[x] = Morphism.identity(B, L.object_map[x])
-            conj_inv[x] = conj[x]
-    L2 = _conjugated_functor(L, new_objects, conj, conj_inv, L.name)
-    counit_comps = {}
-    for y in B.generators:
-        c_at = block_diagonal(B, [conj_inv[s] for s in R.object_map[y].summands])
-        counit_comps[y] = compose(adj.counit.components[y], c_at)
-    unit_comps = {}
-    for x in A.generators:
-        unit_comps[x] = compose(R.apply(conj[x]), adj.unit.components[x])
-    adj2 = make_adjunction(L2, R, unit_comps, counit_comps, name=adj.name)
-    if not is_identity_functor(compose_functors(L2, R)):
-        raise InconsistentDataError("strictification failed for %s" % adj.name)
-    return NormalizationResult(adj2, "left", L, L2, conj, conj_inv)
-
-
-def rewire_adjunction(adj: Adjunction, old: LinearFunctor, new: LinearFunctor,
+def rewire_adjunction(adj: Adjunction, side: str, new: LinearFunctor,
                       conj, conj_inv) -> Adjunction:
-    """Replace a functor occurring in an adjunction, conjugating the unit and
-    counit by the isomorphism family old(g) -> new(g)."""
+    """Replace the adjoint on side ("left" or "right") by new, conjugating the
+    unit and counit by the isomorphism family old(g) -> new(g)."""
     L, R = adj.left, adj.right
-    if L is old:
+    if side == "left":
         unit_comps = {g: compose(R.apply(conj[g]), adj.unit.components[g])
                       for g in L.source.generators}
         counit_comps = {}
         for y in R.source.generators:
-            c_at = block_diagonal(old.target,
+            c_at = block_diagonal(L.target,
                                   [conj_inv[s] for s in R.object_map[y].summands])
             counit_comps[y] = compose(adj.counit.components[y], c_at)
         return make_adjunction(new, R, unit_comps, counit_comps, name=adj.name)
-    if R is old:
+    if side == "right":
         unit_comps = {}
         for g in L.source.generators:
-            c_at = block_diagonal(old.target, [conj[s] for s in L.object_map[g].summands])
+            c_at = block_diagonal(R.target, [conj[s] for s in L.object_map[g].summands])
             unit_comps[g] = compose(c_at, adj.unit.components[g])
         counit_comps = {y: compose(adj.counit.components[y], L.apply(conj_inv[y]))
                         for y in R.source.generators}
         return make_adjunction(L, new, unit_comps, counit_comps, name=adj.name)
-    return adj
+    raise ValueError("side must be left or right")
 
 
 def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "",

@@ -8,8 +8,9 @@ deterministic certificate.
 Subcategory arguments are comma-separated generator names; the owning
 category is inferred (or written explicitly as "CAT:g1,g2", which also
 allows the empty subcategory "CAT:").  Exit codes: 0 all checks passed,
-1 some check failed, 2 unreadable or unresolvable input, 3 internal
-inconsistency.
+1 some check failed, 2 unreadable or unresolvable input (or an unwritable
+--out path), 3 internal inconsistency, 4 unexpected internal error (one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .mutation import (MutationData, check_mutation_pair,
                        triangulated_quotient_recollement,
                        verify_quotient_triangulation)
 from .quotient import build_quotient, induce_adjunction, induce_functor
-from .recollement import (check_recollement, lift_subcategory_pair,
+from .recollement import (FUNCTOR_SLOTS, check_recollement, lift_subcategory_pair,
                           quotient_by_left_subcategory, quotient_recollement,
                           restrict_to_subcategory)
 from .report import Certificate, Report
@@ -54,6 +55,10 @@ def _resolve_subcat(ws, arg: str, expect_cat=None) -> Subcategory:
         if cat is None:
             raise InputError(["unknown category %r" % cat_name])
         names = [s for s in rest.split(",") if s]
+        unknown = [s for s in names if s not in cat.generators]
+        if unknown:
+            raise InputError(["category %s has no generator %s"
+                              % (cat_name, ",".join(unknown))])
     else:
         names = [s for s in arg.split(",") if s]
         if not names:
@@ -127,7 +132,7 @@ def _tri_bundle(ws, rec_name, rec):
             "mid": tri_for(rec.middle, "middle"),
             "right": tri_for(rec.right, "right")}
     exact = {}
-    for slot in ("i_up", "i_lo", "i_bang", "j_bang", "j_up", "j_lo"):
+    for slot in FUNCTOR_SLOTS:
         f = rec.functor(slot)
         hits = [e for e in ws.exactdata.values() if e.functor is f]
         if len(hits) != 1:
@@ -279,10 +284,17 @@ def main(argv=None) -> int:
     except InconsistentDataError as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(cert.render())
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(cert.render())
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (args.out, exc), file=sys.stderr)
+            return 2
     if args.fmt == "structured":
         sys.stdout.write(cert.render())
     else:

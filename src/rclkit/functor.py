@@ -181,17 +181,22 @@ def kernel_subcategory(f: LinearFunctor) -> Subcategory:
     return Subcategory(f.source, gens)
 
 
-def is_full_embedding(f: LinearFunctor) -> bool:
-    """Hom maps bijective on every generator pair."""
+def full_embedding_witness(f: LinearFunctor):
+    """None when every generator-pairwise hom map is bijective, else the
+    first failing pair."""
     for g in f.source.generators:
         for h in f.source.generators:
             d = f.source.hom_dim(g, h)
             mat = f.hom_maps[(g, h)]
-            if mat.rows != d:
-                return False
-            if d and rank(mat) != d:
-                return False
-    return True
+            r = rank(mat) if d else 0
+            if mat.rows != d or r != d:
+                return "Hom(%s,%s): %dx%d of rank %d" % (g, h, mat.rows, mat.cols, r)
+    return None
+
+
+def is_full_embedding(f: LinearFunctor) -> bool:
+    """Hom maps bijective on every generator pair."""
+    return full_embedding_witness(f) is None
 
 
 class NatTransform:

@@ -55,9 +55,6 @@ class Mat:
     def col(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")

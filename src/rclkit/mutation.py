@@ -19,8 +19,8 @@ from .functor import (LinearFunctor, compose_functors, functor_equal,
                       validate_functor, validate_nat)
 from .linalg import Mat, nullspace, rank, solve
 from .quotient import QuotientCategory, build_quotient, induce_functor
-from .recollement import (Recollement, _restricted_functor, quotient_recollement,
-                          supp_image)
+from .recollement import (FUNCTOR_SLOTS, Recollement, _restricted_functor,
+                          quotient_recollement, supp_image)
 from .report import Report
 from .triangulated import (Triangle, TriangulatedPresentation,
                            d_approximation_failure, is_D_epic, is_D_monic)
@@ -674,11 +674,6 @@ def _image_is_standard(e: ExactFunctorData, m: MutationData, m2: MutationData,
     return c is not None and morphism_inverse(c) is not None
 
 
-SLOT_PLAN = (("i_up", "mid", "left"), ("i_lo", "left", "mid"),
-             ("i_bang", "mid", "left"), ("j_bang", "right", "mid"),
-             ("j_up", "mid", "right"), ("j_lo", "right", "mid"))
-
-
 def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,
                                       d: Subcategory, m: MutationData,
                                       semantics: str = "strict"):
@@ -693,7 +688,7 @@ def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,
     for key in ("left", "mid", "right"):
         sub = tris[key].validate()
         rep.merge(sub, prefix="presentation.%s." % key)
-    for slot in ("i_up", "i_lo", "i_bang", "j_bang", "j_up", "j_lo"):
+    for slot in FUNCTOR_SLOTS:
         sub = exact[slot].validate()
         rep.merge(sub, prefix="input.%s." % slot)
 
@@ -740,12 +735,11 @@ def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,
     rep.merge(verify_quotient_triangulation(m_left), prefix="triangulation.left.")
     rep.merge(verify_quotient_triangulation(m_right), prefix="triangulation.right.")
 
-    sides = {"left": m_left, "mid": m, "right": m_right}
+    sides = {"left": m_left, "middle": m, "right": m_right}
     induced = {}
-    for slot, src_key, tgt_key in SLOT_PLAN:
+    for slot, (src, tgt) in FUNCTOR_SLOTS.items():
         try:
-            tilde, sub = induced_exact_functor(exact[slot], sides[src_key],
-                                               sides[tgt_key])
+            tilde, sub = induced_exact_functor(exact[slot], sides[src], sides[tgt])
             induced[slot] = tilde
             rep.merge(sub, prefix="exact.%s." % slot)
         except (PreconditionError, InconsistentDataError) as exc:

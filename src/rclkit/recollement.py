@@ -1,6 +1,16 @@
 """Six-functor recollement data, the axiom checker, and the derived pipelines:
 restriction to a subcategory, quotient diagrams, lifting subcategory pairs,
-and quotients by a subcategory of the closed part."""
+and quotients by a subcategory of the closed part.
+
+The shape of the diagram is written down once, in two ordered tables:
+FUNCTOR_SLOTS sends each functor slot to its (source part, target part),
+the parts being the fields left, middle and right of a Recollement, and
+ADJUNCTION_SLOTS sends each adjunction slot to its (left adjoint slot,
+right adjoint slot, embedded side).  Every other module that needs the
+slot names reads them from here.  A construction applied to each category
+(restriction, quotient) is carried over to the whole diagram by _transport,
+which rebuilds the six functors and then the four adjunctions from them.
+"""
 
 from __future__ import annotations
 
@@ -11,13 +21,31 @@ from .adjunction import (Adjunction, make_adjunction, normalize_embedding,
 from .category import (FinLinCategory, ObjectExpr, Subcategory, is_isomorphic,
                        morphism_in, restrict_category)
 from .errors import InconsistentDataError, PreconditionError
-from .functor import (LinearFunctor, compose_functors, image_subcategory,
-                      is_identity_functor, kernel_subcategory, validate_functor)
-from .linalg import rank
+from .functor import (LinearFunctor, compose_functors, full_embedding_witness,
+                      image_subcategory, is_identity_functor, kernel_subcategory,
+                      validate_functor)
 from .quotient import QuotientCategory, build_quotient, induce_adjunction, induce_functor
 from .report import Report
 
-SLOTS = ("i_up", "i_lo", "i_bang", "j_bang", "j_up", "j_lo")
+PARTS = ("left", "middle", "right")
+
+# functor slot -> (source part, target part)
+FUNCTOR_SLOTS = {
+    "i_up": ("middle", "left"),
+    "i_lo": ("left", "middle"),
+    "i_bang": ("middle", "left"),
+    "j_bang": ("right", "middle"),
+    "j_up": ("middle", "right"),
+    "j_lo": ("right", "middle"),
+}
+
+# adjunction slot -> (left adjoint slot, right adjoint slot, embedded side)
+ADJUNCTION_SLOTS = {
+    "adj_i": ("i_up", "i_lo", "right"),
+    "adj_ib": ("i_lo", "i_bang", "left"),
+    "adj_jb": ("j_bang", "j_up", "left"),
+    "adj_j": ("j_up", "j_lo", "right"),
+}
 
 
 @dataclass
@@ -40,6 +68,12 @@ class Recollement:
     def functor(self, slot: str) -> LinearFunctor:
         return getattr(self, slot)
 
+    def wired(self, slot: str) -> bool:
+        """Whether the adjunction in slot holds the diagram's functors."""
+        left, right, _ = ADJUNCTION_SLOTS[slot]
+        adj = getattr(self, slot)
+        return adj.left is self.functor(left) and adj.right is self.functor(right)
+
 
 def supp_image(f: LinearFunctor, members) -> set:
     out = set()
@@ -50,56 +84,48 @@ def supp_image(f: LinearFunctor, members) -> set:
 
 def normalize_recollement(r: Recollement):
     """Strictify the four composites of the embedded sides (returns a new
-    recollement and a report entry).  The two adjunctions sharing the middle
-    projection to the open part are rewired consistently."""
+    recollement and a report entry).  Each adjunction is normalized on its
+    embedded side; the other adjunctions holding the functor it replaced are
+    rewired consistently.  Requires every adjunction to hold the diagram's
+    functors."""
     rep = Report()
     if r.normalized:
         rep.info("normalization", "already normalized")
         return r, rep
-    n1 = normalize_embedding(r.adj_i, side="right")
-    n2 = normalize_embedding(r.adj_ib, side="left")
-    adj_jb, adj_j = r.adj_jb, r.adj_j
-    n3 = normalize_embedding(adj_jb, side="left")
-    adj_jb = n3.adj
-    if n3.changed:
-        adj_j = rewire_adjunction(adj_j, n3.old, n3.new, n3.conj, n3.conj_inv)
-    n4 = normalize_embedding(adj_j, side="right")
-    adj_j = n4.adj
-    if n4.changed:
-        adj_jb = rewire_adjunction(adj_jb, n4.old, n4.new, n4.conj, n4.conj_inv)
+    miswired = [slot for slot in ADJUNCTION_SLOTS if not r.wired(slot)]
+    if miswired:
+        raise PreconditionError("adjunction functors differ from the diagram",
+                                witness=miswired[0])
+    functors = {slot: r.functor(slot) for slot in FUNCTOR_SLOTS}
+    adjs = {slot: getattr(r, slot) for slot in ADJUNCTION_SLOTS}
+    changed = False
+    for slot, (left, right, side) in ADJUNCTION_SLOTS.items():
+        n = normalize_embedding(adjs[slot], side=side)
+        adjs[slot] = n.adj
+        if not n.changed:
+            continue
+        changed = True
+        replaced = left if n.replaced_side == "left" else right
+        functors[replaced] = n.new
+        for other, (other_left, other_right, _) in ADJUNCTION_SLOTS.items():
+            if other == slot or replaced not in (other_left, other_right):
+                continue
+            other_side = "left" if other_left == replaced else "right"
+            adjs[other] = rewire_adjunction(adjs[other], other_side, n.new,
+                                            n.conj, n.conj_inv)
 
-    out = Recollement(
-        left=r.left, middle=r.middle, right=r.right,
-        i_up=n1.adj.left, i_lo=n1.adj.right, i_bang=n2.adj.right,
-        j_bang=adj_jb.left, j_up=adj_j.left, j_lo=adj_j.right,
-        adj_i=n1.adj, adj_ib=n2.adj, adj_jb=adj_jb, adj_j=adj_j,
-        normalized=True)
-    for name, comp in (("i_up*i_lo", compose_functors(out.i_up, out.i_lo)),
-                       ("i_bang*i_lo", compose_functors(out.i_bang, out.i_lo)),
-                       ("j_up*j_bang", compose_functors(out.j_up, out.j_bang)),
-                       ("j_up*j_lo", compose_functors(out.j_up, out.j_lo))):
-        if not is_identity_functor(comp):
-            raise InconsistentDataError("normalization left %s != Id" % name)
-    for adj in (out.adj_i, out.adj_ib, out.adj_jb, out.adj_j):
+    out = Recollement(left=r.left, middle=r.middle, right=r.right,
+                      **functors, **adjs, normalized=True)
+    for slot, (left, right, side) in ADJUNCTION_SLOTS.items():
+        outer, inner = (left, right) if side == "right" else (right, left)
+        if not is_identity_functor(compose_functors(functors[outer], functors[inner])):
+            raise InconsistentDataError("normalization left %s*%s != Id" % (outer, inner))
+    for adj in adjs.values():
         if not validate_adjunction(adj).ok_all:
             raise InconsistentDataError(
                 "normalization broke adjunction %s" % adj.name)
-    changed = any(n.changed for n in (n1, n2, n3, n4))
     rep.info("normalization", "performed" if changed else "already strict")
     return out, rep
-
-
-def full_embedding_witness(f: LinearFunctor):
-    """None when every generator-pairwise hom map is bijective, else the
-    first failing pair."""
-    for g in f.source.generators:
-        for h in f.source.generators:
-            d = f.source.hom_dim(g, h)
-            mat = f.hom_maps[(g, h)]
-            if mat.rows != d or (d and rank(mat) != d):
-                return "Hom(%s,%s): %dx%d of rank %d" % (g, h, mat.rows, mat.cols,
-                                                          rank(mat) if d else 0)
-    return None
 
 
 def _iso_closure(cat: FinLinCategory, members: set, rep: Report, key: str) -> set:
@@ -118,29 +144,48 @@ def _iso_closure(cat: FinLinCategory, members: set, rep: Report, key: str) -> se
     return out
 
 
+def _record(rep: Report, key: str, sub: Report):
+    """One ok entry under key when sub passed, else its failures under key."""
+    if sub.ok_all:
+        rep.ok(key)
+    else:
+        for e in sub.failures():
+            rep.fail("%s.%s" % (key, e.key), e.witness)
+
+
+def check_functors(r: Recollement, rep: Report):
+    for slot in FUNCTOR_SLOTS:
+        _record(rep, "functor.%s" % slot, validate_functor(r.functor(slot)))
+
+
 def check_r1(r: Recollement, rep: Report):
-    pairs = (("adj-i_up-i_lo", r.adj_i, r.i_up, r.i_lo),
-             ("adj-i_lo-i_bang", r.adj_ib, r.i_lo, r.i_bang),
-             ("adj-j_bang-j_up", r.adj_jb, r.j_bang, r.j_up),
-             ("adj-j_up-j_lo", r.adj_j, r.j_up, r.j_lo))
-    for key, adj, left, right in pairs:
-        if adj.left is not left or adj.right is not right:
-            rep.fail("r1.%s.wiring" % key, "adjunction functors differ from the diagram")
-        sub = validate_adjunction(adj)
-        if sub.ok_all:
-            rep.ok("r1.%s" % key)
-        else:
-            for e in sub.failures():
-                rep.fail("r1.%s.%s" % (key, e.key), e.witness)
+    for slot, (left, right, _) in ADJUNCTION_SLOTS.items():
+        key = "r1.adj-%s-%s" % (left, right)
+        if not r.wired(slot):
+            rep.fail(key + ".wiring", "adjunction functors differ from the diagram")
+        _record(rep, key, validate_adjunction(getattr(r, slot)))
 
 
 def check_r2(r: Recollement, rep: Report):
-    for key, f in (("i_lo", r.i_lo), ("j_bang", r.j_bang), ("j_lo", r.j_lo)):
-        w = full_embedding_witness(f)
+    """Every functor that some adjunction embeds is a full embedding."""
+    embedded = dict.fromkeys(left if side == "left" else right
+                             for left, right, side in ADJUNCTION_SLOTS.values())
+    for slot in embedded:
+        w = full_embedding_witness(r.functor(slot))
         if w is None:
-            rep.ok("r2.%s" % key)
+            rep.ok("r2.%s" % slot)
         else:
-            rep.fail("r2.%s" % key, w)
+            rep.fail("r2.%s" % slot, w)
+
+
+def _im_ker_mismatch(im: set, ker: set, label: str = "Im") -> str:
+    """Empty when im == ker, else a witness naming both sides and the
+    generators in exactly one of them."""
+    if im == ker:
+        return ""
+    diff = sorted(ker - im) + sorted(im - ker)
+    return "%s {%s} != Ker {%s}; witnesses %s" % (
+        label, ",".join(sorted(im)), ",".join(sorted(ker)), ",".join(diff))
 
 
 def check_r3(r: Recollement, rep: Report, semantics: str):
@@ -149,24 +194,17 @@ def check_r3(r: Recollement, rep: Report, semantics: str):
     if semantics == "iso-closed":
         im = _iso_closure(r.middle, im, rep, "r3")
         ker = _iso_closure(r.middle, ker, rep, "r3")
-    if im == ker:
-        rep.ok("r3", "Im = Ker = {%s}" % ",".join(sorted(im)))
+    witness = _im_ker_mismatch(im, ker)
+    if witness:
+        rep.fail("r3", witness)
     else:
-        diff = sorted(ker - im) + sorted(im - ker)
-        rep.fail("r3", "Im {%s} != Ker {%s}; witnesses %s"
-                 % (",".join(sorted(im)), ",".join(sorted(ker)), ",".join(diff)))
+        rep.ok("r3", "Im = Ker = {%s}" % ",".join(sorted(im)))
 
 
 def check_recollement(r: Recollement, semantics: str = "strict") -> Report:
     """Functor validity plus the three recollement conditions."""
     rep = Report()
-    for slot in SLOTS:
-        sub = validate_functor(r.functor(slot))
-        if sub.ok_all:
-            rep.ok("functor.%s" % slot)
-        else:
-            for e in sub.failures():
-                rep.fail("functor.%s.%s" % (slot, e.key), e.witness)
+    check_functors(r, rep)
     check_r1(r, rep)
     check_r2(r, rep)
     check_r3(r, rep, semantics)
@@ -188,6 +226,16 @@ def _closure_hypotheses(r: Recollement, x: Subcategory):
                 raise PreconditionError(
                     "closure hypothesis fails",
                     witness=(label % g) + " contains %s" % sorted(bad)[0])
+
+
+def _normalized_with_hypotheses(r: Recollement, x: Subcategory):
+    """Normalize r and check the four closure hypotheses for x in its middle."""
+    r, rep = normalize_recollement(r)
+    if x.parent is not r.middle:
+        raise PreconditionError("subcategory does not live in the middle category")
+    _closure_hypotheses(r, x)
+    rep.ok("hypotheses", "all four closure composites stay inside")
+    return r, rep
 
 
 def _restricted_functor(f: LinearFunctor, src: FinLinCategory, tgt: FinLinCategory,
@@ -218,42 +266,44 @@ def _restricted_adjunction(adj: Adjunction, left: LinearFunctor,
     return make_adjunction(left, right, unit_comps, counit_comps, name=adj.name)
 
 
+def _transport(r: Recollement, parts: dict, on_functor, on_adjunction) -> Recollement:
+    """The recollement carried over part by part.
+
+    parts maps "left"/"middle"/"right" to the new part (a category, a
+    quotient, ...).  Each functor slot f: P -> Q becomes
+    on_functor(f, parts[P], parts[Q]); each adjunction slot becomes
+    on_adjunction(adj, left, right, parts[P], parts[Q]), where left: P -> Q
+    and right are the carried-over adjoints.  The categories of the result
+    are read off the carried-over functors.
+    """
+    new = {}
+    for slot, (src, tgt) in FUNCTOR_SLOTS.items():
+        f = new[slot] = on_functor(r.functor(slot), parts[src], parts[tgt])
+        new[src], new[tgt] = f.source, f.target
+    for slot, (left, right, _) in ADJUNCTION_SLOTS.items():
+        src, tgt = FUNCTOR_SLOTS[left]
+        new[slot] = on_adjunction(getattr(r, slot), new[left], new[right],
+                                  parts[src], parts[tgt])
+    return Recollement(**new, normalized=True)
+
+
 def restrict_to_subcategory(r: Recollement, x: Subcategory,
                             semantics: str = "strict"):
     """Recollement on (i_up(x), x, j_up(x)), by restriction of everything.
 
     Requires the four closure hypotheses; the result is re-checked.
     """
-    rep = Report()
-    r, nrep = normalize_recollement(r)
-    rep.merge(nrep)
-    if x.parent is not r.middle:
-        raise PreconditionError("subcategory does not live in the middle category")
-    _closure_hypotheses(r, x)
-    rep.ok("hypotheses", "all four closure composites stay inside")
+    r, rep = _normalized_with_hypotheses(r, x)
 
-    mid = restrict_category(r.middle, x.members, name=r.middle.name + "|x")
-    left = restrict_category(r.left, sorted(supp_image(r.i_up, x.members)),
-                             name=r.left.name + "|x")
-    right = restrict_category(r.right, sorted(supp_image(r.j_up, x.members)),
-                              name=r.right.name + "|x")
-
-    f_i_up = _restricted_functor(r.i_up, mid, left)
-    f_i_lo = _restricted_functor(r.i_lo, left, mid)
-    f_i_bang = _restricted_functor(r.i_bang, mid, left)
-    f_j_bang = _restricted_functor(r.j_bang, right, mid)
-    f_j_up = _restricted_functor(r.j_up, mid, right)
-    f_j_lo = _restricted_functor(r.j_lo, right, mid)
-
-    out = Recollement(
-        left=left, middle=mid, right=right,
-        i_up=f_i_up, i_lo=f_i_lo, i_bang=f_i_bang,
-        j_bang=f_j_bang, j_up=f_j_up, j_lo=f_j_lo,
-        adj_i=_restricted_adjunction(r.adj_i, f_i_up, f_i_lo),
-        adj_ib=_restricted_adjunction(r.adj_ib, f_i_lo, f_i_bang),
-        adj_jb=_restricted_adjunction(r.adj_jb, f_j_bang, f_j_up),
-        adj_j=_restricted_adjunction(r.adj_j, f_j_up, f_j_lo),
-        normalized=True)
+    parts = {
+        "middle": restrict_category(r.middle, x.members, name=r.middle.name + "|x"),
+        "left": restrict_category(r.left, sorted(supp_image(r.i_up, x.members)),
+                                  name=r.left.name + "|x"),
+        "right": restrict_category(r.right, sorted(supp_image(r.j_up, x.members)),
+                                   name=r.right.name + "|x"),
+    }
+    out = _transport(r, parts, _restricted_functor,
+                     lambda adj, left, right, *_: _restricted_adjunction(adj, left, right))
     rep.merge(check_recollement(out, semantics), prefix="restricted.")
     return out, rep
 
@@ -273,13 +323,7 @@ def quotient_recollement(r: Recollement, x: Subcategory, semantics: str = "stric
     presentations drop null generators); both readings are reported and the
     requested one is operative.  Also reports whether x lies inside
     Ker(j_up), which under the strict reading must match the verdict."""
-    rep = Report()
-    r, nrep = normalize_recollement(r)
-    rep.merge(nrep)
-    if x.parent is not r.middle:
-        raise PreconditionError("subcategory does not live in the middle category")
-    _closure_hypotheses(r, x)
-    rep.ok("hypotheses", "all four closure composites stay inside")
+    r, rep = _normalized_with_hypotheses(r, x)
 
     xp = Subcategory(r.left, supp_image(r.i_up, x.members))
     xpp = Subcategory(r.right, supp_image(r.j_up, x.members))
@@ -287,41 +331,19 @@ def quotient_recollement(r: Recollement, x: Subcategory, semantics: str = "stric
     q_left = build_quotient(r.left, xp)
     q_right = build_quotient(r.right, xpp)
 
-    t_i_up = induce_functor(r.i_up, q_mid, q_left)
-    t_i_lo = induce_functor(r.i_lo, q_left, q_mid)
-    t_i_bang = induce_functor(r.i_bang, q_mid, q_left)
-    t_j_bang = induce_functor(r.j_bang, q_right, q_mid)
-    t_j_up = induce_functor(r.j_up, q_mid, q_right)
-    t_j_lo = induce_functor(r.j_lo, q_right, q_mid)
+    audits = []
 
-    adj_i, audit1 = induce_adjunction(r.adj_i, q_mid, q_left,
-                                      left=t_i_up, right=t_i_lo)
-    adj_ib, audit2 = induce_adjunction(r.adj_ib, q_left, q_mid,
-                                       left=t_i_lo, right=t_i_bang)
-    adj_jb, audit3 = induce_adjunction(r.adj_jb, q_right, q_mid,
-                                       left=t_j_bang, right=t_j_up)
-    adj_j, audit4 = induce_adjunction(r.adj_j, q_mid, q_right,
-                                      left=t_j_up, right=t_j_lo)
-    rep.merge(audit1, prefix="audit.adj-i_up-i_lo.")
-    rep.merge(audit2, prefix="audit.adj-i_lo-i_bang.")
-    rep.merge(audit3, prefix="audit.adj-j_bang-j_up.")
-    rep.merge(audit4, prefix="audit.adj-j_up-j_lo.")
+    def on_adjunction(adj, left, right, q_src, q_tgt):
+        induced, audit = induce_adjunction(adj, q_src, q_tgt, left=left, right=right)
+        audits.append(audit)
+        return induced
 
-    out = Recollement(
-        left=q_left.presentation, middle=q_mid.presentation,
-        right=q_right.presentation,
-        i_up=t_i_up, i_lo=t_i_lo, i_bang=t_i_bang,
-        j_bang=t_j_bang, j_up=t_j_up, j_lo=t_j_lo,
-        adj_i=adj_i, adj_ib=adj_ib, adj_jb=adj_jb, adj_j=adj_j,
-        normalized=True)
+    out = _transport(r, {"left": q_left, "middle": q_mid, "right": q_right},
+                     induce_functor, on_adjunction)
+    for (left, right, _), audit in zip(ADJUNCTION_SLOTS.values(), audits):
+        rep.merge(audit, prefix="audit.adj-%s-%s." % (left, right))
 
-    for slot in SLOTS:
-        sub = validate_functor(out.functor(slot))
-        if sub.ok_all:
-            rep.ok("functor.%s" % slot)
-        else:
-            for e in sub.failures():
-                rep.fail("functor.%s.%s" % (slot, e.key), e.witness)
+    check_functors(out, rep)
     check_r1(out, rep)
     check_r2(out, rep)
 
@@ -330,13 +352,8 @@ def quotient_recollement(r: Recollement, x: Subcategory, semantics: str = "stric
     ker_parent = {g for g in r.middle.generators
                   if supp_image(r.j_up, [g]) <= dead_right}
     im_parent = set(image_subcategory(r.i_lo).members)
-    strict_ok = im_parent == ker_parent
-    strict_witness = ""
-    if not strict_ok:
-        diff = sorted(ker_parent - im_parent) + sorted(im_parent - ker_parent)
-        strict_witness = ("Im {%s} != Ker {%s}; witnesses %s"
-                          % (",".join(sorted(im_parent)),
-                             ",".join(sorted(ker_parent)), ",".join(diff)))
+    strict_witness = _im_ker_mismatch(im_parent, ker_parent)
+    strict_ok = not strict_witness
     dead_mid = set(r.middle.generators) - set(q_mid.survivors)
     im_iso = set(im_parent) | dead_mid
     for g in q_mid.survivors:
@@ -349,13 +366,8 @@ def quotient_recollement(r: Recollement, x: Subcategory, semantics: str = "stric
             if verdict is True:
                 im_iso.add(g)
                 break
-    iso_ok = im_iso == ker_parent
-    iso_witness = ""
-    if not iso_ok:
-        diff = sorted(ker_parent - im_iso) + sorted(im_iso - ker_parent)
-        iso_witness = ("Im-closure {%s} != Ker {%s}; witnesses %s"
-                       % (",".join(sorted(im_iso)),
-                          ",".join(sorted(ker_parent)), ",".join(diff)))
+    iso_witness = _im_ker_mismatch(im_iso, ker_parent, "Im-closure")
+    iso_ok = not iso_witness
 
     if semantics == "strict":
         rep.add("r3", "pass" if strict_ok else "fail",
@@ -388,9 +400,7 @@ def lift_subcategory_pair(r: Recollement, xp: Subcategory, xpp: Subcategory,
     The middle subcategory is cut out by membership of all three projections;
     its images under i_up and j_up are verified to recover the inputs.
     """
-    rep = Report()
-    r, nrep = normalize_recollement(r)
-    rep.merge(nrep)
+    r, rep = normalize_recollement(r)
     if xp.parent is not r.left or xpp.parent is not r.right:
         raise PreconditionError("subcategories do not live in the outer categories")
     for g in xpp.members:
@@ -438,9 +448,7 @@ def quotient_by_left_subcategory(r: Recollement, xp: Subcategory,
                                  semantics: str = "strict"):
     """Quotient the diagram by the image of a subcategory of the closed part;
     the stability hypotheses hold automatically and the result must pass."""
-    rep = Report()
-    r, nrep = normalize_recollement(r)
-    rep.merge(nrep)
+    r, rep = normalize_recollement(r)
     if xp.parent is not r.left:
         raise PreconditionError("subcategory does not live in the left category")
     x = Subcategory(r.middle, supp_image(r.i_lo, xp.members))

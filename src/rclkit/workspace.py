@@ -51,13 +51,12 @@ from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor)
 from .linalg import Mat
 from .mutation import ExactFunctorData, MutationData
-from .recollement import Recollement
+from .recollement import ADJUNCTION_SLOTS, FUNCTOR_SLOTS, PARTS, Recollement
 from .triangulated import Triangle, TriangulatedPresentation
 
 FORMAT_VERSION = 1
 
-REC_KEYS = ("left", "middle", "right", "i_up", "i_lo", "i_bang",
-            "j_bang", "j_up", "j_lo", "adj_i", "adj_ib", "adj_jb", "adj_j")
+REC_KEYS = PARTS + tuple(FUNCTOR_SLOTS) + tuple(ADJUNCTION_SLOTS)
 
 
 class Workspace:
@@ -641,22 +640,16 @@ def _resolve(decls) -> Workspace:
         if dup(ws.recollements, name, tok, "recollement"):
             continue
         try:
-            cats = [ws.categories[body[k]] for k in ("left", "middle", "right")]
-            functors = {k: ws.functors[body[k]] for k in
-                        ("i_up", "i_lo", "i_bang", "j_bang", "j_up", "j_lo")}
-            adjs = {k: ws.adjunctions[body[k]] for k in
-                    ("adj_i", "adj_ib", "adj_jb", "adj_j")}
+            refs = {k: table[body[k]]
+                    for keys, table in ((PARTS, ws.categories),
+                                        (FUNCTOR_SLOTS, ws.functors),
+                                        (ADJUNCTION_SLOTS, ws.adjunctions))
+                    for k in keys}
         except KeyError as exc:
             fail(tok, "recollement %s: unknown reference %s" % (name, exc))
             continue
         try:
-            ws.recollements[name] = Recollement(
-                left=cats[0], middle=cats[1], right=cats[2],
-                i_up=functors["i_up"], i_lo=functors["i_lo"],
-                i_bang=functors["i_bang"], j_bang=functors["j_bang"],
-                j_up=functors["j_up"], j_lo=functors["j_lo"],
-                adj_i=adjs["adj_i"], adj_ib=adjs["adj_ib"],
-                adj_jb=adjs["adj_jb"], adj_j=adjs["adj_j"])
+            ws.recollements[name] = Recollement(**refs)
             ws.rec_refs[name] = dict(body)
         except Exception as exc:
             fail(tok, "recollement %s: %s" % (name, exc))

@@ -131,6 +131,36 @@ def test_ambiguous_generators_exit2(fixture_dir, capsys):
     assert "no category contains" in err or "ambiguous" in err
 
 
+def test_unknown_qualified_generator_exit2(fixture_dir, capsys):
+    code, _, err = run(["quotient", str(fixture_dir / "fix_a2.rcl"),
+                        "--x", "A2:NOPE"], capsys)
+    assert code == 2
+    assert "NOPE" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exit2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "c.cert"
+    code, _, err = run(["check-recollement", str(fixture_dir / "fix_a2.rcl"),
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert "cannot write" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exit4(fixture_dir, capsys, monkeypatch):
+    import rclkit.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_command", boom)
+    code, out, err = run(["validate", str(fixture_dir / "fix_a2.rcl")], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_certificate_out_file(fixture_dir, tmp_path, capsys):
     out1 = tmp_path / "c1.cert"
     out2 = tmp_path / "c2.cert"

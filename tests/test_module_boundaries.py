@@ -19,3 +19,24 @@ def test_no_function_local_relative_import():
                     if isinstance(inner, ast.ImportFrom) and inner.level > 0:
                         found.append("%s:%d in %s()" % (path.name, inner.lineno, node.name))
     assert found == []
+
+
+FUNCTOR_SLOT_NAMES = {"i_up", "i_lo", "i_bang", "j_bang", "j_up", "j_lo"}
+
+
+def test_slot_names_only_in_recollement_tables():
+    """The recollement's shape is spelled out once, in recollement.py; any
+    other module reads it from there instead of listing the slots again."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "recollement.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Tuple, ast.List)):
+                continue
+            names = {inner.value for inner in ast.walk(node)
+                     if isinstance(inner, ast.Constant) and inner.value in FUNCTOR_SLOT_NAMES}
+            if len(names) >= 3:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

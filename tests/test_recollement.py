@@ -7,13 +7,15 @@ import pytest
 from rclkit.category import ObjectExpr, Subcategory
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ
-from rclkit.functor import LinearFunctor, identity_functor
+from rclkit.functor import (LinearFunctor, functor_equal, identity_functor,
+                            nat_equal)
 from rclkit.linalg import Mat
-from rclkit.recollement import (check_recollement, lift_subcategory_pair,
+from rclkit.recollement import (ADJUNCTION_SLOTS, FUNCTOR_SLOTS,
+                                check_recollement, lift_subcategory_pair,
                                 normalize_recollement,
                                 quotient_by_left_subcategory,
                                 quotient_recollement, restrict_to_subcategory)
-from rclkit.adjunction import solve_unit_counit
+from rclkit.adjunction import make_adjunction, solve_unit_counit
 
 ALL_SUBSETS = [tuple(c) for k in range(4)
                for c in itertools.combinations(("S1", "S2", "P1"), k)]
@@ -75,6 +77,71 @@ def test_normalization_is_noop_on_strict_fixture(ws_a2):
     assert out.normalized
     assert any("already strict" in (e.witness or "") for e in rep.entries)
     assert out.i_up is rec.i_up and out.j_up is rec.j_up
+
+
+def _twisted(rec):
+    """The same recollement with the unit and counit of all four adjunctions
+    negated: still a recollement, but no longer strict."""
+    F = rec.middle.field
+    minus = F.neg(F.one)
+    adjs = {}
+    for slot in ADJUNCTION_SLOTS:
+        adj = getattr(rec, slot)
+        adjs[slot] = make_adjunction(
+            adj.left, adj.right,
+            {g: m.scale(minus) for g, m in adj.unit.components.items()},
+            {g: m.scale(minus) for g, m in adj.counit.components.items()},
+            name=adj.name)
+    return replace(rec, **adjs)
+
+
+def _performed(rep):
+    return [e.witness for e in rep.entries if e.key == "normalization"] == ["performed"]
+
+
+@pytest.mark.parametrize("fixture", ["ws_a2", "ws_prod"])
+def test_normalize_twisted_recollement(fixture, request):
+    rec = request.getfixturevalue(fixture).recollements["R"]
+    out, rep = normalize_recollement(_twisted(rec))
+    assert _performed(rep)
+    # r1 validates all four adjunctions and checks that each holds the
+    # diagram's functors (no stale copy left by the rewiring).
+    rep = check_recollement(out)
+    assert rep.ok_all, [str(e) for e in rep.failures()]
+    if fixture == "ws_prod":
+        for slot in FUNCTOR_SLOTS:
+            assert functor_equal(getattr(out, slot), getattr(rec, slot)), slot
+        for slot in ADJUNCTION_SLOTS:
+            new, old = getattr(out, slot), getattr(rec, slot)
+            assert nat_equal(new.unit, old.unit), slot
+            assert nat_equal(new.counit, old.counit), slot
+
+
+def test_twisted_recollement_pipelines_agree(ws_a2):
+    rec = ws_a2.recollements["R"]
+    x = Subcategory(ws_a2.categories["A2"], ["S2"])
+
+    def statuses(rep):
+        return [(e.key, e.status) for e in rep.entries if e.key != "normalization"]
+
+    for pipeline in (quotient_recollement, restrict_to_subcategory):
+        _, plain = pipeline(rec, x)
+        _, twisted = pipeline(_twisted(rec), x)
+        assert _performed(twisted)
+        assert statuses(twisted) == statuses(plain), pipeline.__name__
+
+
+def test_pipelines_refuse_miswired_recollement(ws_a2):
+    """A diagram whose adjunctions hold other functors than its slots is not
+    normalized: the pipelines stop at a precondition naming the adjunction."""
+    rec = ws_a2.recollements["R"]
+    ju = rec.j_up
+    copy = LinearFunctor(ju.source, ju.target, ju.object_map, ju.hom_maps, name="ju2")
+    x = Subcategory(ws_a2.categories["A2"], ["S2"])
+    for pipeline in (quotient_recollement, restrict_to_subcategory):
+        with pytest.raises(PreconditionError) as info:
+            pipeline(replace(rec, j_up=copy), x)
+        assert info.value.witness == "adj_jb"
 
 
 def test_restrict_exhaustive(ws_a2):
