@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from rclkit.errors import InputError
@@ -102,3 +104,85 @@ def test_mutation_declaration_round_trip(fixture_dir):
     m = ws.mutations["MU"]
     assert set(m.fixed) == {"C1.M1", "C1.M2", "C2.M1", "C2.M2"}
     assert m.d.members == ("C1.M2",)
+
+
+ALL_KINDS = Path(__file__).resolve().parent / "golden" / "workspace-all-kinds.rcl"
+
+
+def test_all_kinds_round_trip_byte_identical():
+    """The golden uses every declaration kind, the three fexpr forms, fixed
+    and cofixed blocks, a named and an identity shift_iso and an empty
+    category; the writer must reproduce it byte for byte."""
+    text = ALL_KINDS.read_text()
+    assert serialize(parse(text)) == text
+
+
+# (id, text in the all-kinds golden, its replacement, expected diagnostics)
+DIAGNOSTICS = [
+    ("bad-version", "rclkit workspace 1", "rclkit workspace 2",
+     ["line 3, col 1: unsupported format version 2"]),
+    ("unknown-field-kind", "kind rationals", "kind reals",
+     ["line 3, col 14: unknown field kind 'reals'"]),
+    ("category-unknown-generator", "hom M1 M2 { basis a0 }", "hom M1 NOPE { basis a0 }",
+     ["line 10, col 3: hom pair (M1,NOPE): unknown generator"]),
+    ("subcategory-unknown-category", "of STAB members M2", "of NOPE members M2",
+     ["line 26, col 22: unknown category 'NOPE'"]),
+    ("subcategory-unknown-member", "of STAB members M2", "of STAB members NOPE",
+     ["line 26, col 13: subcategory DM2: subcategory members not in parent: ['NOPE']"]),
+    ("functor-unknown-category", "functor i_lo {\n  source ZERO",
+     "functor i_lo {\n  source NOPE",
+     ["line 63, col 10: unknown category 'NOPE'"]),
+    ("functor-object-unknown-generator", "object M1 -> M1", "object M1 -> NOPE",
+     ["line 0, col 0: unknown generator 'NOPE' in STAB"]),
+    ("functor-object-unknown-source-generator", "object M1 -> M1", "object NOPE -> M1",
+     ["line 30, col 10: functor I: no image for M1"]),
+    ("nattrans-unknown-id-category", "to id ZERO", "to id NOPE",
+     ["line 102, col 6: unknown category 'NOPE'"]),
+    ("nattrans-unknown-functor", "from I * T", "from NOPE",
+     ["line 89, col 8: unknown functor 'NOPE'"]),
+    ("nattrans-unknown-composite", "to T * I", "to T * NOPE",
+     ["line 90, col 6: unknown functor in composition"]),
+    ("nattrans-at-unknown-generator", "at M1 -> { (0 0) { a0 1/2 } }",
+     "at NOPE -> { (0 0) { a0 1/2 } }",
+     ["line 88, col 10: nattrans tw: 'NOPE'"]),
+    ("adjunction-unknown-nattrans", "unit eta", "unit NOPE",
+     ["line 105, col 12: adjunction adj_I: unknown reference 'NOPE'"]),
+    ("recollement-unknown-functor", "j_up I", "j_up NOPE",
+     ["line 108, col 13: recollement R: unknown reference 'NOPE'"]),
+    ("triangulated-unknown-functor", "shift T\n", "shift NOPE\n",
+     ["line 124, col 14: triangulated TC: unknown reference"]),
+    ("triangulated-bad-body-keyword", "triangle t2", "triangel t2",
+     ["line 136, col 3: expected 'triangle'"]),
+    ("triangle-unknown-generator", "x M2\n    y 0", "x NOPE\n    y 0",
+     ["line 124, col 14: triangulated TC: line 0, col 0: unknown generator 'NOPE' in STAB"]),
+    ("triangle-block-outside-shape", "h { (0 0) { a0 1 } }\n  }\n  triangle t2",
+     "h { (1 0) { a0 1 } }\n  }\n  triangle t2",
+     ["line 124, col 14: triangulated TC: line 0, col 0: block (1,0) outside morphism shape"]),
+    ("exact-unknown-triangulated", "source_tri TC target_tri TC shift_iso tw",
+     "source_tri NOPE target_tri TC shift_iso tw",
+     ["line 146, col 7: exact E: unknown reference"]),
+    ("exact-unknown-shift-iso", "shift_iso tw", "shift_iso NOPE",
+     ["line 146, col 7: exact E: unknown nattrans 'NOPE'"]),
+    ("mutation-unknown-subcategory", "z Zall", "z NOPE",
+     ["line 149, col 10: mutation MU: unknown reference"]),
+    ("mutation-bad-body-keyword", "cofixed M1", "cofix M1",
+     ["line 167, col 3: expected fixed or cofixed"]),
+    ("fixed-unknown-generator", "dx M2\n    m 0", "dx NOPE\n    m 0",
+     ["line 149, col 10: mutation MU: line 0, col 0: unknown generator 'NOPE' in STAB"]),
+    ("fixed-unknown-name", "fixed M2", "fixed NOPE",
+     ["line 149, col 10: mutation MU: 'NOPE'"]),
+    ("cofixed-unknown-generator", "x 0\n", "x NOPE\n",
+     ["line 149, col 10: mutation MU: line 0, col 0: unknown generator 'NOPE' in STAB"]),
+    ("duplicate-declaration", "subcategory Zall", "subcategory DM2",
+     ["line 27, col 13: duplicate subcategory 'DM2'"]),
+]
+
+
+@pytest.mark.parametrize("old,new,expected", [c[1:] for c in DIAGNOSTICS],
+                         ids=[c[0] for c in DIAGNOSTICS])
+def test_diagnostics(old, new, expected):
+    text = ALL_KINDS.read_text()
+    assert old in text
+    with pytest.raises(InputError) as exc:
+        parse(text.replace(old, new, 1))
+    assert [str(d) for d in exc.value.diagnostics] == expected
