@@ -306,12 +306,7 @@ def _sigma_is_equivalence(m: MutationData, rep: Report):
     q = m.quotient
     pres = q.presentation
     sigma = m.sigma
-    sub = validate_functor(sigma)
-    if sub.ok_all:
-        rep.ok("sigma.functor")
-    else:
-        for e in sub.failures():
-            rep.fail("sigma.functor.%s" % e.key, e.witness)
+    rep.record("sigma.functor", validate_functor(sigma))
     ok = True
     for xg in q.survivors:
         for yg in q.survivors:
@@ -494,12 +489,7 @@ class ExactFunctorData:
         if F.source is not self.source_tri.cat or F.target is not self.target_tri.cat:
             rep.fail("exact.boundaries", "functor does not match the presentations")
             return rep
-        sub = validate_functor(F)
-        if sub.ok_all:
-            rep.ok("exact.functor")
-        else:
-            for e in sub.failures():
-                rep.fail("exact.functor.%s" % e.key, e.witness)
+        rep.record("exact.functor", validate_functor(F))
         ft = compose_functors(F, self.source_tri.shift)
         tf = compose_functors(self.target_tri.shift, F)
         if self.shift_iso is None:

@@ -45,6 +45,14 @@ class Report:
     def not_checked(self, key: str, witness: str = ""):
         self.add(key, NOT_CHECKED, witness)
 
+    def record(self, key: str, sub: "Report"):
+        """One ok entry under key when sub passed, else its failures under key."""
+        if sub.ok_all:
+            self.ok(key)
+        else:
+            for e in sub.failures():
+                self.fail("%s.%s" % (key, e.key), e.witness)
+
     def merge(self, other: "Report", prefix: str = ""):
         for e in other.entries:
             key = prefix + e.key if prefix else e.key

@@ -63,12 +63,7 @@ class TriangulatedPresentation:
     def validate(self) -> Report:
         rep = Report()
         for label, f in (("shift", self.shift), ("shift-inverse", self.shift_inv)):
-            sub = validate_functor(f)
-            if sub.ok_all:
-                rep.ok("tri.%s.functor" % label)
-            else:
-                for e in sub.failures():
-                    rep.fail("tri.%s.functor.%s" % (label, e.key), e.witness)
+            rep.record("tri.%s.functor" % label, validate_functor(f))
         if is_identity_functor(compose_functors(self.shift, self.shift_inv)) and \
                 is_identity_functor(compose_functors(self.shift_inv, self.shift)):
             rep.ok("tri.shift.strict-inverse")

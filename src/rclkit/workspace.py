@@ -33,9 +33,34 @@ fractions like 3/4, comments start with '#'):
                    ("cofixed" NAME "{" "x" objexpr "dx" objexpr
                     "f" morph "g" morph "h" morph "}")* "}"
 
-Declaration order is irrelevant; references are resolved in a second pass.
-The writer emits a canonical form (sorted names, generator-order items,
-nonzero coefficients only) so that serialize(parse(text)) is idempotent.
+The field, category and recollement declarations are read by hand: their
+bodies are not keyword sequences, and recollement keys (REC_KEYS) may come
+in any order.  Every other declaration is a header of keyword/value fields
+in a fixed order followed by body items, and three ordered tables describe
+them:
+
+    HEADERS          declaration kind -> its header fields, each a
+                     (keyword, value kind) pair
+    BODY_ITEMS       declaration kind -> the keywords its body items start
+                     with; a kind without body items is written on one line
+    TRIANGLE_BLOCKS  block kind -> (the vertex the block's NAME gives, or
+                     None when NAME names the triangle; its fields, each a
+                     (keyword, Triangle attribute, value kind) triple)
+
+A value kind is "obj" (an objexpr), "morph", "fexpr", "generators" (NAME*),
+"nattrans_or_identity", or the declaration kind that a NAME refers to.
+Triangle, fixed and cofixed blocks are all sextuples (Triangle): a fixed
+block's NAME is its x vertex, a cofixed block's NAME its z vertex.  The
+parser reads every field list through _Parser.read_fields; the resolver
+looks up every reference through _lookup and builds every block through
+_build_triangle; the writer writes every header through _decl and every
+block through _write_triangle.
+
+Declaration order is irrelevant; references are resolved in a second pass,
+one declaration kind at a time in the dependency order of _KINDS, which is
+also the order in which the writer emits them.  The writer emits a canonical
+form (sorted names, generator-order items, nonzero coefficients only) so
+that serialize(parse(text)) is idempotent.
 """
 
 from __future__ import annotations
@@ -56,7 +81,40 @@ from .triangulated import Triangle, TriangulatedPresentation
 
 FORMAT_VERSION = 1
 
-REC_KEYS = PARTS + tuple(FUNCTOR_SLOTS) + tuple(ADJUNCTION_SLOTS)
+# recollement key -> the declaration kind it refers to, in canonical order
+REC_KEYS = {**dict.fromkeys(PARTS, "category"),
+            **dict.fromkeys(FUNCTOR_SLOTS, "functor"),
+            **dict.fromkeys(ADJUNCTION_SLOTS, "adjunction")}
+
+HEADERS = {
+    "subcategory": (("of", "category"), ("members", "generators")),
+    "functor": (("source", "category"), ("target", "category")),
+    "nattrans": (("from", "fexpr"), ("to", "fexpr")),
+    "adjunction": (("left", "functor"), ("right", "functor"),
+                   ("unit", "nattrans"), ("counit", "nattrans")),
+    "triangulated": (("base", "category"), ("shift", "functor"),
+                     ("shift_inv", "functor")),
+    "exact": (("functor", "functor"), ("source_tri", "triangulated"),
+              ("target_tri", "triangulated"), ("shift_iso", "nattrans_or_identity")),
+    "mutation": (("ambient", "triangulated"), ("z", "subcategory"),
+                 ("d", "subcategory")),
+}
+
+BODY_ITEMS = {
+    "functor": ("object", "map"),
+    "nattrans": ("at",),
+    "triangulated": ("triangle",),
+    "mutation": ("fixed", "cofixed"),
+}
+
+TRIANGLE_BLOCKS = {
+    "triangle": (None, (("x", "x", "obj"), ("y", "y", "obj"), ("z", "z", "obj"),
+                        ("f", "f", "morph"), ("g", "g", "morph"), ("h", "h", "morph"))),
+    "fixed": ("x", (("dx", "y", "obj"), ("m", "z", "obj"), ("alpha", "f", "morph"),
+                    ("beta", "g", "morph"), ("gamma", "h", "morph"))),
+    "cofixed": ("z", (("x", "x", "obj"), ("dx", "y", "obj"), ("f", "f", "morph"),
+                      ("g", "g", "morph"), ("h", "h", "morph"))),
+}
 
 
 class Workspace:
@@ -90,10 +148,12 @@ class Diagnostic:
         return "line %d, col %d: %s" % (self.line, self.col, self.message)
 
 
+def _input_error(tok, message) -> InputError:
+    return InputError([Diagnostic(tok.line, tok.col, message)])
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
-
-_PUNCT = ("->", "{", "}", "(", ")", "+", "*")
 
 
 class Token:
@@ -157,6 +217,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Token reader.  Every NAME value is kept as its Token, so that the
+    resolver can report a bad reference at the place it was written."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -170,8 +233,7 @@ class _Parser:
         return tok
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise InputError([Diagnostic(tok.line, tok.col, message)])
+        raise _input_error(tok or self.peek(), message)
 
     def expect_ident(self, what="identifier") -> Token:
         tok = self.next()
@@ -208,51 +270,79 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and tok.value == word
 
+    def at_punct(self, value) -> bool:
+        tok = self.peek()
+        return tok.kind == "punct" and tok.value == value
+
+    def parse_names(self):
+        """NAME* as a list of tokens."""
+        out = []
+        while self.peek().kind == "ident":
+            out.append(self.next())
+        return out
+
     def parse_coeffs(self):
-        """{ name number ... } as an ordered list of (name, number-string)."""
+        """{ name number ... } as an ordered list of (name, number token, name token)."""
         self.expect_punct("{")
         out = []
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+        while not self.at_punct("}"):
             name = self.expect_ident("basis name")
             num = self.expect_number()
-            out.append((name.value, num.value, name))
+            out.append((name.value, num, name))
         self.expect_punct("}")
         return out
 
     def parse_objexpr(self):
+        """The generator tokens of an objexpr; [] for 0."""
         tok = self.peek()
         if tok.kind == "number" and tok.value == "0":
             self.next()
             return []
-        names = [self.expect_ident("generator").value]
-        while self.peek().kind == "punct" and self.peek().value == "+":
+        names = [self.expect_ident("generator")]
+        while self.at_punct("+"):
             self.next()
-            names.append(self.expect_ident("generator").value)
+            names.append(self.expect_ident("generator"))
         return names
 
     def parse_morph(self):
-        """{ (i j) { coeffs } ... } as list of ((i, j), coeff list)."""
+        """{ (i j) { coeffs } ... } as list of ((i, j), coeff list, '(' token)."""
         self.expect_punct("{")
         out = []
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            self.expect_punct("(")
+        while not self.at_punct("}"):
+            tok = self.expect_punct("(")
             i = self.expect_int()
             j = self.expect_int()
             self.expect_punct(")")
-            out.append(((i, j), self.parse_coeffs()))
+            out.append(((i, j), self.parse_coeffs(), tok))
         self.expect_punct("}")
         return out
 
     def parse_fexpr(self):
+        """The tokens of "id" NAME, NAME or NAME "*" NAME, without the "*"."""
         tok = self.expect_ident("functor expression")
         if tok.value == "id":
-            cat = self.expect_ident("category name")
-            return ("id", cat.value, tok)
-        if self.peek().kind == "punct" and self.peek().value == "*":
+            return [tok, self.expect_ident("category name")]
+        if self.at_punct("*"):
             self.next()
-            inner = self.expect_ident("functor name")
-            return ("comp", tok.value, inner.value, tok)
-        return ("plain", tok.value, tok)
+            return [tok, self.expect_ident("functor name")]
+        return [tok]
+
+    def read_fields(self, fields):
+        """The values of keyword-value fields, given as (keyword, value kind)."""
+        values = []
+        for word, kind in fields:
+            self.expect_word(word)
+            if kind == "obj":
+                values.append(self.parse_objexpr())
+            elif kind == "morph":
+                values.append(self.parse_morph())
+            elif kind == "fexpr":
+                values.append(self.parse_fexpr())
+            elif kind == "generators":
+                values.append(self.parse_names())
+            else:
+                values.append(self.expect_ident())
+        return values
 
 
 def parse(text: str) -> Workspace:
@@ -260,251 +350,132 @@ def parse(text: str) -> Workspace:
     p = _Parser(_tokenize(text))
     p.expect_word("rclkit")
     p.expect_word("workspace")
+    tok = p.peek()
     version = p.expect_int()
     if version != FORMAT_VERSION:
-        p.error("unsupported format version %d" % version)
+        p.error("unsupported format version %d" % version, tok)
 
     decls = []
     while p.peek().kind != "eof":
         kw = p.expect_ident("declaration keyword")
         if kw.value == "field":
-            p.expect_punct("{")
-            p.expect_word("kind")
-            kind = p.expect_ident("field kind")
-            if kind.value == "rationals":
-                decls.append(("field", None, {"kind": "rationals"}, kw))
-            elif kind.value == "prime":
-                pnum = p.expect_int()
-                decls.append(("field", None, {"kind": "prime", "p": pnum}, kw))
-            else:
-                p.error("unknown field kind %r" % kind.value, kind)
-            p.expect_punct("}")
-        elif kw.value == "category":
-            name = p.expect_ident("category name")
-            p.expect_punct("{")
-            body = {"objects": [], "homs": [], "identities": [], "composes": [],
-                    "assume_local": False}
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                item = p.expect_ident("category item")
-                if item.value == "assume_local":
-                    body["assume_local"] = True
-                elif item.value == "object":
-                    body["objects"].append(p.expect_ident("generator").value)
-                elif item.value == "hom":
-                    a = p.expect_ident("generator").value
-                    b = p.expect_ident("generator").value
-                    p.expect_punct("{")
-                    names = []
-                    if p.at_word("basis"):
-                        p.next()
-                        while p.peek().kind == "ident":
-                            names.append(p.next().value)
-                    p.expect_punct("}")
-                    body["homs"].append((a, b, names, item))
-                elif item.value == "identity":
-                    g = p.expect_ident("generator").value
-                    body["identities"].append((g, p.parse_coeffs(), item))
-                elif item.value == "compose":
-                    p.expect_punct("(")
-                    b1 = p.expect_ident().value
-                    c1 = p.expect_ident().value
-                    gname = p.expect_ident().value
-                    p.expect_punct(")")
-                    p.expect_punct("(")
-                    a2 = p.expect_ident().value
-                    b2 = p.expect_ident().value
-                    fname = p.expect_ident().value
-                    p.expect_punct(")")
-                    coeffs = p.parse_coeffs()
-                    body["composes"].append((b1, c1, gname, a2, b2, fname, coeffs, item))
-                else:
-                    p.error("unknown category item %r" % item.value, item)
-            p.expect_punct("}")
-            decls.append(("category", name.value, body, name))
-        elif kw.value == "subcategory":
-            name = p.expect_ident("subcategory name")
-            p.expect_punct("{")
-            p.expect_word("of")
-            cat = p.expect_ident("category name")
-            p.expect_word("members")
-            members = []
-            while p.peek().kind == "ident":
-                members.append(p.next().value)
-            p.expect_punct("}")
-            decls.append(("subcategory", name.value,
-                          {"of": cat.value, "members": members, "pos": cat}, name))
-        elif kw.value == "functor":
-            name = p.expect_ident("functor name")
-            p.expect_punct("{")
-            p.expect_word("source")
-            src = p.expect_ident("category name")
-            p.expect_word("target")
-            tgt = p.expect_ident("category name")
-            objects, maps = [], []
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                item = p.expect_ident("functor item")
-                if item.value == "object":
-                    g = p.expect_ident("generator").value
-                    p.expect_punct("->")
-                    objects.append((g, p.parse_objexpr(), item))
-                elif item.value == "map":
-                    p.expect_punct("(")
-                    a = p.expect_ident().value
-                    b = p.expect_ident().value
-                    bname = p.expect_ident().value
-                    p.expect_punct(")")
-                    p.expect_punct("->")
-                    maps.append((a, b, bname, p.parse_morph(), item))
-                else:
-                    p.error("unknown functor item %r" % item.value, item)
-            p.expect_punct("}")
-            decls.append(("functor", name.value,
-                          {"source": src.value, "target": tgt.value,
-                           "objects": objects, "maps": maps, "pos": src}, name))
-        elif kw.value == "nattrans":
-            name = p.expect_ident("nattrans name")
-            p.expect_punct("{")
-            p.expect_word("from")
-            fe = p.parse_fexpr()
-            p.expect_word("to")
-            te = p.parse_fexpr()
-            comps = []
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                p.expect_word("at")
-                g = p.expect_ident("generator").value
-                p.expect_punct("->")
-                comps.append((g, p.parse_morph()))
-            p.expect_punct("}")
-            decls.append(("nattrans", name.value,
-                          {"from": fe, "to": te, "components": comps}, name))
-        elif kw.value == "adjunction":
-            name = p.expect_ident("adjunction name")
-            p.expect_punct("{")
-            p.expect_word("left")
-            left = p.expect_ident().value
-            p.expect_word("right")
-            right = p.expect_ident().value
-            p.expect_word("unit")
-            unit = p.expect_ident().value
-            p.expect_word("counit")
-            counit = p.expect_ident().value
-            p.expect_punct("}")
-            decls.append(("adjunction", name.value,
-                          {"left": left, "right": right, "unit": unit,
-                           "counit": counit}, name))
-        elif kw.value == "recollement":
-            name = p.expect_ident("recollement name")
-            p.expect_punct("{")
-            refs = {}
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                key = p.expect_ident("recollement key")
-                if key.value not in REC_KEYS:
-                    p.error("unknown recollement key %r" % key.value, key)
-                refs[key.value] = p.expect_ident().value
-            p.expect_punct("}")
-            missing = [k for k in REC_KEYS if k not in refs]
-            if missing:
-                p.error("recollement %s missing keys: %s" % (name.value, missing), name)
-            decls.append(("recollement", name.value, refs, name))
-        elif kw.value == "triangulated":
-            name = p.expect_ident("triangulated name")
-            p.expect_punct("{")
-            p.expect_word("base")
-            base = p.expect_ident().value
-            p.expect_word("shift")
-            shift = p.expect_ident().value
-            p.expect_word("shift_inv")
-            shift_inv = p.expect_ident().value
-            triangles = []
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                p.expect_word("triangle")
-                tname = p.expect_ident("triangle name").value
-                p.expect_punct("{")
-                p.expect_word("x")
-                x = p.parse_objexpr()
-                p.expect_word("y")
-                y = p.parse_objexpr()
-                p.expect_word("z")
-                z = p.parse_objexpr()
-                p.expect_word("f")
-                f = p.parse_morph()
-                p.expect_word("g")
-                g = p.parse_morph()
-                p.expect_word("h")
-                h = p.parse_morph()
-                p.expect_punct("}")
-                triangles.append((tname, x, y, z, f, g, h))
-            p.expect_punct("}")
-            decls.append(("triangulated", name.value,
-                          {"base": base, "shift": shift, "shift_inv": shift_inv,
-                           "triangles": triangles, "pos": name}, name))
-        elif kw.value == "exact":
-            name = p.expect_ident("exact-data name")
-            p.expect_punct("{")
-            p.expect_word("functor")
-            fn = p.expect_ident().value
-            p.expect_word("source_tri")
-            st = p.expect_ident().value
-            p.expect_word("target_tri")
-            tt = p.expect_ident().value
-            p.expect_word("shift_iso")
-            si = p.expect_ident().value
-            p.expect_punct("}")
-            decls.append(("exact", name.value,
-                          {"functor": fn, "source_tri": st, "target_tri": tt,
-                           "shift_iso": si}, name))
-        elif kw.value == "mutation":
-            name = p.expect_ident("mutation name")
-            p.expect_punct("{")
-            p.expect_word("ambient")
-            ambient = p.expect_ident().value
-            p.expect_word("z")
-            z = p.expect_ident().value
-            p.expect_word("d")
-            d = p.expect_ident().value
-            fixed, cofixed = [], []
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                which = p.expect_ident("fixed or cofixed")
-                if which.value == "fixed":
-                    g = p.expect_ident("generator").value
-                    p.expect_punct("{")
-                    p.expect_word("dx")
-                    dx = p.parse_objexpr()
-                    p.expect_word("m")
-                    mm = p.parse_objexpr()
-                    p.expect_word("alpha")
-                    alpha = p.parse_morph()
-                    p.expect_word("beta")
-                    beta = p.parse_morph()
-                    p.expect_word("gamma")
-                    gamma = p.parse_morph()
-                    p.expect_punct("}")
-                    fixed.append((g, dx, mm, alpha, beta, gamma))
-                elif which.value == "cofixed":
-                    g = p.expect_ident("generator").value
-                    p.expect_punct("{")
-                    p.expect_word("x")
-                    x = p.parse_objexpr()
-                    p.expect_word("dx")
-                    dx = p.parse_objexpr()
-                    p.expect_word("f")
-                    f = p.parse_morph()
-                    p.expect_word("g")
-                    gm = p.parse_morph()
-                    p.expect_word("h")
-                    h = p.parse_morph()
-                    p.expect_punct("}")
-                    cofixed.append((g, x, dx, f, gm, h))
-                else:
-                    p.error("expected fixed or cofixed", which)
-            p.expect_punct("}")
-            decls.append(("mutation", name.value,
-                          {"ambient": ambient, "z": z, "d": d,
-                           "fixed": fixed, "cofixed": cofixed}, name))
-        else:
+            decls.append(("field", kw, _parse_field(p)))
+            continue
+        if kw.value not in _KINDS:
             p.error("unknown declaration %r" % kw.value, kw)
-
+        name = p.expect_ident("%s name" % kw.value)
+        p.expect_punct("{")
+        if kw.value == "category":
+            body = _parse_category(p)
+        elif kw.value == "recollement":
+            body = _parse_recollement(p, name)
+        else:
+            body = (p.read_fields(HEADERS[kw.value]), _parse_items(p, kw.value))
+        p.expect_punct("}")
+        decls.append((kw.value, name, body))
     return _resolve(decls)
+
+
+def _parse_field(p):
+    p.expect_punct("{")
+    p.expect_word("kind")
+    kind = p.expect_ident("field kind")
+    if kind.value == "rationals":
+        field = make_field("rationals")
+    elif kind.value == "prime":
+        tok = p.peek()
+        characteristic = p.expect_int()
+        try:
+            field = make_field("prime", characteristic)
+        except ValueError as exc:
+            p.error(str(exc), tok)
+    else:
+        p.error("unknown field kind %r" % kind.value, kind)
+    p.expect_punct("}")
+    return field
+
+
+def _parse_category(p):
+    body = {"objects": [], "homs": [], "identities": [], "composes": [],
+            "assume_local": False}
+    while not p.at_punct("}"):
+        item = p.expect_ident("category item")
+        if item.value == "assume_local":
+            body["assume_local"] = True
+        elif item.value == "object":
+            body["objects"].append(p.expect_ident("generator").value)
+        elif item.value == "hom":
+            a = p.expect_ident("generator").value
+            b = p.expect_ident("generator").value
+            p.expect_punct("{")
+            names = []
+            if p.at_word("basis"):
+                p.next()
+                names = [t.value for t in p.parse_names()]
+            p.expect_punct("}")
+            body["homs"].append((a, b, names, item))
+        elif item.value == "identity":
+            g = p.expect_ident("generator").value
+            body["identities"].append((g, p.parse_coeffs(), item))
+        elif item.value == "compose":
+            p.expect_punct("(")
+            b1 = p.expect_ident().value
+            c1 = p.expect_ident().value
+            gname = p.expect_ident().value
+            p.expect_punct(")")
+            p.expect_punct("(")
+            a2 = p.expect_ident().value
+            b2 = p.expect_ident().value
+            fname = p.expect_ident().value
+            p.expect_punct(")")
+            coeffs = p.parse_coeffs()
+            body["composes"].append((b1, c1, gname, a2, b2, fname, coeffs, item))
+        else:
+            p.error("unknown category item %r" % item.value, item)
+    return body
+
+
+def _parse_recollement(p, name):
+    """Recollement key -> reference token; every key of REC_KEYS is required."""
+    refs = {}
+    while not p.at_punct("}"):
+        key = p.expect_ident("recollement key")
+        if key.value not in REC_KEYS:
+            p.error("unknown recollement key %r" % key.value, key)
+        refs[key.value] = p.expect_ident()
+    missing = [k for k in REC_KEYS if k not in refs]
+    if missing:
+        p.error("recollement %s missing keys: %s" % (name.value, missing), name)
+    return refs
+
+
+def _parse_items(p, kind):
+    """The body items of a HEADERS declaration, as (keyword token, head,
+    value): a triangle block's head is its NAME token and its value the
+    list of its field values; a map's head is its three tokens."""
+    items = []
+    while kind in BODY_ITEMS and not p.at_punct("}"):
+        item = p.expect_ident("%s item" % kind)
+        if item.value not in BODY_ITEMS[kind]:
+            p.error("unknown %s item %r" % (kind, item.value), item)
+        if item.value in TRIANGLE_BLOCKS:
+            head = p.expect_ident("%s name" % item.value)
+            p.expect_punct("{")
+            value = p.read_fields((word, vk) for word, _, vk
+                                  in TRIANGLE_BLOCKS[item.value][1])
+            p.expect_punct("}")
+        elif item.value == "map":
+            p.expect_punct("(")
+            head = (p.expect_ident(), p.expect_ident(), p.expect_ident())
+            p.expect_punct(")")
+            p.expect_punct("->")
+            value = p.parse_morph()
+        else:  # object NAME -> objexpr, at NAME -> morph
+            head = p.expect_ident("generator")
+            p.expect_punct("->")
+            value = p.parse_objexpr() if item.value == "object" else p.parse_morph()
+        items.append((item, head, value))
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -512,251 +483,69 @@ def parse(text: str) -> Workspace:
 
 
 def _resolve(decls) -> Workspace:
-    diags = []
-    field = None
-    for kind, name, body, tok in decls:
-        if kind == "field":
-            if field is not None:
-                diags.append(Diagnostic(tok.line, tok.col, "duplicate field declaration"))
-            field = make_field("rationals") if body["kind"] == "rationals" \
-                else make_field("prime", body["p"])
-    if field is None:
-        field = make_field("rationals")
-    ws = Workspace(field)
-
-    def dup(table, name, tok, what):
-        if name in table:
-            diags.append(Diagnostic(tok.line, tok.col, "duplicate %s %r" % (what, name)))
-            return True
-        return False
-
-    def fail(tok, msg):
-        diags.append(Diagnostic(tok.line, tok.col, msg))
-
-    def bail():
+    fields = [(tok, field) for kind, tok, field in decls if kind == "field"]
+    diags = [Diagnostic(tok.line, tok.col, "duplicate field declaration")
+             for tok, _ in fields[1:]]
+    ws = Workspace(fields[-1][1] if fields else make_field("rationals"))
+    for kind, (attr, build, _) in _KINDS.items():
+        table = getattr(ws, attr)
+        for decl_kind, tok, body in decls:
+            if decl_kind != kind:
+                continue
+            if tok.value in table:
+                diags.append(Diagnostic(tok.line, tok.col,
+                                        "duplicate %s %r" % (kind, tok.value)))
+                continue
+            try:
+                table[tok.value] = build(ws, tok, body)
+            except InputError as exc:
+                diags.extend(exc.diagnostics)
+            except Exception as exc:  # presentation errors carry no position
+                diags.append(Diagnostic(tok.line, tok.col,
+                                        "%s %s: %s" % (kind, tok.value, exc)))
         if diags:
             raise InputError(diags)
-
-    # Categories first.
-    for kind, name, body, tok in decls:
-        if kind != "category":
-            continue
-        if dup(ws.categories, name, tok, "category"):
-            continue
-        try:
-            ws.categories[name] = _build_category(field, name, body)
-        except InputError as exc:
-            diags.extend(exc.diagnostics)
-        except Exception as exc:  # presentation errors carry no position
-            fail(tok, "category %s: %s" % (name, exc))
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "subcategory":
-            continue
-        if dup(ws.subcategories, name, tok, "subcategory"):
-            continue
-        cat = ws.categories.get(body["of"])
-        if cat is None:
-            fail(body["pos"], "unknown category %r" % body["of"])
-            continue
-        try:
-            ws.subcategories[name] = Subcategory(cat, body["members"])
-        except Exception as exc:
-            fail(tok, "subcategory %s: %s" % (name, exc))
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "functor":
-            continue
-        if dup(ws.functors, name, tok, "functor"):
-            continue
-        src = ws.categories.get(body["source"])
-        tgt = ws.categories.get(body["target"])
-        if src is None or tgt is None:
-            fail(body["pos"], "unknown category %r"
-                 % (body["source"] if src is None else body["target"]))
-            continue
-        try:
-            ws.functors[name] = _build_functor(name, src, tgt, body)
-        except InputError as exc:
-            diags.extend(exc.diagnostics)
-        except Exception as exc:
-            fail(tok, "functor %s: %s" % (name, exc))
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "nattrans":
-            continue
-        if dup(ws.nats, name, tok, "nattrans"):
-            continue
-        try:
-            from_f = _resolve_fexpr(ws, body["from"])
-            to_f = _resolve_fexpr(ws, body["to"])
-            comps = {}
-            for g, morph in body["components"]:
-                comps[g] = _build_morphism(from_f.target, field,
-                                           from_f.apply_obj(ObjectExpr((g,))),
-                                           to_f.apply_obj(ObjectExpr((g,))), morph)
-            for g in from_f.source.generators:
-                if g not in comps:
-                    comps[g] = Morphism.zero(
-                        from_f.target, from_f.apply_obj(ObjectExpr((g,))),
-                        to_f.apply_obj(ObjectExpr((g,))))
-            ws.nats[name] = NatTransform(from_f, to_f, comps, name=name)
-            ws.nat_exprs[name] = (_fexpr_str(body["from"]), _fexpr_str(body["to"]))
-        except InputError as exc:
-            diags.extend(exc.diagnostics)
-        except Exception as exc:
-            fail(tok, "nattrans %s: %s" % (name, exc))
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "adjunction":
-            continue
-        if dup(ws.adjunctions, name, tok, "adjunction"):
-            continue
-        try:
-            left = ws.functors[body["left"]]
-            right = ws.functors[body["right"]]
-            unit = ws.nats[body["unit"]]
-            counit = ws.nats[body["counit"]]
-        except KeyError as exc:
-            fail(tok, "adjunction %s: unknown reference %s" % (name, exc))
-            continue
-        try:
-            ws.adjunctions[name] = make_adjunction(
-                left, right, dict(unit.components), dict(counit.components),
-                name=name)
-            ws.adj_refs[name] = (body["left"], body["right"], body["unit"],
-                                 body["counit"])
-        except Exception as exc:
-            fail(tok, "adjunction %s: %s" % (name, exc))
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "recollement":
-            continue
-        if dup(ws.recollements, name, tok, "recollement"):
-            continue
-        try:
-            refs = {k: table[body[k]]
-                    for keys, table in ((PARTS, ws.categories),
-                                        (FUNCTOR_SLOTS, ws.functors),
-                                        (ADJUNCTION_SLOTS, ws.adjunctions))
-                    for k in keys}
-        except KeyError as exc:
-            fail(tok, "recollement %s: unknown reference %s" % (name, exc))
-            continue
-        try:
-            ws.recollements[name] = Recollement(**refs)
-            ws.rec_refs[name] = dict(body)
-        except Exception as exc:
-            fail(tok, "recollement %s: %s" % (name, exc))
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "triangulated":
-            continue
-        if dup(ws.triangulated, name, tok, "triangulated"):
-            continue
-        cat = ws.categories.get(body["base"])
-        shift = ws.functors.get(body["shift"])
-        shift_inv = ws.functors.get(body["shift_inv"])
-        if cat is None or shift is None or shift_inv is None:
-            fail(tok, "triangulated %s: unknown reference" % name)
-            continue
-        try:
-            triangles = []
-            for (tname, x, y, z, f, g, h) in body["triangles"]:
-                xo, yo, zo = (_objexpr(cat, x), _objexpr(cat, y), _objexpr(cat, z))
-                txo = shift.apply_obj(xo)
-                triangles.append(Triangle(
-                    xo, yo, zo,
-                    _build_morphism(cat, field, xo, yo, f),
-                    _build_morphism(cat, field, yo, zo, g),
-                    _build_morphism(cat, field, zo, txo, h),
-                    name=tname))
-            ws.triangulated[name] = TriangulatedPresentation(
-                cat, shift, shift_inv, triangles, name=name)
-            ws.tri_refs[name] = (body["base"], body["shift"], body["shift_inv"])
-        except Exception as exc:
-            fail(tok, "triangulated %s: %s" % (name, exc))
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "exact":
-            continue
-        if dup(ws.exactdata, name, tok, "exact"):
-            continue
-        functor = ws.functors.get(body["functor"])
-        st = ws.triangulated.get(body["source_tri"])
-        tt = ws.triangulated.get(body["target_tri"])
-        if functor is None or st is None or tt is None:
-            fail(tok, "exact %s: unknown reference" % name)
-            continue
-        shift_iso = None
-        if body["shift_iso"] != "identity":
-            shift_iso = ws.nats.get(body["shift_iso"])
-            if shift_iso is None:
-                fail(tok, "exact %s: unknown nattrans %r" % (name, body["shift_iso"]))
-                continue
-        ws.exactdata[name] = ExactFunctorData(functor, st, tt, shift_iso, name=name)
-        ws.exact_refs[name] = (body["functor"], body["source_tri"],
-                               body["target_tri"], body["shift_iso"])
-    bail()
-
-    for kind, name, body, tok in decls:
-        if kind != "mutation":
-            continue
-        if dup(ws.mutations, name, tok, "mutation"):
-            continue
-        tri = ws.triangulated.get(body["ambient"])
-        z = ws.subcategories.get(body["z"])
-        d = ws.subcategories.get(body["d"])
-        if tri is None or z is None or d is None:
-            fail(tok, "mutation %s: unknown reference" % name)
-            continue
-        try:
-            cat = tri.cat
-            fixed = {}
-            for (g, dx, mm, alpha, beta, gamma) in body["fixed"]:
-                xo = ObjectExpr((g,))
-                dxo, mo = _objexpr(cat, dx), _objexpr(cat, mm)
-                txo = tri.shift.apply_obj(xo)
-                fixed[g] = Triangle(
-                    xo, dxo, mo,
-                    _build_morphism(cat, field, xo, dxo, alpha),
-                    _build_morphism(cat, field, dxo, mo, beta),
-                    _build_morphism(cat, field, mo, txo, gamma),
-                    name="fixed.%s" % g)
-            cofixed = {}
-            for (g, x, dx, f, gm, h) in body["cofixed"]:
-                xo, dxo = _objexpr(cat, x), _objexpr(cat, dx)
-                yo = ObjectExpr((g,))
-                txo = tri.shift.apply_obj(xo)
-                cofixed[g] = Triangle(
-                    xo, dxo, yo,
-                    _build_morphism(cat, field, xo, dxo, f),
-                    _build_morphism(cat, field, dxo, yo, gm),
-                    _build_morphism(cat, field, yo, txo, h),
-                    name="cofixed.%s" % g)
-            ws.mutations[name] = MutationData(tri, z, d, fixed, cofixed, name=name)
-            ws.mutation_refs[name] = (body["ambient"], body["z"], body["d"])
-        except Exception as exc:
-            fail(tok, "mutation %s: %s" % (name, exc))
-    bail()
     return ws
 
 
-def _build_category(field, name, body):
+def _lookup(ws: Workspace, kind, value):
+    """What a parsed value of the given value kind refers to."""
+    if kind == "fexpr":
+        if value[0].value == "id":
+            return identity_functor(_lookup(ws, "category", value[1]))
+        functors = [_lookup(ws, "functor", tok) for tok in value]
+        return compose_functors(*functors) if len(functors) == 2 else functors[0]
+    if kind == "nattrans_or_identity":
+        if value.value == "identity":
+            return None
+        kind = "nattrans"
+    table = getattr(ws, _KINDS[kind][0])
+    if value.value not in table:
+        raise _input_error(value, "unknown %s %r" % (kind, value.value))
+    return table[value.value]
+
+
+def _header(ws: Workspace, kind, values):
+    """The header values of a declaration of the given kind, looked up."""
+    return [_lookup(ws, vk, v) for (_, vk), v in zip(HEADERS[kind], values)]
+
+
+def _names(values):
+    return tuple(v.value for v in values)
+
+
+def _fexpr_str(fe) -> str:
+    return (" " if fe[0].value == "id" else " * ").join(t.value for t in fe)
+
+
+def _build_category(ws: Workspace, tok, body):
+    field = ws.field
     gens = body["objects"]
     gen_set = set(gens)
     hom_bases = {}
-    for (a, b, names, tok) in body["homs"]:
+    for (a, b, names, item) in body["homs"]:
         if a not in gen_set or b not in gen_set:
-            raise InputError([Diagnostic(tok.line, tok.col,
-                                         "hom pair (%s,%s): unknown generator" % (a, b))])
+            raise _input_error(item, "hom pair (%s,%s): unknown generator" % (a, b))
         hom_bases[(a, b)] = tuple(names)
 
     def basis_index(a, b):
@@ -765,23 +554,21 @@ def _build_category(field, name, body):
     def coeff_vec(a, b, coeffs):
         idx = basis_index(a, b)
         vec = [field.zero] * len(idx)
-        for (bname, num, tok) in coeffs:
+        for (bname, num, name_tok) in coeffs:
             if bname not in idx:
-                raise InputError([Diagnostic(tok.line, tok.col,
-                                             "unknown basis element %r of Hom(%s,%s)"
-                                             % (bname, a, b))])
-            vec[idx[bname]] = field.parse(num)
+                raise _input_error(name_tok, "unknown basis element %r of Hom(%s,%s)"
+                                   % (bname, a, b))
+            vec[idx[bname]] = _number(field, num)
         return tuple(vec)
 
     identities = {}
-    for (g, coeffs, tok) in body["identities"]:
+    for (g, coeffs, item) in body["identities"]:
         identities[g] = coeff_vec(g, g, coeffs)
     comp = {}
-    for (b1, c1, gname, a2, b2, fname, coeffs, tok) in body["composes"]:
+    for (b1, c1, gname, a2, b2, fname, coeffs, item) in body["composes"]:
         if b1 != b2:
-            raise InputError([Diagnostic(tok.line, tok.col,
-                                         "composition middle objects differ: %s vs %s"
-                                         % (b1, b2))])
+            raise _input_error(item, "composition middle objects differ: %s vs %s"
+                               % (b1, b2))
         a, b, c = a2, b1, c1
         dab = len(hom_bases.get((a, b), ()))
         dbc = len(hom_bases.get((b, c), ()))
@@ -793,56 +580,88 @@ def _build_category(field, name, body):
         pidx = basis_index(b, c).get(gname)
         qidx = basis_index(a, b).get(fname)
         if pidx is None or qidx is None:
-            raise InputError([Diagnostic(tok.line, tok.col,
-                                         "unknown basis element in composition")])
+            raise _input_error(item, "unknown basis element in composition")
         comp[key][pidx][qidx] = coeff_vec(a, c, coeffs)
     return FinLinCategory(field, gens, hom_bases, comp, identities,
-                          name=name, assume_local=body["assume_local"])
+                          name=tok.value, assume_local=body["assume_local"])
+
+
+def _number(field, tok):
+    """The field element a number token writes."""
+    try:
+        return field.parse(tok.value)
+    except (ValueError, ZeroDivisionError):
+        raise _input_error(tok, "invalid number %r" % tok.value) from None
 
 
 def _objexpr(cat, names) -> ObjectExpr:
-    for n in names:
-        if n not in set(cat.generators):
-            raise InputError([Diagnostic(0, 0, "unknown generator %r in %s"
-                                         % (n, cat.name))])
-    return ObjectExpr(tuple(names))
+    """The object with the given generator tokens, each checked against cat."""
+    gens = set(cat.generators)
+    for tok in names:
+        if tok.value not in gens:
+            raise _input_error(tok, "unknown generator %r in %s" % (tok.value, cat.name))
+    return ObjectExpr(tuple(tok.value for tok in names))
 
 
-def _build_morphism(cat, field, src: ObjectExpr, tgt: ObjectExpr, morph) -> Morphism:
+def _build_morphism(cat, src: ObjectExpr, tgt: ObjectExpr, morph) -> Morphism:
+    field = cat.field
     blocks = [[list((field.zero,) * cat.hom_dim(s, t)) for s in src.summands]
               for t in tgt.summands]
-    for ((i, j), coeffs) in morph:
-        if i >= len(tgt.summands) or j >= len(src.summands):
-            raise InputError([Diagnostic(0, 0,
-                                         "block (%d,%d) outside morphism shape" % (i, j))])
+    for ((i, j), coeffs, tok) in morph:
+        if not (0 <= i < len(tgt.summands) and 0 <= j < len(src.summands)):
+            raise _input_error(tok, "block (%d,%d) outside morphism shape" % (i, j))
         a, b = src.summands[j], tgt.summands[i]
         names = {n: k for k, n in enumerate(cat.basis_names(a, b))}
-        for (bname, num, tok) in coeffs:
+        for (bname, num, name_tok) in coeffs:
             if bname not in names:
-                raise InputError([Diagnostic(tok.line, tok.col,
-                                             "unknown basis element %r of Hom(%s,%s)"
-                                             % (bname, a, b))])
-            blocks[i][j][names[bname]] = field.parse(num)
+                raise _input_error(name_tok, "unknown basis element %r of Hom(%s,%s)"
+                                   % (bname, a, b))
+            blocks[i][j][names[bname]] = _number(field, num)
     return Morphism(cat, src, tgt, [[tuple(v) for v in row] for row in blocks])
 
 
-def _build_functor(name, src, tgt, body):
+def _build_triangle(cat, shift, block, name, values) -> Triangle:
+    """A triangle, fixed or cofixed block (see TRIANGLE_BLOCKS) as a Triangle."""
+    vertex, fields = TRIANGLE_BLOCKS[block.value]
+    given = {attr: value for (_, attr, _), value in zip(fields, values)}
+    label = name.value
+    if vertex is not None:
+        given[vertex] = [name]
+        label = "%s.%s" % (block.value, name.value)
+    x, y, z = (_objexpr(cat, given[attr]) for attr in ("x", "y", "z"))
+    f, g, h = (_build_morphism(cat, src, tgt, given[attr]) for attr, src, tgt
+               in (("f", x, y), ("g", y, z), ("h", z, shift.apply_obj(x))))
+    return Triangle(x, y, z, f, g, h, name=label)
+
+
+def _build_subcategory(ws: Workspace, tok, body):
+    (of, members), _ = body
+    cat = _lookup(ws, "category", of)
+    return Subcategory(cat, _objexpr(cat, members).summands)
+
+
+def _build_functor(ws: Workspace, tok, body):
+    values, items = body
+    src, tgt = _header(ws, "functor", values)
     field = src.field
     object_map = {}
-    for (g, names, tok) in body["objects"]:
-        object_map[g] = _objexpr(tgt, names)
+    for item, g, names in items:
+        if item.value == "object":
+            _objexpr(src, [g])  # the line must name a generator of the source
+            object_map[g.value] = _objexpr(tgt, names)
     for g in src.generators:
         if g not in object_map:
-            raise InputError([Diagnostic(body["pos"].line, body["pos"].col,
-                                         "functor %s: no image for %s" % (name, g))])
+            raise _input_error(values[0], "functor %s: no image for %s" % (tok.value, g))
     cols = {}
-    for (a, b, bname, morph, tok) in body["maps"]:
+    for item, head, morph in items:
+        if item.value != "map":
+            continue
+        a, b, bname = (t.value for t in head)
         names = {n: k for k, n in enumerate(src.basis_names(a, b))}
         if bname not in names:
-            raise InputError([Diagnostic(tok.line, tok.col,
-                                         "unknown basis element %r of Hom(%s,%s)"
-                                         % (bname, a, b))])
-        mor = _build_morphism(tgt, field, object_map[a], object_map[b], morph)
+            raise _input_error(head[2], "unknown basis element %r of Hom(%s,%s)"
+                               % (bname, a, b))
+        mor = _build_morphism(tgt, object_map[a], object_map[b], morph)
         cols.setdefault((a, b), {})[names[bname]] = mor.flatten()
     hom_maps = {}
     for a in src.generators:
@@ -854,36 +673,67 @@ def _build_functor(name, src, tgt, body):
             given = cols.get((a, b), {})
             hom_maps[(a, b)] = Mat.from_columns(
                 field, rows, [given.get(q, (field.zero,) * rows) for q in range(d)])
-    return LinearFunctor(src, tgt, object_map, hom_maps, name=name)
+    return LinearFunctor(src, tgt, object_map, hom_maps, name=tok.value)
 
 
-def _resolve_fexpr(ws: Workspace, fe) -> LinearFunctor:
-    if fe[0] == "id":
-        cat = ws.categories.get(fe[1])
-        if cat is None:
-            raise InputError([Diagnostic(fe[2].line, fe[2].col,
-                                         "unknown category %r" % fe[1])])
-        return identity_functor(cat)
-    if fe[0] == "plain":
-        f = ws.functors.get(fe[1])
-        if f is None:
-            raise InputError([Diagnostic(fe[2].line, fe[2].col,
-                                         "unknown functor %r" % fe[1])])
-        return f
-    outer = ws.functors.get(fe[1])
-    inner = ws.functors.get(fe[2])
-    if outer is None or inner is None:
-        raise InputError([Diagnostic(fe[3].line, fe[3].col,
-                                     "unknown functor in composition")])
-    return compose_functors(outer, inner)
+def _build_nattrans(ws: Workspace, tok, body):
+    values, items = body
+    from_f, to_f = _header(ws, "nattrans", values)
+    _objexpr(from_f.source, [g for _, g, _ in items])  # each "at" names a generator
+    given = {g.value: morph for _, g, morph in items}
+    comps = {}
+    for g in from_f.source.generators:
+        x = ObjectExpr((g,))
+        comps[g] = _build_morphism(from_f.target, from_f.apply_obj(x),
+                                   to_f.apply_obj(x), given.get(g, []))
+    nt = NatTransform(from_f, to_f, comps, name=tok.value)
+    ws.nat_exprs[tok.value] = tuple(_fexpr_str(v) for v in values)
+    return nt
 
 
-def _fexpr_str(fe) -> str:
-    if fe[0] == "id":
-        return "id %s" % fe[1]
-    if fe[0] == "plain":
-        return fe[1]
-    return "%s * %s" % (fe[1], fe[2])
+def _build_adjunction(ws: Workspace, tok, body):
+    values, _ = body
+    left, right, unit, counit = _header(ws, "adjunction", values)
+    adj = make_adjunction(left, right, dict(unit.components),
+                          dict(counit.components), name=tok.value)
+    ws.adj_refs[tok.value] = _names(values)
+    return adj
+
+
+def _build_recollement(ws: Workspace, tok, refs):
+    r = Recollement(**{key: _lookup(ws, kind, refs[key])
+                       for key, kind in REC_KEYS.items()})
+    ws.rec_refs[tok.value] = {key: ref.value for key, ref in refs.items()}
+    return r
+
+
+def _build_triangulated(ws: Workspace, tok, body):
+    values, items = body
+    cat, shift, shift_inv = _header(ws, "triangulated", values)
+    triangles = [_build_triangle(cat, shift, *item) for item in items]
+    tri = TriangulatedPresentation(cat, shift, shift_inv, triangles, name=tok.value)
+    ws.tri_refs[tok.value] = _names(values)
+    return tri
+
+
+def _build_exact(ws: Workspace, tok, body):
+    values, _ = body
+    data = ExactFunctorData(*_header(ws, "exact", values), name=tok.value)
+    ws.exact_refs[tok.value] = _names(values)
+    return data
+
+
+def _build_mutation(ws: Workspace, tok, body):
+    values, items = body
+    tri, z, d = _header(ws, "mutation", values)
+    blocks = {kind: {} for kind in BODY_ITEMS["mutation"]}
+    for block, name, fields in items:
+        blocks[block.value][name.value] = _build_triangle(tri.cat, tri.shift,
+                                                          block, name, fields)
+    fixed, cofixed = blocks.values()
+    m = MutationData(tri, z, d, fixed, cofixed, name=tok.value)
+    ws.mutation_refs[tok.value] = _names(values)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -914,158 +764,131 @@ def _fmt_objexpr(obj: ObjectExpr) -> str:
     return "+".join(obj.summands) if obj.summands else "0"
 
 
+def _name_of(table, obj) -> str:
+    return next(n for n, c in table.items() if c is obj)
+
+
+def _decl(kind, name, values, body=()):
+    """The lines of a HEADERS declaration, given its header value strings."""
+    fields = ["%s %s" % (word, value) for (word, _), value in zip(HEADERS[kind], values)]
+    if kind not in BODY_ITEMS:
+        return ["%s %s { %s }" % (kind, name, " ".join(fields))]
+    return ["%s %s {" % (kind, name)] + ["  " + f for f in fields] + list(body) + ["}", ""]
+
+
+def _write_triangle(cat, block, name, t: Triangle):
+    lines = ["  %s %s {" % (block, name)]
+    for word, attr, kind in TRIANGLE_BLOCKS[block][1]:
+        value = getattr(t, attr)
+        lines.append("    %s %s" % (word, _fmt_objexpr(value) if kind == "obj"
+                                     else _fmt_morph(cat, value)))
+    return lines + ["  }"]
+
+
+def _write_category(ws: Workspace, name, cat):
+    field = cat.field
+    gi = {g: i for i, g in enumerate(cat.generators)}
+    out = ["category %s {" % name]
+    if cat.assume_local:
+        out.append("  assume_local")
+    for g in cat.generators:
+        out.append("  object %s" % g)
+    for (a, b) in sorted(cat.hom_bases, key=lambda k: (gi[k[0]], gi[k[1]])):
+        out.append("  hom %s %s { basis %s }" % (a, b, " ".join(cat.hom_bases[(a, b)])))
+    for g in cat.generators:
+        out.append("  identity %s %s"
+                   % (g, _fmt_coeffs(field, cat.basis_names(g, g), cat.identities[g])))
+    comp_lines = []
+    for (a, b, c), table in cat.comp.items():
+        for p, row in enumerate(table):
+            for q, vec in enumerate(row):
+                if any(not field.is_zero(x) for x in vec):
+                    comp_lines.append(
+                        ((gi[a], gi[b], gi[c], p, q),
+                         "  compose (%s %s %s) (%s %s %s) %s"
+                         % (b, c, cat.basis_names(b, c)[p],
+                            a, b, cat.basis_names(a, b)[q],
+                            _fmt_coeffs(field, cat.basis_names(a, c), vec))))
+    out.extend(line for _, line in sorted(comp_lines))
+    return out + ["}", ""]
+
+
+def _write_subcategory(ws: Workspace, name, sub):
+    return _decl("subcategory", name,
+                 (_name_of(ws.categories, sub.parent), " ".join(sub.members)))
+
+
+def _write_functor(ws: Workspace, name, f):
+    body = ["  object %s -> %s" % (g, _fmt_objexpr(f.object_map[g]))
+            for g in f.source.generators]
+    gi = {g: i for i, g in enumerate(f.source.generators)}
+    for (a, b) in sorted(f.hom_maps, key=lambda k: (gi[k[0]], gi[k[1]])):
+        mat = f.hom_maps[(a, b)]
+        for q, bname in enumerate(f.source.basis_names(a, b)):
+            col = mat.col(q)
+            if all(f.target.field.is_zero(x) for x in col):
+                continue
+            mor = unflatten(f.target, f.object_map[a], f.object_map[b], col)
+            body.append("  map (%s %s %s) -> %s" % (a, b, bname, _fmt_morph(f.target, mor)))
+    return _decl("functor", name, (_name_of(ws.categories, f.source),
+                                   _name_of(ws.categories, f.target)), body)
+
+
+def _write_nattrans(ws: Workspace, name, nt):
+    body = ["  at %s -> %s" % (g, _fmt_morph(nt.from_f.target, nt.components[g]))
+            for g in nt.from_f.source.generators if not nt.components[g].is_zero()]
+    return _decl("nattrans", name, ws.nat_exprs[name], body)
+
+
+def _write_recollement(ws: Workspace, name, r):
+    refs = ws.rec_refs[name]
+    return (["recollement %s {" % name] + ["  %s %s" % (key, refs[key]) for key in REC_KEYS]
+            + ["}", ""])
+
+
+def _write_triangulated(ws: Workspace, name, tri):
+    block, = BODY_ITEMS["triangulated"]
+    body = [line for t in tri.triangles
+            for line in _write_triangle(tri.cat, block, t.name, t)]
+    return _decl("triangulated", name, ws.tri_refs[name], body)
+
+
+def _write_mutation(ws: Workspace, name, m):
+    cat = m.tri.cat
+    body = []
+    for block, triangles in zip(BODY_ITEMS["mutation"], (m.fixed, m.cofixed)):
+        for g in sorted(triangles, key=cat.generators.index):
+            body += _write_triangle(cat, block, g, triangles[g])
+    return _decl("mutation", name, ws.mutation_refs[name], body)
+
+
 def serialize(ws: Workspace) -> str:
     """Canonical text form; stable under parse-serialize round trips."""
     field = ws.field
-    out = ["rclkit workspace %d" % FORMAT_VERSION, ""]
-    if field.characteristic == 0:
-        out.append("field { kind rationals }")
-    else:
-        out.append("field { kind prime %d }" % field.characteristic)
-    out.append("")
-
-    for name in sorted(ws.categories):
-        cat = ws.categories[name]
-        gi = {g: i for i, g in enumerate(cat.generators)}
-        out.append("category %s {" % name)
-        if cat.assume_local:
-            out.append("  assume_local")
-        for g in cat.generators:
-            out.append("  object %s" % g)
-        for (a, b) in sorted(cat.hom_bases, key=lambda k: (gi[k[0]], gi[k[1]])):
-            out.append("  hom %s %s { basis %s }" % (a, b, " ".join(cat.hom_bases[(a, b)])))
-        for g in cat.generators:
-            out.append("  identity %s %s"
-                       % (g, _fmt_coeffs(field, cat.basis_names(g, g), cat.identities[g])))
-        comp_lines = []
-        for (a, b, c), table in cat.comp.items():
-            for p, row in enumerate(table):
-                for q, vec in enumerate(row):
-                    if any(not field.is_zero(x) for x in vec):
-                        comp_lines.append(
-                            ((gi[a], gi[b], gi[c], p, q),
-                             "  compose (%s %s %s) (%s %s %s) %s"
-                             % (b, c, cat.basis_names(b, c)[p],
-                                a, b, cat.basis_names(a, b)[q],
-                                _fmt_coeffs(field, cat.basis_names(a, c), vec))))
-        for _, line in sorted(comp_lines):
-            out.append(line)
-        out.append("}")
-        out.append("")
-
-    for name in sorted(ws.subcategories):
-        sub = ws.subcategories[name]
-        cat_name = next(n for n, c in ws.categories.items() if c is sub.parent)
-        out.append("subcategory %s { of %s members %s }"
-                   % (name, cat_name, " ".join(sub.members)))
-    if ws.subcategories:
-        out.append("")
-
-    for name in sorted(ws.functors):
-        f = ws.functors[name]
-        src_name = next(n for n, c in ws.categories.items() if c is f.source)
-        tgt_name = next(n for n, c in ws.categories.items() if c is f.target)
-        out.append("functor %s {" % name)
-        out.append("  source %s" % src_name)
-        out.append("  target %s" % tgt_name)
-        for g in f.source.generators:
-            out.append("  object %s -> %s" % (g, _fmt_objexpr(f.object_map[g])))
-        gi = {g: i for i, g in enumerate(f.source.generators)}
-        for (a, b) in sorted(f.hom_maps, key=lambda k: (gi[k[0]], gi[k[1]])):
-            mat = f.hom_maps[(a, b)]
-            for q, bname in enumerate(f.source.basis_names(a, b)):
-                col = mat.col(q)
-                if all(field.is_zero(x) for x in col):
-                    continue
-                mor = unflatten(f.target, f.object_map[a], f.object_map[b], col)
-                out.append("  map (%s %s %s) -> %s" % (a, b, bname, _fmt_morph(f.target, mor)))
-        out.append("}")
-        out.append("")
-
-    for name in sorted(ws.nats):
-        nt = ws.nats[name]
-        fe, te = ws.nat_exprs[name]
-        out.append("nattrans %s {" % name)
-        out.append("  from %s" % fe)
-        out.append("  to %s" % te)
-        for g in nt.from_f.source.generators:
-            comp = nt.components[g]
-            if comp.is_zero():
-                continue
-            out.append("  at %s -> %s" % (g, _fmt_morph(nt.from_f.target, comp)))
-        out.append("}")
-        out.append("")
-
-    for name in sorted(ws.adjunctions):
-        left, right, unit, counit = ws.adj_refs[name]
-        out.append("adjunction %s { left %s right %s unit %s counit %s }"
-                   % (name, left, right, unit, counit))
-    if ws.adjunctions:
-        out.append("")
-
-    for name in sorted(ws.recollements):
-        refs = ws.rec_refs[name]
-        out.append("recollement %s {" % name)
-        for key in REC_KEYS:
-            out.append("  %s %s" % (key, refs[key]))
-        out.append("}")
-        out.append("")
-
-    for name in sorted(ws.triangulated):
-        tri = ws.triangulated[name]
-        base, shift, shift_inv = ws.tri_refs[name]
-        out.append("triangulated %s {" % name)
-        out.append("  base %s" % base)
-        out.append("  shift %s" % shift)
-        out.append("  shift_inv %s" % shift_inv)
-        for t in tri.triangles:
-            out.append("  triangle %s {" % t.name)
-            out.append("    x %s" % _fmt_objexpr(t.x))
-            out.append("    y %s" % _fmt_objexpr(t.y))
-            out.append("    z %s" % _fmt_objexpr(t.z))
-            out.append("    f %s" % _fmt_morph(tri.cat, t.f))
-            out.append("    g %s" % _fmt_morph(tri.cat, t.g))
-            out.append("    h %s" % _fmt_morph(tri.cat, t.h))
-            out.append("  }")
-        out.append("}")
-        out.append("")
-
-    for name in sorted(ws.exactdata):
-        fn, st, tt, si = ws.exact_refs[name]
-        out.append("exact %s { functor %s source_tri %s target_tri %s shift_iso %s }"
-                   % (name, fn, st, tt, si))
-    if ws.exactdata:
-        out.append("")
-
-    for name in sorted(ws.mutations):
-        m = ws.mutations[name]
-        ambient, z, d = ws.mutation_refs[name]
-        cat = m.tri.cat
-        out.append("mutation %s {" % name)
-        out.append("  ambient %s" % ambient)
-        out.append("  z %s" % z)
-        out.append("  d %s" % d)
-        for g in sorted(m.fixed, key=lambda g: cat.generators.index(g)):
-            t = m.fixed[g]
-            out.append("  fixed %s {" % g)
-            out.append("    dx %s" % _fmt_objexpr(t.y))
-            out.append("    m %s" % _fmt_objexpr(t.z))
-            out.append("    alpha %s" % _fmt_morph(cat, t.f))
-            out.append("    beta %s" % _fmt_morph(cat, t.g))
-            out.append("    gamma %s" % _fmt_morph(cat, t.h))
-            out.append("  }")
-        for g in sorted(m.cofixed, key=lambda g: cat.generators.index(g)):
-            t = m.cofixed[g]
-            out.append("  cofixed %s {" % g)
-            out.append("    x %s" % _fmt_objexpr(t.x))
-            out.append("    dx %s" % _fmt_objexpr(t.y))
-            out.append("    f %s" % _fmt_morph(cat, t.f))
-            out.append("    g %s" % _fmt_morph(cat, t.g))
-            out.append("    h %s" % _fmt_morph(cat, t.h))
-            out.append("  }")
-        out.append("}")
-        out.append("")
-
+    kind = "rationals" if field.characteristic == 0 else "prime %d" % field.characteristic
+    out = ["rclkit workspace %d" % FORMAT_VERSION, "", "field { kind %s }" % kind, ""]
+    for attr, _, write in _KINDS.values():
+        table = getattr(ws, attr)
+        for name in sorted(table):
+            out += write(ws, name, table[name])
+        if out[-1]:  # one-line declarations end their group with a blank line
+            out.append("")
     while out and out[-1] == "":
         out.pop()
     return "\n".join(out) + "\n"
+
+
+# declaration kind -> (Workspace table, builder, writer), in dependency order
+_KINDS = {
+    "category": ("categories", _build_category, _write_category),
+    "subcategory": ("subcategories", _build_subcategory, _write_subcategory),
+    "functor": ("functors", _build_functor, _write_functor),
+    "nattrans": ("nats", _build_nattrans, _write_nattrans),
+    "adjunction": ("adjunctions", _build_adjunction,
+                   lambda ws, name, _: _decl("adjunction", name, ws.adj_refs[name])),
+    "recollement": ("recollements", _build_recollement, _write_recollement),
+    "triangulated": ("triangulated", _build_triangulated, _write_triangulated),
+    "exact": ("exactdata", _build_exact,
+              lambda ws, name, _: _decl("exact", name, ws.exact_refs[name])),
+    "mutation": ("mutations", _build_mutation, _write_mutation),
+}

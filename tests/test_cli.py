@@ -101,8 +101,18 @@ def test_triangulate_quotient_command(fixture_dir, capsys):
     ("rclkit workspace 1\nfield { kind prime 7/2 }\n", "expected an integer"),
     ("rclkit workspace 1\nfunctor f { source C target C\n"
      "  map (A A e) -> { (1/2 0) { e 1 } } }\n", "expected an integer"),
+    ("rclkit workspace 1\nfield { kind prime 4 }\n", "characteristic must be prime"),
+    ("rclkit workspace 1\ncategory A { object G hom G G { basis e } identity G { e 1 }\n"
+     "  compose (G G e) (G G e) { e 1 } }\nfunctor f { source A target A object G -> G\n"
+     "  map (G G e) -> { (-1 0) { e 1 } } }\n", "block (-1,0) outside morphism shape"),
+    ("rclkit workspace 1\ncategory A { object G hom G G { basis e } identity G { e 1/0 } }\n",
+     "line 2, col 58: invalid number '1/0'"),
+    ("rclkit workspace 1\nfield { kind prime 7 }\n"
+     "category A { object G hom G G { basis e } identity G { e 1/2/3 } }\n",
+     "line 3, col 58: invalid number '1/2/3'"),
 ], ids=["unknown-category", "fractional-version", "fractional-prime",
-        "fractional-block-index"])
+        "fractional-block-index", "composite-prime", "negative-block-index",
+        "zero-denominator", "malformed-fraction"])
 def test_parse_error_exit2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.rcl"
     bad.write_text(text)
@@ -111,6 +121,23 @@ def test_parse_error_exit2(tmp_path, capsys, text, message):
     assert message in err
     assert "line" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["restrict", "quotient-recollement"])
+def test_invalid_input_adjunction_exit1(fixture_dir, tmp_path, capsys, command):
+    """An input adjunction that fails its triangle identities is a failed
+    precondition (exit 1), not an internal inconsistency (exit 3)."""
+    text = (fixture_dir / "fix_a2.rcl").read_text()
+    unit = "to il * iu\n  at S2 -> { (0 0) { a0 1 } }"
+    assert unit in text
+    bad = tmp_path / "bad.rcl"
+    bad.write_text(text.replace(unit, unit.replace("a0 1", "a0 -1")))
+    code, out, err = run([command, str(bad), "--x", "S2", "--format", "structured"],
+                         capsys)
+    assert code == 1
+    assert err == ""
+    assert ("check.precondition.witness = input adjunction adj_i fails its checks: "
+            "triangle.left: at generator S2") in out
 
 
 def test_missing_file_exit2(capsys):

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from rclkit import workspace
 from rclkit.errors import InputError
-from rclkit.workspace import parse, serialize
+from rclkit.workspace import BODY_ITEMS, HEADERS, TRIANGLE_BLOCKS, parse, serialize
 
 
 def test_parse_fixture_counts(fixture_dir):
@@ -120,7 +121,7 @@ def test_all_kinds_round_trip_byte_identical():
 # (id, text in the all-kinds golden, its replacement, expected diagnostics)
 DIAGNOSTICS = [
     ("bad-version", "rclkit workspace 1", "rclkit workspace 2",
-     ["line 3, col 1: unsupported format version 2"]),
+     ["line 1, col 18: unsupported format version 2"]),
     ("unknown-field-kind", "kind rationals", "kind reals",
      ["line 3, col 14: unknown field kind 'reals'"]),
     ("category-unknown-generator", "hom M1 M2 { basis a0 }", "hom M1 NOPE { basis a0 }",
@@ -128,51 +129,51 @@ DIAGNOSTICS = [
     ("subcategory-unknown-category", "of STAB members M2", "of NOPE members M2",
      ["line 26, col 22: unknown category 'NOPE'"]),
     ("subcategory-unknown-member", "of STAB members M2", "of STAB members NOPE",
-     ["line 26, col 13: subcategory DM2: subcategory members not in parent: ['NOPE']"]),
+     ["line 26, col 35: unknown generator 'NOPE' in STAB"]),
     ("functor-unknown-category", "functor i_lo {\n  source ZERO",
      "functor i_lo {\n  source NOPE",
      ["line 63, col 10: unknown category 'NOPE'"]),
     ("functor-object-unknown-generator", "object M1 -> M1", "object M1 -> NOPE",
-     ["line 0, col 0: unknown generator 'NOPE' in STAB"]),
+     ["line 32, col 16: unknown generator 'NOPE' in STAB"]),
     ("functor-object-unknown-source-generator", "object M1 -> M1", "object NOPE -> M1",
-     ["line 30, col 10: functor I: no image for M1"]),
+     ["line 32, col 10: unknown generator 'NOPE' in STAB"]),
     ("nattrans-unknown-id-category", "to id ZERO", "to id NOPE",
-     ["line 102, col 6: unknown category 'NOPE'"]),
+     ["line 102, col 9: unknown category 'NOPE'"]),
     ("nattrans-unknown-functor", "from I * T", "from NOPE",
      ["line 89, col 8: unknown functor 'NOPE'"]),
     ("nattrans-unknown-composite", "to T * I", "to T * NOPE",
-     ["line 90, col 6: unknown functor in composition"]),
+     ["line 90, col 10: unknown functor 'NOPE'"]),
     ("nattrans-at-unknown-generator", "at M1 -> { (0 0) { a0 1/2 } }",
      "at NOPE -> { (0 0) { a0 1/2 } }",
-     ["line 88, col 10: nattrans tw: 'NOPE'"]),
+     ["line 91, col 6: unknown generator 'NOPE' in STAB"]),
     ("adjunction-unknown-nattrans", "unit eta", "unit NOPE",
-     ["line 105, col 12: adjunction adj_I: unknown reference 'NOPE'"]),
+     ["line 105, col 40: unknown nattrans 'NOPE'"]),
     ("recollement-unknown-functor", "j_up I", "j_up NOPE",
-     ["line 108, col 13: recollement R: unknown reference 'NOPE'"]),
+     ["line 116, col 8: unknown functor 'NOPE'"]),
     ("triangulated-unknown-functor", "shift T\n", "shift NOPE\n",
-     ["line 124, col 14: triangulated TC: unknown reference"]),
+     ["line 126, col 9: unknown functor 'NOPE'"]),
     ("triangulated-bad-body-keyword", "triangle t2", "triangel t2",
-     ["line 136, col 3: expected 'triangle'"]),
+     ["line 136, col 3: unknown triangulated item 'triangel'"]),
     ("triangle-unknown-generator", "x M2\n    y 0", "x NOPE\n    y 0",
-     ["line 124, col 14: triangulated TC: line 0, col 0: unknown generator 'NOPE' in STAB"]),
+     ["line 137, col 7: unknown generator 'NOPE' in STAB"]),
     ("triangle-block-outside-shape", "h { (0 0) { a0 1 } }\n  }\n  triangle t2",
      "h { (1 0) { a0 1 } }\n  }\n  triangle t2",
-     ["line 124, col 14: triangulated TC: line 0, col 0: block (1,0) outside morphism shape"]),
+     ["line 134, col 9: block (1,0) outside morphism shape"]),
     ("exact-unknown-triangulated", "source_tri TC target_tri TC shift_iso tw",
      "source_tri NOPE target_tri TC shift_iso tw",
-     ["line 146, col 7: exact E: unknown reference"]),
+     ["line 146, col 32: unknown triangulated 'NOPE'"]),
     ("exact-unknown-shift-iso", "shift_iso tw", "shift_iso NOPE",
-     ["line 146, col 7: exact E: unknown nattrans 'NOPE'"]),
+     ["line 146, col 59: unknown nattrans 'NOPE'"]),
     ("mutation-unknown-subcategory", "z Zall", "z NOPE",
-     ["line 149, col 10: mutation MU: unknown reference"]),
+     ["line 151, col 5: unknown subcategory 'NOPE'"]),
     ("mutation-bad-body-keyword", "cofixed M1", "cofix M1",
-     ["line 167, col 3: expected fixed or cofixed"]),
+     ["line 167, col 3: unknown mutation item 'cofix'"]),
     ("fixed-unknown-generator", "dx M2\n    m 0", "dx NOPE\n    m 0",
-     ["line 149, col 10: mutation MU: line 0, col 0: unknown generator 'NOPE' in STAB"]),
+     ["line 161, col 8: unknown generator 'NOPE' in STAB"]),
     ("fixed-unknown-name", "fixed M2", "fixed NOPE",
-     ["line 149, col 10: mutation MU: 'NOPE'"]),
+     ["line 160, col 9: unknown generator 'NOPE' in STAB"]),
     ("cofixed-unknown-generator", "x 0\n", "x NOPE\n",
-     ["line 149, col 10: mutation MU: line 0, col 0: unknown generator 'NOPE' in STAB"]),
+     ["line 175, col 7: unknown generator 'NOPE' in STAB"]),
     ("duplicate-declaration", "subcategory Zall", "subcategory DM2",
      ["line 27, col 13: duplicate subcategory 'DM2'"]),
 ]
@@ -186,3 +187,13 @@ def test_diagnostics(old, new, expected):
     with pytest.raises(InputError) as exc:
         parse(text.replace(old, new, 1))
     assert [str(d) for d in exc.value.diagnostics] == expected
+
+
+def test_docstring_grammar_names_every_table_keyword():
+    """The grammar in the module docstring is the format's documentation; it
+    must quote every keyword the field tables read and write."""
+    words = list(HEADERS) + list(TRIANGLE_BLOCKS)
+    words += [word for fields in HEADERS.values() for word, _ in fields]
+    words += [word for items in BODY_ITEMS.values() for word in items]
+    words += [word for _, fields in TRIANGLE_BLOCKS.values() for word, _, _ in fields]
+    assert [w for w in words if '"%s"' % w not in workspace.__doc__] == []
