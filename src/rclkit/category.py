@@ -74,6 +74,7 @@ class FinLinCategory:
         for key, table in comp.items():
             self.comp[key] = tuple(tuple(tuple(vec) for vec in row) for row in table)
         self.identities = {g: tuple(v) for g, v in identities.items()}
+        self._residues = None
         gen_set = set(self.generators)
         if len(gen_set) != len(self.generators):
             raise PresentationError("duplicate generator names in %r" % (name,))
@@ -85,6 +86,12 @@ class FinLinCategory:
                 raise PresentationError("generator %s has zero-dimensional End" % (g,))
             if g not in self.identities or len(self.identities[g]) != self.hom_dim(g, g):
                 raise PresentationError("generator %s lacks identity coordinates" % (g,))
+
+    def residues(self):
+        """`residue_forms` of this presentation, computed once."""
+        if self._residues is None:
+            self._residues = residue_forms(self)
+        return self._residues
 
     def hom_dim(self, a: str, b: str) -> int:
         return len(self.hom_bases.get((a, b), ()))
@@ -373,6 +380,95 @@ def _end_algebra_tables(cat: FinLinCategory, g: str):
     n = cat.hom_dim(g, g)
     return [Mat.from_columns(cat.field, n, [cat.comp_vec(g, g, g, u, v) for v in range(n)])
             for u in range(n)]
+
+
+def _end_product(left, u, v):
+    """Coordinates of u o v in End(g), given its left-multiplication tables."""
+    F = left[0].field
+    acc = [F.zero] * len(v)
+    for c, mat in zip(u, left):
+        if not F.is_zero(c):
+            acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, mat.apply(v))]
+    return tuple(acc)
+
+
+def _residue_of(mat: Mat):
+    """The lambda with mat - lambda nilpotent, assuming there is one: the
+    trace over the size when the size is nonzero in the field, else found
+    by trying every lambda in GF(p); None when no lambda works."""
+    F, n = mat.field, mat.rows
+    if F.characteristic == 0 or n % F.characteristic:
+        trace = F.zero
+        for i in range(n):
+            trace = F.add(trace, mat.data[i][i])
+        return F.div(trace, F.of_int(n))
+    ident = Mat.identity(F, n)
+    for lam in range(F.characteristic):
+        shifted = mat.add(ident.scale(F.neg(lam)))
+        power = shifted
+        for _ in range(n - 1):
+            power = power.mul(shifted)
+        if power.is_zero():
+            return lam
+    return None
+
+
+def residue_forms(cat: FinLinCategory):
+    """Check the Krull-Schmidt premise exactly, in any characteristic:
+    every End(g) is local with residue field k, and distinct generators are
+    not isomorphic.  Returns (forms, None), where forms[g] lists phi_g(b) for
+    the basis elements b of End(g) and phi_g: End(g) -> k is the residue
+    map, or (None, reason) naming the first part that fails.
+
+    Under the premise left multiplication L_b has the single eigenvalue
+    phi_g(b), which `_residue_of` reads off; the candidate phi_g is then
+    checked: phi_g(1) = 1, phi_g is multiplicative, ker phi_g is a
+    nilpotent ideal, and phi_g(f' o f) = 0 for all f: g -> h and f': h -> g
+    with h != g.  Together these say that a morphism between sums is
+    invertible exactly when, for each generator g, its matrix of residues
+    of g -> g blocks is square and invertible."""
+    F = cat.field
+    forms = {}
+    for g in cat.generators:
+        n = cat.hom_dim(g, g)
+        left = _end_algebra_tables(cat, g)
+        phi = tuple(_residue_of(mat) for mat in left)
+        if None in phi:
+            return None, "End(%s) has an element with no eigenvalue in %r" % (g, F)
+        if not _same(F, residue(F, phi, cat.identities[g]), F.one) or any(
+                not _same(F, residue(F, phi, cat.comp_vec(g, g, g, u, v)),
+                          F.mul(phi[u], phi[v]))
+                for u in range(n) for v in range(n)):
+            return None, "End(%s) has no algebra map onto %r" % (g, F)
+        kernel = nullspace(Mat(F, 1, n, [phi]))
+        power = kernel
+        for _ in range(n):
+            if not power:
+                break
+            power = SubspaceBasis.from_vectors(
+                F, n, [_end_product(left, u, v) for u in power for v in kernel]).rows
+        if power:
+            return None, "End(%s) is not local: its residue kernel is not nilpotent" % g
+        forms[g] = phi
+    for g in cat.generators:
+        for h in cat.generators:
+            if h != g and any(
+                    not F.is_zero(residue(F, forms[g], cat.comp_vec(g, h, g, p, q)))
+                    for p in range(cat.hom_dim(h, g)) for q in range(cat.hom_dim(g, h))):
+                return None, "a composite %s -> %s -> %s has nonzero residue" % (g, h, g)
+    return forms, None
+
+
+def residue(field, form, coords):
+    """The residue sum(form[q] * coords[q]) of an endomorphism of a generator."""
+    acc = field.zero
+    for c, x in zip(form, coords):
+        acc = field.add(acc, field.mul(c, x))
+    return acc
+
+
+def _same(field, a, b) -> bool:
+    return field.is_zero(field.sub(a, b))
 
 
 def end_radical(cat: FinLinCategory, g: str):

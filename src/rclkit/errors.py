@@ -27,6 +27,11 @@ class PreconditionError(RclkitError):
         super().__init__(message)
 
 
+class UndecidedError(RclkitError):
+    """A search could neither find its object nor prove that none exists;
+    the check that asked records not-checked with this reason."""
+
+
 class InconsistentDataError(RclkitError):
     """Input passed local checks but a guaranteed construction failed
     (CLI exit code 3)."""

@@ -318,7 +318,7 @@ def difference_rows(field, total: int, constraints):
     return rows
 
 
-def candidate_stream(field, basis, seed: int, max_tries: int):
+def candidate_stream(field, basis, seed: int = 0, max_tries: int = 0):
     """Deterministic stream of points of the span of basis: the basis vectors,
     then the sums basis[i] + basis[j] for i < j, then max_tries seeded random
     combinations, of which zero vectors are skipped.  An empty basis yields

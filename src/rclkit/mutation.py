@@ -14,7 +14,7 @@ from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        compose, hom_basis, hom_dim_expr, is_isomorphic,
                        morphism_in, morphism_inverse, postcompose_mat,
                        precompose_mat, restrict_category, unflatten)
-from .errors import InconsistentDataError, PreconditionError
+from .errors import InconsistentDataError, PreconditionError, UndecidedError
 from .functor import (LinearFunctor, compose_functors, functor_equal,
                       validate_functor, validate_nat)
 from .linalg import Mat, nullspace, rank, solve
@@ -203,16 +203,23 @@ def check_mutation_pair(m: MutationData) -> Report:
             problems.append("left map is not a left approximation")
         if not is_D_epic(cat, t.g, m.d):
             problems.append("right map is not a right approximation")
-        if m.tri.membership(t) is None:
-            problems.append("triangle not in the distinguished closure")
+        undecided = ""
+        try:
+            if m.tri.membership(t) is None:
+                problems.append("triangle not in the distinguished closure")
+        except UndecidedError as exc:
+            undecided = str(exc)
         if problems:
             rep.fail(key, "; ".join(problems))
-        else:
-            rep.ok(key)
+        rep.conclude(key, not problems, undecided)
 
     for y in m.z.members:
         key = "condition2.%s" % y
-        t = _condition2_triangle(m, y)
+        try:
+            t = _condition2_triangle(m, y)
+        except UndecidedError as exc:
+            rep.not_checked(key, str(exc))
+            continue
         if t is None:
             rep.fail(key, "no co-approximation triangle ending at %s" % y)
         else:
@@ -241,17 +248,21 @@ def _condition2_ok(m: MutationData, t: Triangle, y: str) -> bool:
 
 
 def _condition2_triangle(m: MutationData, y: str):
-    """A user-supplied or searched triangle witnessing the second condition."""
+    """A user-supplied or searched triangle witnessing the second condition,
+    or None; UndecidedError when there is none and a search was undecided."""
     if y in m.cofixed:
-        t = m.cofixed[y]
-        return t if _condition2_ok(m, t, y) else None
-    for x in m.z.members:
-        t = m.fixed.get(x)
-        if t is not None and t.z.summands == (y,) and _condition2_ok(m, t, y):
-            return t
-    for atom in m.tri.atoms():
-        if atom.z.summands == (y,) and _condition2_ok(m, atom, y):
-            return atom
+        candidates = [m.cofixed[y]]
+    else:
+        candidates = [m.fixed[x] for x in m.z.members if x in m.fixed] + m.tri.atoms()
+    undecided = None
+    for t in candidates:
+        try:
+            if _condition2_ok(m, t, y):
+                return t
+        except UndecidedError as exc:
+            undecided = undecided or exc
+    if undecided:
+        raise undecided
     return None
 
 
@@ -392,6 +403,8 @@ def verify_quotient_triangulation(m: MutationData) -> Report:
                     rep.ok(key)
                 except (PreconditionError, InconsistentDataError) as exc:
                     rep.fail(key, str(exc))
+                except UndecidedError as exc:
+                    rep.not_checked(key, str(exc))
 
     ok = True
     for st in m.registered:
@@ -521,15 +534,18 @@ class ExactFunctorData:
         if full:
             rep.ok("exact.full")
             self.fullness_certified = True
-        ok = True
+        ok, undecided = True, ""
         for t in self.source_tri.triangles:
-            img = self.push_triangle(t)
-            if self.target_tri.membership(img) is None:
+            try:
+                found = self.target_tri.membership(self.push_triangle(t))
+            except UndecidedError as exc:
+                undecided = undecided or "image of %s: %s" % (t.name or "?", exc)
+                continue
+            if found is None:
                 ok = False
                 rep.fail("exact.triangle-image",
                          "image of %s not distinguished" % (t.name or "?"))
-        if ok:
-            rep.ok("exact.triangle-image")
+        rep.conclude("exact.triangle-image", ok, undecided)
         return rep
 
 
@@ -620,14 +636,18 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
     if ok:
         rep.ok("exact.sigma-morphisms")
 
-    ok = True
+    ok, undecided = True, ""
     for st in m.registered:
-        if not _image_is_standard(e, m, m2, st):
+        try:
+            standard = _image_is_standard(e, m, m2, st)
+        except UndecidedError as exc:
+            undecided = undecided or "%s: %s" % (st.name or "?", exc)
+            continue
+        if not standard:
             ok = False
             rep.fail("exact.standard-triangle-image", st.name or "?")
-    if ok:
-        rep.ok("exact.standard-triangle-image",
-               "%d registered triangles checked" % len(m.registered))
+    rep.conclude("exact.standard-triangle-image", ok, undecided,
+                 "%d registered triangles checked" % len(m.registered))
     return tilde, rep
 
 

@@ -45,6 +45,15 @@ class Report:
     def not_checked(self, key: str, witness: str = ""):
         self.add(key, NOT_CHECKED, witness)
 
+    def conclude(self, key: str, ok: bool, undecided: str = "", witness: str = ""):
+        """Close a check of several parts whose failures are already under
+        key: nothing more when a part failed, else not-checked with the
+        reason when a part was undecided, else ok."""
+        if ok and undecided:
+            self.not_checked(key, undecided)
+        elif ok:
+            self.ok(key, witness)
+
     def record(self, key: str, sub: "Report"):
         """One ok entry under key when sub passed, else its failures under key."""
         if sub.ok_all:

@@ -8,21 +8,27 @@ searching for an isomorphism of sextuples.  Both that search and the one in
 `complete_monic` (an isomorphism of first maps) go through one solver,
 `invertible_commuting_tuple`: it takes the Hom spaces of the unknown
 morphisms and the commutation constraints P u_i = Q u_j between them, solves
-the linear system, and looks for a simultaneously invertible point of the
-solution space with a deterministic seeded sampler.
+the linear system, and decides whether the solution space has a
+simultaneously invertible point.  Under the Krull-Schmidt premise that
+`FinLinCategory.residues` checks, invertibility is a product of top-block
+determinants, polynomials of small degree in the solution coordinates: a
+determinant that vanishes identically proves that no isomorphism exists,
+and otherwise the grid lemma gives a point, which `morphism_inverse`
+verifies.  Where the premise fails, a search that finds no verified point
+raises UndecidedError, and the check that asked records not-checked.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_basis,
                        hom_dim_expr, morphism_inverse, postcompose_mat,
-                       precompose_mat, unflatten)
-from .errors import PresentationError
+                       precompose_mat, residue, unflatten)
+from .errors import PresentationError, UndecidedError
 from .functor import LinearFunctor, compose_functors, is_identity_functor, validate_functor
 from .linalg import Mat, candidate_stream, difference_rows, nullspace, rank
 from .report import Report
-
-_SEARCH_SEED = 20240811
 
 
 class Triangle:
@@ -89,12 +95,17 @@ class TriangulatedPresentation:
                 rep.fail(key + ".composite", "T(f) o h != 0")
             if ok:
                 rep.ok(key)
+        undecided = ""
         for g in self.cat.generators:
-            ident = identity_triangle(self, g)
-            if self.membership(ident) is None:
+            try:
+                found = self.membership(identity_triangle(self, g))
+            except UndecidedError as exc:
+                undecided = undecided or "identity triangle of %s: %s" % (g, exc)
+                continue
+            if found is None:
                 rep.fail("tri.identity-closure", "identity triangle of %s not found" % g)
-        if not rep.has_failures("tri.identity-closure"):
-            rep.ok("tri.identity-closure")
+        rep.conclude("tri.identity-closure", not rep.has_failures("tri.identity-closure"),
+                     undecided)
         return rep
 
     def rotate(self, t: Triangle) -> Triangle:
@@ -162,32 +173,46 @@ class TriangulatedPresentation:
 
     def membership(self, t: Triangle):
         """Witness that t is isomorphic to a sum of rotated basic triangles,
-        or None.  The witness records the combination and the isomorphism."""
+        or None when it is not.  The witness records the combination and the
+        isomorphism.  Raises UndecidedError when no combination gives a
+        witness and some search was undecided."""
+        undecided = None
         for combo in self._candidate_combos(t.vertices()):
             if not combo:
                 if t.x.is_zero() and t.y.is_zero() and t.z.is_zero():
                     return {"combo": (), "iso": None}
                 continue
-            ts = self.direct_sum(combo)
-            iso = triangle_iso(self, ts, t)
+            try:
+                iso = triangle_iso(self, self.direct_sum(combo), t)
+            except UndecidedError as exc:
+                undecided = undecided or exc
+                continue
             if iso is not None:
                 return {"combo": tuple(a.name for a in combo), "iso": iso}
+        if undecided:
+            raise undecided
         return None
 
     def complete_monic(self, f: Morphism):
-        """A distinguished triangle whose first map is exactly f, or None.
+        """A distinguished triangle whose first map is exactly f, or None
+        when there is none; UndecidedError as in `membership`.
 
         Searches sums of atoms with matching first two vertices and
         transports along an isomorphism of the first map.
         """
+        undecided = None
         for combo in self._candidate_combos((f.source, f.target)):
             if not combo:
                 continue
             ts = self.direct_sum(combo)
             # a: f.source -> ts.x, b: f.target -> ts.y with ts.f a = b f
-            pair = invertible_commuting_tuple(
-                self.cat, ((f.source, ts.x), (f.target, ts.y)),
-                ((postcompose_mat(ts.f, f.source), 0, precompose_mat(f, ts.y), 1),))
+            try:
+                pair = invertible_commuting_tuple(
+                    self.cat, ((f.source, ts.x), (f.target, ts.y)),
+                    ((postcompose_mat(ts.f, f.source), 0, precompose_mat(f, ts.y), 1),))
+            except UndecidedError as exc:
+                undecided = undecided or exc
+                continue
             if pair is None:
                 continue
             a, b = pair
@@ -196,6 +221,8 @@ class TriangulatedPresentation:
             return Triangle(ObjectExpr(f.source.summands), ObjectExpr(f.target.summands),
                             ObjectExpr(ts.z.summands), f, g2, h2,
                             name="completion")
+        if undecided:
+            raise undecided
         return None
 
 
@@ -221,23 +248,187 @@ def identity_triangle(tri: TriangulatedPresentation, g: str) -> Triangle:
                     name="id(%s)" % g)
 
 
-def _invertible_candidate(field, parts, basis, max_tries=400):
-    """Search a linear space of morphism tuples for a simultaneously
-    invertible point; deterministic (fixed seed)."""
-    for vec in candidate_stream(field, basis, _SEARCH_SEED, max_tries):
-        mors = parts(vec)
-        if all(morphism_inverse(m) is not None for m in mors):
-            return mors
-    return None
+def _invertible_candidate(cat, spaces, basis, parts):
+    """A simultaneously invertible point of the span of basis, as the tuple
+    parts(vec); or None when there is none.  basis spans a subspace of the
+    stacked Hom(*spaces[i]) coordinates; an empty basis spans the zero
+    point.
+
+    Under the Krull-Schmidt premise (`FinLinCategory.residues`) a tuple is
+    invertible exactly when every top block is: for each component and each
+    generator g, the multiplicity x multiplicity matrix of residues of its
+    g -> g blocks.  The entries are linear forms in the coefficients of
+    basis, so each determinant is a polynomial of degree at most the
+    multiplicity.  None is returned only with a proof: a multiplicity that
+    differs between source and target, a determinant that is identically
+    zero, or, over GF(p) with p at most the total degree, no point of
+    GF(p)^n.  Otherwise `_nonvanishing_point` picks a point and one
+    `morphism_inverse` per component verifies it.  Without the premise the
+    basis points are tried, and UndecidedError is raised when none is
+    invertible."""
+    F = cat.field
+    forms, reason = cat.residues()
+    if forms is None:
+        for vec in basis or [()]:
+            mors = parts(vec)
+            if all(morphism_inverse(m) is not None for m in mors):
+                return mors
+        raise UndecidedError("isomorphism search undecided: %s" % reason)
+    factors = _top_block_determinants(cat, forms, spaces, basis)
+    if factors is None:
+        return None
+    point = _nonvanishing_point(F, len(basis), factors)
+    if point is None:
+        return None
+    vec = [F.zero] * len(basis[0]) if basis else ()
+    for c, b in zip(point, basis):
+        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
+    mors = parts(vec)
+    if any(morphism_inverse(m) is None for m in mors):
+        raise UndecidedError("isomorphism search undecided: the chosen point "
+                             "has invertible top blocks but is not invertible")
+    return mors
+
+
+def _top_block_determinants(cat, forms, spaces, basis):
+    """The determinant of every top block as a polynomial in len(basis)
+    variables, or None when one of them proves that no point is invertible:
+    a non-square block or a determinant that is identically zero."""
+    F = cat.field
+    n = len(basis)
+    factors = []
+    start = 0
+    for s, t in spaces:
+        starts = {}
+        for i, tg in enumerate(t.summands):
+            for j, sg in enumerate(s.summands):
+                starts[i, j] = start
+                start += cat.hom_dim(sg, tg)
+        for g in dict.fromkeys(s.summands + t.summands):
+            rows = [i for i, x in enumerate(t.summands) if x == g]
+            cols = [j for j, x in enumerate(s.summands) if x == g]
+            if len(rows) != len(cols):
+                return None
+            d = cat.hom_dim(g, g)
+            block = [[_linear_form(F, n, [residue(F, forms[g], b[starts[i, j]:starts[i, j] + d])
+                                          for b in basis])
+                      for j in cols] for i in rows]
+            det = _determinant(F, n, block)
+            if not det:
+                return None
+            factors.append(det)
+    return factors
+
+
+# Polynomials in n variables are dicts {exponent tuple: nonzero coefficient}.
+
+def _linear_form(F, n, coeffs):
+    return {tuple(int(k == v) for k in range(n)): c
+            for v, c in enumerate(coeffs) if not F.is_zero(c)}
+
+
+def _poly_add(F, p, q, sign):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = F.add(out.get(e, F.zero), F.mul(sign, c))
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+def _poly_mul(F, p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+def _determinant(F, n, block):
+    """Laplace expansion along the rows; minors are memoised by the set of
+    columns already used."""
+    size = len(block)
+    memo = {}
+
+    def minor(used):
+        r = bin(used).count("1")
+        if r == size:
+            return {(0,) * n: F.one}
+        if used not in memo:
+            acc, sign = {}, F.one
+            for j in range(size):
+                if not used >> j & 1:
+                    acc = _poly_add(F, acc, _poly_mul(F, block[r][j], minor(used | 1 << j)), sign)
+                    sign = F.neg(sign)
+            memo[used] = acc
+        return memo[used]
+
+    return minor(0)
+
+
+def _power(F, c, e):
+    out = F.one
+    for _ in range(e):
+        out = F.mul(out, c)
+    return out
+
+
+def _substitute(F, poly, k, c):
+    """poly with variable k set to c."""
+    out = {}
+    for e, coef in poly.items():
+        e2 = e[:k] + (0,) + e[k + 1:]
+        out[e2] = F.add(out.get(e2, F.zero), F.mul(coef, _power(F, c, e[k])))
+    return {e: v for e, v in out.items() if not F.is_zero(v)}
+
+
+def _nonvanishing_point(F, n, factors):
+    """A point of k^n at which no factor vanishes, or None when there is
+    none.  The unit vectors and their pairwise sums are tried first; then
+    the grid lemma (Schwartz-Zippel, DeMillo-Lipton): with D the sum of the
+    degrees, each variable in turn takes the first value in {0..D} that
+    leaves every factor nonzero, and at most D values fail.  Over GF(p) with
+    p <= D those values are not distinct, and GF(p)^n is searched instead."""
+    def nonvanishing(point):
+        return not any(F.is_zero(_evaluate(F, f, point)) for f in factors)
+
+    units = [tuple(F.one if k == i else F.zero for k in range(n)) for i in range(n)]
+    for point in candidate_stream(F, units):
+        if nonvanishing(point):
+            return point
+    degree = sum(max(sum(e) for e in f) for f in factors)
+    if F.characteristic and F.characteristic <= degree:
+        for point in itertools.product(range(F.characteristic), repeat=n):
+            if nonvanishing(point):
+                return point
+        return None
+    point = []
+    for k in range(n):
+        for c in map(F.of_int, range(degree + 1)):
+            fixed = [_substitute(F, f, k, c) for f in factors]
+            if all(fixed):
+                factors = fixed
+                point.append(c)
+                break
+    return tuple(point)
+
+
+def _evaluate(F, poly, point):
+    acc = F.zero
+    for e, c in poly.items():
+        for x, k in zip(point, e):
+            c = F.mul(c, _power(F, x, k))
+        acc = F.add(acc, c)
+    return acc
 
 
 def invertible_commuting_tuple(cat, spaces, constraints):
     """Simultaneously invertible morphisms u_0, ..., u_{n-1} with u_i in
     Hom(*spaces[i]) satisfying P u_i = Q u_j for each constraint (P, i, Q, j),
-    where P and Q are matrices of linear maps on those Hom spaces; or None.
+    where P and Q are matrices of linear maps on those Hom spaces; or None
+    when no such tuple exists.
 
     The unknowns are stacked in the given order, which fixes the canonical
-    nullspace basis and hence the search order and the tuple found."""
+    nullspace basis and hence the tuple found."""
     F = cat.field
     dims = [hom_dim_expr(cat, s, t) for s, t in spaces]
     offsets = [sum(dims[:i]) for i in range(len(dims))]
@@ -254,7 +445,7 @@ def invertible_commuting_tuple(cat, spaces, constraints):
         return mors if all(morphism_inverse(m) is not None for m in mors) else None
     rows = difference_rows(F, total, [(p, offsets[i], q, offsets[j])
                                       for p, i, q, j in constraints])
-    return _invertible_candidate(F, split, nullspace(Mat(F, len(rows), total, rows)))
+    return _invertible_candidate(cat, spaces, nullspace(Mat(F, len(rows), total, rows)), split)
 
 
 def triangle_iso(tri: TriangulatedPresentation, ts: Triangle, t: Triangle):

@@ -442,6 +442,8 @@ def _parse_recollement(p, name):
         key = p.expect_ident("recollement key")
         if key.value not in REC_KEYS:
             p.error("unknown recollement key %r" % key.value, key)
+        if key.value in refs:
+            p.error("duplicate recollement item %r" % key.value, key)
         refs[key.value] = p.expect_ident()
     missing = [k for k in REC_KEYS if k not in refs]
     if missing:
@@ -452,8 +454,10 @@ def _parse_recollement(p, name):
 def _parse_items(p, kind):
     """The body items of a HEADERS declaration, as (keyword token, head,
     value): a triangle block's head is its NAME token and its value the
-    list of its field values; a map's head is its three tokens."""
+    list of its field values; a map's head is its three tokens.  An item
+    whose keyword and head repeat an earlier one's is an error."""
     items = []
+    seen = set()
     while kind in BODY_ITEMS and not p.at_punct("}"):
         item = p.expect_ident("%s item" % kind)
         if item.value not in BODY_ITEMS[kind]:
@@ -474,6 +478,13 @@ def _parse_items(p, kind):
             head = p.expect_ident("generator")
             p.expect_punct("->")
             value = p.parse_objexpr() if item.value == "object" else p.parse_morph()
+        if item.value == "map":
+            key = (item.value, head[0].value, head[1].value, head[2].value)
+        else:
+            key = (item.value, head.value)
+        if key in seen:
+            p.error("duplicate %s item %r" % (kind, " ".join(key)), item)
+        seen.add(key)
         items.append((item, head, value))
     return items
 

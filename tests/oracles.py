@@ -2,7 +2,7 @@
 
 import itertools
 
-from rclkit.category import ObjectExpr, compose, hom_dim_expr, unflatten
+from rclkit.category import ObjectExpr, compose, hom_dim_expr, morphism_inverse, unflatten
 from rclkit.linalg import SubspaceBasis
 
 
@@ -27,3 +27,18 @@ def brute_force_ideal(cat, a, b, members, max_mult=2):
                 h = unflatten(cat, mid, b, cout)
                 vectors.append(compose(h, g).flatten())
     return SubspaceBasis.from_vectors(cat.field, hom_dim_expr(cat, a, b), vectors)
+
+
+def brute_force_invertible_point(field, basis, parts):
+    """Some point of the span of basis whose parts are all invertible, or
+    None.  Every point over the prime field is tried, so keep p^len(basis)
+    small."""
+    p = field.characteristic
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        vec = [field.zero] * len(basis[0]) if basis else ()
+        for c, b in zip(coeffs, basis):
+            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, b)]
+        mors = parts(vec)
+        if all(morphism_inverse(m) is not None for m in mors):
+            return mors
+    return None

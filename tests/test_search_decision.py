@@ -1,0 +1,300 @@
+"""The exact decision behind the triangle-isomorphism search: the
+Krull-Schmidt premise check, the choice of a point, agreement with a
+brute-force oracle, the undecided path and a counter guard."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rclkit.triangulated as triangulated
+from rclkit.category import FinLinCategory, morphism_inverse, unflatten
+from rclkit.cli import main
+from rclkit.errors import UndecidedError
+from rclkit.field import QQ, PrimeField
+from rclkit.fixture_gen import build_fix_prod, build_fix_stab3
+from rclkit.triangulated import (Triangle, _determinant, _evaluate, _linear_form,
+                                 _nonvanishing_point, identity_triangle,
+                                 invertible_commuting_tuple)
+from rclkit.workspace import parse
+
+from oracles import brute_force_invertible_point
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rclkit" / "fixtures"
+
+
+def one_generator(field, basis, products):
+    """A category on one generator G whose End(G) has the given basis (the
+    first element is the identity) and products[(u, v)] = coords of u o v."""
+    n = len(basis)
+    comp = {("G", "G", "G"): [[products[(basis[u], basis[v])] for v in range(n)]
+                              for u in range(n)]}
+    ident = [field.one] + [field.zero] * (n - 1)
+    return FinLinCategory(field, ["G"], {("G", "G"): basis}, comp, {"G": ident})
+
+
+def test_premise_holds_on_every_fixture_category(ws_a2, ws_stab3, ws_prod):
+    for ws in (ws_a2, ws_stab3, ws_prod):
+        for cat in ws.categories.values():
+            forms, reason = cat.residues()
+            assert reason is None, (cat.name, reason)
+            assert set(forms) == set(cat.generators)
+
+
+def test_residue_when_p_divides_dim_end():
+    """k[x]/(x^2) over GF(2): dim End(G) = 2 = p, so the trace cannot be
+    divided by it; the residue is the lambda with L_b - lambda nilpotent."""
+    F = PrimeField(2)
+    cat = one_generator(F, ("one", "x"), {
+        ("one", "one"): (1, 0), ("one", "x"): (0, 1),
+        ("x", "one"): (0, 1), ("x", "x"): (0, 0)})
+    assert cat.residues() == ({"G": (1, 0)}, None)
+
+
+@pytest.mark.parametrize("field,table,reason", [
+    # QQ(i): the trace gives phi(i) = 0, but i o i = -1.
+    (QQ, {("one", "one"): (1, 0), ("one", "i"): (0, 1), ("i", "one"): (0, 1),
+          ("i", "i"): (-1, 0)}, "End(G) has no algebra map onto QQ"),
+    # GF(4) = GF(2)[w]/(w^2 + w + 1): L_w has no eigenvalue in GF(2).
+    (PrimeField(2), {("one", "one"): (1, 0), ("one", "i"): (0, 1),
+                     ("i", "one"): (0, 1), ("i", "i"): (1, 1)},
+     "End(G) has an element with no eigenvalue in GF(2)"),
+    # k x k: phi = trace / 2 is not multiplicative.
+    (QQ, {("one", "one"): (1, 0), ("one", "i"): (0, 1), ("i", "one"): (0, 1),
+          ("i", "i"): (0, 1)}, "End(G) has no algebra map onto QQ"),
+], ids=["QQ(i)", "GF(4)", "split"])
+def test_premise_rejects_non_local_end(field, table, reason):
+    table = {k: tuple(field.of_int(x) for x in v) for k, v in table.items()}
+    assert one_generator(field, ("one", "i"), table).residues() == (None, reason)
+
+
+def test_premise_rejects_isomorphic_generators():
+    one = (Fraction(1),)
+    cat = FinLinCategory(
+        QQ, ["A", "B"], {(a, b): ("e",) for a in "AB" for b in "AB"},
+        {(a, b, c): [[one]] for a in "AB" for b in "AB" for c in "AB"},
+        {"A": one, "B": one})
+    assert cat.residues() == (None, "a composite A -> B -> A has nonzero residue")
+
+
+def poly(F, terms):
+    """{exponent tuple: coefficient} from (coefficient, exponents) pairs."""
+    return {tuple(e): F.of_int(c) for c, e in terms}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=18, max_size=18),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_determinant_matches_the_rule_of_sarrus(coeffs, x, y):
+    """A 3 x 3 block of linear forms a x + b y, expanded and then evaluated,
+    equals the determinant of the evaluated block."""
+    pairs = [coeffs[2 * k:2 * k + 2] for k in range(9)]
+    block = [[_linear_form(QQ, 2, [QQ.of_int(c) for c in pairs[3 * i + j]])
+              for j in range(3)] for i in range(3)]
+    m = [[a * x + b * y for a, b in pairs[3 * i:3 * i + 3]] for i in range(3)]
+    sarrus = sum(m[0][j] * m[1][(j + 1) % 3] * m[2][(j + 2) % 3]
+                 - m[0][j] * m[1][(j + 2) % 3] * m[2][(j + 1) % 3] for j in range(3))
+    assert _evaluate(QQ, _determinant(QQ, 2, block), (QQ.of_int(x), QQ.of_int(y))) == sarrus
+
+
+def test_determinant_of_dependent_rows_is_identically_zero():
+    x, y = poly(QQ, [(1, (1, 0))]), poly(QQ, [(1, (0, 1))])
+    assert _determinant(QQ, 2, [[x, x], [y, y]]) == {}
+    assert _determinant(QQ, 2, [[x, y], [y, x]]) == poly(QQ, [(1, (2, 0)), (-1, (0, 2))])
+
+
+def test_point_from_the_grid_when_units_and_pair_sums_vanish():
+    # x, y and x + y - 2 vanish on (1,0), (0,1) and (1,1); the grid gives
+    # x = 1 (x = 0 kills x), then y = 2 (y = 0, 1 kill y and x + y - 2).
+    factors = [poly(QQ, [(1, (1, 0))]), poly(QQ, [(1, (0, 1))]),
+               poly(QQ, [(1, (1, 0)), (1, (0, 1)), (-2, (0, 0))])]
+    assert _nonvanishing_point(QQ, 2, factors) == (1, 2)
+
+
+def test_small_field_enumeration_proves_absence():
+    # x y (x + y) is a nonzero polynomial that vanishes on all of GF(2)^2,
+    # and on no point of GF(3)^2 with x, y nonzero and x != -y.
+    def factors(F):
+        return [poly(F, [(1, (1, 0))]), poly(F, [(1, (0, 1))]),
+                poly(F, [(1, (1, 0)), (1, (0, 1))])]
+    assert _nonvanishing_point(PrimeField(2), 2, factors(PrimeField(2))) is None
+    assert _nonvanishing_point(PrimeField(3), 2, factors(PrimeField(3))) == (1, 1)
+
+
+def test_multiplicity_mismatch_proves_that_no_isomorphism_exists(ws_stab3, monkeypatch):
+    cat = ws_stab3.categories["STAB"]
+    calls = []
+    monkeypatch.setattr(triangulated, "morphism_inverse",
+                        lambda m: calls.append(m) or morphism_inverse(m))
+    assert invertible_commuting_tuple(cat, ((cat.obj("M1"), cat.obj("M2")),), ()) is None
+    assert calls == []
+    a, = invertible_commuting_tuple(cat, ((cat.obj("M1", "M2"), cat.obj("M2", "M1")),), ())
+    assert len(calls) == 1 and morphism_inverse(a) is not None
+
+
+# -- agreement with the brute-force oracle over GF(2) and GF(3) -------------
+
+PRESENTATIONS = {}
+
+
+def presentation(p, copies):
+    """stab1 (fix_stab3) or stab2 (the middle of fix_prod) over GF(p)."""
+    if (p, copies) not in PRESENTATIONS:
+        F = PrimeField(p)
+        ws = build_fix_stab3(F) if copies == 1 else build_fix_prod(F)
+        PRESENTATIONS[p, copies] = ws.triangulated["TC" if copies == 1 else "TRI_C"]
+    return PRESENTATIONS[p, copies]
+
+
+@st.composite
+def queries(draw):
+    """(presentation, kind, argument): a membership query on a scaled,
+    rotated or summed triangle (a scale of 0 makes most of them
+    non-triangles), or a complete_monic query on a scaled or arbitrary map."""
+    p = draw(st.sampled_from((2, 3)))
+    copies = draw(st.sampled_from((1, 2)))
+    tri = presentation(p, copies)
+    atoms = tri.atoms()
+    parts = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=2 if copies == 1 else 1))
+    t = tri.direct_sum(parts) if len(parts) > 1 else parts[0]
+    if draw(st.booleans()):
+        t = tri.rotate(t)
+    c = [draw(st.integers(0, p - 1)) for _ in range(3)]
+    if draw(st.booleans()):
+        t = Triangle(t.x, t.y, t.z, t.f.scale(c[0]), t.g.scale(c[1]), t.h.scale(c[2]))
+        return tri, "membership", t
+    n = len(t.f.flatten())
+    coords = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    f = unflatten(tri.cat, t.f.source, t.f.target, coords) if draw(st.booleans()) \
+        else t.f.scale(c[0])
+    return tri, "complete_monic", f
+
+
+@settings(max_examples=100, deadline=None)
+@given(queries())
+def test_search_returns_none_exactly_when_oracle_finds_no_point(query):
+    tri, kind, arg = query
+    searches = []
+    original = triangulated._invertible_candidate
+
+    def recording(cat, spaces, basis, parts):
+        found = original(cat, spaces, basis, parts)
+        searches.append((cat.field, basis, parts, found))
+        return found
+
+    triangulated._invertible_candidate = recording
+    try:
+        getattr(tri, kind)(arg)
+    finally:
+        triangulated._invertible_candidate = original
+    for field, basis, parts, found in searches:
+        assert (found is None) == (brute_force_invertible_point(field, basis, parts) is None)
+
+
+# -- the undecided path -----------------------------------------------------
+
+QQ_I_WORKSPACE = """rclkit workspace 1
+field { kind rationals }
+category Gi {
+  object G
+  hom G G { basis one i }
+  identity G { one 1 }
+  compose (G G one) (G G one) { one 1 }
+  compose (G G one) (G G i) { i 1 }
+  compose (G G i) (G G one) { i 1 }
+  compose (G G i) (G G i) { one -1 }
+}
+subcategory Z { of Gi members G }
+functor T {
+  source Gi
+  target Gi
+  object G -> G
+  map (G G one) -> { (0 0) { one 1 } }
+  map (G G i) -> { (0 0) { i 1 } }
+}
+triangulated TR {
+  base Gi
+  shift T
+  shift_inv T
+  triangle zero { x G y G z 0 f { } g { } h { } }
+}
+mutation MU {
+  ambient TR
+  z Z
+  d Z
+  fixed G { dx G m 0 alpha { (0 0) { one 1 } } beta { } gamma { } }
+  cofixed G { x 0 dx G f { } g { (0 0) { one 1 } } h { } }
+}
+"""
+
+
+def test_undecided_search_is_not_checked(tmp_path, capsys):
+    """End(G) = QQ(i) fails the premise.  The fixed and cofixed triangles are
+    not isomorphic to sums of rotations of (G, G, 0, 0, 0, 0), but no point
+    of either search is invertible and nothing proves it: both conditions
+    are not-checked with the reason, never FAIL, and the exit code is 0."""
+    path = tmp_path / "qq_i.rcl"
+    path.write_text(QQ_I_WORKSPACE)
+    code = main(["mutation-check", str(path), "--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 0
+    reason = "isomorphism search undecided: End(G) has no algebra map onto QQ"
+    for cond in ("condition1.G", "condition2.G"):
+        assert "check.%s.status = not-checked" % cond in out
+        assert "check.%s.witness = %s" % (cond, reason) in out
+    assert "= fail" not in out
+    assert "result.unchecked = check.condition1.G,check.condition2.G" in out
+
+
+def test_same_searches_are_decided_when_the_premise_holds(tmp_path, capsys):
+    """With End(G) = QQ(i) replaced by QQ the same searches prove that no
+    isomorphism exists, so both conditions fail."""
+    text = QQ_I_WORKSPACE.replace("basis one i", "basis one")
+    text = "\n".join(line for line in text.splitlines() if "(G G i)" not in line) + "\n"
+    path = tmp_path / "qq.rcl"
+    path.write_text(text)
+    code = main(["mutation-check", str(path), "--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "check.condition1.G.witness = triangle not in the distinguished closure" in out
+    assert "check.condition2.G.status = fail" in out
+
+
+def test_identity_closure_undecided_is_not_checked():
+    """The identity triangle of G matched against (G, G, 0, 0, 0, 0) forces
+    a = 0: no point is invertible, and without the premise that is no proof."""
+    tri = parse(QQ_I_WORKSPACE).triangulated["TR"]
+    with pytest.raises(UndecidedError):
+        tri.membership(identity_triangle(tri, "G"))
+    statuses = {e.key: e.status for e in tri.validate().entries}
+    assert statuses["tri.identity-closure"] == "not-checked"
+    assert "fail" not in statuses.values()
+
+
+# -- counter guard ----------------------------------------------------------
+
+def test_search_counts_on_tri_recollement(monkeypatch, capsys):
+    """tri-recollement fix_prod --d C1.M2 makes 138 searches, 78 of which
+    return a tuple; a search that returns None is decided without a single
+    morphism_inverse call."""
+    searches, inverses = [], [0]
+    search, inverse = triangulated._invertible_candidate, triangulated.morphism_inverse
+
+    def counting_inverse(m):
+        inverses[0] += 1
+        return inverse(m)
+
+    def counting_search(*args):
+        before = inverses[0]
+        found = search(*args)
+        searches.append((found is not None, inverses[0] - before))
+        return found
+
+    monkeypatch.setattr(triangulated, "morphism_inverse", counting_inverse)
+    monkeypatch.setattr(triangulated, "_invertible_candidate", counting_search)
+    assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
+    capsys.readouterr()
+    assert len(searches) == 138
+    assert sum(hit for hit, _ in searches) == 78
+    assert [n for hit, n in searches if not hit] == [0] * 60

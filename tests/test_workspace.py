@@ -176,6 +176,21 @@ DIAGNOSTICS = [
      ["line 175, col 7: unknown generator 'NOPE' in STAB"]),
     ("duplicate-declaration", "subcategory Zall", "subcategory DM2",
      ["line 27, col 13: duplicate subcategory 'DM2'"]),
+    ("duplicate-fixed-block", "fixed M1 {", "fixed M2 {",
+     ["line 160, col 3: duplicate mutation item 'fixed M2'"]),
+    ("duplicate-recollement-key", "  j_lo I\n", "  j_lo I\n  j_lo i_lo\n",
+     ["line 118, col 3: duplicate recollement item 'j_lo'"]),
+    ("duplicate-functor-object", "  object M1 -> M1\n",
+     "  object M1 -> M1\n  object M1 -> M2\n",
+     ["line 33, col 3: duplicate functor item 'object M1'"]),
+    ("duplicate-nattrans-at", "  at M1 -> { (0 0) { a0 1/2 } }\n",
+     "  at M1 -> { (0 0) { a0 1/2 } }\n  at M1 -> { (0 0) { a0 1 } }\n",
+     ["line 92, col 3: duplicate nattrans item 'at M1'"]),
+    ("duplicate-functor-map", "  map (M1 M2 a0) -> { (0 0) { a0 1 } }\n",
+     "  map (M1 M2 a0) -> { (0 0) { a0 1 } }\n  map (M1 M2 a0) -> { }\n",
+     ["line 36, col 3: duplicate functor item 'map M1 M2 a0'"]),
+    ("duplicate-triangle-name", "  triangle t2", "  triangle t1",
+     ["line 136, col 3: duplicate triangulated item 'triangle t1'"]),
 ]
 
 
