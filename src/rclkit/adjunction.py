@@ -76,17 +76,10 @@ def hom_bijection(adj: Adjunction, a: ObjectExpr, b: ObjectExpr):
     Forward: f |-> R(f) o unit_a.  Backward: g |-> counit_b o L(g).
     """
     L, R = adj.left, adj.right
-    A, B = L.source, R.source
     la = L.apply_obj(a)
     rb = R.apply_obj(b)
-    unit_a = adj.unit.at(a)
-    counit_b = adj.counit.at(b)
-    fwd = Mat.from_columns(A.field, hom_dim_expr(A, a, rb),
-                           [compose(R.apply(f), unit_a).flatten()
-                            for f in hom_basis(B, la, b)])
-    bwd = Mat.from_columns(A.field, hom_dim_expr(B, la, b),
-                           [compose(counit_b, L.apply(g)).flatten()
-                            for g in hom_basis(A, a, rb)])
+    fwd = precompose_mat(adj.unit.at(a), rb).mul(R.action(la, b))
+    bwd = postcompose_mat(adj.counit.at(b), la).mul(L.action(a, rb))
     return fwd, bwd
 
 
@@ -186,18 +179,11 @@ def normalize_embedding(adj: Adjunction, side: str = "auto") -> NormalizationRes
 def _conjugated_functor(f: LinearFunctor, new_objects, conj, conj_inv, name):
     """Functor with object map new_objects and hom maps conj_h o F(-) o conj_g^{-1}."""
     hom_maps = {}
-    src, tgt = f.source, f.target
-    for g in src.generators:
-        for h in src.generators:
-            d = src.hom_dim(g, h)
-            if d == 0:
-                continue
-            rows = hom_dim_expr(tgt, new_objects[g], new_objects[h])
-            hom_maps[(g, h)] = Mat.from_columns(
-                tgt.field, rows,
-                [compose(conj[h], compose(f.apply(mor), conj_inv[g])).flatten()
-                 for mor in hom_basis(src, ObjectExpr(g), ObjectExpr(h))])
-    return LinearFunctor(src, tgt, new_objects, hom_maps, name=name)
+    for (g, h), mat in f.hom_maps.items():
+        if f.source.hom_dim(g, h):
+            hom_maps[(g, h)] = postcompose_mat(conj[h], new_objects[g]).mul(
+                precompose_mat(conj_inv[g], f.object_map[h]).mul(mat))
+    return LinearFunctor(f.source, f.target, new_objects, hom_maps, name=name)
 
 
 def rewire_adjunction(adj: Adjunction, side: str, new: LinearFunctor,
@@ -339,9 +325,7 @@ def _solve_counit_given_unit(left, right, unit_comps, name):
         o, d = offset[y]
         eta_ry = block_diagonal(A, [unit_comps[g] for g in ry.summands])
         ident = Morphism.identity(A, ry).flatten()
-        mat = Mat.from_columns(F, len(ident),
-                               [compose(right.apply(eps), eta_ry).flatten()
-                                for eps in hom_basis(B, lr.object_map[y], ObjectExpr(y))])
+        mat = precompose_mat(eta_ry, ry).mul(right.action(lr.object_map[y], ObjectExpr(y)))
         for r in range(len(ident)):
             row = [F.zero] * total
             row[o:o + d] = mat.data[r]

@@ -69,12 +69,14 @@ class FinLinCategory:
         for (a, b), names in hom_bases.items():
             if names:
                 self.hom_bases[(a, b)] = tuple(names)
+        self._dims = {key: len(names) for key, names in self.hom_bases.items()}
         # comp[(a, b, c)][p][q] = coords in Hom(a,c) of (p-th basis of Hom(b,c)) o (q-th of Hom(a,b))
         self.comp = {}
         for key, table in comp.items():
             self.comp[key] = tuple(tuple(tuple(vec) for vec in row) for row in table)
         self.identities = {g: tuple(v) for g, v in identities.items()}
         self._residues = None
+        self._identity_functor = None  # built by functor.identity_functor
         gen_set = set(self.generators)
         if len(gen_set) != len(self.generators):
             raise PresentationError("duplicate generator names in %r" % (name,))
@@ -94,7 +96,7 @@ class FinLinCategory:
         return self._residues
 
     def hom_dim(self, a: str, b: str) -> int:
-        return len(self.hom_bases.get((a, b), ()))
+        return self._dims.get((a, b), 0)
 
     def basis_names(self, a: str, b: str):
         return self.hom_bases.get((a, b), ())
@@ -108,8 +110,9 @@ class FinLinCategory:
         return table[p][q]
 
     def obj(self, *gens) -> ObjectExpr:
+        known = set(self.generators)
         for g in gens:
-            if g not in set(self.generators):
+            if g not in known:
                 raise PresentationError("unknown generator %r" % (g,))
         return ObjectExpr(gens)
 
@@ -176,6 +179,19 @@ class Morphism:
                         "block (%d,%d) has %d coords, expected %d for Hom(%s,%s)"
                         % (i, j, len(vec), want, source.summands[j], target.summands[i]))
         self.blocks = blocks
+
+    @classmethod
+    def trusted(cls, cat, source: ObjectExpr, target: ObjectExpr, blocks):
+        """A morphism whose blocks are already nested tuples of the right
+        shape, built without the checks of `__init__`; for the blocks that
+        `compose` and `unflatten` build, which have that shape by
+        construction.  Outside data goes through `__init__`."""
+        self = cls.__new__(cls)
+        self.cat = cat
+        self.source = source
+        self.target = target
+        self.blocks = blocks
+        return self
 
     @classmethod
     def zero(cls, cat, source: ObjectExpr, target: ObjectExpr):
@@ -245,7 +261,8 @@ class Morphism:
 
 
 def hom_dim_expr(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr) -> int:
-    return sum(cat.hom_dim(s, t) for t in b.summands for s in a.summands)
+    dims = cat._dims
+    return sum(dims.get((s, t), 0) for t in b.summands for s in a.summands)
 
 
 def hom_space(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
@@ -271,8 +288,21 @@ def unflatten(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, coords) -> Morp
             d = cat.hom_dim(s, t)
             row.append(tuple(coords[pos:pos + d]))
             pos += d
-        blocks.append(row)
-    return Morphism(cat, a, b, blocks)
+        blocks.append(tuple(row))
+    return Morphism.trusted(cat, a, b, tuple(blocks))
+
+
+def block_offsets(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
+    """(offsets, dimension) of Hom(a, b): offsets[i][j] is where block (i, j),
+    Hom(a.summands[j], b.summands[i]), starts in the flat coordinates."""
+    offsets, pos = [], 0
+    for t in b.summands:
+        row = []
+        for s in a.summands:
+            row.append(pos)
+            pos += cat.hom_dim(s, t)
+        offsets.append(row)
+    return offsets, pos
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -283,28 +313,34 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         raise PresentationError("boundary mismatch: %r then %r" % (f, g))
     cat = f.cat
     F = cat.field
-    src, mid, tgt = f.source, f.target, g.target
+    add, mul, zero = F.add, F.mul, F.zero
+    comp, dims = cat.comp, cat._dims
+    src, mid, tgt = f.source.summands, f.target.summands, g.target.summands
+    fblocks = f.blocks
     blocks = []
-    for i, c in enumerate(tgt.summands):
+    for c, grow in zip(tgt, g.blocks):
         row = []
-        for j, a in enumerate(src.summands):
-            acc = [F.zero] * cat.hom_dim(a, c)
-            for m, b in enumerate(mid.summands):
-                gvec = g.blocks[i][m]
-                fvec = f.blocks[m][j]
-                for p, gc in enumerate(gvec):
-                    if F.is_zero(gc):
+        for j, a in enumerate(src):
+            acc = [zero] * dims.get((a, c), 0)
+            if acc:
+                for m, b in enumerate(mid):
+                    table = comp.get((a, b, c))
+                    if table is None:
                         continue
-                    for q, fc in enumerate(fvec):
-                        if F.is_zero(fc):
+                    fvec = fblocks[m][j]
+                    for gc, trow in zip(grow[m], table):
+                        if not gc:
                             continue
-                        cv = cat.comp_vec(a, b, c, p, q)
-                        coef = F.mul(gc, fc)
-                        for idx, x in enumerate(cv):
-                            acc[idx] = F.add(acc[idx], F.mul(coef, x))
+                        for fc, cv in zip(fvec, trow):
+                            if not fc:
+                                continue
+                            coef = mul(gc, fc)
+                            for idx, x in enumerate(cv):
+                                if x:
+                                    acc[idx] = add(acc[idx], mul(coef, x))
             row.append(tuple(acc))
-        blocks.append(row)
-    return Morphism(cat, src, tgt, blocks)
+        blocks.append(tuple(row))
+    return Morphism.trusted(cat, f.source, g.target, tuple(blocks))
 
 
 def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
@@ -320,17 +356,61 @@ def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
 
 
 def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
-    """Matrix of Hom(a, g.source) -> Hom(a, g.target), h |-> g o h."""
+    """Matrix of Hom(a, g.source) -> Hom(a, g.target), h |-> g o h, read off
+    the structure constants: the basis element q of block (m, j) goes to
+    sum_p g[i][m][p] comp(a_j, b_m, c_i)[p][q] in each block (i, j)."""
     cat = g.cat
-    return Mat.from_columns(cat.field, hom_dim_expr(cat, a, g.target),
-                            [compose(g, h).flatten() for h in hom_basis(cat, a, g.source)])
+    F = cat.field
+    add, mul, comp = F.add, F.mul, cat.comp
+    row_off, rows = block_offsets(cat, a, g.target)
+    col_off, cols = block_offsets(cat, a, g.source)
+    data = [[F.zero] * cols for _ in range(rows)]
+    for i, c in enumerate(g.target.summands):
+        for m, b in enumerate(g.source.summands):
+            gvec = g.blocks[i][m]
+            for j, s in enumerate(a.summands):
+                table = comp.get((s, b, c))
+                if table is None:
+                    continue
+                r0, c0 = row_off[i][j], col_off[m][j]
+                for gc, trow in zip(gvec, table):
+                    if not gc:
+                        continue
+                    for q, cv in enumerate(trow):
+                        for r, x in enumerate(cv):
+                            if x:
+                                out = data[r0 + r]
+                                out[c0 + q] = add(out[c0 + q], mul(gc, x))
+    return Mat(F, rows, cols, data)
 
 
 def precompose_mat(f: Morphism, b: ObjectExpr) -> Mat:
-    """Matrix of Hom(f.target, b) -> Hom(f.source, b), h |-> h o f."""
+    """Matrix of Hom(f.target, b) -> Hom(f.source, b), h |-> h o f, read off
+    the structure constants: the basis element p of block (i, m) goes to
+    sum_q f[m][j][q] comp(a_j, t_m, b_i)[p][q] in each block (i, j)."""
     cat = f.cat
-    return Mat.from_columns(cat.field, hom_dim_expr(cat, f.source, b),
-                            [compose(h, f).flatten() for h in hom_basis(cat, f.target, b)])
+    F = cat.field
+    add, mul, comp = F.add, F.mul, cat.comp
+    row_off, rows = block_offsets(cat, f.source, b)
+    col_off, cols = block_offsets(cat, f.target, b)
+    data = [[F.zero] * cols for _ in range(rows)]
+    for i, c in enumerate(b.summands):
+        for m, t in enumerate(f.target.summands):
+            for j, s in enumerate(f.source.summands):
+                table = comp.get((s, t, c))
+                if table is None:
+                    continue
+                fvec = f.blocks[m][j]
+                r0, c0 = row_off[i][j], col_off[i][m]
+                for p, trow in enumerate(table):
+                    for fc, cv in zip(fvec, trow):
+                        if not fc:
+                            continue
+                        for r, x in enumerate(cv):
+                            if x:
+                                out = data[r0 + r]
+                                out[c0 + p] = add(out[c0 + p], mul(fc, x))
+    return Mat(F, rows, cols, data)
 
 
 def morphism_inverse(m: Morphism):

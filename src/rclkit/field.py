@@ -1,8 +1,8 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Elements are plain Fractions (characteristic 0) or ints in [0, p)
-(characteristic p); the field object supplies the arithmetic so that all
-downstream code is field-agnostic.
+Elements are ints and Fractions (characteristic 0; an integral value is
+always an int) or ints in [0, p) (characteristic p); the field object
+supplies the arithmetic so that all downstream code is field-agnostic.
 """
 
 from __future__ import annotations
@@ -22,33 +22,42 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
+    """QQ.  A value that is an integer is kept as an int, and only a value
+    that is not is a Fraction, so most arithmetic stays on small ints; ints
+    and Fractions of equal value compare and hash equal."""
+
     kind = "rationals"
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
-        return -a
+        c = -a
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / Fraction(b)
+        c = Fraction(a, b)
+        return c.numerator if c.denominator == 1 else c
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -57,8 +66,8 @@ class RationalField:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return self.div(int(num), int(den))
+        return int(text)
 
     def fmt(self, a) -> str:
         a = Fraction(a)
@@ -68,7 +77,7 @@ class RationalField:
 
     def sample_scalars(self):
         """Small deterministic pool used by invertibility searches."""
-        return [Fraction(n) for n in (1, -1, 2, -2, 3, 5, -3, 7)]
+        return [1, -1, 2, -2, 3, 5, -3, 7]
 
     def __repr__(self):
         return "QQ"

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       basis_morphisms, block_diagonal, compose, hom_basis,
-                       hom_dim_expr, unflatten)
+                       basis_morphisms, block_diagonal, block_offsets, compose,
+                       hom_dim_expr, postcompose_mat, precompose_mat, unflatten)
 from .errors import PresentationError
 from .linalg import Mat, rank
 from .report import Report
@@ -15,7 +15,8 @@ class LinearFunctor:
 
     hom_maps[(g,h)] is the matrix of Hom(g,h) -> Hom(F g, F h) in the flat
     coordinates of the target Hom space; keys with a zero-dimensional source
-    or target space may be omitted.
+    or target space may be omitted.  hom_maps is never mutated after
+    `__init__`, so the action matrices built from it are cached.
     """
 
     def __init__(self, source: FinLinCategory, target: FinLinCategory,
@@ -24,6 +25,7 @@ class LinearFunctor:
         self.target = target
         self.name = name
         self.object_map = {}
+        known = set(target.generators)
         for g in source.generators:
             if g not in object_map:
                 raise PresentationError("functor %s: no image for generator %s" % (name, g))
@@ -31,7 +33,7 @@ class LinearFunctor:
             if not isinstance(img, ObjectExpr):
                 img = ObjectExpr(img)
             for s in img.summands:
-                if s not in set(target.generators):
+                if s not in known:
                     raise PresentationError("functor %s: image summand %s unknown" % (name, s))
             self.object_map[g] = img
         self.hom_maps = {}
@@ -47,6 +49,7 @@ class LinearFunctor:
                         "functor %s: hom map (%s,%s) is %dx%d, expected %dx%d"
                         % (name, g, h, mat.rows, mat.cols, dim_img, d))
                 self.hom_maps[(g, h)] = mat
+        self._actions = {}
 
     def apply_obj(self, obj: ObjectExpr) -> ObjectExpr:
         out = []
@@ -54,35 +57,49 @@ class LinearFunctor:
             out.extend(self.object_map[g].summands)
         return ObjectExpr(out)
 
+    def action(self, a: ObjectExpr, b: ObjectExpr) -> Mat:
+        """The block matrix of Hom(a, b) -> Hom(F a, F b) in flat coordinates,
+        assembled from hom_maps and cached per (a.summands, b.summands)."""
+        key = (a.summands, b.summands)
+        mat = self._actions.get(key)
+        if mat is None:
+            mat = self._actions[key] = self._build_action(a, b)
+        return mat
+
+    def _build_action(self, a: ObjectExpr, b: ObjectExpr) -> Mat:
+        # Row r of hom_maps[(g, h)] is coordinate r of Hom(F g, F h), which
+        # lies in the block of F a and F b that F g and F h start at.
+        tgt = self.target
+        fa, fb = self.apply_obj(a), self.apply_obj(b)
+        out_off, rows = block_offsets(tgt, fa, fb)
+        in_off, cols = block_offsets(self.source, a, b)
+        soff = [0]
+        for g in a.summands:
+            soff.append(soff[-1] + len(self.object_map[g].summands))
+        toff = [0]
+        for h in b.summands:
+            toff.append(toff[-1] + len(self.object_map[h].summands))
+        data = [[tgt.field.zero] * cols for _ in range(rows)]
+        for i, h in enumerate(b.summands):
+            for j, g in enumerate(a.summands):
+                mat = self.hom_maps[(g, h)]
+                if not mat.cols:
+                    continue
+                c0 = in_off[i][j]
+                local = iter(mat.data)
+                for ti, t in enumerate(self.object_map[h].summands):
+                    for sj, s in enumerate(self.object_map[g].summands):
+                        r0 = out_off[toff[i] + ti][soff[j] + sj]
+                        for r in range(tgt.hom_dim(s, t)):
+                            data[r0 + r][c0:c0 + mat.cols] = next(local)
+        return Mat(tgt.field, rows, cols, data)
+
     def apply(self, mor: Morphism) -> Morphism:
         if mor.cat is not self.source:
             raise PresentationError("functor %s applied to foreign morphism" % self.name)
-        src_img = self.apply_obj(mor.source)
-        tgt_img = self.apply_obj(mor.target)
-        F = self.target.field
-        # Offsets of each original summand inside the image tuple.
-        soff, pos = [], 0
-        for g in mor.source.summands:
-            soff.append(pos)
-            pos += len(self.object_map[g].summands)
-        toff, pos = [], 0
-        for h in mor.target.summands:
-            toff.append(pos)
-            pos += len(self.object_map[h].summands)
-        blocks = [[list((F.zero,) * self.target.hom_dim(s, t)) for s in src_img.summands]
-                  for t in tgt_img.summands]
-        for i, h in enumerate(mor.target.summands):
-            for j, g in enumerate(mor.source.summands):
-                vec = mor.blocks[i][j]
-                if not vec:
-                    continue
-                img_coords = self.hom_maps[(g, h)].apply(vec)
-                local = unflatten(self.target, self.object_map[g], self.object_map[h], img_coords)
-                for li, _ in enumerate(local.target.summands):
-                    for lj, _ in enumerate(local.source.summands):
-                        blocks[toff[i] + li][soff[j] + lj] = list(local.blocks[li][lj])
-        return Morphism(self.target, src_img, tgt_img,
-                        [[tuple(v) for v in row] for row in blocks])
+        coords = self.action(mor.source, mor.target).apply(mor.flatten())
+        return unflatten(self.target, self.apply_obj(mor.source),
+                         self.apply_obj(mor.target), coords)
 
     def __repr__(self):
         return "LinearFunctor(%s: %s -> %s)" % (self.name or "?",
@@ -90,32 +107,30 @@ class LinearFunctor:
 
 
 def identity_functor(cat: FinLinCategory) -> LinearFunctor:
-    hom_maps = {}
-    for g in cat.generators:
-        for h in cat.generators:
-            d = cat.hom_dim(g, h)
-            if d:
-                hom_maps[(g, h)] = Mat.identity(cat.field, d)
-    return LinearFunctor(cat, cat, {g: ObjectExpr((g,)) for g in cat.generators},
-                         hom_maps, name="id")
+    """The identity functor of cat, built once per category."""
+    if cat._identity_functor is None:
+        hom_maps = {}
+        for g in cat.generators:
+            for h in cat.generators:
+                d = cat.hom_dim(g, h)
+                if d:
+                    hom_maps[(g, h)] = Mat.identity(cat.field, d)
+        cat._identity_functor = LinearFunctor(
+            cat, cat, {g: ObjectExpr((g,)) for g in cat.generators}, hom_maps, name="id")
+    return cat._identity_functor
 
 
 def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "") -> LinearFunctor:
-    """outer o inner (apply inner first)."""
+    """outer o inner (apply inner first): each hom map is outer's action
+    matrix on the inner images times inner's hom map."""
     if inner.target is not outer.source:
         raise PresentationError("functor composition boundary mismatch")
     object_map = {g: outer.apply_obj(inner.object_map[g]) for g in inner.source.generators}
     hom_maps = {}
-    for g in inner.source.generators:
-        for h in inner.source.generators:
-            d = inner.source.hom_dim(g, h)
-            if d == 0:
-                continue
-            rows = hom_dim_expr(outer.target, object_map[g], object_map[h])
-            hom_maps[(g, h)] = Mat.from_columns(
-                outer.target.field, rows,
-                [outer.apply(inner.apply(f)).flatten()
-                 for f in hom_basis(inner.source, ObjectExpr(g), ObjectExpr(h))])
+    for (g, h), mat in inner.hom_maps.items():
+        if inner.source.hom_dim(g, h):
+            hom_maps[(g, h)] = outer.action(inner.object_map[g],
+                                            inner.object_map[h]).mul(mat)
     return LinearFunctor(inner.source, outer.target, object_map, hom_maps,
                          name=name or ("%s*%s" % (outer.name, inner.name)))
 
@@ -228,17 +243,24 @@ class NatTransform:
 
 
 def validate_nat(nt: NatTransform) -> Report:
-    """Naturality squares on every basis morphism of the source."""
+    """Naturality squares on every basis morphism of the source: for each
+    generator pair (a, b), G(f) o eta_a = eta_b o F(f) for every f: a -> b
+    is the matrix identity precompose(eta_a) G_ab = postcompose(eta_b) F_ab,
+    checked column by column."""
     rep = Report()
     src = nt.from_f.source
+    F, G = nt.from_f, nt.to_f
     ok = True
-    for a, b, q, f in basis_morphisms(src):
-        lhs = compose(nt.to_f.apply(f), nt.components[a])
-        rhs = compose(nt.components[b], nt.from_f.apply(f))
-        if not lhs.equal(rhs):
-            ok = False
-            rep.fail("naturality", "at basis %s.%s of Hom(%s,%s)"
-                     % (a, src.basis_names(a, b)[q], a, b))
+    for a in src.generators:
+        for b in src.generators:
+            if not src.hom_dim(a, b):
+                continue
+            lhs = precompose_mat(nt.components[a], G.object_map[b]).mul(G.hom_maps[(a, b)])
+            rhs = postcompose_mat(nt.components[b], F.object_map[a]).mul(F.hom_maps[(a, b)])
+            for q, name in enumerate(src.basis_names(a, b)):
+                if lhs.col(q) != rhs.col(q):
+                    ok = False
+                    rep.fail("naturality", "at basis %s.%s of Hom(%s,%s)" % (a, name, a, b))
     if ok:
         rep.ok("naturality")
     return rep

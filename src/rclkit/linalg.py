@@ -56,31 +56,38 @@ class Mat:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def mul(self, other: "Mat") -> "Mat":
+        """Matrix product; zero entries of either factor are skipped."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         F = self.field
+        add, mul = F.add, F.mul
+        odata = other.data
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = F.zero
-                for k in range(self.cols):
-                    acc = F.add(acc, F.mul(self.data[i][k], other.data[k][j]))
-                row.append(acc)
-            out.append(row)
+        for row in self.data:
+            acc = [F.zero] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in enumerate(odata[k]):
+                        if b:
+                            acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
         return Mat(F, self.rows, other.cols, out)
 
     def apply(self, vec):
-        """Matrix times coordinate vector (tuple in, tuple out)."""
+        """Matrix times coordinate vector (tuple in, tuple out); zero
+        coordinates are skipped."""
         if len(vec) != self.cols:
             raise ValueError("vector length %d, expected %d" % (len(vec), self.cols))
         F = self.field
-        out = []
-        for i in range(self.rows):
-            acc = F.zero
-            for k in range(self.cols):
-                acc = F.add(acc, F.mul(self.data[i][k], vec[k]))
-            out.append(acc)
+        add, mul = F.add, F.mul
+        out = [F.zero] * self.rows
+        data = self.data
+        for k, x in enumerate(vec):
+            if x:
+                for i in range(self.rows):
+                    a = data[i][k]
+                    if a:
+                        out[i] = add(out[i], mul(a, x))
         return tuple(out)
 
     def add(self, other: "Mat") -> "Mat":

@@ -215,9 +215,9 @@ class TriangulatedPresentation:
                 continue
             if pair is None:
                 continue
-            a, b = pair
+            (_, a_inv), (b, _) = pair
             g2 = compose(ts.g, b)
-            h2 = compose(self.shift.apply(morphism_inverse(a)), ts.h)
+            h2 = compose(self.shift.apply(a_inv), ts.h)
             return Triangle(ObjectExpr(f.source.summands), ObjectExpr(f.target.summands),
                             ObjectExpr(ts.z.summands), f, g2, h2,
                             name="completion")
@@ -250,7 +250,8 @@ def identity_triangle(tri: TriangulatedPresentation, g: str) -> Triangle:
 
 def _invertible_candidate(cat, spaces, basis, parts):
     """A simultaneously invertible point of the span of basis, as the tuple
-    parts(vec); or None when there is none.  basis spans a subspace of the
+    parts(vec) with each part paired with its inverse; or None when there is
+    none.  basis spans a subspace of the
     stacked Hom(*spaces[i]) coordinates; an empty basis spans the zero
     point.
 
@@ -263,16 +264,16 @@ def _invertible_candidate(cat, spaces, basis, parts):
     differs between source and target, a determinant that is identically
     zero, or, over GF(p) with p at most the total degree, no point of
     GF(p)^n.  Otherwise `_nonvanishing_point` picks a point and one
-    `morphism_inverse` per component verifies it.  Without the premise the
+    `morphism_inverse` per component verifies it and gives its inverse.  Without the premise the
     basis points are tried, and UndecidedError is raised when none is
     invertible."""
     F = cat.field
     forms, reason = cat.residues()
     if forms is None:
         for vec in basis or [()]:
-            mors = parts(vec)
-            if all(morphism_inverse(m) is not None for m in mors):
-                return mors
+            pairs = _with_inverses(parts(vec))
+            if pairs is not None:
+                return pairs
         raise UndecidedError("isomorphism search undecided: %s" % reason)
     factors = _top_block_determinants(cat, forms, spaces, basis)
     if factors is None:
@@ -283,11 +284,23 @@ def _invertible_candidate(cat, spaces, basis, parts):
     vec = [F.zero] * len(basis[0]) if basis else ()
     for c, b in zip(point, basis):
         vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-    mors = parts(vec)
-    if any(morphism_inverse(m) is None for m in mors):
+    pairs = _with_inverses(parts(vec))
+    if pairs is None:
         raise UndecidedError("isomorphism search undecided: the chosen point "
                              "has invertible top blocks but is not invertible")
-    return mors
+    return pairs
+
+
+def _with_inverses(mors):
+    """Each morphism paired with its inverse, or None at the first one that
+    has none."""
+    pairs = []
+    for m in mors:
+        inv = morphism_inverse(m)
+        if inv is None:
+            return None
+        pairs.append((m, inv))
+    return tuple(pairs)
 
 
 def _top_block_determinants(cat, forms, spaces, basis):
@@ -424,8 +437,8 @@ def _evaluate(F, poly, point):
 def invertible_commuting_tuple(cat, spaces, constraints):
     """Simultaneously invertible morphisms u_0, ..., u_{n-1} with u_i in
     Hom(*spaces[i]) satisfying P u_i = Q u_j for each constraint (P, i, Q, j),
-    where P and Q are matrices of linear maps on those Hom spaces; or None
-    when no such tuple exists.
+    where P and Q are matrices of linear maps on those Hom spaces, as the
+    pairs (u_i, u_i^-1); or None when no such tuple exists.
 
     The unknowns are stacked in the given order, which fixes the canonical
     nullspace basis and hence the tuple found."""
@@ -441,30 +454,26 @@ def invertible_commuting_tuple(cat, spaces, constraints):
                      for (s, t), o, d in zip(spaces, offsets, dims))
 
     if total == 0:
-        mors = split(())
-        return mors if all(morphism_inverse(m) is not None for m in mors) else None
+        return _with_inverses(split(()))
     rows = difference_rows(F, total, [(p, offsets[i], q, offsets[j])
                                       for p, i, q, j in constraints])
     return _invertible_candidate(cat, spaces, nullspace(Mat(F, len(rows), total, rows)), split)
 
 
 def triangle_iso(tri: TriangulatedPresentation, ts: Triangle, t: Triangle):
-    """Isomorphism of sextuples (a, b, c): ts -> t, or None.
+    """Isomorphism of sextuples (a, b, c): ts -> t, as the pairs
+    ((a, a^-1), (b, b^-1), (c, c^-1)), or None.
 
     Constraints: t.f a = b ts.f, t.g b = c ts.g, t.h c = T(a) ts.h.
     """
-    cat = tri.cat
     shift = tri.shift
     # a |-> T(a) o ts.h: the shift's action on Hom(ts.x, t.x), then precompose.
-    shift_mat = Mat.from_columns(cat.field,
-                                 hom_dim_expr(cat, shift.apply_obj(ts.x), shift.apply_obj(t.x)),
-                                 [shift.apply(u).flatten() for u in hom_basis(cat, ts.x, t.x)])
     return invertible_commuting_tuple(
-        cat, ((ts.x, t.x), (ts.y, t.y), (ts.z, t.z)),
+        tri.cat, ((ts.x, t.x), (ts.y, t.y), (ts.z, t.z)),
         ((postcompose_mat(t.f, ts.x), 0, precompose_mat(ts.f, t.y), 1),
          (postcompose_mat(t.g, ts.y), 1, precompose_mat(ts.g, t.z), 2),
          (postcompose_mat(t.h, ts.z), 2,
-          precompose_mat(ts.h, shift.apply_obj(t.x)).mul(shift_mat), 0)))
+          precompose_mat(ts.h, shift.apply_obj(t.x)).mul(shift.action(ts.x, t.x)), 0)))
 
 
 def d_approximation_failure(f: Morphism, d, monic: bool):

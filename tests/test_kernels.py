@@ -1,0 +1,195 @@
+"""The Hom-action kernels against their per-basis oracles.
+
+`LinearFunctor.apply`, `compose_functors`, `compose`, `postcompose_mat`,
+`precompose_mat` and `validate_nat` are built from action matrices and the
+structure constants; tests/oracles.py computes the same things one basis
+element at a time.  They must agree on random morphisms of fix_a2, fix_prod,
+stab2 (two copies of stable k[x]/(x^3) with their shift) and `kronecker`
+over QQ, GF(2), GF(3) and GF(101)."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, compose, hom_basis,
+                             hom_dim_expr, postcompose_mat, precompose_mat, unflatten)
+from rclkit.field import QQ, PrimeField
+from rclkit.fixture_gen import (_component_category, _component_shift, _StableCore,
+                                build_fix_a2, build_fix_prod)
+from rclkit.functor import (LinearFunctor, NatTransform, compose_functors, identity_functor,
+                            validate_nat)
+from rclkit.linalg import Mat
+
+from oracles import (per_basis_apply, per_basis_compose, per_basis_compose_functors,
+                     per_basis_postcompose_mat, per_basis_precompose_mat,
+                     per_basis_validate_nat)
+
+FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(101))
+PRESENTATIONS = ("fix_a2", "fix_prod", "stab2", "kronecker")
+
+
+def doubling(cat):
+    """The functor g |-> g + g, f |-> diag(f, f): its images are sums."""
+    hom_maps = {}
+    for g in cat.generators:
+        for h in cat.generators:
+            d = cat.hom_dim(g, h)
+            # Hom(g + g, h + h) is the blocks (0,0), (0,1), (1,0), (1,1) in
+            # turn, so f lands at rows q and 3d + q.
+            hom_maps[(g, h)] = Mat(cat.field, 4 * d, d,
+                                   [[cat.field.one if r - q in (0, 3 * d) else cat.field.zero
+                                     for q in range(d)] for r in range(4 * d)])
+    return LinearFunctor(cat, cat, {g: ObjectExpr((g, g)) for g in cat.generators},
+                         hom_maps, name="double")
+
+
+def kronecker(field):
+    """The functor S on the Kronecker quiver G => H (arrows a, b) that
+    fixes a and doubles b.  Hom(G, H) is two-dimensional, so the structure
+    constants' two indices are told apart."""
+    one, zero = field.one, field.zero
+    cat = FinLinCategory(field, ["G", "H"],
+                         {("G", "G"): ["e"], ("H", "H"): ["e"], ("G", "H"): ["a", "b"]},
+                         {("G", "G", "G"): [[(one,)]], ("H", "H", "H"): [[(one,)]],
+                          ("G", "G", "H"): [[(one, zero)], [(zero, one)]],
+                          ("G", "H", "H"): [[(one, zero), (zero, one)]]},
+                         {"G": (one,), "H": (one,)}, name="K")
+    hom_maps = dict(identity_functor(cat).hom_maps)
+    hom_maps[("G", "H")] = Mat(field, 2, 2, [[one, zero], [zero, field.of_int(2)]])
+    return LinearFunctor(cat, cat, {g: ObjectExpr((g,)) for g in cat.generators},
+                         hom_maps, name="S")
+
+
+@lru_cache(maxsize=None)
+def functors(name, field):
+    """Every functor of the presentation, with the identity and the
+    doubling functor of each of its categories."""
+    if name == "kronecker":
+        found = [kronecker(field)]
+        cats = [found[0].source]
+    elif name == "stab2":
+        prefixes = ("C1.", "C2.")
+        core = _StableCore(field)
+        cat = _component_category(field, core, prefixes, "C")
+        found = list(_component_shift(field, core, cat, prefixes, "TC"))
+        cats = [cat]
+    else:
+        ws = build_fix_a2(field) if name == "fix_a2" else build_fix_prod(field)
+        found = list(ws.functors.values())
+        cats = list(ws.categories.values())
+    return tuple(found + [identity_functor(cat) for cat in cats]
+                 + [doubling(cat) for cat in cats])
+
+
+def scalars(field):
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    # Zeros are common in real data, and half-integers exercise Fractions.
+    return st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def functor_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    return draw(st.sampled_from(functors(draw(st.sampled_from(PRESENTATIONS)), field)))
+
+
+@st.composite
+def objects(draw, cat):
+    return ObjectExpr(draw(st.lists(st.sampled_from(cat.generators), max_size=3)))
+
+
+@st.composite
+def morphisms(draw, cat, source=None, target=None):
+    a = draw(objects(cat)) if source is None else source
+    b = draw(objects(cat)) if target is None else target
+    n = hom_dim_expr(cat, a, b)
+    coords = draw(st.lists(scalars(cat.field), min_size=n, max_size=n))
+    return unflatten(cat, a, b, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_matches_per_basis_oracle(data):
+    functor = data.draw(functor_cases())
+    mor = data.draw(morphisms(functor.source))
+    assert functor.apply(mor).equal(per_basis_apply(functor, mor))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_composition_kernels_match_per_basis_oracle(data):
+    cat = data.draw(functor_cases()).source
+    f = data.draw(morphisms(cat))
+    g = data.draw(morphisms(cat, source=f.target))
+    c = data.draw(objects(cat))
+    assert compose(g, f).equal(per_basis_compose(g, f))
+    assert postcompose_mat(f, c) == per_basis_postcompose_mat(f, c)
+    assert precompose_mat(f, c) == per_basis_precompose_mat(f, c)
+
+
+def test_composition_kernels_on_kronecker_basis():
+    """Every composable pair of basis morphisms of `kronecker`, where the
+    two indices of the structure constants have different ranges."""
+    cat = kronecker(QQ).source
+    objs = [ObjectExpr((g,)) for g in cat.generators] + [ObjectExpr(("G", "H"))]
+    for a in objs:
+        for b in objs:
+            for f in hom_basis(cat, a, b):
+                for c in objs:
+                    assert postcompose_mat(f, c) == per_basis_postcompose_mat(f, c)
+                    assert precompose_mat(f, c) == per_basis_precompose_mat(f, c)
+                    for g in hom_basis(cat, b, c):
+                        assert compose(g, f).equal(per_basis_compose(g, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_functors_matches_per_basis_oracle(data):
+    inner = data.draw(functor_cases())
+    name = next(n for n in PRESENTATIONS if inner in functors(n, inner.source.field))
+    outer = data.draw(st.sampled_from([f for f in functors(name, inner.source.field)
+                                       if f.source is inner.target]))
+    assert compose_functors(outer, inner).hom_maps == per_basis_compose_functors(outer, inner)
+
+
+def lines(rep):
+    return [(e.key, e.status, e.witness) for e in rep.entries]
+
+
+def kronecker_nat(field):
+    """The identity family Id => S on `kronecker`: natural at a and, where
+    2 != 0, not at b.  The fixtures have only one-dimensional Hom spaces
+    between generators, so this is the case where witnesses inside one Hom
+    space must keep their order."""
+    s = kronecker(field)
+    return NatTransform(identity_functor(s.source), s,
+                        {g: Morphism.identity(s.source, ObjectExpr((g,)))
+                         for g in s.source.generators}, name="k")
+
+
+def test_naturality_witnesses_match_per_basis_loop():
+    """Perturb one coordinate of one component of each natural
+    transformation of fix_a2 and fix_prod, and of `kronecker_nat`, at a
+    time: validate_nat names the same failing basis elements, in the same
+    order, as the per-basis loop."""
+    assert lines(validate_nat(kronecker_nat(QQ))) == [
+        ("naturality", "fail", "at basis G.b of Hom(G,H)")]
+    failing = 0
+    for field in (QQ, PrimeField(3)):
+        for nats in (build_fix_a2(field).nats, build_fix_prod(field).nats,
+                     {"k": kronecker_nat(field)}):
+            for nt in nats.values():
+                assert lines(validate_nat(nt)) == lines(per_basis_validate_nat(nt))
+                for g, comp in nt.components.items():
+                    for k in range(len(comp.flatten())):
+                        coords = list(comp.flatten())
+                        coords[k] = field.add(coords[k], field.one)
+                        comps = dict(nt.components)
+                        comps[g] = unflatten(comp.cat, comp.source, comp.target, coords)
+                        bad = NatTransform(nt.from_f, nt.to_f, comps, name=nt.name)
+                        got = lines(validate_nat(bad))
+                        assert got == lines(per_basis_validate_nat(bad))
+                        failing += any(status == "fail" for _, status, _ in got)
+    assert failing > 0

@@ -2,6 +2,7 @@
 Krull-Schmidt premise check, the choice of a point, agreement with a
 brute-force oracle, the undecided path and a counter guard."""
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,8 +130,8 @@ def test_multiplicity_mismatch_proves_that_no_isomorphism_exists(ws_stab3, monke
                         lambda m: calls.append(m) or morphism_inverse(m))
     assert invertible_commuting_tuple(cat, ((cat.obj("M1"), cat.obj("M2")),), ()) is None
     assert calls == []
-    a, = invertible_commuting_tuple(cat, ((cat.obj("M1", "M2"), cat.obj("M2", "M1")),), ())
-    assert len(calls) == 1 and morphism_inverse(a) is not None
+    (a, a_inv), = invertible_commuting_tuple(cat, ((cat.obj("M1", "M2"), cat.obj("M2", "M1")),), ())
+    assert len(calls) == 1 and morphism_inverse(a).equal(a_inv)
 
 
 # -- agreement with the brute-force oracle over GF(2) and GF(3) -------------
@@ -298,3 +299,22 @@ def test_search_counts_on_tri_recollement(monkeypatch, capsys):
     assert len(searches) == 138
     assert sum(hit for hit, _ in searches) == 78
     assert [n for hit, n in searches if not hit] == [0] * 60
+
+
+def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
+    """tri-recollement fix_prod --d C1.M2 solves for 216 inverses: 210 in
+    the searches and 6 in the exact functor's standard-triangle check.
+    complete_monic reuses the inverse its search verified."""
+    calls = [0]
+
+    def counting_inverse(m):
+        calls[0] += 1
+        return morphism_inverse(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rclkit") and getattr(module, "morphism_inverse", None) \
+                is morphism_inverse:
+            monkeypatch.setattr(module, "morphism_inverse", counting_inverse)
+    assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
+    capsys.readouterr()
+    assert calls[0] == 216
