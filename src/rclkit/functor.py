@@ -61,17 +61,12 @@ class LinearFunctor:
         """The block matrix of Hom(a, b) -> Hom(F a, F b) in flat coordinates,
         assembled from hom_maps and cached per (a.summands, b.summands)."""
         key = (a.summands, b.summands)
-        mat = self._actions.get(key)
-        if mat is None:
-            mat = self._actions[key] = self._build_action(a, b)
-        return mat
-
-    def _build_action(self, a: ObjectExpr, b: ObjectExpr) -> Mat:
+        if key in self._actions:
+            return self._actions[key]
         # Row r of hom_maps[(g, h)] is coordinate r of Hom(F g, F h), which
         # lies in the block of F a and F b that F g and F h start at.
         tgt = self.target
-        fa, fb = self.apply_obj(a), self.apply_obj(b)
-        out_off, rows = block_offsets(tgt, fa, fb)
+        out_off, rows = block_offsets(tgt, self.apply_obj(a), self.apply_obj(b))
         in_off, cols = block_offsets(self.source, a, b)
         soff = [0]
         for g in a.summands:
@@ -92,7 +87,8 @@ class LinearFunctor:
                         r0 = out_off[toff[i] + ti][soff[j] + sj]
                         for r in range(tgt.hom_dim(s, t)):
                             data[r0 + r][c0:c0 + mat.cols] = next(local)
-        return Mat(tgt.field, rows, cols, data)
+        mat = self._actions[key] = Mat(tgt.field, rows, cols, data)
+        return mat
 
     def apply(self, mor: Morphism) -> Morphism:
         if mor.cat is not self.source:
