@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import PresentationError
+from .errors import PresentationError, UndecidedError
 from .linalg import Mat, SubspaceBasis, nullspace, solve
 from .report import Report
 
@@ -59,12 +59,10 @@ class ObjectExpr:
 class FinLinCategory:
     """Presentation of an additive k-linear category on generator objects."""
 
-    def __init__(self, field, generators, hom_bases, comp, identities,
-                 name: str = "", assume_local: bool = False):
+    def __init__(self, field, generators, hom_bases, comp, identities, name: str = ""):
         self.field = field
         self.generators = tuple(generators)
         self.name = name
-        self.assume_local = assume_local
         self.hom_bases = {}
         for (a, b), names in hom_bases.items():
             if names:
@@ -89,11 +87,25 @@ class FinLinCategory:
             if g not in self.identities or len(self.identities[g]) != self.hom_dim(g, g):
                 raise PresentationError("generator %s lacks identity coordinates" % (g,))
 
-    def residues(self):
+    def residue_data(self):
         """`residue_forms` of this presentation, computed once."""
         if self._residues is None:
             self._residues = residue_forms(self)
         return self._residues
+
+    def residues(self):
+        """The Krull-Schmidt premise of the triangle search: (forms, None)
+        when every End(g) is local with residue field k and the generators
+        are pairwise non-isomorphic, else (None, reason) naming the first
+        part that fails."""
+        forms, reasons, classes = self.residue_data()
+        if reasons:
+            return None, next(iter(reasons.values()))
+        for cls in classes.values():
+            if len(cls) > 1:
+                return None, "a composite %s -> %s -> %s has nonzero residue" % (
+                    cls[0], cls[1], cls[0])
+        return forms, None
 
     def hom_dim(self, a: str, b: str) -> int:
         return self._dims.get((a, b), 0)
@@ -493,50 +505,74 @@ def _residue_of(mat: Mat):
     return None
 
 
-def residue_forms(cat: FinLinCategory):
-    """Check the Krull-Schmidt premise exactly, in any characteristic:
-    every End(g) is local with residue field k, and distinct generators are
-    not isomorphic.  Returns (forms, None), where forms[g] lists phi_g(b) for
-    the basis elements b of End(g) and phi_g: End(g) -> k is the residue
-    map, or (None, reason) naming the first part that fails.
+def _residue_form(cat: FinLinCategory, g: str):
+    """(phi, None) when End(g) is local with residue field k, phi listing
+    phi_g(b) for the basis elements b of End(g); else (None, reason).
 
-    Under the premise left multiplication L_b has the single eigenvalue
-    phi_g(b), which `_residue_of` reads off; the candidate phi_g is then
-    checked: phi_g(1) = 1, phi_g is multiplicative, ker phi_g is a
-    nilpotent ideal, and phi_g(f' o f) = 0 for all f: g -> h and f': h -> g
-    with h != g.  Together these say that a morphism between sums is
-    invertible exactly when, for each generator g, its matrix of residues
-    of g -> g blocks is square and invertible."""
+    If End(g) is local with residue field k, left multiplication L_b has the
+    single eigenvalue phi_g(b), which `_residue_of` reads off; the candidate
+    phi_g is then checked: phi_g(1) = 1, phi_g is multiplicative and
+    ker phi_g is a nilpotent ideal."""
     F = cat.field
-    forms = {}
+    n = cat.hom_dim(g, g)
+    left = _end_algebra_tables(cat, g)
+    phi = tuple(_residue_of(mat) for mat in left)
+    if None in phi:
+        return None, "End(%s) has an element with no eigenvalue in %r" % (g, F)
+    if not _same(F, residue(F, phi, cat.identities[g]), F.one) or any(
+            not _same(F, residue(F, phi, cat.comp_vec(g, g, g, u, v)),
+                      F.mul(phi[u], phi[v]))
+            for u in range(n) for v in range(n)):
+        return None, "End(%s) has no algebra map onto %r" % (g, F)
+    kernel = nullspace(Mat(F, 1, n, [phi]))
+    power = kernel
+    for _ in range(n):
+        if not power:
+            break
+        power = SubspaceBasis.from_vectors(
+            F, n, [_end_product(left, u, v) for u in power for v in kernel]).rows
+    if power:
+        return None, "End(%s) is not local: its residue kernel is not nilpotent" % g
+    return phi, None
+
+
+def residue_forms(cat: FinLinCategory):
+    """Decide the Krull-Schmidt premise generator by generator, exactly and
+    in any characteristic.  Returns (forms, reasons, classes): forms[g] is
+    `_residue_form`'s phi_g for each g whose End(g) is local with residue
+    field k, reasons[g] says why not for every other g, and classes[g] is
+    the tuple, in generator order, of the local generators isomorphic to g.
+
+    Local generators g and h are isomorphic exactly when
+    phi_g(f' o f) != 0 for some basis pair f: g -> h, f': h -> g: then
+    f' o f is invertible, so f (f' o f)^-1 f' is a nonzero idempotent of the
+    local ring End(h), hence 1, and f is invertible.  Under the premise
+    (every End(g) local, no two generators isomorphic) a morphism between
+    sums is invertible exactly when, for each generator g, its matrix of
+    residues of g -> g blocks is square and invertible."""
+    F = cat.field
+    forms, reasons = {}, {}
     for g in cat.generators:
-        n = cat.hom_dim(g, g)
-        left = _end_algebra_tables(cat, g)
-        phi = tuple(_residue_of(mat) for mat in left)
-        if None in phi:
-            return None, "End(%s) has an element with no eigenvalue in %r" % (g, F)
-        if not _same(F, residue(F, phi, cat.identities[g]), F.one) or any(
-                not _same(F, residue(F, phi, cat.comp_vec(g, g, g, u, v)),
-                          F.mul(phi[u], phi[v]))
-                for u in range(n) for v in range(n)):
-            return None, "End(%s) has no algebra map onto %r" % (g, F)
-        kernel = nullspace(Mat(F, 1, n, [phi]))
-        power = kernel
-        for _ in range(n):
-            if not power:
+        phi, reason = _residue_form(cat, g)
+        if phi is None:
+            reasons[g] = reason
+        else:
+            forms[g] = phi
+    groups = []
+    for h in forms:
+        for group in groups:
+            g = group[0]
+            if any(not F.is_zero(residue(F, forms[g], cat.comp_vec(g, h, g, p, q)))
+                   for p in range(cat.hom_dim(h, g)) for q in range(cat.hom_dim(g, h))):
+                group.append(h)
                 break
-            power = SubspaceBasis.from_vectors(
-                F, n, [_end_product(left, u, v) for u in power for v in kernel]).rows
-        if power:
-            return None, "End(%s) is not local: its residue kernel is not nilpotent" % g
-        forms[g] = phi
-    for g in cat.generators:
-        for h in cat.generators:
-            if h != g and any(
-                    not F.is_zero(residue(F, forms[g], cat.comp_vec(g, h, g, p, q)))
-                    for p in range(cat.hom_dim(h, g)) for q in range(cat.hom_dim(g, h))):
-                return None, "a composite %s -> %s -> %s has nonzero residue" % (g, h, g)
-    return forms, None
+        else:
+            groups.append([h])
+    classes = {}
+    for group in groups:
+        for g in group:
+            classes[g] = tuple(group)
+    return forms, reasons, classes
 
 
 def residue(field, form, coords):
@@ -551,32 +587,9 @@ def _same(field, a, b) -> bool:
     return field.is_zero(field.sub(a, b))
 
 
-def end_radical(cat: FinLinCategory, g: str):
-    """Radical of End(g) as a subspace, via the trace form of the regular
-    representation.  Valid in characteristic zero only."""
-    F = cat.field
-    if F.characteristic != 0:
-        return None
-    n = cat.hom_dim(g, g)
-    left = _end_algebra_tables(cat, g)
-    gram = []
-    for u in range(n):
-        row = []
-        for v in range(n):
-            prod = left[u].mul(left[v])
-            tr = F.zero
-            for i in range(n):
-                tr = F.add(tr, prod.data[i][i])
-            row.append(tr)
-        gram.append(row)
-    vecs = nullspace(Mat(F, n, n, gram))
-    return SubspaceBasis.from_vectors(F, n, vecs)
-
-
 def validate_category(cat: FinLinCategory) -> Report:
-    """Associativity, identity laws and (char 0) locality of End rings."""
+    """Associativity, identity laws and locality of the End rings."""
     rep = Report()
-    F = cat.field
     gens = cat.generators
 
     for g in gens:
@@ -617,73 +630,32 @@ def validate_category(cat: FinLinCategory) -> Report:
     if assoc_ok:
         rep.ok("associativity")
 
-    if F.characteristic == 0:
-        for g in gens:
-            radical = end_radical(cat, g)
-            n = cat.hom_dim(g, g)
-            if n - radical.dim != 1:
-                rep.fail("locality", "End(%s)/rad has dimension %d" % (g, n - radical.dim))
-        if not rep.has_failures("locality"):
-            rep.ok("locality")
-    else:
-        note = "assumed (declared)" if cat.assume_local else "not verified (char p)"
-        rep.info("locality", note)
+    _, reasons, _ = cat.residue_data()
+    for reason in reasons.values():
+        rep.fail("locality", reason)
+    if not reasons:
+        rep.ok("locality")
     return rep
 
 
-def generator_iso_classes(cat: FinLinCategory):
-    """Partition of generators into isomorphism classes (char 0 only)."""
-    if cat.field.characteristic != 0:
-        return None
-    gens = cat.generators
-    radicals = {g: end_radical(cat, g) for g in gens}
-    classes = []
-    assigned = {}
-    for g in gens:
-        if g in assigned:
-            continue
-        cls = [g]
-        assigned[g] = len(classes)
-        for h in gens:
-            if h in assigned or h == g:
-                continue
-            if _gens_isomorphic(cat, g, h, radicals[g]):
-                cls.append(h)
-                assigned[h] = len(classes)
-        classes.append(tuple(cls))
-    return classes, assigned
+def iso_class(cat: FinLinCategory, g: str):
+    """The generators isomorphic to g, g among them, in generator order;
+    UndecidedError when End(g) is not local with residue field k."""
+    _, reasons, classes = cat.residue_data()
+    if g in reasons:
+        raise UndecidedError("isomorphism class of %s undecided: %s" % (g, reasons[g]))
+    return classes[g]
 
 
-def _gens_isomorphic(cat: FinLinCategory, g: str, h: str, rad_g: SubspaceBasis) -> bool:
-    d_gh = cat.hom_dim(g, h)
-    d_hg = cat.hom_dim(h, g)
-    if d_gh == 0 or d_hg == 0:
-        return False
-    for q in range(d_gh):
-        f = Morphism.basis_element(cat, g, h, q)
-        for p in range(d_hg):
-            gg = Morphism.basis_element(cat, h, g, p)
-            prod = compose(gg, f).flatten()
-            if not rad_g.contains_vector(prod):
-                return True
-    return False
-
-
-def is_isomorphic(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
-    """Decide a ~ b in a Krull-Schmidt presentation.
-
-    Returns True/False, or None when generator-level isomorphism cannot be
-    decided (characteristic p) and the plain multiplicity vectors differ.
-    """
-    ma, mb = a.multiplicities(), b.multiplicities()
-    if ma == mb:
+def is_isomorphic(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr) -> bool:
+    """Decide a ~ b by Krull-Schmidt: equal multiplicities of generators,
+    or else of their isomorphism classes.  UndecidedError when the
+    generator multiplicities differ and a generator involved has no local
+    End ring."""
+    if a.multiplicities() == b.multiplicities():
         return True
-    if cat.field.characteristic != 0:
-        return None
-    _, assigned = generator_iso_classes(cat)
-    ca = Counter(assigned[g] for g in a.summands)
-    cb = Counter(assigned[g] for g in b.summands)
-    return ca == cb
+    return (Counter(iso_class(cat, g) for g in a.summands)
+            == Counter(iso_class(cat, g) for g in b.summands))
 
 
 def ideal_subspace(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, x: Subcategory) -> SubspaceBasis:
@@ -692,15 +664,13 @@ def ideal_subspace(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, x: Subcate
     Factorizations through sums reduce to sums of these, so member
     generators suffice.
     """
-    dim = hom_dim_expr(cat, a, b)
     vectors = []
     for m in x.members:
         mid = ObjectExpr((m,))
-        outs = list(hom_basis(cat, mid, b))
-        for g in hom_basis(cat, a, mid):
-            for h in outs:
-                vectors.append(compose(h, g).flatten())
-    return SubspaceBasis.from_vectors(cat.field, dim, vectors)
+        for h in hom_basis(cat, mid, b):
+            post = postcompose_mat(h, a)
+            vectors.extend(post.col(j) for j in range(post.cols))
+    return SubspaceBasis.from_vectors(cat.field, hom_dim_expr(cat, a, b), vectors)
 
 
 def restrict_category(cat: FinLinCategory, members, name: str = "") -> FinLinCategory:
@@ -712,7 +682,7 @@ def restrict_category(cat: FinLinCategory, members, name: str = "") -> FinLinCat
             if k[0] in keep_set and k[1] in keep_set and k[2] in keep_set}
     identities = {g: cat.identities[g] for g in keep}
     return FinLinCategory(cat.field, keep, hom_bases, comp, identities,
-                          name=name or (cat.name + "|"), assume_local=cat.assume_local)
+                          name=name or (cat.name + "|"))
 
 
 def morphism_in(cat: FinLinCategory, mor: Morphism) -> Morphism:

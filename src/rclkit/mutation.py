@@ -11,7 +11,7 @@ as unchecked.
 from __future__ import annotations
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       compose, hom_basis, hom_dim_expr, is_isomorphic,
+                       compose, hom_basis, hom_dim_expr, iso_class,
                        morphism_in, morphism_inverse, postcompose_mat,
                        precompose_mat, restrict_category, unflatten)
 from .errors import InconsistentDataError, PreconditionError, UndecidedError
@@ -329,40 +329,16 @@ def _sigma_is_equivalence(m: MutationData, rep: Report):
     if ok:
         rep.ok("sigma.fully-faithful")
 
-    classes = {}
+    try:
+        class_of = {g: iso_class(pres, g) for g in q.survivors}
+    except UndecidedError as exc:
+        rep.not_checked("sigma.object-bijection", str(exc))
+        return
+    image = {}
     for xg in q.survivors:
-        cls = None
-        for rep_g in classes:
-            if is_isomorphic(pres, ObjectExpr((xg,)), ObjectExpr((rep_g,))) is True:
-                cls = rep_g
-                break
-        classes.setdefault(cls if cls is not None else xg, []).append(xg)
-    reps = sorted(classes)
-
-    def class_of(g):
-        for r in reps:
-            if g in classes[r]:
-                return r
-        return None
-
-    mat = {}
-    for xg in q.survivors:
-        counts = {}
-        for s in sigma.object_map[xg].summands:
-            counts[class_of(s)] = counts.get(class_of(s), 0) + 1
-        mat[class_of(xg)] = counts
-    perm_ok = True
-    hit = {}
-    for src_cls, counts in mat.items():
-        if sum(counts.values()) != 1:
-            perm_ok = False
-            break
-        tgt = next(iter(counts))
-        if tgt in hit:
-            perm_ok = False
-            break
-        hit[tgt] = src_cls
-    if perm_ok and len(hit) == len(reps):
+        summands = sigma.object_map[xg].summands
+        image[class_of[xg]] = class_of[summands[0]] if len(summands) == 1 else None
+    if set(image.values()) == set(image):
         rep.ok("sigma.object-bijection")
     else:
         rep.fail("sigma.object-bijection",

@@ -134,8 +134,7 @@ class QuotientCategory:
         self.presentation = FinLinCategory(
             F, survivors, hom_bases, comp, identities,
             name=name or (parent.name + "/" + "+".join(x.members) if x.members
-                          else parent.name + "/0"),
-            assume_local=parent.assume_local)
+                          else parent.name + "/0"))
 
         proj_objects = {}
         proj_maps = {}

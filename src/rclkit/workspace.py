@@ -7,7 +7,7 @@ fractions like 3/4, comments start with '#'):
     decl        := field | category | subcategory | functor | nattrans
                  | adjunction | recollement | triangulated | exact | mutation
     field       := "field" "{" "kind" ("rationals" | "prime" INT) "}"
-    category    := "category" NAME "{" ("assume_local")? item* "}"
+    category    := "category" NAME "{" item* "}"
     item        := "object" NAME
                  | "hom" NAME NAME "{" ("basis" NAME+)? "}"
                  | "identity" NAME coeffs
@@ -396,13 +396,10 @@ def _parse_field(p):
 
 
 def _parse_category(p):
-    body = {"objects": [], "homs": [], "identities": [], "composes": [],
-            "assume_local": False}
+    body = {"objects": [], "homs": [], "identities": [], "composes": []}
     while not p.at_punct("}"):
         item = p.expect_ident("category item")
-        if item.value == "assume_local":
-            body["assume_local"] = True
-        elif item.value == "object":
+        if item.value == "object":
             body["objects"].append(p.expect_ident("generator").value)
         elif item.value == "hom":
             a = p.expect_ident("generator").value
@@ -593,8 +590,7 @@ def _build_category(ws: Workspace, tok, body):
         if pidx is None or qidx is None:
             raise _input_error(item, "unknown basis element in composition")
         comp[key][pidx][qidx] = coeff_vec(a, c, coeffs)
-    return FinLinCategory(field, gens, hom_bases, comp, identities,
-                          name=tok.value, assume_local=body["assume_local"])
+    return FinLinCategory(field, gens, hom_bases, comp, identities, name=tok.value)
 
 
 def _number(field, tok):
@@ -800,8 +796,6 @@ def _write_category(ws: Workspace, name, cat):
     field = cat.field
     gi = {g: i for i, g in enumerate(cat.generators)}
     out = ["category %s {" % name]
-    if cat.assume_local:
-        out.append("  assume_local")
     for g in cat.generators:
         out.append("  object %s" % g)
     for (a, b) in sorted(cat.hom_bases, key=lambda k: (gi[k[0]], gi[k[1]])):

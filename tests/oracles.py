@@ -46,6 +46,23 @@ def brute_force_invertible_point(field, basis, parts):
     return None
 
 
+def brute_force_isomorphic(cat, g, h):
+    """Whether some f: g -> h and f': h -> g satisfy f' o f = 1 and
+    f o f' = 1.  Every pair of coordinate vectors over the prime field is
+    tried, so keep p^(dim Hom(g, h) + dim Hom(h, g)) small."""
+    F = cat.field
+    src, tgt = ObjectExpr((g,)), ObjectExpr((h,))
+    one_g, one_h = Morphism.identity(cat, src), Morphism.identity(cat, tgt)
+
+    def every(a, b):
+        for coeffs in itertools.product(range(F.characteristic), repeat=hom_dim_expr(cat, a, b)):
+            yield unflatten(cat, a, b, [F.of_int(c) for c in coeffs])
+
+    backs = list(every(tgt, src))
+    return any(compose(back, f).equal(one_g) and compose(f, back).equal(one_h)
+               for f in every(src, tgt) for back in backs)
+
+
 # -- per-basis kernels: the Hom-action matrices, one basis element at a time --
 
 def per_basis_compose(g, f):

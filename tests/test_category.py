@@ -8,7 +8,11 @@ from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                              ideal_subspace, is_isomorphic, unflatten,
                              validate_category)
 from rclkit.errors import PresentationError
-from rclkit.field import QQ
+from rclkit.field import QQ, PrimeField
+from rclkit.fixture_gen import (_StableCore, _component_category, build_fix_a2,
+                                build_fix_prod)
+
+from oracles import brute_force_isomorphic
 
 
 def test_validate_single_generator():
@@ -99,13 +103,43 @@ def test_is_isomorphic(ws_a2):
     assert is_isomorphic(cat, cat.obj("S1", "P1"), cat.obj("P1", "S1")) is True
 
 
-def test_is_isomorphic_unknown_in_char_p():
+def test_is_isomorphic_decided_in_char_p():
     from rclkit.field import PrimeField
     from rclkit.fixture_gen import build_fix_a2
     ws = build_fix_a2(PrimeField(101))
     cat = ws.categories["A2"]
-    assert is_isomorphic(cat, cat.obj("S1"), cat.obj("P1")) is None
+    assert is_isomorphic(cat, cat.obj("S1"), cat.obj("P1")) is False
     assert is_isomorphic(cat, cat.obj("S1"), cat.obj("S1")) is True
+
+
+def _doubled_dual_numbers(field):
+    """Two names A, B for one object with End = k[x]/(x^2): every Hom space
+    has basis (e, x) and composition is the product of k[x]/(x^2)."""
+    one, zero = field.one, field.zero
+    table = [[(one, zero), (zero, one)], [(zero, one), (zero, zero)]]
+    return FinLinCategory(field, ["A", "B"], {(a, b): ("e", "x") for a in "AB" for b in "AB"},
+                          {(a, b, c): table for a in "AB" for b in "AB" for c in "AB"},
+                          {"A": (one, zero), "B": (one, zero)})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_is_isomorphic_agrees_with_brute_force(p):
+    """On every generator pair of fix_a2, fix_prod, stab2 (two copies of
+    stable k[x]/(x^3)) and a category with two isomorphic generators,
+    is_isomorphic agrees with trying every pair of morphisms over GF(p)."""
+    F = PrimeField(p)
+    cats = list(build_fix_a2(F).categories.values())
+    cats += list(build_fix_prod(F).categories.values())
+    cats.append(_component_category(F, _StableCore(F), ("C1.", "C2."), "stab2"))
+    cats.append(_doubled_dual_numbers(F))
+    verdicts = set()
+    for cat in cats:
+        for g in cat.generators:
+            for h in cat.generators:
+                verdict = is_isomorphic(cat, cat.obj(g), cat.obj(h))
+                assert verdict == brute_force_isomorphic(cat, g, h), (cat.name, g, h)
+                verdicts.add((verdict, g == h))
+    assert verdicts == {(True, True), (False, False), (True, False)}
 
 
 def test_ideal_subspace_examples(ws_a2):

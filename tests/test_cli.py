@@ -110,9 +110,11 @@ def test_triangulate_quotient_command(fixture_dir, capsys):
     ("rclkit workspace 1\nfield { kind prime 7 }\n"
      "category A { object G hom G G { basis e } identity G { e 1/2/3 } }\n",
      "line 3, col 58: invalid number '1/2/3'"),
+    ("rclkit workspace 1\ncategory A { assume_local object G }\n",
+     "line 2, col 14: unknown category item 'assume_local'"),
 ], ids=["unknown-category", "fractional-version", "fractional-prime",
         "fractional-block-index", "composite-prime", "negative-block-index",
-        "zero-denominator", "malformed-fraction"])
+        "zero-denominator", "malformed-fraction", "retired-assume-local"])
 def test_parse_error_exit2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.rcl"
     bad.write_text(text)

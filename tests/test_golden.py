@@ -4,7 +4,10 @@ byte for byte, with the same exit code.
 
 The files under tests/golden/ pin every verdict, witness and search count
 (e.g. "552 commuting squares completed"), so a change that means to keep
-the engine's behaviour must leave them byte-identical.
+the engine's behaviour must leave them byte-identical.  The same fixtures
+generated over GF(5) and GF(101) must give the QQ exit code and certificate
+on those commands and on the checks that read locality and isomorphism
+classes, apart from the digest of the input.
 """
 
 from pathlib import Path
@@ -12,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from rclkit.cli import main
+from rclkit.field import PrimeField
+from rclkit.fixture_gen import build_fix_a2, build_fix_prod, build_fix_stab3
+from rclkit.workspace import serialize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rclkit" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -43,3 +49,45 @@ def test_golden_certificate(name, args, code, tmp_path, capsys):
     assert main(argv) == code
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / (name + ".cert")).read_bytes()
+
+
+# Jobs whose certificate must not depend on the field: the golden commands,
+# validate on each fixture, and the iso-closed reading of r3, which reads
+# the isomorphism classes of generators.
+CROSS_FIELD = [c[1] for c in CASES] + [
+    ["validate", "fix_a2.rcl"],
+    ["validate", "fix_prod.rcl"],
+    ["validate", "fix_stab3.rcl"],
+    ["check-recollement", "fix_a2.rcl", "--semantics", "iso"],
+    ["check-recollement", "fix_prod.rcl", "--semantics", "iso"],
+    ["restrict", "fix_a2.rcl", "--x", "S1,S2,P1", "--semantics", "iso"],
+]
+
+
+@pytest.fixture(scope="module")
+def prime_fixtures(tmp_path_factory):
+    """p -> a directory holding the three fixtures generated over GF(p)."""
+    dirs = {}
+    for p in (5, 101):
+        dirs[p] = tmp_path_factory.mktemp("gf%d" % p)
+        for name, build in (("fix_a2", build_fix_a2), ("fix_prod", build_fix_prod),
+                            ("fix_stab3", build_fix_stab3)):
+            (dirs[p] / (name + ".rcl")).write_text(serialize(build(PrimeField(p))))
+    return dirs
+
+
+def _certificate(directory, args, out, capsys):
+    """(exit code, certificate lines but meta.input-digest)."""
+    code = main([args[0], str(directory / args[1])] + args[2:] + ["--out", str(out)])
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    return code, [line for line in lines if not line.startswith("meta.input-digest ")]
+
+
+@pytest.mark.parametrize("p", [5, 101])
+@pytest.mark.parametrize("args", CROSS_FIELD, ids=[" ".join(a) for a in CROSS_FIELD])
+def test_certificate_agrees_across_fields(args, p, prime_fixtures, tmp_path, capsys):
+    """Over GF(5) and GF(101) the same presentations give the QQ exit code
+    and certificate, apart from the digest of the input text."""
+    want = _certificate(FIXTURES, args, tmp_path / "qq.cert", capsys)
+    assert _certificate(prime_fixtures[p], args, tmp_path / "gfp.cert", capsys) == want

@@ -1,6 +1,7 @@
 """The exact decision behind the triangle-isomorphism search: the
 Krull-Schmidt premise check, the choice of a point, agreement with a
-brute-force oracle, the undecided path and a counter guard."""
+brute-force oracle, the undecided paths of the search and of isomorphism
+between objects, and a counter guard."""
 
 import sys
 from fractions import Fraction
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rclkit.mutation as mutation
+import rclkit.recollement as recollement
 import rclkit.triangulated as triangulated
-from rclkit.category import FinLinCategory, morphism_inverse, unflatten
+from rclkit.category import (FinLinCategory, is_isomorphic, morphism_inverse, unflatten,
+                             validate_category)
 from rclkit.cli import main
 from rclkit.errors import UndecidedError
 from rclkit.field import QQ, PrimeField
@@ -53,6 +57,11 @@ def test_residue_when_p_divides_dim_end():
     assert cat.residues() == ({"G": (1, 0)}, None)
 
 
+# End(G) = k x k, with i an idempotent other than 0 and 1.
+SPLIT = {("one", "one"): (1, 0), ("one", "i"): (0, 1), ("i", "one"): (0, 1),
+         ("i", "i"): (0, 1)}
+
+
 @pytest.mark.parametrize("field,table,reason", [
     # QQ(i): the trace gives phi(i) = 0, but i o i = -1.
     (QQ, {("one", "one"): (1, 0), ("one", "i"): (0, 1), ("i", "one"): (0, 1),
@@ -62,12 +71,54 @@ def test_residue_when_p_divides_dim_end():
                      ("i", "one"): (0, 1), ("i", "i"): (1, 1)},
      "End(G) has an element with no eigenvalue in GF(2)"),
     # k x k: phi = trace / 2 is not multiplicative.
-    (QQ, {("one", "one"): (1, 0), ("one", "i"): (0, 1), ("i", "one"): (0, 1),
-          ("i", "i"): (0, 1)}, "End(G) has no algebra map onto QQ"),
+    (QQ, SPLIT, "End(G) has no algebra map onto QQ"),
 ], ids=["QQ(i)", "GF(4)", "split"])
 def test_premise_rejects_non_local_end(field, table, reason):
     table = {k: tuple(field.of_int(x) for x in v) for k, v in table.items()}
     assert one_generator(field, ("one", "i"), table).residues() == (None, reason)
+
+
+def test_non_local_end_fails_locality_and_leaves_isomorphism_undecided():
+    """End(G) = QQ x QQ: locality fails with the residue reason, and
+    G ~ G + G is undecided rather than answered."""
+    cat = one_generator(QQ, ("one", "i"), {k: tuple(map(Fraction, v))
+                                           for k, v in SPLIT.items()})
+    statuses = {(e.key, e.status, e.witness) for e in validate_category(cat).entries}
+    assert ("locality", "fail", "End(G) has no algebra map onto QQ") in statuses
+    assert is_isomorphic(cat, cat.obj("G"), cat.obj("G")) is True
+    with pytest.raises(UndecidedError, match="End\\(G\\) has no algebra map onto QQ"):
+        is_isomorphic(cat, cat.obj("G"), cat.obj("G", "G"))
+
+
+def _undecided(*args):
+    raise UndecidedError("isomorphism class of S1 undecided: stub")
+
+
+@pytest.mark.parametrize("args,key", [
+    (["check-recollement", "fix_a2.rcl", "--semantics", "iso"], "r3"),
+    (["quotient-recollement", "fix_a2.rcl", "--x", "A2:", "--semantics", "iso"], "r3"),
+    (["quotient-recollement", "fix_a2.rcl", "--x", "A2:"], "r3-alt.iso-closed"),
+], ids=["check-recollement-iso", "quotient-recollement-iso", "quotient-recollement-strict"])
+def test_undecided_isomorphism_is_not_checked(monkeypatch, capsys, args, key):
+    """An undecided isomorphism leaves the iso-closed reading of r3
+    not-checked with the reason; it is neither a failure nor a crash."""
+    monkeypatch.setattr(recollement, "is_isomorphic", _undecided)
+    code = main([args[0], str(FIXTURES / args[1])] + args[2:] + ["--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "check.%s.status = not-checked" % key in out
+    assert "check.%s.witness = isomorphism class of S1 undecided: stub" % key in out
+    assert "= fail" not in out
+
+
+def test_undecided_sigma_classes_are_not_checked(monkeypatch, capsys):
+    monkeypatch.setattr(mutation, "iso_class", _undecided)
+    code = main(["triangulate-quotient", str(FIXTURES / "fix_stab3.rcl"),
+                 "--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "check.triangulation.sigma.object-bijection.status = not-checked" in out
+    assert "= fail" not in out
 
 
 def test_premise_rejects_isomorphic_generators():

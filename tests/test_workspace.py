@@ -125,72 +125,74 @@ DIAGNOSTICS = [
     ("unknown-field-kind", "kind rationals", "kind reals",
      ["line 3, col 14: unknown field kind 'reals'"]),
     ("category-unknown-generator", "hom M1 M2 { basis a0 }", "hom M1 NOPE { basis a0 }",
-     ["line 10, col 3: hom pair (M1,NOPE): unknown generator"]),
+     ["line 9, col 3: hom pair (M1,NOPE): unknown generator"]),
     ("subcategory-unknown-category", "of STAB members M2", "of NOPE members M2",
-     ["line 26, col 22: unknown category 'NOPE'"]),
+     ["line 25, col 22: unknown category 'NOPE'"]),
     ("subcategory-unknown-member", "of STAB members M2", "of STAB members NOPE",
-     ["line 26, col 35: unknown generator 'NOPE' in STAB"]),
+     ["line 25, col 35: unknown generator 'NOPE' in STAB"]),
     ("functor-unknown-category", "functor i_lo {\n  source ZERO",
      "functor i_lo {\n  source NOPE",
-     ["line 63, col 10: unknown category 'NOPE'"]),
+     ["line 62, col 10: unknown category 'NOPE'"]),
     ("functor-object-unknown-generator", "object M1 -> M1", "object M1 -> NOPE",
-     ["line 32, col 16: unknown generator 'NOPE' in STAB"]),
+     ["line 31, col 16: unknown generator 'NOPE' in STAB"]),
     ("functor-object-unknown-source-generator", "object M1 -> M1", "object NOPE -> M1",
-     ["line 32, col 10: unknown generator 'NOPE' in STAB"]),
+     ["line 31, col 10: unknown generator 'NOPE' in STAB"]),
     ("nattrans-unknown-id-category", "to id ZERO", "to id NOPE",
-     ["line 102, col 9: unknown category 'NOPE'"]),
+     ["line 101, col 9: unknown category 'NOPE'"]),
     ("nattrans-unknown-functor", "from I * T", "from NOPE",
-     ["line 89, col 8: unknown functor 'NOPE'"]),
+     ["line 88, col 8: unknown functor 'NOPE'"]),
     ("nattrans-unknown-composite", "to T * I", "to T * NOPE",
-     ["line 90, col 10: unknown functor 'NOPE'"]),
+     ["line 89, col 10: unknown functor 'NOPE'"]),
     ("nattrans-at-unknown-generator", "at M1 -> { (0 0) { a0 1/2 } }",
      "at NOPE -> { (0 0) { a0 1/2 } }",
-     ["line 91, col 6: unknown generator 'NOPE' in STAB"]),
+     ["line 90, col 6: unknown generator 'NOPE' in STAB"]),
     ("adjunction-unknown-nattrans", "unit eta", "unit NOPE",
-     ["line 105, col 40: unknown nattrans 'NOPE'"]),
+     ["line 104, col 40: unknown nattrans 'NOPE'"]),
     ("recollement-unknown-functor", "j_up I", "j_up NOPE",
-     ["line 116, col 8: unknown functor 'NOPE'"]),
+     ["line 115, col 8: unknown functor 'NOPE'"]),
     ("triangulated-unknown-functor", "shift T\n", "shift NOPE\n",
-     ["line 126, col 9: unknown functor 'NOPE'"]),
+     ["line 125, col 9: unknown functor 'NOPE'"]),
     ("triangulated-bad-body-keyword", "triangle t2", "triangel t2",
-     ["line 136, col 3: unknown triangulated item 'triangel'"]),
+     ["line 135, col 3: unknown triangulated item 'triangel'"]),
     ("triangle-unknown-generator", "x M2\n    y 0", "x NOPE\n    y 0",
-     ["line 137, col 7: unknown generator 'NOPE' in STAB"]),
+     ["line 136, col 7: unknown generator 'NOPE' in STAB"]),
     ("triangle-block-outside-shape", "h { (0 0) { a0 1 } }\n  }\n  triangle t2",
      "h { (1 0) { a0 1 } }\n  }\n  triangle t2",
-     ["line 134, col 9: block (1,0) outside morphism shape"]),
+     ["line 133, col 9: block (1,0) outside morphism shape"]),
     ("exact-unknown-triangulated", "source_tri TC target_tri TC shift_iso tw",
      "source_tri NOPE target_tri TC shift_iso tw",
-     ["line 146, col 32: unknown triangulated 'NOPE'"]),
+     ["line 145, col 32: unknown triangulated 'NOPE'"]),
     ("exact-unknown-shift-iso", "shift_iso tw", "shift_iso NOPE",
-     ["line 146, col 59: unknown nattrans 'NOPE'"]),
+     ["line 145, col 59: unknown nattrans 'NOPE'"]),
     ("mutation-unknown-subcategory", "z Zall", "z NOPE",
-     ["line 151, col 5: unknown subcategory 'NOPE'"]),
+     ["line 150, col 5: unknown subcategory 'NOPE'"]),
     ("mutation-bad-body-keyword", "cofixed M1", "cofix M1",
-     ["line 167, col 3: unknown mutation item 'cofix'"]),
+     ["line 166, col 3: unknown mutation item 'cofix'"]),
     ("fixed-unknown-generator", "dx M2\n    m 0", "dx NOPE\n    m 0",
-     ["line 161, col 8: unknown generator 'NOPE' in STAB"]),
+     ["line 160, col 8: unknown generator 'NOPE' in STAB"]),
     ("fixed-unknown-name", "fixed M2", "fixed NOPE",
-     ["line 160, col 9: unknown generator 'NOPE' in STAB"]),
+     ["line 159, col 9: unknown generator 'NOPE' in STAB"]),
     ("cofixed-unknown-generator", "x 0\n", "x NOPE\n",
-     ["line 175, col 7: unknown generator 'NOPE' in STAB"]),
+     ["line 174, col 7: unknown generator 'NOPE' in STAB"]),
     ("duplicate-declaration", "subcategory Zall", "subcategory DM2",
-     ["line 27, col 13: duplicate subcategory 'DM2'"]),
+     ["line 26, col 13: duplicate subcategory 'DM2'"]),
     ("duplicate-fixed-block", "fixed M1 {", "fixed M2 {",
-     ["line 160, col 3: duplicate mutation item 'fixed M2'"]),
+     ["line 159, col 3: duplicate mutation item 'fixed M2'"]),
     ("duplicate-recollement-key", "  j_lo I\n", "  j_lo I\n  j_lo i_lo\n",
-     ["line 118, col 3: duplicate recollement item 'j_lo'"]),
+     ["line 117, col 3: duplicate recollement item 'j_lo'"]),
     ("duplicate-functor-object", "  object M1 -> M1\n",
      "  object M1 -> M1\n  object M1 -> M2\n",
-     ["line 33, col 3: duplicate functor item 'object M1'"]),
+     ["line 32, col 3: duplicate functor item 'object M1'"]),
     ("duplicate-nattrans-at", "  at M1 -> { (0 0) { a0 1/2 } }\n",
      "  at M1 -> { (0 0) { a0 1/2 } }\n  at M1 -> { (0 0) { a0 1 } }\n",
-     ["line 92, col 3: duplicate nattrans item 'at M1'"]),
+     ["line 91, col 3: duplicate nattrans item 'at M1'"]),
     ("duplicate-functor-map", "  map (M1 M2 a0) -> { (0 0) { a0 1 } }\n",
      "  map (M1 M2 a0) -> { (0 0) { a0 1 } }\n  map (M1 M2 a0) -> { }\n",
-     ["line 36, col 3: duplicate functor item 'map M1 M2 a0'"]),
+     ["line 35, col 3: duplicate functor item 'map M1 M2 a0'"]),
     ("duplicate-triangle-name", "  triangle t2", "  triangle t1",
-     ["line 136, col 3: duplicate triangulated item 'triangle t1'"]),
+     ["line 135, col 3: duplicate triangulated item 'triangle t1'"]),
+    ("retired-assume-local", "category STAB {\n", "category STAB {\n  assume_local\n",
+     ["line 6, col 3: unknown category item 'assume_local'"]),
 ]
 
 
