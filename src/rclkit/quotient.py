@@ -9,7 +9,8 @@ quotient data is reproducible across runs.
 from __future__ import annotations
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       compose, ideal_subspace, unflatten, validate_category)
+                       compose, ideal_subspace, postcompose_mat, unflatten,
+                       validate_category)
 from .errors import PreconditionError
 from .functor import LinearFunctor, compose_functors
 from .adjunction import Adjunction, hom_bijection, make_adjunction
@@ -121,15 +122,12 @@ class QuotientCategory:
                     db = len(hom_bases.get((b, c), ()))
                     if da == 0 or db == 0:
                         continue
-                    table = []
-                    for p in range(db):
-                        row = []
-                        for q in range(da):
-                            gp = self.lift_basis(b, c, p)
-                            fq = self.lift_basis(a, b, q)
-                            row.append(self.reduce_coords(a, c, compose(gp, fq).flatten()))
-                        table.append(row)
-                    comp[(a, b, c)] = table
+                    # Row p: reduce o (lift(g_p) o -) o section on Hom(a, b).
+                    red, sec = self.reduction[(a, c)], self.section[(a, b)]
+                    src = ObjectExpr((a,))
+                    comp[(a, b, c)] = [
+                        red.mul(postcompose_mat(self.lift_basis(b, c, p), src)).mul(sec)
+                        .transpose().data for p in range(db)]
 
         self.presentation = FinLinCategory(
             F, survivors, hom_bases, comp, identities,

@@ -65,6 +65,8 @@ class TriangulatedPresentation:
         self.triangles = tuple(triangles)
         self.name = name
         self._atoms = None
+        self._atom_counts = None  # vertex multiplicities of the atoms
+        self._combos = {}
 
     def validate(self) -> Report:
         rep = Report()
@@ -131,6 +133,7 @@ class TriangulatedPresentation:
             else:
                 raise PresentationError("rotation of %s does not cycle" % t.name)
         self._atoms = out
+        self._atom_counts = [[v.multiplicities() for v in a.vertices()] for a in out]
         return out
 
     def direct_sum(self, parts) -> Triangle:
@@ -143,32 +146,41 @@ class TriangulatedPresentation:
 
     def _candidate_combos(self, objs):
         """Multisets of atoms whose leading len(objs) vertices, summed, have
-        the vertex multisets of objs."""
-        atoms = self.atoms()
-        k = len(objs)
+        the vertex multisets of objs.
+
+        Memoized per vertex multiset: callers must not mutate the lists."""
+        targets = [o.multiplicities() for o in objs]
+        key = tuple(tuple(sorted(t.items())) for t in targets)
+        if key in self._combos:
+            return self._combos[key]
+        atoms, k = self.atoms(), len(objs)
+        # Remainders only shrink, so an atom that does not fit at the start
+        # is never used; skipping it keeps the results and their order.
+        usable = [(a, counts[:k]) for a, counts in zip(atoms, self._atom_counts)
+                  if any(counts[:k]) and all(_fits(c, t) for c, t in zip(counts, targets))]
         results = []
 
         def rec(idx, rems, chosen):
             if not any(rems):
                 results.append(list(chosen))
                 return
-            if idx == len(atoms):
+            if idx == len(usable):
                 return
-            a = atoms[idx]
-            counts = [v.multiplicities() for v in a.vertices()[:k]]
+            a, counts = usable[idx]
             # Try zero or more copies of atom idx.
             copies = 0
             rest = [dict(r) for r in rems]
             while True:
                 rec(idx + 1, rest, chosen + [a] * copies)
-                if any(counts) and all(_fits(c, r) for c, r in zip(counts, rest)):
+                if all(_fits(c, r) for c, r in zip(counts, rest)):
                     for c, r in zip(counts, rest):
                         _subtract(c, r)
                     copies += 1
                 else:
                     break
 
-        rec(0, [dict(o.multiplicities()) for o in objs], [])
+        rec(0, [dict(t) for t in targets], [])
+        self._combos[key] = results
         return results
 
     def membership(self, t: Triangle):

@@ -5,6 +5,7 @@ import itertools
 from rclkit.category import (Morphism, ObjectExpr, basis_morphisms, compose, hom_basis,
                              hom_dim_expr, morphism_inverse, unflatten)
 from rclkit.linalg import Mat, SubspaceBasis
+from rclkit.mutation import _ladder_solve
 from rclkit.report import Report
 
 
@@ -46,21 +47,22 @@ def brute_force_invertible_point(field, basis, parts):
     return None
 
 
+def every_morphism(cat, a, b):
+    """Every morphism a -> b over a prime field, in coordinate order."""
+    F = cat.field
+    for coeffs in itertools.product(range(F.characteristic), repeat=hom_dim_expr(cat, a, b)):
+        yield unflatten(cat, a, b, [F.of_int(c) for c in coeffs])
+
+
 def brute_force_isomorphic(cat, g, h):
     """Whether some f: g -> h and f': h -> g satisfy f' o f = 1 and
     f o f' = 1.  Every pair of coordinate vectors over the prime field is
     tried, so keep p^(dim Hom(g, h) + dim Hom(h, g)) small."""
-    F = cat.field
     src, tgt = ObjectExpr((g,)), ObjectExpr((h,))
     one_g, one_h = Morphism.identity(cat, src), Morphism.identity(cat, tgt)
-
-    def every(a, b):
-        for coeffs in itertools.product(range(F.characteristic), repeat=hom_dim_expr(cat, a, b)):
-            yield unflatten(cat, a, b, [F.of_int(c) for c in coeffs])
-
-    backs = list(every(tgt, src))
+    backs = list(every_morphism(cat, tgt, src))
     return any(compose(back, f).equal(one_g) and compose(f, back).equal(one_h)
-               for f in every(src, tgt) for back in backs)
+               for f in every_morphism(cat, src, tgt) for back in backs)
 
 
 # -- per-basis kernels: the Hom-action matrices, one basis element at a time --
@@ -159,3 +161,103 @@ def per_basis_validate_nat(nt):
     if ok:
         rep.ok("naturality")
     return rep
+
+
+def per_basis_quotient_comp(q):
+    """The structure constants of a quotient presentation, one composite of
+    two lifted basis morphisms at a time."""
+    pres = q.presentation
+    comp = {}
+    for a in q.survivors:
+        for b in q.survivors:
+            for c in q.survivors:
+                da, db = pres.hom_dim(a, b), pres.hom_dim(b, c)
+                if da == 0 or db == 0:
+                    continue
+                comp[(a, b, c)] = tuple(
+                    tuple(q.reduce_coords(a, c, compose(q.lift_basis(b, c, p),
+                                                        q.lift_basis(a, b, r)).flatten())
+                          for r in range(da))
+                    for p in range(db))
+    return comp
+
+
+# -- the triangulated layer --------------------------------------------------
+
+def brute_force_tr3(m, t1, t2):
+    """(commuting, failing) for two registered standard triangles of a
+    mutation pair over GF(p): the number of squares (a, b) with
+    f2 o a = b o f1, found by trying every pair, and the list of those that
+    admit no ladder completion c with c o g1 = g2 o b and
+    h2 o c = sigma(a) o h1.  Keep p^(dim Hom(X1, X2) + dim Hom(Y1, Y2))
+    small."""
+    pres = m.quotient.presentation
+    commuting, failing = 0, []
+    bs = list(every_morphism(pres, t1.qy, t2.qy))
+    for a in every_morphism(pres, t1.qx, t2.qx):
+        fa = compose(t2.qf, a)
+        for b in bs:
+            if not fa.equal(compose(b, t1.qf)):
+                continue
+            commuting += 1
+            if _ladder_solve(t1.qg, t2.qz, compose(t2.qg, b),
+                             compose(m.sigma.apply(a), t1.qz)) is None:
+                failing.append((a, b))
+    return commuting, failing
+
+
+def sampled_tr3(m, t1, t2):
+    """The sampled TR3 check the exact one replaced: whether every commuting
+    square (a, b) with a and b each zero, a Hom-basis element or an identity
+    completes."""
+    pres = m.quotient.presentation
+
+    def candidates(src, tgt):
+        out = [Morphism.zero(pres, src, tgt)] + list(hom_basis(pres, src, tgt))
+        if src.summands == tgt.summands and not src.is_zero():
+            out.append(Morphism.identity(pres, src))
+        return out
+
+    for a in candidates(t1.qx, t2.qx):
+        for b in candidates(t1.qy, t2.qy):
+            if compose(t2.qf, a).equal(compose(b, t1.qf)) and _ladder_solve(
+                    t1.qg, t2.qz, compose(t2.qg, b),
+                    compose(m.sigma.apply(a), t1.qz)) is None:
+                return False
+    return True
+
+
+def candidate_combos(tri, objs):
+    """Multisets of atoms whose leading len(objs) vertices, summed, have the
+    vertex multisets of objs: a recursion over every atom, with no memo."""
+    atoms = tri.atoms()
+    k = len(objs)
+    results = []
+
+    def fits(small, big):
+        return all(big.get(g, 0) >= v for g, v in small.items())
+
+    def rec(idx, rems, chosen):
+        if not any(rems):
+            results.append(list(chosen))
+            return
+        if idx == len(atoms):
+            return
+        a = atoms[idx]
+        counts = [v.multiplicities() for v in a.vertices()[:k]]
+        copies = 0
+        rest = [dict(r) for r in rems]
+        while True:
+            rec(idx + 1, rest, chosen + [a] * copies)
+            if any(counts) and all(fits(c, r) for c, r in zip(counts, rest)):
+                for c, r in zip(counts, rest):
+                    for g, v in c.items():
+                        r[g] -= v
+                        if r[g] == 0:
+                            del r[g]
+                copies += 1
+            else:
+                break
+
+    rec(0, [dict(o.multiplicities()) for o in objs], [])
+    return results

@@ -3,8 +3,9 @@ and left-quotient pipelines, must reproduce the stored `--out` certificate
 byte for byte, with the same exit code.
 
 The files under tests/golden/ pin every verdict, witness and search count
-(e.g. "552 commuting squares completed"), so a change that means to keep
-the engine's behaviour must leave them byte-identical.  The same fixtures
+(e.g. "every commuting square completes (total dimension 175)"), so a
+change that means to keep the engine's behaviour must leave them
+byte-identical.  The same fixtures
 generated over GF(5) and GF(101) must give the QQ exit code and certificate
 on those commands and on the checks that read locality and isomorphism
 classes, apart from the digest of the input.

@@ -1,9 +1,9 @@
 """The Hom-action kernels against their per-basis oracles.
 
 `LinearFunctor.apply`, `compose_functors`, `compose`, `postcompose_mat`,
-`precompose_mat` and `validate_nat` are built from action matrices and the
-structure constants; tests/oracles.py computes the same things one basis
-element at a time.  They must agree on random morphisms of fix_a2, fix_prod,
+`precompose_mat`, `validate_nat` and the structure constants of a quotient
+presentation are built from action matrices and the structure constants;
+tests/oracles.py computes the same things one basis element at a time.  They must agree on random morphisms of fix_a2, fix_prod,
 stab2 (two copies of stable k[x]/(x^3) with their shift) and `kronecker`
 over QQ, GF(2), GF(3) and GF(101)."""
 
@@ -12,18 +12,20 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, compose, hom_basis,
-                             hom_dim_expr, postcompose_mat, precompose_mat, unflatten)
+from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory, compose,
+                             hom_basis, hom_dim_expr, postcompose_mat, precompose_mat,
+                             unflatten)
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_component_category, _component_shift, _StableCore,
                                 build_fix_a2, build_fix_prod)
 from rclkit.functor import (LinearFunctor, NatTransform, compose_functors, identity_functor,
                             validate_nat)
 from rclkit.linalg import Mat
+from rclkit.quotient import build_quotient
 
 from oracles import (per_basis_apply, per_basis_compose, per_basis_compose_functors,
                      per_basis_postcompose_mat, per_basis_precompose_mat,
-                     per_basis_validate_nat)
+                     per_basis_quotient_comp, per_basis_validate_nat)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(101))
 PRESENTATIONS = ("fix_a2", "fix_prod", "stab2", "kronecker")
@@ -193,3 +195,19 @@ def test_naturality_witnesses_match_per_basis_loop():
                         assert got == lines(per_basis_validate_nat(bad))
                         failing += any(status == "fail" for _, status, _ in got)
     assert failing > 0
+
+
+@lru_cache(maxsize=None)
+def fixture_categories(field):
+    """The categories of fix_a2 and fix_prod that have generators."""
+    return tuple(cat for ws in (build_fix_a2(field), build_fix_prod(field))
+                 for cat in ws.categories.values() if cat.generators)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_structure_constants_match_per_basis_oracle(data):
+    cat = data.draw(st.sampled_from(fixture_categories(data.draw(st.sampled_from(FIELDS)))))
+    members = data.draw(st.lists(st.sampled_from(cat.generators), unique=True))
+    q = build_quotient(cat, Subcategory(cat, members))
+    assert q.presentation.comp == per_basis_quotient_comp(q)

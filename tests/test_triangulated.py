@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
 
 from rclkit.category import Morphism, ObjectExpr, Subcategory, compose
 from rclkit.field import QQ
+from rclkit.fixture_gen import (_component_category, _component_shift, _embed_triangle,
+                                _shift_functors, _stable_category, _stable_triangles,
+                                _StableCore, build_fix_prod)
 from rclkit.linalg import candidate_stream
-from rclkit.triangulated import (Triangle, canonical_left_approximation,
+from rclkit.triangulated import (Triangle, TriangulatedPresentation,
+                                 canonical_left_approximation,
                                  canonical_right_approximation, identity_triangle,
                                  is_D_epic, is_D_monic)
+
+from oracles import candidate_combos
 
 
 def test_presentation_validates(ws_stab3):
@@ -143,3 +152,55 @@ def test_candidate_stream_seeded_draws_skip_zero():
     assert stream[1:] == [(c,) for c in picks if c != 0]
     assert len(stream[1:]) < tries
     assert list(candidate_stream(QQ, [], 7042, tries)) == [()]
+
+
+# -- the combination enumerator against the unmemoized recursion -------------
+
+@lru_cache(maxsize=None)
+def presentation(name):
+    """stab<m> (m copies of stable k[x]/(x^3), each with fix_stab3's
+    triangles) or fix_prod's middle presentation, over QQ."""
+    if name == "fix_prod":
+        return build_fix_prod().triangulated["TRI_C"]
+    core = _StableCore(QQ)
+    prefixes = tuple("C%d." % i for i in range(1, int(name[4:]) + 1))
+    cat = _component_category(QQ, core, prefixes, "C")
+    shift, shift_inv = _component_shift(QQ, core, cat, prefixes, "TC")
+    base = _stable_category(QQ, core)
+    core_triangles = _stable_triangles(QQ, core, base, _shift_functors(QQ, core, base)[0])
+    return TriangulatedPresentation(cat, shift, shift_inv,
+                                    [_embed_triangle(cat, shift, t, p, p + t.name)
+                                     for p in prefixes for t in core_triangles])
+
+
+@st.composite
+def vertex_queries(draw):
+    """(presentation, vertices): k = 2 or 3 objects, each the matching vertex
+    of a sum of up to three atoms, the zero object or a random sum of up to
+    three generators, with its summands shuffled."""
+    tri = presentation(draw(st.sampled_from(("stab1", "stab2", "stab3", "fix_prod"))))
+    k = draw(st.sampled_from((2, 3)))
+    atoms = draw(st.lists(st.sampled_from(tri.atoms()), max_size=3))
+    gens = st.sampled_from(tri.cat.generators)
+    objs = []
+    for i in range(k):
+        kind = draw(st.sampled_from(("atoms", "atoms", "zero", "generators")))
+        if kind == "atoms":
+            summands = [g for a in atoms for g in a.vertices()[i].summands]
+        elif kind == "zero":
+            summands = []
+        else:
+            summands = draw(st.lists(gens, max_size=3))
+        objs.append(ObjectExpr(draw(st.permutations(summands))))
+    return tri, tuple(objs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertex_queries())
+def test_candidate_combos_match_the_unmemoized_recursion(query):
+    tri, objs = query
+    found = tri._candidate_combos(objs)
+    assert [[id(a) for a in c] for c in found] == \
+        [[id(a) for a in c] for c in candidate_combos(tri, objs)]
+    again = tri._candidate_combos(tuple(ObjectExpr(o.summands[::-1]) for o in objs))
+    assert again == found
