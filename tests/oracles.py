@@ -4,8 +4,7 @@ import itertools
 
 from rclkit.category import (Morphism, ObjectExpr, basis_morphisms, compose, hom_basis,
                              hom_dim_expr, morphism_inverse, unflatten)
-from rclkit.linalg import Mat, SubspaceBasis
-from rclkit.mutation import _ladder_solve
+from rclkit.linalg import Mat, SubspaceBasis, solve
 from rclkit.report import Report
 
 
@@ -184,25 +183,31 @@ def per_basis_quotient_comp(q):
 
 # -- the triangulated layer --------------------------------------------------
 
+def _completes(m, t1, t2, a, b):
+    """Whether the square (a, b) extends to c: Z1 -> Z2 with c o g1 = g2 o b
+    and h2 o c = sigma(a) o h1, with the ladder matrix built one basis
+    element at a time."""
+    ladder = per_basis_precompose_mat(t1.qg, t2.qz.source).vstack(
+        per_basis_postcompose_mat(t2.qz, t1.qg.target))
+    rhs = compose(t2.qg, b).flatten() + compose(m.sigma.apply(a), t1.qz).flatten()
+    return solve(ladder, Mat.column(ladder.field, rhs)) is not None
+
+
 def brute_force_tr3(m, t1, t2):
     """(commuting, failing) for two registered standard triangles of a
     mutation pair over GF(p): the number of squares (a, b) with
     f2 o a = b o f1, found by trying every pair, and the list of those that
-    admit no ladder completion c with c o g1 = g2 o b and
-    h2 o c = sigma(a) o h1.  Keep p^(dim Hom(X1, X2) + dim Hom(Y1, Y2))
-    small."""
+    do not complete.  Keep p^(dim Hom(X1, X2) + dim Hom(Y1, Y2)) small."""
     pres = m.quotient.presentation
     commuting, failing = 0, []
     bs = list(every_morphism(pres, t1.qy, t2.qy))
     for a in every_morphism(pres, t1.qx, t2.qx):
         fa = compose(t2.qf, a)
         for b in bs:
-            if not fa.equal(compose(b, t1.qf)):
-                continue
-            commuting += 1
-            if _ladder_solve(t1.qg, t2.qz, compose(t2.qg, b),
-                             compose(m.sigma.apply(a), t1.qz)) is None:
-                failing.append((a, b))
+            if fa.equal(compose(b, t1.qf)):
+                commuting += 1
+                if not _completes(m, t1, t2, a, b):
+                    failing.append((a, b))
     return commuting, failing
 
 
@@ -218,13 +223,9 @@ def sampled_tr3(m, t1, t2):
             out.append(Morphism.identity(pres, src))
         return out
 
-    for a in candidates(t1.qx, t2.qx):
-        for b in candidates(t1.qy, t2.qy):
-            if compose(t2.qf, a).equal(compose(b, t1.qf)) and _ladder_solve(
-                    t1.qg, t2.qz, compose(t2.qg, b),
-                    compose(m.sigma.apply(a), t1.qz)) is None:
-                return False
-    return True
+    return all(_completes(m, t1, t2, a, b)
+               for a in candidates(t1.qx, t2.qx) for b in candidates(t1.qy, t2.qy)
+               if compose(t2.qf, a).equal(compose(b, t1.qf)))
 
 
 def candidate_combos(tri, objs):
