@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from .category import (Morphism, ObjectExpr, basis_morphisms, block_diagonal,
-                       compose, hom_basis, hom_dim_expr, morphism_inverse,
-                       postcompose_mat, precompose_mat, unflatten)
+                       compose, hom_dim_expr, morphism_inverse, postcompose_mat,
+                       precompose_mat, unflatten)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, identity_nat, is_full_embedding,
                       is_identity_functor, nat_equal, validate_nat)
-from .linalg import Mat, candidate_stream, difference_rows, nullspace, solve
+from .linalg import Mat, difference_rows, invertible_point, nullspace, solve
 from .report import Report
 
 
@@ -77,10 +77,15 @@ def hom_bijection(adj: Adjunction, a: ObjectExpr, b: ObjectExpr):
     """
     L, R = adj.left, adj.right
     la = L.apply_obj(a)
-    rb = R.apply_obj(b)
-    fwd = precompose_mat(adj.unit.at(a), rb).mul(R.action(la, b))
-    bwd = postcompose_mat(adj.counit.at(b), la).mul(L.action(a, rb))
+    fwd = _transpose_mat(R, adj.unit.at(a), la, b)
+    bwd = postcompose_mat(adj.counit.at(b), la).mul(L.action(a, R.apply_obj(b)))
     return fwd, bwd
+
+
+def _transpose_mat(right: LinearFunctor, eta_a: Morphism, la: ObjectExpr, b: ObjectExpr):
+    """The matrix of f |-> right(f) o eta_a, Hom(la, b) -> Hom(a, right(b)),
+    for eta_a: a -> right(la)."""
+    return precompose_mat(eta_a, right.apply_obj(b)).mul(right.action(la, b))
 
 
 def _single_gen_image_map(f: LinearFunctor):
@@ -211,28 +216,62 @@ def rewire_adjunction(adj: Adjunction, side: str, new: LinearFunctor,
     raise ValueError("side must be left or right")
 
 
-def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "",
-                      max_tries: int = 200):
-    """Search for unit/counit data witnessing that (left, right) is adjoint.
+def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = ""):
+    """Unit and counit witnessing that (left, right) is adjoint, as a
+    validated Adjunction, or None when the pair is not adjoint.
 
-    Candidate units are drawn deterministically from the linear space of
-    natural families Id => right o left; for each candidate the counit is a
-    linear solve (naturality plus both triangle identities are linear in the
-    counit once the unit is fixed), then the result is fully re-validated.
-    Returns a validated Adjunction or None.
+    By Yoneda a natural family eta: Id => right o left is a unit exactly
+    when, for all generators a and b, the map Hom(L a, b) -> Hom(a, R b),
+    f |-> R(f) o eta_a, is bijective.  Its matrix is linear in eta: one block
+    per generator pair, with one coefficient per basis vector of the natural
+    families.  None is returned only with a proof: a pair whose two Hom
+    spaces differ in dimension, or, from `linalg.invertible_point`, a
+    determinant that vanishes identically or no point of GF(p)^n.  The
+    Laplace expansion of a block costs 2^(block size) memoised minors, and
+    the block size is dim Hom(L a, b).  With the unit fixed, the counit at b
+    is the unique preimage of 1_{R b} under the bijection at (R b, b).
     """
     A, B = left.source, right.source
     if left.target is not B or right.target is not A:
         raise PreconditionError("solve_unit_counit: functor boundaries mismatch")
+    F = A.field
     rl = compose_functors(right, left)
     ida = identity_functor(A)
     basis, shape = _nat_solution_space(ida, rl)
-    for vec in candidate_stream(A.field, basis, 7042, max_tries):
-        unit_comps = _unpack_components(ida, rl, shape, vec)
-        adj = _solve_counit_given_unit(left, right, unit_comps, name)
-        if adj is not None:
-            return adj
-    return None
+    families = [_unpack_components(ida, rl, shape, v) for v in basis]
+    blocks = []
+    for a in A.generators:
+        la = left.object_map[a]
+        for b in B.generators:
+            size = hom_dim_expr(B, la, ObjectExpr(b))
+            if size != hom_dim_expr(A, ObjectExpr(a), right.object_map[b]):
+                return None
+            mats = [_transpose_mat(right, eta[a], la, ObjectExpr(b)) for eta in families]
+            blocks.append([[[m.data[r][c] for m in mats] for c in range(size)]
+                           for r in range(size)])
+    point = invertible_point(F, len(basis), blocks)
+    if point is None:
+        return None
+    vec = [F.zero] * sum(d for _, _, d in shape)
+    for c, v in zip(point, basis):
+        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, v)]
+    unit = _unpack_components(ida, rl, shape, vec)
+    counit = {}
+    for b in B.generators:
+        rb = right.object_map[b]
+        lrb = left.apply_obj(rb)
+        eta_rb = block_diagonal(A, [unit[s] for s in rb.summands])
+        eps = solve(_transpose_mat(right, eta_rb, lrb, ObjectExpr(b)),
+                    Mat.column(F, Morphism.identity(A, rb).flatten()))
+        if eps is None:
+            raise InconsistentDataError("solve_unit_counit: no counit at %s for "
+                                        "an invertible unit" % b)
+        counit[b] = unflatten(B, lrb, ObjectExpr(b), eps.col(0))
+    adj = make_adjunction(left, right, unit, counit, name=name)
+    if not validate_adjunction(adj).ok_all:
+        raise InconsistentDataError("solve_unit_counit: the unit and counit found "
+                                    "for %s do not validate" % (name or "?"))
+    return adj
 
 
 def _nat_solution_space(from_f: LinearFunctor, to_f: LinearFunctor):
@@ -260,87 +299,3 @@ def _unpack_components(from_f, to_f, shape, vec):
     cat = from_f.target
     return {g: unflatten(cat, from_f.object_map[g], to_f.object_map[g], vec[o:o + d])
             for (g, o, d) in shape}
-
-
-def _stacked_offsets(obj: ObjectExpr, offset):
-    """Global unknown-vector offsets for the stacked component coordinates of
-    the summands of obj, in order."""
-    out = []
-    for s in obj.summands:
-        o, d = offset[s]
-        for c in range(d):
-            out.append(o + c)
-    return out
-
-
-def _counit_placement(lr: LinearFunctor, obj: ObjectExpr) -> Mat:
-    """Matrix sending stacked per-summand counit coordinates to the flat
-    coordinates of the block-diagonal morphism lr(obj) -> obj."""
-    B = lr.source
-    parts = [Morphism.zero(B, lr.object_map[s], ObjectExpr(s)) for s in obj.summands]
-    cols = []
-    for k, s in enumerate(obj.summands):
-        for e in hom_basis(B, lr.object_map[s], ObjectExpr(s)):
-            cols.append(block_diagonal(B, parts[:k] + [e] + parts[k + 1:]).flatten())
-    return Mat.from_columns(B.field, hom_dim_expr(B, lr.apply_obj(obj), obj), cols)
-
-
-def _solve_counit_given_unit(left, right, unit_comps, name):
-    """Linear solve for the counit given fixed unit components."""
-    A, B = left.source, right.source
-    F = B.field
-    lr = compose_functors(left, right)
-    shape = []
-    total = 0
-    for y in B.generators:
-        d = hom_dim_expr(B, lr.object_map[y], ObjectExpr((y,)))
-        shape.append((y, total, d))
-        total += d
-    offset = {y: (o, d) for (y, o, d) in shape}
-
-    # Naturality: eps_b o lr(f) = f o eps_a for every basis f: a -> b in B.
-    rows = difference_rows(F, total, [
-        (precompose_mat(lr.apply(f), ObjectExpr(b)), offset[b][0],
-         postcompose_mat(f, lr.object_map[a]), offset[a][0])
-        for a, b, _, f in basis_morphisms(B)])
-    rhs = [F.zero] * len(rows)
-
-    # Triangle 1: counit at (L g) composed with L(unit_g) equals 1_{L g}.
-    for g in A.generators:
-        lg = left.object_map[g]
-        pre = precompose_mat(left.apply(unit_comps[g]), lg)
-        comp_mat = pre.mul(_counit_placement(lr, lg))
-        stacked = _stacked_offsets(lg, offset)
-        ident = Morphism.identity(B, lg).flatten()
-        for r in range(comp_mat.rows):
-            row = [F.zero] * total
-            for col, glob in enumerate(stacked):
-                row[glob] = F.add(row[glob], comp_mat.data[r][col])
-            rows.append(row)
-            rhs.append(ident[r])
-
-    # Triangle 2: R(counit_y) composed with unit at (R y) equals 1_{R y}.
-    for y in B.generators:
-        ry = right.object_map[y]
-        o, d = offset[y]
-        eta_ry = block_diagonal(A, [unit_comps[g] for g in ry.summands])
-        ident = Morphism.identity(A, ry).flatten()
-        mat = precompose_mat(eta_ry, ry).mul(right.action(lr.object_map[y], ObjectExpr(y)))
-        for r in range(len(ident)):
-            row = [F.zero] * total
-            row[o:o + d] = mat.data[r]
-            rows.append(row)
-            rhs.append(ident[r])
-
-    if total == 0:
-        sol_vec = ()
-    else:
-        sol = solve(Mat(F, len(rows), total, rows), Mat.column(F, rhs))
-        if sol is None:
-            return None
-        sol_vec = sol.col(0)
-    counit_comps = {y: unflatten(B, lr.object_map[y], ObjectExpr((y,)), sol_vec[o:o + d])
-                    for (y, o, d) in shape}
-    adj = make_adjunction(left, right, unit_comps, counit_comps, name=name)
-    return adj if validate_adjunction(adj).ok_all else None
-

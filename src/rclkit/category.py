@@ -128,9 +128,6 @@ class FinLinCategory:
                 raise PresentationError("unknown generator %r" % (g,))
         return ObjectExpr(gens)
 
-    def all_gens_obj(self) -> ObjectExpr:
-        return ObjectExpr(self.generators)
-
     def __repr__(self):
         return "FinLinCategory(%s: %s)" % (self.name or "?", ",".join(self.generators))
 

@@ -75,10 +75,6 @@ class RationalField:
             return str(a.numerator)
         return "%d/%d" % (a.numerator, a.denominator)
 
-    def sample_scalars(self):
-        """Small deterministic pool used by invertibility searches."""
-        return [1, -1, 2, -2, 3, 5, -3, 7]
-
     def __repr__(self):
         return "QQ"
 
@@ -136,10 +132,6 @@ class PrimeField:
 
     def fmt(self, a) -> str:
         return str(a % self.p)
-
-    def sample_scalars(self):
-        pool = [1, self.p - 1, 2 % self.p, 3 % self.p, 5 % self.p, 7 % self.p]
-        return [x for x in pool if x != 0]
 
     def __repr__(self):
         return "GF(%d)" % self.p

@@ -3,11 +3,15 @@
 Everything here is deterministic: reduced row echelon form is the canonical
 form for matrices and stored subspaces, so equal subspaces compare equal as
 data.  Dimensions are desk scale; no attempt at sparsity.
+
+`invertible_point` decides whether square matrices that depend linearly on
+n unknowns are invertible together at some point; the triangle-isomorphism
+search and the adjunction search both call it.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 
 
 class Mat:
@@ -325,33 +329,6 @@ def difference_rows(field, total: int, constraints):
     return rows
 
 
-def candidate_stream(field, basis, seed: int = 0, max_tries: int = 0):
-    """Deterministic stream of points of the span of basis: the basis vectors,
-    then the sums basis[i] + basis[j] for i < j, then max_tries seeded random
-    combinations, of which zero vectors are skipped.  An empty basis yields
-    the empty vector once."""
-    if not basis:
-        yield ()
-        return
-    n = len(basis[0])
-    for v in basis:
-        yield tuple(v)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield tuple(field.add(a, b) for a, b in zip(basis[i], basis[j]))
-    rng = random.Random(seed)
-    pool = field.sample_scalars() + [field.zero]
-    for _ in range(max_tries):
-        vec = [field.zero] * n
-        for b in basis:
-            c = pool[rng.randrange(len(pool))]
-            if field.is_zero(c):
-                continue
-            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, b)]
-        if any(not field.is_zero(x) for x in vec):
-            yield tuple(vec)
-
-
 def invert(m: Mat):
     """Two-sided inverse of a square matrix, or None."""
     if m.rows != m.cols:
@@ -362,3 +339,126 @@ def invert(m: Mat):
     if not m.mul(sol).__eq__(Mat.identity(m.field, m.rows)):
         return None
     return sol
+
+
+def invertible_point(F, n, blocks):
+    """A point of k^n at which every block is invertible, or None when there
+    is none.  Each block is a square matrix whose entries are linear forms
+    in n variables, each given by its n coefficients; blocks may be a lazy
+    iterable, which is read no further than the first block whose
+    determinant vanishes identically.
+
+    None is returned only with a proof: a determinant that is identically
+    zero, or, over GF(p) with p at most the total degree, no point of
+    GF(p)^n.  Expanding a block of size s costs 2^s memoised minors."""
+    factors = []
+    for block in blocks:
+        det = _determinant(F, n, [[_linear_form(F, n, e) for e in row] for row in block])
+        if not det:
+            return None
+        factors.append(det)
+    return _nonvanishing_point(F, n, factors)
+
+
+# Polynomials in n variables are dicts {exponent tuple: nonzero coefficient}.
+
+def _linear_form(F, n, coeffs):
+    return {tuple(int(k == v) for k in range(n)): c
+            for v, c in enumerate(coeffs) if not F.is_zero(c)}
+
+
+def _poly_add(F, p, q, sign):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = F.add(out.get(e, F.zero), F.mul(sign, c))
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+def _poly_mul(F, p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+def _determinant(F, n, block):
+    """Laplace expansion along the rows; minors are memoised by the set of
+    columns already used."""
+    size = len(block)
+    memo = {}
+
+    def minor(used):
+        r = bin(used).count("1")
+        if r == size:
+            return {(0,) * n: F.one}
+        if used not in memo:
+            acc, sign = {}, F.one
+            for j in range(size):
+                if not used >> j & 1:
+                    acc = _poly_add(F, acc, _poly_mul(F, block[r][j], minor(used | 1 << j)), sign)
+                    sign = F.neg(sign)
+            memo[used] = acc
+        return memo[used]
+
+    return minor(0)
+
+
+def _power(F, c, e):
+    out = F.one
+    for _ in range(e):
+        out = F.mul(out, c)
+    return out
+
+
+def _substitute(F, poly, k, c):
+    """poly with variable k set to c."""
+    out = {}
+    for e, coef in poly.items():
+        e2 = e[:k] + (0,) + e[k + 1:]
+        out[e2] = F.add(out.get(e2, F.zero), F.mul(coef, _power(F, c, e[k])))
+    return {e: v for e, v in out.items() if not F.is_zero(v)}
+
+
+def _nonvanishing_point(F, n, factors):
+    """A point of k^n at which no factor vanishes, or None when there is
+    none.  The unit vectors and then their pairwise sums e_i + e_j (i < j)
+    are tried first; then the grid lemma (Schwartz-Zippel, DeMillo-Lipton):
+    with D the sum of the degrees, each variable in turn takes the first
+    value in {0..D} that leaves every factor nonzero, and at most D values
+    fail.  Over GF(p) with p <= D those values are not distinct, and
+    GF(p)^n is searched instead."""
+    def nonvanishing(point):
+        return not any(F.is_zero(_evaluate(F, f, point)) for f in factors)
+
+    units = [tuple(F.one if k == i else F.zero for k in range(n)) for i in range(n)]
+    pair_sums = (tuple(map(F.add, units[i], units[j]))
+                 for i in range(n) for j in range(i + 1, n))
+    for point in itertools.chain(units, pair_sums):
+        if nonvanishing(point):
+            return point
+    degree = sum(max(sum(e) for e in f) for f in factors)
+    if F.characteristic and F.characteristic <= degree:
+        for point in itertools.product(range(F.characteristic), repeat=n):
+            if nonvanishing(point):
+                return point
+        return None
+    point = []
+    for k in range(n):
+        for c in map(F.of_int, range(degree + 1)):
+            fixed = [_substitute(F, f, k, c) for f in factors]
+            if all(fixed):
+                factors = fixed
+                point.append(c)
+                break
+    return tuple(point)
+
+
+def _evaluate(F, poly, point):
+    acc = F.zero
+    for e, c in poly.items():
+        for x, k in zip(point, e):
+            c = F.mul(c, _power(F, x, k))
+        acc = F.add(acc, c)
+    return acc

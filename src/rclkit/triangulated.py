@@ -13,21 +13,20 @@ simultaneously invertible point.  Under the Krull-Schmidt premise that
 `FinLinCategory.residues` checks, invertibility is a product of top-block
 determinants, polynomials of small degree in the solution coordinates: a
 determinant that vanishes identically proves that no isomorphism exists,
-and otherwise the grid lemma gives a point, which `morphism_inverse`
-verifies.  Where the premise fails, a search that finds no verified point
-raises UndecidedError, and the check that asked records not-checked.
+and otherwise the grid lemma gives a point (`linalg.invertible_point`),
+which `morphism_inverse` verifies.  Where the premise fails, a search that
+finds no verified point raises UndecidedError, and the check that asked
+records not-checked.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_basis,
                        hom_dim_expr, morphism_inverse, postcompose_mat,
                        precompose_mat, residue, unflatten)
 from .errors import PresentationError, UndecidedError
 from .functor import LinearFunctor, compose_functors, is_identity_functor, validate_functor
-from .linalg import Mat, candidate_stream, difference_rows, nullspace, rank
+from .linalg import Mat, difference_rows, invertible_point, nullspace, rank
 from .report import Report
 
 
@@ -275,7 +274,7 @@ def _invertible_candidate(cat, spaces, basis, parts):
     multiplicity.  None is returned only with a proof: a multiplicity that
     differs between source and target, a determinant that is identically
     zero, or, over GF(p) with p at most the total degree, no point of
-    GF(p)^n.  Otherwise `_nonvanishing_point` picks a point and one
+    GF(p)^n.  Otherwise `linalg.invertible_point` picks a point and one
     `morphism_inverse` per component verifies it and gives its inverse.  Without the premise the
     basis points are tried, and UndecidedError is raised when none is
     invertible."""
@@ -287,10 +286,10 @@ def _invertible_candidate(cat, spaces, basis, parts):
             if pairs is not None:
                 return pairs
         raise UndecidedError("isomorphism search undecided: %s" % reason)
-    factors = _top_block_determinants(cat, forms, spaces, basis)
-    if factors is None:
+    blocks = _top_blocks(cat, forms, spaces, basis)
+    if blocks is None:
         return None
-    point = _nonvanishing_point(F, len(basis), factors)
+    point = invertible_point(F, len(basis), blocks)
     if point is None:
         return None
     vec = [F.zero] * len(basis[0]) if basis else ()
@@ -315,13 +314,14 @@ def _with_inverses(mors):
     return tuple(pairs)
 
 
-def _top_block_determinants(cat, forms, spaces, basis):
-    """The determinant of every top block as a polynomial in len(basis)
-    variables, or None when one of them proves that no point is invertible:
-    a non-square block or a determinant that is identically zero."""
+def _top_blocks(cat, forms, spaces, basis):
+    """Every top block as a square matrix of linear forms in len(basis)
+    variables, each form given by its coefficients; or None when a block is
+    not square, which proves that no point is invertible.  The blocks are
+    generated lazily, so a determinant that vanishes spares the residues of
+    the blocks after it."""
     F = cat.field
-    n = len(basis)
-    factors = []
+    tops = []
     start = 0
     for s, t in spaces:
         starts = {}
@@ -334,116 +334,10 @@ def _top_block_determinants(cat, forms, spaces, basis):
             cols = [j for j, x in enumerate(s.summands) if x == g]
             if len(rows) != len(cols):
                 return None
-            d = cat.hom_dim(g, g)
-            block = [[_linear_form(F, n, [residue(F, forms[g], b[starts[i, j]:starts[i, j] + d])
-                                          for b in basis])
-                      for j in cols] for i in rows]
-            det = _determinant(F, n, block)
-            if not det:
-                return None
-            factors.append(det)
-    return factors
-
-
-# Polynomials in n variables are dicts {exponent tuple: nonzero coefficient}.
-
-def _linear_form(F, n, coeffs):
-    return {tuple(int(k == v) for k in range(n)): c
-            for v, c in enumerate(coeffs) if not F.is_zero(c)}
-
-
-def _poly_add(F, p, q, sign):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = F.add(out.get(e, F.zero), F.mul(sign, c))
-    return {e: c for e, c in out.items() if not F.is_zero(c)}
-
-
-def _poly_mul(F, p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
-    return {e: c for e, c in out.items() if not F.is_zero(c)}
-
-
-def _determinant(F, n, block):
-    """Laplace expansion along the rows; minors are memoised by the set of
-    columns already used."""
-    size = len(block)
-    memo = {}
-
-    def minor(used):
-        r = bin(used).count("1")
-        if r == size:
-            return {(0,) * n: F.one}
-        if used not in memo:
-            acc, sign = {}, F.one
-            for j in range(size):
-                if not used >> j & 1:
-                    acc = _poly_add(F, acc, _poly_mul(F, block[r][j], minor(used | 1 << j)), sign)
-                    sign = F.neg(sign)
-            memo[used] = acc
-        return memo[used]
-
-    return minor(0)
-
-
-def _power(F, c, e):
-    out = F.one
-    for _ in range(e):
-        out = F.mul(out, c)
-    return out
-
-
-def _substitute(F, poly, k, c):
-    """poly with variable k set to c."""
-    out = {}
-    for e, coef in poly.items():
-        e2 = e[:k] + (0,) + e[k + 1:]
-        out[e2] = F.add(out.get(e2, F.zero), F.mul(coef, _power(F, c, e[k])))
-    return {e: v for e, v in out.items() if not F.is_zero(v)}
-
-
-def _nonvanishing_point(F, n, factors):
-    """A point of k^n at which no factor vanishes, or None when there is
-    none.  The unit vectors and their pairwise sums are tried first; then
-    the grid lemma (Schwartz-Zippel, DeMillo-Lipton): with D the sum of the
-    degrees, each variable in turn takes the first value in {0..D} that
-    leaves every factor nonzero, and at most D values fail.  Over GF(p) with
-    p <= D those values are not distinct, and GF(p)^n is searched instead."""
-    def nonvanishing(point):
-        return not any(F.is_zero(_evaluate(F, f, point)) for f in factors)
-
-    units = [tuple(F.one if k == i else F.zero for k in range(n)) for i in range(n)]
-    for point in candidate_stream(F, units):
-        if nonvanishing(point):
-            return point
-    degree = sum(max(sum(e) for e in f) for f in factors)
-    if F.characteristic and F.characteristic <= degree:
-        for point in itertools.product(range(F.characteristic), repeat=n):
-            if nonvanishing(point):
-                return point
-        return None
-    point = []
-    for k in range(n):
-        for c in map(F.of_int, range(degree + 1)):
-            fixed = [_substitute(F, f, k, c) for f in factors]
-            if all(fixed):
-                factors = fixed
-                point.append(c)
-                break
-    return tuple(point)
-
-
-def _evaluate(F, poly, point):
-    acc = F.zero
-    for e, c in poly.items():
-        for x, k in zip(point, e):
-            c = F.mul(c, _power(F, x, k))
-        acc = F.add(acc, c)
-    return acc
+            tops.append((forms[g], cat.hom_dim(g, g), rows, cols, starts))
+    return ([[[residue(F, form, b[starts[i, j]:starts[i, j] + d]) for b in basis]
+              for j in cols] for i in rows]
+            for form, d, rows, cols, starts in tops)
 
 
 def invertible_commuting_tuple(cat, spaces, constraints):

@@ -2,9 +2,13 @@
 
 import itertools
 
-from rclkit.category import (Morphism, ObjectExpr, basis_morphisms, compose, hom_basis,
-                             hom_dim_expr, morphism_inverse, unflatten)
-from rclkit.linalg import Mat, SubspaceBasis, solve
+from rclkit.adjunction import (_nat_solution_space, _unpack_components, make_adjunction,
+                               validate_adjunction)
+from rclkit.category import (Morphism, ObjectExpr, basis_morphisms, block_diagonal, compose,
+                             hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
+                             precompose_mat, unflatten)
+from rclkit.functor import compose_functors, identity_functor
+from rclkit.linalg import Mat, SubspaceBasis, difference_rows, solve
 from rclkit.report import Report
 
 
@@ -179,6 +183,115 @@ def per_basis_quotient_comp(q):
                           for r in range(da))
                     for p in range(db))
     return comp
+
+
+# -- adjunctions: every natural family, each with the counit linear system --
+
+def brute_force_adjoint(left, right):
+    """A validated Adjunction (left, right), or None when there is none.
+    Every natural family Id => right o left over the prime field is tried as
+    the unit, and the counit for it is found by the reference linear system
+    `solve_counit_given_unit`.  Keep p^(dimension of the natural families)
+    small."""
+    F = left.source.field
+    rl = compose_functors(right, left)
+    ida = identity_functor(left.source)
+    basis, shape = _nat_solution_space(ida, rl)
+    total = sum(d for _, _, d in shape)
+    for coeffs in itertools.product(range(F.characteristic), repeat=len(basis)):
+        vec = [F.zero] * total
+        for c, b in zip(coeffs, basis):
+            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
+        adj = solve_counit_given_unit(left, right, _unpack_components(ida, rl, shape, vec), "")
+        if adj is not None:
+            return adj
+    return None
+
+
+def _stacked_offsets(obj, offset):
+    """Global unknown-vector offsets for the stacked component coordinates of
+    the summands of obj, in order."""
+    out = []
+    for s in obj.summands:
+        o, d = offset[s]
+        for c in range(d):
+            out.append(o + c)
+    return out
+
+
+def _counit_placement(lr, obj):
+    """Matrix sending stacked per-summand counit coordinates to the flat
+    coordinates of the block-diagonal morphism lr(obj) -> obj."""
+    B = lr.source
+    parts = [Morphism.zero(B, lr.object_map[s], ObjectExpr(s)) for s in obj.summands]
+    cols = []
+    for k, s in enumerate(obj.summands):
+        for e in hom_basis(B, lr.object_map[s], ObjectExpr(s)):
+            cols.append(block_diagonal(B, parts[:k] + [e] + parts[k + 1:]).flatten())
+    return Mat.from_columns(B.field, hom_dim_expr(B, lr.apply_obj(obj), obj), cols)
+
+
+def solve_counit_given_unit(left, right, unit_comps, name):
+    """The counit for fixed unit components, from one linear system:
+    naturality and both triangle identities are linear in the counit.  The
+    result is validated; None when the system has no solution or the
+    adjunction does not validate."""
+    A, B = left.source, right.source
+    F = B.field
+    lr = compose_functors(left, right)
+    shape = []
+    total = 0
+    for y in B.generators:
+        d = hom_dim_expr(B, lr.object_map[y], ObjectExpr((y,)))
+        shape.append((y, total, d))
+        total += d
+    offset = {y: (o, d) for (y, o, d) in shape}
+
+    # Naturality: eps_b o lr(f) = f o eps_a for every basis f: a -> b in B.
+    rows = difference_rows(F, total, [
+        (precompose_mat(lr.apply(f), ObjectExpr(b)), offset[b][0],
+         postcompose_mat(f, lr.object_map[a]), offset[a][0])
+        for a, b, _, f in basis_morphisms(B)])
+    rhs = [F.zero] * len(rows)
+
+    # Triangle 1: counit at (L g) composed with L(unit_g) equals 1_{L g}.
+    for g in A.generators:
+        lg = left.object_map[g]
+        pre = precompose_mat(left.apply(unit_comps[g]), lg)
+        comp_mat = pre.mul(_counit_placement(lr, lg))
+        stacked = _stacked_offsets(lg, offset)
+        ident = Morphism.identity(B, lg).flatten()
+        for r in range(comp_mat.rows):
+            row = [F.zero] * total
+            for col, glob in enumerate(stacked):
+                row[glob] = F.add(row[glob], comp_mat.data[r][col])
+            rows.append(row)
+            rhs.append(ident[r])
+
+    # Triangle 2: R(counit_y) composed with unit at (R y) equals 1_{R y}.
+    for y in B.generators:
+        ry = right.object_map[y]
+        o, d = offset[y]
+        eta_ry = block_diagonal(A, [unit_comps[g] for g in ry.summands])
+        ident = Morphism.identity(A, ry).flatten()
+        mat = precompose_mat(eta_ry, ry).mul(right.action(lr.object_map[y], ObjectExpr(y)))
+        for r in range(len(ident)):
+            row = [F.zero] * total
+            row[o:o + d] = mat.data[r]
+            rows.append(row)
+            rhs.append(ident[r])
+
+    if total == 0:
+        sol_vec = ()
+    else:
+        sol = solve(Mat(F, len(rows), total, rows), Mat.column(F, rhs))
+        if sol is None:
+            return None
+        sol_vec = sol.col(0)
+    counit_comps = {y: unflatten(B, lr.object_map[y], ObjectExpr((y,)), sol_vec[o:o + d])
+                    for (y, o, d) in shape}
+    adj = make_adjunction(left, right, unit_comps, counit_comps, name=name)
+    return adj if validate_adjunction(adj).ok_all else None
 
 
 # -- the triangulated layer --------------------------------------------------

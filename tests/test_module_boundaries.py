@@ -40,3 +40,26 @@ def test_slot_names_only_in_recollement_tables():
             if len(names) >= 3:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_no_sampler_in_the_engine():
+    """Every search decides exactly: no module imports random, and no
+    function takes a seed or a try budget."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found += ["%s:%d imports %s" % (path.name, node.lineno, m)
+                      for m in modules if m.split(".")[0] == "random"]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                found += ["%s:%d %s(%s)" % (path.name, node.lineno, node.name, a.arg)
+                          for a in args.posonlyargs + args.args + args.kwonlyargs
+                          if a.arg in ("seed", "max_tries")]
+    assert found == []

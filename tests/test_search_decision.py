@@ -19,9 +19,8 @@ from rclkit.cli import main
 from rclkit.errors import UndecidedError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_prod, build_fix_stab3
-from rclkit.triangulated import (Triangle, _determinant, _evaluate, _linear_form,
-                                 _nonvanishing_point, identity_triangle,
-                                 invertible_commuting_tuple)
+from rclkit.linalg import _determinant, _evaluate, _linear_form, _nonvanishing_point
+from rclkit.triangulated import Triangle, identity_triangle, invertible_commuting_tuple
 from rclkit.workspace import parse
 
 from oracles import brute_force_invertible_point
@@ -154,6 +153,16 @@ def test_determinant_of_dependent_rows_is_identically_zero():
     x, y = poly(QQ, [(1, (1, 0))]), poly(QQ, [(1, (0, 1))])
     assert _determinant(QQ, 2, [[x, x], [y, y]]) == {}
     assert _determinant(QQ, 2, [[x, y], [y, x]]) == poly(QQ, [(1, (2, 0)), (-1, (0, 2))])
+
+
+@pytest.mark.parametrize("factors, point", [
+    ([poly(QQ, [(1, (1, 0))])], (1, 0)),
+    ([poly(QQ, [(1, (0, 1))])], (0, 1)),
+    ([poly(QQ, [(1, (1, 0))]), poly(QQ, [(1, (0, 1))])], (1, 1)),
+])
+def test_unit_vectors_then_pair_sums(factors, point):
+    # x alone, y alone, then both: e_1, e_2, then the pair sum e_1 + e_2.
+    assert _nonvanishing_point(QQ, 2, factors) == point
 
 
 def test_point_from_the_grid_when_units_and_pair_sums_vanish():

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,7 +8,6 @@ from rclkit.field import QQ
 from rclkit.fixture_gen import (_component_category, _component_shift, _embed_triangle,
                                 _shift_functors, _stable_category, _stable_triangles,
                                 _StableCore, build_fix_prod)
-from rclkit.linalg import candidate_stream
 from rclkit.triangulated import (Triangle, TriangulatedPresentation,
                                  canonical_left_approximation,
                                  canonical_right_approximation, identity_triangle,
@@ -128,30 +126,6 @@ def test_exact_data_validates(ws_prod):
     for name in ("ex_iu", "ex_il", "ex_ib", "ex_jb", "ex_ju", "ex_jl"):
         rep = ws_prod.exactdata[name].validate()
         assert rep.ok_all, (name, [str(e) for e in rep.failures()])
-
-
-def test_candidate_stream_order():
-    one, zero = Fraction(1), Fraction(0)
-    basis = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
-    stream = list(candidate_stream(QQ, basis, 20240811, 4))
-    assert stream[:3] == basis
-    assert stream[3:6] == [(one, one, zero), (one, zero, one), (zero, one, one)]
-    assert 0 < len(stream[6:]) <= 4
-    assert stream == list(candidate_stream(QQ, basis, 20240811, 4))
-
-
-def test_candidate_stream_seeded_draws_skip_zero():
-    # With a one-vector basis every draw is (c,) for one pool scalar c, so
-    # the draws are the nonzero picks of the seeded generator, in order.
-    tries = 40
-    pool = QQ.sample_scalars() + [QQ.zero]
-    rng = random.Random(7042)
-    picks = [pool[rng.randrange(len(pool))] for _ in range(tries)]
-    stream = list(candidate_stream(QQ, [(Fraction(1),)], 7042, tries))
-    assert stream[0] == (Fraction(1),)
-    assert stream[1:] == [(c,) for c in picks if c != 0]
-    assert len(stream[1:]) < tries
-    assert list(candidate_stream(QQ, [], 7042, tries)) == [()]
 
 
 # -- the combination enumerator against the unmemoized recursion -------------
