@@ -1,10 +1,31 @@
+import hashlib
 from importlib import resources
+
+import pytest
 
 from rclkit.category import validate_category
 from rclkit.functor import compose_functors, is_identity_functor, validate_functor
-from rclkit.fixture_gen import _StableCore
-from rclkit.field import QQ
+from rclkit.fixture_gen import BUILDERS, _StableCore
+from rclkit.field import QQ, PrimeField
 from rclkit.linalg import invert
+from rclkit.workspace import serialize
+
+# sha256 of serialize(build(GF(p))): the shipped files pin only QQ, so these
+# pin the text of every regeneration over a prime field.
+GFP_DIGESTS = {
+    ("fix_a2", 2): "34bc6988438af4af48f1f84de6dbdee8fdda883b1d1a1f73386649205f0727a1",
+    ("fix_a2", 3): "45e2286ad67c5622c9aab48789553f21b4621ab27fd6f6d546cea63db359bf76",
+    ("fix_a2", 5): "53f5607dedec0f3b640f0d4dad40ece4e5b6530434f8ebc98bd695a8cfc2d88b",
+    ("fix_a2", 101): "1c7790b929f769ba2d1d5b4e174cf835a4b1d9970b189cce6579e8135a11c3aa",
+    ("fix_stab3", 2): "01ac2ecd1c43eb697b1a6c2faa6394a5e3e823e659c8aa6adeed933ac2fb17f9",
+    ("fix_stab3", 3): "8e0da0a9e276ae00e0d0c83d4ecf9aeab93ea11d22b34aed9950b77ae76f27de",
+    ("fix_stab3", 5): "1066ca9e55e916bd1aaa109a4f1b8ff471529c3c3cb97af6b30351cb94d73d47",
+    ("fix_stab3", 101): "5cfcf947fa9c6ac4e64bf2993e84fbda12bc90ff3893e03c7d1b22675de51852",
+    ("fix_prod", 2): "27907aa148a7e4e5cd75295c12528169a42589cb166f38f602c5d586d6c34fd9",
+    ("fix_prod", 3): "c044cf5370012ea9ea3547e31bff8b33fcd7cab23bbfee9f4452b6b550da6905",
+    ("fix_prod", 5): "e1e29a9cf145856efc0137a95c1653212a049785bea51d5d540e6aeafb418037",
+    ("fix_prod", 101): "5f735c63a1d422e3555951e9ca08c7c8e9912debdd914293399f8979f5a4f7ed",
+}
 
 
 def test_shipped_fixtures_match_regeneration(fixture_dir):
@@ -14,6 +35,12 @@ def test_shipped_fixtures_match_regeneration(fixture_dir):
         shipped = (pkg_fixtures / name).read_text()
         regen = (fixture_dir / name).read_text()
         assert shipped == regen, name
+
+
+@pytest.mark.parametrize("name,p", sorted(GFP_DIGESTS))
+def test_gfp_regeneration_is_pinned(name, p):
+    text = serialize(BUILDERS[name](PrimeField(p)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GFP_DIGESTS[(name, p)]
 
 
 def test_stable_core_dimensions():
