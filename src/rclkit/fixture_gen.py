@@ -1,11 +1,16 @@
 """Brute-force construction of the bundled fixtures.
 
-Nothing in the shipped fixture files is transcribed by hand: Hom bases are
-enumerated as canonical nullspace bases of intertwining equations over
-concrete linear-algebra models (representations of the two-vertex quiver;
-modules over k[x]/(x^3) with stable reduction modulo maps factoring through
-the free module), and all functor, adjunction, shift and triangle data is
-evaluated on those bases.  Run as
+Nothing in the shipped fixture files is transcribed by hand.  Every fixture
+object is a quiver representation: the A2 objects represent the quiver
+1 -> 2, mod k is the quiver with one vertex and no arrow, and the modules
+over k[x]/(x^3) represent the one-loop quiver.  A morphism is a tuple of
+matrices, one per vertex, and one solver, `_hom_basis`, enumerates the maps
+between two representations as the canonical nullspace basis of their
+intertwining equations.  One builder, `_Concrete`, evaluates composition and
+identities on those bases; the stable category of k[x]/(x^3) reads its
+coordinates modulo the maps factoring through the free module.  All functor,
+adjunction, shift and triangle data is evaluated on the same bases, and the
+recollements are registered from the slot tables of `recollement`.  Run as
 
     python -m rclkit.fixture_gen <output-directory>
 
@@ -20,15 +25,16 @@ from .adjunction import make_adjunction
 from .category import FinLinCategory, Morphism, ObjectExpr, Subcategory
 from .field import QQ
 from .functor import LinearFunctor, NatTransform, compose_functors, identity_functor
-from .linalg import Mat, SubspaceBasis, invert, nullspace, solve
+from .linalg import Mat, SubspaceBasis, invert, invertible_point, nullspace, solve
 from .mutation import ExactFunctorData, MutationData
-from .recollement import Recollement
+from .recollement import ADJUNCTION_SLOTS, FUNCTOR_SLOTS, PARTS, Recollement
 from .triangulated import Triangle, TriangulatedPresentation
 from .workspace import Workspace, serialize
 
 
-def _mat_flat(m: Mat):
-    return tuple(x for row in m.data for x in row)
+def _flat(*mats):
+    """The entries of the matrices, each read row by row."""
+    return tuple(x for m in mats for row in m.data for x in row)
 
 
 def _coords_in(field, basis_flats, flat):
@@ -37,139 +43,144 @@ def _coords_in(field, basis_flats, flat):
         if any(not field.is_zero(x) for x in flat):
             raise ValueError("vector outside an empty basis")
         return ()
-    n = len(basis_flats[0])
-    mat = Mat(field, n, len(basis_flats),
-              [[basis_flats[q][r] for q in range(len(basis_flats))] for r in range(n)])
-    sol = solve(mat, Mat.column(field, flat))
+    sol = solve(Mat.from_columns(field, len(flat), basis_flats), Mat.column(field, flat))
     if sol is None:
         raise ValueError("vector outside the spanned space")
     return sol.col(0)
 
 
-# ---------------------------------------------------------------------------
-# Representations of the quiver 1 -> 2
-
-
-class _Rep:
-    def __init__(self, field, d1, d2, arrow=None):
-        self.field = field
-        self.d1, self.d2 = d1, d2
-        self.arrow = arrow if arrow is not None else Mat.zeros(field, d2, d1)
-
-
-class _RepMor:
-    def __init__(self, phi1: Mat, phi2: Mat):
-        self.phi1, self.phi2 = phi1, phi2
-
-    def flat(self):
-        return _mat_flat(self.phi1) + _mat_flat(self.phi2)
-
-
-def _rep_hom_basis(src: _Rep, tgt: _Rep):
-    """Canonical basis of intertwiners (phi2 A = B phi1)."""
-    F = src.field
-    n1 = tgt.d1 * src.d1
-    n2 = tgt.d2 * src.d2
-    total = n1 + n2
-    rows = []
-    for r in range(tgt.d2):
-        for c in range(src.d1):
-            row = [F.zero] * total
-            for k in range(src.d2):
-                row[n1 + r * src.d2 + k] = F.add(row[n1 + r * src.d2 + k],
-                                                 src.arrow.data[k][c])
-            for k in range(tgt.d1):
-                row[k * src.d1 + c] = F.sub(row[k * src.d1 + c],
-                                            tgt.arrow.data[r][k])
-            rows.append(row)
-    if total == 0:
-        vecs = []
-    elif rows:
-        vecs = nullspace(Mat(F, len(rows), total, rows))
-    else:
-        vecs = [tuple(F.one if i == j else F.zero for i in range(total))
-                for j in range(total)]
-
-    def unflat(vec):
-        phi1 = Mat(F, tgt.d1, src.d1,
-                   [[vec[r * src.d1 + c] for c in range(src.d1)] for r in range(tgt.d1)])
-        phi2 = Mat(F, tgt.d2, src.d2,
-                   [[vec[n1 + r * src.d2 + c] for c in range(src.d2)]
-                    for r in range(tgt.d2)])
-        return _RepMor(phi1, phi2)
-
-    return [unflat(v) for v in vecs]
-
-
-def _rep_compose(g: _RepMor, f: _RepMor) -> _RepMor:
-    return _RepMor(g.phi1.mul(f.phi1), g.phi2.mul(f.phi2))
-
-
-def _rep_identity(rep: _Rep) -> _RepMor:
-    return _RepMor(Mat.identity(rep.field, rep.d1), Mat.identity(rep.field, rep.d2))
-
-
-class _Concrete:
-    """A presentation together with its concrete hom-basis models."""
-
-    def __init__(self, cat, models, bases, coordinatize):
-        self.cat = cat
-        self.models = models
-        self.bases = bases
-        self.coordinatize = coordinatize
-
-    def coords(self, a, b, model):
-        return self.coordinatize[(a, b)](model)
-
-    def single(self, a, b, model) -> Morphism:
-        src = ObjectExpr((a,)) if a else ObjectExpr(())
-        tgt = ObjectExpr((b,)) if b else ObjectExpr(())
-        if not a or not b:
-            return Morphism.zero(self.cat, src, tgt)
-        return Morphism.single(self.cat, a, b, self.coords(a, b, model))
-
-
-def _build_rep_category(field, gen_models, name) -> _Concrete:
-    gens = [g for g, _ in gen_models]
-    models = dict(gen_models)
-    bases, coordinatize = {}, {}
-    hom_bases = {}
-    for a in gens:
-        for b in gens:
-            basis = _rep_hom_basis(models[a], models[b])
-            bases[(a, b)] = basis
-            flats = [m.flat() for m in basis]
-            coordinatize[(a, b)] = (lambda fl: (lambda mor: _coords_in(field, fl, mor.flat())))(flats)
-            if basis:
-                hom_bases[(a, b)] = tuple("a%d" % i for i in range(len(basis)))
-    comp = {}
-    for a in gens:
-        for b in gens:
-            for c in gens:
-                dab, dbc = len(bases[(a, b)]), len(bases[(b, c)])
-                if dab == 0 or dbc == 0:
-                    continue
-                comp[(a, b, c)] = [
-                    [coordinatize[(a, c)](_rep_compose(bases[(b, c)][p], bases[(a, b)][q]))
-                     for q in range(dab)] for p in range(dbc)]
-    identities = {g: coordinatize[(g, g)](_rep_identity(models[g])) for g in gens}
-    cat = FinLinCategory(field, gens, hom_bases, comp, identities, name=name)
-    return _Concrete(cat, models, bases, coordinatize)
+def _combination(field, rows, cols, coeffs, mats):
+    """The rows x cols matrix sum of c * m over the pairs of coeffs and mats."""
+    out = Mat.zeros(field, rows, cols)
+    for c, m in zip(coeffs, mats):
+        out = out.add(m.scale(c))
+    return out
 
 
 def _coker(field, mat: Mat):
     """Column-space subspace; canonical projection is coset_coords."""
-    cols = [mat.col(j) for j in range(mat.cols)]
-    return SubspaceBasis.from_vectors(field, mat.rows, cols)
+    return SubspaceBasis.from_vectors(field, mat.rows, [mat.col(j) for j in range(mat.cols)])
+
+
+def _on_cosets(field, mat: Mat, src_sub, tgt_sub) -> Mat:
+    """The map k^n / src_sub -> k^m / tgt_sub that mat induces (mat must send
+    src_sub into tgt_sub), in the canonical complement coordinates of both."""
+    return Mat.from_columns(field, tgt_sub.quotient_dim(),
+                            [tgt_sub.coset_coords(mat.col(j))
+                             for j in src_sub.complement_coords()])
+
+
+# ---------------------------------------------------------------------------
+# Quiver representations
+
+
+class _Rep:
+    """A space k^dims[v] per vertex v and, per arrow (s, t, A), a matrix A
+    from the space at s to the space at t."""
+
+    def __init__(self, field, dims, arrows):
+        self.field = field
+        self.dims = tuple(dims)
+        self.arrows = tuple(arrows)
+
+
+def _hom_basis(src: _Rep, tgt: _Rep):
+    """Canonical basis of the tuples phi with phi_t A = B phi_s on each arrow
+    (A of src, B of tgt): the nullspace of those equations, whose unknowns
+    are the entries of phi_0, phi_1, ... each read row by row."""
+    F = src.field
+    offsets, total = [], 0
+    for ds, dt in zip(src.dims, tgt.dims):
+        offsets.append(total)
+        total += dt * ds
+    rows = []
+    for (s, t, a), (_, _, b) in zip(src.arrows, tgt.arrows):
+        for r in range(tgt.dims[t]):
+            for c in range(src.dims[s]):
+                row = [F.zero] * total
+                for k in range(src.dims[t]):
+                    i = offsets[t] + r * src.dims[t] + k
+                    row[i] = F.add(row[i], a.data[k][c])
+                for k in range(tgt.dims[s]):
+                    i = offsets[s] + k * src.dims[s] + c
+                    row[i] = F.sub(row[i], b.data[r][k])
+                rows.append(row)
+    return [tuple(Mat(F, dt, ds, [vec[off + r * ds:off + (r + 1) * ds] for r in range(dt)])
+                  for off, ds, dt in zip(offsets, src.dims, tgt.dims))
+            for vec in nullspace(Mat(F, len(rows), total, rows))]
+
+
+def _a2(field, d1, d2, arrow=None) -> _Rep:
+    """A representation of the quiver 1 -> 2."""
+    if arrow is None:
+        arrow = Mat.zeros(field, d2, d1)
+    return _Rep(field, (d1, d2), ((0, 1, arrow),))
+
+
+def _module(x: Mat) -> _Rep:
+    """k^n with x acting by the matrix x: a representation of the one-loop
+    quiver."""
+    return _Rep(x.field, (x.rows,), ((0, 0, x),))
+
+
+def _cyclic(field, n) -> _Rep:
+    """k[x]/(x^n), with x sending the i-th basis vector to the next."""
+    return _module(Mat(field, n, n, [[field.one if i == j + 1 else field.zero
+                                      for j in range(n)] for i in range(n)]))
+
+
+def _module_iso(src: _Rep, tgt: _Rep):
+    """An invertible module map src -> tgt, or None, which proves that there
+    is none: the Hom block is not square, or `invertible_point` finds no
+    coefficients on _hom_basis(src, tgt) at which it is invertible."""
+    F = src.field
+    (d,), (dt,) = src.dims, tgt.dims
+    if d != dt:
+        return None
+    basis = [m for (m,) in _hom_basis(src, tgt)]
+    block = [[[m.data[r][c] for m in basis] for c in range(d)] for r in range(d)]
+    point = invertible_point(F, len(basis), [block])
+    if point is None:
+        return None
+    return _combination(F, d, d, point, basis)
+
+
+class _Concrete:
+    """A presentation evaluated on concrete models: Hom(a, b) has the basis
+    bases[(a, b)] of morphisms (tuples of vertex matrices), coords(a, b, mor)
+    reads a morphism in it, and composition and identities are computed
+    vertex by vertex."""
+
+    def __init__(self, field, models, bases, coords, name):
+        self.bases = bases
+        self.coords = coords
+        gens = tuple(models)
+        hom_bases = {k: tuple("a%d" % i for i in range(len(v))) for k, v in bases.items() if v}
+        comp = {(a, b, c): [[coords(a, c, tuple(g.mul(f) for g, f in zip(gm, fm)))
+                             for fm in bases[(a, b)]] for gm in bases[(b, c)]]
+                for a in gens for b in gens for c in gens
+                if bases[(a, b)] and bases[(b, c)]}
+        identities = {g: coords(g, g, tuple(Mat.identity(field, d) for d in models[g].dims))
+                      for g in gens}
+        self.cat = FinLinCategory(field, gens, hom_bases, comp, identities, name=name)
+
+    def single(self, a, b, mor) -> Morphism:
+        return Morphism.single(self.cat, a, b, self.coords(a, b, mor))
+
+
+def _rep_concrete(field, models, name) -> _Concrete:
+    """The full subcategory of representations on the given models."""
+    bases = {(a, b): _hom_basis(models[a], models[b]) for a in models for b in models}
+    flats = {k: [_flat(*m) for m in v] for k, v in bases.items()}
+    return _Concrete(field, models, bases,
+                     lambda a, b, mor: _coords_in(field, flats[(a, b)], _flat(*mor)), name)
 
 
 def _rep_functor(cc_src: _Concrete, cc_tgt: _Concrete, name, obj_names, push):
     """Functor with single-generator-or-zero images evaluated on basis models."""
     src, tgt = cc_src.cat, cc_tgt.cat
-    object_map = {}
-    for g in src.generators:
-        img = obj_names[g]
-        object_map[g] = ObjectExpr((img,)) if img else ObjectExpr(())
+    object_map = {g: ObjectExpr((obj_names[g],) if obj_names[g] else ())
+                  for g in src.generators}
     hom_maps = {}
     for a in src.generators:
         for b in src.generators:
@@ -178,443 +189,214 @@ def _rep_functor(cc_src: _Concrete, cc_tgt: _Concrete, name, obj_names, push):
                 continue
             ia, ib_ = obj_names[a], obj_names[b]
             rows = tgt.hom_dim(ia, ib_) if (ia and ib_) else 0
-            cols = []
-            for q in range(d):
-                if rows == 0:
-                    cols.append(())
-                    continue
-                img_model = push(a, b, cc_src.bases[(a, b)][q])
-                cols.append(cc_tgt.coords(ia, ib_, img_model))
-            hom_maps[(a, b)] = Mat(tgt.field, rows, d,
-                                   [[cols[q][r] for q in range(d)] for r in range(rows)])
+            cols = [cc_tgt.coords(ia, ib_, push(a, b, mor)) if rows else ()
+                    for mor in cc_src.bases[(a, b)]]
+            hom_maps[(a, b)] = Mat.from_columns(tgt.field, rows, cols)
     return LinearFunctor(src, tgt, object_map, hom_maps, name=name)
+
+
+def _register_recollement(ws, parts, functors, units, counits):
+    """Register the recollement "R" of ws: parts sends each part of PARTS to
+    a category name of ws, functors each slot of FUNCTOR_SLOTS to its functor
+    (registered under the functor's name), and units and counits each slot
+    of ADJUNCTION_SLOTS to the components of that adjunction's unit and
+    counit."""
+    for slot in FUNCTOR_SLOTS:
+        ws.functors[functors[slot].name] = functors[slot]
+    for slot, (left_slot, right_slot, _) in ADJUNCTION_SLOTS.items():
+        left, right = functors[left_slot], functors[right_slot]
+        unit_name, counit_name = "u_" + slot[4:], "c_" + slot[4:]
+        ws.nats[unit_name] = NatTransform(identity_functor(left.source),
+                                          compose_functors(right, left),
+                                          units[slot], name=unit_name)
+        ws.nat_exprs[unit_name] = ("id " + parts[FUNCTOR_SLOTS[left_slot][0]],
+                                   "%s * %s" % (right.name, left.name))
+        ws.nats[counit_name] = NatTransform(compose_functors(left, right),
+                                            identity_functor(right.source),
+                                            counits[slot], name=counit_name)
+        ws.nat_exprs[counit_name] = ("%s * %s" % (left.name, right.name),
+                                     "id " + parts[FUNCTOR_SLOTS[right_slot][0]])
+        ws.adjunctions[slot] = make_adjunction(left, right, dict(units[slot]),
+                                               dict(counits[slot]), name=slot)
+        ws.adj_refs[slot] = (left.name, right.name, unit_name, counit_name)
+    ws.recollements["R"] = Recollement(
+        **{p: ws.categories[parts[p]] for p in PARTS},
+        **{slot: functors[slot] for slot in FUNCTOR_SLOTS},
+        **{slot: ws.adjunctions[slot] for slot in ADJUNCTION_SLOTS})
+    ws.rec_refs["R"] = {**{p: parts[p] for p in PARTS},
+                        **{slot: functors[slot].name for slot in FUNCTOR_SLOTS},
+                        **{slot: slot for slot in ADJUNCTION_SLOTS}}
 
 
 def build_fix_a2(field=QQ) -> Workspace:
     """Module categories of the two-vertex quiver: the standard recollement
     with closed part the vertex-2 simples and open part restriction to
     vertex 1."""
-    S1 = _Rep(field, 1, 0)
-    S2 = _Rep(field, 0, 1)
-    P1 = _Rep(field, 1, 1, Mat(field, 1, 1, [[field.one]]))
-    VL = _Rep(field, 1, 0)  # mod k models carried on vertex 1
-    WR = _Rep(field, 1, 0)
-
-    cc = _build_rep_category(field, [("S1", S1), ("S2", S2), ("P1", P1)], "A2")
-    ccl = _build_rep_category(field, [("V", VL)], "ModKL")
-    ccr = _build_rep_category(field, [("W", WR)], "ModKR")
+    one1 = Mat.identity(field, 1)
+    e00 = Mat.zeros(field, 0, 0)
+    modk = _Rep(field, (1,), ())  # mod k: one vertex, no arrow
+    models = {"S1": _a2(field, 1, 0), "S2": _a2(field, 0, 1), "P1": _a2(field, 1, 1, one1)}
+    cc = _rep_concrete(field, models, "A2")
+    ccl = _rep_concrete(field, {"V": modk}, "ModKL")
+    ccr = _rep_concrete(field, {"W": modk}, "ModKR")
 
     ws = Workspace(field)
     ws.categories["A2"] = cc.cat
     ws.categories["ModKL"] = ccl.cat
     ws.categories["ModKR"] = ccr.cat
 
-    models = cc.models
-    cokers = {g: _coker(field, models[g].arrow) for g in cc.cat.generators}
+    cokers = {g: _coker(field, models[g].arrows[0][2]) for g in models}
 
-    def coker_dim(g):
-        return models[g].d2 - cokers[g].dim
+    def on_vertex(i, name):
+        return {g: (name if models[g].dims[i] == 1 else None) for g in models}
 
-    iu_obj = {g: ("V" if coker_dim(g) == 1 else None) for g in cc.cat.generators}
+    functors = {
+        "i_up": _rep_functor(
+            cc, ccl, "iu", {g: ("V" if cokers[g].quotient_dim() == 1 else None) for g in models},
+            lambda a, b, mor: (_on_cosets(field, mor[1], cokers[a], cokers[b]),)),
+        "i_lo": _rep_functor(ccl, cc, "il", {"V": "S2"}, lambda a, b, mor: (e00, mor[0])),
+        "i_bang": _rep_functor(cc, ccl, "ib", on_vertex(1, "V"), lambda a, b, mor: (mor[1],)),
+        "j_bang": _rep_functor(ccr, cc, "jb", {"W": "P1"}, lambda a, b, mor: (mor[0], mor[0])),
+        "j_up": _rep_functor(cc, ccr, "ju", on_vertex(0, "W"), lambda a, b, mor: (mor[0],)),
+        "j_lo": _rep_functor(ccr, cc, "jl", {"W": "S1"}, lambda a, b, mor: (mor[0], e00)),
+    }
 
-    def iu_push(a, b, mor: _RepMor):
-        # Induced map on cokernels, read in canonical complement coordinates.
-        ca, cb = cokers[a], cokers[b]
-        free_a = ca.complement_coords()
-        cols = []
-        for j in free_a:
-            unit = [field.zero] * models[a].d2
-            unit[j] = field.one
-            img = mor.phi2.apply(tuple(unit))
-            cols.append(cb.coset_coords(img))
-        rows = models[b].d2 - cb.dim
-        mat = Mat(field, rows, len(free_a),
-                  [[cols[q][r] for q in range(len(free_a))] for r in range(rows)])
-        return _RepMor(mat, Mat.zeros(field, 0, 0))
-
-    iu = _rep_functor(cc, ccl, "iu", iu_obj, iu_push)
-
-    il_obj = {"V": "S2"}
-
-    def il_push(a, b, mor: _RepMor):
-        return _RepMor(Mat.zeros(field, 0, 0), mor.phi1)
-
-    il = _rep_functor(ccl, cc, "il", il_obj, il_push)
-
-    ib_obj = {g: ("V" if models[g].d2 == 1 else None) for g in cc.cat.generators}
-
-    def ib_push(a, b, mor: _RepMor):
-        return _RepMor(mor.phi2, Mat.zeros(field, 0, 0))
-
-    ib = _rep_functor(cc, ccl, "ib", ib_obj, ib_push)
-
-    ju_obj = {g: ("W" if models[g].d1 == 1 else None) for g in cc.cat.generators}
-
-    def ju_push(a, b, mor: _RepMor):
-        return _RepMor(mor.phi1, Mat.zeros(field, 0, 0))
-
-    ju = _rep_functor(cc, ccr, "ju", ju_obj, ju_push)
-
-    jb_obj = {"W": "P1"}
-
-    def jb_push(a, b, mor: _RepMor):
-        return _RepMor(mor.phi1, mor.phi1)
-
-    jb = _rep_functor(ccr, cc, "jb", jb_obj, jb_push)
-
-    jl_obj = {"W": "S1"}
-
-    def jl_push(a, b, mor: _RepMor):
-        return _RepMor(mor.phi1, Mat.zeros(field, 0, 0))
-
-    jl = _rep_functor(ccr, cc, "jl", jl_obj, jl_push)
-
-    for nm, f in (("iu", iu), ("il", il), ("ib", ib),
-                  ("jb", jb), ("ju", ju), ("jl", jl)):
-        ws.functors[nm] = f
-
-    zero1 = Mat.zeros(field, 1, 1)
-    one1 = Mat.identity(field, 1)
-    e00 = Mat.zeros(field, 0, 0)
     e01 = Mat.zeros(field, 0, 1)
     e10 = Mat.zeros(field, 1, 0)
-
-    # Unit of (iu, il): corestriction onto the cokernel part.
-    u_i = {
-        "S1": Morphism.zero(cc.cat, cc.cat.obj("S1"), ObjectExpr(())),
-        "S2": cc.single("S2", "S2", _RepMor(e00, one1)),
-        "P1": Morphism.zero(cc.cat, cc.cat.obj("P1"), ObjectExpr(())),
+    A2, zero = cc.cat, ObjectExpr(())
+    units = {
+        # Unit of (iu, il): corestriction onto the cokernel part.
+        "adj_i": {"S1": Morphism.zero(A2, A2.obj("S1"), zero),
+                  "S2": cc.single("S2", "S2", (e00, one1)),
+                  "P1": Morphism.zero(A2, A2.obj("P1"), zero)},
+        "adj_ib": {"V": ccl.single("V", "V", (one1,))},
+        "adj_jb": {"W": ccr.single("W", "W", (one1,))},
+        "adj_j": {"S1": cc.single("S1", "S1", (one1, e00)),
+                  "S2": Morphism.zero(A2, A2.obj("S2"), zero),
+                  "P1": cc.single("P1", "S1", (one1, e01))},
     }
-    c_i = {"V": ccl.single("V", "V", _RepMor(one1, e00))}
-
-    u_ib = {"V": ccl.single("V", "V", _RepMor(one1, e00))}
-    c_ib = {
-        "S1": Morphism.zero(cc.cat, ObjectExpr(()), cc.cat.obj("S1")),
-        "S2": cc.single("S2", "S2", _RepMor(e00, one1)),
-        "P1": cc.single("S2", "P1", _RepMor(e10, one1)),
+    counits = {
+        "adj_i": {"V": ccl.single("V", "V", (one1,))},
+        "adj_ib": {"S1": Morphism.zero(A2, zero, A2.obj("S1")),
+                   "S2": cc.single("S2", "S2", (e00, one1)),
+                   "P1": cc.single("S2", "P1", (e10, one1))},
+        "adj_jb": {"S1": cc.single("P1", "S1", (one1, e01)),
+                   "S2": Morphism.zero(A2, zero, A2.obj("S2")),
+                   "P1": cc.single("P1", "P1", (one1, one1))},
+        "adj_j": {"W": ccr.single("W", "W", (one1,))},
     }
-
-    u_jb = {"W": ccr.single("W", "W", _RepMor(one1, e00))}
-    c_jb = {
-        "S1": cc.single("P1", "S1", _RepMor(one1, e01)),
-        "S2": Morphism.zero(cc.cat, ObjectExpr(()), cc.cat.obj("S2")),
-        "P1": cc.single("P1", "P1", _RepMor(one1, models["P1"].arrow)),
-    }
-
-    u_j = {
-        "S1": cc.single("S1", "S1", _RepMor(one1, e00)),
-        "S2": Morphism.zero(cc.cat, cc.cat.obj("S2"), ObjectExpr(())),
-        "P1": cc.single("P1", "S1", _RepMor(one1, e01)),
-    }
-    c_j = {"W": ccr.single("W", "W", _RepMor(one1, e00))}
-
-    _register_adjunction(ws, "adj_i", "iu", "il", "A2", u_i, c_i)
-    _register_adjunction(ws, "adj_ib", "il", "ib", "ModKL", u_ib, c_ib)
-    _register_adjunction(ws, "adj_jb", "jb", "ju", "ModKR", u_jb, c_jb)
-    _register_adjunction(ws, "adj_j", "ju", "jl", "A2", u_j, c_j)
-
-    ws.recollements["R"] = Recollement(
-        left=ccl.cat, middle=cc.cat, right=ccr.cat,
-        i_up=iu, i_lo=il, i_bang=ib, j_bang=jb, j_up=ju, j_lo=jl,
-        adj_i=ws.adjunctions["adj_i"], adj_ib=ws.adjunctions["adj_ib"],
-        adj_jb=ws.adjunctions["adj_jb"], adj_j=ws.adjunctions["adj_j"])
-    ws.rec_refs["R"] = {
-        "left": "ModKL", "middle": "A2", "right": "ModKR",
-        "i_up": "iu", "i_lo": "il", "i_bang": "ib",
-        "j_bang": "jb", "j_up": "ju", "j_lo": "jl",
-        "adj_i": "adj_i", "adj_ib": "adj_ib", "adj_jb": "adj_jb", "adj_j": "adj_j"}
+    _register_recollement(ws, {"left": "ModKL", "middle": "A2", "right": "ModKR"},
+                          functors, units, counits)
     return ws
-
-
-def _register_adjunction(ws, name, left_name, right_name, src_cat_name,
-                         unit_comps, counit_comps):
-    left = ws.functors[left_name]
-    right = ws.functors[right_name]
-    unit_name = "u_" + name[4:]
-    counit_name = "c_" + name[4:]
-    rl = compose_functors(right, left)
-    lr = compose_functors(left, right)
-    ws.nats[unit_name] = NatTransform(identity_functor(left.source), rl,
-                                      unit_comps, name=unit_name)
-    ws.nat_exprs[unit_name] = ("id %s" % src_cat_name,
-                               "%s * %s" % (right_name, left_name))
-    tgt_cat_name = None
-    for nm, cat in ws.categories.items():
-        if cat is right.source:
-            tgt_cat_name = nm
-    ws.nats[counit_name] = NatTransform(lr, identity_functor(right.source),
-                                        counit_comps, name=counit_name)
-    ws.nat_exprs[counit_name] = ("%s * %s" % (left_name, right_name),
-                                 "id %s" % tgt_cat_name)
-    ws.adjunctions[name] = make_adjunction(left, right, dict(unit_comps),
-                                           dict(counit_comps), name=name)
-    ws.adj_refs[name] = (left_name, right_name, unit_name, counit_name)
 
 
 # ---------------------------------------------------------------------------
 # Modules over k[x]/(x^3) and their stable category
 
 
-def _nil_mat(field, dim):
-    """Multiplication by x on the cyclic module of the given dimension."""
-    m = [[field.zero] * dim for _ in range(dim)]
-    for i in range(dim - 1):
-        m[i + 1][i] = field.one
-    return Mat(field, dim, dim, m)
-
-
-def _module_hom_basis(field, xa: Mat, xb: Mat):
-    """Intertwiners phi with phi xa = xb phi, canonical order."""
-    da, db = xa.rows, xb.rows
-    total = db * da
-    rows = []
-    for r in range(db):
-        for c in range(da):
-            row = [field.zero] * total
-            for k in range(da):
-                row[r * da + k] = field.add(row[r * da + k], xa.data[k][c])
-            for k in range(db):
-                row[k * da + c] = field.sub(row[k * da + c], xb.data[r][k])
-            rows.append(row)
-    vecs = nullspace(Mat(field, len(rows), total, rows)) if rows else []
-    if not rows and total:
-        vecs = [tuple(field.one if i == j else field.zero for i in range(total))
-                for j in range(total)]
-    out = []
-    for v in vecs:
-        out.append(Mat(field, db, da,
-                       [[v[r * da + c] for c in range(da)] for r in range(db)]))
-    return out
-
-
-def _module_iso(field, xa: Mat, xb: Mat):
-    """A deterministic invertible intertwiner, or None."""
-    basis = _module_hom_basis(field, xa, xb)
-    for m in basis:
-        if invert(m) is not None:
-            return m
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            m = basis[i].add(basis[j])
-            if invert(m) is not None:
-                return m
-    return None
-
-
 class _StableCore:
     """Everything the stable presentation of k[x]/(x^3) needs, computed from
     the module models: stable hom bases, composition, the syzygy shift and
-    the connecting maps of the two defining short exact sequences."""
+    the connecting maps of the two defining short exact sequences.  Module
+    maps outside the Hom bases are single matrices, the loop quiver having
+    one vertex."""
 
     def __init__(self, field):
         self.field = field
-        dims = {"M1": 1, "M2": 2}
-        self.x_act = {g: _nil_mat(field, d) for g, d in dims.items()}
-        xa = _nil_mat(field, 3)
-        self.x_free = xa
-        gens = ("M1", "M2")
-        self.gens = gens
+        self.models = {"M1": _cyclic(field, 1), "M2": _cyclic(field, 2)}
+        self.free = _cyclic(field, 3)
+        self.gens = tuple(self.models)
+        n = self.free.dims[0]
 
-        to_free, from_free = {}, {}
-        for g in gens:
-            to_free[g] = _module_hom_basis(field, self.x_act[g], xa)
-            from_free[g] = _module_hom_basis(field, xa, self.x_act[g])
-        stable_basis, stable_sub, full_basis = {}, {}, {}
-        for a in gens:
-            for b in gens:
-                basis = _module_hom_basis(field, self.x_act[a], self.x_act[b])
-                full_basis[(a, b)] = basis
-                flats = [_mat_flat(m) for m in basis]
-                proj_flats = []
-                for phi in to_free[a]:
-                    for psi in from_free[b]:
-                        proj_flats.append(_coords_in(field, flats,
-                                                     _mat_flat(psi.mul(phi))))
-                sub = SubspaceBasis.from_vectors(field, len(basis), proj_flats)
-                stable_sub[(a, b)] = sub
-                stable_basis[(a, b)] = [basis[i] for i in sub.complement_coords()]
-        self.full_basis = full_basis
-        self.stable_sub = stable_sub
-        self.stable_basis = stable_basis
+        self.full_flats, self.stable_sub, self.stable_basis = {}, {}, {}
+        for a in self.gens:
+            for b in self.gens:
+                basis = _hom_basis(self.models[a], self.models[b])
+                flats = [_flat(*m) for m in basis]
+                through = [_coords_in(field, flats, _flat(psi.mul(phi)))
+                           for (phi,) in _hom_basis(self.models[a], self.free)
+                           for (psi,) in _hom_basis(self.free, self.models[b])]
+                sub = SubspaceBasis.from_vectors(field, len(basis), through)
+                self.full_flats[(a, b)] = flats
+                self.stable_sub[(a, b)] = sub
+                self.stable_basis[(a, b)] = [basis[i] for i in sub.complement_coords()]
+        self.cat = _Concrete(field, self.models, self.stable_basis,
+                             lambda a, b, mor: self.stable_coords(a, b, *mor), "STAB").cat
 
-        self.hom_bases = {}
-        for a in gens:
-            for b in gens:
-                n = len(stable_basis[(a, b)])
-                if n:
-                    self.hom_bases[(a, b)] = tuple("a%d" % i for i in range(n))
-
-        self.comp = {}
-        for a in gens:
-            for b in gens:
-                for c in gens:
-                    dab = len(stable_basis[(a, b)])
-                    dbc = len(stable_basis[(b, c)])
-                    if dab == 0 or dbc == 0:
-                        continue
-                    self.comp[(a, b, c)] = [
-                        [self.stable_coords(a, c, stable_basis[(b, c)][p]
-                                            .mul(stable_basis[(a, b)][q]))
-                         for q in range(dab)] for p in range(dbc)]
-        self.identities = {g: self.stable_coords(g, g, Mat.identity(field, dims[g]))
-                           for g in gens}
-
-        # Embeddings into the free module: 1 |-> x^(3-dim).
-        self.embed = {}
-        for g in gens:
-            d = dims[g]
-            cols = []
-            for j in range(d):
-                col = [field.zero] * 3
-                col[3 - d + j] = field.one
-                cols.append(col)
-            self.embed[g] = Mat(field, 3, d,
-                                [[cols[j][r] for j in range(d)] for r in range(3)])
-        self.coker_sub = {g: _coker(field, self.embed[g]) for g in gens}
-        # Identify each cokernel with the canonical module of its dimension.
-        self.shift_obj = {}
-        self.ident_iso = {}
-        for g in gens:
-            sub = self.coker_sub[g]
-            free = sub.complement_coords()
-            xbar_cols = []
-            for j in free:
-                unit = [field.zero] * 3
-                unit[j] = field.one
-                img = xa.apply(tuple(unit))
-                xbar_cols.append(sub.coset_coords(img))
-            xbar = Mat(field, len(free), len(free),
-                       [[xbar_cols[c][r] for c in range(len(free))]
-                        for r in range(len(free))])
-            tgt = "M1" if len(free) == 1 else "M2"
-            iso = _module_iso(field, xbar, self.x_act[tgt])
+        # Embeddings into the free module: 1 |-> x^(n - dim).
+        ident = Mat.identity(field, n)
+        self.embed = {g: Mat.from_columns(field, n, [ident.col(j)
+                                                     for j in range(n - m.dims[0], n)])
+                      for g, m in self.models.items()}
+        self.coker_sub = {g: _coker(field, self.embed[g]) for g in self.gens}
+        # Identify each cokernel with the generator of its dimension.
+        (_, _, x_free), = self.free.arrows
+        self.shift_obj, self.ident_iso = {}, {}
+        for g in self.gens:
+            xbar = _on_cosets(field, x_free, self.coker_sub[g], self.coker_sub[g])
+            tgt = next(h for h in self.gens if self.models[h].dims[0] == xbar.rows)
+            iso = _module_iso(_module(xbar), self.models[tgt])
             if iso is None:
                 raise RuntimeError("cannot identify the cokernel of %s" % g)
             self.shift_obj[g] = tgt
             self.ident_iso[g] = iso
 
         self.shift_mats = {}
-        for a in gens:
-            for b in gens:
-                n = len(self.stable_basis[(a, b)])
-                ta, tb = self.shift_obj[a], self.shift_obj[b]
-                rows = len(self.stable_basis[(ta, tb)])
-                cols = []
-                for q in range(n):
-                    img = self.shift_of(a, b, self.stable_basis[(a, b)][q])
-                    cols.append(self.stable_coords(ta, tb, img))
-                self.shift_mats[(a, b)] = Mat(field, rows, n,
-                                              [[cols[q][r] for q in range(n)]
-                                               for r in range(rows)])
+        for (a, b), basis in self.stable_basis.items():
+            ta, tb = self.shift_obj[a], self.shift_obj[b]
+            self.shift_mats[(a, b)] = Mat.from_columns(
+                field, len(self.stable_basis[(ta, tb)]),
+                [self.stable_coords(ta, tb, self.shift_of(a, b, f)) for (f,) in basis])
 
         # Connecting maps of 0 -> M1 -> M2 -> M1 -> 0 and 0 -> M2 -> A -> M1 -> 0.
         sigma = Mat(field, 2, 1, [[field.zero], [field.one]])
         pi = Mat(field, 1, 2, [[field.one, field.zero]])
         self.sigma_model, self.pi_model = sigma, pi
-        self.h1 = self._connecting("M1", self.x_act["M2"], sigma, pi, "M1")
-        gmap = Mat(field, 1, 3, [[field.one, field.zero, field.zero]])
-        self.h2 = self._connecting("M2", xa, self.embed["M2"], gmap, "M1")
+        self.h1 = self._connecting("M1", self.models["M2"], sigma, pi, "M1")
+        top = Mat.from_rows(field, [ident.data[0]])  # A -> A / xA
+        self.h2 = self._connecting("M2", self.free, self.embed["M2"], top, "M1")
 
     def stable_coords(self, a, b, model: Mat):
-        flats = [_mat_flat(m) for m in self.full_basis[(a, b)]]
-        full = _coords_in(self.field, flats, _mat_flat(model))
+        """Stable coordinates of the module map a -> b with matrix model."""
+        full = _coords_in(self.field, self.full_flats[(a, b)], _flat(model))
         return self.stable_sub[(a, b)].coset_coords(full)
 
-    def _free_endo_solve(self, xy: Mat, constraint_src: Mat, constraint_tgt: Mat):
-        """Module map e: (dom, xy) -> (A, x) with e . constraint_src =
-        constraint_tgt, canonical solution."""
-        field = self.field
-        dom = xy.rows
-        total = 3 * dom
-        rows, rhs = [], []
-        # e xy = x_free e
-        for r in range(3):
-            for c in range(dom):
-                row = [field.zero] * total
-                for k in range(dom):
-                    row[r * dom + k] = field.add(row[r * dom + k], xy.data[k][c])
-                for k in range(3):
-                    row[k * dom + c] = field.sub(row[k * dom + c],
-                                                 self.x_free.data[r][k])
-                rows.append(row)
-                rhs.append(field.zero)
-        # e . constraint_src = constraint_tgt
-        for r in range(3):
-            for c in range(constraint_src.cols):
-                row = [field.zero] * total
-                for k in range(dom):
-                    row[r * dom + k] = constraint_src.data[k][c]
-                rows.append(row)
-                rhs.append(constraint_tgt.data[r][c])
-        sol = solve(Mat(field, len(rows), total, rows), Mat.column(field, rhs))
-        if sol is None:
-            raise RuntimeError("free-module extension does not exist")
-        v = sol.col(0)
-        return Mat(field, 3, dom, [[v[r * dom + c] for c in range(dom)]
-                                   for r in range(3)])
+    def _free_extension(self, dom: _Rep, src: Mat, tgt: Mat) -> Mat:
+        """The module map e: dom -> free with e src = tgt whose coordinates
+        on _hom_basis(dom, free) are the canonical solution."""
+        basis = [e for (e,) in _hom_basis(dom, self.free)]
+        coords = _coords_in(self.field, [_flat(e.mul(src)) for e in basis], _flat(tgt))
+        return _combination(self.field, self.free.dims[0], dom.dims[0], coords, basis)
 
     def shift_of(self, a, b, f: Mat) -> Mat:
         """Syzygy shift of a module map, between the canonical models."""
-        field = self.field
-        e = self._free_endo_solve(self.x_free, self.embed[a],
-                                  self.embed[b].mul(f))
-        sub_a, sub_b = self.coker_sub[a], self.coker_sub[b]
-        free_a = sub_a.complement_coords()
-        cols = []
-        for j in free_a:
-            unit = [field.zero] * 3
-            unit[j] = field.one
-            cols.append(sub_b.coset_coords(e.apply(tuple(unit))))
-        raw = Mat(field, 3 - sub_b.dim, len(free_a),
-                  [[cols[q][r] for q in range(len(free_a))]
-                   for r in range(3 - sub_b.dim)])
-        iso_a = invert(self.ident_iso[a])
-        return self.ident_iso[b].mul(raw).mul(iso_a)
+        e = self._free_extension(self.free, self.embed[a], self.embed[b].mul(f))
+        raw = _on_cosets(self.field, e, self.coker_sub[a], self.coker_sub[b])
+        return self.ident_iso[b].mul(raw).mul(invert(self.ident_iso[a]))
 
-    def _connecting(self, xg, y_act, f: Mat, gmap: Mat, zg):
-        """Connecting map Z -> (shift of X) of a short exact sequence,
-        via an extension over the free-module embedding of X."""
+    def _connecting(self, xg, y: _Rep, f: Mat, gmap: Mat, zg):
+        """Connecting map Z -> (shift of X) of a short exact sequence
+        X -> Y -> Z, via an extension over the free-module embedding of X."""
         field = self.field
-        e = self._free_endo_solve(y_act, f, self.embed[xg])
+        e = self._free_extension(y, f, self.embed[xg])
         sec = solve(gmap, Mat.identity(field, gmap.rows))
         if sec is None:
             raise RuntimeError("epimorphism has no linear section")
-        sub = self.coker_sub[xg]
-        comp = e.mul(sec)
-        cols = [sub.coset_coords(comp.col(j)) for j in range(comp.cols)]
-        raw = Mat(field, 3 - sub.dim, comp.cols,
-                  [[cols[q][r] for q in range(comp.cols)]
-                   for r in range(3 - sub.dim)])
-        h = self.ident_iso[xg].mul(raw)
-        tx = self.shift_obj[xg]
-        lhs = h.mul(self.x_act[zg])
-        rhs = self.x_act[tx].mul(h)
-        if lhs != rhs:
+        whole = SubspaceBasis.from_vectors(field, sec.cols, [])
+        h = self.ident_iso[xg].mul(_on_cosets(field, e.mul(sec), whole, self.coker_sub[xg]))
+        (_, _, xz), = self.models[zg].arrows
+        (_, _, xt), = self.models[self.shift_obj[xg]].arrows
+        if h.mul(xz) != xt.mul(h):
             raise RuntimeError("connecting map is not a module map")
         return h
 
 
 def _stable_category(field, core: _StableCore, name="STAB") -> FinLinCategory:
-    return FinLinCategory(field, core.gens, core.hom_bases, core.comp,
-                          core.identities, name=name)
+    return _component_category(field, core, ("",), name)
 
 
 def _shift_functors(field, core: _StableCore, cat: FinLinCategory):
-    object_map = {g: ObjectExpr((core.shift_obj[g],)) for g in core.gens}
-    hom_maps = {k: m for k, m in core.shift_mats.items() if cat.hom_dim(*k)}
-    t = LinearFunctor(cat, cat, object_map, hom_maps, name="T")
-    inv_obj = {g: ObjectExpr((core.shift_obj[g],)) for g in core.gens}
-    inv_maps = {}
-    for a in core.gens:
-        for b in core.gens:
-            sa, sb = core.shift_obj[a], core.shift_obj[b]
-            mat = core.shift_mats[(sa, sb)]
-            inv = invert(mat)
-            if inv is None:
-                raise RuntimeError("shift is not invertible on Hom(%s,%s)" % (a, b))
-            inv_maps[(a, b)] = inv
-    tinv = LinearFunctor(cat, cat, inv_obj, inv_maps, name="Tinv")
-    return t, tinv
+    return _component_shift(field, core, cat, ("",), "T")
 
 
 def _stable_triangles(field, core: _StableCore, cat, t):
@@ -663,53 +445,46 @@ def build_fix_stab3(field=QQ) -> Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Product of two copies of the stable category
-
-
-def _prefixed(prefix, name):
-    return prefix + name
+# Products of copies of the stable category
 
 
 def _component_category(field, core: _StableCore, prefixes, name):
-    gens = []
-    for p in prefixes:
-        gens.extend(_prefixed(p, g) for g in core.gens)
+    """One copy of the stable category per prefix p, on the generators p + g."""
+    base = core.cat
+    gens = [p + g for p in prefixes for g in core.gens]
     hom_bases, comp, identities = {}, {}, {}
     for p in prefixes:
-        for a in core.gens:
-            for b in core.gens:
-                if (a, b) in core.hom_bases:
-                    hom_bases[(_prefixed(p, a), _prefixed(p, b))] = core.hom_bases[(a, b)]
-        for key, table in core.comp.items():
-            a, b, c = key
-            comp[(_prefixed(p, a), _prefixed(p, b), _prefixed(p, c))] = table
+        for (a, b), names in base.hom_bases.items():
+            hom_bases[(p + a, p + b)] = names
+        for (a, b, c), table in base.comp.items():
+            comp[(p + a, p + b, p + c)] = table
         for g in core.gens:
-            identities[_prefixed(p, g)] = core.identities[g]
+            identities[p + g] = base.identities[g]
     return FinLinCategory(field, gens, hom_bases, comp, identities, name=name)
 
 
 def _component_shift(field, core: _StableCore, cat, prefixes, name):
+    """The syzygy shift of each copy and its strict inverse."""
     object_map, hom_maps, inv_maps = {}, {}, {}
     for p in prefixes:
         for g in core.gens:
-            object_map[_prefixed(p, g)] = ObjectExpr((_prefixed(p, core.shift_obj[g]),))
-        for a in core.gens:
-            for b in core.gens:
-                key = (_prefixed(p, a), _prefixed(p, b))
-                if cat.hom_dim(*key):
-                    hom_maps[key] = core.shift_mats[(a, b)]
-                    sa, sb = core.shift_obj[a], core.shift_obj[b]
-                    inv_maps[key] = invert(core.shift_mats[(sa, sb)])
+            object_map[p + g] = ObjectExpr((p + core.shift_obj[g],))
+        for (a, b), mat in core.shift_mats.items():
+            key = (p + a, p + b)
+            if cat.hom_dim(*key):
+                hom_maps[key] = mat
+                inv = invert(core.shift_mats[(core.shift_obj[a], core.shift_obj[b])])
+                if inv is None:
+                    raise RuntimeError("shift is not invertible on Hom(%s,%s)" % key)
+                inv_maps[key] = inv
     t = LinearFunctor(cat, cat, object_map, hom_maps, name=name)
-    tinv = LinearFunctor(cat, cat, {g: ObjectExpr(object_map[g].summands)
-                                    for g in cat.generators},
-                         inv_maps, name=name + "inv")
+    tinv = LinearFunctor(cat, cat, dict(object_map), inv_maps, name=name + "inv")
     return t, tinv
 
 
 def _embed_triangle(cat, t_on_cat, core_triangle: Triangle, prefix, name):
     def conv_obj(obj):
-        return ObjectExpr(tuple(_prefixed(prefix, g) for g in obj.summands))
+        return ObjectExpr(tuple(prefix + g for g in obj.summands))
 
     def conv_mor(mor, src, tgt):
         return Morphism(cat, src, tgt, mor.blocks)
@@ -723,36 +498,39 @@ def _embed_triangle(cat, t_on_cat, core_triangle: Triangle, prefix, name):
                     conv_mor(core_triangle.h, z, tx), name=name)
 
 
-def _proj_functor(src_cat, tgt_cat, keep_prefix, strip, name):
-    """Component projection: keep one prefix, send the other to zero."""
-    object_map, hom_maps = {}, {}
-    for g in src_cat.generators:
-        if g.startswith(keep_prefix):
-            object_map[g] = ObjectExpr((strip(g),))
-        else:
-            object_map[g] = ObjectExpr(())
-    for a in src_cat.generators:
-        for b in src_cat.generators:
-            d = src_cat.hom_dim(a, b)
-            if d == 0:
-                continue
-            if a.startswith(keep_prefix) and b.startswith(keep_prefix):
-                hom_maps[(a, b)] = Mat.identity(src_cat.field, d)
-            else:
-                hom_maps[(a, b)] = Mat.zeros(src_cat.field, 0, d)
-    return LinearFunctor(src_cat, tgt_cat, object_map, hom_maps, name=name)
+def _rename_functor(src_cat, tgt_cat, old, new, name):
+    """Send each generator with prefix old to the one with prefix new, by
+    the identity on its Hom spaces, and every other generator to zero."""
+    F = src_cat.field
 
+    def rename(g):
+        return new + g[len(old):] if g.startswith(old) else None
 
-def _incl_functor(src_cat, tgt_cat, add_prefix, name):
-    object_map, hom_maps = {}, {}
-    for g in src_cat.generators:
-        object_map[g] = ObjectExpr((add_prefix(g),))
+    object_map = {g: ObjectExpr((rename(g),) if rename(g) else ()) for g in src_cat.generators}
+    hom_maps = {}
     for a in src_cat.generators:
         for b in src_cat.generators:
             d = src_cat.hom_dim(a, b)
             if d:
-                hom_maps[(a, b)] = Mat.identity(src_cat.field, d)
+                kept = rename(a) and rename(b)
+                hom_maps[(a, b)] = Mat.identity(F, d) if kept else Mat.zeros(F, 0, d)
     return LinearFunctor(src_cat, tgt_cat, object_map, hom_maps, name=name)
+
+
+def _component_identity(cat, prefix, unit):
+    """Components of a unit (g -> image) or, with unit false, a counit
+    (image -> g): the identity on the generators with the prefix and zero
+    on the others."""
+    out = {}
+    for g in cat.generators:
+        obj = cat.obj(g)
+        if g.startswith(prefix):
+            out[g] = Morphism.identity(cat, obj)
+        elif unit:
+            out[g] = Morphism.zero(cat, obj, ObjectExpr(()))
+        else:
+            out[g] = Morphism.zero(cat, ObjectExpr(()), obj)
+    return out
 
 
 def build_fix_prod(field=QQ) -> Workspace:
@@ -769,70 +547,24 @@ def build_fix_prod(field=QQ) -> Workspace:
     ws.categories["CL"] = CL
     ws.categories["CR"] = CR
 
-    iu = _proj_functor(C, CL, "C1.", lambda g: "L." + g[3:], "iu")
-    ib = _proj_functor(C, CL, "C1.", lambda g: "L." + g[3:], "ib")
-    ju = _proj_functor(C, CR, "C2.", lambda g: "R." + g[3:], "ju")
-    il = _incl_functor(CL, C, lambda g: "C1." + g[2:], "il")
-    jb = _incl_functor(CR, C, lambda g: "C2." + g[2:], "jb")
-    jl = _incl_functor(CR, C, lambda g: "C2." + g[2:], "jl")
-    for nm, f in (("iu", iu), ("il", il), ("ib", ib),
-                  ("jb", jb), ("ju", ju), ("jl", jl)):
-        ws.functors[nm] = f
-
-    def ident_comp(cat, g):
-        return Morphism.identity(cat, ObjectExpr((g,)))
-
-    u_i, c_i = {}, {}
-    for g in C.generators:
-        if g.startswith("C1."):
-            u_i[g] = ident_comp(C, g)
-        else:
-            u_i[g] = Morphism.zero(C, ObjectExpr((g,)), ObjectExpr(()))
-    for g in CL.generators:
-        c_i[g] = ident_comp(CL, g)
-
-    u_ib, c_ib = {}, {}
-    for g in CL.generators:
-        u_ib[g] = ident_comp(CL, g)
-    for g in C.generators:
-        if g.startswith("C1."):
-            c_ib[g] = ident_comp(C, g)
-        else:
-            c_ib[g] = Morphism.zero(C, ObjectExpr(()), ObjectExpr((g,)))
-
-    u_jb, c_jb = {}, {}
-    for g in CR.generators:
-        u_jb[g] = ident_comp(CR, g)
-    for g in C.generators:
-        if g.startswith("C2."):
-            c_jb[g] = ident_comp(C, g)
-        else:
-            c_jb[g] = Morphism.zero(C, ObjectExpr(()), ObjectExpr((g,)))
-
-    u_j, c_j = {}, {}
-    for g in C.generators:
-        if g.startswith("C2."):
-            u_j[g] = ident_comp(C, g)
-        else:
-            u_j[g] = Morphism.zero(C, ObjectExpr((g,)), ObjectExpr(()))
-    for g in CR.generators:
-        c_j[g] = ident_comp(CR, g)
-
-    _register_adjunction(ws, "adj_i", "iu", "il", "C", u_i, c_i)
-    _register_adjunction(ws, "adj_ib", "il", "ib", "CL", u_ib, c_ib)
-    _register_adjunction(ws, "adj_jb", "jb", "ju", "CR", u_jb, c_jb)
-    _register_adjunction(ws, "adj_j", "ju", "jl", "C", u_j, c_j)
-
-    ws.recollements["R"] = Recollement(
-        left=CL, middle=C, right=CR,
-        i_up=iu, i_lo=il, i_bang=ib, j_bang=jb, j_up=ju, j_lo=jl,
-        adj_i=ws.adjunctions["adj_i"], adj_ib=ws.adjunctions["adj_ib"],
-        adj_jb=ws.adjunctions["adj_jb"], adj_j=ws.adjunctions["adj_j"])
-    ws.rec_refs["R"] = {
-        "left": "CL", "middle": "C", "right": "CR",
-        "i_up": "iu", "i_lo": "il", "i_bang": "ib",
-        "j_bang": "jb", "j_up": "ju", "j_lo": "jl",
-        "adj_i": "adj_i", "adj_ib": "adj_ib", "adj_jb": "adj_jb", "adj_j": "adj_j"}
+    functors = {
+        "i_up": _rename_functor(C, CL, "C1.", "L.", "iu"),
+        "i_lo": _rename_functor(CL, C, "L.", "C1.", "il"),
+        "i_bang": _rename_functor(C, CL, "C1.", "L.", "ib"),
+        "j_bang": _rename_functor(CR, C, "R.", "C2.", "jb"),
+        "j_up": _rename_functor(C, CR, "C2.", "R.", "ju"),
+        "j_lo": _rename_functor(CR, C, "R.", "C2.", "jl"),
+    }
+    units = {"adj_i": _component_identity(C, "C1.", True),
+             "adj_ib": _component_identity(CL, "L.", True),
+             "adj_jb": _component_identity(CR, "R.", True),
+             "adj_j": _component_identity(C, "C2.", True)}
+    counits = {"adj_i": _component_identity(CL, "L.", False),
+               "adj_ib": _component_identity(C, "C1.", False),
+               "adj_jb": _component_identity(C, "C2.", False),
+               "adj_j": _component_identity(CR, "R.", False)}
+    _register_recollement(ws, {"left": "CL", "middle": "C", "right": "CR"},
+                          functors, units, counits)
 
     tc, tcinv = _component_shift(field, core, C, ("C1.", "C2."), "TC")
     tl, tlinv = _component_shift(field, core, CL, ("L.",), "TL")

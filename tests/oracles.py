@@ -375,3 +375,29 @@ def candidate_combos(tri, objs):
 
     rec(0, [dict(o.multiplicities()) for o in objs], [])
     return results
+
+
+# -- quiver representations: every map, enumerated ---------------------------
+
+def intertwines(src, tgt, mats):
+    """Whether the vertex matrices mats satisfy phi_t A = B phi_s on every
+    arrow (s, t) with matrix A in src and B in tgt."""
+    return all(mats[t].mul(a) == b.mul(mats[s])
+               for (s, t, a), (_, _, b) in zip(src.arrows, tgt.arrows))
+
+
+def brute_force_rep_maps(src, tgt, p):
+    """Every tuple of vertex matrices src -> tgt over GF(p) that intertwines
+    the arrows.  All p^(sum of dim_t * dim_s) tuples are tried, so keep that
+    small."""
+    F = src.field
+    shapes = list(zip(tgt.dims, src.dims))
+    found = []
+    for entries in itertools.product(range(p), repeat=sum(r * c for r, c in shapes)):
+        mats, at = [], 0
+        for r, c in shapes:
+            mats.append(Mat(F, r, c, [entries[at + i * c:at + (i + 1) * c] for i in range(r)]))
+            at += r * c
+        if intertwines(src, tgt, mats):
+            found.append(tuple(mats))
+    return found

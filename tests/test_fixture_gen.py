@@ -5,10 +5,12 @@ import pytest
 
 from rclkit.category import validate_category
 from rclkit.functor import compose_functors, is_identity_functor, validate_functor
-from rclkit.fixture_gen import BUILDERS, _StableCore
+from rclkit.fixture_gen import BUILDERS, _Rep, _StableCore, _cyclic, _hom_basis, _module_iso
 from rclkit.field import QQ, PrimeField
-from rclkit.linalg import invert
+from rclkit.linalg import Mat, invert, rank
 from rclkit.workspace import serialize
+
+from oracles import brute_force_rep_maps, intertwines
 
 # sha256 of serialize(build(GF(p))): the shipped files pin only QQ, so these
 # pin the text of every regeneration over a prime field.
@@ -88,3 +90,44 @@ def test_stable_category_validates():
     from rclkit.fixture_gen import _stable_category
     cat = _stable_category(QQ, core)
     assert validate_category(cat).ok_all
+
+
+def a2_models(F):
+    """S1, S2 and P1 as representations of the quiver 1 -> 2."""
+    def rep(d1, d2, arrow):
+        return _Rep(F, (d1, d2), ((0, 1, Mat(F, d2, d1, arrow)),))
+    return {"S1": rep(1, 0, []), "S2": rep(0, 1, [[]]), "P1": rep(1, 1, [[F.one]])}
+
+
+def module_models(F):
+    """M1, M2 and the free module of k[x]/(x^3), on the one-loop quiver."""
+    return {"M1": _cyclic(F, 1), "M2": _cyclic(F, 2), "free": _cyclic(F, 3)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("models", [a2_models, module_models])
+def test_hom_basis_against_enumeration(models, p):
+    """The solver's basis is independent and spans every intertwiner:
+    p^(basis size) of them."""
+    F = PrimeField(p)
+    reps = models(F)
+    for a, src in reps.items():
+        for b, tgt in reps.items():
+            basis = _hom_basis(src, tgt)
+            assert p ** len(basis) == len(brute_force_rep_maps(src, tgt, p)), (a, b)
+            assert all(intertwines(src, tgt, mor) for mor in basis), (a, b)
+            flats = [[x for m in mor for row in m.data for x in row] for mor in basis]
+            assert not basis or rank(Mat.from_rows(F, flats)) == len(basis), (a, b)
+
+
+def test_module_iso_refuses_a_non_square_hom_block():
+    reps = module_models(QQ)
+    assert _module_iso(reps["M1"], reps["M2"]) is None
+
+
+def test_module_iso_refuses_a_vanishing_determinant():
+    """Every map k[x]/(x^2) -> k^2 with x = 0 kills x, so none is invertible."""
+    reps = module_models(QQ)
+    trivial = _Rep(QQ, (2,), ((0, 0, Mat.zeros(QQ, 2, 2)),))
+    assert _module_iso(reps["M2"], trivial) is None
+    assert _module_iso(reps["M2"], reps["M2"]) is not None
