@@ -24,7 +24,7 @@ from .triangulated import (Triangle, TriangulatedPresentation,
                            canonical_right_approximation, is_D_epic, is_D_monic)
 from .mutation import (ExactFunctorData, MutationData, check_mutation_pair,
                        image_mutation_pair, induced_exact_functor,
-                       make_D_monic, mutation_shift, standard_triangle,
+                       make_D_monic, standard_triangle,
                        triangulated_quotient_recollement,
                        verify_quotient_triangulation)
 from .workspace import Workspace, parse, serialize

@@ -100,11 +100,9 @@ def _single_gen_image_map(f: LinearFunctor):
 
 
 class NormalizationResult:
-    def __init__(self, adj, replaced_side=None, old=None, new=None,
-                 conj=None, conj_inv=None):
+    def __init__(self, adj, replaced_side=None, new=None, conj=None, conj_inv=None):
         self.adj = adj
         self.replaced_side = replaced_side  # "left" | "right" | None
-        self.old = old
         self.new = new
         self.conj = conj or {}      # gens of replaced functor's source -> iso old(g) -> new(g)
         self.conj_inv = conj_inv or {}
@@ -114,16 +112,7 @@ class NormalizationResult:
         return self.replaced_side is not None
 
 
-def _detect_embedding_side(adj: Adjunction) -> str:
-    if is_full_embedding(adj.left):
-        return "left"
-    if is_full_embedding(adj.right):
-        return "right"
-    raise PreconditionError("not a full embedding",
-                            witness="neither adjoint has bijective hom maps")
-
-
-def normalize_embedding(adj: Adjunction, side: str = "auto") -> NormalizationResult:
+def normalize_embedding(adj: Adjunction, side: str) -> NormalizationResult:
     """Strictify the composite on the embedded side to the identity functor.
 
     side "left": the left adjoint embeds; the right adjoint is conjugated by
@@ -132,14 +121,12 @@ def normalize_embedding(adj: Adjunction, side: str = "auto") -> NormalizationRes
     conjugating isomorphism family is returned so callers can rewrite other
     data referring to the replaced functor.
     """
-    if side == "auto":
-        side = _detect_embedding_side(adj)
     if side == "left":
         emb, other, iso, replaced = adj.left, adj.right, adj.unit, "right"
     elif side == "right":
         emb, other, iso, replaced = adj.right, adj.left, adj.counit, "left"
     else:
-        raise ValueError("side must be left, right or auto")
+        raise ValueError("side must be left or right")
     if not is_full_embedding(emb):
         raise PreconditionError("not a full embedding", witness=emb.name)
     A = emb.source
@@ -178,7 +165,7 @@ def normalize_embedding(adj: Adjunction, side: str = "auto") -> NormalizationRes
     adj2 = rewire_adjunction(adj, replaced, new, conj, conj_inv)
     if not is_identity_functor(compose_functors(new, emb)):
         raise InconsistentDataError("strictification failed for %s" % adj.name)
-    return NormalizationResult(adj2, replaced, other, new, conj, conj_inv)
+    return NormalizationResult(adj2, replaced, new, conj, conj_inv)
 
 
 def _conjugated_functor(f: LinearFunctor, new_objects, conj, conj_inv, name):

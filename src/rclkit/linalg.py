@@ -348,11 +348,14 @@ def invertible_point(F, n, blocks):
     iterable, which is read no further than the first block whose
     determinant vanishes identically.
 
-    None is returned only with a proof: a determinant that is identically
-    zero, or, over GF(p) with p at most the total degree, no point of
-    GF(p)^n.  Expanding a block of size s costs 2^s memoised minors."""
+    None is returned only with a proof: a block that is not square, a
+    determinant that is identically zero, or, over GF(p) with p at most the
+    total degree, no point of GF(p)^n.  Expanding a block of size s costs
+    2^s memoised minors."""
     factors = []
     for block in blocks:
+        if any(len(row) != len(block) for row in block):
+            return None
         det = _determinant(F, n, [[_linear_form(F, n, e) for e in row] for row in block])
         if not det:
             return None

@@ -1,11 +1,16 @@
 """Mutation pairs and the triangulated structure on the quotient.
 
-Fixed approximation triangles define the auto-equivalence of the quotient by
-ladder completion; standard triangles are produced from monic-side
-approximable morphisms and registered so that the triangle-rotation-free
+Fixed approximation triangles define the auto-equivalence sigma of the
+quotient by ladder completion; sigma is a functor, and a morphism is
+shifted only by applying it.  Standard triangles are produced from
+monic-side approximable morphisms.  A `StandardTriangle` is the quotient
+sextuple itself, carrying its ambient distinguished triangle and the ladder
+onto the fixed triangle; it is registered so that the triangle-rotation-free
 axioms (completion of every commuting square, vanishing composites) can be
-decided on them by linear algebra.  The rotation and octahedron axioms are
-reported as unchecked.
+decided on the registered triangles by linear algebra.  Whether an exact
+functor sends a standard triangle to one is decided by the
+sextuple-isomorphism search `triangulated.triangle_iso`.  The rotation and
+octahedron axioms are reported as unchecked.
 """
 
 from __future__ import annotations
@@ -23,31 +28,21 @@ from .recollement import (FUNCTOR_SLOTS, Recollement, _restricted_functor,
                           quotient_recollement, supp_image)
 from .report import Report
 from .triangulated import (Triangle, TriangulatedPresentation,
-                           d_approximation_failure, is_D_epic, is_D_monic)
+                           d_approximation_failure, is_D_epic, is_D_monic,
+                           triangle_iso)
 
 
-class StandardTriangle:
-    """A registered sextuple of the quotient, with its ambient witness."""
+class StandardTriangle(Triangle):
+    """A registered sextuple of the quotient (the inherited x, y, z, f, g, h),
+    with the ambient distinguished triangle it comes from and the ladder
+    (1, ladder_y, ladder_z) from that triangle onto the fixed triangle of x."""
 
-    __slots__ = ("x", "y", "zv", "f", "g", "h", "ladder_y", "ladder_z",
-                 "qx", "qy", "qz_obj", "qf", "qg", "qz", "name")
+    __slots__ = ("ambient", "ladder_y", "ladder_z")
 
-    def __init__(self, x, y, zv, f, g, h, ladder_y, ladder_z,
-                 qx, qy, qz_obj, qf, qg, qz, name=""):
-        self.x, self.y, self.zv = x, y, zv
-        self.f, self.g, self.h = f, g, h
-        self.ladder_y, self.ladder_z = ladder_y, ladder_z
-        self.qx, self.qy, self.qz_obj = qx, qy, qz_obj
-        self.qf, self.qg, self.qz = qf, qg, qz
-        self.name = name
-
-    def quotient_data(self):
-        return (self.qx.summands, self.qy.summands, self.qz_obj.summands,
-                self.qf.flatten(), self.qg.flatten(), self.qz.flatten())
-
-    def __repr__(self):
-        return "StandardTriangle(%s: %r -> %r -> %r)" % (self.name or "?",
-                                                         self.qx, self.qy, self.qz_obj)
+    def __init__(self, quotient: Triangle, ambient: Triangle, ladder_y, ladder_z):
+        super().__init__(quotient.x, quotient.y, quotient.z, quotient.f,
+                         quotient.g, quotient.h, name=quotient.name)
+        self.ambient, self.ladder_y, self.ladder_z = ambient, ladder_y, ladder_z
 
 
 class MutationData:
@@ -90,6 +85,13 @@ class MutationData:
 
     def to_quotient_obj(self, obj: ObjectExpr) -> ObjectExpr:
         return self.quotient.project_object(obj)
+
+    def to_quotient_triangle(self, t: Triangle, h: Morphism, name: str = "") -> Triangle:
+        """The quotient sextuple of t with third map the class of h, a ladder
+        map from t.z onto the third vertex of the fixed triangle of t.x."""
+        return Triangle(self.to_quotient_obj(t.x), self.to_quotient_obj(t.y),
+                        self.to_quotient_obj(t.z), self.to_quotient(t.f),
+                        self.to_quotient(t.g), self.to_quotient(h), name=name)
 
     def lift(self, mor: Morphism) -> Morphism:
         """Canonical ambient representative of a quotient morphism."""
@@ -153,17 +155,6 @@ class MutationData:
         return LinearFunctor(pres, pres, object_map, hom_maps, name="sigma")
 
 
-def mutation_shift(m: MutationData, fbar: Morphism) -> Morphism:
-    """Image of a quotient morphism class under the mutation auto-equivalence."""
-    x = fbar.source.summands
-    y = fbar.target.summands
-    if len(x) != 1 or len(y) != 1:
-        return m.sigma.apply(fbar)
-    rep = m.lift(fbar)
-    _, zmor = m._solve_shift(x[0], y[0], rep)
-    return m.to_quotient(zmor)
-
-
 def make_D_monic(m: MutationData, f: Morphism) -> Morphism:
     """Replace f: X -> Y by the monic-side representative (f; alpha_X)."""
     x = f.source.summands
@@ -179,7 +170,6 @@ def make_D_monic(m: MutationData, f: Morphism) -> Morphism:
 def check_mutation_pair(m: MutationData) -> Report:
     """Both approximation-triangle conditions plus structural checks."""
     rep = Report()
-    cat = m.tri.cat
     if not set(m.d.members) <= set(m.z.members):
         rep.fail("structure.d-in-z",
                  "members %s outside z" % sorted(set(m.d.members) - set(m.z.members)))
@@ -192,17 +182,7 @@ def check_mutation_pair(m: MutationData) -> Report:
         if t is None:
             rep.fail(key, "no fixed triangle")
             continue
-        problems = []
-        if t.x.summands != (x,):
-            problems.append("first vertex is %r" % t.x)
-        if not t.y.support() <= m.d.member_set():
-            problems.append("middle term outside d")
-        if not t.z.support() <= m.z.member_set():
-            problems.append("third term outside z")
-        if not is_D_monic(cat, t.f, m.d):
-            problems.append("left map is not a left approximation")
-        if not is_D_epic(cat, t.g, m.d):
-            problems.append("right map is not a right approximation")
+        problems = list(_approximation_problems(m, t, x, first=True))
         undecided = ""
         try:
             if m.tri.membership(t) is None:
@@ -237,14 +217,22 @@ def check_mutation_pair(m: MutationData) -> Report:
     return rep
 
 
-def _condition2_ok(m: MutationData, t: Triangle, y: str) -> bool:
-    cat = m.tri.cat
-    return (t.z.summands == (y,)
-            and t.x.support() <= m.z.member_set()
-            and t.y.support() <= m.d.member_set()
-            and is_D_monic(cat, t.f, m.d)
-            and is_D_epic(cat, t.g, m.d)
-            and m.tri.membership(t) is not None)
+def _approximation_problems(m: MutationData, t: Triangle, gen: str, first: bool):
+    """The structural reasons, lazily, why t is not an approximation triangle
+    at gen: gen must be its first vertex (first, condition 1) or its third
+    (condition 2), the middle term must lie in d and the other end in z, the
+    first map must be a left and the second a right d-approximation."""
+    end, far = (t.x, t.z) if first else (t.z, t.x)
+    if end.summands != (gen,):
+        yield "%s vertex is %r" % ("first" if first else "third", end)
+    if not t.y.support() <= m.d.member_set():
+        yield "middle term outside d"
+    if not far.support() <= m.z.member_set():
+        yield "%s term outside z" % ("third" if first else "first")
+    if not is_D_monic(m.tri.cat, t.f, m.d):
+        yield "left map is not a left approximation"
+    if not is_D_epic(m.tri.cat, t.g, m.d):
+        yield "right map is not a right approximation"
 
 
 def _condition2_triangle(m: MutationData, y: str):
@@ -256,8 +244,10 @@ def _condition2_triangle(m: MutationData, y: str):
         candidates = [m.fixed[x] for x in m.z.members if x in m.fixed] + m.tri.atoms()
     undecided = None
     for t in candidates:
+        if next(_approximation_problems(m, t, y, first=False), None) is not None:
+            continue
         try:
-            if _condition2_ok(m, t, y):
+            if m.tri.membership(t) is not None:
                 return t
         except UndecidedError as exc:
             undecided = undecided or exc
@@ -284,9 +274,7 @@ def standard_triangle(m: MutationData, f: Morphism, witness=None,
         if witness is None:
             raise InconsistentDataError("no distinguished completion found")
     else:
-        if witness.f.flatten() != f.flatten() \
-                or witness.f.source.summands != f.source.summands \
-                or witness.f.target.summands != f.target.summands:
+        if not witness.f.equal(f):
             raise PreconditionError("witness triangle does not start with the morphism")
         if m.tri.membership(witness) is None:
             raise PreconditionError("witness triangle is not distinguished")
@@ -299,15 +287,9 @@ def standard_triangle(m: MutationData, f: Morphism, witness=None,
     zmor = _ladder_solve(witness.g, t0.h, compose(t0.g, ymor), witness.h)
     if zmor is None:
         raise InconsistentDataError("no ladder completion onto the fixed triangle")
-    st = StandardTriangle(
-        witness.x, witness.y, witness.z, witness.f, witness.g, witness.h,
-        ymor, zmor,
-        m.to_quotient_obj(witness.x), m.to_quotient_obj(witness.y),
-        m.to_quotient_obj(witness.z),
-        m.to_quotient(witness.f), m.to_quotient(witness.g), m.to_quotient(zmor),
-        name=name)
+    st = StandardTriangle(m.to_quotient_triangle(witness, zmor, name), witness, ymor, zmor)
     for prev in m.registered:
-        if prev.quotient_data() == st.quotient_data():
+        if prev.data_equal(st):
             return prev
     m.registered.append(st)
     return st
@@ -393,10 +375,10 @@ def verify_quotient_triangulation(m: MutationData) -> Report:
 
     ok = True
     for st in m.registered:
-        if not compose(st.qg, st.qf).is_zero():
+        if not compose(st.g, st.f).is_zero():
             ok = False
             rep.fail("composites.zero", "%s: second o first != 0" % (st.name or "?"))
-        if not compose(st.qz, st.qg).is_zero():
+        if not compose(st.h, st.g).is_zero():
             ok = False
             rep.fail("composites.zero", "%s: third o second != 0" % (st.name or "?"))
     if ok:
@@ -429,17 +411,16 @@ def _tr3_pair(m: MutationData, t1, t2):
     square space lie in the column space of `_ladder_matrix(g1, h2)`: one
     solve, against all of them at once."""
     F = m.quotient.presentation.field
-    x1, x2, y1 = t1.qf.source, t2.qf.source, t1.qg.source
-    post_a = postcompose_mat(t2.qf, x1)
+    post_a = postcompose_mat(t2.f, t1.x)
     da = post_a.cols
-    squares = nullspace(post_a.hstack(precompose_mat(t1.qf, t2.qf.target).neg()))
+    squares = nullspace(post_a.hstack(precompose_mat(t1.f, t2.y).neg()))
     if not squares:
         return 0, True
     na = Mat.from_columns(F, da, [v[:da] for v in squares])
     nb = Mat.from_columns(F, len(squares[0]) - da, [v[da:] for v in squares])
-    images = postcompose_mat(t2.qg, y1).mul(nb).vstack(
-        precompose_mat(t1.qz, t2.qz.target).mul(m.sigma.action(x1, x2)).mul(na))
-    return len(squares), solve(_ladder_matrix(t1.qg, t2.qz), images) is not None
+    images = postcompose_mat(t2.g, t1.y).mul(nb).vstack(
+        precompose_mat(t1.h, t2.h.target).mul(m.sigma.action(t1.x, t2.x)).mul(na))
+    return len(squares), solve(_ladder_matrix(t1.g, t2.h), images) is not None
 
 
 def _ladder_matrix(g: Morphism, h: Morphism) -> Mat:
@@ -597,26 +578,22 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
         fres = _restricted_functor(F, res_src, res_tgt)
     tilde = induce_functor(fres, m.quotient, m2.quotient, name=F.name + "~")
 
-    ok = True
-    for x in m.quotient.survivors:
-        lhs = tilde.apply_obj(m.sigma.object_map[x])
-        rhs = m2.sigma.apply_obj(tilde.object_map[x])
-        if lhs.summands != rhs.summands:
-            ok = False
-            rep.fail("exact.sigma-objects",
-                     "at %s: %r vs %r" % (x, lhs, rhs))
-    if ok:
+    lhs = compose_functors(tilde, m.sigma)
+    rhs = compose_functors(m2.sigma, tilde)
+    survivors = m.quotient.survivors
+    bad = [x for x in survivors if lhs.object_map[x].summands != rhs.object_map[x].summands]
+    for x in bad:
+        rep.fail("exact.sigma-objects",
+                 "at %s: %r vs %r" % (x, lhs.object_map[x], rhs.object_map[x]))
+    if not bad:
         rep.ok("exact.sigma-objects")
 
     ok = True
-    pres = m.quotient.presentation
-    for xg in m.quotient.survivors:
-        for yg in m.quotient.survivors:
-            for qidx, fbar in enumerate(hom_basis(pres, ObjectExpr((xg,)),
-                                                  ObjectExpr((yg,)))):
-                lhs = tilde.apply(mutation_shift(m, fbar))
-                rhs = mutation_shift(m2, tilde.apply(fbar))
-                if not lhs.equal(rhs):
+    for xg in survivors:
+        for yg in survivors:
+            lmat, rmat = lhs.hom_maps[(xg, yg)], rhs.hom_maps[(xg, yg)]
+            for qidx in range(lmat.cols):
+                if xg in bad or yg in bad or lmat.col(qidx) != rmat.col(qidx):
                     ok = False
                     rep.fail("exact.sigma-morphisms",
                              "basis %d of Hom(%s,%s)" % (qidx, xg, yg))
@@ -626,7 +603,7 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
     ok, undecided = True, ""
     for st in m.registered:
         try:
-            standard = _image_is_standard(e, m, m2, st)
+            standard = _image_is_standard(e, m2, st)
         except UndecidedError as exc:
             undecided = undecided or "%s: %s" % (st.name or "?", exc)
             continue
@@ -638,37 +615,28 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
     return tilde, rep
 
 
-def _image_is_standard(e: ExactFunctorData, m: MutationData, m2: MutationData,
+def _image_is_standard(e: ExactFunctorData, m2: MutationData,
                        st: StandardTriangle) -> bool:
-    F = e.functor
-    img_qf = m2.to_quotient(F.apply(st.f))
-    img_qg = m2.to_quotient(F.apply(st.g))
-    img_qz = m2.to_quotient(F.apply(st.ladder_z))
-    img_data = (img_qf.source.summands, img_qf.target.summands,
-                img_qg.target.summands, img_qf.flatten(), img_qg.flatten(),
-                img_qz.flatten())
-    for prev in m2.registered:
-        if prev.quotient_data() == img_data:
-            return True
-    if img_qf.source.is_zero():
-        # The first vertex collapses: the sextuple is standard exactly when
-        # it is isomorphic to (0, Y, Y, 0, 1, 0), i.e. the middle map is
-        # invertible (or everything vanished).
-        if img_qf.target.is_zero():
-            return img_qg.target.is_zero()
-        return morphism_inverse(img_qg) is not None
-    famb = F.apply(st.f)
-    witness = e.push_triangle(Triangle(st.x, st.y, st.zv, st.f, st.g, st.h))
-    try:
-        rebuilt = standard_triangle(m2, famb, witness=witness,
-                                    name="img." + (st.name or "?"))
-    except (PreconditionError, InconsistentDataError):
-        return False
-    if rebuilt.quotient_data() == img_data:
+    """Whether the image of st, the quotient sextuple of the pushed ambient
+    triangle with third map the class of F(ladder_z), is isomorphic to a
+    standard triangle of m2: the standard triangle rebuilt on its first map,
+    or (0, Y, Y, 0, 1, 0) when its first vertex vanishes in the quotient.
+    Raises UndecidedError when the isomorphism search is undecided."""
+    pushed = e.push_triangle(st.ambient)
+    img = m2.to_quotient_triangle(pushed, e.functor.apply(st.ladder_z))
+    if any(prev.data_equal(img) for prev in m2.registered):
         return True
-    # Same first two maps; accept any isomorphism of sextuples fixing them.
-    c = _ladder_solve(img_qg, rebuilt.qz, rebuilt.qg, img_qz)
-    return c is not None and morphism_inverse(c) is not None
+    if img.x.is_zero():
+        pres = m2.quotient.presentation
+        ref = Triangle(img.x, img.y, img.y, Morphism.zero(pres, img.x, img.y),
+                       Morphism.identity(pres, img.y), Morphism.zero(pres, img.y, img.x))
+    else:
+        try:
+            ref = standard_triangle(m2, pushed.f, witness=pushed,
+                                    name="img." + (st.name or "?"))
+        except (PreconditionError, InconsistentDataError):
+            return False
+    return triangle_iso(m2.sigma, ref, img) is not None
 
 
 def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,

@@ -194,7 +194,7 @@ class TriangulatedPresentation:
                     return {"combo": (), "iso": None}
                 continue
             try:
-                iso = triangle_iso(self, self.direct_sum(combo), t)
+                iso = triangle_iso(self.shift, self.direct_sum(combo), t)
             except UndecidedError as exc:
                 undecided = undecided or exc
                 continue
@@ -366,16 +366,15 @@ def invertible_commuting_tuple(cat, spaces, constraints):
     return _invertible_candidate(cat, spaces, nullspace(Mat(F, len(rows), total, rows)), split)
 
 
-def triangle_iso(tri: TriangulatedPresentation, ts: Triangle, t: Triangle):
-    """Isomorphism of sextuples (a, b, c): ts -> t, as the pairs
-    ((a, a^-1), (b, b^-1), (c, c^-1)), or None.
+def triangle_iso(shift: LinearFunctor, ts: Triangle, t: Triangle):
+    """Isomorphism of sextuples (a, b, c): ts -> t over the shift functor T,
+    as the pairs ((a, a^-1), (b, b^-1), (c, c^-1)), or None.
 
     Constraints: t.f a = b ts.f, t.g b = c ts.g, t.h c = T(a) ts.h.
     """
-    shift = tri.shift
     # a |-> T(a) o ts.h: the shift's action on Hom(ts.x, t.x), then precompose.
     return invertible_commuting_tuple(
-        tri.cat, ((ts.x, t.x), (ts.y, t.y), (ts.z, t.z)),
+        shift.source, ((ts.x, t.x), (ts.y, t.y), (ts.z, t.z)),
         ((postcompose_mat(t.f, ts.x), 0, precompose_mat(ts.f, t.y), 1),
          (postcompose_mat(t.g, ts.y), 1, precompose_mat(ts.g, t.z), 2),
          (postcompose_mat(t.h, ts.z), 2,

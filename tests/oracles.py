@@ -300,9 +300,9 @@ def _completes(m, t1, t2, a, b):
     """Whether the square (a, b) extends to c: Z1 -> Z2 with c o g1 = g2 o b
     and h2 o c = sigma(a) o h1, with the ladder matrix built one basis
     element at a time."""
-    ladder = per_basis_precompose_mat(t1.qg, t2.qz.source).vstack(
-        per_basis_postcompose_mat(t2.qz, t1.qg.target))
-    rhs = compose(t2.qg, b).flatten() + compose(m.sigma.apply(a), t1.qz).flatten()
+    ladder = per_basis_precompose_mat(t1.g, t2.h.source).vstack(
+        per_basis_postcompose_mat(t2.h, t1.g.target))
+    rhs = compose(t2.g, b).flatten() + compose(m.sigma.apply(a), t1.h).flatten()
     return solve(ladder, Mat.column(ladder.field, rhs)) is not None
 
 
@@ -313,11 +313,11 @@ def brute_force_tr3(m, t1, t2):
     do not complete.  Keep p^(dim Hom(X1, X2) + dim Hom(Y1, Y2)) small."""
     pres = m.quotient.presentation
     commuting, failing = 0, []
-    bs = list(every_morphism(pres, t1.qy, t2.qy))
-    for a in every_morphism(pres, t1.qx, t2.qx):
-        fa = compose(t2.qf, a)
+    bs = list(every_morphism(pres, t1.y, t2.y))
+    for a in every_morphism(pres, t1.x, t2.x):
+        fa = compose(t2.f, a)
         for b in bs:
-            if fa.equal(compose(b, t1.qf)):
+            if fa.equal(compose(b, t1.f)):
                 commuting += 1
                 if not _completes(m, t1, t2, a, b):
                     failing.append((a, b))
@@ -337,8 +337,49 @@ def sampled_tr3(m, t1, t2):
         return out
 
     return all(_completes(m, t1, t2, a, b)
-               for a in candidates(t1.qx, t2.qx) for b in candidates(t1.qy, t2.qy)
-               if compose(t2.qf, a).equal(compose(b, t1.qf)))
+               for a in candidates(t1.x, t2.x) for b in candidates(t1.y, t2.y)
+               if compose(t2.f, a).equal(compose(b, t1.f)))
+
+
+def ladder_shift(m, fbar):
+    """sigma(fbar) for a class fbar between surviving generators, by one
+    ladder solve per morphism (the path that applying the functor
+    `MutationData.sigma` replaced): lift fbar to f: x -> y, solve
+    d o alpha_x = alpha_y o f, then z o beta_x = beta_y o d and
+    gamma_y o z = T(f) o gamma_x with every matrix built one basis element
+    at a time, and take the class of z."""
+    cat = m.tri.cat
+    (x,), (y,) = fbar.source.summands, fbar.target.summands
+    tx, ty = m.fixed[x], m.fixed[y]
+    f = m.lift(fbar)
+
+    def solved(mat, rhs, src, tgt):
+        return unflatten(cat, src, tgt, solve(mat, Mat.column(cat.field, rhs)).col(0))
+
+    d = solved(per_basis_precompose_mat(tx.f, ty.y), compose(ty.f, f).flatten(), tx.y, ty.y)
+    ladder = per_basis_precompose_mat(tx.g, ty.z).vstack(per_basis_postcompose_mat(ty.h, tx.z))
+    rhs = compose(ty.g, d).flatten() + compose(per_basis_apply(m.tri.shift, f), tx.h).flatten()
+    return m.to_quotient(solved(ladder, rhs, tx.z, ty.z))
+
+
+def brute_force_sextuple_iso(shift, ts, t):
+    """Some isomorphism of sextuples (a, b, c): ts -> t over the shift
+    functor, with t.f a = b ts.f, t.g b = c ts.g and t.h c = T(a) ts.h, or
+    None.  Every triple over the prime field is tried, so keep p^(total
+    dimension of the three Hom spaces) small."""
+    cat = shift.source
+    cs = list(every_morphism(cat, ts.z, t.z))
+    for a in every_morphism(cat, ts.x, t.x):
+        fa, ta_h = compose(t.f, a), compose(per_basis_apply(shift, a), ts.h)
+        for b in every_morphism(cat, ts.y, t.y):
+            if not fa.equal(compose(b, ts.f)):
+                continue
+            gb = compose(t.g, b)
+            for c in cs:
+                if gb.equal(compose(c, ts.g)) and compose(t.h, c).equal(ta_h) \
+                        and all(morphism_inverse(u) is not None for u in (a, b, c)):
+                    return a, b, c
+    return None
 
 
 def candidate_combos(tri, objs):

@@ -7,7 +7,7 @@ from rclkit.errors import PreconditionError
 from rclkit.field import QQ
 from rclkit.mutation import (MutationData, check_mutation_pair,
                              image_mutation_pair, induced_exact_functor,
-                             make_D_monic, mutation_shift, standard_triangle,
+                             make_D_monic, standard_triangle,
                              verify_quotient_triangulation)
 from rclkit.triangulated import Triangle, identity_triangle
 
@@ -44,9 +44,9 @@ def test_sigma_object_and_identity(ws_stab3):
     assert m.sigma.object_map["M1"].summands == ("M1",)
     pres = m.quotient.presentation
     ident = Morphism.identity(pres, pres.obj("M1"))
-    assert mutation_shift(m, ident).equal(ident)
+    assert m.sigma.apply(ident).equal(ident)
     zero = ident.scale(Fraction(0))
-    assert mutation_shift(m, zero).is_zero()
+    assert m.sigma.apply(zero).is_zero()
 
 
 def test_mutation_shift_ladder_freedom(ws_stab3):
@@ -68,9 +68,9 @@ def test_standard_triangle_identity(ws_stab3):
     one = Morphism.identity(cat, cat.obj("M1"))
     monic = make_D_monic(m, one)
     st = standard_triangle(m, monic)
-    assert st.qx.summands == ("M1",)
-    assert compose(st.qg, st.qf).is_zero()
-    assert compose(st.qz, st.qg).is_zero()
+    assert st.x.summands == ("M1",)
+    assert compose(st.g, st.f).is_zero()
+    assert compose(st.h, st.g).is_zero()
 
 
 def test_standard_triangle_identity_witness(ws_stab3):
@@ -79,10 +79,10 @@ def test_standard_triangle_identity_witness(ws_stab3):
     tri = m.tri
     one = Morphism.identity(tri.cat, tri.cat.obj("M1"))
     st = standard_triangle(m, one, witness=identity_triangle(tri, "M1"))
-    assert st.qx.summands == ("M1",)
-    assert st.qy.summands == ("M1",)
-    assert st.qz_obj.is_zero()
-    assert st.qf.equal(Morphism.identity(m.quotient.presentation,
+    assert st.x.summands == ("M1",)
+    assert st.y.summands == ("M1",)
+    assert st.z.is_zero()
+    assert st.f.equal(Morphism.identity(m.quotient.presentation,
                                          m.quotient.presentation.obj("M1")))
 
 
@@ -93,10 +93,10 @@ def test_standard_triangle_socle(ws_stab3):
     cat = m.tri.cat
     soc = Morphism.basis_element(cat, "M1", "M2", 0)
     st = standard_triangle(m, soc)
-    assert st.qy.is_zero()
-    assert st.qz_obj.summands == ("M1",)
+    assert st.y.is_zero()
+    assert st.z.summands == ("M1",)
     from rclkit.adjunction import morphism_inverse
-    assert morphism_inverse(st.qz) is not None
+    assert morphism_inverse(st.h) is not None
 
 
 def test_standard_triangle_rejects_non_monic(ws_stab3):
@@ -188,3 +188,27 @@ def test_induced_exact_functor_identity(ws_stab3):
     tilde, rep = induced_exact_functor(e, m, m)
     assert rep.ok_all, [str(x) for x in rep.failures()]
     assert tilde.object_map["M1"].summands == ("M1",)
+
+
+@pytest.mark.parametrize("image,column,objects", [
+    (("M1",), (Fraction(2),), "pass"),
+    (("M1", "M1"), (1, 0, 0, 1), "fail"),
+])
+def test_induced_exact_functor_flags_a_sigma_mismatch(ws_stab3, image, column, objects):
+    """With the target's sigma replaced by 2 on End(M1), or by the diagonal
+    M1 -> M1 + M1, the identity does not commute with the two shifts:
+    exact.sigma-morphisms fails on the basis element of End(M1), and
+    exact.sigma-objects fails too when the object images differ."""
+    from rclkit.functor import LinearFunctor, identity_functor
+    from rclkit.linalg import Mat
+    from rclkit.mutation import ExactFunctorData
+    mu = ws_stab3.mutations["MU"]
+    m, m2 = (MutationData(mu.tri, mu.z, mu.d, mu.fixed) for _ in range(2))
+    pres = m2.quotient.presentation
+    m2._sigma = LinearFunctor(pres, pres, {"M1": ObjectExpr(image)},
+                              {("M1", "M1"): Mat.column(QQ, column)}, name="twisted")
+    e = ExactFunctorData(identity_functor(mu.tri.cat), mu.tri, mu.tri, None, name="id")
+    _, rep = induced_exact_functor(e, m, m2)
+    entries = {e.key: (e.status, e.witness) for e in rep.entries}
+    assert entries["exact.sigma-objects"][0] == objects
+    assert entries["exact.sigma-morphisms"] == ("fail", "basis 0 of Hom(M1,M1)")

@@ -19,7 +19,8 @@ from rclkit.cli import main
 from rclkit.errors import UndecidedError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_prod, build_fix_stab3
-from rclkit.linalg import _determinant, _evaluate, _linear_form, _nonvanishing_point
+from rclkit.linalg import (_determinant, _evaluate, _linear_form, _nonvanishing_point,
+                           invertible_point)
 from rclkit.triangulated import Triangle, identity_triangle, invertible_commuting_tuple
 from rclkit.workspace import parse
 
@@ -183,6 +184,16 @@ def test_small_field_enumeration_proves_absence():
     assert _nonvanishing_point(PrimeField(3), 2, factors(PrimeField(3))) == (1, 1)
 
 
+@pytest.mark.parametrize("block", [[[(1,), (1,)]], [[(1,)], [(1,)]]], ids=["1x2", "2x1"])
+def test_non_square_block_proves_that_no_point_is_invertible(block):
+    """A non-square block is never invertible: None, before expanding it,
+    and before reading the blocks after it."""
+    def blocks():
+        yield block
+        raise AssertionError("read past a non-square block")
+    assert invertible_point(QQ, 1, blocks()) is None
+
+
 def test_multiplicity_mismatch_proves_that_no_isomorphism_exists(ws_stab3, monkeypatch):
     cat = ws_stab3.categories["STAB"]
     calls = []
@@ -336,9 +347,12 @@ def test_identity_closure_undecided_is_not_checked():
 # -- counter guard ----------------------------------------------------------
 
 def test_search_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 makes 138 searches, 78 of which
-    return a tuple; a search that returns None is decided without a single
-    morphism_inverse call."""
+    """tri-recollement fix_prod --d C1.M2 makes 150 searches, 90 of which
+    return a tuple: 48 memberships, 84 first-map isomorphisms in
+    complete_monic (24 found, 60 proved absent), and in the exact functors'
+    standard-triangle check 6 memberships of pushed witnesses and 12
+    sextuple isomorphisms.  A search that returns None is decided without
+    a single morphism_inverse call."""
     searches, inverses = [], [0]
     search, inverse = triangulated._invertible_candidate, triangulated.morphism_inverse
 
@@ -356,15 +370,18 @@ def test_search_counts_on_tri_recollement(monkeypatch, capsys):
     monkeypatch.setattr(triangulated, "_invertible_candidate", counting_search)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert len(searches) == 138
-    assert sum(hit for hit, _ in searches) == 78
+    assert len(searches) == 150
+    assert sum(hit for hit, _ in searches) == 90
     assert [n for hit, n in searches if not hit] == [0] * 60
 
 
 def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 solves for 216 inverses: 210 in
-    the searches and 6 in the exact functor's standard-triangle check.
-    complete_monic reuses the inverse its search verified."""
+    """tri-recollement fix_prod --d C1.M2 solves for 303 inverses: 246 in
+    the searches (one per component of each tuple found) and 57 in the 19
+    sextuple isomorphisms between an all-zero image and the all-zero
+    reference, which have no unknowns, so their three zero components are
+    inverted directly.  complete_monic reuses the inverse its search
+    verified."""
     calls = [0]
 
     def counting_inverse(m):
@@ -377,4 +394,4 @@ def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
             monkeypatch.setattr(module, "morphism_inverse", counting_inverse)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert calls[0] == 216
+    assert calls[0] == 303

@@ -18,6 +18,7 @@ from rclkit.category import Morphism, hom_basis
 from rclkit.field import PrimeField
 from rclkit.fixture_gen import build_fix_prod, build_fix_stab3
 from rclkit.mutation import StandardTriangle, _tr3_pair, verify_quotient_triangulation
+from rclkit.triangulated import Triangle
 
 from oracles import brute_force_tr3, sampled_tr3
 
@@ -34,19 +35,18 @@ def mutation_pair(p, name):
 
 
 def replaced(st, **maps):
-    """A copy of a registered triangle with some of qf, qg, qz replaced."""
-    qf, qg, qz = (maps.get(k, getattr(st, k)) for k in ("qf", "qg", "qz"))
-    return StandardTriangle(st.x, st.y, st.zv, st.f, st.g, st.h, st.ladder_y,
-                            st.ladder_z, st.qx, st.qy, st.qz_obj, qf, qg, qz,
-                            name=st.name + "'")
+    """A copy of a registered triangle with some of f, g, h replaced."""
+    f, g, h = (maps.get(k, getattr(st, k)) for k in ("f", "g", "h"))
+    return StandardTriangle(Triangle(st.x, st.y, st.z, f, g, h, name=st.name + "'"),
+                            st.ambient, st.ladder_y, st.ladder_z)
 
 
 def third_map_variants(st):
-    """qz replaced by zero and by qz plus each basis element of its Hom space."""
-    pres = st.qz.cat
-    others = [Morphism.zero(pres, st.qz.source, st.qz.target)]
-    others += [st.qz.add(e) for e in hom_basis(pres, st.qz.source, st.qz.target)]
-    return [replaced(st, qz=o) for o in others if not o.equal(st.qz)]
+    """h replaced by zero and by h plus each basis element of its Hom space."""
+    pres = st.h.cat
+    others = [Morphism.zero(pres, st.h.source, st.h.target)]
+    others += [st.h.add(e) for e in hom_basis(pres, st.h.source, st.h.target)]
+    return [replaced(st, h=o) for o in others if not o.equal(st.h)]
 
 
 def assert_pair_agrees(m, t1, t2):
@@ -93,9 +93,9 @@ def test_verify_reports_every_failing_pair(p):
     register, a second run names exactly the pairs the oracle finds
     failing (the original triangle is registered again, last)."""
     m, _ = mutation_pair(p, "stab1")
-    i = next(i for i, t in enumerate(m.registered) if len(t.qz_obj.summands) == 2)
+    i = next(i for i, t in enumerate(m.registered) if len(t.z.summands) == 2)
     st = m.registered[i]
-    m.registered[i] = replaced(st, qz=Morphism.zero(st.qz.cat, st.qz.source, st.qz.target))
+    m.registered[i] = replaced(st, h=Morphism.zero(st.h.cat, st.h.source, st.h.target))
     rep = verify_quotient_triangulation(m)
     assert len(m.registered) == 3
     expected = {(i1, i2) for i1, t1 in enumerate(m.registered)
@@ -112,8 +112,8 @@ def test_sampled_tr3_misses_squares_outside_its_candidates():
     them."""
     m, _ = mutation_pair(3, "stab1")
     t0, t1 = m.registered
-    assert t0.qz_obj.is_zero() and t1.qf.is_zero()
-    changed = replaced(t1, qf=t0.qf.scale(2))
+    assert t0.z.is_zero() and t1.f.is_zero()
+    changed = replaced(t1, f=t0.f.scale(2))
     for pair in ((t0, changed), (changed, t0)):
         commuting, failing = brute_force_tr3(m, *pair)
         assert commuting == 3
