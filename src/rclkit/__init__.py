@@ -3,9 +3,9 @@ categories — additive quotients, adjunctions, recollements, and the
 triangulated structure induced on quotients by mutation pairs."""
 
 from .field import QQ, PrimeField, RationalField, make_field
-from .linalg import Mat, SubspaceBasis, nullspace, rank, rref, solve, subspace_ops
+from .linalg import Mat, SubspaceBasis, nullspace, rank, rref, solve
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       compose, hom_space, ideal_subspace, is_isomorphic,
+                       compose, ideal_subspace, is_isomorphic,
                        validate_category)
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, image_subcategory, kernel_subcategory,
@@ -19,9 +19,7 @@ from .quotient import (MorphismIdeal, QuotientCategory, build_quotient,
 from .recollement import (Recollement, check_recollement, lift_subcategory_pair,
                           normalize_recollement, quotient_by_left_subcategory,
                           quotient_recollement, restrict_to_subcategory)
-from .triangulated import (Triangle, TriangulatedPresentation,
-                           canonical_left_approximation,
-                           canonical_right_approximation, is_D_epic, is_D_monic)
+from .triangulated import Triangle, TriangulatedPresentation, is_D_epic, is_D_monic
 from .mutation import (ExactFunctorData, MutationData, check_mutation_pair,
                        image_mutation_pair, induced_exact_functor,
                        make_D_monic, standard_triangle,

@@ -26,10 +26,6 @@ class ObjectExpr:
             summands = (summands,)
         self.summands = tuple(summands)
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
     def is_zero(self) -> bool:
         return not self.summands
 
@@ -38,9 +34,6 @@ class ObjectExpr:
 
     def multiplicities(self) -> Counter:
         return Counter(self.summands)
-
-    def plus(self, other: "ObjectExpr") -> "ObjectExpr":
-        return ObjectExpr(self.summands + other.summands)
 
     def __len__(self):
         return len(self.summands)
@@ -147,9 +140,6 @@ class Subcategory:
     def member_set(self):
         return set(self.members)
 
-    def contains_object(self, obj: ObjectExpr) -> bool:
-        return obj.support() <= self.member_set()
-
     def __eq__(self, other):
         return (isinstance(other, Subcategory) and other.parent is self.parent
                 and other.members == self.members)
@@ -240,9 +230,6 @@ class Morphism:
                   for r1, r2 in zip(self.blocks, other.blocks)]
         return Morphism(self.cat, self.source, self.target, blocks)
 
-    def sub(self, other: "Morphism") -> "Morphism":
-        return self.add(other.scale(self.cat.field.neg(self.cat.field.one)))
-
     def scale(self, c) -> "Morphism":
         F = self.cat.field
         blocks = [[tuple(F.mul(c, x) for x in vec) for vec in row] for row in self.blocks]
@@ -272,16 +259,6 @@ class Morphism:
 def hom_dim_expr(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr) -> int:
     dims = cat._dims
     return sum(dims.get((s, t), 0) for t in b.summands for s in a.summands)
-
-
-def hom_space(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
-    """Dimension and deterministic (target, source, basis) index order."""
-    index = []
-    for i, t in enumerate(b.summands):
-        for j, s in enumerate(a.summands):
-            for q in range(cat.hom_dim(s, t)):
-                index.append((i, j, q))
-    return {"dimension": len(index), "index": tuple(index)}
 
 
 def unflatten(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, coords) -> Morphism:

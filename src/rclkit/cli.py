@@ -149,7 +149,7 @@ def _tri_bundle(ws, rec_name, rec):
 def run_command(command, ws, options) -> Certificate:
     semantics = {"strict": "strict", "iso": "iso-closed",
                  "iso-closed": "iso-closed"}[options.get("semantics", "strict")]
-    cert = Certificate(command, digest=ws.digest(), semantics=semantics)
+    cert = Certificate(command, digest=ws.digest, semantics=semantics)
     for key in ("x", "xp", "xpp", "d", "name"):
         if options.get(key):
             cert.set("input.%s" % key, options[key])

@@ -252,31 +252,6 @@ class SubspaceBasis:
         F = self.field
         return all(F.is_zero(x) for x in self.reduce(vec))
 
-    def contains(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains_vector(v) for v in other.rows)
-
-    def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return SubspaceBasis.from_vectors(self.field, self.ambient, self.rows + other.rows)
-
-    def intersection(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        """Zassenhaus: row reduce [U|U; V|0], read the lower-right block."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        F = self.field
-        n = self.ambient
-        z = [F.zero] * n
-        block = [list(r) + list(r) for r in self.rows] + [list(r) + z for r in other.rows]
-        if not block:
-            return SubspaceBasis.from_vectors(F, n, [])
-        R, pivots = rref(Mat.from_rows(F, block))
-        out = []
-        for i in range(len(pivots)):
-            if pivots[i] >= n:
-                out.append(R.data[i][n:])
-        return SubspaceBasis.from_vectors(F, n, out)
-
     def complement_coords(self):
         """Indices of the canonical complementary coordinate subspace."""
         piv = set(self.pivots)
@@ -299,18 +274,6 @@ class SubspaceBasis:
 
     def __repr__(self):
         return "SubspaceBasis(dim %d in k^%d)" % (self.dim, self.ambient)
-
-
-def subspace_ops(u: SubspaceBasis, v: SubspaceBasis):
-    """Sum, intersection, containment (v within u) and codimension of u."""
-    if u.ambient != v.ambient:
-        raise ValueError("ambient mismatch: %d vs %d" % (u.ambient, v.ambient))
-    return {
-        "sum": u.sum(v),
-        "intersection": u.intersection(v),
-        "contains": u.contains(v),
-        "quotient_dim": u.quotient_dim(),
-    }
 
 
 def difference_rows(field, total: int, constraints):

@@ -1,15 +1,14 @@
 """Mutation pairs and the triangulated structure on the quotient.
 
-Fixed approximation triangles define the auto-equivalence sigma of the
-quotient by ladder completion; sigma is a functor, and a morphism is
-shifted only by applying it.  Standard triangles are produced from
-monic-side approximable morphisms.  A `StandardTriangle` is the quotient
-sextuple itself, carrying its ambient distinguished triangle and the ladder
-onto the fixed triangle; it is registered so that the triangle-rotation-free
-axioms (completion of every commuting square, vanishing composites) can be
-decided on the registered triangles by linear algebra.  Whether an exact
-functor sends a standard triangle to one is decided by the
-sextuple-isomorphism search `triangulated.triangle_iso`.  The rotation and
+One ladder primitive, `_ladder`, builds both the auto-equivalence sigma of
+the quotient (ladders between the fixed approximation triangles; sigma is a
+functor, and a morphism is shifted only by applying it) and every standard
+triangle (the ladder of a distinguished completion of a monic-side morphism
+onto the fixed triangle).  A `StandardTriangle` is the quotient sextuple with
+its ambient triangle and ladder.  The register `MutationData.registered` is
+the value TR1 computes once; no check adds to it.  Composites and TR3 are
+decided on it by linear algebra, and the images of standard triangles under
+an exact functor by `triangulated.triangle_iso`.  The rotation and
 octahedron axioms are reported as unchecked.
 """
 
@@ -26,7 +25,7 @@ from .linalg import Mat, nullspace, rank, solve
 from .quotient import QuotientCategory, build_quotient, induce_functor
 from .recollement import (FUNCTOR_SLOTS, Recollement, _restricted_functor,
                           quotient_recollement, supp_image)
-from .report import Report
+from .report import PASS, Report
 from .triangulated import (Triangle, TriangulatedPresentation,
                            d_approximation_failure, is_D_epic, is_D_monic,
                            triangle_iso)
@@ -61,7 +60,7 @@ class MutationData:
         self._quotient = None
         self._restricted = None
         self._sigma = None
-        self.registered = []
+        self._tr1_pass = None
 
     @property
     def restricted(self) -> FinLinCategory:
@@ -103,37 +102,16 @@ class MutationData:
             self._sigma = self._build_sigma()
         return self._sigma
 
-    def _solve_shift(self, x: str, y: str, f: Morphism, d_override=None):
-        """Ladder solve for the shift of an ambient morphism f: x -> y.
+    def tr1(self) -> tuple:
+        """(report, registered) of the one TR1 pass (`_tr1`), computed once."""
+        if self._tr1_pass is None:
+            self._tr1_pass = _tr1(self)
+        return self._tr1_pass
 
-        Returns (d, z) with d o alpha_x = alpha_y o f, z o beta_x = beta_y o d
-        and gamma_y o z = T(f) o gamma_x.  Raises when no completion exists.
-        """
-        cat = self.tri.cat
-        tx, ty = self.fixed[x], self.fixed[y]
-        if d_override is not None:
-            dmor = d_override
-        else:
-            rhs = compose(ty.f, f)
-            mat = precompose_mat(tx.f, ty.y)  # d |-> d o alpha_x
-            sol = solve(mat, Mat.column(cat.field, rhs.flatten()))
-            if sol is None:
-                raise InconsistentDataError(
-                    "no approximation ladder for %s -> %s" % (x, y))
-            dmor = unflatten(cat, tx.y, ty.y, sol.col(0))
-        zmor = _ladder_solve(tx.g, ty.h, compose(ty.g, dmor),
-                             compose(self.tri.shift.apply(f), tx.h))
-        if zmor is None:
-            raise InconsistentDataError(
-                "no shift-ladder completion for %s -> %s" % (x, y))
-        return dmor, zmor
-
-    def shift_nullspace(self, x: str, y: str):
-        """Basis of the d-solutions of d o alpha_x = 0 (the ladder freedom)."""
-        cat = self.tri.cat
-        tx, ty = self.fixed[x], self.fixed[y]
-        mat = precompose_mat(tx.f, ty.y)
-        return [unflatten(cat, tx.y, ty.y, v) for v in nullspace(mat)]
+    @property
+    def registered(self) -> tuple:
+        """The distinct standard triangles built by TR1, in the order built."""
+        return self.tr1()[1]
 
     def _build_sigma(self) -> LinearFunctor:
         q = self.quotient
@@ -146,9 +124,11 @@ class MutationData:
             for y in q.survivors:
                 cols = []
                 for qidx in range(pres.hom_dim(x, y)):
-                    rep_mor = morphism_in(self.tri.cat, q.lift_basis(x, y, qidx))
-                    _, zmor = self._solve_shift(x, y, rep_mor)
-                    cols.append(self.to_quotient(zmor).flatten())
+                    lift = morphism_in(self.tri.cat, q.lift_basis(x, y, qidx))
+                    ladder = _ladder(self.tri.shift, self.fixed[x], self.fixed[y], lift)
+                    if ladder is None:
+                        raise InconsistentDataError("no shift ladder for %s -> %s" % (x, y))
+                    cols.append(self.to_quotient(ladder[1]).flatten())
                 if cols:
                     hom_maps[(x, y)] = Mat.from_columns(
                         pres.field, hom_dim_expr(pres, object_map[x], object_map[y]), cols)
@@ -259,7 +239,7 @@ def _condition2_triangle(m: MutationData, y: str):
 def standard_triangle(m: MutationData, f: Morphism, witness=None,
                       name: str = "") -> StandardTriangle:
     """Ladder a distinguished completion of a monic-side morphism down to the
-    fixed triangle and register the resulting quotient sextuple."""
+    fixed triangle and return the resulting quotient sextuple."""
     cat = m.tri.cat
     x = f.source.summands
     if len(x) != 1 or x[0] not in m.fixed:
@@ -278,21 +258,11 @@ def standard_triangle(m: MutationData, f: Morphism, witness=None,
             raise PreconditionError("witness triangle does not start with the morphism")
         if m.tri.membership(witness) is None:
             raise PreconditionError("witness triangle is not distinguished")
-    t0 = m.fixed[x]
-    mat = precompose_mat(f, t0.y)  # y |-> y o f
-    sol = solve(mat, Mat.column(cat.field, t0.f.flatten()))
-    if sol is None:
-        raise InconsistentDataError("monic morphism admits no lift of the approximation")
-    ymor = unflatten(cat, witness.y, t0.y, sol.col(0))
-    zmor = _ladder_solve(witness.g, t0.h, compose(t0.g, ymor), witness.h)
-    if zmor is None:
+    ladder = _ladder(m.tri.shift, witness, m.fixed[x], Morphism.identity(cat, f.source))
+    if ladder is None:
         raise InconsistentDataError("no ladder completion onto the fixed triangle")
-    st = StandardTriangle(m.to_quotient_triangle(witness, zmor, name), witness, ymor, zmor)
-    for prev in m.registered:
-        if prev.data_equal(st):
-            return prev
-    m.registered.append(st)
-    return st
+    ymor, zmor = ladder
+    return StandardTriangle(m.to_quotient_triangle(witness, zmor, name), witness, ymor, zmor)
 
 
 def _sigma_is_equivalence(m: MutationData, rep: Report):
@@ -327,28 +297,15 @@ def _sigma_is_equivalence(m: MutationData, rep: Report):
                  "object map is not a bijection of isomorphism classes")
 
 
-def verify_quotient_triangulation(m: MutationData) -> Report:
-    """Check the quotient's triangulation on its registered standard triangles.
-
-    sigma must be an auto-equivalence.  TR1 is sampled: the zero, identity
-    and basis morphism classes between surviving generators must each embed
-    in a standard triangle, which is registered.  Both composites of every
-    registered triangle must vanish.  TR3 is decided exactly on every
-    ordered pair of registered triangles: each commuting square between
-    their first maps, not only sampled ones, must complete to a morphism of
-    triangles (`_tr3_pair`); the witness is the total dimension of the
-    square spaces.  The check covers the registered triangles, not their
-    closure under sums and isomorphism.  Rotation (TR2) and the octahedron
-    (TR4) are reported not-checked."""
+def _tr1(m: MutationData) -> tuple:
+    """(report, triangles) of TR1, which is sampled: the zero, identity and
+    basis morphism classes between surviving generators must each embed in
+    a standard triangle.  The triangles are the distinct ones built, in
+    order; they are the register `MutationData.registered`."""
     rep = Report()
+    built = []
     q = m.quotient
     pres = q.presentation
-    try:
-        _sigma_is_equivalence(m, rep)
-    except InconsistentDataError as exc:
-        rep.fail("sigma", str(exc))
-        return rep
-
     for xg in q.survivors:
         for yg in q.survivors:
             src, tgt = ObjectExpr((xg,)), ObjectExpr((yg,))
@@ -363,41 +320,66 @@ def verify_quotient_triangulation(m: MutationData) -> Report:
                     continue
                 seen.add(fbar.flatten())
                 key = "tr1.%s-%s.%s" % (xg, yg, label)
-                famb = m.lift(fbar)
                 try:
-                    monic = make_D_monic(m, famb)
-                    standard_triangle(m, monic, name="tr1.%s" % key)
-                    rep.ok(key)
+                    st = standard_triangle(m, make_D_monic(m, m.lift(fbar)),
+                                           name="tr1.%s" % key)
                 except (PreconditionError, InconsistentDataError) as exc:
                     rep.fail(key, str(exc))
                 except UndecidedError as exc:
                     rep.not_checked(key, str(exc))
+                else:
+                    rep.ok(key)
+                    if not any(prev.data_equal(st) for prev in built):
+                        built.append(st)
+    return rep, tuple(built)
 
-    ok = True
-    for st in m.registered:
+
+def verify_quotient_triangulation(m: MutationData) -> Report:
+    """Check the quotient's triangulation on its registered standard triangles.
+
+    sigma must be an auto-equivalence.  TR1 (`_tr1`) builds the register.
+    Composites and TR3 are then decided on it (`_check_triangles`).  The
+    check covers the registered triangles, not their closure under sums and
+    isomorphism.  Rotation (TR2) and the octahedron (TR4) are reported
+    not-checked."""
+    rep = Report()
+    try:
+        _sigma_is_equivalence(m, rep)
+    except InconsistentDataError as exc:
+        rep.fail("sigma", str(exc))
+        return rep
+    tr1, registered = m.tr1()
+    rep.merge(tr1)
+    rep.merge(_check_triangles(m, registered))
+    rep.not_checked("tr2")
+    rep.not_checked("tr4")
+    return rep
+
+
+def _check_triangles(m: MutationData, triangles: tuple) -> Report:
+    """Both composites of every triangle must vanish, and TR3 is decided
+    exactly on every ordered pair: each commuting square between their first
+    maps, not only sampled ones, must complete to a morphism of triangles
+    (`_tr3_pair`); the witness is the total dimension of the square spaces."""
+    rep = Report()
+    for st in triangles:
         if not compose(st.g, st.f).is_zero():
-            ok = False
             rep.fail("composites.zero", "%s: second o first != 0" % (st.name or "?"))
         if not compose(st.h, st.g).is_zero():
-            ok = False
             rep.fail("composites.zero", "%s: third o second != 0" % (st.name or "?"))
-    if ok:
+    if not rep.has_failures("composites.zero"):
         rep.ok("composites.zero")
 
-    ok = True
     squares = 0
-    for i1, t1 in enumerate(m.registered):
-        for i2, t2 in enumerate(m.registered):
+    for i1, t1 in enumerate(triangles):
+        for i2, t2 in enumerate(triangles):
             dim, completes = _tr3_pair(m, t1, t2)
             squares += dim
             if not completes:
-                ok = False
                 rep.fail("tr3", "no completion between %d and %d" % (i1, i2))
-    if ok:
+    if not rep.has_failures("tr3"):
         rep.ok("tr3", "every commuting square completes (total dimension %d)"
                % squares)
-    rep.not_checked("tr2")
-    rep.not_checked("tr4")
     return rep
 
 
@@ -428,14 +410,20 @@ def _ladder_matrix(g: Morphism, h: Morphism) -> Mat:
     return precompose_mat(g, h.source).vstack(postcompose_mat(h, g.target))
 
 
-def _ladder_solve(g: Morphism, h: Morphism, r1: Morphism, r2: Morphism):
-    """The canonical c: g.target -> h.source with c o g = r1 and h o c = r2,
-    or None when no such c exists."""
-    cat = g.cat
-    sol = solve(_ladder_matrix(g, h), Mat.column(cat.field, r1.flatten() + r2.flatten()))
+def _ladder(shift: LinearFunctor, s: Triangle, t: Triangle, a: Morphism):
+    """The canonical (b, c) completing a: s.x -> t.x to a morphism of
+    triangles s -> t, with b o s.f = t.f o a, c o s.g = t.g o b and
+    t.h o c = T(a) o s.h; or None when there is no such completion."""
+    cat = a.cat
+    sol = solve(precompose_mat(s.f, t.y), Mat.column(cat.field, compose(t.f, a).flatten()))
     if sol is None:
         return None
-    return unflatten(cat, g.target, h.source, sol.col(0))
+    b = unflatten(cat, s.y, t.y, sol.col(0))
+    rhs = compose(t.g, b).flatten() + compose(shift.apply(a), s.h).flatten()
+    sol = solve(_ladder_matrix(s.g, t.h), Mat.column(cat.field, rhs))
+    if sol is None:
+        return None
+    return b, unflatten(cat, s.g.target, t.h.source, sol.col(0))
 
 
 class ExactFunctorData:
@@ -449,7 +437,6 @@ class ExactFunctorData:
         self.target_tri = target_tri
         self.shift_iso = shift_iso  # None means strict commutation
         self.name = name or functor.name
-        self.fullness_certified = False
 
     def shift_twist(self, obj: ObjectExpr) -> Morphism:
         """Component F(T obj) -> T'(F obj) of the commutation isomorphism."""
@@ -492,17 +479,14 @@ class ExactFunctorData:
                 rep.fail("exact.shift-iso.invertible", "at %s" % bad[0])
             else:
                 rep.ok("exact.shift-iso.invertible")
-        full = True
         for g in F.source.generators:
             for h in F.source.generators:
                 mat = F.hom_maps[(g, h)]
                 if rank(mat) != mat.rows:
-                    full = False
                     rep.fail("exact.full", "Hom map (%s,%s) not surjective" % (g, h))
-        if full:
+        if not rep.has_failures("exact.full"):
             rep.ok("exact.full")
-            self.fullness_certified = True
-        ok, undecided = True, ""
+        undecided = ""
         for t in self.source_tri.triangles:
             try:
                 found = self.target_tri.membership(self.push_triangle(t))
@@ -510,10 +494,10 @@ class ExactFunctorData:
                 undecided = undecided or "image of %s: %s" % (t.name or "?", exc)
                 continue
             if found is None:
-                ok = False
                 rep.fail("exact.triangle-image",
                          "image of %s not distinguished" % (t.name or "?"))
-        rep.conclude("exact.triangle-image", ok, undecided)
+        rep.conclude("exact.triangle-image",
+                     not rep.has_failures("exact.triangle-image"), undecided)
         return rep
 
 
@@ -523,7 +507,7 @@ def image_mutation_pair(e: ExactFunctorData, m: MutationData,
     rep = Report()
     sub = e.validate()
     rep.merge(sub, prefix="push.")
-    if not e.fullness_certified:
+    if not any(x.key == "exact.full" and x.status == PASS for x in sub.entries):
         rep.fail("push.fullness-required", "functor is not full")
         return None, rep
     F = e.functor
@@ -588,19 +572,17 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
     if not bad:
         rep.ok("exact.sigma-objects")
 
-    ok = True
     for xg in survivors:
         for yg in survivors:
             lmat, rmat = lhs.hom_maps[(xg, yg)], rhs.hom_maps[(xg, yg)]
             for qidx in range(lmat.cols):
                 if xg in bad or yg in bad or lmat.col(qidx) != rmat.col(qidx):
-                    ok = False
                     rep.fail("exact.sigma-morphisms",
                              "basis %d of Hom(%s,%s)" % (qidx, xg, yg))
-    if ok:
+    if not rep.has_failures("exact.sigma-morphisms"):
         rep.ok("exact.sigma-morphisms")
 
-    ok, undecided = True, ""
+    undecided = ""
     for st in m.registered:
         try:
             standard = _image_is_standard(e, m2, st)
@@ -608,9 +590,9 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
             undecided = undecided or "%s: %s" % (st.name or "?", exc)
             continue
         if not standard:
-            ok = False
             rep.fail("exact.standard-triangle-image", st.name or "?")
-    rep.conclude("exact.standard-triangle-image", ok, undecided,
+    rep.conclude("exact.standard-triangle-image",
+                 not rep.has_failures("exact.standard-triangle-image"), undecided,
                  "%d registered triangles checked" % len(m.registered))
     return tilde, rep
 
@@ -621,7 +603,9 @@ def _image_is_standard(e: ExactFunctorData, m2: MutationData,
     triangle with third map the class of F(ladder_z), is isomorphic to a
     standard triangle of m2: the standard triangle rebuilt on its first map,
     or (0, Y, Y, 0, 1, 0) when its first vertex vanishes in the quotient.
-    Raises UndecidedError when the isomorphism search is undecided."""
+    An image equal as data to a registered triangle or to that reference
+    passes without a search; the reference is not registered.  Raises
+    UndecidedError when the isomorphism search is undecided."""
     pushed = e.push_triangle(st.ambient)
     img = m2.to_quotient_triangle(pushed, e.functor.apply(st.ladder_z))
     if any(prev.data_equal(img) for prev in m2.registered):
@@ -636,7 +620,7 @@ def _image_is_standard(e: ExactFunctorData, m2: MutationData,
                                     name="img." + (st.name or "?"))
         except (PreconditionError, InconsistentDataError):
             return False
-    return triangle_iso(m2.sigma, ref, img) is not None
+    return ref.data_equal(img) or triangle_iso(m2.sigma, ref, img) is not None
 
 
 def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,

@@ -21,9 +21,9 @@ records not-checked.
 
 from __future__ import annotations
 
-from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_basis,
-                       hom_dim_expr, morphism_inverse, postcompose_mat,
-                       precompose_mat, residue, unflatten)
+from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_dim_expr,
+                       morphism_inverse, postcompose_mat, precompose_mat, residue,
+                       unflatten)
 from .errors import PresentationError, UndecidedError
 from .functor import LinearFunctor, compose_functors, is_identity_functor, validate_functor
 from .linalg import Mat, difference_rows, invertible_point, nullspace, rank
@@ -404,16 +404,3 @@ def is_D_monic(cat, f: Morphism, d) -> bool:
     """Pre-composition surjective on Hom(-, D) for every member D."""
     return d_approximation_failure(f, d, monic=True) is None
 
-
-def canonical_right_approximation(cat, x: ObjectExpr, d) -> Morphism:
-    """Evaluation morphism from a sum of member copies onto x; always a
-    right approximation in a finite presentation."""
-    parts = [(m, u) for m in d.members for u in hom_basis(cat, ObjectExpr((m,)), x)]
-    blocks = [[u.blocks[i][0] for _, u in parts] for i in range(len(x.summands))]
-    return Morphism(cat, ObjectExpr([m for m, _ in parts]), x, blocks)
-
-
-def canonical_left_approximation(cat, x: ObjectExpr, d) -> Morphism:
-    """Coevaluation morphism from x into a sum of member copies."""
-    parts = [(m, u) for m in d.members for u in hom_basis(cat, x, ObjectExpr((m,)))]
-    return Morphism(cat, x, ObjectExpr([m for m, _ in parts]), [u.blocks[0] for _, u in parts])

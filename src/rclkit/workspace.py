@@ -135,9 +135,7 @@ class Workspace:
         self.exact_refs = {}      # name -> (functor, source_tri, target_tri, shift_iso)
         self.mutations = {}
         self.mutation_refs = {}   # name -> (ambient, z, d) names
-
-    def digest(self) -> str:
-        return "sha256:" + hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()
+        self.digest = ""          # "sha256:" of the text `parse` read
 
 
 class Diagnostic:
@@ -346,7 +344,8 @@ class _Parser:
 
 
 def parse(text: str) -> Workspace:
-    """Parse and cross-resolve a workspace file."""
+    """Parse and cross-resolve a workspace file; its `digest` is the sha256
+    of exactly this text."""
     p = _Parser(_tokenize(text))
     p.expect_word("rclkit")
     p.expect_word("workspace")
@@ -373,7 +372,9 @@ def parse(text: str) -> Workspace:
             body = (p.read_fields(HEADERS[kw.value]), _parse_items(p, kw.value))
         p.expect_punct("}")
         decls.append((kw.value, name, body))
-    return _resolve(decls)
+    ws = _resolve(decls)
+    ws.digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return ws
 
 
 def _parse_field(p):

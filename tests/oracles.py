@@ -8,7 +8,8 @@ from rclkit.category import (Morphism, ObjectExpr, basis_morphisms, block_diagon
                              hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
                              precompose_mat, unflatten)
 from rclkit.functor import compose_functors, identity_functor
-from rclkit.linalg import Mat, SubspaceBasis, difference_rows, solve
+from rclkit.linalg import Mat, SubspaceBasis, difference_rows, nullspace, solve
+from rclkit.mutation import _ladder_matrix
 from rclkit.report import Report
 
 
@@ -360,6 +361,29 @@ def ladder_shift(m, fbar):
     ladder = per_basis_precompose_mat(tx.g, ty.z).vstack(per_basis_postcompose_mat(ty.h, tx.z))
     rhs = compose(ty.g, d).flatten() + compose(per_basis_apply(m.tri.shift, f), tx.h).flatten()
     return m.to_quotient(solved(ladder, rhs, tx.z, ty.z))
+
+
+def ladder_classes(m, f):
+    """The classes of c over the freedom of b in the ladder on f: x -> y
+    from the fixed triangle of x to that of y.  b runs over the canonical
+    solution of b o alpha_x = alpha_y o f and its sums with each basis
+    vector of the solutions of b o alpha_x = 0; for each, c is solved from
+    c o beta_x = beta_y o b and gamma_y o c = T(f) o gamma_x through
+    `mutation._ladder_matrix`."""
+    cat = m.tri.cat
+    (x,), (y,) = f.source.summands, f.target.summands
+    tx, ty = m.fixed[x], m.fixed[y]
+    alpha = precompose_mat(tx.f, ty.y)
+    b0 = unflatten(cat, tx.y, ty.y,
+                   solve(alpha, Mat.column(cat.field, compose(ty.f, f).flatten())).col(0))
+    bs = [b0] + [b0.add(unflatten(cat, tx.y, ty.y, v)) for v in nullspace(alpha)]
+    tail = compose(m.tri.shift.apply(f), tx.h).flatten()
+    classes = []
+    for b in bs:
+        rhs = Mat.column(cat.field, compose(ty.g, b).flatten() + tail)
+        c = solve(_ladder_matrix(tx.g, ty.h), rhs)
+        classes.append(m.to_quotient(unflatten(cat, tx.z, ty.z, c.col(0))))
+    return classes
 
 
 def brute_force_sextuple_iso(shift, ts, t):

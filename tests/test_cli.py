@@ -208,3 +208,20 @@ def test_exit_code_matches_certificate(fixture_dir, tmp_path, capsys):
                       "--x", "S1,S2,P1", "--out", str(out)], capsys)
     assert code == 1
     assert "result.verdict = fail" in out.read_text()
+
+
+def test_digest_names_the_bytes_read(fixture_dir, tmp_path, capsys):
+    """A comment appended to fix_a2 changes its certificate only in
+    meta.input-digest."""
+    plain = fixture_dir / "fix_a2.rcl"
+    commented = tmp_path / "fix_a2.rcl"
+    commented.write_text(plain.read_text() + "# a comment\n")
+    outs = []
+    for path in (plain, commented):
+        code, out, _ = run(["check-recollement", str(path), "--format", "structured"],
+                           capsys)
+        assert code == 0
+        outs.append(out.splitlines())
+    assert len(outs[0]) == len(outs[1])
+    changed = [a.split(" = ")[0] for a, b in zip(*outs) if a != b]
+    assert changed == ["meta.input-digest"]

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rclkit.field import QQ, PrimeField
-from rclkit.linalg import (Mat, SubspaceBasis, invert, nullspace, rank,
-                           solve, subspace_ops)
+from rclkit.linalg import Mat, SubspaceBasis, invert, nullspace, rank, solve
 
 
 def qmat(rows):
@@ -35,24 +34,6 @@ def test_solve_back_substitution():
     x = solve(a, b)
     assert x.col(0) == (Fraction(2), Fraction(1))
     assert a.mul(x) == b
-
-
-def test_subspace_ops_examples():
-    full = SubspaceBasis.from_vectors(QQ, 2, [(1, 0), (0, 1)])
-    e1 = SubspaceBasis.from_vectors(QQ, 2, [(Fraction(1), Fraction(0))])
-    e2 = SubspaceBasis.from_vectors(QQ, 2, [(Fraction(0), Fraction(1))])
-    res = subspace_ops(full, e1)
-    assert res["contains"] is True
-    res = subspace_ops(e1, e2)
-    assert res["sum"].dim == 2
-    assert res["intersection"].dim == 0
-    assert res["contains"] is False
-    assert res["quotient_dim"] == 1
-
-    u = SubspaceBasis.from_vectors(QQ, 3, [(1, 1, 0)])
-    v = SubspaceBasis.from_vectors(QQ, 3, [(1, 1, 0), (0, 0, 1)])
-    assert v.contains(u)
-    assert not u.contains(v)
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -119,9 +100,3 @@ def test_invert():
     assert m.mul(inv) == Mat.identity(QQ, 2)
     assert invert(qmat([[1, 2], [2, 4]])) is None
 
-
-def test_ambient_mismatch():
-    u = SubspaceBasis.from_vectors(QQ, 2, [(1, 0)])
-    v = SubspaceBasis.from_vectors(QQ, 3, [(1, 0, 0)])
-    with pytest.raises(ValueError):
-        subspace_ops(u, v)

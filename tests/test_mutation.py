@@ -3,13 +3,19 @@ from fractions import Fraction
 import pytest
 
 from rclkit.category import Morphism, ObjectExpr, Subcategory, compose
+from rclkit.cli import _tri_bundle
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ
+from rclkit.fixture_gen import build_fix_prod
 from rclkit.mutation import (MutationData, check_mutation_pair,
                              image_mutation_pair, induced_exact_functor,
                              make_D_monic, standard_triangle,
+                             triangulated_quotient_recollement,
                              verify_quotient_triangulation)
+from rclkit.recollement import FUNCTOR_SLOTS
 from rclkit.triangulated import Triangle, identity_triangle
+
+from oracles import ladder_classes
 
 
 def test_check_mutation_pair_fixture(ws_stab3):
@@ -50,16 +56,22 @@ def test_sigma_object_and_identity(ws_stab3):
 
 
 def test_mutation_shift_ladder_freedom(ws_stab3):
-    """Different valid ladder solutions give the same residue class."""
-    m = ws_stab3.mutations["MU"]
-    cat = m.tri.cat
+    """Every valid ladder solution b gives a c of sigma's residue class.  The
+    fixed triangle of M1 gets the summand (0, M2, M2, 0, 1, 0), so that
+    b o alpha = 0 has nonzero solutions b."""
+    mu = ws_stab3.mutations["MU"]
+    tri, cat = mu.tri, mu.tri.cat
+    zero, m2 = ObjectExpr(()), cat.obj("M2")
+    trivial = Triangle(zero, m2, m2, Morphism.zero(cat, zero, m2),
+                       Morphism.identity(cat, m2), Morphism.zero(cat, m2, zero))
+    fixed = dict(mu.fixed, M1=tri.direct_sum([mu.fixed["M1"], trivial]))
+    m = MutationData(tri, mu.z, mu.d, fixed)
+    assert tri.membership(fixed["M1"]) is not None
     f = Morphism.identity(cat, cat.obj("M1"))
-    d0, z0 = m._solve_shift("M1", "M1", f)
-    base = m.to_quotient(z0)
-    for null in m.shift_nullspace("M1", "M1"):
-        d1 = d0.add(null)
-        _, z1 = m._solve_shift("M1", "M1", f, d_override=d1)
-        assert m.to_quotient(z1).equal(base)
+    classes = ladder_classes(m, f)
+    assert len(classes) > 1
+    for c in classes:
+        assert c.equal(m.sigma.apply(m.to_quotient(f)))
 
 
 def test_standard_triangle_identity(ws_stab3):
@@ -97,6 +109,16 @@ def test_standard_triangle_socle(ws_stab3):
     assert st.z.summands == ("M1",)
     from rclkit.adjunction import morphism_inverse
     assert morphism_inverse(st.h) is not None
+
+
+def test_standard_triangle_leaves_the_register_alone(ws_stab3):
+    """The socle map's standard triangle is none of TR1's, and building it
+    does not register it."""
+    m = ws_stab3.mutations["MU"]
+    before = m.registered
+    st = standard_triangle(m, Morphism.basis_element(m.tri.cat, "M1", "M2", 0))
+    assert not any(st.data_equal(t) for t in before)
+    assert m.registered == before and len(before) == 2
 
 
 def test_standard_triangle_rejects_non_monic(ws_stab3):
@@ -212,3 +234,37 @@ def test_induced_exact_functor_flags_a_sigma_mismatch(ws_stab3, image, column, o
     entries = {e.key: (e.status, e.witness) for e in rep.entries}
     assert entries["exact.sigma-objects"][0] == objects
     assert entries["exact.sigma-morphisms"] == ("fail", "basis 0 of Hom(M1,M1)")
+
+
+def prod_pipeline():
+    """fix_prod's tri-recollement with D = add(C1.M2): the exact data, the
+    three sides' mutation pairs and the pipeline's report."""
+    ws = build_fix_prod()
+    rec = ws.recollements["R"]
+    tris, exact, m = _tri_bundle(ws, "R", rec)
+    out, rep = triangulated_quotient_recollement(rec, tris, exact, m.d, m)
+    assert rep.ok_all
+    return exact, {"left": out["m_left"], "middle": m, "right": out["m_right"]}, rep
+
+
+def test_every_slot_checks_its_source_register():
+    """The registers are TR1's (14/2/8 triangles), and each induced
+    functor checks exactly the register of its source side."""
+    _, sides, rep = prod_pipeline()
+    assert [len(sides[k].registered) for k in ("middle", "left", "right")] == [14, 2, 8]
+    for slot, (src, _) in FUNCTOR_SLOTS.items():
+        [entry] = [e for e in rep.entries
+                   if e.key == "exact.%s.exact.standard-triangle-image" % slot]
+        assert entry.witness == "%d registered triangles checked" % len(sides[src].registered)
+
+
+def test_induced_exact_functors_do_not_depend_on_slot_order():
+    """The six induced functors, certified again in reverse slot order after
+    the pipeline, give the pipeline's reports entry for entry."""
+    exact, sides, rep = prod_pipeline()
+    for slot, (src, tgt) in reversed(list(FUNCTOR_SLOTS.items())):
+        _, sub = induced_exact_functor(exact[slot], sides[src], sides[tgt])
+        prefix = "exact.%s." % slot
+        assert [(e.key, e.status, e.witness) for e in sub.entries] == \
+            [(e.key[len(prefix):], e.status, e.witness)
+             for e in rep.entries if e.key.startswith(prefix)]

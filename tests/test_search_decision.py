@@ -347,12 +347,13 @@ def test_identity_closure_undecided_is_not_checked():
 # -- counter guard ----------------------------------------------------------
 
 def test_search_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 makes 150 searches, 90 of which
+    """tri-recollement fix_prod --d C1.M2 makes 143 searches, 83 of which
     return a tuple: 48 memberships, 84 first-map isomorphisms in
     complete_monic (24 found, 60 proved absent), and in the exact functors'
-    standard-triangle check 6 memberships of pushed witnesses and 12
-    sextuple isomorphisms.  A search that returns None is decided without
-    a single morphism_inverse call."""
+    standard-triangle check 6 memberships of pushed witnesses and 5
+    sextuple isomorphisms (an image equal as data to its reference needs
+    none).  A search that returns None is decided without a single
+    morphism_inverse call."""
     searches, inverses = [], [0]
     search, inverse = triangulated._invertible_candidate, triangulated.morphism_inverse
 
@@ -370,18 +371,19 @@ def test_search_counts_on_tri_recollement(monkeypatch, capsys):
     monkeypatch.setattr(triangulated, "_invertible_candidate", counting_search)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert len(searches) == 150
-    assert sum(hit for hit, _ in searches) == 90
+    assert len(searches) == 143
+    assert sum(hit for hit, _ in searches) == 83
     assert [n for hit, n in searches if not hit] == [0] * 60
 
 
 def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 solves for 303 inverses: 246 in
-    the searches (one per component of each tuple found) and 57 in the 19
-    sextuple isomorphisms between an all-zero image and the all-zero
-    reference, which have no unknowns, so their three zero components are
-    inverted directly.  complete_monic reuses the inverse its search
-    verified."""
+    """tri-recollement fix_prod --d C1.M2 solves for 225 inverses, all in
+    the searches, one per component of each tuple found: 144 in the 48
+    memberships, 48 in the 24 first-map isomorphisms found by
+    complete_monic, 18 in the 6 memberships of pushed witnesses and 15 in
+    the 5 sextuple isomorphisms of the image check.  An image equal as data
+    to its reference (every all-zero one among them) is passed without a
+    search, and complete_monic reuses the inverse its search verified."""
     calls = [0]
 
     def counting_inverse(m):
@@ -394,4 +396,4 @@ def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
             monkeypatch.setattr(module, "morphism_inverse", counting_inverse)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert calls[0] == 303
+    assert calls[0] == 225

@@ -17,7 +17,8 @@ import pytest
 from rclkit.category import Morphism, hom_basis
 from rclkit.field import PrimeField
 from rclkit.fixture_gen import build_fix_prod, build_fix_stab3
-from rclkit.mutation import StandardTriangle, _tr3_pair, verify_quotient_triangulation
+from rclkit.mutation import (StandardTriangle, _check_triangles, _tr3_pair,
+                             verify_quotient_triangulation)
 from rclkit.triangulated import Triangle
 
 from oracles import brute_force_tr3, sampled_tr3
@@ -89,17 +90,18 @@ def failing_pairs(rep):
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_verify_reports_every_failing_pair(p):
-    """With the third map of M1 -> M1 -> M1 + M1 replaced by zero in the
-    register, a second run names exactly the pairs the oracle finds
-    failing (the original triangle is registered again, last)."""
+    """With the third map of M1 -> M1 -> M1 + M1 replaced by zero, and the
+    original triangle appended last, the triangle checks name exactly the
+    pairs the oracle finds failing."""
     m, _ = mutation_pair(p, "stab1")
     i = next(i for i, t in enumerate(m.registered) if len(t.z.summands) == 2)
     st = m.registered[i]
-    m.registered[i] = replaced(st, h=Morphism.zero(st.h.cat, st.h.source, st.h.target))
-    rep = verify_quotient_triangulation(m)
-    assert len(m.registered) == 3
-    expected = {(i1, i2) for i1, t1 in enumerate(m.registered)
-                for i2, t2 in enumerate(m.registered) if brute_force_tr3(m, t1, t2)[1]}
+    edited = replaced(st, h=Morphism.zero(st.h.cat, st.h.source, st.h.target))
+    triangles = m.registered[:i] + (edited,) + m.registered[i + 1:] + (st,)
+    assert len(triangles) == 3
+    rep = _check_triangles(m, triangles)
+    expected = {(i1, i2) for i1, t1 in enumerate(triangles)
+                for i2, t2 in enumerate(triangles) if brute_force_tr3(m, t1, t2)[1]}
     assert expected and failing_pairs(rep) == expected
 
 

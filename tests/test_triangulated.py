@@ -8,9 +8,7 @@ from rclkit.field import QQ
 from rclkit.fixture_gen import (_component_category, _component_shift, _embed_triangle,
                                 _shift_functors, _stable_category, _stable_triangles,
                                 _StableCore, build_fix_prod)
-from rclkit.triangulated import (Triangle, TriangulatedPresentation,
-                                 canonical_left_approximation,
-                                 canonical_right_approximation, identity_triangle,
+from rclkit.triangulated import (Triangle, TriangulatedPresentation, identity_triangle,
                                  is_D_epic, is_D_monic)
 
 from oracles import candidate_combos
@@ -91,29 +89,6 @@ def test_is_D_monic_examples(ws_stab3):
     soc = Morphism.basis_element(cat, "M1", "M2", 0)
     assert is_D_monic(cat, soc, d)
     assert not is_D_monic(cat, soc.scale(Fraction(0)), d)
-
-
-def test_canonical_right_approximation(ws_stab3):
-    cat = ws_stab3.categories["STAB"]
-    d = Subcategory(cat, ["M2"])
-    f = canonical_right_approximation(cat, cat.obj("M1"), d)
-    assert f.source.summands == ("M2",)
-    assert is_D_epic(cat, f, d)
-    # an object already inside: includes the identity summand
-    f2 = canonical_right_approximation(cat, cat.obj("M2"), d)
-    assert is_D_epic(cat, f2, d)
-    # empty approximating class: the map from the zero object
-    f3 = canonical_right_approximation(cat, cat.obj("M1"), Subcategory(cat, []))
-    assert f3.source.is_zero()
-    assert is_D_epic(cat, f3, Subcategory(cat, []))
-
-
-def test_canonical_left_approximation(ws_stab3):
-    cat = ws_stab3.categories["STAB"]
-    d = Subcategory(cat, ["M2"])
-    f = canonical_left_approximation(cat, cat.obj("M1"), d)
-    assert f.target.summands == ("M2",)
-    assert is_D_monic(cat, f, d)
 
 
 def test_product_presentation_validates(ws_prod):

@@ -30,7 +30,7 @@ def test_serialization_matches_builder(ws_a2, fixture_dir):
 
 def test_digest_stable(fixture_dir):
     text = (fixture_dir / "fix_stab3.rcl").read_text()
-    assert parse(text).digest() == parse(text).digest()
+    assert parse(text).digest == parse(text).digest
 
 
 def test_empty_workspace_valid():
