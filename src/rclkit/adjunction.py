@@ -48,25 +48,19 @@ def validate_adjunction(adj: Adjunction) -> Report:
     rep.merge(validate_nat(adj.counit), prefix="counit.")
 
     L, R = adj.left, adj.right
-    ok = True
     for g in L.source.generators:
         eta = adj.unit.components[g]
         lhs = compose(adj.counit.at(L.object_map[g]), L.apply(eta))
         if not lhs.equal(Morphism.identity(L.target, L.object_map[g])):
-            ok = False
             rep.fail("triangle.left", "at generator %s" % g)
-    if ok:
-        rep.ok("triangle.left")
+    rep.close("triangle.left")
 
-    ok = True
     for h in R.source.generators:
         eps = adj.counit.components[h]
         rhs = compose(R.apply(eps), adj.unit.at(R.object_map[h]))
         if not rhs.equal(Morphism.identity(R.target, R.object_map[h])):
-            ok = False
             rep.fail("triangle.right", "at generator %s" % h)
-    if ok:
-        rep.ok("triangle.right")
+    rep.close("triangle.right")
     return rep
 
 

@@ -577,10 +577,8 @@ def validate_category(cat: FinLinCategory) -> Report:
                 ident_h = Morphism.single(cat, h, h, cat.identities[h])
                 if not compose(ident_h, f).equal(f):
                     rep.fail("identity.left", "1_%s o %s != %s" % (h, name, name))
-    if not rep.has_failures("identity"):
-        rep.ok("identity")
+    rep.close("identity")
 
-    assoc_ok = True
     for a in gens:
         for b in gens:
             for q1 in range(cat.hom_dim(a, b)):
@@ -595,20 +593,17 @@ def validate_category(cat: FinLinCategory) -> Report:
                                 lhs = compose(h, gf)
                                 rhs = compose(compose(h, g), f)
                                 if not lhs.equal(rhs):
-                                    assoc_ok = False
                                     rep.fail("associativity",
                                              "witness (%s.%s, %s.%s, %s.%s)" % (
                                                  a, cat.basis_names(a, b)[q1],
                                                  b, cat.basis_names(b, c)[q2],
                                                  c, cat.basis_names(c, d)[q3]))
-    if assoc_ok:
-        rep.ok("associativity")
+    rep.close("associativity")
 
     _, reasons, _ = cat.residue_data()
     for reason in reasons.values():
         rep.fail("locality", reason)
-    if not reasons:
-        rep.ok("locality")
+    rep.close("locality")
     return rep
 
 

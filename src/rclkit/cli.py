@@ -100,6 +100,14 @@ def _pick(table, kind, name=None):
                       % (kind, ",".join(sorted(table)))])
 
 
+def _with_d(ws, m, options):
+    """m, or m with its approximating subcategory replaced by --d."""
+    if not options.get("d"):
+        return m
+    d = _resolve_subcat(ws, options["d"], m.tri.cat)
+    return MutationData(m.tri, m.z, d, m.fixed, m.cofixed, name=m.name)
+
+
 def _validate_all(ws) -> Report:
     rep = Report()
     for name in sorted(ws.categories):
@@ -221,16 +229,11 @@ def run_command(command, ws, options) -> Certificate:
 
         elif command == "mutation-check":
             _, m = _pick(ws.mutations, "mutation", options.get("name"))
-            if options.get("d"):
-                d = _resolve_subcat(ws, options.get("d"), m.tri.cat)
-                m = MutationData(m.tri, m.z, d, m.fixed, m.cofixed, name=m.name)
-            rep = check_mutation_pair(m)
+            rep = check_mutation_pair(_with_d(ws, m, options))
 
         elif command == "triangulate-quotient":
             _, m = _pick(ws.mutations, "mutation", options.get("name"))
-            if options.get("d"):
-                d = _resolve_subcat(ws, options.get("d"), m.tri.cat)
-                m = MutationData(m.tri, m.z, d, m.fixed, m.cofixed, name=m.name)
+            m = _with_d(ws, m, options)
             rep = check_mutation_pair(m)
             if rep.ok_all:
                 rep.merge(verify_quotient_triangulation(m), prefix="triangulation.")
@@ -238,13 +241,9 @@ def run_command(command, ws, options) -> Certificate:
         elif command == "tri-recollement":
             rec_name, rec = _pick(ws.recollements, "recollement", options.get("name"))
             tris, exact, m = _tri_bundle(ws, rec_name, rec)
-            if options.get("d"):
-                d = _resolve_subcat(ws, options.get("d"), rec.middle)
-            else:
-                d = m.d
-            m_run = MutationData(m.tri, m.z, d, m.fixed, m.cofixed, name=m.name)
-            _, rep = triangulated_quotient_recollement(rec, tris, exact, d,
-                                                       m_run, semantics)
+            m = _with_d(ws, m, options)
+            _, rep = triangulated_quotient_recollement(rec, tris, exact, m.d, m,
+                                                       semantics)
         else:
             raise InputError(["unknown command %r" % command])
     except PreconditionError as exc:

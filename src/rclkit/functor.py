@@ -131,16 +131,33 @@ def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "")
                          name=name or ("%s*%s" % (outer.name, inner.name)))
 
 
+def functor_mismatches(f: LinearFunctor, g: LinearFunctor):
+    """Where the parallel functors f and g differ, lazily: ("objects", "at x:
+    f(x) vs g(x)") per generator, then ("morphisms", "basis q of Hom(x,y)")
+    per basis morphism whose images differ or whose ends already do.  Each
+    hom map is compared whole before it is split into columns."""
+    gens = f.source.generators
+    differ = set()
+    for x in gens:
+        if f.object_map[x].summands != g.object_map[x].summands:
+            differ.add(x)
+            yield "objects", "at %s: %r vs %r" % (x, f.object_map[x], g.object_map[x])
+    for x in gens:
+        for y in gens:
+            fm, gm = f.hom_maps[(x, y)], g.hom_maps[(x, y)]
+            if x in differ or y in differ:
+                cols = range(fm.cols)
+            elif fm == gm:
+                continue
+            else:
+                cols = [q for q in range(fm.cols) if fm.col(q) != gm.col(q)]
+            for q in cols:
+                yield "morphisms", "basis %d of Hom(%s,%s)" % (q, x, y)
+
+
 def functor_equal(f: LinearFunctor, g: LinearFunctor) -> bool:
-    if f.source is not g.source or f.target is not g.target:
-        return False
-    for gen in f.source.generators:
-        if f.object_map[gen].summands != g.object_map[gen].summands:
-            return False
-    for key, mat in f.hom_maps.items():
-        if not mat.__eq__(g.hom_maps[key]):
-            return False
-    return True
+    return (f.source is g.source and f.target is g.target
+            and next(functor_mismatches(f, g), None) is None)
 
 
 def is_identity_functor(f: LinearFunctor) -> bool:
@@ -151,18 +168,14 @@ def validate_functor(f: LinearFunctor) -> Report:
     """Identity preservation and F(gf) = F(g)F(f) on all basis pairs."""
     rep = Report()
     src = f.source
-    ok_id = True
     for g in src.generators:
         ident = Morphism.identity(src, ObjectExpr((g,)))
         img = f.apply(ident)
         want = Morphism.identity(f.target, f.object_map[g])
         if not img.equal(want):
-            ok_id = False
             rep.fail("preserves-identity", "at %s" % g)
-    if ok_id:
-        rep.ok("preserves-identity")
+    rep.close("preserves-identity")
 
-    ok_comp = True
     for a, b, q1, mor_f in basis_morphisms(src):
         for c in src.generators:
             for q2 in range(src.hom_dim(b, c)):
@@ -170,13 +183,11 @@ def validate_functor(f: LinearFunctor) -> Report:
                 lhs = f.apply(compose(mor_g, mor_f))
                 rhs = compose(f.apply(mor_g), f.apply(mor_f))
                 if not lhs.equal(rhs):
-                    ok_comp = False
                     rep.fail("preserves-composition",
                              "witness pair (%s.%s, %s.%s)" % (
                                  a, src.basis_names(a, b)[q1],
                                  b, src.basis_names(b, c)[q2]))
-    if ok_comp:
-        rep.ok("preserves-composition")
+    rep.close("preserves-composition")
     return rep
 
 
@@ -203,6 +214,16 @@ def full_embedding_witness(f: LinearFunctor):
             if mat.rows != d or r != d:
                 return "Hom(%s,%s): %dx%d of rank %d" % (g, h, mat.rows, mat.cols, r)
     return None
+
+
+def non_full_pairs(f: LinearFunctor):
+    """The generator pairs (g, h), lazily, whose hom map onto Hom(F g, F h)
+    is not surjective; none exactly when f is full."""
+    for g in f.source.generators:
+        for h in f.source.generators:
+            mat = f.hom_maps[(g, h)]
+            if rank(mat) != mat.rows:
+                yield g, h
 
 
 def is_full_embedding(f: LinearFunctor) -> bool:
@@ -246,7 +267,6 @@ def validate_nat(nt: NatTransform) -> Report:
     rep = Report()
     src = nt.from_f.source
     F, G = nt.from_f, nt.to_f
-    ok = True
     for a in src.generators:
         for b in src.generators:
             if not src.hom_dim(a, b):
@@ -255,10 +275,8 @@ def validate_nat(nt: NatTransform) -> Report:
             rhs = postcompose_mat(nt.components[b], F.object_map[a]).mul(F.hom_maps[(a, b)])
             for q, name in enumerate(src.basis_names(a, b)):
                 if lhs.col(q) != rhs.col(q):
-                    ok = False
                     rep.fail("naturality", "at basis %s.%s of Hom(%s,%s)" % (a, name, a, b))
-    if ok:
-        rep.ok("naturality")
+    rep.close("naturality")
     return rep
 
 

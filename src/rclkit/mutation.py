@@ -19,13 +19,13 @@ from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        morphism_in, morphism_inverse, postcompose_mat,
                        precompose_mat, restrict_category, unflatten)
 from .errors import InconsistentDataError, PreconditionError, UndecidedError
-from .functor import (LinearFunctor, compose_functors, functor_equal,
-                      validate_functor, validate_nat)
+from .functor import (LinearFunctor, compose_functors, functor_mismatches,
+                      non_full_pairs, validate_functor, validate_nat)
 from .linalg import Mat, nullspace, rank, solve
 from .quotient import QuotientCategory, build_quotient, induce_functor
 from .recollement import (FUNCTOR_SLOTS, Recollement, _restricted_functor,
                           quotient_recollement, supp_image)
-from .report import PASS, Report
+from .report import Report
 from .triangulated import (Triangle, TriangulatedPresentation,
                            d_approximation_failure, is_D_epic, is_D_monic,
                            triangle_iso)
@@ -80,10 +80,10 @@ class MutationData:
         return self._quotient
 
     def to_quotient(self, mor: Morphism) -> Morphism:
-        return self.quotient.project_morphism(morphism_in(self.restricted, mor))
+        return self.quotient.projection.apply(morphism_in(self.restricted, mor))
 
     def to_quotient_obj(self, obj: ObjectExpr) -> ObjectExpr:
-        return self.quotient.project_object(obj)
+        return self.quotient.projection.apply_obj(obj)
 
     def to_quotient_triangle(self, t: Triangle, h: Morphism, name: str = "") -> Triangle:
         """The quotient sextuple of t with third map the class of h, a ladder
@@ -171,7 +171,10 @@ def check_mutation_pair(m: MutationData) -> Report:
             undecided = str(exc)
         if problems:
             rep.fail(key, "; ".join(problems))
-        rep.conclude(key, not problems, undecided)
+        elif undecided:
+            rep.not_checked(key, undecided)
+        else:
+            rep.ok(key)
 
     for y in m.z.members:
         key = "condition2.%s" % y
@@ -185,15 +188,12 @@ def check_mutation_pair(m: MutationData) -> Report:
         else:
             rep.ok(key, "via %s" % (t.name or "triangle"))
 
-    ok = True
     for t in m.tri.triangles:
         if t.x.support() <= m.z.member_set() and t.z.support() <= m.z.member_set():
             if not t.y.support() <= m.z.member_set():
-                ok = False
                 rep.fail("extension-closed",
                          "triangle %s has middle term outside z" % (t.name or "?"))
-    if ok:
-        rep.ok("extension-closed")
+    rep.close("extension-closed")
     return rep
 
 
@@ -209,9 +209,9 @@ def _approximation_problems(m: MutationData, t: Triangle, gen: str, first: bool)
         yield "middle term outside d"
     if not far.support() <= m.z.member_set():
         yield "%s term outside z" % ("third" if first else "first")
-    if not is_D_monic(m.tri.cat, t.f, m.d):
+    if not is_D_monic(t.f, m.d):
         yield "left map is not a left approximation"
-    if not is_D_epic(m.tri.cat, t.g, m.d):
+    if not is_D_epic(t.g, m.d):
         yield "right map is not a right approximation"
 
 
@@ -270,16 +270,13 @@ def _sigma_is_equivalence(m: MutationData, rep: Report):
     pres = q.presentation
     sigma = m.sigma
     rep.record("sigma.functor", validate_functor(sigma))
-    ok = True
     for xg in q.survivors:
         for yg in q.survivors:
             d = pres.hom_dim(xg, yg)
             mat = sigma.hom_maps[(xg, yg)]
             if mat.rows != d or (d and rank(mat) != d):
-                ok = False
                 rep.fail("sigma.fully-faithful", "Hom(%s,%s)" % (xg, yg))
-    if ok:
-        rep.ok("sigma.fully-faithful")
+    rep.close("sigma.fully-faithful")
 
     try:
         class_of = {g: iso_class(pres, g) for g in q.survivors}
@@ -367,8 +364,7 @@ def _check_triangles(m: MutationData, triangles: tuple) -> Report:
             rep.fail("composites.zero", "%s: second o first != 0" % (st.name or "?"))
         if not compose(st.h, st.g).is_zero():
             rep.fail("composites.zero", "%s: third o second != 0" % (st.name or "?"))
-    if not rep.has_failures("composites.zero"):
-        rep.ok("composites.zero")
+    rep.close("composites.zero")
 
     squares = 0
     for i1, t1 in enumerate(triangles):
@@ -377,9 +373,8 @@ def _check_triangles(m: MutationData, triangles: tuple) -> Report:
             squares += dim
             if not completes:
                 rep.fail("tr3", "no completion between %d and %d" % (i1, i2))
-    if not rep.has_failures("tr3"):
-        rep.ok("tr3", "every commuting square completes (total dimension %d)"
-               % squares)
+    rep.close("tr3", witness="every commuting square completes (total dimension %d)"
+              % squares)
     return rep
 
 
@@ -461,11 +456,13 @@ class ExactFunctorData:
         ft = compose_functors(F, self.source_tri.shift)
         tf = compose_functors(self.target_tri.shift, F)
         if self.shift_iso is None:
-            if functor_equal(ft, tf):
+            first = next(functor_mismatches(ft, tf), None)
+            if first is None:
                 rep.ok("exact.shift-commutation", "strict")
             else:
                 rep.fail("exact.shift-commutation",
-                         "composites differ and no comparison isomorphism given")
+                         "composites differ on %s, %s; no comparison isomorphism "
+                         "given" % first)
         else:
             sub = validate_nat(self.shift_iso)
             if sub.ok_all:
@@ -479,13 +476,9 @@ class ExactFunctorData:
                 rep.fail("exact.shift-iso.invertible", "at %s" % bad[0])
             else:
                 rep.ok("exact.shift-iso.invertible")
-        for g in F.source.generators:
-            for h in F.source.generators:
-                mat = F.hom_maps[(g, h)]
-                if rank(mat) != mat.rows:
-                    rep.fail("exact.full", "Hom map (%s,%s) not surjective" % (g, h))
-        if not rep.has_failures("exact.full"):
-            rep.ok("exact.full")
+        for g, h in non_full_pairs(F):
+            rep.fail("exact.full", "Hom map (%s,%s) not surjective" % (g, h))
+        rep.close("exact.full")
         undecided = ""
         for t in self.source_tri.triangles:
             try:
@@ -496,21 +489,20 @@ class ExactFunctorData:
             if found is None:
                 rep.fail("exact.triangle-image",
                          "image of %s not distinguished" % (t.name or "?"))
-        rep.conclude("exact.triangle-image",
-                     not rep.has_failures("exact.triangle-image"), undecided)
+        rep.close("exact.triangle-image", undecided)
         return rep
 
 
 def image_mutation_pair(e: ExactFunctorData, m: MutationData,
                         name: str = "") -> tuple:
-    """Push a mutation pair through a full exact functor and re-check it."""
+    """Push a mutation pair through a full exact functor and re-check it.
+    e is expected to be validated already (`ExactFunctorData.validate`);
+    only its fullness, which the push needs, is decided here again."""
     rep = Report()
-    sub = e.validate()
-    rep.merge(sub, prefix="push.")
-    if not any(x.key == "exact.full" and x.status == PASS for x in sub.entries):
+    F = e.functor
+    if next(non_full_pairs(F), None) is not None:
         rep.fail("push.fullness-required", "functor is not full")
         return None, rep
-    F = e.functor
     tgt = e.target_tri.cat
     z2 = Subcategory(tgt, supp_image(F, m.z.members))
     d2 = Subcategory(tgt, supp_image(F, m.d.members))
@@ -564,23 +556,10 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
 
     lhs = compose_functors(tilde, m.sigma)
     rhs = compose_functors(m2.sigma, tilde)
-    survivors = m.quotient.survivors
-    bad = [x for x in survivors if lhs.object_map[x].summands != rhs.object_map[x].summands]
-    for x in bad:
-        rep.fail("exact.sigma-objects",
-                 "at %s: %r vs %r" % (x, lhs.object_map[x], rhs.object_map[x]))
-    if not bad:
-        rep.ok("exact.sigma-objects")
-
-    for xg in survivors:
-        for yg in survivors:
-            lmat, rmat = lhs.hom_maps[(xg, yg)], rhs.hom_maps[(xg, yg)]
-            for qidx in range(lmat.cols):
-                if xg in bad or yg in bad or lmat.col(qidx) != rmat.col(qidx):
-                    rep.fail("exact.sigma-morphisms",
-                             "basis %d of Hom(%s,%s)" % (qidx, xg, yg))
-    if not rep.has_failures("exact.sigma-morphisms"):
-        rep.ok("exact.sigma-morphisms")
+    for kind, where in functor_mismatches(lhs, rhs):
+        rep.fail("exact.sigma-" + kind, where)
+    rep.close("exact.sigma-objects")
+    rep.close("exact.sigma-morphisms")
 
     undecided = ""
     for st in m.registered:
@@ -591,9 +570,8 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
             continue
         if not standard:
             rep.fail("exact.standard-triangle-image", st.name or "?")
-    rep.conclude("exact.standard-triangle-image",
-                 not rep.has_failures("exact.standard-triangle-image"), undecided,
-                 "%d registered triangles checked" % len(m.registered))
+    rep.close("exact.standard-triangle-image", undecided,
+              "%d registered triangles checked" % len(m.registered))
     return tilde, rep
 
 

@@ -35,19 +35,10 @@ class MorphismIdeal:
     def subspace(self, a: str, b: str) -> SubspaceBasis:
         return self.table[(a, b)]
 
-    def contains(self, mor: Morphism) -> bool:
-        """Membership for a morphism between single generators."""
-        a = mor.source.summands[0] if mor.source.summands else None
-        b = mor.target.summands[0] if mor.target.summands else None
-        if a is None or b is None:
-            return True
-        return self.table[(a, b)].contains_vector(mor.flatten())
-
     def validate(self) -> Report:
         """Two-sidedness on basis triples and identities of members."""
         rep = Report()
         cat = self.parent
-        ok = True
         for (a, b), sub in self.table.items():
             for vec in sub.rows:
                 w = unflatten(cat, ObjectExpr((a,)), ObjectExpr((b,)), vec)
@@ -55,24 +46,18 @@ class MorphismIdeal:
                     for p in range(cat.hom_dim(b, c)):
                         u = Morphism.basis_element(cat, b, c, p)
                         if not self.table[(a, c)].contains_vector(compose(u, w).flatten()):
-                            ok = False
-                            rep.fail("ideal.post-compose",
+                            rep.fail("ideal.two-sided.post-compose",
                                      "(%s,%s) composed into Hom(%s,%s)" % (a, b, a, c))
                     for p in range(cat.hom_dim(c, a)):
                         v = Morphism.basis_element(cat, c, a, p)
                         if not self.table[(c, b)].contains_vector(compose(w, v).flatten()):
-                            ok = False
-                            rep.fail("ideal.pre-compose",
+                            rep.fail("ideal.two-sided.pre-compose",
                                      "(%s,%s) composed into Hom(%s,%s)" % (a, b, c, b))
-        if ok:
-            rep.ok("ideal.two-sided")
-        ok = True
+        rep.close("ideal.two-sided")
         for m in self.through.members:
             if not self.table[(m, m)].contains_vector(tuple(cat.identities[m])):
-                ok = False
                 rep.fail("ideal.member-identity", m)
-        if ok:
-            rep.ok("ideal.member-identity")
+        rep.close("ideal.member-identity")
         return rep
 
 
@@ -158,27 +143,6 @@ class QuotientCategory:
         col = self.section[(a, b)].col(q)
         return unflatten(self.parent, ObjectExpr((a,)), ObjectExpr((b,)), col)
 
-    def project_object(self, obj: ObjectExpr) -> ObjectExpr:
-        surv = set(self.survivors)
-        return ObjectExpr(tuple(g for g in obj.summands if g in surv))
-
-    def project_morphism(self, mor: Morphism) -> Morphism:
-        """Residue class of a parent morphism, between projected objects."""
-        surv = set(self.survivors)
-        src = self.project_object(mor.source)
-        tgt = self.project_object(mor.target)
-        keep_j = [j for j, g in enumerate(mor.source.summands) if g in surv]
-        keep_i = [i for i, h in enumerate(mor.target.summands) if h in surv]
-        blocks = []
-        for i in keep_i:
-            row = []
-            for j in keep_j:
-                a = mor.source.summands[j]
-                b = mor.target.summands[i]
-                row.append(self.reduce_coords(a, b, mor.blocks[i][j]))
-            blocks.append(row)
-        return Morphism(self.presentation, src, tgt, blocks)
-
     def lift_morphism(self, mor: Morphism) -> Morphism:
         """Canonical parent representative of a quotient morphism (section)."""
         blocks = []
@@ -193,7 +157,6 @@ class QuotientCategory:
     def validate(self) -> Report:
         rep = Report()
         rep.merge(self.ideal.validate())
-        ok = True
         for a in self.parent.generators:
             for b in self.parent.generators:
                 d = self.parent.hom_dim(a, b)
@@ -203,17 +166,14 @@ class QuotientCategory:
                 else:
                     dq = 0
                     if d - di != 0:
-                        ok = False
                         rep.fail("quotient.dimension",
                                  "(%s,%s): parent %d, ideal %d but a generator died"
                                  % (a, b, d, di))
                         continue
                 if dq != d - di:
-                    ok = False
                     rep.fail("quotient.dimension",
                              "(%s,%s): %d != %d - %d" % (a, b, dq, d, di))
-        if ok:
-            rep.ok("quotient.dimension")
+        rep.close("quotient.dimension")
         rep.merge(validate_category(self.presentation), prefix="quotient.")
         return rep
 
@@ -289,14 +249,13 @@ def induce_adjunction(adj: Adjunction, q_src: QuotientCategory,
     rt = right if right is not None else induce_functor(R, q_tgt, q_src, name=R.name + "~")
     unit_comps = {}
     for g in q_src.survivors:
-        unit_comps[g] = q_src.project_morphism(adj.unit.components[g])
+        unit_comps[g] = q_src.projection.apply(adj.unit.components[g])
     counit_comps = {}
     for h in q_tgt.survivors:
-        counit_comps[h] = q_tgt.project_morphism(adj.counit.components[h])
+        counit_comps[h] = q_tgt.projection.apply(adj.counit.components[h])
     induced = make_adjunction(lt, rt, unit_comps, counit_comps,
                               name=name or (adj.name + "~"))
 
-    ok = True
     A = L.source
     for a in A.generators:
         la = L.apply_obj(ObjectExpr((a,)))
@@ -311,10 +270,8 @@ def induce_adjunction(adj: Adjunction, q_src: QuotientCategory,
             for vec in ide.rows:
                 img = fwd.apply(vec)
                 if not target_ideal.contains_vector(img):
-                    ok = False
                     rep.fail("well-defined",
                              "ideal element of Hom(L %s, %s) maps outside the ideal"
                              % (a, b))
-    if ok:
-        rep.ok("well-defined")
+    rep.close("well-defined")
     return induced, rep

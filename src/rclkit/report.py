@@ -45,13 +45,16 @@ class Report:
     def not_checked(self, key: str, witness: str = ""):
         self.add(key, NOT_CHECKED, witness)
 
-    def conclude(self, key: str, ok: bool, undecided: str = "", witness: str = ""):
-        """Close a check of several parts whose failures are already under
-        key: nothing more when a part failed, else not-checked with the
-        reason when a part was undecided, else ok."""
-        if ok and undecided:
+    def close(self, key: str, undecided: str = "", witness: str = ""):
+        """Conclude a check of several parts whose failures are already
+        recorded under key or key.sub: nothing more when a part failed, else
+        not-checked with the reason when a part was undecided, else ok with
+        the witness."""
+        if self.has_failures(key):
+            return
+        if undecided:
             self.not_checked(key, undecided)
-        elif ok:
+        else:
             self.ok(key, witness)
 
     def record(self, key: str, sub: "Report"):
@@ -67,8 +70,12 @@ class Report:
             key = prefix + e.key if prefix else e.key
             self.entries.append(Entry(key, e.status, e.witness))
 
-    def has_failures(self, prefix: str = "") -> bool:
-        return any(e.status == FAIL and e.key.startswith(prefix) for e in self.entries)
+    def has_failures(self, key: str = "") -> bool:
+        """Whether a failure is recorded under key or under key.sub; any
+        failure when key is empty."""
+        sub = key + "."
+        return any(e.status == FAIL and (not key or e.key == key or e.key.startswith(sub))
+                   for e in self.entries)
 
     @property
     def ok_all(self) -> bool:

@@ -105,8 +105,7 @@ class TriangulatedPresentation:
                 continue
             if found is None:
                 rep.fail("tri.identity-closure", "identity triangle of %s not found" % g)
-        rep.conclude("tri.identity-closure", not rep.has_failures("tri.identity-closure"),
-                     undecided)
+        rep.close("tri.identity-closure", undecided)
         return rep
 
     def rotate(self, t: Triangle) -> Triangle:
@@ -395,12 +394,12 @@ def d_approximation_failure(f: Morphism, d, monic: bool):
     return None
 
 
-def is_D_epic(cat, f: Morphism, d) -> bool:
+def is_D_epic(f: Morphism, d) -> bool:
     """Post-composition surjective on Hom(D, -) for every member D."""
     return d_approximation_failure(f, d, monic=False) is None
 
 
-def is_D_monic(cat, f: Morphism, d) -> bool:
+def is_D_monic(f: Morphism, d) -> bool:
     """Pre-composition surjective on Hom(-, D) for every member D."""
     return d_approximation_failure(f, d, monic=True) is None
 

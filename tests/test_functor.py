@@ -2,9 +2,10 @@ from fractions import Fraction
 
 from rclkit.category import Morphism, ObjectExpr
 from rclkit.field import QQ
-from rclkit.functor import (LinearFunctor, compose_functors, identity_functor,
+from rclkit.functor import (LinearFunctor, compose_functors, functor_equal,
+                            functor_mismatches, identity_functor,
                             image_subcategory, is_full_embedding,
-                            kernel_subcategory, validate_functor)
+                            kernel_subcategory, non_full_pairs, validate_functor)
 from rclkit.linalg import Mat
 
 
@@ -68,3 +69,36 @@ def test_full_embedding_detection(ws_a2):
     assert is_full_embedding(ws_a2.functors["il"])
     assert is_full_embedding(ws_a2.functors["jb"])
     assert not is_full_embedding(ws_a2.functors["ju"])
+
+
+def test_functor_mismatches_name_a_twisted_hom_space(ws_a2):
+    ib = ws_a2.functors["ib"]
+    hom_maps = dict(ib.hom_maps)
+    hom_maps[("S2", "S2")] = Mat(QQ, 1, 1, [[Fraction(2)]])
+    bad = LinearFunctor(ib.source, ib.target, ib.object_map, hom_maps, name="bad")
+    assert list(functor_mismatches(ib, ib)) == []
+    assert list(functor_mismatches(ib, bad)) == [("morphisms", "basis 0 of Hom(S2,S2)")]
+    assert functor_equal(ib, ib) and not functor_equal(ib, bad)
+
+
+def test_functor_mismatches_list_objects_before_morphisms(ws_stab3):
+    """The shift of stable k[x]/(x^3) swaps M1 and M2, so against the
+    identity every object differs, and so does every basis morphism."""
+    shift = ws_stab3.triangulated["TC"].shift
+    cat = shift.source
+    found = list(functor_mismatches(shift, identity_functor(cat)))
+    assert found[:2] == [("objects", "at M1: M2 vs M1"), ("objects", "at M2: M1 vs M2")]
+    assert found[2:] == [("morphisms", "basis %d of Hom(%s,%s)" % (q, x, y))
+                         for x in cat.generators for y in cat.generators
+                         for q in range(cat.hom_dim(x, y))]
+
+
+def test_non_full_pairs(ws_prod):
+    """Zeroing the one-dimensional hom map of ju at (C2.M1, C2.M2) leaves
+    that pair, and only it, not surjective."""
+    ju = ws_prod.functors["ju"]
+    assert list(non_full_pairs(ju)) == []
+    hom_maps = dict(ju.hom_maps)
+    hom_maps[("C2.M1", "C2.M2")] = Mat.zeros(QQ, 1, 1)
+    bad = LinearFunctor(ju.source, ju.target, ju.object_map, hom_maps, name="bad")
+    assert list(non_full_pairs(bad)) == [("C2.M1", "C2.M2")]

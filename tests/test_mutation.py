@@ -7,13 +7,15 @@ from rclkit.cli import _tri_bundle
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ
 from rclkit.fixture_gen import build_fix_prod
-from rclkit.mutation import (MutationData, check_mutation_pair,
+from rclkit.functor import LinearFunctor
+from rclkit.linalg import Mat
+from rclkit.mutation import (ExactFunctorData, MutationData, check_mutation_pair,
                              image_mutation_pair, induced_exact_functor,
                              make_D_monic, standard_triangle,
                              triangulated_quotient_recollement,
                              verify_quotient_triangulation)
 from rclkit.recollement import FUNCTOR_SLOTS
-from rclkit.triangulated import Triangle, identity_triangle
+from rclkit.triangulated import Triangle, TriangulatedPresentation, identity_triangle
 
 from oracles import ladder_classes
 
@@ -198,6 +200,36 @@ def test_image_mutation_pair_rejects_non_full(ws_prod):
     m2, rep = image_mutation_pair(e, ws_prod.mutations["MU"])
     assert m2 is None
     assert not rep.ok_all
+
+
+def test_image_mutation_pair_does_not_validate_again(ws_prod, monkeypatch):
+    """The push expects a validated functor: it decides only fullness."""
+    def no_validation(self):
+        raise AssertionError("ExactFunctorData.validate called")
+
+    monkeypatch.setattr(ExactFunctorData, "validate", no_validation)
+    m2, rep = image_mutation_pair(ws_prod.exactdata["ex_ju"], ws_prod.mutations["MU"])
+    assert m2 is not None and rep.ok_all
+    assert not any(e.key.startswith("push.exact.") for e in rep.entries)
+
+
+def test_shift_commutation_names_its_first_mismatch(ws_prod):
+    """A target shift twisted by 2 on Hom(R.M1, R.M2) makes T' o ju differ
+    from ju o T on the basis morphism of Hom(C2.M1, C2.M2), which ju sends
+    there; the strict check's FAIL names it.  The twisted presentation
+    carries no triangles: only the shift is compared."""
+    e = ws_prod.exactdata["ex_ju"]
+    tri = e.target_tri
+    hom_maps = dict(tri.shift.hom_maps)
+    hom_maps[("R.M1", "R.M2")] = Mat(QQ, 1, 1, [[Fraction(2)]])
+    twisted = LinearFunctor(tri.cat, tri.cat, tri.shift.object_map, hom_maps,
+                            name="twisted")
+    target = TriangulatedPresentation(tri.cat, twisted, tri.shift_inv, ())
+    rep = ExactFunctorData(e.functor, e.source_tri, target, None).validate()
+    assert [(x.status, x.witness) for x in rep.entries
+            if x.key == "exact.shift-commutation"] == [
+        ("fail", "composites differ on morphisms, basis 0 of Hom(C2.M1,C2.M2); "
+                 "no comparison isomorphism given")]
 
 
 def test_induced_exact_functor_identity(ws_stab3):

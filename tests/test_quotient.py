@@ -10,7 +10,7 @@ from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2
 from rclkit.functor import compose_functors, functor_equal, identity_functor, validate_functor
 from rclkit.linalg import SubspaceBasis
-from rclkit.quotient import (build_quotient, factor_through_quotient,
+from rclkit.quotient import (MorphismIdeal, build_quotient, factor_through_quotient,
                              induce_adjunction, induce_functor)
 from rclkit.adjunction import validate_adjunction
 
@@ -189,3 +189,18 @@ def test_well_definedness_randomized(field):
         img2 = fwd.apply(tuple(field.add(x0, y0) for x0, y0 in zip(fvec, rvec)))
         assert target_ideal.reduce(img1) == target_ideal.reduce(img2)
         trials += 1
+
+
+def test_ideal_failures_lie_under_two_sided(ws_a2):
+    """With (P1,S1) emptied, the ideal through S1 no longer holds the
+    composite of 1_S1 with the map P1 -> S1: the failure is recorded under
+    ideal.two-sided, which therefore has no pass entry."""
+    cat = ws_a2.categories["A2"]
+    ideal = MorphismIdeal(cat, Subcategory(cat, ["S1"]))
+    assert [(e.key, e.status) for e in ideal.validate().entries] == [
+        ("ideal.two-sided", "pass"), ("ideal.member-identity", "pass")]
+    ideal.table[("P1", "S1")] = SubspaceBasis(cat.field, 1, (), ())
+    rep = ideal.validate()
+    assert [(e.key, e.status, e.witness) for e in rep.entries] == [
+        ("ideal.two-sided.pre-compose", "fail", "(S1,S1) composed into Hom(P1,S1)"),
+        ("ideal.member-identity", "pass", "")]

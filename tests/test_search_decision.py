@@ -347,8 +347,9 @@ def test_identity_closure_undecided_is_not_checked():
 # -- counter guard ----------------------------------------------------------
 
 def test_search_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 makes 143 searches, 83 of which
-    return a tuple: 48 memberships, 84 first-map isomorphisms in
+    """tri-recollement fix_prod --d C1.M2 makes 137 searches, 77 of which
+    return a tuple: 42 memberships (each exact functor's triangle images
+    are searched once, in its input validation), 84 first-map isomorphisms in
     complete_monic (24 found, 60 proved absent), and in the exact functors'
     standard-triangle check 6 memberships of pushed witnesses and 5
     sextuple isomorphisms (an image equal as data to its reference needs
@@ -371,14 +372,14 @@ def test_search_counts_on_tri_recollement(monkeypatch, capsys):
     monkeypatch.setattr(triangulated, "_invertible_candidate", counting_search)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert len(searches) == 143
-    assert sum(hit for hit, _ in searches) == 83
+    assert len(searches) == 137
+    assert sum(hit for hit, _ in searches) == 77
     assert [n for hit, n in searches if not hit] == [0] * 60
 
 
 def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 solves for 225 inverses, all in
-    the searches, one per component of each tuple found: 144 in the 48
+    """tri-recollement fix_prod --d C1.M2 solves for 207 inverses, all in
+    the searches, one per component of each tuple found: 126 in the 42
     memberships, 48 in the 24 first-map isomorphisms found by
     complete_monic, 18 in the 6 memberships of pushed witnesses and 15 in
     the 5 sextuple isomorphisms of the image check.  An image equal as data
@@ -396,4 +397,4 @@ def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
             monkeypatch.setattr(module, "morphism_inverse", counting_inverse)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert calls[0] == 225
+    assert calls[0] == 207

@@ -76,19 +76,19 @@ def test_is_D_epic_examples(ws_stab3):
     cat = ws_stab3.categories["STAB"]
     d = Subcategory(cat, ["M2"])
     ident = Morphism.identity(cat, cat.obj("M1"))
-    assert is_D_epic(cat, ident, d)
+    assert is_D_epic(ident, d)
     proj = Morphism.basis_element(cat, "M2", "M1", 0)
-    assert is_D_epic(cat, proj, d)
+    assert is_D_epic(proj, d)
     zero = proj.scale(Fraction(0))
-    assert not is_D_epic(cat, zero, d)
+    assert not is_D_epic(zero, d)
 
 
 def test_is_D_monic_examples(ws_stab3):
     cat = ws_stab3.categories["STAB"]
     d = Subcategory(cat, ["M2"])
     soc = Morphism.basis_element(cat, "M1", "M2", 0)
-    assert is_D_monic(cat, soc, d)
-    assert not is_D_monic(cat, soc.scale(Fraction(0)), d)
+    assert is_D_monic(soc, d)
+    assert not is_D_monic(soc.scale(Fraction(0)), d)
 
 
 def test_product_presentation_validates(ws_prod):
