@@ -164,19 +164,20 @@ class Morphism:
         self.cat = cat
         self.source = source
         self.target = target
-        blocks = tuple(tuple(tuple(vec) for vec in row) for row in blocks)
-        if len(blocks) != len(target.summands):
+        blocks = tuple([tuple(map(tuple, row)) for row in blocks])
+        src, tgt, dims = source.summands, target.summands, cat._dims
+        if len(blocks) != len(tgt):
             raise PresentationError("morphism block rows %d != target summands %d"
-                                    % (len(blocks), len(target.summands)))
-        for i, row in enumerate(blocks):
-            if len(row) != len(source.summands):
+                                    % (len(blocks), len(tgt)))
+        for i, (row, t) in enumerate(zip(blocks, tgt)):
+            if len(row) != len(src):
                 raise PresentationError("morphism block cols mismatch in row %d" % i)
-            for j, vec in enumerate(row):
-                want = cat.hom_dim(source.summands[j], target.summands[i])
-                if len(vec) != want:
-                    raise PresentationError(
-                        "block (%d,%d) has %d coords, expected %d for Hom(%s,%s)"
-                        % (i, j, len(vec), want, source.summands[j], target.summands[i]))
+            want = [dims.get((s, t), 0) for s in src]
+            if list(map(len, row)) != want:
+                j = next(j for j, vec in enumerate(row) if len(vec) != want[j])
+                raise PresentationError(
+                    "block (%d,%d) has %d coords, expected %d for Hom(%s,%s)"
+                    % (i, j, len(row[j]), want[j], src[j], t))
         self.blocks = blocks
 
     @classmethod
@@ -281,12 +282,13 @@ def unflatten(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, coords) -> Morp
 def block_offsets(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
     """(offsets, dimension) of Hom(a, b): offsets[i][j] is where block (i, j),
     Hom(a.summands[j], b.summands[i]), starts in the flat coordinates."""
+    dims = cat._dims
     offsets, pos = [], 0
     for t in b.summands:
         row = []
         for s in a.summands:
             row.append(pos)
-            pos += cat.hom_dim(s, t)
+            pos += dims.get((s, t), 0)
         offsets.append(row)
     return offsets, pos
 

@@ -242,8 +242,7 @@ def run_command(command, ws, options) -> Certificate:
             rec_name, rec = _pick(ws.recollements, "recollement", options.get("name"))
             tris, exact, m = _tri_bundle(ws, rec_name, rec)
             m = _with_d(ws, m, options)
-            _, rep = triangulated_quotient_recollement(rec, tris, exact, m.d, m,
-                                                       semantics)
+            _, rep = triangulated_quotient_recollement(rec, tris, exact, m, semantics)
         else:
             raise InputError(["unknown command %r" % command])
     except PreconditionError as exc:

@@ -16,7 +16,8 @@ class LinearFunctor:
     hom_maps[(g,h)] is the matrix of Hom(g,h) -> Hom(F g, F h) in the flat
     coordinates of the target Hom space; keys with a zero-dimensional source
     or target space may be omitted.  hom_maps is never mutated after
-    `__init__`, so the action matrices built from it are cached.
+    `__init__`, so the action matrices built from it, and the composites
+    with this functor outermost, are cached.
     """
 
     def __init__(self, source: FinLinCategory, target: FinLinCategory,
@@ -37,9 +38,10 @@ class LinearFunctor:
                     raise PresentationError("functor %s: image summand %s unknown" % (name, s))
             self.object_map[g] = img
         self.hom_maps = {}
+        dims = source._dims
         for g in source.generators:
             for h in source.generators:
-                d = source.hom_dim(g, h)
+                d = dims.get((g, h), 0)
                 dim_img = hom_dim_expr(target, self.object_map[g], self.object_map[h])
                 mat = hom_maps.get((g, h))
                 if mat is None:
@@ -50,6 +52,7 @@ class LinearFunctor:
                         % (name, g, h, mat.rows, mat.cols, dim_img, d))
                 self.hom_maps[(g, h)] = mat
         self._actions = {}
+        self._composites = {}  # (inner, name) -> compose_functors(self, inner, name)
 
     def apply_obj(self, obj: ObjectExpr) -> ObjectExpr:
         out = []
@@ -118,7 +121,12 @@ def identity_functor(cat: FinLinCategory) -> LinearFunctor:
 
 def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "") -> LinearFunctor:
     """outer o inner (apply inner first): each hom map is outer's action
-    matrix on the inner images times inner's hom map."""
+    matrix on the inner images times inner's hom map.  Built once per inner
+    functor and name, and cached on outer; the key holds inner itself, so it
+    is matched by identity and its id is never reused while cached."""
+    cached = outer._composites.get((inner, name))
+    if cached is not None:
+        return cached
     if inner.target is not outer.source:
         raise PresentationError("functor composition boundary mismatch")
     object_map = {g: outer.apply_obj(inner.object_map[g]) for g in inner.source.generators}
@@ -127,8 +135,10 @@ def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "")
         if inner.source.hom_dim(g, h):
             hom_maps[(g, h)] = outer.action(inner.object_map[g],
                                             inner.object_map[h]).mul(mat)
-    return LinearFunctor(inner.source, outer.target, object_map, hom_maps,
-                         name=name or ("%s*%s" % (outer.name, inner.name)))
+    composite = outer._composites[(inner, name)] = LinearFunctor(
+        inner.source, outer.target, object_map, hom_maps,
+        name=name or ("%s*%s" % (outer.name, inner.name)))
+    return composite
 
 
 def functor_mismatches(f: LinearFunctor, g: LinearFunctor):

@@ -20,8 +20,8 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows: int, cols: int, data):
-        data = tuple(tuple(row) for row in data)
-        if len(data) != rows or any(len(r) != cols for r in data):
+        data = tuple(map(tuple, data))
+        if len(data) != rows or rows and set(map(len, data)) != {cols}:
             raise ValueError("shape mismatch: %dx%d vs data" % (rows, cols))
         self.field = field
         self.rows = rows
@@ -44,8 +44,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls(field, rows, cols, ((field.zero,) * cols,) * rows)
 
     @classmethod
     def identity(cls, field, n):

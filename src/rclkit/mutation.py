@@ -602,15 +602,16 @@ def _image_is_standard(e: ExactFunctorData, m2: MutationData,
 
 
 def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,
-                                      d: Subcategory, m: MutationData,
-                                      semantics: str = "strict"):
+                                      m: MutationData, semantics: str = "strict"):
     """Full pipeline: additive quotient diagram plus triangulated structure on
     all three quotients and exactness certificates for the six induced
     functors.
 
     tris maps "left"/"mid"/"right" to the triangulated presentations; exact
-    maps the six functor slots to their ExactFunctorData.
+    maps the six functor slots to their ExactFunctorData.  The approximating
+    subcategory is m.d, for the additive quotient as for the triangulated one.
     """
+    d = m.d
     rep = Report()
     for key in ("left", "mid", "right"):
         sub = tris[key].validate()

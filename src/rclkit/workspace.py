@@ -33,6 +33,12 @@ fractions like 3/4, comments start with '#'):
                    ("cofixed" NAME "{" "x" objexpr "dx" objexpr
                     "f" morph "g" morph "h" morph "}")* "}"
 
+The text is tokenized by one regular-expression scan into the list of token
+values (_Tokens); a token's line and column are computed only when a
+diagnostic reads them, by one more scan of the same text.  The parser
+compares token values and makes a Token (value and index) only for the
+values it keeps.
+
 The field, category and recollement declarations are read by hand: their
 bodies are not keyword sequences, and recollement keys (REC_KEYS) may come
 in any order.  Every other declaration is a header of keyword/value fields
@@ -66,10 +72,11 @@ that serialize(parse(text)) is idempotent.
 from __future__ import annotations
 
 import hashlib
+import re
 
 from .adjunction import make_adjunction
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       hom_dim_expr, unflatten)
+                       block_offsets, hom_dim_expr, unflatten)
 from .errors import InputError
 from .field import make_field
 from .functor import (LinearFunctor, NatTransform, compose_functors,
@@ -155,107 +162,148 @@ def _input_error(tok, message) -> InputError:
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "col")
+    """A token value and its index in the token list; its line and column
+    are found only when a diagnostic reads them."""
 
-    def __init__(self, kind, value, line, col):
-        self.kind, self.value, self.line, self.col = kind, value, line, col
+    __slots__ = ("value", "index", "tokens")
+
+    def __init__(self, value, index, tokens):
+        self.value, self.index, self.tokens = value, index, tokens
+
+    @property
+    def kind(self):
+        return self.tokens.kinds[self.value]
+
+    @property
+    def line(self):
+        return self.tokens.position(self.index)[0]
+
+    @property
+    def col(self):
+        return self.tokens.position(self.index)[1]
 
     def __repr__(self):
         return "Token(%s, %r, %d:%d)" % (self.kind, self.value, self.line, self.col)
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}()+*":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            i += 1
-            while i < n and (text[i].isdigit() or text[i] == "/"):
-                i += 1
-            tokens.append(Token("number", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in "._"):
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        raise InputError([Diagnostic(line, col, "unexpected character %r" % ch)])
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+# Skip whitespace and comments, then take one identifier, punctuation mark or
+# number, or one character that starts no token, or, at the end of the text,
+# nothing: the eof token "".  A number starts with a digit (str.isdigit), an
+# identifier with a letter (str.isalpha) or "_"; in a str pattern \d is
+# str.isdecimal and \w is str.isalnum or "_", which differ from those only on
+# characters outside ASCII that _token_pattern handles.
+_TOKEN_FORM = (r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+               r"([^\W\d%(odd)s][\w.]*|->|[{}()+*]|-?[\d%(digits)s][\d%(digits)s/]*|.|\Z)")
+_TOKEN = re.compile(_TOKEN_FORM % {"odd": "", "digits": ""})
+_PUNCT = frozenset(("->", "{", "}", "(", ")", "+", "*"))
+
+
+def _token_pattern(text):
+    """_TOKEN, unless text holds a character that is alphanumeric but
+    neither a letter nor a decimal digit, such as a superscript digit or a
+    vulgar fraction: such a character starts a number when it is a digit
+    (str.isdigit), and else starts no token."""
+    if text.isascii():
+        return _TOKEN
+    odd = [c for c in set(text) if c.isalnum() and not c.isalpha() and not c.isdecimal()]
+    if not odd:
+        return _TOKEN
+    return re.compile(_TOKEN_FORM % {
+        "odd": "".join(map(re.escape, odd)),
+        "digits": "".join(re.escape(c) for c in odd if c.isdigit())})
+
+
+def _kind(value):
+    """The kind of a token value the token pattern took."""
+    if not value:
+        return "eof"
+    if value in _PUNCT:
+        return "punct"
+    if value[0].isalpha() or value[0] == "_":
+        return "ident"
+    if len(value) > 1 or value.isdigit():
+        return "number"
+    return "bad"
+
+
+class _Tokens:
+    """The tokens of a text, read by one scan: their values in order, up to
+    and past the eof token "", and the kind of each distinct value."""
+
+    __slots__ = ("text", "pattern", "values", "kinds", "starts")
+
+    def __init__(self, text):
+        self.text = text
+        self.pattern = _token_pattern(text)
+        self.values = self.pattern.findall(text)
+        self.kinds = {value: _kind(value) for value in set(self.values)}
+        self.starts = None
+        bad = [value for value, kind in self.kinds.items() if kind == "bad"]
+        if bad:
+            first = min(map(self.values.index, bad))
+            raise _input_error(Token(self.values[first], first, self),
+                               "unexpected character %r" % self.values[first])
+
+    def position(self, index):
+        """(line, col) of token `index`, from one more scan of the text.  The
+        eof token stands where a comment that ends the text begins, or else
+        at the end of the text."""
+        text = self.text
+        if self.starts is None:
+            last_line = text.rfind("\n") + 1
+            self.starts = [m.start(1) if m.group(1)
+                           else _comment_start(text, max(last_line, m.start()))
+                           for m in self.pattern.finditer(text)]
+        pos = self.starts[index]
+        return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _comment_start(text, start):
+    pos = text.find("#", start)
+    return len(text) if pos < 0 else pos
 
 
 class _Parser:
     """Token reader.  Every NAME value is kept as its Token, so that the
-    resolver can report a bad reference at the place it was written."""
+    resolver can report a bad reference at the place it was written; other
+    tokens are only compared by value."""
 
-    def __init__(self, tokens):
+    def __init__(self, tokens: _Tokens):
         self.tokens = tokens
+        self.values = tokens.values
+        self.kinds = tokens.kinds
         self.pos = 0
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return Token(self.values[self.pos], self.pos, self.tokens)
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return Token(self.values[self.pos - 1], self.pos - 1, self.tokens)
 
     def error(self, message, tok=None):
         raise _input_error(tok or self.peek(), message)
 
     def expect_ident(self, what="identifier") -> Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            self.error("expected %s, got %r" % (what, tok.value or "end of file"), tok)
-        return tok
+        value = self.values[self.pos]
+        if self.kinds[value] != "ident":
+            self.error("expected %s, got %r" % (what, value or "end of file"))
+        return self.next()
 
     def expect_word(self, word):
-        tok = self.next()
-        if tok.kind != "ident" or tok.value != word:
-            self.error("expected %r" % word, tok)
-        return tok
+        if self.values[self.pos] != word:
+            self.error("expected %r" % word)
+        self.pos += 1
 
     def expect_punct(self, value):
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != value:
-            self.error("expected %r" % value, tok)
-        return tok
+        if self.values[self.pos] != value:
+            self.error("expected %r" % value)
+        self.pos += 1
 
     def expect_number(self) -> Token:
-        tok = self.next()
-        if tok.kind != "number":
-            self.error("expected a number", tok)
-        return tok
+        if self.kinds[self.values[self.pos]] != "number":
+            self.error("expected a number")
+        return self.next()
 
     def expect_int(self) -> int:
         tok = self.expect_number()
@@ -264,18 +312,14 @@ class _Parser:
         except ValueError:
             self.error("expected an integer, got %r" % tok.value, tok)
 
-    def at_word(self, word) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
-
-    def at_punct(self, value) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+    def at(self, value) -> bool:
+        """Whether the next token is this word or punctuation mark."""
+        return self.values[self.pos] == value
 
     def parse_names(self):
         """NAME* as a list of tokens."""
         out = []
-        while self.peek().kind == "ident":
+        while self.kinds[self.values[self.pos]] == "ident":
             out.append(self.next())
         return out
 
@@ -283,7 +327,7 @@ class _Parser:
         """{ name number ... } as an ordered list of (name, number token, name token)."""
         self.expect_punct("{")
         out = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             name = self.expect_ident("basis name")
             num = self.expect_number()
             out.append((name.value, num, name))
@@ -292,13 +336,12 @@ class _Parser:
 
     def parse_objexpr(self):
         """The generator tokens of an objexpr; [] for 0."""
-        tok = self.peek()
-        if tok.kind == "number" and tok.value == "0":
-            self.next()
+        if self.at("0"):
+            self.pos += 1
             return []
         names = [self.expect_ident("generator")]
-        while self.at_punct("+"):
-            self.next()
+        while self.at("+"):
+            self.pos += 1
             names.append(self.expect_ident("generator"))
         return names
 
@@ -306,8 +349,9 @@ class _Parser:
         """{ (i j) { coeffs } ... } as list of ((i, j), coeff list, '(' token)."""
         self.expect_punct("{")
         out = []
-        while not self.at_punct("}"):
-            tok = self.expect_punct("(")
+        while not self.at("}"):
+            tok = self.peek()
+            self.expect_punct("(")
             i = self.expect_int()
             j = self.expect_int()
             self.expect_punct(")")
@@ -320,8 +364,8 @@ class _Parser:
         tok = self.expect_ident("functor expression")
         if tok.value == "id":
             return [tok, self.expect_ident("category name")]
-        if self.at_punct("*"):
-            self.next()
+        if self.at("*"):
+            self.pos += 1
             return [tok, self.expect_ident("functor name")]
         return [tok]
 
@@ -346,7 +390,7 @@ class _Parser:
 def parse(text: str) -> Workspace:
     """Parse and cross-resolve a workspace file; its `digest` is the sha256
     of exactly this text."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(_Tokens(text))
     p.expect_word("rclkit")
     p.expect_word("workspace")
     tok = p.peek()
@@ -355,7 +399,7 @@ def parse(text: str) -> Workspace:
         p.error("unsupported format version %d" % version, tok)
 
     decls = []
-    while p.peek().kind != "eof":
+    while not p.at(""):
         kw = p.expect_ident("declaration keyword")
         if kw.value == "field":
             decls.append(("field", kw, _parse_field(p)))
@@ -398,7 +442,7 @@ def _parse_field(p):
 
 def _parse_category(p):
     body = {"objects": [], "homs": [], "identities": [], "composes": []}
-    while not p.at_punct("}"):
+    while not p.at("}"):
         item = p.expect_ident("category item")
         if item.value == "object":
             body["objects"].append(p.expect_ident("generator").value)
@@ -407,8 +451,8 @@ def _parse_category(p):
             b = p.expect_ident("generator").value
             p.expect_punct("{")
             names = []
-            if p.at_word("basis"):
-                p.next()
+            if p.at("basis"):
+                p.pos += 1
                 names = [t.value for t in p.parse_names()]
             p.expect_punct("}")
             body["homs"].append((a, b, names, item))
@@ -436,7 +480,7 @@ def _parse_category(p):
 def _parse_recollement(p, name):
     """Recollement key -> reference token; every key of REC_KEYS is required."""
     refs = {}
-    while not p.at_punct("}"):
+    while not p.at("}"):
         key = p.expect_ident("recollement key")
         if key.value not in REC_KEYS:
             p.error("unknown recollement key %r" % key.value, key)
@@ -456,7 +500,7 @@ def _parse_items(p, kind):
     whose keyword and head repeat an earlier one's is an error."""
     items = []
     seen = set()
-    while kind in BODY_ITEMS and not p.at_punct("}"):
+    while kind in BODY_ITEMS and not p.at("}"):
         item = p.expect_ident("%s item" % kind)
         if item.value not in BODY_ITEMS[kind]:
             p.error("unknown %s item %r" % (kind, item.value), item)
@@ -611,21 +655,28 @@ def _objexpr(cat, names) -> ObjectExpr:
     return ObjectExpr(tuple(tok.value for tok in names))
 
 
-def _build_morphism(cat, src: ObjectExpr, tgt: ObjectExpr, morph) -> Morphism:
+def _coords(cat, src: ObjectExpr, tgt: ObjectExpr, morph):
+    """The flat coordinates (see block_offsets) of the morphism src -> tgt
+    whose blocks `morph` writes."""
     field = cat.field
-    blocks = [[list((field.zero,) * cat.hom_dim(s, t)) for s in src.summands]
-              for t in tgt.summands]
+    offsets, size = block_offsets(cat, src, tgt)
+    coords = [field.zero] * size
     for ((i, j), coeffs, tok) in morph:
         if not (0 <= i < len(tgt.summands) and 0 <= j < len(src.summands)):
             raise _input_error(tok, "block (%d,%d) outside morphism shape" % (i, j))
         a, b = src.summands[j], tgt.summands[i]
         names = {n: k for k, n in enumerate(cat.basis_names(a, b))}
+        start = offsets[i][j]
         for (bname, num, name_tok) in coeffs:
             if bname not in names:
                 raise _input_error(name_tok, "unknown basis element %r of Hom(%s,%s)"
                                    % (bname, a, b))
-            blocks[i][j][names[bname]] = _number(field, num)
-    return Morphism(cat, src, tgt, [[tuple(v) for v in row] for row in blocks])
+            coords[start + names[bname]] = _number(field, num)
+    return coords
+
+
+def _build_morphism(cat, src: ObjectExpr, tgt: ObjectExpr, morph) -> Morphism:
+    return unflatten(cat, src, tgt, _coords(cat, src, tgt, morph))
 
 
 def _build_triangle(cat, shift, block, name, values) -> Triangle:
@@ -669,8 +720,8 @@ def _build_functor(ws: Workspace, tok, body):
         if bname not in names:
             raise _input_error(head[2], "unknown basis element %r of Hom(%s,%s)"
                                % (bname, a, b))
-        mor = _build_morphism(tgt, object_map[a], object_map[b], morph)
-        cols.setdefault((a, b), {})[names[bname]] = mor.flatten()
+        cols.setdefault((a, b), {})[names[bname]] = _coords(tgt, object_map[a],
+                                                            object_map[b], morph)
     hom_maps = {}
     for a in src.generators:
         for b in src.generators:

@@ -7,10 +7,12 @@ from rclkit.adjunction import (_nat_solution_space, _unpack_components, make_adj
 from rclkit.category import (Morphism, ObjectExpr, basis_morphisms, block_diagonal, compose,
                              hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
                              precompose_mat, unflatten)
+from rclkit.errors import InputError
 from rclkit.functor import compose_functors, identity_functor
 from rclkit.linalg import Mat, SubspaceBasis, difference_rows, nullspace, solve
 from rclkit.mutation import _ladder_matrix
 from rclkit.report import Report
+from rclkit.workspace import Diagnostic
 
 
 def brute_force_ideal(cat, a, b, members, max_mult=2):
@@ -466,3 +468,58 @@ def brute_force_rep_maps(src, tgt, p):
         if intertwines(src, tgt, mats):
             found.append(tuple(mats))
     return found
+
+
+# -- the workspace tokenizer, one character at a time --
+
+def reference_tokenize(text):
+    """The (kind, value, line, col) list of the workspace tokens of text,
+    ending in ("eof", "", line, col); InputError at the first character no
+    token starts with.  Comments are not counted in the column."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("->", i):
+            tokens.append(("punct", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "{}()+*":
+            tokens.append(("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            start = i
+            i += 1
+            while i < n and (text[i].isdigit() or text[i] == "/"):
+                i += 1
+            tokens.append(("number", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] in "._"):
+                i += 1
+            tokens.append(("ident", text[start:i], line, col))
+            col += i - start
+            continue
+        raise InputError([Diagnostic(line, col, "unexpected character %r" % ch)])
+    tokens.append(("eof", "", line, col))
+    return tokens

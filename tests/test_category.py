@@ -179,3 +179,17 @@ def test_block_diagonal_of_no_parts(ws_a2):
     got = block_diagonal(cat, [])
     assert got.source.summands == () and got.target.summands == ()
     assert got.blocks == ()
+
+
+@pytest.mark.parametrize("source,target,blocks,message", [
+    (("S2",), ("P1",), [[(1, 2)]], r"block \(0,0\) has 2 coords, expected 1 for Hom\(S2,P1\)"),
+    (("S2", "P1"), ("P1",), [[(1,), (1, 0)]],
+     r"block \(0,1\) has 2 coords, expected 1 for Hom\(P1,P1\)"),
+    (("S2",), ("P1",), [[()]], r"block \(0,0\) has 0 coords, expected 1 for Hom\(S2,P1\)"),
+    (("S2",), ("P1", "S1"), [[(1,)]], r"morphism block rows 1 != target summands 2"),
+    (("S2", "P1"), ("P1",), [[(1,)]], r"morphism block cols mismatch in row 0"),
+])
+def test_morphism_rejects_blocks_of_the_wrong_shape(ws_a2, source, target, blocks, message):
+    cat = ws_a2.categories["A2"]
+    with pytest.raises(PresentationError, match="^%s$" % message):
+        Morphism(cat, ObjectExpr(source), ObjectExpr(target), blocks)

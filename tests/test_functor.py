@@ -102,3 +102,22 @@ def test_non_full_pairs(ws_prod):
     hom_maps[("C2.M1", "C2.M2")] = Mat.zeros(QQ, 1, 1)
     bad = LinearFunctor(ju.source, ju.target, ju.object_map, hom_maps, name="bad")
     assert list(non_full_pairs(bad)) == [("C2.M1", "C2.M2")]
+
+
+def test_composite_built_once_per_inner_functor_and_name(ws_a2):
+    ju, jl, il = ws_a2.functors["ju"], ws_a2.functors["jl"], ws_a2.functors["il"]
+    first = compose_functors(ju, jl)
+    assert compose_functors(ju, jl) is first
+    named = compose_functors(ju, jl, name="other")
+    assert named is not first and named.name == "other"
+    assert compose_functors(ju, jl, name="other") is named
+    assert compose_functors(ju, il) is not first
+
+
+def test_parsed_adjunctions_share_the_cached_composites(fixture_dir):
+    from rclkit.workspace import parse
+    ws = parse((fixture_dir / "fix_a2.rcl").read_text())
+    assert ws.adjunctions
+    for adj in ws.adjunctions.values():
+        assert adj.unit.to_f is compose_functors(adj.right, adj.left)
+        assert adj.counit.from_f is compose_functors(adj.left, adj.right)

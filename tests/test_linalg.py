@@ -100,3 +100,14 @@ def test_invert():
     assert m.mul(inv) == Mat.identity(QQ, 2)
     assert invert(qmat([[1, 2], [2, 4]])) is None
 
+
+
+@pytest.mark.parametrize("rows,cols,data", [
+    (2, 2, [[1, 2], [3]]),      # ragged rows
+    (3, 2, [[1, 2], [3, 4]]),   # wrong number of rows
+    (2, 3, [[1, 2], [3, 4]]),   # wrong number of columns
+    (0, 2, [[1, 2]]),           # rows for an empty matrix
+])
+def test_mat_rejects_data_of_the_wrong_shape(rows, cols, data):
+    with pytest.raises(ValueError, match=r"^shape mismatch: %dx%d vs data$" % (rows, cols)):
+        Mat(QQ, rows, cols, data)

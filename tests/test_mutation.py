@@ -274,7 +274,7 @@ def prod_pipeline():
     ws = build_fix_prod()
     rec = ws.recollements["R"]
     tris, exact, m = _tri_bundle(ws, "R", rec)
-    out, rep = triangulated_quotient_recollement(rec, tris, exact, m.d, m)
+    out, rep = triangulated_quotient_recollement(rec, tris, exact, m)
     assert rep.ok_all
     return exact, {"left": out["m_left"], "middle": m, "right": out["m_right"]}, rep
 

@@ -34,7 +34,7 @@ def pipeline(p):
     ws = build_fix_prod(PrimeField(p))
     rec = ws.recollements["R"]
     tris, exact, m = _tri_bundle(ws, "R", rec)
-    out, rep = triangulated_quotient_recollement(rec, tris, exact, m.d, m)
+    out, rep = triangulated_quotient_recollement(rec, tris, exact, m)
     assert rep.ok_all, [str(e) for e in rep.failures()]
     return exact, {"left": out["m_left"], "middle": m, "right": out["m_right"]}
 

@@ -1,10 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rclkit import workspace
 from rclkit.errors import InputError
 from rclkit.workspace import BODY_ITEMS, HEADERS, TRIANGLE_BLOCKS, parse, serialize
+
+from oracles import reference_tokenize
 
 
 def test_parse_fixture_counts(fixture_dir):
@@ -214,3 +217,78 @@ def test_docstring_grammar_names_every_table_keyword():
     words += [word for items in BODY_ITEMS.values() for word in items]
     words += [word for _, fields in TRIANGLE_BLOCKS.values() for word, _, _ in fields]
     assert [w for w in words if '"%s"' % w not in workspace.__doc__] == []
+
+
+# -- the one-scan tokenizer against the character loop it replaced --
+
+def scanned(text):
+    """(kind, value, line, col) of each token up to eof, or the diagnostics."""
+    try:
+        tokens = workspace._Tokens(text)
+    except InputError as exc:
+        return [str(d) for d in exc.diagnostics]
+    end = tokens.values.index("")
+    return [(tokens.kinds[value], value) + tokens.position(i)
+            for i, value in enumerate(tokens.values[:end + 1])]
+
+
+def looped(text):
+    try:
+        return reference_tokenize(text)
+    except InputError as exc:
+        return [str(d) for d in exc.diagnostics]
+
+
+PIECES = ["a", "Zb", "_x", "x.y", "M1", "a_0.b", "0", "12", "3/4", "-", "->", "/", ".",
+          "{", "}", "(", ")", "+", "*", " ", "  ", "\t", "\r", "\n", "#", "# c {", "$", "@"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+def test_tokenizer_matches_the_character_loop(text):
+    assert scanned(text) == looped(text)
+
+
+@pytest.mark.parametrize("text", [
+    "category \u00e9 { object \u03a9 }",
+    "x\u00e9 \u03a9.1 _\u00e9",
+    "\u00b2 x\u00b2 1\u00b2/3 -\u00b2",  # superscript two is a digit, not a decimal
+    "\u00bd",                             # a numeric character that starts no token
+    "a \u2028 b",                         # a line separator is not whitespace here
+])
+def test_tokenizer_matches_the_character_loop_outside_ascii(text):
+    assert scanned(text) == looped(text)
+
+
+def test_non_ascii_letters_start_identifiers():
+    assert scanned("\u00e9 \u03a9") == [("ident", "\u00e9", 1, 1), ("ident", "\u03a9", 1, 3),
+                                       ("eof", "", 1, 4)]
+
+
+# (id, whole text, expected diagnostics): the positions at the end of a file
+EDGE_DIAGNOSTICS = [
+    ("ends-in-a-comment-without-newline",
+     "rclkit workspace 1\nfield { kind rationals  # done",
+     ["line 2, col 25: expected '}'"]),
+    ("ends-right-after-a-token", "rclkit workspace 1\nfield { kind rationals",
+     ["line 2, col 23: expected '}'"]),
+    ("truncated-declaration",
+     "rclkit workspace 1\nfield { kind rationals }\nsubcategory Z {\n  of A members G H\n",
+     ["line 5, col 1: expected '}'"]),
+    ("bad-character-on-the-last-line",
+     "rclkit workspace 1\nfield { kind rationals }\ncategory A { object G } $",
+     ["line 3, col 25: unexpected character '$'"]),
+]
+
+
+@pytest.mark.parametrize("text,expected", [c[1:] for c in EDGE_DIAGNOSTICS],
+                         ids=[c[0] for c in EDGE_DIAGNOSTICS])
+def test_end_of_file_diagnostics(text, expected):
+    with pytest.raises(InputError) as exc:
+        parse(text)
+    assert [str(d) for d in exc.value.diagnostics] == expected
+
+
+def test_file_ending_in_a_comment_parses():
+    ws = parse("rclkit workspace 1\nfield { kind prime 5 }\n# done")
+    assert ws.field.characteristic == 5
