@@ -267,12 +267,13 @@ def unflatten(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, coords) -> Morp
     if len(coords) != hom_dim_expr(cat, a, b):
         raise PresentationError("coordinate vector length %d, expected %d"
                                 % (len(coords), hom_dim_expr(cat, a, b)))
+    dims = cat._dims
     pos = 0
     blocks = []
     for t in b.summands:
         row = []
         for s in a.summands:
-            d = cat.hom_dim(s, t)
+            d = dims.get((s, t), 0)
             row.append(tuple(coords[pos:pos + d]))
             pos += d
         blocks.append(tuple(row))

@@ -171,10 +171,6 @@ class Token:
         self.value, self.index, self.tokens = value, index, tokens
 
     @property
-    def kind(self):
-        return self.tokens.kinds[self.value]
-
-    @property
     def line(self):
         return self.tokens.position(self.index)[0]
 
@@ -183,7 +179,7 @@ class Token:
         return self.tokens.position(self.index)[1]
 
     def __repr__(self):
-        return "Token(%s, %r, %d:%d)" % (self.kind, self.value, self.line, self.col)
+        return "Token(%r, %d:%d)" % (self.value, self.line, self.col)
 
 
 # Skip whitespace and comments, then take one identifier, punctuation mark or
@@ -285,17 +281,15 @@ class _Parser:
         raise _input_error(tok or self.peek(), message)
 
     def expect_ident(self, what="identifier") -> Token:
-        value = self.values[self.pos]
+        pos = self.pos
+        value = self.values[pos]
         if self.kinds[value] != "ident":
             self.error("expected %s, got %r" % (what, value or "end of file"))
-        return self.next()
+        self.pos = pos + 1
+        return Token(value, pos, self.tokens)
 
-    def expect_word(self, word):
-        if self.values[self.pos] != word:
-            self.error("expected %r" % word)
-        self.pos += 1
-
-    def expect_punct(self, value):
+    def expect(self, value):
+        """Read this word or punctuation mark."""
         if self.values[self.pos] != value:
             self.error("expected %r" % value)
         self.pos += 1
@@ -325,13 +319,13 @@ class _Parser:
 
     def parse_coeffs(self):
         """{ name number ... } as an ordered list of (name, number token, name token)."""
-        self.expect_punct("{")
+        self.expect("{")
         out = []
         while not self.at("}"):
             name = self.expect_ident("basis name")
             num = self.expect_number()
             out.append((name.value, num, name))
-        self.expect_punct("}")
+        self.expect("}")
         return out
 
     def parse_objexpr(self):
@@ -347,16 +341,16 @@ class _Parser:
 
     def parse_morph(self):
         """{ (i j) { coeffs } ... } as list of ((i, j), coeff list, '(' token)."""
-        self.expect_punct("{")
+        self.expect("{")
         out = []
         while not self.at("}"):
             tok = self.peek()
-            self.expect_punct("(")
+            self.expect("(")
             i = self.expect_int()
             j = self.expect_int()
-            self.expect_punct(")")
+            self.expect(")")
             out.append(((i, j), self.parse_coeffs(), tok))
-        self.expect_punct("}")
+        self.expect("}")
         return out
 
     def parse_fexpr(self):
@@ -373,7 +367,7 @@ class _Parser:
         """The values of keyword-value fields, given as (keyword, value kind)."""
         values = []
         for word, kind in fields:
-            self.expect_word(word)
+            self.expect(word)
             if kind == "obj":
                 values.append(self.parse_objexpr())
             elif kind == "morph":
@@ -391,8 +385,8 @@ def parse(text: str) -> Workspace:
     """Parse and cross-resolve a workspace file; its `digest` is the sha256
     of exactly this text."""
     p = _Parser(_Tokens(text))
-    p.expect_word("rclkit")
-    p.expect_word("workspace")
+    p.expect("rclkit")
+    p.expect("workspace")
     tok = p.peek()
     version = p.expect_int()
     if version != FORMAT_VERSION:
@@ -407,14 +401,14 @@ def parse(text: str) -> Workspace:
         if kw.value not in _KINDS:
             p.error("unknown declaration %r" % kw.value, kw)
         name = p.expect_ident("%s name" % kw.value)
-        p.expect_punct("{")
+        p.expect("{")
         if kw.value == "category":
             body = _parse_category(p)
         elif kw.value == "recollement":
             body = _parse_recollement(p, name)
         else:
             body = (p.read_fields(HEADERS[kw.value]), _parse_items(p, kw.value))
-        p.expect_punct("}")
+        p.expect("}")
         decls.append((kw.value, name, body))
     ws = _resolve(decls)
     ws.digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -422,8 +416,8 @@ def parse(text: str) -> Workspace:
 
 
 def _parse_field(p):
-    p.expect_punct("{")
-    p.expect_word("kind")
+    p.expect("{")
+    p.expect("kind")
     kind = p.expect_ident("field kind")
     if kind.value == "rationals":
         field = make_field("rationals")
@@ -436,7 +430,7 @@ def _parse_field(p):
             p.error(str(exc), tok)
     else:
         p.error("unknown field kind %r" % kind.value, kind)
-    p.expect_punct("}")
+    p.expect("}")
     return field
 
 
@@ -449,27 +443,27 @@ def _parse_category(p):
         elif item.value == "hom":
             a = p.expect_ident("generator").value
             b = p.expect_ident("generator").value
-            p.expect_punct("{")
+            p.expect("{")
             names = []
             if p.at("basis"):
                 p.pos += 1
                 names = [t.value for t in p.parse_names()]
-            p.expect_punct("}")
+            p.expect("}")
             body["homs"].append((a, b, names, item))
         elif item.value == "identity":
             g = p.expect_ident("generator").value
             body["identities"].append((g, p.parse_coeffs(), item))
         elif item.value == "compose":
-            p.expect_punct("(")
+            p.expect("(")
             b1 = p.expect_ident().value
             c1 = p.expect_ident().value
             gname = p.expect_ident().value
-            p.expect_punct(")")
-            p.expect_punct("(")
+            p.expect(")")
+            p.expect("(")
             a2 = p.expect_ident().value
             b2 = p.expect_ident().value
             fname = p.expect_ident().value
-            p.expect_punct(")")
+            p.expect(")")
             coeffs = p.parse_coeffs()
             body["composes"].append((b1, c1, gname, a2, b2, fname, coeffs, item))
         else:
@@ -506,19 +500,19 @@ def _parse_items(p, kind):
             p.error("unknown %s item %r" % (kind, item.value), item)
         if item.value in TRIANGLE_BLOCKS:
             head = p.expect_ident("%s name" % item.value)
-            p.expect_punct("{")
+            p.expect("{")
             value = p.read_fields((word, vk) for word, _, vk
                                   in TRIANGLE_BLOCKS[item.value][1])
-            p.expect_punct("}")
+            p.expect("}")
         elif item.value == "map":
-            p.expect_punct("(")
+            p.expect("(")
             head = (p.expect_ident(), p.expect_ident(), p.expect_ident())
-            p.expect_punct(")")
-            p.expect_punct("->")
+            p.expect(")")
+            p.expect("->")
             value = p.parse_morph()
         else:  # object NAME -> objexpr, at NAME -> morph
             head = p.expect_ident("generator")
-            p.expect_punct("->")
+            p.expect("->")
             value = p.parse_objexpr() if item.value == "object" else p.parse_morph()
         if item.value == "map":
             key = (item.value, head[0].value, head[1].value, head[2].value)
