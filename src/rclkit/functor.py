@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        basis_morphisms, block_diagonal, block_offsets, compose,
                        hom_dim_expr, postcompose_mat, precompose_mat, unflatten)
@@ -52,7 +54,7 @@ class LinearFunctor:
                         % (name, g, h, mat.rows, mat.cols, dim_img, d))
                 self.hom_maps[(g, h)] = mat
         self._actions = {}
-        self._composites = {}  # (inner, name) -> compose_functors(self, inner, name)
+        self._composites = {}  # see compose_functors
 
     def apply_obj(self, obj: ObjectExpr) -> ObjectExpr:
         out = []
@@ -122,11 +124,15 @@ def identity_functor(cat: FinLinCategory) -> LinearFunctor:
 def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "") -> LinearFunctor:
     """outer o inner (apply inner first): each hom map is outer's action
     matrix on the inner images times inner's hom map.  Built once per inner
-    functor and name, and cached on outer; the key holds inner itself, so it
-    is matched by identity and its id is never reused while cached."""
-    cached = outer._composites.get((inner, name))
-    if cached is not None:
-        return cached
+    functor and name, and cached on outer by (id(inner), name).  The cache
+    holds inner only by a weak reference, which must still be inner: a
+    strong one would tie an adjoint pair into a reference cycle that outlives
+    its workspace until the cycle collector runs, and an id is reused once
+    its object is freed."""
+    key = (id(inner), name)
+    cached = outer._composites.get(key)
+    if cached is not None and cached[0]() is inner:
+        return cached[1]
     if inner.target is not outer.source:
         raise PresentationError("functor composition boundary mismatch")
     object_map = {g: outer.apply_obj(inner.object_map[g]) for g in inner.source.generators}
@@ -135,9 +141,9 @@ def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "")
         if inner.source.hom_dim(g, h):
             hom_maps[(g, h)] = outer.action(inner.object_map[g],
                                             inner.object_map[h]).mul(mat)
-    composite = outer._composites[(inner, name)] = LinearFunctor(
-        inner.source, outer.target, object_map, hom_maps,
-        name=name or ("%s*%s" % (outer.name, inner.name)))
+    composite = LinearFunctor(inner.source, outer.target, object_map, hom_maps,
+                              name=name or ("%s*%s" % (outer.name, inner.name)))
+    outer._composites[key] = (weakref.ref(inner), composite)
     return composite
 
 

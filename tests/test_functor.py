@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 from rclkit.category import Morphism, ObjectExpr
@@ -112,6 +114,17 @@ def test_composite_built_once_per_inner_functor_and_name(ws_a2):
     assert named is not first and named.name == "other"
     assert compose_functors(ju, jl, name="other") is named
     assert compose_functors(ju, il) is not first
+
+
+def test_composite_cache_does_not_keep_the_inner_functor_alive(ws_a2):
+    ju, jl = ws_a2.functors["ju"], ws_a2.functors["jl"]
+    inner = LinearFunctor(jl.source, jl.target, jl.object_map, jl.hom_maps, name="copy")
+    composite = compose_functors(ju, inner)
+    assert composite.hom_maps == compose_functors(ju, jl).hom_maps
+    alive = weakref.ref(inner)
+    del inner
+    gc.collect()
+    assert alive() is None
 
 
 def test_parsed_adjunctions_share_the_cached_composites(fixture_dir):
