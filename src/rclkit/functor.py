@@ -124,14 +124,11 @@ def identity_functor(cat: FinLinCategory) -> LinearFunctor:
 def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "") -> LinearFunctor:
     """outer o inner (apply inner first): each hom map is outer's action
     matrix on the inner images times inner's hom map.  Built once per inner
-    functor and name, and cached on outer by (id(inner), name).  The cache
-    holds inner only by a weak reference, which must still be inner: a
-    strong one would tie an adjoint pair into a reference cycle that outlives
-    its workspace until the cycle collector runs, and an id is reused once
-    its object is freed."""
+    functor and name and cached on outer, which holds inner only weakly: a
+    strong reference would tie each adjoint pair into a reference cycle."""
     key = (id(inner), name)
     cached = outer._composites.get(key)
-    if cached is not None and cached[0]() is inner:
+    if cached is not None and cached[0]() is inner:  # ids of freed objects recur
         return cached[1]
     if inner.target is not outer.source:
         raise PresentationError("functor composition boundary mismatch")
