@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .category import (Morphism, ObjectExpr, basis_morphisms, block_diagonal,
-                       compose, hom_dim_expr, morphism_inverse, postcompose_mat,
+from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_basis,
+                       hom_dim_expr, morphism_inverse, postcompose_mat,
                        precompose_mat, unflatten)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, NatTransform, compose_functors,
@@ -270,7 +270,8 @@ def _nat_solution_space(from_f: LinearFunctor, to_f: LinearFunctor):
     rows = difference_rows(cat.field, total, [
         (postcompose_mat(to_f.apply(f), from_f.object_map[a]), offset[a],
          precompose_mat(from_f.apply(f), to_f.object_map[b]), offset[b])
-        for a, b, _, f in basis_morphisms(src)])
+        for a in src.generators for b in src.generators
+        for f in hom_basis(src, ObjectExpr((a,)), ObjectExpr((b,)))])
     if total == 0:
         return [], shape
     return nullspace(Mat(cat.field, len(rows), total, rows)), shape

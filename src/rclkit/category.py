@@ -9,6 +9,7 @@ of generators; morphisms between sums are block matrices of Hom coordinates.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 from .errors import PresentationError, UndecidedError
@@ -67,7 +68,6 @@ class FinLinCategory:
             self.comp[key] = tuple(tuple(tuple(vec) for vec in row) for row in table)
         self.identities = {g: tuple(v) for g, v in identities.items()}
         self._residues = None
-        self._identity_functor = None  # built by functor.identity_functor
         gen_set = set(self.generators)
         if len(gen_set) != len(self.generators):
             raise PresentationError("duplicate generator names in %r" % (name,))
@@ -334,14 +334,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
     """The basis morphisms of Hom(a, b), in flat coordinate order."""
-    z, one = cat.field.zero, cat.field.one
-    blocks = [[(z,) * cat.hom_dim(s, t) for s in a.summands] for t in b.summands]
-    for row in blocks:
-        for j, zeros in enumerate(row):
-            for q in range(len(zeros)):
-                row[j] = zeros[:q] + (one,) + zeros[q + 1:]
-                yield Morphism(cat, a, b, blocks)
-            row[j] = zeros
+    for coords in Mat.identity(cat.field, hom_dim_expr(cat, a, b)).data:
+        yield unflatten(cat, a, b, coords)
 
 
 def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
@@ -432,16 +426,6 @@ def block_diagonal(cat: FinLinCategory, parts) -> Morphism:
         soff += len(p.source.summands)
         toff += len(p.target.summands)
     return Morphism(cat, src, tgt, blocks)
-
-
-def basis_morphisms(cat: FinLinCategory):
-    """All (src, tgt, index, morphism) basis elements, in deterministic order."""
-    out = []
-    for a in cat.generators:
-        for b in cat.generators:
-            for q in range(cat.hom_dim(a, b)):
-                out.append((a, b, q, Morphism.basis_element(cat, a, b, q)))
-    return out
 
 
 def _end_algebra_tables(cat: FinLinCategory, g: str):
@@ -565,42 +549,46 @@ def _same(field, a, b) -> bool:
 
 
 def validate_category(cat: FinLinCategory) -> Report:
-    """Associativity, identity laws and locality of the End rings."""
+    """Identity laws, associativity and locality of the End rings.  With
+    P_x(a), Q_x(b) composition with x on Hom(a, -), Hom(-, b), the first two
+    are P_{1_b}(a) = Q_{1_a}(b) = I and P_h(a) P_g(a) = P_{h o g}(a) on
+    Hom(a, b) for basis g: b -> c, h: c -> d, with P_{h o g}(a) the sum of
+    the P_k(a), k in Hom(b, d), weighted by the structure constants."""
     rep = Report()
     gens = cat.generators
+    objs = {g: ObjectExpr((g,)) for g in gens}
 
-    for g in gens:
-        ident = Morphism.single(cat, g, g, cat.identities[g])
-        for h in gens:
-            for q in range(cat.hom_dim(g, h)):
-                f = Morphism.basis_element(cat, g, h, q)
-                name = cat.basis_names(g, h)[q]
-                if not compose(f, ident).equal(f):
-                    rep.fail("identity.right", "%s o 1_%s != %s" % (name, g, name))
-                ident_h = Morphism.single(cat, h, h, cat.identities[h])
-                if not compose(ident_h, f).equal(f):
-                    rep.fail("identity.left", "1_%s o %s != %s" % (h, name, name))
+    for a, b in itertools.product(gens, repeat=2):
+        ident = Mat.identity(cat.field, cat.hom_dim(a, b))
+        right = precompose_mat(Morphism.identity(cat, objs[a]), objs[b])
+        left = postcompose_mat(Morphism.identity(cat, objs[b]), objs[a])
+        for q, name in enumerate(cat.basis_names(a, b)):
+            if right.col(q) != ident.col(q):
+                rep.fail("identity.right", "%s o 1_%s != %s" % (name, a, name))
+            if left.col(q) != ident.col(q):
+                rep.fail("identity.left", "1_%s o %s != %s" % (b, name, name))
     rep.close("identity")
 
     for a in gens:
-        for b in gens:
-            for q1 in range(cat.hom_dim(a, b)):
-                f = Morphism.basis_element(cat, a, b, q1)
-                for c in gens:
-                    for q2 in range(cat.hom_dim(b, c)):
-                        g = Morphism.basis_element(cat, b, c, q2)
-                        gf = compose(g, f)
-                        for d in gens:
-                            for q3 in range(cat.hom_dim(c, d)):
-                                h = Morphism.basis_element(cat, c, d, q3)
-                                lhs = compose(h, gf)
-                                rhs = compose(compose(h, g), f)
-                                if not lhs.equal(rhs):
-                                    rep.fail("associativity",
-                                             "witness (%s.%s, %s.%s, %s.%s)" % (
-                                                 a, cat.basis_names(a, b)[q1],
-                                                 b, cat.basis_names(b, c)[q2],
-                                                 c, cat.basis_names(c, d)[q3]))
+        ends = [b for b in gens if cat.hom_dim(a, b)]
+        reach = {c for b in ends for c in gens if cat.hom_dim(b, c)}  # holds ends: 1_b != 0
+        post = {(b, c): [postcompose_mat(x, objs[a]) for x in hom_basis(cat, objs[b], objs[c])]
+                for b in reach for c in gens}
+        for b, c, d in itertools.product(ends, gens, gens):
+            for q2, pg in enumerate(post[(b, c)]):
+                for q3, ph in enumerate(post[(c, d)]):
+                    lhs = ph.mul(pg)
+                    rhs = Mat.zeros(cat.field, lhs.rows, lhs.cols)
+                    for x, pk in zip(cat.comp_vec(b, c, d, q3, q2), post[(b, d)]):
+                        if x:
+                            rhs = rhs.add(pk.scale(x))
+                    for q1 in range(lhs.cols):
+                        if lhs.col(q1) != rhs.col(q1):
+                            rep.fail("associativity", "witness (%s in Hom(%s,%s), "
+                                     "%s in Hom(%s,%s), %s in Hom(%s,%s))" % (
+                                         cat.basis_names(a, b)[q1], a, b,
+                                         cat.basis_names(b, c)[q2], b, c,
+                                         cat.basis_names(c, d)[q3], c, d))
     rep.close("associativity")
 
     _, reasons, _ = cat.residue_data()

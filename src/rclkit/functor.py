@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import weakref
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       basis_morphisms, block_diagonal, block_offsets, compose,
-                       hom_dim_expr, postcompose_mat, precompose_mat, unflatten)
+                       block_diagonal, block_offsets, hom_basis, hom_dim_expr,
+                       postcompose_mat, precompose_mat, unflatten)
 from .errors import PresentationError
 from .linalg import Mat, rank
 from .report import Report
@@ -107,18 +108,19 @@ class LinearFunctor:
                                                 self.source.name, self.target.name)
 
 
+_identity_functors = weakref.WeakValueDictionary()  # id(cat) -> identity functor
+
+
 def identity_functor(cat: FinLinCategory) -> LinearFunctor:
-    """The identity functor of cat, built once per category."""
-    if cat._identity_functor is None:
-        hom_maps = {}
-        for g in cat.generators:
-            for h in cat.generators:
-                d = cat.hom_dim(g, h)
-                if d:
-                    hom_maps[(g, h)] = Mat.identity(cat.field, d)
-        cat._identity_functor = LinearFunctor(
+    """The identity functor of cat, built once while something holds it.
+    Cached on cat, it would put every category in a reference cycle; the
+    weak entry keyed by id(cat) dies with its functor, which holds cat."""
+    functor = _identity_functors.get(id(cat))
+    if functor is None:
+        hom_maps = {key: Mat.identity(cat.field, d) for key, d in cat._dims.items()}
+        functor = _identity_functors[id(cat)] = LinearFunctor(
             cat, cat, {g: ObjectExpr((g,)) for g in cat.generators}, hom_maps, name="id")
-    return cat._identity_functor
+    return functor
 
 
 def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "") -> LinearFunctor:
@@ -178,28 +180,33 @@ def is_identity_functor(f: LinearFunctor) -> bool:
 
 
 def validate_functor(f: LinearFunctor) -> Report:
-    """Identity preservation and F(gf) = F(g)F(f) on all basis pairs."""
+    """F_(g,g) 1_g = 1_(F g), and F_(a,c) P_g(a) = P_(F g)(F a) F_(a,b) on
+    Hom(a, b) for basis g: b -> c, with F_(a,b) = hom_maps[(a, b)] and
+    P_x(y) composition with x on Hom(y, -); column q is basis q of Hom(a, b)."""
     rep = Report()
     src = f.source
-    for g in src.generators:
-        ident = Morphism.identity(src, ObjectExpr((g,)))
-        img = f.apply(ident)
-        want = Morphism.identity(f.target, f.object_map[g])
-        if not img.equal(want):
+    gens = src.generators
+    for g in gens:
+        img = f.hom_maps[(g, g)].apply(src.identities[g])
+        if img != Morphism.identity(f.target, f.object_map[g]).flatten():
             rep.fail("preserves-identity", "at %s" % g)
     rep.close("preserves-identity")
 
-    for a, b, q1, mor_f in basis_morphisms(src):
-        for c in src.generators:
-            for q2 in range(src.hom_dim(b, c)):
-                mor_g = Morphism.basis_element(src, b, c, q2)
-                lhs = f.apply(compose(mor_g, mor_f))
-                rhs = compose(f.apply(mor_g), f.apply(mor_f))
-                if not lhs.equal(rhs):
+    objs = {g: ObjectExpr((g,)) for g in gens}
+    images = {(b, c): [(x, f.apply(x)) for x in hom_basis(src, objs[b], objs[c])]
+              for b in gens for c in gens}
+    for a, b, c in itertools.product(gens, repeat=3):
+        if not src.hom_dim(a, b):
+            continue
+        for q2, (g, fg) in enumerate(images[(b, c)]):
+            lhs = f.hom_maps[(a, c)].mul(postcompose_mat(g, objs[a]))
+            rhs = postcompose_mat(fg, f.object_map[a]).mul(f.hom_maps[(a, b)])
+            for q1 in range(lhs.cols):
+                if lhs.col(q1) != rhs.col(q1):
                     rep.fail("preserves-composition",
-                             "witness pair (%s.%s, %s.%s)" % (
-                                 a, src.basis_names(a, b)[q1],
-                                 b, src.basis_names(b, c)[q2]))
+                             "witness pair (%s in Hom(%s,%s), %s in Hom(%s,%s))" % (
+                                 src.basis_names(a, b)[q1], a, b,
+                                 src.basis_names(b, c)[q2], b, c))
     rep.close("preserves-composition")
     return rep
 

@@ -9,8 +9,8 @@ quotient data is reproducible across runs.
 from __future__ import annotations
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       compose, ideal_subspace, postcompose_mat, unflatten,
-                       validate_category)
+                       hom_basis, ideal_subspace, postcompose_mat, precompose_mat,
+                       unflatten, validate_category)
 from .errors import PreconditionError
 from .functor import LinearFunctor, compose_functors
 from .adjunction import Adjunction, hom_bijection, make_adjunction
@@ -36,21 +36,24 @@ class MorphismIdeal:
         return self.table[(a, b)]
 
     def validate(self) -> Report:
-        """Two-sidedness on basis triples and identities of members."""
+        """Two-sidedness, as matrix identities on the rows of [X](a, b): for
+        basis u: b -> c and v: c -> a, P_u(a) maps them into [X](a, c) and
+        Q_v(b) into [X](c, b); and the identities of members."""
         rep = Report()
         cat = self.parent
+        objs = {g: ObjectExpr((g,)) for g in cat.generators}
         for (a, b), sub in self.table.items():
-            for vec in sub.rows:
-                w = unflatten(cat, ObjectExpr((a,)), ObjectExpr((b,)), vec)
-                for c in cat.generators:
-                    for p in range(cat.hom_dim(b, c)):
-                        u = Morphism.basis_element(cat, b, c, p)
-                        if not self.table[(a, c)].contains_vector(compose(u, w).flatten()):
+            if not sub.rows:
+                continue
+            for c in cat.generators:
+                for u in hom_basis(cat, objs[b], objs[c]):
+                    for img in map(postcompose_mat(u, objs[a]).apply, sub.rows):
+                        if not self.table[(a, c)].contains_vector(img):
                             rep.fail("ideal.two-sided.post-compose",
                                      "(%s,%s) composed into Hom(%s,%s)" % (a, b, a, c))
-                    for p in range(cat.hom_dim(c, a)):
-                        v = Morphism.basis_element(cat, c, a, p)
-                        if not self.table[(c, b)].contains_vector(compose(w, v).flatten()):
+                for v in hom_basis(cat, objs[c], objs[a]):
+                    for img in map(precompose_mat(v, objs[b]).apply, sub.rows):
+                        if not self.table[(c, b)].contains_vector(img):
                             rep.fail("ideal.two-sided.pre-compose",
                                      "(%s,%s) composed into Hom(%s,%s)" % (a, b, c, b))
         rep.close("ideal.two-sided")

@@ -4,7 +4,7 @@ import itertools
 
 from rclkit.adjunction import (_nat_solution_space, _unpack_components, make_adjunction,
                                validate_adjunction)
-from rclkit.category import (Morphism, ObjectExpr, basis_morphisms, block_diagonal, compose,
+from rclkit.category import (Morphism, ObjectExpr, block_diagonal, compose,
                              hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
                              precompose_mat, unflatten)
 from rclkit.errors import InputError
@@ -72,6 +72,13 @@ def brute_force_isomorphic(cat, g, h):
 
 
 # -- per-basis kernels: the Hom-action matrices, one basis element at a time --
+
+def basis_morphisms(cat):
+    """Every (a, b, q, f) with f the basis morphism q of Hom(a, b), for
+    generators a and b, in generator order."""
+    return [(a, b, q, Morphism.basis_element(cat, a, b, q))
+            for a in cat.generators for b in cat.generators for q in range(cat.hom_dim(a, b))]
+
 
 def per_basis_compose(g, f):
     """g o f, one pair of basis coordinates at a time through comp_vec."""
@@ -186,6 +193,99 @@ def per_basis_quotient_comp(q):
                           for r in range(da))
                     for p in range(db))
     return comp
+
+
+# -- the structure laws, one composite of basis morphisms at a time --
+
+def per_basis_validate_category(cat):
+    """Identity laws, associativity and locality, with one `compose` per
+    basis morphism and per triple of composable basis morphisms."""
+    rep = Report()
+    gens = cat.generators
+    for g in gens:
+        ident = Morphism.single(cat, g, g, cat.identities[g])
+        for h in gens:
+            for q in range(cat.hom_dim(g, h)):
+                f = Morphism.basis_element(cat, g, h, q)
+                name = cat.basis_names(g, h)[q]
+                if not compose(f, ident).equal(f):
+                    rep.fail("identity.right", "%s o 1_%s != %s" % (name, g, name))
+                ident_h = Morphism.single(cat, h, h, cat.identities[h])
+                if not compose(ident_h, f).equal(f):
+                    rep.fail("identity.left", "1_%s o %s != %s" % (h, name, name))
+    rep.close("identity")
+    for a, b, q1, f in basis_morphisms(cat):
+        for c in gens:
+            for q2 in range(cat.hom_dim(b, c)):
+                g = Morphism.basis_element(cat, b, c, q2)
+                gf = compose(g, f)
+                for d in gens:
+                    for q3 in range(cat.hom_dim(c, d)):
+                        h = Morphism.basis_element(cat, c, d, q3)
+                        if not compose(h, gf).equal(compose(compose(h, g), f)):
+                            rep.fail("associativity",
+                                     "witness (%s in Hom(%s,%s), %s in Hom(%s,%s), "
+                                     "%s in Hom(%s,%s))" % (
+                                         cat.basis_names(a, b)[q1], a, b,
+                                         cat.basis_names(b, c)[q2], b, c,
+                                         cat.basis_names(c, d)[q3], c, d))
+    rep.close("associativity")
+    for reason in cat.residue_data()[1].values():
+        rep.fail("locality", reason)
+    rep.close("locality")
+    return rep
+
+
+def per_basis_validate_functor(f):
+    """Identity preservation and F(g o f) = F(g) o F(f), one pair of basis
+    morphisms at a time."""
+    rep = Report()
+    src = f.source
+    for g in src.generators:
+        img = per_basis_apply(f, Morphism.identity(src, ObjectExpr((g,))))
+        if not img.equal(Morphism.identity(f.target, f.object_map[g])):
+            rep.fail("preserves-identity", "at %s" % g)
+    rep.close("preserves-identity")
+    for a, b, q1, mor_f in basis_morphisms(src):
+        for c in src.generators:
+            for q2 in range(src.hom_dim(b, c)):
+                mor_g = Morphism.basis_element(src, b, c, q2)
+                lhs = per_basis_apply(f, compose(mor_g, mor_f))
+                rhs = compose(per_basis_apply(f, mor_g), per_basis_apply(f, mor_f))
+                if not lhs.equal(rhs):
+                    rep.fail("preserves-composition",
+                             "witness pair (%s in Hom(%s,%s), %s in Hom(%s,%s))" % (
+                                 src.basis_names(a, b)[q1], a, b,
+                                 src.basis_names(b, c)[q2], b, c))
+    rep.close("preserves-composition")
+    return rep
+
+
+def per_basis_ideal_validate(ideal):
+    """Two-sidedness of a MorphismIdeal, one composite of an ideal row with
+    a basis morphism at a time, and the identities of its members."""
+    rep = Report()
+    cat = ideal.parent
+    for (a, b), sub in ideal.table.items():
+        for vec in sub.rows:
+            w = unflatten(cat, ObjectExpr((a,)), ObjectExpr((b,)), vec)
+            for c in cat.generators:
+                for p in range(cat.hom_dim(b, c)):
+                    u = Morphism.basis_element(cat, b, c, p)
+                    if not ideal.table[(a, c)].contains_vector(compose(u, w).flatten()):
+                        rep.fail("ideal.two-sided.post-compose",
+                                 "(%s,%s) composed into Hom(%s,%s)" % (a, b, a, c))
+                for p in range(cat.hom_dim(c, a)):
+                    v = Morphism.basis_element(cat, c, a, p)
+                    if not ideal.table[(c, b)].contains_vector(compose(w, v).flatten()):
+                        rep.fail("ideal.two-sided.pre-compose",
+                                 "(%s,%s) composed into Hom(%s,%s)" % (a, b, c, b))
+    rep.close("ideal.two-sided")
+    for m in ideal.through.members:
+        if not ideal.table[(m, m)].contains_vector(tuple(cat.identities[m])):
+            rep.fail("ideal.member-identity", m)
+    rep.close("ideal.member-identity")
+    return rep
 
 
 # -- adjunctions: every natural family, each with the counit linear system --

@@ -134,3 +134,22 @@ def test_parsed_adjunctions_share_the_cached_composites(fixture_dir):
     for adj in ws.adjunctions.values():
         assert adj.unit.to_f is compose_functors(adj.right, adj.left)
         assert adj.counit.from_f is compose_functors(adj.left, adj.right)
+
+
+def test_dropped_workspace_frees_its_categories_without_the_cycle_collector(fixture_dir):
+    """No reference cycle holds a category, its identity functor or what
+    they cache: with the cycle collector off, a workspace dropped after a
+    check-recollement job frees its categories."""
+    from rclkit.cli import run_command
+    from rclkit.workspace import parse
+    text = (fixture_dir / "fix_a2.rcl").read_text()
+    gc.collect()
+    gc.disable()
+    try:
+        ws = parse(text)
+        assert run_command("check-recollement", ws, {}).passed
+        refs = [weakref.ref(cat) for cat in ws.categories.values()]
+        del ws
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

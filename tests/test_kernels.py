@@ -1,11 +1,14 @@
 """The Hom-action kernels against their per-basis oracles.
 
 `LinearFunctor.apply`, `compose_functors`, `compose`, `postcompose_mat`,
-`precompose_mat`, `validate_nat` and the structure constants of a quotient
-presentation are built from action matrices and the structure constants;
-tests/oracles.py computes the same things one basis element at a time.  They must agree on random morphisms of fix_a2, fix_prod,
-stab2 (two copies of stable k[x]/(x^3) with their shift) and `kronecker`
-over QQ, GF(2), GF(3) and GF(101)."""
+`precompose_mat`, `validate_nat`, the structure constants of a quotient
+presentation and the three structure checks `validate_category`,
+`validate_functor` and `MorphismIdeal.validate` are built from action
+matrices and the structure constants; tests/oracles.py computes the same
+things one basis element at a time.  They must agree on random morphisms of
+fix_a2, fix_prod, stab2 (two copies of stable k[x]/(x^3) with their shift)
+and `kronecker` over QQ, GF(2), GF(3) and GF(101), and the structure checks
+on perturbed presentations of those four over GF(2) and GF(3)."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -14,18 +17,20 @@ from hypothesis import given, settings, strategies as st
 
 from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory, compose,
                              hom_basis, hom_dim_expr, postcompose_mat, precompose_mat,
-                             unflatten)
+                             unflatten, validate_category)
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_component_category, _component_shift, _StableCore,
                                 build_fix_a2, build_fix_prod)
 from rclkit.functor import (LinearFunctor, NatTransform, compose_functors, identity_functor,
-                            validate_nat)
-from rclkit.linalg import Mat
-from rclkit.quotient import build_quotient
+                            validate_functor, validate_nat)
+from rclkit.linalg import Mat, SubspaceBasis
+from rclkit.quotient import MorphismIdeal, build_quotient
 
 from oracles import (per_basis_apply, per_basis_compose, per_basis_compose_functors,
-                     per_basis_postcompose_mat, per_basis_precompose_mat,
-                     per_basis_quotient_comp, per_basis_validate_nat)
+                     per_basis_ideal_validate, per_basis_postcompose_mat,
+                     per_basis_precompose_mat, per_basis_quotient_comp,
+                     per_basis_validate_category, per_basis_validate_functor,
+                     per_basis_validate_nat)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(101))
 PRESENTATIONS = ("fix_a2", "fix_prod", "stab2", "kronecker")
@@ -211,3 +216,64 @@ def test_quotient_structure_constants_match_per_basis_oracle(data):
     members = data.draw(st.lists(st.sampled_from(cat.generators), unique=True))
     q = build_quotient(cat, Subcategory(cat, members))
     assert q.presentation.comp == per_basis_quotient_comp(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_structure_checks_match_per_basis_oracles(data):
+    """Add a nonzero scalar to one structure constant of a category, one
+    entry of a functor's hom map or one coordinate of a row of a morphism
+    ideal: validate_category, validate_functor and MorphismIdeal.validate
+    give the verdict and the (key, status, witness) entries of the per-basis
+    loops.  Where there is nothing to perturb, the data is checked as is."""
+    field = data.draw(st.sampled_from((PrimeField(2), PrimeField(3))))
+    found = functors(data.draw(st.sampled_from(PRESENTATIONS)), field)
+
+    def bumped(value):
+        return field.add(value, field.of_int(data.draw(st.integers(1, field.characteristic - 1))))
+
+    def spot(shape):
+        return data.draw(st.sampled_from(shape)) if shape else None
+
+    kind = data.draw(st.sampled_from(("category", "functor", "ideal")))
+    if kind == "functor":
+        f = data.draw(st.sampled_from(found))
+        hom_maps = dict(f.hom_maps)
+        at = spot([(key, r, c) for key, mat in hom_maps.items()
+                   for r in range(mat.rows) for c in range(mat.cols)])
+        if at:
+            key, r, c = at
+            rows = [list(row) for row in hom_maps[key].data]
+            rows[r][c] = bumped(rows[r][c])
+            hom_maps[key] = Mat(field, len(rows), hom_maps[key].cols, rows)
+        f = LinearFunctor(f.source, f.target, f.object_map, hom_maps, name=f.name)
+        got, want = validate_functor(f), per_basis_validate_functor(f)
+    else:
+        cat = data.draw(st.sampled_from(list(
+            {id(c): c for f in found for c in (f.source, f.target) if c.generators}.values())))
+        if kind == "category":
+            comp = {key: [[list(vec) for vec in row] for row in table]
+                    for key, table in cat.comp.items()}
+            at = spot([(key, p, q, r) for key, table in comp.items()
+                       for p, row in enumerate(table) for q, vec in enumerate(row)
+                       for r in range(len(vec))])
+            if at:
+                key, p, q, r = at
+                comp[key][p][q][r] = bumped(comp[key][p][q][r])
+            cat = FinLinCategory(field, cat.generators, cat.hom_bases, comp,
+                                 cat.identities, name=cat.name)
+            got, want = validate_category(cat), per_basis_validate_category(cat)
+        else:
+            members = data.draw(st.lists(st.sampled_from(cat.generators), unique=True))
+            ideal = MorphismIdeal(cat, Subcategory(cat, members))
+            at = spot([(key, i, k) for key, sub in ideal.table.items()
+                       for i, row in enumerate(sub.rows) for k in range(len(row))])
+            if at:
+                key, i, k = at
+                rows = [list(row) for row in ideal.table[key].rows]
+                rows[i][k] = bumped(rows[i][k])
+                ideal.table[key] = SubspaceBasis.from_vectors(
+                    field, ideal.table[key].ambient, rows)
+            got, want = ideal.validate(), per_basis_ideal_validate(ideal)
+    assert got.ok_all == want.ok_all
+    assert set(lines(got)) == set(lines(want))
