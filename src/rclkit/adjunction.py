@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_basis,
-                       hom_dim_expr, morphism_inverse, postcompose_mat,
+from .category import (Morphism, ObjectExpr, block_diagonal, commuting_space, compose,
+                       hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
                        precompose_mat, unflatten)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, identity_nat, is_full_embedding,
                       is_identity_functor, nat_equal, validate_nat)
-from .linalg import Mat, difference_rows, invertible_point, nullspace, solve
+from .linalg import Mat, invertible_point, solve
 from .report import Report
 
 
@@ -93,32 +93,21 @@ def _single_gen_image_map(f: LinearFunctor):
     return out
 
 
-class NormalizationResult:
-    def __init__(self, adj, replaced_side=None, new=None, conj=None, conj_inv=None):
-        self.adj = adj
-        self.replaced_side = replaced_side  # "left" | "right" | None
-        self.new = new
-        self.conj = conj or {}      # gens of replaced functor's source -> iso old(g) -> new(g)
-        self.conj_inv = conj_inv or {}
-
-    @property
-    def changed(self) -> bool:
-        return self.replaced_side is not None
-
-
-def normalize_embedding(adj: Adjunction, side: str) -> NormalizationResult:
+def normalize_embedding(adj: Adjunction, side: str):
     """Strictify the composite on the embedded side to the identity functor.
 
-    side "left": the left adjoint embeds; the right adjoint is conjugated by
-    the unit isomorphisms so that right o left = Id and the unit becomes the
-    identity transformation.  side "right" is dual, via the counit.  The
-    conjugating isomorphism family is returned so callers can rewrite other
-    data referring to the replaced functor.
+    side "left": the left adjoint embeds, and the right adjoint is replaced
+    by its conjugate by the unit isomorphisms, so that right o left = Id;
+    side "right" is dual, via the counit.  Returns None when adj is already
+    strict, else (new, conj, conj_inv): the replacement and the conjugating
+    isomorphism family old(g) -> new(g) with its inverses, for
+    `rewire_adjunction` on every adjunction that holds the replaced functor
+    (adj included, whose unit, resp. counit, then becomes the identity).
     """
     if side == "left":
-        emb, other, iso, replaced = adj.left, adj.right, adj.unit, "right"
+        emb, other, iso = adj.left, adj.right, adj.unit
     elif side == "right":
-        emb, other, iso, replaced = adj.right, adj.left, adj.counit, "left"
+        emb, other, iso = adj.right, adj.left, adj.counit
     else:
         raise ValueError("side must be left or right")
     if not is_full_embedding(emb):
@@ -126,7 +115,7 @@ def normalize_embedding(adj: Adjunction, side: str) -> NormalizationResult:
     A = emb.source
     if is_identity_functor(compose_functors(other, emb)) \
             and nat_equal(iso, identity_nat(identity_functor(A))):
-        return NormalizationResult(adj)
+        return None
     image = _single_gen_image_map(emb)
     if image is None:
         raise PreconditionError("embedding image is not generator-to-generator",
@@ -156,10 +145,9 @@ def normalize_embedding(adj: Adjunction, side: str) -> NormalizationResult:
             new_objects[b] = other.object_map[b]
             conj[b] = conj_inv[b] = Morphism.identity(A, other.object_map[b])
     new = _conjugated_functor(other, new_objects, conj, conj_inv, other.name)
-    adj2 = rewire_adjunction(adj, replaced, new, conj, conj_inv)
     if not is_identity_functor(compose_functors(new, emb)):
         raise InconsistentDataError("strictification failed for %s" % adj.name)
-    return NormalizationResult(adj2, replaced, new, conj, conj_inv)
+    return new, conj, conj_inv
 
 
 def _conjugated_functor(f: LinearFunctor, new_objects, conj, conj_inv, name):
@@ -218,25 +206,25 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "")
     F = A.field
     rl = compose_functors(right, left)
     ida = identity_functor(A)
-    basis, shape = _nat_solution_space(ida, rl)
-    families = [_unpack_components(ida, rl, shape, v) for v in basis]
+    basis, split = _nat_solution_space(ida, rl)
+    families = [split(v) for v in basis]
     blocks = []
-    for a in A.generators:
+    for i, a in enumerate(A.generators):
         la = left.object_map[a]
         for b in B.generators:
             size = hom_dim_expr(B, la, ObjectExpr(b))
             if size != hom_dim_expr(A, ObjectExpr(a), right.object_map[b]):
                 return None
-            mats = [_transpose_mat(right, eta[a], la, ObjectExpr(b)) for eta in families]
+            mats = [_transpose_mat(right, eta[i], la, ObjectExpr(b)) for eta in families]
             blocks.append([[[m.data[r][c] for m in mats] for c in range(size)]
                            for r in range(size)])
     point = invertible_point(F, len(basis), blocks)
     if point is None:
         return None
-    vec = [F.zero] * sum(d for _, _, d in shape)
+    vec = [F.zero] * len(basis[0]) if basis else ()
     for c, v in zip(point, basis):
         vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, v)]
-    unit = _unpack_components(ida, rl, shape, vec)
+    unit = dict(zip(A.generators, split(vec)))
     counit = {}
     for b in B.generators:
         rb = right.object_map[b]
@@ -256,28 +244,16 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "")
 
 
 def _nat_solution_space(from_f: LinearFunctor, to_f: LinearFunctor):
-    """Canonical basis of the space of natural families from_f => to_f."""
+    """(basis, split) of the space of natural families from_f => to_f, as
+    `commuting_space` gives them: one component per source generator, in
+    generator order, with to_f(f) o comp_a = comp_b o from_f(f) for every
+    basis morphism f: a -> b."""
     src = from_f.source
-    cat = from_f.target
-    shape = []
-    total = 0
-    for g in src.generators:
-        d = hom_dim_expr(cat, from_f.object_map[g], to_f.object_map[g])
-        shape.append((g, total, d))
-        total += d
-    offset = {g: o for (g, o, d) in shape}
-    # to_f(f) o comp_a - comp_b o from_f(f) = 0
-    rows = difference_rows(cat.field, total, [
-        (postcompose_mat(to_f.apply(f), from_f.object_map[a]), offset[a],
-         precompose_mat(from_f.apply(f), to_f.object_map[b]), offset[b])
-        for a in src.generators for b in src.generators
-        for f in hom_basis(src, ObjectExpr((a,)), ObjectExpr((b,)))])
-    if total == 0:
-        return [], shape
-    return nullspace(Mat(cat.field, len(rows), total, rows)), shape
-
-
-def _unpack_components(from_f, to_f, shape, vec):
-    cat = from_f.target
-    return {g: unflatten(cat, from_f.object_map[g], to_f.object_map[g], vec[o:o + d])
-            for (g, o, d) in shape}
+    gens = src.generators
+    index = {g: i for i, g in enumerate(gens)}
+    return commuting_space(
+        from_f.target, [(from_f.object_map[g], to_f.object_map[g]) for g in gens],
+        [(postcompose_mat(to_f.apply(f), from_f.object_map[a]), index[a],
+          precompose_mat(from_f.apply(f), to_f.object_map[b]), index[b])
+         for a in gens for b in gens
+         for f in hom_basis(src, ObjectExpr((a,)), ObjectExpr((b,)))])

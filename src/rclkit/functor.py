@@ -123,12 +123,12 @@ def identity_functor(cat: FinLinCategory) -> LinearFunctor:
     return functor
 
 
-def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "") -> LinearFunctor:
+def compose_functors(outer: LinearFunctor, inner: LinearFunctor) -> LinearFunctor:
     """outer o inner (apply inner first): each hom map is outer's action
     matrix on the inner images times inner's hom map.  Built once per inner
-    functor and name and cached on outer, which holds inner only weakly: a
-    strong reference would tie each adjoint pair into a reference cycle."""
-    key = (id(inner), name)
+    functor and cached on outer, which holds inner only weakly: a strong
+    reference would tie each adjoint pair into a reference cycle."""
+    key = id(inner)
     cached = outer._composites.get(key)
     if cached is not None and cached[0]() is inner:  # ids of freed objects recur
         return cached[1]
@@ -141,7 +141,7 @@ def compose_functors(outer: LinearFunctor, inner: LinearFunctor, name: str = "")
             hom_maps[(g, h)] = outer.action(inner.object_map[g],
                                             inner.object_map[h]).mul(mat)
     composite = LinearFunctor(inner.source, outer.target, object_map, hom_maps,
-                              name=name or ("%s*%s" % (outer.name, inner.name)))
+                              name="%s*%s" % (outer.name, inner.name))
     outer._composites[key] = (weakref.ref(inner), composite)
     return composite
 
@@ -223,17 +223,17 @@ def kernel_subcategory(f: LinearFunctor) -> Subcategory:
     return Subcategory(f.source, gens)
 
 
-def full_embedding_witness(f: LinearFunctor):
-    """None when every generator-pairwise hom map is bijective, else the
-    first failing pair."""
+def non_bijective_pairs(f: LinearFunctor):
+    """The generator pairs whose hom map is not bijective, lazily, as
+    (g, h, "Hom(g,h): RxC of rank r"); none exactly when f is a full
+    embedding."""
     for g in f.source.generators:
         for h in f.source.generators:
             d = f.source.hom_dim(g, h)
             mat = f.hom_maps[(g, h)]
             r = rank(mat) if d else 0
             if mat.rows != d or r != d:
-                return "Hom(%s,%s): %dx%d of rank %d" % (g, h, mat.rows, mat.cols, r)
-    return None
+                yield g, h, "Hom(%s,%s): %dx%d of rank %d" % (g, h, mat.rows, mat.cols, r)
 
 
 def non_full_pairs(f: LinearFunctor):
@@ -248,7 +248,7 @@ def non_full_pairs(f: LinearFunctor):
 
 def is_full_embedding(f: LinearFunctor) -> bool:
     """Hom maps bijective on every generator pair."""
-    return full_embedding_witness(f) is None
+    return next(non_bijective_pairs(f), None) is None
 
 
 class NatTransform:

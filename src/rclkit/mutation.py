@@ -20,8 +20,9 @@ from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        precompose_mat, restrict_category, unflatten)
 from .errors import InconsistentDataError, PreconditionError, UndecidedError
 from .functor import (LinearFunctor, compose_functors, functor_mismatches,
-                      non_full_pairs, validate_functor, validate_nat)
-from .linalg import Mat, nullspace, rank, solve
+                      non_bijective_pairs, non_full_pairs, validate_functor,
+                      validate_nat)
+from .linalg import Mat, nullspace, solve
 from .quotient import QuotientCategory, build_quotient, induce_functor
 from .recollement import (FUNCTOR_SLOTS, Recollement, _restricted_functor,
                           quotient_recollement, supp_image)
@@ -270,12 +271,8 @@ def _sigma_is_equivalence(m: MutationData, rep: Report):
     pres = q.presentation
     sigma = m.sigma
     rep.record("sigma.functor", validate_functor(sigma))
-    for xg in q.survivors:
-        for yg in q.survivors:
-            d = pres.hom_dim(xg, yg)
-            mat = sigma.hom_maps[(xg, yg)]
-            if mat.rows != d or (d and rank(mat) != d):
-                rep.fail("sigma.fully-faithful", "Hom(%s,%s)" % (xg, yg))
+    for xg, yg, _ in non_bijective_pairs(sigma):
+        rep.fail("sigma.fully-faithful", "Hom(%s,%s)" % (xg, yg))
     rep.close("sigma.fully-faithful")
 
     try:
@@ -552,7 +549,7 @@ def induced_exact_functor(e: ExactFunctorData, m: MutationData,
         fres = F
     else:
         fres = _restricted_functor(F, res_src, res_tgt)
-    tilde = induce_functor(fres, m.quotient, m2.quotient, name=F.name + "~")
+    tilde = induce_functor(fres, m.quotient, m2.quotient)
 
     lhs = compose_functors(tilde, m.sigma)
     rhs = compose_functors(m2.sigma, tilde)

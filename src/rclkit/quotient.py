@@ -73,7 +73,7 @@ class QuotientCategory:
     `reduction` projects parent coordinates to quotient coordinates.
     """
 
-    def __init__(self, parent: FinLinCategory, x: Subcategory, name: str = ""):
+    def __init__(self, parent: FinLinCategory, x: Subcategory):
         self.parent = parent
         self.ideal = MorphismIdeal(parent, x)
         F = parent.field
@@ -119,8 +119,7 @@ class QuotientCategory:
 
         self.presentation = FinLinCategory(
             F, survivors, hom_bases, comp, identities,
-            name=name or (parent.name + "/" + "+".join(x.members) if x.members
-                          else parent.name + "/0"))
+            name=parent.name + "/" + ("+".join(x.members) or "0"))
 
         proj_objects = {}
         proj_maps = {}
@@ -181,8 +180,8 @@ class QuotientCategory:
         return rep
 
 
-def build_quotient(cat: FinLinCategory, x: Subcategory, name: str = "") -> QuotientCategory:
-    return QuotientCategory(cat, x, name=name)
+def build_quotient(cat: FinLinCategory, x: Subcategory) -> QuotientCategory:
+    return QuotientCategory(cat, x)
 
 
 def factor_through_quotient(f: LinearFunctor, q: QuotientCategory,
@@ -218,9 +217,9 @@ def factor_through_quotient(f: LinearFunctor, q: QuotientCategory,
 
 
 def induce_functor(f: LinearFunctor, q_src: QuotientCategory,
-                   q_tgt: QuotientCategory, name: str = "") -> LinearFunctor:
-    """Induced functor between quotients when f maps the source subcategory
-    into the target one; satisfies Q' o f = (result) o Q."""
+                   q_tgt: QuotientCategory) -> LinearFunctor:
+    """Induced functor f~ between quotients when f maps the source
+    subcategory into the target one; satisfies Q' o f = f~ o Q."""
     if f.source is not q_src.parent or f.target is not q_tgt.parent:
         raise PreconditionError("functor boundaries do not match the quotients")
     x_tgt = q_tgt.ideal.through.member_set()
@@ -230,13 +229,12 @@ def induce_functor(f: LinearFunctor, q_src: QuotientCategory,
             raise PreconditionError(
                 "subcategory containment fails",
                 witness="%s maps to %r outside the target subcategory" % (m, img))
-    qf = compose_functors(q_tgt.projection, f, name=name or (f.name + "~"))
-    return factor_through_quotient(qf, q_src, name=name or (f.name + "~"))
+    return factor_through_quotient(compose_functors(q_tgt.projection, f), q_src,
+                                   name=f.name + "~")
 
 
 def induce_adjunction(adj: Adjunction, q_src: QuotientCategory,
-                      q_tgt: QuotientCategory, name: str = "",
-                      left=None, right=None) -> tuple:
+                      q_tgt: QuotientCategory, left=None, right=None) -> tuple:
     """Induced adjunction between quotients plus the well-definedness audit.
 
     q_src quotients the source of the left adjoint, q_tgt its target; the
@@ -248,16 +246,15 @@ def induce_adjunction(adj: Adjunction, q_src: QuotientCategory,
     """
     rep = Report()
     L, R = adj.left, adj.right
-    lt = left if left is not None else induce_functor(L, q_src, q_tgt, name=L.name + "~")
-    rt = right if right is not None else induce_functor(R, q_tgt, q_src, name=R.name + "~")
+    lt = left if left is not None else induce_functor(L, q_src, q_tgt)
+    rt = right if right is not None else induce_functor(R, q_tgt, q_src)
     unit_comps = {}
     for g in q_src.survivors:
         unit_comps[g] = q_src.projection.apply(adj.unit.components[g])
     counit_comps = {}
     for h in q_tgt.survivors:
         counit_comps[h] = q_tgt.projection.apply(adj.counit.components[h])
-    induced = make_adjunction(lt, rt, unit_comps, counit_comps,
-                              name=name or (adj.name + "~"))
+    induced = make_adjunction(lt, rt, unit_comps, counit_comps, name=adj.name + "~")
 
     A = L.source
     for a in A.generators:

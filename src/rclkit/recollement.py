@@ -10,6 +10,11 @@ right adjoint slot, embedded side).  Every other module that needs the
 slot names reads them from here.  A construction applied to each category
 (restriction, quotient) is carried over to the whole diagram by _transport,
 which rebuilds the six functors and then the four adjunctions from them.
+
+Each public pipeline normalizes its input once, at entry
+(`normalize_recollement`), and hands the normalized diagram and the report
+begun there to a private body (`_restrict`, `_quotient`); the body takes a
+normalized diagram, so a pipeline built on another calls its body directly.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from .adjunction import (Adjunction, make_adjunction, normalize_embedding,
 from .category import (FinLinCategory, ObjectExpr, Subcategory, is_isomorphic,
                        morphism_in, restrict_category)
 from .errors import InconsistentDataError, PreconditionError, UndecidedError
-from .functor import (LinearFunctor, compose_functors, full_embedding_witness,
-                      image_subcategory, is_identity_functor, kernel_subcategory,
+from .functor import (LinearFunctor, compose_functors, image_subcategory,
+                      is_identity_functor, kernel_subcategory, non_bijective_pairs,
                       validate_functor)
 from .quotient import QuotientCategory, build_quotient, induce_adjunction, induce_functor
 from .report import Report
@@ -63,7 +68,6 @@ class Recollement:
     adj_ib: Adjunction         # (i_lo, i_bang)
     adj_jb: Adjunction         # (j_bang, j_up)
     adj_j: Adjunction          # (j_up, j_lo)
-    normalized: bool = False
 
     def functor(self, slot: str) -> LinearFunctor:
         return getattr(self, slot)
@@ -85,14 +89,10 @@ def supp_image(f: LinearFunctor, members) -> set:
 def normalize_recollement(r: Recollement):
     """Strictify the four composites of the embedded sides (returns a new
     recollement and a report entry).  Each adjunction is normalized on its
-    embedded side; the other adjunctions holding the functor it replaced are
-    rewired consistently.  Requires every adjunction to hold the diagram's
-    functors and to pass validate_adjunction; afterwards only the adjunctions
-    it rewrote are validated again."""
-    rep = Report()
-    if r.normalized:
-        rep.info("normalization", "already normalized")
-        return r, rep
+    embedded side, and every adjunction holding the functor it replaced, that
+    one included, is rewired to the replacement.  Requires every adjunction
+    to hold the diagram's functors and to pass validate_adjunction;
+    afterwards only the adjunctions it rewrote are validated again."""
     miswired = [slot for slot in ADJUNCTION_SLOTS if not r.wired(slot)]
     if miswired:
         raise PreconditionError("adjunction functors differ from the diagram",
@@ -106,23 +106,20 @@ def normalize_recollement(r: Recollement):
     adjs = {slot: getattr(r, slot) for slot in ADJUNCTION_SLOTS}
     rewritten = set()
     for slot, (left, right, side) in ADJUNCTION_SLOTS.items():
-        n = normalize_embedding(adjs[slot], side=side)
-        adjs[slot] = n.adj
-        if not n.changed:
+        strictified = normalize_embedding(adjs[slot], side=side)
+        if strictified is None:
             continue
-        rewritten.add(slot)
-        replaced = left if n.replaced_side == "left" else right
-        functors[replaced] = n.new
+        new, conj, conj_inv = strictified
+        replaced = right if side == "left" else left
+        functors[replaced] = new
         for other, (other_left, other_right, _) in ADJUNCTION_SLOTS.items():
-            if other == slot or replaced not in (other_left, other_right):
-                continue
-            other_side = "left" if other_left == replaced else "right"
-            adjs[other] = rewire_adjunction(adjs[other], other_side, n.new,
-                                            n.conj, n.conj_inv)
-            rewritten.add(other)
+            if replaced in (other_left, other_right):
+                other_side = "left" if other_left == replaced else "right"
+                adjs[other] = rewire_adjunction(adjs[other], other_side, new,
+                                                conj, conj_inv)
+                rewritten.add(other)
 
-    out = Recollement(left=r.left, middle=r.middle, right=r.right,
-                      **functors, **adjs, normalized=True)
+    out = Recollement(left=r.left, middle=r.middle, right=r.right, **functors, **adjs)
     for slot, (left, right, side) in ADJUNCTION_SLOTS.items():
         outer, inner = (left, right) if side == "right" else (right, left)
         if not is_identity_functor(compose_functors(functors[outer], functors[inner])):
@@ -131,6 +128,7 @@ def normalize_recollement(r: Recollement):
         if slot in rewritten and not validate_adjunction(adjs[slot]).ok_all:
             raise InconsistentDataError(
                 "normalization broke adjunction %s" % adjs[slot].name)
+    rep = Report()
     rep.info("normalization", "performed" if rewritten else "already strict")
     return out, rep
 
@@ -164,11 +162,11 @@ def check_r2(r: Recollement, rep: Report):
     embedded = dict.fromkeys(left if side == "left" else right
                              for left, right, side in ADJUNCTION_SLOTS.values())
     for slot in embedded:
-        w = full_embedding_witness(r.functor(slot))
-        if w is None:
+        bad = next(non_bijective_pairs(r.functor(slot)), None)
+        if bad is None:
             rep.ok("r2.%s" % slot)
         else:
-            rep.fail("r2.%s" % slot, w)
+            rep.fail("r2.%s" % slot, bad[2])
 
 
 def _im_ker_mismatch(im: set, ker: set, label: str = "Im") -> str:
@@ -207,8 +205,12 @@ def check_recollement(r: Recollement, semantics: str = "strict") -> Report:
     return rep
 
 
-def _closure_hypotheses(r: Recollement, x: Subcategory):
-    """The four stability composites; raises with the violating generator."""
+def _hypotheses(r: Recollement, x: Subcategory, rep: Report):
+    """x lives in the middle of r and satisfies the four closure hypotheses
+    (stability of x under the four composites); raises with the violating
+    generator."""
+    if x.parent is not r.middle:
+        raise PreconditionError("subcategory does not live in the middle category")
     checks = (("i_lo(i_up(%s))", r.i_up, r.i_lo),
               ("j_lo(j_up(%s))", r.j_up, r.j_lo),
               ("i_lo(i_bang(%s))", r.i_bang, r.i_lo),
@@ -222,20 +224,11 @@ def _closure_hypotheses(r: Recollement, x: Subcategory):
                 raise PreconditionError(
                     "closure hypothesis fails",
                     witness=(label % g) + " contains %s" % sorted(bad)[0])
-
-
-def _normalized_with_hypotheses(r: Recollement, x: Subcategory):
-    """Normalize r and check the four closure hypotheses for x in its middle."""
-    r, rep = normalize_recollement(r)
-    if x.parent is not r.middle:
-        raise PreconditionError("subcategory does not live in the middle category")
-    _closure_hypotheses(r, x)
     rep.ok("hypotheses", "all four closure composites stay inside")
-    return r, rep
 
 
-def _restricted_functor(f: LinearFunctor, src: FinLinCategory, tgt: FinLinCategory,
-                        name: str = "") -> LinearFunctor:
+def _restricted_functor(f: LinearFunctor, src: FinLinCategory,
+                        tgt: FinLinCategory) -> LinearFunctor:
     tgt_gens = set(tgt.generators)
     object_map = {}
     for g in src.generators:
@@ -250,7 +243,7 @@ def _restricted_functor(f: LinearFunctor, src: FinLinCategory, tgt: FinLinCatego
         for h in src.generators:
             if src.hom_dim(g, h):
                 hom_maps[(g, h)] = f.hom_maps[(g, h)]
-    return LinearFunctor(src, tgt, object_map, hom_maps, name=name or f.name)
+    return LinearFunctor(src, tgt, object_map, hom_maps, name=f.name)
 
 
 def _restricted_adjunction(adj: Adjunction, left: LinearFunctor,
@@ -280,7 +273,7 @@ def _transport(r: Recollement, parts: dict, on_functor, on_adjunction) -> Recoll
         src, tgt = FUNCTOR_SLOTS[left]
         new[slot] = on_adjunction(getattr(r, slot), new[left], new[right],
                                   parts[src], parts[tgt])
-    return Recollement(**new, normalized=True)
+    return Recollement(**new)
 
 
 def restrict_to_subcategory(r: Recollement, x: Subcategory,
@@ -289,8 +282,13 @@ def restrict_to_subcategory(r: Recollement, x: Subcategory,
 
     Requires the four closure hypotheses; the result is re-checked.
     """
-    r, rep = _normalized_with_hypotheses(r, x)
+    r, rep = normalize_recollement(r)
+    return _restrict(r, x, semantics, rep)
 
+
+def _restrict(r: Recollement, x: Subcategory, semantics: str, rep: Report):
+    """restrict_to_subcategory of a normalized r, recording into rep."""
+    _hypotheses(r, x, rep)
     parts = {
         "middle": restrict_category(r.middle, x.members, name=r.middle.name + "|x"),
         "left": restrict_category(r.left, sorted(supp_image(r.i_up, x.members)),
@@ -319,8 +317,13 @@ def quotient_recollement(r: Recollement, x: Subcategory, semantics: str = "stric
     presentations drop null generators); both readings are reported and the
     requested one is operative.  Also reports whether x lies inside
     Ker(j_up), which under the strict reading must match the verdict."""
-    r, rep = _normalized_with_hypotheses(r, x)
+    r, rep = normalize_recollement(r)
+    return _quotient(r, x, semantics, rep)
 
+
+def _quotient(r: Recollement, x: Subcategory, semantics: str, rep: Report):
+    """quotient_recollement of a normalized r, recording into rep."""
+    _hypotheses(r, x, rep)
     xp = Subcategory(r.left, supp_image(r.i_up, x.members))
     xpp = Subcategory(r.right, supp_image(r.j_up, x.members))
     q_mid = build_quotient(r.middle, x)
@@ -435,8 +438,7 @@ def lift_subcategory_pair(r: Recollement, xp: Subcategory, xpp: Subcategory,
         rep.fail("recovers-right", "j_up(x) = {%s} != {%s}"
                  % (",".join(sorted(got_xpp)), ",".join(xpp.members)))
 
-    restricted, sub = restrict_to_subcategory(r, x, semantics)
-    rep.merge(sub)
+    restricted, rep = _restrict(r, x, semantics, rep)
     return x, restricted, rep
 
 
@@ -449,6 +451,4 @@ def quotient_by_left_subcategory(r: Recollement, xp: Subcategory,
         raise PreconditionError("subcategory does not live in the left category")
     x = Subcategory(r.middle, supp_image(r.i_lo, xp.members))
     rep.info("image-subcategory", ",".join(x.members) or "(zero)")
-    diagram, sub = quotient_recollement(r, x, semantics)
-    rep.merge(sub)
-    return diagram, rep
+    return _quotient(r, x, semantics, rep)

@@ -109,25 +109,24 @@ class Certificate:
             self.fields["meta.input-digest"] = digest
         if semantics:
             self.fields["meta.r3-semantics"] = semantics
-        self._unchecked = []
 
     def set(self, key: str, value: str):
         self.fields[key] = str(value)
 
-    def add_report(self, rep: Report, prefix: str = "check."):
-        for e in rep.entries:
-            self.fields[prefix + e.key + ".status"] = e.status
-            if e.witness:
-                self.fields[prefix + e.key + ".witness"] = e.witness
-            if e.status == NOT_CHECKED:
-                self._unchecked.append(prefix + e.key)
-
     def finalize(self, rep: Report):
-        self.add_report(rep)
+        """Record each entry of rep under check.<key>, then the verdict."""
+        unchecked = []
+        for e in rep.entries:
+            key = "check." + e.key
+            self.fields[key + ".status"] = e.status
+            if e.witness:
+                self.fields[key + ".witness"] = e.witness
+            if e.status == NOT_CHECKED:
+                unchecked.append(key)
         self.fields["result.failed-checks"] = str(len(rep.failures()))
         self.fields["result.verdict"] = PASS if rep.ok_all else FAIL
-        if self._unchecked:
-            self.fields["result.unchecked"] = ",".join(sorted(self._unchecked))
+        if unchecked:
+            self.fields["result.unchecked"] = ",".join(sorted(unchecked))
 
     @property
     def passed(self) -> bool:

@@ -21,12 +21,12 @@ records not-checked.
 
 from __future__ import annotations
 
-from .category import (Morphism, ObjectExpr, block_diagonal, compose, hom_dim_expr,
-                       morphism_inverse, postcompose_mat, precompose_mat, residue,
-                       unflatten)
+from .category import (Morphism, ObjectExpr, block_diagonal, commuting_space, compose,
+                       hom_dim_expr, morphism_inverse, postcompose_mat,
+                       precompose_mat, residue)
 from .errors import PresentationError, UndecidedError
 from .functor import LinearFunctor, compose_functors, is_identity_functor, validate_functor
-from .linalg import Mat, difference_rows, invertible_point, nullspace, rank
+from .linalg import invertible_point, rank
 from .report import Report
 
 
@@ -346,23 +346,11 @@ def invertible_commuting_tuple(cat, spaces, constraints):
     pairs (u_i, u_i^-1); or None when no such tuple exists.
 
     The unknowns are stacked in the given order, which fixes the canonical
-    nullspace basis and hence the tuple found."""
-    F = cat.field
-    dims = [hom_dim_expr(cat, s, t) for s, t in spaces]
-    offsets = [sum(dims[:i]) for i in range(len(dims))]
-    total = sum(dims)
-
-    def split(vec):
-        if not vec:
-            vec = [F.zero] * total
-        return tuple(unflatten(cat, s, t, vec[o:o + d])
-                     for (s, t), o, d in zip(spaces, offsets, dims))
-
-    if total == 0:
+    nullspace basis of `commuting_space` and hence the tuple found."""
+    basis, split = commuting_space(cat, spaces, constraints)
+    if not any(hom_dim_expr(cat, s, t) for s, t in spaces):  # nothing to search
         return _with_inverses(split(()))
-    rows = difference_rows(F, total, [(p, offsets[i], q, offsets[j])
-                                      for p, i, q, j in constraints])
-    return _invertible_candidate(cat, spaces, nullspace(Mat(F, len(rows), total, rows)), split)
+    return _invertible_candidate(cat, spaces, basis, split)
 
 
 def triangle_iso(shift: LinearFunctor, ts: Triangle, t: Triangle):

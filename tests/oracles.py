@@ -2,8 +2,7 @@
 
 import itertools
 
-from rclkit.adjunction import (_nat_solution_space, _unpack_components, make_adjunction,
-                               validate_adjunction)
+from rclkit.adjunction import _nat_solution_space, make_adjunction, validate_adjunction
 from rclkit.category import (Morphism, ObjectExpr, block_diagonal, compose,
                              hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
                              precompose_mat, unflatten)
@@ -299,13 +298,14 @@ def brute_force_adjoint(left, right):
     F = left.source.field
     rl = compose_functors(right, left)
     ida = identity_functor(left.source)
-    basis, shape = _nat_solution_space(ida, rl)
-    total = sum(d for _, _, d in shape)
+    basis, split = _nat_solution_space(ida, rl)
+    total = len(basis[0]) if basis else 0
     for coeffs in itertools.product(range(F.characteristic), repeat=len(basis)):
         vec = [F.zero] * total
         for c, b in zip(coeffs, basis):
             vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-        adj = solve_counit_given_unit(left, right, _unpack_components(ida, rl, shape, vec), "")
+        unit = dict(zip(left.source.generators, split(vec)))
+        adj = solve_counit_given_unit(left, right, unit, "")
         if adj is not None:
             return adj
     return None

