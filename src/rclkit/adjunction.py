@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from .category import (Morphism, ObjectExpr, block_diagonal, commuting_space, compose,
                        hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
-                       precompose_mat, unflatten)
+                       precompose_mat)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, identity_nat, is_full_embedding,
                       is_identity_functor, nat_equal, validate_nat)
-from .linalg import Mat, invertible_point, solve
+from .linalg import Mat, invertible_point, solve, span_point
 from .report import Report
 
 
@@ -221,21 +221,18 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "")
     point = invertible_point(F, len(basis), blocks)
     if point is None:
         return None
-    vec = [F.zero] * len(basis[0]) if basis else ()
-    for c, v in zip(point, basis):
-        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, v)]
-    unit = dict(zip(A.generators, split(vec)))
+    unit = dict(zip(A.generators, split(span_point(F, point, basis))))
     counit = {}
     for b in B.generators:
         rb = right.object_map[b]
         lrb = left.apply_obj(rb)
         eta_rb = block_diagonal(A, [unit[s] for s in rb.summands])
         eps = solve(_transpose_mat(right, eta_rb, lrb, ObjectExpr(b)),
-                    Mat.column(F, Morphism.identity(A, rb).flatten()))
+                    Mat.column(F, Morphism.identity(A, rb).coords))
         if eps is None:
             raise InconsistentDataError("solve_unit_counit: no counit at %s for "
                                         "an invertible unit" % b)
-        counit[b] = unflatten(B, lrb, ObjectExpr(b), eps.col(0))
+        counit[b] = Morphism(B, lrb, ObjectExpr(b), eps.col(0))
     adj = make_adjunction(left, right, unit, counit, name=name)
     if not validate_adjunction(adj).ok_all:
         raise InconsistentDataError("solve_unit_counit: the unit and counit found "

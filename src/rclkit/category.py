@@ -4,7 +4,8 @@ A category is presented by a finite list of generator objects (intended to be
 the pairwise non-isomorphic indecomposables), a chosen basis for every Hom
 space between generators, structure constants for the bilinear composition,
 and the coordinates of each identity.  General objects are formal direct sums
-of generators; morphisms between sums are block matrices of Hom coordinates.
+of generators; a morphism between sums is the flat vector of its Hom
+coordinates, block by block in `block_offsets` order.
 """
 
 from __future__ import annotations
@@ -152,70 +153,42 @@ class Subcategory:
 
 
 class Morphism:
-    """Block matrix of Hom coordinates between two formal sums.
+    """A morphism between two formal sums, as its Hom coordinates.
 
-    blocks[i][j] holds the coordinates, in the chosen basis of
-    Hom(source.summands[j], target.summands[i]), of the (i,j) component.
+    coords is one tuple in `block_offsets` order: for each target summand
+    t (outer) and each source summand s (inner), the coordinates of the
+    component s -> t in the chosen basis of Hom(s, t).
     """
 
-    __slots__ = ("cat", "source", "target", "blocks")
+    __slots__ = ("cat", "source", "target", "coords")
 
-    def __init__(self, cat: FinLinCategory, source: ObjectExpr, target: ObjectExpr, blocks):
+    def __init__(self, cat: FinLinCategory, source: ObjectExpr, target: ObjectExpr, coords):
+        coords = tuple(coords)
+        size = hom_dim_expr(cat, source, target)
+        if len(coords) != size:
+            raise PresentationError("morphism %r -> %r has %d coords, expected %d"
+                                    % (source, target, len(coords), size))
         self.cat = cat
         self.source = source
         self.target = target
-        blocks = tuple([tuple(map(tuple, row)) for row in blocks])
-        src, tgt, dims = source.summands, target.summands, cat._dims
-        if len(blocks) != len(tgt):
-            raise PresentationError("morphism block rows %d != target summands %d"
-                                    % (len(blocks), len(tgt)))
-        for i, (row, t) in enumerate(zip(blocks, tgt)):
-            if len(row) != len(src):
-                raise PresentationError("morphism block cols mismatch in row %d" % i)
-            want = [dims.get((s, t), 0) for s in src]
-            if list(map(len, row)) != want:
-                j = next(j for j, vec in enumerate(row) if len(vec) != want[j])
-                raise PresentationError(
-                    "block (%d,%d) has %d coords, expected %d for Hom(%s,%s)"
-                    % (i, j, len(row[j]), want[j], src[j], t))
-        self.blocks = blocks
-
-    @classmethod
-    def trusted(cls, cat, source: ObjectExpr, target: ObjectExpr, blocks):
-        """A morphism whose blocks are already nested tuples of the right
-        shape, built without the checks of `__init__`; for the blocks that
-        `compose` and `unflatten` build, which have that shape by
-        construction.  Outside data goes through `__init__`."""
-        self = cls.__new__(cls)
-        self.cat = cat
-        self.source = source
-        self.target = target
-        self.blocks = blocks
-        return self
+        self.coords = coords
 
     @classmethod
     def zero(cls, cat, source: ObjectExpr, target: ObjectExpr):
-        z = cat.field.zero
-        blocks = [[(z,) * cat.hom_dim(s, t) for s in source.summands] for t in target.summands]
-        return cls(cat, source, target, blocks)
+        return cls(cat, source, target, (cat.field.zero,) * hom_dim_expr(cat, source, target))
 
     @classmethod
     def identity(cls, cat, obj: ObjectExpr):
-        z = cat.field.zero
-        blocks = []
-        for i, t in enumerate(obj.summands):
-            row = []
-            for j, s in enumerate(obj.summands):
-                if i == j:
-                    row.append(cat.identities[s])
-                else:
-                    row.append((z,) * cat.hom_dim(s, t))
-            blocks.append(row)
-        return cls(cat, obj, obj, blocks)
+        offsets, size = block_offsets(cat, obj, obj)
+        coords = [cat.field.zero] * size
+        for i, g in enumerate(obj.summands):
+            one = cat.identities[g]
+            coords[offsets[i][i]:offsets[i][i] + len(one)] = one
+        return cls(cat, obj, obj, coords)
 
     @classmethod
     def single(cls, cat, src_gen: str, tgt_gen: str, coords):
-        return cls(cat, ObjectExpr((src_gen,)), ObjectExpr((tgt_gen,)), [[tuple(coords)]])
+        return cls(cat, ObjectExpr((src_gen,)), ObjectExpr((tgt_gen,)), coords)
 
     @classmethod
     def basis_element(cls, cat, src_gen: str, tgt_gen: str, index: int):
@@ -225,33 +198,21 @@ class Morphism:
         return cls.single(cat, src_gen, tgt_gen, coords)
 
     def add(self, other: "Morphism") -> "Morphism":
-        F = self.cat.field
-        blocks = [[tuple(F.add(x, y) for x, y in zip(v1, v2))
-                   for v1, v2 in zip(r1, r2)]
-                  for r1, r2 in zip(self.blocks, other.blocks)]
-        return Morphism(self.cat, self.source, self.target, blocks)
+        return Morphism(self.cat, self.source, self.target,
+                        map(self.cat.field.add, self.coords, other.coords))
 
     def scale(self, c) -> "Morphism":
-        F = self.cat.field
-        blocks = [[tuple(F.mul(c, x) for x in vec) for vec in row] for row in self.blocks]
-        return Morphism(self.cat, self.source, self.target, blocks)
+        mul = self.cat.field.mul
+        return Morphism(self.cat, self.source, self.target, [mul(c, x) for x in self.coords])
 
     def is_zero(self) -> bool:
-        F = self.cat.field
-        return all(F.is_zero(x) for row in self.blocks for vec in row for x in vec)
-
-    def flatten(self):
-        out = []
-        for row in self.blocks:
-            for vec in row:
-                out.extend(vec)
-        return tuple(out)
+        return all(map(self.cat.field.is_zero, self.coords))
 
     def equal(self, other: "Morphism") -> bool:
         return (self.cat is other.cat
                 and self.source.summands == other.source.summands
                 and self.target.summands == other.target.summands
-                and self.flatten() == other.flatten())
+                and self.coords == other.coords)
 
     def __repr__(self):
         return "Morphism(%r -> %r)" % (self.source, self.target)
@@ -259,25 +220,11 @@ class Morphism:
 
 def hom_dim_expr(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr) -> int:
     dims = cat._dims
-    return sum(dims.get((s, t), 0) for t in b.summands for s in a.summands)
-
-
-def unflatten(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, coords) -> Morphism:
-    coords = list(coords)
-    if len(coords) != hom_dim_expr(cat, a, b):
-        raise PresentationError("coordinate vector length %d, expected %d"
-                                % (len(coords), hom_dim_expr(cat, a, b)))
-    dims = cat._dims
-    pos = 0
-    blocks = []
+    n = 0
     for t in b.summands:
-        row = []
         for s in a.summands:
-            d = dims.get((s, t), 0)
-            row.append(tuple(coords[pos:pos + d]))
-            pos += d
-        blocks.append(tuple(row))
-    return Morphism.trusted(cat, a, b, tuple(blocks))
+            n += dims.get((s, t), 0)
+    return n
 
 
 def block_offsets(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
@@ -295,7 +242,9 @@ def block_offsets(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """Composition g o f via the structure constants (apply f first)."""
+    """Composition g o f via the structure constants (apply f first).  Row i
+    of the result sums, over the middle summands m, block (i, m) of g
+    against row m of f, so g is read once in flat order and f once per row."""
     if g.cat is not f.cat:
         raise PresentationError("composition across different categories")
     if f.target.summands != g.source.summands:
@@ -304,20 +253,22 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     F = cat.field
     add, mul, zero = F.add, F.mul, F.zero
     comp, dims = cat.comp, cat._dims
-    src, mid, tgt = f.source.summands, f.target.summands, g.target.summands
-    fblocks = f.blocks
-    blocks = []
-    for c, grow in zip(tgt, g.blocks):
-        row = []
-        for j, a in enumerate(src):
-            acc = [zero] * dims.get((a, c), 0)
-            if acc:
-                for m, b in enumerate(mid):
-                    table = comp.get((a, b, c))
-                    if table is None:
-                        continue
-                    fvec = fblocks[m][j]
-                    for gc, trow in zip(grow[m], table):
+    src, mid = f.source.summands, f.target.summands
+    fco, gco = f.coords, g.coords
+    out, gpos = [], 0
+    for c in g.target.summands:
+        accs = [[zero] * dims.get((a, c), 0) for a in src]
+        fpos = 0
+        for b in mid:
+            gd = dims.get((b, c), 0)
+            gvec = gco[gpos:gpos + gd]
+            gpos += gd
+            for a, acc in zip(src, accs):
+                fd = dims.get((a, b), 0)
+                table = comp.get((a, b, c)) if acc else None
+                if table is not None:
+                    fvec = fco[fpos:fpos + fd]
+                    for gc, trow in zip(gvec, table):
                         if not gc:
                             continue
                         for fc, cv in zip(fvec, trow):
@@ -327,15 +278,16 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
                             for idx, x in enumerate(cv):
                                 if x:
                                     acc[idx] = add(acc[idx], mul(coef, x))
-            row.append(tuple(acc))
-        blocks.append(tuple(row))
-    return Morphism.trusted(cat, f.source, g.target, tuple(blocks))
+                fpos += fd
+        for acc in accs:
+            out.extend(acc)
+    return Morphism(cat, f.source, g.target, out)
 
 
 def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
     """The basis morphisms of Hom(a, b), in flat coordinate order."""
     for coords in Mat.identity(cat.field, hom_dim_expr(cat, a, b)).data:
-        yield unflatten(cat, a, b, coords)
+        yield Morphism(cat, a, b, coords)
 
 
 def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
@@ -344,13 +296,16 @@ def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
     sum_p g[i][m][p] comp(a_j, b_m, c_i)[p][q] in each block (i, j)."""
     cat = g.cat
     F = cat.field
-    add, mul, comp = F.add, F.mul, cat.comp
+    add, mul, comp, dims = F.add, F.mul, cat.comp, cat._dims
     row_off, rows = block_offsets(cat, a, g.target)
     col_off, cols = block_offsets(cat, a, g.source)
     data = [[F.zero] * cols for _ in range(rows)]
+    gco, gpos = g.coords, 0
     for i, c in enumerate(g.target.summands):
         for m, b in enumerate(g.source.summands):
-            gvec = g.blocks[i][m]
+            gd = dims.get((b, c), 0)
+            gvec = gco[gpos:gpos + gd]
+            gpos += gd
             for j, s in enumerate(a.summands):
                 table = comp.get((s, b, c))
                 if table is None:
@@ -373,17 +328,20 @@ def precompose_mat(f: Morphism, b: ObjectExpr) -> Mat:
     sum_q f[m][j][q] comp(a_j, t_m, b_i)[p][q] in each block (i, j)."""
     cat = f.cat
     F = cat.field
-    add, mul, comp = F.add, F.mul, cat.comp
+    add, mul, comp, dims = F.add, F.mul, cat.comp, cat._dims
     row_off, rows = block_offsets(cat, f.source, b)
     col_off, cols = block_offsets(cat, f.target, b)
     data = [[F.zero] * cols for _ in range(rows)]
-    for i, c in enumerate(b.summands):
-        for m, t in enumerate(f.target.summands):
-            for j, s in enumerate(f.source.summands):
+    fco, fpos = f.coords, 0
+    for m, t in enumerate(f.target.summands):
+        for j, s in enumerate(f.source.summands):
+            fd = dims.get((s, t), 0)
+            fvec = fco[fpos:fpos + fd]
+            fpos += fd
+            for i, c in enumerate(b.summands):
                 table = comp.get((s, t, c))
                 if table is None:
                     continue
-                fvec = f.blocks[m][j]
                 r0, c0 = row_off[i][j], col_off[i][m]
                 for p, trow in enumerate(table):
                     for fc, cv in zip(fvec, trow):
@@ -411,7 +369,7 @@ def commuting_space(cat: FinLinCategory, spaces, constraints):
     def split(vec):
         if not vec:
             vec = [F.zero] * total
-        return tuple(unflatten(cat, s, t, vec[o:o + d])
+        return tuple(Morphism(cat, s, t, vec[o:o + d])
                      for (s, t), o, d in zip(spaces, offsets, dims))
 
     if total == 0:
@@ -425,11 +383,11 @@ def morphism_inverse(m: Morphism):
     """Two-sided inverse of a morphism, or None (linear solve)."""
     cat = m.cat
     post = postcompose_mat(m, m.target)  # Hom(target, source) -> End(target)
-    want = Morphism.identity(cat, m.target).flatten()
+    want = Morphism.identity(cat, m.target).coords
     sol = solve(post, Mat.column(cat.field, want))
     if sol is None:
         return None
-    inv = unflatten(cat, m.target, m.source, sol.col(0))
+    inv = Morphism(cat, m.target, m.source, sol.col(0))
     if not compose(inv, m).equal(Morphism.identity(cat, m.source)):
         return None
     if not compose(m, inv).equal(Morphism.identity(cat, m.target)):
@@ -442,15 +400,19 @@ def block_diagonal(cat: FinLinCategory, parts) -> Morphism:
     source and target are the concatenations of theirs."""
     src = ObjectExpr(tuple(s for p in parts for s in p.source.summands))
     tgt = ObjectExpr(tuple(t for p in parts for t in p.target.summands))
-    z = cat.field.zero
-    blocks = [[(z,) * cat.hom_dim(s, t) for s in src.summands] for t in tgt.summands]
+    offsets, size = block_offsets(cat, src, tgt)
+    coords = [cat.field.zero] * size
     soff = toff = 0
     for p in parts:
-        for li, row in enumerate(p.blocks):
-            blocks[toff + li][soff:soff + len(row)] = row
+        pos = 0
+        for li, t in enumerate(p.target.summands):
+            for lj, s in enumerate(p.source.summands):
+                start, d = offsets[toff + li][soff + lj], cat.hom_dim(s, t)
+                coords[start:start + d] = p.coords[pos:pos + d]
+                pos += d
         soff += len(p.source.summands)
         toff += len(p.target.summands)
-    return Morphism(cat, src, tgt, blocks)
+    return Morphism(cat, src, tgt, coords)
 
 
 def _end_algebra_tables(cat: FinLinCategory, g: str):
@@ -599,6 +561,7 @@ def validate_category(cat: FinLinCategory) -> Report:
                 rep.fail("identity.left", "1_%s o %s != %s" % (b, name, name))
     rep.close("identity")
 
+    one = cat.field.one
     for a in gens:
         ends = [b for b in gens if cat.hom_dim(a, b)]
         reach = {c for b in ends for c in gens if cat.hom_dim(b, c)}  # holds ends: 1_b != 0
@@ -608,12 +571,15 @@ def validate_category(cat: FinLinCategory) -> Report:
             for q2, pg in enumerate(post[(b, c)]):
                 for q3, ph in enumerate(post[(c, d)]):
                     lhs = ph.mul(pg)
-                    rhs = Mat.zeros(cat.field, lhs.rows, lhs.cols)
+                    rhs = None
                     for x, pk in zip(cat.comp_vec(b, c, d, q3, q2), post[(b, d)]):
                         if x:
-                            rhs = rhs.add(pk.scale(x))
-                    if lhs == rhs:
+                            term = pk if x == one else pk.scale(x)
+                            rhs = term if rhs is None else rhs.add(term)
+                    if lhs.is_zero() if rhs is None else lhs == rhs:
                         continue
+                    if rhs is None:
+                        rhs = Mat.zeros(cat.field, lhs.rows, lhs.cols)
                     for q1 in range(lhs.cols):
                         if lhs.col(q1) != rhs.col(q1):
                             rep.fail("associativity", "witness (%s in Hom(%s,%s), "
@@ -680,4 +646,5 @@ def restrict_category(cat: FinLinCategory, members, name: str = "") -> FinLinCat
 def morphism_in(cat: FinLinCategory, mor: Morphism) -> Morphism:
     """The same coordinate data read in another presentation (e.g. a full
     subcategory) sharing generator names and bases."""
-    return Morphism(cat, ObjectExpr(mor.source.summands), ObjectExpr(mor.target.summands), mor.blocks)
+    return Morphism(cat, ObjectExpr(mor.source.summands), ObjectExpr(mor.target.summands),
+                    mor.coords)

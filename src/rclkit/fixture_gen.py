@@ -487,7 +487,7 @@ def _embed_triangle(cat, t_on_cat, core_triangle: Triangle, prefix, name):
         return ObjectExpr(tuple(prefix + g for g in obj.summands))
 
     def conv_mor(mor, src, tgt):
-        return Morphism(cat, src, tgt, mor.blocks)
+        return Morphism(cat, src, tgt, mor.coords)
 
     x, y, z = (conv_obj(core_triangle.x), conv_obj(core_triangle.y),
                conv_obj(core_triangle.z))

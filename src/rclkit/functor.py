@@ -7,7 +7,7 @@ import weakref
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        block_diagonal, block_offsets, hom_basis, hom_dim_expr,
-                       postcompose_mat, precompose_mat, unflatten)
+                       postcompose_mat, precompose_mat)
 from .errors import PresentationError
 from .linalg import Mat, rank
 from .report import Report
@@ -99,9 +99,8 @@ class LinearFunctor:
     def apply(self, mor: Morphism) -> Morphism:
         if mor.cat is not self.source:
             raise PresentationError("functor %s applied to foreign morphism" % self.name)
-        coords = self.action(mor.source, mor.target).apply(mor.flatten())
-        return unflatten(self.target, self.apply_obj(mor.source),
-                         self.apply_obj(mor.target), coords)
+        return Morphism(self.target, self.apply_obj(mor.source), self.apply_obj(mor.target),
+                        self.action(mor.source, mor.target).apply(mor.coords))
 
     def __repr__(self):
         return "LinearFunctor(%s: %s -> %s)" % (self.name or "?",
@@ -188,7 +187,7 @@ def validate_functor(f: LinearFunctor) -> Report:
     gens = src.generators
     for g in gens:
         img = f.hom_maps[(g, g)].apply(src.identities[g])
-        if img != Morphism.identity(f.target, f.object_map[g]).flatten():
+        if img != Morphism.identity(f.target, f.object_map[g]).coords:
             rep.fail("preserves-identity", "at %s" % g)
     rep.close("preserves-identity")
 

@@ -325,6 +325,16 @@ def invertible_point(F, n, blocks):
     return _nonvanishing_point(F, n, factors)
 
 
+def span_point(F, coeffs, basis):
+    """The vector sum(coeffs[i] * basis[i]), such as the point of the span
+    of basis at the coefficients `invertible_point` found; () when basis is
+    empty."""
+    vec = [F.zero] * len(basis[0]) if basis else ()
+    for c, b in zip(coeffs, basis):
+        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
+    return tuple(vec)
+
+
 # Polynomials in n variables are dicts {exponent tuple: nonzero coefficient}.
 
 def _linear_form(F, n, coeffs):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        compose, hom_basis, hom_dim_expr, iso_class,
                        morphism_in, morphism_inverse, postcompose_mat,
-                       precompose_mat, restrict_category, unflatten)
+                       precompose_mat, restrict_category)
 from .errors import InconsistentDataError, PreconditionError, UndecidedError
 from .functor import (LinearFunctor, compose_functors, functor_mismatches,
                       non_bijective_pairs, non_full_pairs, validate_functor,
@@ -129,7 +129,7 @@ class MutationData:
                     ladder = _ladder(self.tri.shift, self.fixed[x], self.fixed[y], lift)
                     if ladder is None:
                         raise InconsistentDataError("no shift ladder for %s -> %s" % (x, y))
-                    cols.append(self.to_quotient(ladder[1]).flatten())
+                    cols.append(self.to_quotient(ladder[1]).coords)
                 if cols:
                     hom_maps[(x, y)] = Mat.from_columns(
                         pres.field, hom_dim_expr(pres, object_map[x], object_map[y]), cols)
@@ -144,8 +144,7 @@ def make_D_monic(m: MutationData, f: Morphism) -> Morphism:
     alpha = m.fixed[x[0]].f
     cat = m.tri.cat
     tgt = ObjectExpr(f.target.summands + alpha.target.summands)
-    blocks = [list(row) for row in f.blocks] + [list(row) for row in alpha.blocks]
-    return Morphism(cat, ObjectExpr(f.source.summands), tgt, blocks)
+    return Morphism(cat, ObjectExpr(f.source.summands), tgt, f.coords + alpha.coords)
 
 
 def check_mutation_pair(m: MutationData) -> Report:
@@ -310,9 +309,9 @@ def _tr1(m: MutationData) -> tuple:
                 classes.append(("identity", Morphism.identity(pres, src)))
             seen = set()
             for label, fbar in classes:
-                if fbar.flatten() in seen:
+                if fbar.coords in seen:
                     continue
-                seen.add(fbar.flatten())
+                seen.add(fbar.coords)
                 key = "tr1.%s-%s.%s" % (xg, yg, label)
                 try:
                     st = standard_triangle(m, make_D_monic(m, m.lift(fbar)),
@@ -407,15 +406,15 @@ def _ladder(shift: LinearFunctor, s: Triangle, t: Triangle, a: Morphism):
     triangles s -> t, with b o s.f = t.f o a, c o s.g = t.g o b and
     t.h o c = T(a) o s.h; or None when there is no such completion."""
     cat = a.cat
-    sol = solve(precompose_mat(s.f, t.y), Mat.column(cat.field, compose(t.f, a).flatten()))
+    sol = solve(precompose_mat(s.f, t.y), Mat.column(cat.field, compose(t.f, a).coords))
     if sol is None:
         return None
-    b = unflatten(cat, s.y, t.y, sol.col(0))
-    rhs = compose(t.g, b).flatten() + compose(shift.apply(a), s.h).flatten()
+    b = Morphism(cat, s.y, t.y, sol.col(0))
+    rhs = compose(t.g, b).coords + compose(shift.apply(a), s.h).coords
     sol = solve(_ladder_matrix(s.g, t.h), Mat.column(cat.field, rhs))
     if sol is None:
         return None
-    return b, unflatten(cat, s.g.target, t.h.source, sol.col(0))
+    return b, Morphism(cat, s.g.target, t.h.source, sol.col(0))
 
 
 class ExactFunctorData:

@@ -9,8 +9,8 @@ quotient data is reproducible across runs.
 from __future__ import annotations
 
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       hom_basis, ideal_subspace, postcompose_mat, precompose_mat,
-                       unflatten, validate_category)
+                       block_offsets, hom_basis, ideal_subspace, postcompose_mat,
+                       precompose_mat, validate_category)
 from .errors import PreconditionError
 from .functor import LinearFunctor, compose_functors
 from .adjunction import Adjunction, hom_bijection, make_adjunction
@@ -143,18 +143,19 @@ class QuotientCategory:
     def lift_basis(self, a: str, b: str, q: int) -> Morphism:
         """Parent representative of the q-th quotient basis element."""
         col = self.section[(a, b)].col(q)
-        return unflatten(self.parent, ObjectExpr((a,)), ObjectExpr((b,)), col)
+        return Morphism(self.parent, ObjectExpr((a,)), ObjectExpr((b,)), col)
 
     def lift_morphism(self, mor: Morphism) -> Morphism:
         """Canonical parent representative of a quotient morphism (section)."""
-        blocks = []
-        for i, b in enumerate(mor.target.summands):
-            row = []
-            for j, a in enumerate(mor.source.summands):
-                row.append(tuple(self.section[(a, b)].apply(mor.blocks[i][j])))
-            blocks.append(row)
-        return Morphism(self.parent, ObjectExpr(mor.source.summands),
-                        ObjectExpr(mor.target.summands), blocks)
+        src, tgt = ObjectExpr(mor.source.summands), ObjectExpr(mor.target.summands)
+        offsets, _ = block_offsets(mor.cat, src, tgt)
+        coords = []
+        for i, b in enumerate(tgt.summands):
+            for j, a in enumerate(src.summands):
+                start = offsets[i][j]
+                coords.extend(self.section[(a, b)].apply(
+                    mor.coords[start:start + mor.cat.hom_dim(a, b)]))
+        return Morphism(self.parent, src, tgt, coords)
 
     def validate(self) -> Report:
         rep = Report()

@@ -21,12 +21,12 @@ records not-checked.
 
 from __future__ import annotations
 
-from .category import (Morphism, ObjectExpr, block_diagonal, commuting_space, compose,
-                       hom_dim_expr, morphism_inverse, postcompose_mat,
-                       precompose_mat, residue)
+from .category import (Morphism, ObjectExpr, block_diagonal, block_offsets,
+                       commuting_space, compose, hom_dim_expr, morphism_inverse,
+                       postcompose_mat, precompose_mat, residue)
 from .errors import PresentationError, UndecidedError
 from .functor import LinearFunctor, compose_functors, is_identity_functor, validate_functor
-from .linalg import invertible_point, rank
+from .linalg import invertible_point, rank, span_point
 from .report import Report
 
 
@@ -47,9 +47,9 @@ class Triangle:
         return (self.x.summands == other.x.summands
                 and self.y.summands == other.y.summands
                 and self.z.summands == other.z.summands
-                and self.f.flatten() == other.f.flatten()
-                and self.g.flatten() == other.g.flatten()
-                and self.h.flatten() == other.h.flatten())
+                and self.f.coords == other.f.coords
+                and self.g.coords == other.g.coords
+                and self.h.coords == other.h.coords)
 
     def __repr__(self):
         return "Triangle(%s: %r -> %r -> %r)" % (self.name or "?", self.x, self.y, self.z)
@@ -291,10 +291,7 @@ def _invertible_candidate(cat, spaces, basis, parts):
     point = invertible_point(F, len(basis), blocks)
     if point is None:
         return None
-    vec = [F.zero] * len(basis[0]) if basis else ()
-    for c, b in zip(point, basis):
-        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-    pairs = _with_inverses(parts(vec))
+    pairs = _with_inverses(parts(span_point(F, point, basis)))
     if pairs is None:
         raise UndecidedError("isomorphism search undecided: the chosen point "
                              "has invertible top blocks but is not invertible")
@@ -321,22 +318,19 @@ def _top_blocks(cat, forms, spaces, basis):
     the blocks after it."""
     F = cat.field
     tops = []
-    start = 0
+    base = 0
     for s, t in spaces:
-        starts = {}
-        for i, tg in enumerate(t.summands):
-            for j, sg in enumerate(s.summands):
-                starts[i, j] = start
-                start += cat.hom_dim(sg, tg)
+        offsets, size = block_offsets(cat, s, t)
         for g in dict.fromkeys(s.summands + t.summands):
             rows = [i for i, x in enumerate(t.summands) if x == g]
             cols = [j for j, x in enumerate(s.summands) if x == g]
             if len(rows) != len(cols):
                 return None
-            tops.append((forms[g], cat.hom_dim(g, g), rows, cols, starts))
-    return ([[[residue(F, form, b[starts[i, j]:starts[i, j] + d]) for b in basis]
-              for j in cols] for i in rows]
-            for form, d, rows, cols, starts in tops)
+            tops.append((forms[g], cat.hom_dim(g, g), rows, cols, base, offsets))
+        base += size
+    return ([[[residue(F, form, b[base + offsets[i][j]:base + offsets[i][j] + d])
+               for b in basis] for j in cols] for i in rows]
+            for form, d, rows, cols, base, offsets in tops)
 
 
 def invertible_commuting_tuple(cat, spaces, constraints):

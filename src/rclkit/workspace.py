@@ -76,7 +76,7 @@ import re
 
 from .adjunction import make_adjunction
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       block_offsets, hom_dim_expr, unflatten)
+                       block_offsets, hom_dim_expr)
 from .errors import InputError
 from .field import make_field
 from .functor import (LinearFunctor, NatTransform, compose_functors,
@@ -435,11 +435,17 @@ def _parse_field(p):
 
 
 def _parse_category(p):
+    """The items of a category body by kind.  An item whose keyword and
+    head (the names before its coefficients) repeat an earlier one's is an
+    error."""
     body = {"objects": [], "homs": [], "identities": [], "composes": []}
+    seen = set()
     while not p.at("}"):
         item = p.expect_ident("category item")
         if item.value == "object":
-            body["objects"].append(p.expect_ident("generator").value)
+            g = p.expect_ident("generator").value
+            body["objects"].append(g)
+            head = (g,)
         elif item.value == "hom":
             a = p.expect_ident("generator").value
             b = p.expect_ident("generator").value
@@ -450,9 +456,11 @@ def _parse_category(p):
                 names = [t.value for t in p.parse_names()]
             p.expect("}")
             body["homs"].append((a, b, names, item))
+            head = (a, b)
         elif item.value == "identity":
             g = p.expect_ident("generator").value
             body["identities"].append((g, p.parse_coeffs(), item))
+            head = (g,)
         elif item.value == "compose":
             p.expect("(")
             b1 = p.expect_ident().value
@@ -466,8 +474,13 @@ def _parse_category(p):
             p.expect(")")
             coeffs = p.parse_coeffs()
             body["composes"].append((b1, c1, gname, a2, b2, fname, coeffs, item))
+            head = (b1, c1, gname, a2, b2, fname)
         else:
             p.error("unknown category item %r" % item.value, item)
+        key = (item.value,) + head
+        if key in seen:
+            p.error("duplicate category item %r" % " ".join(key), item)
+        seen.add(key)
     return body
 
 
@@ -670,7 +683,7 @@ def _coords(cat, src: ObjectExpr, tgt: ObjectExpr, morph):
 
 
 def _build_morphism(cat, src: ObjectExpr, tgt: ObjectExpr, morph) -> Morphism:
-    return unflatten(cat, src, tgt, _coords(cat, src, tgt, morph))
+    return Morphism(cat, src, tgt, _coords(cat, src, tgt, morph))
 
 
 def _build_triangle(cat, shift, block, name, values) -> Triangle:
@@ -803,10 +816,11 @@ def _fmt_coeffs(field, names, vec) -> str:
 
 def _fmt_morph(cat, mor: Morphism) -> str:
     field = cat.field
+    offsets, _ = block_offsets(cat, mor.source, mor.target)
     parts = []
     for i, t in enumerate(mor.target.summands):
         for j, s in enumerate(mor.source.summands):
-            vec = mor.blocks[i][j]
+            vec = mor.coords[offsets[i][j]:offsets[i][j] + cat.hom_dim(s, t)]
             if any(not field.is_zero(c) for c in vec):
                 parts.append("(%d %d) %s"
                              % (i, j, _fmt_coeffs(field, cat.basis_names(s, t), vec)))
@@ -879,7 +893,7 @@ def _write_functor(ws: Workspace, name, f):
             col = mat.col(q)
             if all(f.target.field.is_zero(x) for x in col):
                 continue
-            mor = unflatten(f.target, f.object_map[a], f.object_map[b], col)
+            mor = Morphism(f.target, f.object_map[a], f.object_map[b], col)
             body.append("  map (%s %s %s) -> %s" % (a, b, bname, _fmt_morph(f.target, mor)))
     return _decl("functor", name, (_name_of(ws.categories, f.source),
                                    _name_of(ws.categories, f.target)), body)

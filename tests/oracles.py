@@ -5,7 +5,7 @@ import itertools
 from rclkit.adjunction import _nat_solution_space, make_adjunction, validate_adjunction
 from rclkit.category import (Morphism, ObjectExpr, block_diagonal, compose,
                              hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
-                             precompose_mat, unflatten)
+                             precompose_mat)
 from rclkit.errors import InputError
 from rclkit.functor import compose_functors, identity_functor
 from rclkit.linalg import Mat, SubspaceBasis, difference_rows, nullspace, solve
@@ -28,12 +28,12 @@ def brute_force_ideal(cat, a, b, members, max_mult=2):
         for q in range(d_in):
             cin = [cat.field.zero] * d_in
             cin[q] = cat.field.one
-            g = unflatten(cat, a, mid, cin)
+            g = Morphism(cat, a, mid, cin)
             for p in range(d_out):
                 cout = [cat.field.zero] * d_out
                 cout[p] = cat.field.one
-                h = unflatten(cat, mid, b, cout)
-                vectors.append(compose(h, g).flatten())
+                h = Morphism(cat, mid, b, cout)
+                vectors.append(compose(h, g).coords)
     return SubspaceBasis.from_vectors(cat.field, hom_dim_expr(cat, a, b), vectors)
 
 
@@ -56,7 +56,7 @@ def every_morphism(cat, a, b):
     """Every morphism a -> b over a prime field, in coordinate order."""
     F = cat.field
     for coeffs in itertools.product(range(F.characteristic), repeat=hom_dim_expr(cat, a, b)):
-        yield unflatten(cat, a, b, [F.of_int(c) for c in coeffs])
+        yield Morphism(cat, a, b, [F.of_int(c) for c in coeffs])
 
 
 def brute_force_isomorphic(cat, g, h):
@@ -68,6 +68,28 @@ def brute_force_isomorphic(cat, g, h):
     backs = list(every_morphism(cat, tgt, src))
     return any(compose(back, f).equal(one_g) and compose(f, back).equal(one_h)
                for f in every_morphism(cat, src, tgt) for back in backs)
+
+
+# -- the block layout, read with hom_dim alone --
+
+def blocks_of(mor):
+    """The components of mor as nested blocks: blocks[i][j] holds the
+    coordinates of source summand j -> target summand i.  The flat
+    coordinates are cut target row by row, source column by column, with
+    each block's length taken from hom_dim, not from `block_offsets`."""
+    cat, coords = mor.cat, iter(mor.coords)
+    blocks = [[tuple(itertools.islice(coords, cat.hom_dim(s, t))) for s in mor.source.summands]
+              for t in mor.target.summands]
+    assert next(coords, None) is None
+    return blocks
+
+
+def from_blocks(cat, source, target, blocks):
+    """The morphism source -> target whose nested blocks (as `blocks_of`
+    reads them) are the given ones."""
+    assert [[len(vec) for vec in row] for row in blocks] == \
+        [[cat.hom_dim(s, t) for s in source.summands] for t in target.summands]
+    return Morphism(cat, source, target, [x for row in blocks for vec in row for x in vec])
 
 
 # -- per-basis kernels: the Hom-action matrices, one basis element at a time --
@@ -83,27 +105,28 @@ def per_basis_compose(g, f):
     """g o f, one pair of basis coordinates at a time through comp_vec."""
     cat = f.cat
     F = cat.field
+    gblocks, fblocks = blocks_of(g), blocks_of(f)
     blocks = []
     for i, c in enumerate(g.target.summands):
         row = []
         for j, a in enumerate(f.source.summands):
             acc = [F.zero] * cat.hom_dim(a, c)
             for m, b in enumerate(f.target.summands):
-                for p, gc in enumerate(g.blocks[i][m]):
-                    for q, fc in enumerate(f.blocks[m][j]):
+                for p, gc in enumerate(gblocks[i][m]):
+                    for q, fc in enumerate(fblocks[m][j]):
                         cv = cat.comp_vec(a, b, c, p, q)
                         coef = F.mul(gc, fc)
                         acc = [F.add(x, F.mul(coef, y)) for x, y in zip(acc, cv)]
             row.append(tuple(acc))
         blocks.append(row)
-    return Morphism(cat, f.source, g.target, blocks)
+    return from_blocks(cat, f.source, g.target, blocks)
 
 
 def per_basis_postcompose_mat(g, a):
     """Hom(a, g.source) -> Hom(a, g.target), h |-> g o h, column by column."""
     cat = g.cat
     return Mat.from_columns(cat.field, hom_dim_expr(cat, a, g.target),
-                            [per_basis_compose(g, h).flatten()
+                            [per_basis_compose(g, h).coords
                              for h in hom_basis(cat, a, g.source)])
 
 
@@ -111,7 +134,7 @@ def per_basis_precompose_mat(f, b):
     """Hom(f.target, b) -> Hom(f.source, b), h |-> h o f, column by column."""
     cat = f.cat
     return Mat.from_columns(cat.field, hom_dim_expr(cat, f.source, b),
-                            [per_basis_compose(h, f).flatten()
+                            [per_basis_compose(h, f).coords
                              for h in hom_basis(cat, f.target, b)])
 
 
@@ -128,9 +151,10 @@ def per_basis_apply(functor, mor):
         toff.append(toff[-1] + len(functor.object_map[h].summands))
     blocks = [[(F.zero,) * tgt.hom_dim(s, t) for s in src_img.summands]
               for t in tgt_img.summands]
+    mblocks = blocks_of(mor)
     for i, h in enumerate(mor.target.summands):
         for j, g in enumerate(mor.source.summands):
-            vec = mor.blocks[i][j]
+            vec = mblocks[i][j]
             if not vec:
                 continue
             mat = functor.hom_maps[(g, h)]
@@ -138,11 +162,11 @@ def per_basis_apply(functor, mor):
             for r in range(mat.rows):
                 for q, x in enumerate(vec):
                     coords[r] = F.add(coords[r], F.mul(mat.data[r][q], x))
-            local = unflatten(tgt, functor.object_map[g], functor.object_map[h], coords)
-            for li, row in enumerate(local.blocks):
+            local = Morphism(tgt, functor.object_map[g], functor.object_map[h], coords)
+            for li, row in enumerate(blocks_of(local)):
                 for lj, v in enumerate(row):
                     blocks[toff[i] + li][soff[j] + lj] = v
-    return Morphism(tgt, src_img, tgt_img, blocks)
+    return from_blocks(tgt, src_img, tgt_img, blocks)
 
 
 def per_basis_compose_functors(outer, inner):
@@ -153,7 +177,7 @@ def per_basis_compose_functors(outer, inner):
         tgt_img = outer.apply_obj(inner.object_map[h])
         hom_maps[(g, h)] = Mat.from_columns(
             outer.target.field, hom_dim_expr(outer.target, src_img, tgt_img),
-            [per_basis_apply(outer, per_basis_apply(inner, f)).flatten()
+            [per_basis_apply(outer, per_basis_apply(inner, f)).coords
              for f in hom_basis(inner.source, ObjectExpr(g), ObjectExpr(h))])
     return hom_maps
 
@@ -166,7 +190,7 @@ def per_basis_validate_nat(nt):
     for a, b, q, f in basis_morphisms(src):
         lhs = per_basis_compose(per_basis_apply(nt.to_f, f), nt.components[a])
         rhs = per_basis_compose(nt.components[b], per_basis_apply(nt.from_f, f))
-        if lhs.flatten() != rhs.flatten():
+        if lhs.coords != rhs.coords:
             ok = False
             rep.fail("naturality", "at basis %s.%s of Hom(%s,%s)"
                      % (a, src.basis_names(a, b)[q], a, b))
@@ -188,7 +212,7 @@ def per_basis_quotient_comp(q):
                     continue
                 comp[(a, b, c)] = tuple(
                     tuple(q.reduce_coords(a, c, compose(q.lift_basis(b, c, p),
-                                                        q.lift_basis(a, b, r)).flatten())
+                                                        q.lift_basis(a, b, r)).coords)
                           for r in range(da))
                     for p in range(db))
     return comp
@@ -267,16 +291,16 @@ def per_basis_ideal_validate(ideal):
     cat = ideal.parent
     for (a, b), sub in ideal.table.items():
         for vec in sub.rows:
-            w = unflatten(cat, ObjectExpr((a,)), ObjectExpr((b,)), vec)
+            w = Morphism(cat, ObjectExpr((a,)), ObjectExpr((b,)), vec)
             for c in cat.generators:
                 for p in range(cat.hom_dim(b, c)):
                     u = Morphism.basis_element(cat, b, c, p)
-                    if not ideal.table[(a, c)].contains_vector(compose(u, w).flatten()):
+                    if not ideal.table[(a, c)].contains_vector(compose(u, w).coords):
                         rep.fail("ideal.two-sided.post-compose",
                                  "(%s,%s) composed into Hom(%s,%s)" % (a, b, a, c))
                 for p in range(cat.hom_dim(c, a)):
                     v = Morphism.basis_element(cat, c, a, p)
-                    if not ideal.table[(c, b)].contains_vector(compose(w, v).flatten()):
+                    if not ideal.table[(c, b)].contains_vector(compose(w, v).coords):
                         rep.fail("ideal.two-sided.pre-compose",
                                  "(%s,%s) composed into Hom(%s,%s)" % (a, b, c, b))
     rep.close("ideal.two-sided")
@@ -330,7 +354,7 @@ def _counit_placement(lr, obj):
     cols = []
     for k, s in enumerate(obj.summands):
         for e in hom_basis(B, lr.object_map[s], ObjectExpr(s)):
-            cols.append(block_diagonal(B, parts[:k] + [e] + parts[k + 1:]).flatten())
+            cols.append(block_diagonal(B, parts[:k] + [e] + parts[k + 1:]).coords)
     return Mat.from_columns(B.field, hom_dim_expr(B, lr.apply_obj(obj), obj), cols)
 
 
@@ -363,7 +387,7 @@ def solve_counit_given_unit(left, right, unit_comps, name):
         pre = precompose_mat(left.apply(unit_comps[g]), lg)
         comp_mat = pre.mul(_counit_placement(lr, lg))
         stacked = _stacked_offsets(lg, offset)
-        ident = Morphism.identity(B, lg).flatten()
+        ident = Morphism.identity(B, lg).coords
         for r in range(comp_mat.rows):
             row = [F.zero] * total
             for col, glob in enumerate(stacked):
@@ -376,7 +400,7 @@ def solve_counit_given_unit(left, right, unit_comps, name):
         ry = right.object_map[y]
         o, d = offset[y]
         eta_ry = block_diagonal(A, [unit_comps[g] for g in ry.summands])
-        ident = Morphism.identity(A, ry).flatten()
+        ident = Morphism.identity(A, ry).coords
         mat = precompose_mat(eta_ry, ry).mul(right.action(lr.object_map[y], ObjectExpr(y)))
         for r in range(len(ident)):
             row = [F.zero] * total
@@ -391,7 +415,7 @@ def solve_counit_given_unit(left, right, unit_comps, name):
         if sol is None:
             return None
         sol_vec = sol.col(0)
-    counit_comps = {y: unflatten(B, lr.object_map[y], ObjectExpr((y,)), sol_vec[o:o + d])
+    counit_comps = {y: Morphism(B, lr.object_map[y], ObjectExpr((y,)), sol_vec[o:o + d])
                     for (y, o, d) in shape}
     adj = make_adjunction(left, right, unit_comps, counit_comps, name=name)
     return adj if validate_adjunction(adj).ok_all else None
@@ -405,7 +429,7 @@ def _completes(m, t1, t2, a, b):
     element at a time."""
     ladder = per_basis_precompose_mat(t1.g, t2.h.source).vstack(
         per_basis_postcompose_mat(t2.h, t1.g.target))
-    rhs = compose(t2.g, b).flatten() + compose(m.sigma.apply(a), t1.h).flatten()
+    rhs = compose(t2.g, b).coords + compose(m.sigma.apply(a), t1.h).coords
     return solve(ladder, Mat.column(ladder.field, rhs)) is not None
 
 
@@ -457,11 +481,11 @@ def ladder_shift(m, fbar):
     f = m.lift(fbar)
 
     def solved(mat, rhs, src, tgt):
-        return unflatten(cat, src, tgt, solve(mat, Mat.column(cat.field, rhs)).col(0))
+        return Morphism(cat, src, tgt, solve(mat, Mat.column(cat.field, rhs)).col(0))
 
-    d = solved(per_basis_precompose_mat(tx.f, ty.y), compose(ty.f, f).flatten(), tx.y, ty.y)
+    d = solved(per_basis_precompose_mat(tx.f, ty.y), compose(ty.f, f).coords, tx.y, ty.y)
     ladder = per_basis_precompose_mat(tx.g, ty.z).vstack(per_basis_postcompose_mat(ty.h, tx.z))
-    rhs = compose(ty.g, d).flatten() + compose(per_basis_apply(m.tri.shift, f), tx.h).flatten()
+    rhs = compose(ty.g, d).coords + compose(per_basis_apply(m.tri.shift, f), tx.h).coords
     return m.to_quotient(solved(ladder, rhs, tx.z, ty.z))
 
 
@@ -476,15 +500,15 @@ def ladder_classes(m, f):
     (x,), (y,) = f.source.summands, f.target.summands
     tx, ty = m.fixed[x], m.fixed[y]
     alpha = precompose_mat(tx.f, ty.y)
-    b0 = unflatten(cat, tx.y, ty.y,
-                   solve(alpha, Mat.column(cat.field, compose(ty.f, f).flatten())).col(0))
-    bs = [b0] + [b0.add(unflatten(cat, tx.y, ty.y, v)) for v in nullspace(alpha)]
-    tail = compose(m.tri.shift.apply(f), tx.h).flatten()
+    b0 = Morphism(cat, tx.y, ty.y,
+                  solve(alpha, Mat.column(cat.field, compose(ty.f, f).coords)).col(0))
+    bs = [b0] + [b0.add(Morphism(cat, tx.y, ty.y, v)) for v in nullspace(alpha)]
+    tail = compose(m.tri.shift.apply(f), tx.h).coords
     classes = []
     for b in bs:
-        rhs = Mat.column(cat.field, compose(ty.g, b).flatten() + tail)
+        rhs = Mat.column(cat.field, compose(ty.g, b).coords + tail)
         c = solve(_ladder_matrix(tx.g, ty.h), rhs)
-        classes.append(m.to_quotient(unflatten(cat, tx.z, ty.z, c.col(0))))
+        classes.append(m.to_quotient(Morphism(cat, tx.z, ty.z, c.col(0))))
     return classes
 
 

@@ -45,11 +45,10 @@ def _coord_variants(field, value):
     return out
 
 
-def _mutate_morphism(mor, i, j, q, value):
-    blocks = [[list(vec) for vec in row] for row in mor.blocks]
-    blocks[i][j][q] = value
-    return Morphism(mor.cat, mor.source, mor.target,
-                    [[tuple(vec) for vec in row] for row in blocks])
+def _mutate_morphism(mor, k, value):
+    coords = list(mor.coords)
+    coords[k] = value
+    return Morphism(mor.cat, mor.source, mor.target, coords)
 
 
 def _rebuild(ws, functors, adjs):
@@ -86,26 +85,20 @@ def _enumerate_mutants(ws):
         for side in ("unit", "counit"):
             comps = getattr(adj, side).components
             for gen in sorted(comps):
-                mor = comps[gen]
-                for i, row in enumerate(mor.blocks):
-                    for j, vec in enumerate(row):
-                        for q, val in enumerate(vec):
-                            for variant in _coord_variants(field, val):
-                                def build(adj_name=adj_name, side=side, gen=gen,
-                                          i=i, j=j, q=q, variant=variant):
-                                    adjs = _remake_adjunctions(ws, base_functors)
-                                    orig = ws.adjunctions[adj_name]
-                                    unit = dict(orig.unit.components)
-                                    counit = dict(orig.counit.components)
-                                    target = unit if side == "unit" else counit
-                                    target[gen] = _mutate_morphism(target[gen],
-                                                                   i, j, q, variant)
-                                    adjs[adj_name] = make_adjunction(
-                                        orig.left, orig.right, unit, counit,
-                                        name=adj_name)
-                                    return _rebuild(ws, base_functors, adjs)
-                                yield ("%s.%s.%s[%d,%d,%d]"
-                                       % (adj_name, side, gen, i, j, q), build)
+                for k, val in enumerate(comps[gen].coords):
+                    for variant in _coord_variants(field, val):
+                        def build(adj_name=adj_name, side=side, gen=gen, k=k,
+                                  variant=variant):
+                            adjs = _remake_adjunctions(ws, base_functors)
+                            orig = ws.adjunctions[adj_name]
+                            unit = dict(orig.unit.components)
+                            counit = dict(orig.counit.components)
+                            target = unit if side == "unit" else counit
+                            target[gen] = _mutate_morphism(target[gen], k, variant)
+                            adjs[adj_name] = make_adjunction(
+                                orig.left, orig.right, unit, counit, name=adj_name)
+                            return _rebuild(ws, base_functors, adjs)
+                        yield ("%s.%s.%s[%d]" % (adj_name, side, gen, k), build)
 
     for fname in sorted(base_functors):
         f = base_functors[fname]

@@ -65,18 +65,17 @@ def test_hom_bijection_natural(ws_a2):
     a = cat.obj("P1")
     b = cat.obj("S2", "P1")
     w = ws_a2.categories["ModKR"].obj("W")
-    h = Morphism(cat, b, a, [[(Fraction(0),), (Fraction(3),)]])
-    from rclkit.category import hom_dim_expr, unflatten
+    h = Morphism(cat, b, a, (Fraction(0), Fraction(3)))
+    from rclkit.category import hom_dim_expr
     d = hom_dim_expr(R.source, L.apply_obj(a), w)
     for q in range(d):
         coords = [Fraction(0)] * d
         coords[q] = Fraction(1)
-        f = unflatten(R.source, L.apply_obj(a), w, coords)
+        f = Morphism(R.source, L.apply_obj(a), w, coords)
         eta_a, _ = hom_bijection(adj, a, w)
         eta_b, _ = hom_bijection(adj, b, w)
-        lhs = eta_b.apply(compose(f, L.apply(h)).flatten())
-        rhs = compose(unflatten(cat, a, R.apply_obj(w), eta_a.apply(f.flatten())),
-                      h).flatten()
+        lhs = eta_b.apply(compose(f, L.apply(h)).coords)
+        rhs = compose(Morphism(cat, a, R.apply_obj(w), eta_a.apply(f.coords)), h).coords
         assert lhs == tuple(rhs)
 
 

@@ -5,14 +5,13 @@ import pytest
 
 from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                              block_diagonal, compose, hom_dim_expr,
-                             ideal_subspace, is_isomorphic, unflatten,
-                             validate_category)
+                             ideal_subspace, is_isomorphic, validate_category)
 from rclkit.errors import PresentationError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_StableCore, _component_category, build_fix_a2,
                                 build_fix_prod)
 
-from oracles import brute_force_isomorphic
+from oracles import brute_force_isomorphic, from_blocks
 
 
 def test_validate_single_generator():
@@ -81,7 +80,7 @@ def test_block_composition_is_matrix_product(ws_a2):
 
     def rand_mor(a, b):
         d = hom_dim_expr(cat, a, b)
-        return unflatten(cat, a, b, [Fraction(rng.randint(-3, 3)) for _ in range(d)])
+        return Morphism(cat, a, b, [Fraction(rng.randint(-3, 3)) for _ in range(d)])
 
     a = cat.obj("S2", "P1")
     b = cat.obj("P1", "P1", "S1")
@@ -167,7 +166,7 @@ def test_block_diagonal_with_zero_target_summand(ws_a2):
     got = block_diagonal(cat, [soc, to_zero, top])
     # Rows are the targets P1, S1; columns the sources S2, S1, P1.  The
     # middle part adds a column and no row.
-    want = Morphism(cat, cat.obj("S2", "S1", "P1"), cat.obj("P1", "S1"), [
+    want = from_blocks(cat, cat.obj("S2", "S1", "P1"), cat.obj("P1", "S1"), [
         [(Fraction(2),), (), (Fraction(0),)],
         [(), (Fraction(0),), (Fraction(3),)],
     ])
@@ -178,18 +177,18 @@ def test_block_diagonal_of_no_parts(ws_a2):
     cat = ws_a2.categories["A2"]
     got = block_diagonal(cat, [])
     assert got.source.summands == () and got.target.summands == ()
-    assert got.blocks == ()
+    assert got.coords == ()
 
 
-@pytest.mark.parametrize("source,target,blocks,message", [
-    (("S2",), ("P1",), [[(1, 2)]], r"block \(0,0\) has 2 coords, expected 1 for Hom\(S2,P1\)"),
-    (("S2", "P1"), ("P1",), [[(1,), (1, 0)]],
-     r"block \(0,1\) has 2 coords, expected 1 for Hom\(P1,P1\)"),
-    (("S2",), ("P1",), [[()]], r"block \(0,0\) has 0 coords, expected 1 for Hom\(S2,P1\)"),
-    (("S2",), ("P1", "S1"), [[(1,)]], r"morphism block rows 1 != target summands 2"),
-    (("S2", "P1"), ("P1",), [[(1,)]], r"morphism block cols mismatch in row 0"),
-])
-def test_morphism_rejects_blocks_of_the_wrong_shape(ws_a2, source, target, blocks, message):
+@pytest.mark.parametrize("source,target,coords,message", [
+    (("S2",), ("P1",), (1, 2), "morphism S2 -> P1 has 2 coords, expected 1"),
+    (("S2", "P1"), ("P1",), (1, 1, 0), r"morphism S2\+P1 -> P1 has 3 coords, expected 2"),
+    (("S2",), ("P1",), (), "morphism S2 -> P1 has 0 coords, expected 1"),
+    (("S2", "P1"), ("P1", "S1"), (1,), r"morphism S2\+P1 -> P1\+S1 has 1 coords, expected 3"),
+    (("S2", "P1"), ("P1",), (1,), r"morphism S2\+P1 -> P1 has 1 coords, expected 2"),
+], ids=["too-many", "too-many-over-two-blocks", "none-for-a-nonzero-hom",
+        "too-few-over-four-blocks", "too-few-over-two-blocks"])
+def test_morphism_rejects_the_wrong_coordinate_count(ws_a2, source, target, coords, message):
     cat = ws_a2.categories["A2"]
     with pytest.raises(PresentationError, match="^%s$" % message):
-        Morphism(cat, ObjectExpr(source), ObjectExpr(target), blocks)
+        Morphism(cat, ObjectExpr(source), ObjectExpr(target), coords)

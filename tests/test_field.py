@@ -52,6 +52,6 @@ def test_int_and_fraction_entries_compare_equal(ws_a2):
     assert Mat(QQ, 1, 2, [[1, 0]]) == Mat(QQ, 1, 2, [[Fraction(1), Fraction(0)]])
     cat = ws_a2.categories["A2"]
     obj = ObjectExpr(("S1",))
-    one = Morphism(cat, obj, obj, [[(1,)]])
-    assert one.equal(Morphism(cat, obj, obj, [[(Fraction(1),)]]))
+    one = Morphism(cat, obj, obj, (1,))
+    assert one.equal(Morphism(cat, obj, obj, (Fraction(1),)))
     assert one.equal(Morphism.identity(cat, obj))

@@ -8,25 +8,29 @@ matrices and the structure constants; tests/oracles.py computes the same
 things one basis element at a time.  They must agree on random morphisms of
 fix_a2, fix_prod, stab2 (two copies of stable k[x]/(x^3) with their shift)
 and `kronecker` over QQ, GF(2), GF(3) and GF(101), and the structure checks
-on perturbed presentations of those four over GF(2) and GF(3)."""
+on perturbed presentations of those four over GF(2) and GF(3).  The helpers
+that place blocks in a morphism's flat coordinates are checked against
+`blocks_of`, a reader of the layout that uses hom_dim alone."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory, compose,
-                             hom_basis, hom_dim_expr, postcompose_mat, precompose_mat,
-                             unflatten, validate_category)
+from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
+                             block_diagonal, compose, hom_basis, hom_dim_expr,
+                             postcompose_mat, precompose_mat, validate_category)
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_component_category, _component_shift, _StableCore,
-                                build_fix_a2, build_fix_prod)
+                                build_fix_a2, build_fix_prod, build_fix_stab3)
 from rclkit.functor import (LinearFunctor, NatTransform, compose_functors, identity_functor,
                             validate_functor, validate_nat)
 from rclkit.linalg import Mat, SubspaceBasis
+from rclkit.mutation import make_D_monic
 from rclkit.quotient import MorphismIdeal, build_quotient
+from rclkit.workspace import _build_morphism, _fmt_morph, _Parser, _Tokens
 
-from oracles import (per_basis_apply, per_basis_compose, per_basis_compose_functors,
+from oracles import (blocks_of, per_basis_apply, per_basis_compose, per_basis_compose_functors,
                      per_basis_ideal_validate, per_basis_postcompose_mat,
                      per_basis_precompose_mat, per_basis_quotient_comp,
                      per_basis_validate_category, per_basis_validate_functor,
@@ -113,7 +117,7 @@ def morphisms(draw, cat, source=None, target=None):
     b = draw(objects(cat)) if target is None else target
     n = hom_dim_expr(cat, a, b)
     coords = draw(st.lists(scalars(cat.field), min_size=n, max_size=n))
-    return unflatten(cat, a, b, coords)
+    return Morphism(cat, a, b, coords)
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,11 +194,11 @@ def test_naturality_witnesses_match_per_basis_loop():
             for nt in nats.values():
                 assert lines(validate_nat(nt)) == lines(per_basis_validate_nat(nt))
                 for g, comp in nt.components.items():
-                    for k in range(len(comp.flatten())):
-                        coords = list(comp.flatten())
+                    for k in range(len(comp.coords)):
+                        coords = list(comp.coords)
                         coords[k] = field.add(coords[k], field.one)
                         comps = dict(nt.components)
-                        comps[g] = unflatten(comp.cat, comp.source, comp.target, coords)
+                        comps[g] = Morphism(comp.cat, comp.source, comp.target, coords)
                         bad = NatTransform(nt.from_f, nt.to_f, comps, name=nt.name)
                         got = lines(validate_nat(bad))
                         assert got == lines(per_basis_validate_nat(bad))
@@ -277,3 +281,69 @@ def test_structure_checks_match_per_basis_oracles(data):
             got, want = ideal.validate(), per_basis_ideal_validate(ideal)
     assert got.ok_all == want.ok_all
     assert set(lines(got)) == set(lines(want))
+
+
+@lru_cache(maxsize=None)
+def mutation_data(field):
+    return build_fix_stab3(field).mutations["MU"]
+
+
+@lru_cache(maxsize=None)
+def quotient(cat, members):
+    return build_quotient(cat, Subcategory(cat, members))
+
+
+def zero_blocks(cat, source, target):
+    return [[(cat.field.zero,) * cat.hom_dim(s, t) for s in source.summands]
+            for t in target.summands]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_layout_helpers_match_the_per_block_reader(data):
+    """block_diagonal, Morphism.identity, make_D_monic,
+    QuotientCategory.lift_morphism and the workspace morph writer and
+    reader put every block where `blocks_of`, which cuts the flat
+    coordinates with hom_dim alone, reads it; on random morphisms between
+    sums over QQ, GF(2) and GF(3)."""
+    field = data.draw(st.sampled_from(FIELDS[:3]))
+    cat = data.draw(st.sampled_from(fixture_categories(field)))
+
+    parts = data.draw(st.lists(morphisms(cat), max_size=3))
+    diag = block_diagonal(cat, parts)
+    want = zero_blocks(cat, diag.source, diag.target)
+    soff = toff = 0
+    for p in parts:
+        for li, row in enumerate(blocks_of(p)):
+            want[toff + li][soff:soff + len(row)] = row
+        soff += len(p.source.summands)
+        toff += len(p.target.summands)
+    assert blocks_of(diag) == want
+
+    obj = data.draw(objects(cat))
+    want = zero_blocks(cat, obj, obj)
+    for i, g in enumerate(obj.summands):
+        want[i][i] = cat.identities[g]
+    assert blocks_of(Morphism.identity(cat, obj)) == want
+
+    mor = data.draw(morphisms(cat))
+    parsed = _Parser(_Tokens(_fmt_morph(cat, mor))).parse_morph()
+    written = {(i, j): {name: field.parse(num.value) for name, num, _ in coeffs}
+               for (i, j), coeffs, _ in parsed}
+    want = {(i, j): {n: x for n, x in zip(cat.basis_names(s, t), vec) if x}
+            for i, (t, row) in enumerate(zip(mor.target.summands, blocks_of(mor)))
+            for j, (s, vec) in enumerate(zip(mor.source.summands, row)) if any(vec)}
+    assert written == want
+    assert _build_morphism(cat, mor.source, mor.target, parsed).equal(mor)
+
+    q = quotient(cat, tuple(data.draw(st.lists(st.sampled_from(cat.generators), unique=True))))
+    if q.presentation.generators:
+        mor = data.draw(morphisms(q.presentation))
+        want = [[q.section[(s, t)].apply(vec) for s, vec in zip(mor.source.summands, row)]
+                for t, row in zip(mor.target.summands, blocks_of(mor))]
+        assert blocks_of(q.lift_morphism(mor)) == want
+
+    m = mutation_data(field)
+    x = data.draw(st.sampled_from(sorted(m.fixed)))
+    f = data.draw(morphisms(m.tri.cat, source=ObjectExpr((x,))))
+    assert blocks_of(make_D_monic(m, f)) == blocks_of(f) + blocks_of(m.fixed[x].f)

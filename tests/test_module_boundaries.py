@@ -4,7 +4,8 @@ only, so the dependency order between them is visible in their headers."""
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rclkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "rclkit"
 
 
 def test_no_function_local_relative_import():
@@ -62,4 +63,17 @@ def test_no_sampler_in_the_engine():
                 found += ["%s:%d %s(%s)" % (path.name, node.lineno, node.name, a.arg)
                           for a in args.posonlyargs + args.args + args.kwonlyargs
                           if a.arg in ("seed", "max_tries")]
+    assert found == []
+
+
+def test_morphisms_are_built_by_init_and_read_flat():
+    """A morphism is its flat coordinate vector: nothing calls `__new__` to
+    build one past `Morphism.__init__`'s length check, and nothing reads a
+    nested `.blocks` view, in the package or its tests."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("__new__", "blocks"):
+                found.append("%s:%d .%s" % (path.name, node.lineno, node.attr))
     assert found == []

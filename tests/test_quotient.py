@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from rclkit.category import (ObjectExpr, Subcategory, compose,
-                             hom_dim_expr, ideal_subspace, unflatten)
+from rclkit.category import (Morphism, ObjectExpr, Subcategory, compose,
+                             hom_dim_expr, ideal_subspace)
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2
@@ -29,12 +29,12 @@ def brute_force_ideal(cat, a, b, members, max_mult=2):
         for q in range(d_in):
             cin = [cat.field.zero] * d_in
             cin[q] = cat.field.one
-            g = unflatten(cat, a, mid, cin)
+            g = Morphism(cat, a, mid, cin)
             for p in range(d_out):
                 cout = [cat.field.zero] * d_out
                 cout[p] = cat.field.one
-                h = unflatten(cat, mid, b, cout)
-                vectors.append(compose(h, g).flatten())
+                h = Morphism(cat, mid, b, cout)
+                vectors.append(compose(h, g).coords)
     return SubspaceBasis.from_vectors(cat.field, hom_dim_expr(cat, a, b), vectors)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import rclkit.mutation as mutation
 import rclkit.recollement as recollement
 import rclkit.triangulated as triangulated
-from rclkit.category import (FinLinCategory, is_isomorphic, morphism_inverse, unflatten,
+from rclkit.category import (FinLinCategory, Morphism, is_isomorphic, morphism_inverse,
                              validate_category)
 from rclkit.cli import main
 from rclkit.errors import UndecidedError
@@ -236,9 +236,9 @@ def queries(draw):
     if draw(st.booleans()):
         t = Triangle(t.x, t.y, t.z, t.f.scale(c[0]), t.g.scale(c[1]), t.h.scale(c[2]))
         return tri, "membership", t
-    n = len(t.f.flatten())
+    n = len(t.f.coords)
     coords = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
-    f = unflatten(tri.cat, t.f.source, t.f.target, coords) if draw(st.booleans()) \
+    f = Morphism(tri.cat, t.f.source, t.f.target, coords) if draw(st.booleans()) \
         else t.f.scale(c[0])
     return tri, "complete_monic", f
 

@@ -119,7 +119,7 @@ def test_sampled_tr3_misses_squares_outside_its_candidates():
     for pair in ((t0, changed), (changed, t0)):
         commuting, failing = brute_force_tr3(m, *pair)
         assert commuting == 3
-        assert sorted((a.flatten(), b.flatten()) for a, b in failing) == [((1,), (2,)),
+        assert sorted((a.coords, b.coords) for a, b in failing) == [((1,), (2,)),
                                                                            ((2,), (1,))]
         assert _tr3_pair(m, *pair) == (1, False)
         assert sampled_tr3(m, *pair)

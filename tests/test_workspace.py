@@ -194,6 +194,17 @@ DIAGNOSTICS = [
      ["line 35, col 3: duplicate functor item 'map M1 M2 a0'"]),
     ("duplicate-triangle-name", "  triangle t2", "  triangle t1",
      ["line 135, col 3: duplicate triangulated item 'triangle t1'"]),
+    ("duplicate-category-object", "  object M1\n", "  object M1\n  object M1\n",
+     ["line 7, col 3: duplicate category item 'object M1'"]),
+    ("duplicate-category-hom", "  hom M1 M1 { basis a0 }\n",
+     "  hom M1 M1 { basis a0 }\n  hom M1 M1 { basis a0 }\n",
+     ["line 9, col 3: duplicate category item 'hom M1 M1'"]),
+    ("duplicate-category-identity", "  identity M1 { a0 1 }\n",
+     "  identity M1 { a0 1 }\n  identity M1 { a0 2 }\n",
+     ["line 13, col 3: duplicate category item 'identity M1'"]),
+    ("duplicate-category-compose", "  compose (M1 M1 a0) (M1 M1 a0) { a0 1 }\n",
+     "  compose (M1 M1 a0) (M1 M1 a0) { a0 1 }\n  compose (M1 M1 a0) (M1 M1 a0) { a0 2 }\n",
+     ["line 15, col 3: duplicate category item 'compose M1 M1 a0 M1 M1 a0'"]),
     ("retired-assume-local", "category STAB {\n", "category STAB {\n  assume_local\n",
      ["line 6, col 3: unknown category item 'assume_local'"]),
 ]
