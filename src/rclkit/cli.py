@@ -30,7 +30,7 @@ from .recollement import (FUNCTOR_SLOTS, check_recollement, lift_subcategory_pai
                           quotient_by_left_subcategory, quotient_recollement,
                           restrict_to_subcategory)
 from .report import Certificate, Report
-from .workspace import parse
+from .workspace import Diagnostic, parse
 
 COMMANDS = ("validate", "check-recollement", "quotient", "induce", "restrict",
             "lift", "left-quotient", "quotient-recollement", "mutation-check",
@@ -38,12 +38,23 @@ COMMANDS = ("validate", "check-recollement", "quotient", "induce", "restrict",
 
 
 def _load(path: str):
+    """Parse the file as UTF-8 with universal newlines, as text-mode open reads it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(["cannot read %s: %s" % (path, exc)])
-    return parse(text)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _newlines(data[:exc.start].decode("utf-8")).split("\n")
+        raise InputError([Diagnostic(len(lines), len(lines[-1]) + 1,
+                                     "invalid UTF-8 byte 0x%02x" % data[exc.start])])
+    return parse(_newlines(text))
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _resolve_subcat(ws, arg: str, expect_cat=None) -> Subcategory:

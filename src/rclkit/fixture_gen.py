@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 
-from .adjunction import make_adjunction
+from .adjunction import Adjunction
 from .category import FinLinCategory, Morphism, ObjectExpr, Subcategory
 from .field import QQ
 from .functor import LinearFunctor, NatTransform, compose_functors, identity_functor
@@ -200,32 +200,24 @@ def _register_recollement(ws, parts, functors, units, counits):
     a category name of ws, functors each slot of FUNCTOR_SLOTS to its functor
     (registered under the functor's name), and units and counits each slot
     of ADJUNCTION_SLOTS to the components of that adjunction's unit and
-    counit."""
+    counit.  The adjunction of slot adj_<x> holds the nattrans u_<x> and
+    c_<x> registered here, and the writer reads every name off the objects."""
     for slot in FUNCTOR_SLOTS:
         ws.functors[functors[slot].name] = functors[slot]
     for slot, (left_slot, right_slot, _) in ADJUNCTION_SLOTS.items():
         left, right = functors[left_slot], functors[right_slot]
         unit_name, counit_name = "u_" + slot[4:], "c_" + slot[4:]
-        ws.nats[unit_name] = NatTransform(identity_functor(left.source),
-                                          compose_functors(right, left),
-                                          units[slot], name=unit_name)
-        ws.nat_exprs[unit_name] = ("id " + parts[FUNCTOR_SLOTS[left_slot][0]],
-                                   "%s * %s" % (right.name, left.name))
-        ws.nats[counit_name] = NatTransform(compose_functors(left, right),
-                                            identity_functor(right.source),
-                                            counits[slot], name=counit_name)
-        ws.nat_exprs[counit_name] = ("%s * %s" % (left.name, right.name),
-                                     "id " + parts[FUNCTOR_SLOTS[right_slot][0]])
-        ws.adjunctions[slot] = make_adjunction(left, right, dict(units[slot]),
-                                               dict(counits[slot]), name=slot)
-        ws.adj_refs[slot] = (left.name, right.name, unit_name, counit_name)
+        unit = ws.nats[unit_name] = NatTransform(identity_functor(left.source),
+                                                 compose_functors(right, left),
+                                                 units[slot], name=unit_name)
+        counit = ws.nats[counit_name] = NatTransform(compose_functors(left, right),
+                                                     identity_functor(right.source),
+                                                     counits[slot], name=counit_name)
+        ws.adjunctions[slot] = Adjunction(left, right, unit, counit, name=slot)
     ws.recollements["R"] = Recollement(
         **{p: ws.categories[parts[p]] for p in PARTS},
         **{slot: functors[slot] for slot in FUNCTOR_SLOTS},
         **{slot: ws.adjunctions[slot] for slot in ADJUNCTION_SLOTS})
-    ws.rec_refs["R"] = {**{p: parts[p] for p in PARTS},
-                        **{slot: functors[slot].name for slot in FUNCTOR_SLOTS},
-                        **{slot: slot for slot in ADJUNCTION_SLOTS}}
 
 
 def build_fix_a2(field=QQ) -> Workspace:
@@ -434,13 +426,11 @@ def build_fix_stab3(field=QQ) -> Workspace:
     ws.functors["T"] = t
     ws.functors["Tinv"] = tinv
     ws.triangulated["TC"] = tri
-    ws.tri_refs["TC"] = ("STAB", "T", "Tinv")
     ws.subcategories["Zall"] = Subcategory(cat, ["M1", "M2"])
     ws.subcategories["DM2"] = Subcategory(cat, ["M2"])
     fixed = {"M1": triangles[0], "M2": triangles[2]}
     ws.mutations["MU"] = MutationData(tri, ws.subcategories["Zall"],
                                       ws.subcategories["DM2"], fixed, name="MU")
-    ws.mutation_refs["MU"] = ("TC", "Zall", "DM2")
     return ws
 
 
@@ -593,9 +583,6 @@ def build_fix_prod(field=QQ) -> Workspace:
     ws.triangulated["TRI_C"] = tri_c
     ws.triangulated["TRI_L"] = tri_l
     ws.triangulated["TRI_R"] = tri_r
-    ws.tri_refs["TRI_C"] = ("C", "TC", "TCinv")
-    ws.tri_refs["TRI_L"] = ("CL", "TL", "TLinv")
-    ws.tri_refs["TRI_R"] = ("CR", "TR", "TRinv")
 
     for nm, fn, st, tt in (("ex_iu", "iu", "TRI_C", "TRI_L"),
                            ("ex_il", "il", "TRI_L", "TRI_C"),
@@ -606,7 +593,6 @@ def build_fix_prod(field=QQ) -> Workspace:
         ws.exactdata[nm] = ExactFunctorData(ws.functors[fn],
                                             ws.triangulated[st],
                                             ws.triangulated[tt], None, name=nm)
-        ws.exact_refs[nm] = (fn, st, tt, "identity")
 
     ws.subcategories["Zall"] = Subcategory(C, list(C.generators))
     ws.subcategories["D1"] = Subcategory(C, ["C1.M2"])
@@ -624,7 +610,6 @@ def build_fix_prod(field=QQ) -> Workspace:
                               name="c2_rot")
     ws.mutations["MU"] = MutationData(tri_c, ws.subcategories["Zall"],
                                       ws.subcategories["D1"], fixed, name="MU")
-    ws.mutation_refs["MU"] = ("TRI_C", "Zall", "D1")
     return ws
 
 

@@ -46,7 +46,8 @@ in a fixed order followed by body items, and three ordered tables describe
 them:
 
     HEADERS          declaration kind -> its header fields, each a
-                     (keyword, value kind) pair
+                     (keyword, attribute, value kind) triple: the attribute
+                     of the built object that the value refers to
     BODY_ITEMS       declaration kind -> the keywords its body items start
                      with; a kind without body items is written on one line
     TRIANGLE_BLOCKS  block kind -> (the vertex the block's NAME gives, or
@@ -60,7 +61,9 @@ block's NAME is its x vertex, a cofixed block's NAME its z vertex.  The
 parser reads every field list through _Parser.read_fields; the resolver
 looks up every reference through _lookup and builds every block through
 _build_triangle; the writer writes every header through _decl and every
-block through _write_triangle.
+block through _write_triangle.  _decl reads each header value off the
+object it writes and names it through _ref, the inverse of _lookup, so the
+objects are the only record of the references.
 
 Declaration order is irrelevant; references are resolved in a second pass,
 one declaration kind at a time in the dependency order of _KINDS, which is
@@ -74,7 +77,7 @@ from __future__ import annotations
 import hashlib
 import re
 
-from .adjunction import make_adjunction
+from .adjunction import Adjunction
 from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        block_offsets, hom_dim_expr)
 from .errors import InputError
@@ -94,17 +97,18 @@ REC_KEYS = {**dict.fromkeys(PARTS, "category"),
             **dict.fromkeys(ADJUNCTION_SLOTS, "adjunction")}
 
 HEADERS = {
-    "subcategory": (("of", "category"), ("members", "generators")),
-    "functor": (("source", "category"), ("target", "category")),
-    "nattrans": (("from", "fexpr"), ("to", "fexpr")),
-    "adjunction": (("left", "functor"), ("right", "functor"),
-                   ("unit", "nattrans"), ("counit", "nattrans")),
-    "triangulated": (("base", "category"), ("shift", "functor"),
-                     ("shift_inv", "functor")),
-    "exact": (("functor", "functor"), ("source_tri", "triangulated"),
-              ("target_tri", "triangulated"), ("shift_iso", "nattrans_or_identity")),
-    "mutation": (("ambient", "triangulated"), ("z", "subcategory"),
-                 ("d", "subcategory")),
+    "subcategory": (("of", "parent", "category"), ("members", "members", "generators")),
+    "functor": (("source", "source", "category"), ("target", "target", "category")),
+    "nattrans": (("from", "from_f", "fexpr"), ("to", "to_f", "fexpr")),
+    "adjunction": (("left", "left", "functor"), ("right", "right", "functor"),
+                   ("unit", "unit", "nattrans"), ("counit", "counit", "nattrans")),
+    "triangulated": (("base", "cat", "category"), ("shift", "shift", "functor"),
+                     ("shift_inv", "shift_inv", "functor")),
+    "exact": (("functor", "functor", "functor"), ("source_tri", "source_tri", "triangulated"),
+              ("target_tri", "target_tri", "triangulated"),
+              ("shift_iso", "shift_iso", "nattrans_or_identity")),
+    "mutation": (("ambient", "tri", "triangulated"), ("z", "z", "subcategory"),
+                 ("d", "d", "subcategory")),
 }
 
 BODY_ITEMS = {
@@ -131,17 +135,12 @@ class Workspace:
         self.subcategories = {}
         self.functors = {}
         self.nats = {}
-        self.nat_exprs = {}       # name -> (from_expr, to_expr) as strings
         self.adjunctions = {}
-        self.adj_refs = {}        # name -> (left, right, unit, counit) names
         self.recollements = {}
-        self.rec_refs = {}        # name -> dict of slot name -> ref name
         self.triangulated = {}
-        self.tri_refs = {}        # name -> (base, shift, shift_inv) names
         self.exactdata = {}
-        self.exact_refs = {}      # name -> (functor, source_tri, target_tri, shift_iso)
         self.mutations = {}
-        self.mutation_refs = {}   # name -> (ambient, z, d) names
+        self.tri_refs, self.mutation_refs = {}, {}  # unread; perfbench/gen.py writes them
         self.digest = ""          # "sha256:" of the text `parse` read
 
 
@@ -364,9 +363,9 @@ class _Parser:
         return [tok]
 
     def read_fields(self, fields):
-        """The values of keyword-value fields, given as (keyword, value kind)."""
+        """The values of fields given as (keyword, attribute, value kind)."""
         values = []
-        for word, kind in fields:
+        for word, _, kind in fields:
             self.expect(word)
             if kind == "obj":
                 values.append(self.parse_objexpr())
@@ -514,8 +513,7 @@ def _parse_items(p, kind):
         if item.value in TRIANGLE_BLOCKS:
             head = p.expect_ident("%s name" % item.value)
             p.expect("{")
-            value = p.read_fields((word, vk) for word, _, vk
-                                  in TRIANGLE_BLOCKS[item.value][1])
+            value = p.read_fields(TRIANGLE_BLOCKS[item.value][1])
             p.expect("}")
         elif item.value == "map":
             p.expect("(")
@@ -587,15 +585,7 @@ def _lookup(ws: Workspace, kind, value):
 
 def _header(ws: Workspace, kind, values):
     """The header values of a declaration of the given kind, looked up."""
-    return [_lookup(ws, vk, v) for (_, vk), v in zip(HEADERS[kind], values)]
-
-
-def _names(values):
-    return tuple(v.value for v in values)
-
-
-def _fexpr_str(fe) -> str:
-    return (" " if fe[0].value == "id" else " * ").join(t.value for t in fe)
+    return [_lookup(ws, vk, v) for (_, _, vk), v in zip(HEADERS[kind], values)]
 
 
 def _build_category(ws: Workspace, tok, body):
@@ -752,41 +742,41 @@ def _build_nattrans(ws: Workspace, tok, body):
         x = ObjectExpr((g,))
         comps[g] = _build_morphism(from_f.target, from_f.apply_obj(x),
                                    to_f.apply_obj(x), given.get(g, []))
-    nt = NatTransform(from_f, to_f, comps, name=tok.value)
-    ws.nat_exprs[tok.value] = tuple(_fexpr_str(v) for v in values)
-    return nt
+    return NatTransform(from_f, to_f, comps, name=tok.value)
 
 
 def _build_adjunction(ws: Workspace, tok, body):
+    """The unit must run id => right * left and the counit left * right =>
+    id; composites are cached, so functors are compared by identity."""
     values, _ = body
     left, right, unit, counit = _header(ws, "adjunction", values)
-    adj = make_adjunction(left, right, dict(unit.components),
-                          dict(counit.components), name=tok.value)
-    ws.adj_refs[tok.value] = _names(values)
-    return adj
+    for word, ref, nat, want in (
+            ("unit", values[2], unit, (identity_functor(left.source),
+                                       compose_functors(right, left))),
+            ("counit", values[3], counit, (compose_functors(left, right),
+                                           identity_functor(right.source)))):
+        if nat.from_f is not want[0] or nat.to_f is not want[1]:
+            raise _input_error(ref, "adjunction %s: %s %s runs %s => %s, not %s => %s" % (
+                tok.value, word, ref.value,
+                *(_ref(ws, "fexpr", f) for f in (nat.from_f, nat.to_f) + want)))
+    return Adjunction(left, right, unit, counit, name=tok.value)
 
 
 def _build_recollement(ws: Workspace, tok, refs):
-    r = Recollement(**{key: _lookup(ws, kind, refs[key])
-                       for key, kind in REC_KEYS.items()})
-    ws.rec_refs[tok.value] = {key: ref.value for key, ref in refs.items()}
-    return r
+    return Recollement(**{key: _lookup(ws, kind, refs[key])
+                          for key, kind in REC_KEYS.items()})
 
 
 def _build_triangulated(ws: Workspace, tok, body):
     values, items = body
     cat, shift, shift_inv = _header(ws, "triangulated", values)
     triangles = [_build_triangle(cat, shift, *item) for item in items]
-    tri = TriangulatedPresentation(cat, shift, shift_inv, triangles, name=tok.value)
-    ws.tri_refs[tok.value] = _names(values)
-    return tri
+    return TriangulatedPresentation(cat, shift, shift_inv, triangles, name=tok.value)
 
 
 def _build_exact(ws: Workspace, tok, body):
     values, _ = body
-    data = ExactFunctorData(*_header(ws, "exact", values), name=tok.value)
-    ws.exact_refs[tok.value] = _names(values)
-    return data
+    return ExactFunctorData(*_header(ws, "exact", values), name=tok.value)
 
 
 def _build_mutation(ws: Workspace, tok, body):
@@ -797,9 +787,7 @@ def _build_mutation(ws: Workspace, tok, body):
         blocks[block.value][name.value] = _build_triangle(tri.cat, tri.shift,
                                                           block, name, fields)
     fixed, cofixed = blocks.values()
-    m = MutationData(tri, z, d, fixed, cofixed, name=tok.value)
-    ws.mutation_refs[tok.value] = _names(values)
-    return m
+    return MutationData(tri, z, d, fixed, cofixed, name=tok.value)
 
 
 # ---------------------------------------------------------------------------
@@ -831,13 +819,36 @@ def _fmt_objexpr(obj: ObjectExpr) -> str:
     return "+".join(obj.summands) if obj.summands else "0"
 
 
-def _name_of(table, obj) -> str:
-    return next(n for n, c in table.items() if c is obj)
+def _ref(ws: Workspace, kind, obj) -> str:
+    """The text of a value of the given value kind that _lookup resolves to
+    obj: a declared object by its name in the table of its kind, found by
+    identity; a composite functor as "outer * inner" of declared functors."""
+    if kind == "generators":
+        return " ".join(obj)
+    if kind == "nattrans_or_identity":
+        if obj is None:
+            return "identity"
+        kind = "nattrans"
+    for name, value in getattr(ws, _KINDS["functor" if kind == "fexpr" else kind][0]).items():
+        if value is obj:
+            return name
+    if kind == "fexpr":
+        if obj.source is obj.target and obj is identity_functor(obj.source):
+            return "id " + _ref(ws, "category", obj.source)
+        for outer_name, outer in ws.functors.items():
+            for inner_name, inner in ws.functors.items():
+                if (outer.target is obj.target and inner.source is obj.source
+                        and inner.target is outer.source
+                        and compose_functors(outer, inner) is obj):
+                    return "%s * %s" % (outer_name, inner_name)
+    raise ValueError("serialize: %s %r is not registered in the workspace" % (kind, obj))
 
 
-def _decl(kind, name, values, body=()):
-    """The lines of a HEADERS declaration, given its header value strings."""
-    fields = ["%s %s" % (word, value) for (word, _), value in zip(HEADERS[kind], values)]
+def _decl(ws: Workspace, kind, name, obj, body=()):
+    """The lines of a HEADERS declaration of obj: each header field names
+    the object's attribute through _ref."""
+    fields = ["%s %s" % (word, _ref(ws, vk, getattr(obj, attr)))
+              for word, attr, vk in HEADERS[kind]]
     if kind not in BODY_ITEMS:
         return ["%s %s { %s }" % (kind, name, " ".join(fields))]
     return ["%s %s {" % (kind, name)] + ["  " + f for f in fields] + list(body) + ["}", ""]
@@ -852,10 +863,10 @@ def _write_triangle(cat, block, name, t: Triangle):
     return lines + ["  }"]
 
 
-def _write_category(ws: Workspace, name, cat):
+def _write_category(ws: Workspace, kind, name, cat):
     field = cat.field
     gi = {g: i for i, g in enumerate(cat.generators)}
-    out = ["category %s {" % name]
+    out = ["%s %s {" % (kind, name)]
     for g in cat.generators:
         out.append("  object %s" % g)
     for (a, b) in sorted(cat.hom_bases, key=lambda k: (gi[k[0]], gi[k[1]])):
@@ -878,12 +889,7 @@ def _write_category(ws: Workspace, name, cat):
     return out + ["}", ""]
 
 
-def _write_subcategory(ws: Workspace, name, sub):
-    return _decl("subcategory", name,
-                 (_name_of(ws.categories, sub.parent), " ".join(sub.members)))
-
-
-def _write_functor(ws: Workspace, name, f):
+def _write_functor(ws: Workspace, kind, name, f):
     body = ["  object %s -> %s" % (g, _fmt_objexpr(f.object_map[g]))
             for g in f.source.generators]
     gi = {g: i for i, g in enumerate(f.source.generators)}
@@ -895,36 +901,35 @@ def _write_functor(ws: Workspace, name, f):
                 continue
             mor = Morphism(f.target, f.object_map[a], f.object_map[b], col)
             body.append("  map (%s %s %s) -> %s" % (a, b, bname, _fmt_morph(f.target, mor)))
-    return _decl("functor", name, (_name_of(ws.categories, f.source),
-                                   _name_of(ws.categories, f.target)), body)
+    return _decl(ws, kind, name, f, body)
 
 
-def _write_nattrans(ws: Workspace, name, nt):
+def _write_nattrans(ws: Workspace, kind, name, nt):
     body = ["  at %s -> %s" % (g, _fmt_morph(nt.from_f.target, nt.components[g]))
             for g in nt.from_f.source.generators if not nt.components[g].is_zero()]
-    return _decl("nattrans", name, ws.nat_exprs[name], body)
+    return _decl(ws, kind, name, nt, body)
 
 
-def _write_recollement(ws: Workspace, name, r):
-    refs = ws.rec_refs[name]
-    return (["recollement %s {" % name] + ["  %s %s" % (key, refs[key]) for key in REC_KEYS]
+def _write_recollement(ws: Workspace, kind, name, r):
+    return (["%s %s {" % (kind, name)]
+            + ["  %s %s" % (key, _ref(ws, vk, getattr(r, key))) for key, vk in REC_KEYS.items()]
             + ["}", ""])
 
 
-def _write_triangulated(ws: Workspace, name, tri):
-    block, = BODY_ITEMS["triangulated"]
+def _write_triangulated(ws: Workspace, kind, name, tri):
+    block, = BODY_ITEMS[kind]
     body = [line for t in tri.triangles
             for line in _write_triangle(tri.cat, block, t.name, t)]
-    return _decl("triangulated", name, ws.tri_refs[name], body)
+    return _decl(ws, kind, name, tri, body)
 
 
-def _write_mutation(ws: Workspace, name, m):
+def _write_mutation(ws: Workspace, kind, name, m):
     cat = m.tri.cat
     body = []
-    for block, triangles in zip(BODY_ITEMS["mutation"], (m.fixed, m.cofixed)):
+    for block, triangles in zip(BODY_ITEMS[kind], (m.fixed, m.cofixed)):
         for g in sorted(triangles, key=cat.generators.index):
             body += _write_triangle(cat, block, g, triangles[g])
-    return _decl("mutation", name, ws.mutation_refs[name], body)
+    return _decl(ws, kind, name, m, body)
 
 
 def serialize(ws: Workspace) -> str:
@@ -932,10 +937,10 @@ def serialize(ws: Workspace) -> str:
     field = ws.field
     kind = "rationals" if field.characteristic == 0 else "prime %d" % field.characteristic
     out = ["rclkit workspace %d" % FORMAT_VERSION, "", "field { kind %s }" % kind, ""]
-    for attr, _, write in _KINDS.values():
+    for decl_kind, (attr, _, write) in _KINDS.items():
         table = getattr(ws, attr)
         for name in sorted(table):
-            out += write(ws, name, table[name])
+            out += write(ws, decl_kind, name, table[name])
         if out[-1]:  # one-line declarations end their group with a blank line
             out.append("")
     while out and out[-1] == "":
@@ -943,17 +948,15 @@ def serialize(ws: Workspace) -> str:
     return "\n".join(out) + "\n"
 
 
-# declaration kind -> (Workspace table, builder, writer), in dependency order
+# kind -> (Workspace table, builder, writer(ws, kind, name, obj)), in dependency order
 _KINDS = {
     "category": ("categories", _build_category, _write_category),
-    "subcategory": ("subcategories", _build_subcategory, _write_subcategory),
+    "subcategory": ("subcategories", _build_subcategory, _decl),
     "functor": ("functors", _build_functor, _write_functor),
     "nattrans": ("nats", _build_nattrans, _write_nattrans),
-    "adjunction": ("adjunctions", _build_adjunction,
-                   lambda ws, name, _: _decl("adjunction", name, ws.adj_refs[name])),
+    "adjunction": ("adjunctions", _build_adjunction, _decl),
     "recollement": ("recollements", _build_recollement, _write_recollement),
     "triangulated": ("triangulated", _build_triangulated, _write_triangulated),
-    "exact": ("exactdata", _build_exact,
-              lambda ws, name, _: _decl("exact", name, ws.exact_refs[name])),
+    "exact": ("exactdata", _build_exact, _decl),
     "mutation": ("mutations", _build_mutation, _write_mutation),
 }

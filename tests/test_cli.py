@@ -142,6 +142,19 @@ def test_invalid_input_adjunction_exit1(fixture_dir, tmp_path, capsys, command):
             "triangle.left: at generator S2") in out
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"rclkit workspace 1\n\xff\n", "line 2, col 1: invalid UTF-8 byte 0xff"),
+    (b"rclkit workspace 1\r\n# caf\xc3\xa9 \xc3(\n", "line 2, col 8: invalid UTF-8 byte 0xc3"),
+], ids=["bad-first-byte", "truncated-sequence-after-crlf"])
+def test_non_utf8_input_exit2(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.rcl"
+    bad.write_bytes(data)
+    code, _, err = run(["validate", str(bad)], capsys)
+    assert code == 2
+    assert err == "error: %s\n" % message
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit2(capsys):
     code, _, err = run(["validate", "/nonexistent/file.rcl"], capsys)
     assert code == 2
