@@ -5,7 +5,9 @@ the pairwise non-isomorphic indecomposables), a chosen basis for every Hom
 space between generators, structure constants for the bilinear composition,
 and the coordinates of each identity.  General objects are formal direct sums
 of generators; a morphism between sums is the flat vector of its Hom
-coordinates, block by block in `block_offsets` order.
+coordinates, block by block in `block_offsets` order.  `_composition_blocks`
+alone lays the composition law out over the blocks of three sums, and
+`compose`, `postcompose_mat` and `precompose_mat` read it through that walk.
 """
 
 from __future__ import annotations
@@ -241,47 +243,59 @@ def block_offsets(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
     return offsets, pos
 
 
+def _composition_blocks(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, c: ObjectExpr):
+    """The layout of composition Hom(b, c) x Hom(a, b) -> Hom(a, c), as
+    (terms, dim Hom(a, c), dim Hom(b, c), dim Hom(a, b)): one term
+    (table, r0, g0, f0) per block triple (i, m, j) with structure constants,
+    table = comp[(a_j, b_m, c_i)], and r0, g0, f0 where blocks (i, j) of
+    Hom(a, c), (i, m) of Hom(b, c) and (m, j) of Hom(a, b) start."""
+    comp, dims = cat.comp, cat._dims
+    src = a.summands
+    f_offs, fpos = [], 0
+    for t in b.summands:
+        f_offs.append((t, fpos))
+        for s in src:
+            fpos += dims.get((s, t), 0)
+    terms, rpos, gpos = [], 0, 0
+    for ci in c.summands:
+        for t, f0 in f_offs:
+            r0 = rpos
+            for s in src:
+                table = comp.get((s, t, ci))
+                if table:
+                    terms.append((table, r0, gpos, f0))
+                f0 += dims.get((s, t), 0)
+                r0 += dims.get((s, ci), 0)
+            gpos += dims.get((t, ci), 0)
+        for s in src:
+            rpos += dims.get((s, ci), 0)
+    return terms, rpos, gpos, fpos
+
+
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """Composition g o f via the structure constants (apply f first).  Row i
-    of the result sums, over the middle summands m, block (i, m) of g
-    against row m of f, so g is read once in flat order and f once per row."""
+    """Composition g o f via the structure constants (apply f first): each
+    term of the walk adds g[g0+p] f[f0+q] table[p][q] into the rows from r0."""
     if g.cat is not f.cat:
         raise PresentationError("composition across different categories")
     if f.target.summands != g.source.summands:
         raise PresentationError("boundary mismatch: %r then %r" % (f, g))
-    cat = f.cat
-    F = cat.field
-    add, mul, zero = F.add, F.mul, F.zero
-    comp, dims = cat.comp, cat._dims
-    src, mid = f.source.summands, f.target.summands
-    fco, gco = f.coords, g.coords
-    out, gpos = [], 0
-    for c in g.target.summands:
-        accs = [[zero] * dims.get((a, c), 0) for a in src]
-        fpos = 0
-        for b in mid:
-            gd = dims.get((b, c), 0)
-            gvec = gco[gpos:gpos + gd]
-            gpos += gd
-            for a, acc in zip(src, accs):
-                fd = dims.get((a, b), 0)
-                table = comp.get((a, b, c)) if acc else None
-                if table is not None:
-                    fvec = fco[fpos:fpos + fd]
-                    for gc, trow in zip(gvec, table):
-                        if not gc:
-                            continue
-                        for fc, cv in zip(fvec, trow):
-                            if not fc:
-                                continue
-                            coef = mul(gc, fc)
-                            for idx, x in enumerate(cv):
-                                if x:
-                                    acc[idx] = add(acc[idx], mul(coef, x))
-                fpos += fd
-        for acc in accs:
-            out.extend(acc)
-    return Morphism(cat, f.source, g.target, out)
+    F = f.cat.field
+    add, mul = F.add, F.mul
+    terms, rows, _, _ = _composition_blocks(f.cat, f.source, f.target, g.target)
+    out = [F.zero] * rows
+    for table, r0, g0, f0 in terms:
+        fvec = f.coords[f0:f0 + len(table[0])]
+        for gc, trow in zip(g.coords[g0:g0 + len(table)], table):
+            if not gc:
+                continue
+            for fc, cv in zip(fvec, trow):
+                if not fc:
+                    continue
+                coef = mul(gc, fc)
+                for r, x in enumerate(cv, r0):
+                    if x:
+                        out[r] = add(out[r], mul(coef, x))
+    return Morphism(f.cat, f.source, g.target, out)
 
 
 def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
@@ -291,66 +305,41 @@ def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
 
 
 def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
-    """Matrix of Hom(a, g.source) -> Hom(a, g.target), h |-> g o h, read off
-    the structure constants: the basis element q of block (m, j) goes to
-    sum_p g[i][m][p] comp(a_j, b_m, c_i)[p][q] in each block (i, j)."""
-    cat = g.cat
-    F = cat.field
-    add, mul, comp, dims = F.add, F.mul, cat.comp, cat._dims
-    row_off, rows = block_offsets(cat, a, g.target)
-    col_off, cols = block_offsets(cat, a, g.source)
+    """Matrix of Hom(a, g.source) -> Hom(a, g.target), h |-> g o h: each
+    term of the walk adds g[g0+p] table[p][q] into column f0 + q."""
+    F = g.cat.field
+    add, mul = F.add, F.mul
+    terms, rows, _, cols = _composition_blocks(g.cat, a, g.source, g.target)
     data = [[F.zero] * cols for _ in range(rows)]
-    gco, gpos = g.coords, 0
-    for i, c in enumerate(g.target.summands):
-        for m, b in enumerate(g.source.summands):
-            gd = dims.get((b, c), 0)
-            gvec = gco[gpos:gpos + gd]
-            gpos += gd
-            for j, s in enumerate(a.summands):
-                table = comp.get((s, b, c))
-                if table is None:
-                    continue
-                r0, c0 = row_off[i][j], col_off[m][j]
-                for gc, trow in zip(gvec, table):
-                    if not gc:
-                        continue
-                    for q, cv in enumerate(trow):
-                        for r, x in enumerate(cv):
-                            if x:
-                                out = data[r0 + r]
-                                out[c0 + q] = add(out[c0 + q], mul(gc, x))
+    for table, r0, g0, f0 in terms:
+        for gc, trow in zip(g.coords[g0:g0 + len(table)], table):
+            if not gc:
+                continue
+            for q, cv in enumerate(trow, f0):
+                for r, x in enumerate(cv, r0):
+                    if x:
+                        out = data[r]
+                        out[q] = add(out[q], mul(gc, x))
     return Mat(F, rows, cols, data)
 
 
 def precompose_mat(f: Morphism, b: ObjectExpr) -> Mat:
-    """Matrix of Hom(f.target, b) -> Hom(f.source, b), h |-> h o f, read off
-    the structure constants: the basis element p of block (i, m) goes to
-    sum_q f[m][j][q] comp(a_j, t_m, b_i)[p][q] in each block (i, j)."""
-    cat = f.cat
-    F = cat.field
-    add, mul, comp, dims = F.add, F.mul, cat.comp, cat._dims
-    row_off, rows = block_offsets(cat, f.source, b)
-    col_off, cols = block_offsets(cat, f.target, b)
+    """Matrix of Hom(f.target, b) -> Hom(f.source, b), h |-> h o f: each
+    term of the walk adds f[f0+q] table[p][q] into column g0 + p."""
+    F = f.cat.field
+    add, mul = F.add, F.mul
+    terms, rows, cols, _ = _composition_blocks(f.cat, f.source, f.target, b)
     data = [[F.zero] * cols for _ in range(rows)]
-    fco, fpos = f.coords, 0
-    for m, t in enumerate(f.target.summands):
-        for j, s in enumerate(f.source.summands):
-            fd = dims.get((s, t), 0)
-            fvec = fco[fpos:fpos + fd]
-            fpos += fd
-            for i, c in enumerate(b.summands):
-                table = comp.get((s, t, c))
-                if table is None:
+    for table, r0, g0, f0 in terms:
+        fvec = f.coords[f0:f0 + len(table[0])]
+        for p, trow in enumerate(table, g0):
+            for fc, cv in zip(fvec, trow):
+                if not fc:
                     continue
-                r0, c0 = row_off[i][j], col_off[i][m]
-                for p, trow in enumerate(table):
-                    for fc, cv in zip(fvec, trow):
-                        if not fc:
-                            continue
-                        for r, x in enumerate(cv):
-                            if x:
-                                out = data[r0 + r]
-                                out[c0 + p] = add(out[c0 + p], mul(fc, x))
+                for r, x in enumerate(cv, r0):
+                    if x:
+                        out = data[r]
+                        out[p] = add(out[p], mul(fc, x))
     return Mat(F, rows, cols, data)
 
 
@@ -415,23 +404,6 @@ def block_diagonal(cat: FinLinCategory, parts) -> Morphism:
     return Morphism(cat, src, tgt, coords)
 
 
-def _end_algebra_tables(cat: FinLinCategory, g: str):
-    """Left-multiplication matrices of End(g) in its chosen basis."""
-    n = cat.hom_dim(g, g)
-    return [Mat.from_columns(cat.field, n, [cat.comp_vec(g, g, g, u, v) for v in range(n)])
-            for u in range(n)]
-
-
-def _end_product(left, u, v):
-    """Coordinates of u o v in End(g), given its left-multiplication tables."""
-    F = left[0].field
-    acc = [F.zero] * len(v)
-    for c, mat in zip(u, left):
-        if not F.is_zero(c):
-            acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, mat.apply(v))]
-    return tuple(acc)
-
-
 def _residue_of(mat: Mat):
     """The lambda with mat - lambda nilpotent, assuming there is one: the
     trace over the size when the size is nonzero in the field, else found
@@ -463,7 +435,8 @@ def _residue_form(cat: FinLinCategory, g: str):
     ker phi_g is a nilpotent ideal."""
     F = cat.field
     n = cat.hom_dim(g, g)
-    left = _end_algebra_tables(cat, g)
+    obj = ObjectExpr((g,))
+    left = [postcompose_mat(u, obj) for u in hom_basis(cat, obj, obj)]
     phi = tuple(_residue_of(mat) for mat in left)
     if None in phi:
         return None, "End(%s) has an element with no eigenvalue in %r" % (g, F)
@@ -477,8 +450,9 @@ def _residue_form(cat: FinLinCategory, g: str):
     for _ in range(n):
         if not power:
             break
-        power = SubspaceBasis.from_vectors(
-            F, n, [_end_product(left, u, v) for u in power for v in kernel]).rows
+        power = SubspaceBasis.from_vectors(F, n, [
+            compose(Morphism(cat, obj, obj, u), Morphism(cat, obj, obj, v)).coords
+            for u in power for v in kernel]).rows
     if power:
         return None, "End(%s) is not local: its residue kernel is not nilpotent" % g
     return phi, None

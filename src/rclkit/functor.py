@@ -259,6 +259,10 @@ class NatTransform:
         self.from_f = from_f
         self.to_f = to_f
         self.name = name
+        stray = [g for g in components if g not in from_f.source.generators]
+        if stray:
+            raise PresentationError("nat %s: component at %s, not a generator of %s"
+                                    % (name, stray[0], from_f.source.name))
         self.components = {}
         for g in from_f.source.generators:
             if g not in components:

@@ -6,7 +6,7 @@ from rclkit.adjunction import (hom_bijection, make_adjunction, morphism_inverse,
                                normalize_embedding, rewire_adjunction,
                                solve_unit_counit, validate_adjunction)
 from rclkit.category import FinLinCategory, Morphism, ObjectExpr, compose
-from rclkit.errors import PreconditionError
+from rclkit.errors import PreconditionError, PresentationError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2, build_fix_prod
 from rclkit.functor import (LinearFunctor, compose_functors, identity_functor,
@@ -40,6 +40,18 @@ def test_corrupted_counit_fails(ws_a2):
     rep = validate_adjunction(bad)
     assert not rep.ok_all
     assert any("S1" in (e.witness or "") for e in rep.failures())
+
+
+def test_unit_with_a_stray_component_is_rejected(ws_a2):
+    """A component keyed by something other than a generator of the
+    source is an error, not silently dropped: adj_ib's unit lives on ModKL
+    (generator V), and S1 is a generator of A2."""
+    adj = ws_a2.adjunctions["adj_ib"]
+    unit = dict(adj.unit.components)
+    unit["S1"] = ws_a2.adjunctions["adj_j"].unit.components["S1"]
+    with pytest.raises(PresentationError,
+                       match=r"^nat bad\.unit: component at S1, not a generator of ModKL$"):
+        make_adjunction(adj.left, adj.right, unit, adj.counit.components, name="bad")
 
 
 def test_hom_bijection_examples(ws_a2):

@@ -8,7 +8,10 @@ matrices and the structure constants; tests/oracles.py computes the same
 things one basis element at a time.  They must agree on random morphisms of
 fix_a2, fix_prod, stab2 (two copies of stable k[x]/(x^3) with their shift)
 and `kronecker` over QQ, GF(2), GF(3) and GF(101), and the structure checks
-on perturbed presentations of those four over GF(2) and GF(3).  The helpers
+on perturbed presentations of those four over GF(2) and GF(3).  The three
+composition kernels read the structure constants through one block walk,
+so they must also agree with one another: g o f is `compose(g, f)`,
+postcompose(g) applied to f and precompose(f) applied to g.  The helpers
 that place blocks in a morphism's flat coordinates are checked against
 `blocks_of`, a reader of the layout that uses hom_dim alone."""
 
@@ -138,6 +141,18 @@ def test_composition_kernels_match_per_basis_oracle(data):
     assert compose(g, f).equal(per_basis_compose(g, f))
     assert postcompose_mat(f, c) == per_basis_postcompose_mat(f, c)
     assert precompose_mat(f, c) == per_basis_precompose_mat(f, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_composition_kernels_agree(data):
+    """g o f three ways: `compose`, the matrix of g o - applied to f and
+    the matrix of - o f applied to g."""
+    cat = data.draw(functor_cases()).source
+    f = data.draw(morphisms(cat))
+    g = data.draw(morphisms(cat, source=f.target))
+    assert (compose(g, f).coords == postcompose_mat(g, f.source).apply(f.coords)
+            == precompose_mat(f, g.target).apply(g.coords))
 
 
 def test_composition_kernels_on_kronecker_basis():

@@ -77,3 +77,29 @@ def test_morphisms_are_built_by_init_and_read_flat():
             if isinstance(node, ast.Attribute) and node.attr in ("__new__", "blocks"):
                 found.append("%s:%d .%s" % (path.name, node.lineno, node.attr))
     assert found == []
+
+
+def _attribute_loads(tree, attr, scope=()):
+    """The dotted scope (classes and functions) of every load of `.attr`."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+        elif (isinstance(node, ast.Attribute) and node.attr == attr
+              and isinstance(node.ctx, ast.Load)):
+            yield ".".join(scope)
+        yield from _attribute_loads(node, attr, inner)
+
+
+def test_structure_constants_read_in_one_place():
+    """Composition is read off `cat.comp` by `_composition_blocks` alone;
+    besides it only the constructor, `comp_vec` and the three functions
+    that copy a presentation's tables touch them."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {"%s.%s" % (path.stem, scope) for scope in _attribute_loads(tree, "comp")}
+    assert found == {
+        "category.FinLinCategory.__init__", "category.FinLinCategory.comp_vec",
+        "category._composition_blocks", "category.restrict_category",
+        "workspace._write_category", "fixture_gen._component_category"}

@@ -29,13 +29,14 @@ from oracles import brute_force_invertible_point
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "rclkit" / "fixtures"
 
 
-def one_generator(field, basis, products):
-    """A category on one generator G whose End(G) has the given basis (the
-    first element is the identity) and products[(u, v)] = coords of u o v."""
+def one_generator(field, basis, products, identity=None):
+    """A category on one generator G whose End(G) has the given basis and
+    products[(u, v)] = coords of u o v; the identity has the given coords,
+    by default those of the first basis element."""
     n = len(basis)
     comp = {("G", "G", "G"): [[products[(basis[u], basis[v])] for v in range(n)]
                               for u in range(n)]}
-    ident = [field.one] + [field.zero] * (n - 1)
+    ident = identity or [field.one] + [field.zero] * (n - 1)
     return FinLinCategory(field, ["G"], {("G", "G"): basis}, comp, {"G": ident})
 
 
@@ -62,20 +63,35 @@ SPLIT = {("one", "one"): (1, 0), ("one", "i"): (0, 1), ("i", "one"): (0, 1),
          ("i", "i"): (0, 1)}
 
 
-@pytest.mark.parametrize("field,table,reason", [
+# End(G) = GF(2) x GF(2)[x]/(x^2), identity e1 + e2: phi = trace / 3 is
+# (1, 0, 0), unital and multiplicative, but ker phi holds the idempotent e2.
+SPLIT_DUAL = {(u, v): (0, 0, 0) for u in ("e1", "e2", "x") for v in ("e1", "e2", "x")}
+SPLIT_DUAL.update({("e1", "e1"): (1, 0, 0), ("e2", "e2"): (0, 1, 0),
+                   ("e2", "x"): (0, 0, 1), ("x", "e2"): (0, 0, 1)})
+
+
+@pytest.mark.parametrize("field,basis,identity,table,reason", [
     # QQ(i): the trace gives phi(i) = 0, but i o i = -1.
-    (QQ, {("one", "one"): (1, 0), ("one", "i"): (0, 1), ("i", "one"): (0, 1),
-          ("i", "i"): (-1, 0)}, "End(G) has no algebra map onto QQ"),
+    (QQ, ("one", "i"), None, {("one", "one"): (1, 0), ("one", "i"): (0, 1),
+                              ("i", "one"): (0, 1), ("i", "i"): (-1, 0)},
+     "End(G) has no algebra map onto QQ"),
     # GF(4) = GF(2)[w]/(w^2 + w + 1): L_w has no eigenvalue in GF(2).
-    (PrimeField(2), {("one", "one"): (1, 0), ("one", "i"): (0, 1),
-                     ("i", "one"): (0, 1), ("i", "i"): (1, 1)},
+    (PrimeField(2), ("one", "i"), None, {("one", "one"): (1, 0), ("one", "i"): (0, 1),
+                                         ("i", "one"): (0, 1), ("i", "i"): (1, 1)},
      "End(G) has an element with no eigenvalue in GF(2)"),
     # k x k: phi = trace / 2 is not multiplicative.
-    (QQ, SPLIT, "End(G) has no algebra map onto QQ"),
-], ids=["QQ(i)", "GF(4)", "split"])
-def test_premise_rejects_non_local_end(field, table, reason):
+    (QQ, ("one", "i"), None, SPLIT, "End(G) has no algebra map onto QQ"),
+    (PrimeField(2), ("e1", "e2", "x"), (1, 1, 0), SPLIT_DUAL,
+     "End(G) is not local: its residue kernel is not nilpotent"),
+], ids=["QQ(i)", "GF(4)", "split", "GF(2)-x-dual-numbers"])
+def test_premise_rejects_non_local_end(field, basis, identity, table, reason):
     table = {k: tuple(field.of_int(x) for x in v) for k, v in table.items()}
-    assert one_generator(field, ("one", "i"), table).residues() == (None, reason)
+    if identity is not None:
+        identity = tuple(field.of_int(x) for x in identity)
+    cat = one_generator(field, basis, table, identity)
+    assert cat.residues() == (None, reason)
+    statuses = {(e.key, e.status, e.witness) for e in validate_category(cat).entries}
+    assert ("locality", "fail", reason) in statuses
 
 
 def test_non_local_end_fails_locality_and_leaves_isomorphism_undecided():
