@@ -71,12 +71,12 @@ def hom_bijection(adj: Adjunction, a: ObjectExpr, b: ObjectExpr):
     """
     L, R = adj.left, adj.right
     la = L.apply_obj(a)
-    fwd = _transpose_mat(R, adj.unit.at(a), la, b)
+    fwd = transpose_mat(R, adj.unit.at(a), la, b)
     bwd = postcompose_mat(adj.counit.at(b), la).mul(L.action(a, R.apply_obj(b)))
     return fwd, bwd
 
 
-def _transpose_mat(right: LinearFunctor, eta_a: Morphism, la: ObjectExpr, b: ObjectExpr):
+def transpose_mat(right: LinearFunctor, eta_a: Morphism, la: ObjectExpr, b: ObjectExpr):
     """The matrix of f |-> right(f) o eta_a, Hom(la, b) -> Hom(a, right(b)),
     for eta_a: a -> right(la)."""
     return precompose_mat(eta_a, right.apply_obj(b)).mul(right.action(la, b))
@@ -215,7 +215,7 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "")
             size = hom_dim_expr(B, la, ObjectExpr(b))
             if size != hom_dim_expr(A, ObjectExpr(a), right.object_map[b]):
                 return None
-            mats = [_transpose_mat(right, eta[i], la, ObjectExpr(b)) for eta in families]
+            mats = [transpose_mat(right, eta[i], la, ObjectExpr(b)) for eta in families]
             blocks.append([[[m.data[r][c] for m in mats] for c in range(size)]
                            for r in range(size)])
     point = invertible_point(F, len(basis), blocks)
@@ -227,7 +227,7 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "")
         rb = right.object_map[b]
         lrb = left.apply_obj(rb)
         eta_rb = block_diagonal(A, [unit[s] for s in rb.summands])
-        eps = solve(_transpose_mat(right, eta_rb, lrb, ObjectExpr(b)),
+        eps = solve(transpose_mat(right, eta_rb, lrb, ObjectExpr(b)),
                     Mat.column(F, Morphism.identity(A, rb).coords))
         if eps is None:
             raise InconsistentDataError("solve_unit_counit: no counit at %s for "

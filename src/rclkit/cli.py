@@ -152,7 +152,7 @@ def _tri_bundle(ws, rec_name, rec):
             "right": tri_for(rec.right, "right")}
     exact = {}
     for slot in FUNCTOR_SLOTS:
-        f = rec.functor(slot)
+        f = getattr(rec, slot)
         hits = [e for e in ws.exactdata.values() if e.functor is f]
         if len(hits) != 1:
             raise InputError(["need exactly one exact declaration for functor "

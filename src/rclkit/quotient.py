@@ -13,7 +13,7 @@ from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
                        precompose_mat, validate_category)
 from .errors import PreconditionError
 from .functor import LinearFunctor, compose_functors
-from .adjunction import Adjunction, hom_bijection, make_adjunction
+from .adjunction import Adjunction, make_adjunction, transpose_mat
 from .linalg import Mat, SubspaceBasis
 from .report import Report
 
@@ -265,7 +265,7 @@ def induce_adjunction(adj: Adjunction, q_src: QuotientCategory,
             ide = ideal_subspace(R.source, la, bobj, q_tgt.ideal.through)
             if ide.dim == 0:
                 continue
-            fwd, _ = hom_bijection(adj, ObjectExpr((a,)), bobj)
+            fwd = transpose_mat(R, adj.unit.components[a], la, bobj)
             target_ideal = ideal_subspace(A, ObjectExpr((a,)),
                                           R.apply_obj(bobj), q_src.ideal.through)
             for vec in ide.rows:

@@ -4,7 +4,7 @@ and quotients by a subcategory of the closed part.
 
 The shape of the diagram is written down once, in two ordered tables:
 FUNCTOR_SLOTS sends each functor slot to its (source part, target part),
-the parts being the fields left, middle and right of a Recollement, and
+the parts being the attributes left, middle and right of a Recollement, and
 ADJUNCTION_SLOTS sends each adjunction slot to its (left adjoint slot,
 right adjoint slot, embedded side).  Every other module that needs the
 slot names reads them from here.  A construction applied to each category
@@ -18,8 +18,6 @@ normalized diagram, so a pipeline built on another calls its body directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .adjunction import (Adjunction, make_adjunction, normalize_embedding,
                          rewire_adjunction, validate_adjunction)
@@ -52,31 +50,31 @@ ADJUNCTION_SLOTS = {
     "adj_j": ("j_up", "j_lo", "right"),
 }
 
+SLOTS = PARTS + tuple(FUNCTOR_SLOTS) + tuple(ADJUNCTION_SLOTS)
 
-@dataclass
+
 class Recollement:
-    left: FinLinCategory       # the closed part
-    middle: FinLinCategory
-    right: FinLinCategory      # the open part
-    i_up: LinearFunctor        # middle -> left
-    i_lo: LinearFunctor        # left -> middle, full embedding
-    i_bang: LinearFunctor      # middle -> left
-    j_bang: LinearFunctor      # right -> middle, full embedding
-    j_up: LinearFunctor        # middle -> right
-    j_lo: LinearFunctor        # right -> middle, full embedding
-    adj_i: Adjunction          # (i_up, i_lo)
-    adj_ib: Adjunction         # (i_lo, i_bang)
-    adj_jb: Adjunction         # (j_bang, j_up)
-    adj_j: Adjunction          # (j_up, j_lo)
+    """One attribute per name of SLOTS, each required: the parts (left is
+    the closed part, right the open part), the functors and the adjunctions
+    of the tables above."""
 
-    def functor(self, slot: str) -> LinearFunctor:
-        return getattr(self, slot)
+    def __init__(self, **slots):
+        if set(slots) != set(SLOTS):
+            raise TypeError("Recollement: missing slots %s, unknown slots %s" % (
+                sorted(set(SLOTS) - set(slots)), sorted(set(slots) - set(SLOTS))))
+        vars(self).update((name, slots[name]) for name in SLOTS)
 
     def wired(self, slot: str) -> bool:
         """Whether the adjunction in slot holds the diagram's functors."""
         left, right, _ = ADJUNCTION_SLOTS[slot]
         adj = getattr(self, slot)
-        return adj.left is self.functor(left) and adj.right is self.functor(right)
+        return adj.left is getattr(self, left) and adj.right is getattr(self, right)
+
+
+def _embedded(slot: str):
+    """(embedded functor slot, its adjoint's slot) of an adjunction slot."""
+    left, right, side = ADJUNCTION_SLOTS[slot]
+    return (left, right) if side == "left" else (right, left)
 
 
 def supp_image(f: LinearFunctor, members) -> set:
@@ -102,15 +100,15 @@ def normalize_recollement(r: Recollement):
         if failures:
             raise PreconditionError("input adjunction %s fails its checks" % slot,
                                     witness="%s: %s" % (failures[0].key, failures[0].witness))
-    functors = {slot: r.functor(slot) for slot in FUNCTOR_SLOTS}
+    functors = {slot: getattr(r, slot) for slot in FUNCTOR_SLOTS}
     adjs = {slot: getattr(r, slot) for slot in ADJUNCTION_SLOTS}
     rewritten = set()
-    for slot, (left, right, side) in ADJUNCTION_SLOTS.items():
+    for slot, (_, _, side) in ADJUNCTION_SLOTS.items():
         strictified = normalize_embedding(adjs[slot], side=side)
         if strictified is None:
             continue
         new, conj, conj_inv = strictified
-        replaced = right if side == "left" else left
+        replaced = _embedded(slot)[1]
         functors[replaced] = new
         for other, (other_left, other_right, _) in ADJUNCTION_SLOTS.items():
             if replaced in (other_left, other_right):
@@ -120,8 +118,8 @@ def normalize_recollement(r: Recollement):
                 rewritten.add(other)
 
     out = Recollement(left=r.left, middle=r.middle, right=r.right, **functors, **adjs)
-    for slot, (left, right, side) in ADJUNCTION_SLOTS.items():
-        outer, inner = (left, right) if side == "right" else (right, left)
+    for slot in ADJUNCTION_SLOTS:
+        inner, outer = _embedded(slot)
         if not is_identity_functor(compose_functors(functors[outer], functors[inner])):
             raise InconsistentDataError("normalization left %s*%s != Id" % (outer, inner))
     for slot in ADJUNCTION_SLOTS:
@@ -146,7 +144,7 @@ def _iso_closure(cat: FinLinCategory, members) -> set:
 
 def check_functors(r: Recollement, rep: Report):
     for slot in FUNCTOR_SLOTS:
-        rep.record("functor.%s" % slot, validate_functor(r.functor(slot)))
+        rep.record("functor.%s" % slot, validate_functor(getattr(r, slot)))
 
 
 def check_r1(r: Recollement, rep: Report):
@@ -159,10 +157,8 @@ def check_r1(r: Recollement, rep: Report):
 
 def check_r2(r: Recollement, rep: Report):
     """Every functor that some adjunction embeds is a full embedding."""
-    embedded = dict.fromkeys(left if side == "left" else right
-                             for left, right, side in ADJUNCTION_SLOTS.values())
-    for slot in embedded:
-        bad = next(non_bijective_pairs(r.functor(slot)), None)
+    for slot in dict.fromkeys(_embedded(adj)[0] for adj in ADJUNCTION_SLOTS):
+        bad = next(non_bijective_pairs(getattr(r, slot)), None)
         if bad is None:
             rep.ok("r2.%s" % slot)
         else:
@@ -267,7 +263,7 @@ def _transport(r: Recollement, parts: dict, on_functor, on_adjunction) -> Recoll
     """
     new = {}
     for slot, (src, tgt) in FUNCTOR_SLOTS.items():
-        f = new[slot] = on_functor(r.functor(slot), parts[src], parts[tgt])
+        f = new[slot] = on_functor(getattr(r, slot), parts[src], parts[tgt])
         new[src], new[tgt] = f.source, f.target
     for slot, (left, right, _) in ADJUNCTION_SLOTS.items():
         src, tgt = FUNCTOR_SLOTS[left]
@@ -302,12 +298,10 @@ def _restrict(r: Recollement, x: Subcategory, semantics: str, rep: Report):
     return out, rep
 
 
-@dataclass
 class QuotientDiagram:
-    q_left: QuotientCategory
-    q_mid: QuotientCategory
-    q_right: QuotientCategory
-    rec: Recollement
+    def __init__(self, q_left: QuotientCategory, q_mid: QuotientCategory,
+                 q_right: QuotientCategory, rec: Recollement):
+        self.q_left, self.q_mid, self.q_right, self.rec = q_left, q_mid, q_right, rec
 
 
 def quotient_recollement(r: Recollement, x: Subcategory, semantics: str = "strict"):
@@ -413,16 +407,12 @@ def lift_subcategory_pair(r: Recollement, xp: Subcategory, xpp: Subcategory,
         if bad:
             raise PreconditionError("hypothesis i_bang(j_bang(x'')) inside x' fails",
                                     witness="%s gives %s" % (g, sorted(bad)[0]))
-    members = []
-    for g in r.middle.generators:
-        if not r.j_up.apply_obj(ObjectExpr((g,))).support() <= xpp.member_set():
-            continue
-        if not r.i_up.apply_obj(ObjectExpr((g,))).support() <= xp.member_set():
-            continue
-        if not r.i_bang.apply_obj(ObjectExpr((g,))).support() <= xp.member_set():
-            continue
-        members.append(g)
-    x = Subcategory(r.middle, members)
+    inside = {"left": xp.member_set(), "right": xpp.member_set()}
+    projections = [(getattr(r, slot), inside[tgt])
+                   for slot, (src, tgt) in FUNCTOR_SLOTS.items() if src == "middle"]
+    x = Subcategory(r.middle, [g for g in r.middle.generators
+                               if all(supp_image(f, [g]) <= allowed
+                                      for f, allowed in projections)])
     rep.info("lifted-subcategory", ",".join(x.members) or "(zero)")
 
     got_xp = supp_image(r.i_up, x.members)

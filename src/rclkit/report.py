@@ -58,12 +58,11 @@ class Report:
             self.ok(key, witness)
 
     def record(self, key: str, sub: "Report"):
-        """One ok entry under key when sub passed, else its failures under key."""
-        if sub.ok_all:
-            self.ok(key)
-        else:
-            for e in sub.failures():
-                self.fail("%s.%s" % (key, e.key), e.witness)
+        """sub's failures under key, then `close(key)`: one ok entry only when
+        nothing under key failed, sub's checks included."""
+        for e in sub.failures():
+            self.fail("%s.%s" % (key, e.key), e.witness)
+        self.close(key)
 
     def merge(self, other: "Report", prefix: str = ""):
         for e in other.entries:

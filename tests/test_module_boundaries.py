@@ -2,6 +2,8 @@
 only, so the dependency order between them is visible in their headers."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -43,6 +45,17 @@ def test_slot_names_only_in_recollement_tables():
     assert found == []
 
 
+def _imports_of(node, top):
+    """The modules an import node names whose top-level package is top."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        modules = []
+    return [m for m in modules if m.split(".")[0] == top]
+
+
 def test_no_sampler_in_the_engine():
     """Every search decides exactly: no module imports random, and no
     function takes a seed or a try budget."""
@@ -50,14 +63,8 @@ def test_no_sampler_in_the_engine():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                modules = []
             found += ["%s:%d imports %s" % (path.name, node.lineno, m)
-                      for m in modules if m.split(".")[0] == "random"]
+                      for m in _imports_of(node, "random")]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 found += ["%s:%d %s(%s)" % (path.name, node.lineno, node.name, a.arg)
@@ -103,3 +110,20 @@ def test_structure_constants_read_in_one_place():
         "category.FinLinCategory.__init__", "category.FinLinCategory.comp_vec",
         "category._composition_blocks", "category.restrict_category",
         "workspace._write_category", "fixture_gen._component_category"}
+
+
+def test_cli_import_stays_light():
+    """`import rclkit.cli` in a fresh isolated interpreter loads neither
+    `dataclasses` nor the `inspect` module it pulls in, and no package
+    module imports `dataclasses`."""
+    probe = ("import sys; sys.path.insert(0, 'src'); import rclkit.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe], cwd=TESTS.parent,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if _imports_of(node, "dataclasses")]
+    assert found == []

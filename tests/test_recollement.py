@@ -1,6 +1,5 @@
 import copy
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from rclkit.field import QQ
 from rclkit.functor import (LinearFunctor, functor_equal, identity_functor,
                             nat_equal)
 from rclkit.linalg import Mat
-from rclkit.recollement import (ADJUNCTION_SLOTS, FUNCTOR_SLOTS,
+from rclkit.recollement import (ADJUNCTION_SLOTS, FUNCTOR_SLOTS, PARTS, Recollement,
                                 check_recollement, lift_subcategory_pair,
                                 normalize_recollement,
                                 quotient_by_left_subcategory,
@@ -45,7 +44,6 @@ def test_degenerate_identity_recollement(ws_a2):
     adj_z1 = solve_unit_counit(from_zero, to_zero, name="z1")
     adj_z2 = solve_unit_counit(to_zero, from_zero, name="z2")
     assert adj_z1 is not None and adj_z2 is not None
-    from rclkit.recollement import Recollement
     rec = Recollement(left=cat, middle=cat, right=zero_cat,
                       i_up=adj_id.left, i_lo=adj_id.right, i_bang=adj_id.left,
                       j_bang=adj_z1.left, j_up=adj_z1.right, j_lo=adj_z2.right,
@@ -54,6 +52,27 @@ def test_degenerate_identity_recollement(ws_a2):
                       adj_jb=adj_z1, adj_j=adj_z2)
     rep = check_recollement(rec, "strict")
     assert rep.ok_all, [str(e) for e in rep.failures()]
+
+
+def test_record_holds_exactly_the_slot_tables(ws_a2):
+    rec = ws_a2.recollements["R"]
+    assert set(vars(rec)) == set(PARTS) | set(FUNCTOR_SLOTS) | set(ADJUNCTION_SLOTS)
+    slots = dict(vars(rec))
+    del slots["adj_j"]
+    with pytest.raises(TypeError, match="adj_j"):
+        Recollement(**slots)
+    with pytest.raises(TypeError, match="k_up"):
+        Recollement(**{**vars(rec), "k_up": rec.j_up})
+
+
+def test_miswired_adjunction_has_no_pass_entry(ws_a2):
+    """An adjunction that validates but holds other functors fails its r1
+    key through the wiring check alone: no pass line stands beside it."""
+    rec = ws_a2.recollements["R"]
+    rep = check_recollement(Recollement(**{**vars(rec), "adj_i": rec.adj_j}))
+    key = "r1.adj-i_up-i_lo"
+    assert [e.status for e in rep.entries if e.key == key + ".wiring"] == ["fail"]
+    assert [e for e in rep.entries if e.key == key] == []
 
 
 def test_checker_flags_wrong_embedding(ws_a2):
@@ -65,7 +84,7 @@ def test_checker_flags_wrong_embedding(ws_a2):
     il_bad = LinearFunctor(modkl, cat, {"V": ObjectExpr(("S1",))},
                            {("V", "V"): Mat(QQ, 1, 1, [[Fraction(1)]])},
                            name="il_bad")
-    mutant = replace(rec, i_lo=il_bad)
+    mutant = Recollement(**{**vars(rec), "i_lo": il_bad})
     rep = check_recollement(mutant, "strict")
     assert not rep.ok_all
     r3 = [e for e in rep.entries if e.key == "r3"][0]
@@ -93,7 +112,7 @@ def _twisted(rec):
             {g: m.scale(minus) for g, m in adj.unit.components.items()},
             {g: m.scale(minus) for g, m in adj.counit.components.items()},
             name=adj.name)
-    return replace(rec, **adjs)
+    return Recollement(**{**vars(rec), **adjs})
 
 
 def _performed(rep):
@@ -171,7 +190,7 @@ def test_pipelines_refuse_miswired_recollement(ws_a2):
     x = Subcategory(ws_a2.categories["A2"], ["S2"])
     for pipeline in (quotient_recollement, restrict_to_subcategory):
         with pytest.raises(PreconditionError) as info:
-            pipeline(replace(rec, j_up=copy), x)
+            pipeline(Recollement(**{**vars(rec), "j_up": copy}), x)
         assert info.value.witness == "adj_jb"
 
 
