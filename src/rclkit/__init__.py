@@ -4,9 +4,8 @@ triangulated structure induced on quotients by mutation pairs."""
 
 from .field import QQ, PrimeField, RationalField, make_field
 from .linalg import Mat, SubspaceBasis, nullspace, rank, rref, solve
-from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       compose, ideal_subspace, is_isomorphic,
-                       validate_category)
+from .category import (FinLinCategory, Morphism, Subcategory, compose,
+                       ideal_subspace, is_isomorphic, validate_category)
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, image_subcategory, kernel_subcategory,
                       validate_functor, validate_nat)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from .category import (Morphism, ObjectExpr, block_diagonal, commuting_space, compose,
-                       hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
-                       precompose_mat)
+from .category import (Morphism, block_diagonal, commuting_space, compose, hom_basis,
+                       hom_dim_expr, morphism_inverse, postcompose_mat, precompose_mat)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, identity_nat, is_full_embedding,
@@ -64,7 +63,7 @@ def validate_adjunction(adj: Adjunction) -> Report:
     return rep
 
 
-def hom_bijection(adj: Adjunction, a: ObjectExpr, b: ObjectExpr):
+def hom_bijection(adj: Adjunction, a: tuple, b: tuple):
     """The bijection Hom(L a, b) -> Hom(a, R b) and its inverse, as matrices.
 
     Forward: f |-> R(f) o unit_a.  Backward: g |-> counit_b o L(g).
@@ -76,7 +75,7 @@ def hom_bijection(adj: Adjunction, a: ObjectExpr, b: ObjectExpr):
     return fwd, bwd
 
 
-def transpose_mat(right: LinearFunctor, eta_a: Morphism, la: ObjectExpr, b: ObjectExpr):
+def transpose_mat(right: LinearFunctor, eta_a: Morphism, la: tuple, b: tuple):
     """The matrix of f |-> right(f) o eta_a, Hom(la, b) -> Hom(a, right(b)),
     for eta_a: a -> right(la)."""
     return precompose_mat(eta_a, right.apply_obj(b)).mul(right.action(la, b))
@@ -86,7 +85,7 @@ def _single_gen_image_map(f: LinearFunctor):
     """Object map as generator -> generator, or None if some image is a sum."""
     out = {}
     for g in f.source.generators:
-        img = f.object_map[g].summands
+        img = f.object_map[g]
         if len(img) != 1:
             return None
         out[g] = img[0]
@@ -138,7 +137,7 @@ def normalize_embedding(adj: Adjunction, side: str):
     for b in other.source.generators:
         if b in preimage:
             a = preimage[b]
-            new_objects[b] = ObjectExpr((a,))
+            new_objects[b] = (a,)
             conj[b], conj_inv[b] = ((iso_inv[a], iso.components[a]) if side == "left"
                                     else (iso.components[a], iso_inv[a]))
         else:
@@ -171,13 +170,13 @@ def rewire_adjunction(adj: Adjunction, side: str, new: LinearFunctor,
         counit_comps = {}
         for y in R.source.generators:
             c_at = block_diagonal(L.target,
-                                  [conj_inv[s] for s in R.object_map[y].summands])
+                                  [conj_inv[s] for s in R.object_map[y]])
             counit_comps[y] = compose(adj.counit.components[y], c_at)
         return make_adjunction(new, R, unit_comps, counit_comps, name=adj.name)
     if side == "right":
         unit_comps = {}
         for g in L.source.generators:
-            c_at = block_diagonal(R.target, [conj[s] for s in L.object_map[g].summands])
+            c_at = block_diagonal(R.target, [conj[s] for s in L.object_map[g]])
             unit_comps[g] = compose(c_at, adj.unit.components[g])
         counit_comps = {y: compose(adj.counit.components[y], L.apply(conj_inv[y]))
                         for y in R.source.generators}
@@ -212,10 +211,10 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "")
     for i, a in enumerate(A.generators):
         la = left.object_map[a]
         for b in B.generators:
-            size = hom_dim_expr(B, la, ObjectExpr(b))
-            if size != hom_dim_expr(A, ObjectExpr(a), right.object_map[b]):
+            size = hom_dim_expr(B, la, (b,))
+            if size != hom_dim_expr(A, (a,), right.object_map[b]):
                 return None
-            mats = [transpose_mat(right, eta[i], la, ObjectExpr(b)) for eta in families]
+            mats = [transpose_mat(right, eta[i], la, (b,)) for eta in families]
             blocks.append([[[m.data[r][c] for m in mats] for c in range(size)]
                            for r in range(size)])
     point = invertible_point(F, len(basis), blocks)
@@ -226,13 +225,13 @@ def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = "")
     for b in B.generators:
         rb = right.object_map[b]
         lrb = left.apply_obj(rb)
-        eta_rb = block_diagonal(A, [unit[s] for s in rb.summands])
-        eps = solve(transpose_mat(right, eta_rb, lrb, ObjectExpr(b)),
+        eta_rb = block_diagonal(A, [unit[s] for s in rb])
+        eps = solve(transpose_mat(right, eta_rb, lrb, (b,)),
                     Mat.column(F, Morphism.identity(A, rb).coords))
         if eps is None:
             raise InconsistentDataError("solve_unit_counit: no counit at %s for "
                                         "an invertible unit" % b)
-        counit[b] = Morphism(B, lrb, ObjectExpr(b), eps.col(0))
+        counit[b] = Morphism(B, lrb, (b,), eps.col(0))
     adj = make_adjunction(left, right, unit, counit, name=name)
     if not validate_adjunction(adj).ok_all:
         raise InconsistentDataError("solve_unit_counit: the unit and counit found "
@@ -253,4 +252,4 @@ def _nat_solution_space(from_f: LinearFunctor, to_f: LinearFunctor):
         [(postcompose_mat(to_f.apply(f), from_f.object_map[a]), index[a],
           precompose_mat(from_f.apply(f), to_f.object_map[b]), index[b])
          for a in gens for b in gens
-         for f in hom_basis(src, ObjectExpr((a,)), ObjectExpr((b,)))])
+         for f in hom_basis(src, (a,), (b,))])

@@ -3,11 +3,13 @@
 A category is presented by a finite list of generator objects (intended to be
 the pairwise non-isomorphic indecomposables), a chosen basis for every Hom
 space between generators, structure constants for the bilinear composition,
-and the coordinates of each identity.  General objects are formal direct sums
-of generators; a morphism between sums is the flat vector of its Hom
-coordinates, block by block in `block_offsets` order.  `_composition_blocks`
-alone lays the composition law out over the blocks of three sums, and
-`compose`, `postcompose_mat` and `precompose_mat` read it through that walk.
+and the coordinates of each identity.  An object is a direct sum of
+generators, held as the plain tuple of their names in summand order: () is
+the zero object, and `obj_text` gives the text form.  A morphism between sums
+is the flat vector of its Hom coordinates, block by block in `block_offsets`
+order.  `_composition_blocks` alone lays the composition law out over the
+blocks of three sums, and `compose`, `postcompose_mat` and `precompose_mat`
+read it through that walk.
 """
 
 from __future__ import annotations
@@ -20,37 +22,9 @@ from .linalg import Mat, SubspaceBasis, difference_rows, nullspace, solve
 from .report import Report
 
 
-class ObjectExpr:
-    """A formal finite direct sum of generators; the zero object is ()."""
-
-    __slots__ = ("summands",)
-
-    def __init__(self, summands=()):
-        if isinstance(summands, str):
-            summands = (summands,)
-        self.summands = tuple(summands)
-
-    def is_zero(self) -> bool:
-        return not self.summands
-
-    def support(self):
-        return set(self.summands)
-
-    def multiplicities(self) -> Counter:
-        return Counter(self.summands)
-
-    def __len__(self):
-        return len(self.summands)
-
-    def __eq__(self, other):
-        # Object equality is multiset equality; block indexing uses .summands.
-        return isinstance(other, ObjectExpr) and Counter(self.summands) == Counter(other.summands)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.summands)))
-
-    def __repr__(self):
-        return "+".join(self.summands) if self.summands else "0"
+def obj_text(obj) -> str:
+    """The text form of an object: its summands joined by "+", or "0"."""
+    return "+".join(obj) or "0"
 
 
 class FinLinCategory:
@@ -117,12 +91,12 @@ class FinLinCategory:
             return (self.field.zero,) * dim_ac
         return table[p][q]
 
-    def obj(self, *gens) -> ObjectExpr:
+    def obj(self, *gens) -> tuple:
         known = set(self.generators)
         for g in gens:
             if g not in known:
                 raise PresentationError("unknown generator %r" % (g,))
-        return ObjectExpr(gens)
+        return gens
 
     def __repr__(self):
         return "FinLinCategory(%s: %s)" % (self.name or "?", ",".join(self.generators))
@@ -164,40 +138,36 @@ class Morphism:
 
     __slots__ = ("cat", "source", "target", "coords")
 
-    def __init__(self, cat: FinLinCategory, source: ObjectExpr, target: ObjectExpr, coords):
+    def __init__(self, cat: FinLinCategory, source: tuple, target: tuple, coords):
         coords = tuple(coords)
         size = hom_dim_expr(cat, source, target)
         if len(coords) != size:
-            raise PresentationError("morphism %r -> %r has %d coords, expected %d"
-                                    % (source, target, len(coords), size))
+            raise PresentationError("morphism %s -> %s has %d coords, expected %d"
+                                    % (obj_text(source), obj_text(target), len(coords), size))
         self.cat = cat
         self.source = source
         self.target = target
         self.coords = coords
 
     @classmethod
-    def zero(cls, cat, source: ObjectExpr, target: ObjectExpr):
+    def zero(cls, cat, source: tuple, target: tuple):
         return cls(cat, source, target, (cat.field.zero,) * hom_dim_expr(cat, source, target))
 
     @classmethod
-    def identity(cls, cat, obj: ObjectExpr):
+    def identity(cls, cat, obj: tuple):
         offsets, size = block_offsets(cat, obj, obj)
         coords = [cat.field.zero] * size
-        for i, g in enumerate(obj.summands):
+        for i, g in enumerate(obj):
             one = cat.identities[g]
             coords[offsets[i][i]:offsets[i][i] + len(one)] = one
         return cls(cat, obj, obj, coords)
-
-    @classmethod
-    def single(cls, cat, src_gen: str, tgt_gen: str, coords):
-        return cls(cat, ObjectExpr((src_gen,)), ObjectExpr((tgt_gen,)), coords)
 
     @classmethod
     def basis_element(cls, cat, src_gen: str, tgt_gen: str, index: int):
         dim = cat.hom_dim(src_gen, tgt_gen)
         coords = [cat.field.zero] * dim
         coords[index] = cat.field.one
-        return cls.single(cat, src_gen, tgt_gen, coords)
+        return cls(cat, (src_gen,), (tgt_gen,), coords)
 
     def add(self, other: "Morphism") -> "Morphism":
         return Morphism(self.cat, self.source, self.target,
@@ -212,62 +182,61 @@ class Morphism:
 
     def equal(self, other: "Morphism") -> bool:
         return (self.cat is other.cat
-                and self.source.summands == other.source.summands
-                and self.target.summands == other.target.summands
+                and self.source == other.source
+                and self.target == other.target
                 and self.coords == other.coords)
 
     def __repr__(self):
-        return "Morphism(%r -> %r)" % (self.source, self.target)
+        return "Morphism(%s -> %s)" % (obj_text(self.source), obj_text(self.target))
 
 
-def hom_dim_expr(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr) -> int:
+def hom_dim_expr(cat: FinLinCategory, a: tuple, b: tuple) -> int:
     dims = cat._dims
     n = 0
-    for t in b.summands:
-        for s in a.summands:
+    for t in b:
+        for s in a:
             n += dims.get((s, t), 0)
     return n
 
 
-def block_offsets(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
+def block_offsets(cat: FinLinCategory, a: tuple, b: tuple):
     """(offsets, dimension) of Hom(a, b): offsets[i][j] is where block (i, j),
-    Hom(a.summands[j], b.summands[i]), starts in the flat coordinates."""
+    Hom(a[j], b[i]), starts in the flat coordinates."""
     dims = cat._dims
     offsets, pos = [], 0
-    for t in b.summands:
+    for t in b:
         row = []
-        for s in a.summands:
+        for s in a:
             row.append(pos)
             pos += dims.get((s, t), 0)
         offsets.append(row)
     return offsets, pos
 
 
-def _composition_blocks(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, c: ObjectExpr):
+def _composition_blocks(cat: FinLinCategory, a: tuple, b: tuple, c: tuple):
     """The layout of composition Hom(b, c) x Hom(a, b) -> Hom(a, c), as
     (terms, dim Hom(a, c), dim Hom(b, c), dim Hom(a, b)): one term
     (table, r0, g0, f0) per block triple (i, m, j) with structure constants,
     table = comp[(a_j, b_m, c_i)], and r0, g0, f0 where blocks (i, j) of
     Hom(a, c), (i, m) of Hom(b, c) and (m, j) of Hom(a, b) start."""
     comp, dims = cat.comp, cat._dims
-    src = a.summands
     f_offs, fpos = [], 0
-    for t in b.summands:
+    for t in b:
         f_offs.append((t, fpos))
-        for s in src:
+        for s in a:
             fpos += dims.get((s, t), 0)
     terms, rpos, gpos = [], 0, 0
-    for ci in c.summands:
+    for ci in c:
         for t, f0 in f_offs:
             r0 = rpos
-            for s in src:
+            for s in a:
                 table = comp.get((s, t, ci))
                 if table:
                     terms.append((table, r0, gpos, f0))
                 f0 += dims.get((s, t), 0)
                 r0 += dims.get((s, ci), 0)
             gpos += dims.get((t, ci), 0)
-        for s in src:
+        for s in a:
             rpos += dims.get((s, ci), 0)
     return terms, rpos, gpos, fpos
 
@@ -277,7 +246,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     term of the walk adds g[g0+p] f[f0+q] table[p][q] into the rows from r0."""
     if g.cat is not f.cat:
         raise PresentationError("composition across different categories")
-    if f.target.summands != g.source.summands:
+    if f.target != g.source:
         raise PresentationError("boundary mismatch: %r then %r" % (f, g))
     F = f.cat.field
     add, mul = F.add, F.mul
@@ -298,13 +267,13 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.cat, f.source, g.target, out)
 
 
-def hom_basis(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr):
+def hom_basis(cat: FinLinCategory, a: tuple, b: tuple):
     """The basis morphisms of Hom(a, b), in flat coordinate order."""
     for coords in Mat.identity(cat.field, hom_dim_expr(cat, a, b)).data:
         yield Morphism(cat, a, b, coords)
 
 
-def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
+def postcompose_mat(g: Morphism, a: tuple) -> Mat:
     """Matrix of Hom(a, g.source) -> Hom(a, g.target), h |-> g o h: each
     term of the walk adds g[g0+p] table[p][q] into column f0 + q."""
     F = g.cat.field
@@ -323,7 +292,7 @@ def postcompose_mat(g: Morphism, a: ObjectExpr) -> Mat:
     return Mat(F, rows, cols, data)
 
 
-def precompose_mat(f: Morphism, b: ObjectExpr) -> Mat:
+def precompose_mat(f: Morphism, b: tuple) -> Mat:
     """Matrix of Hom(f.target, b) -> Hom(f.source, b), h |-> h o f: each
     term of the walk adds f[f0+q] table[p][q] into column g0 + p."""
     F = f.cat.field
@@ -387,20 +356,20 @@ def morphism_inverse(m: Morphism):
 def block_diagonal(cat: FinLinCategory, parts) -> Morphism:
     """Block-diagonal morphism with the given morphisms on the diagonal; its
     source and target are the concatenations of theirs."""
-    src = ObjectExpr(tuple(s for p in parts for s in p.source.summands))
-    tgt = ObjectExpr(tuple(t for p in parts for t in p.target.summands))
+    src = tuple(s for p in parts for s in p.source)
+    tgt = tuple(t for p in parts for t in p.target)
     offsets, size = block_offsets(cat, src, tgt)
     coords = [cat.field.zero] * size
     soff = toff = 0
     for p in parts:
         pos = 0
-        for li, t in enumerate(p.target.summands):
-            for lj, s in enumerate(p.source.summands):
+        for li, t in enumerate(p.target):
+            for lj, s in enumerate(p.source):
                 start, d = offsets[toff + li][soff + lj], cat.hom_dim(s, t)
                 coords[start:start + d] = p.coords[pos:pos + d]
                 pos += d
-        soff += len(p.source.summands)
-        toff += len(p.target.summands)
+        soff += len(p.source)
+        toff += len(p.target)
     return Morphism(cat, src, tgt, coords)
 
 
@@ -435,7 +404,7 @@ def _residue_form(cat: FinLinCategory, g: str):
     ker phi_g is a nilpotent ideal."""
     F = cat.field
     n = cat.hom_dim(g, g)
-    obj = ObjectExpr((g,))
+    obj = (g,)
     left = [postcompose_mat(u, obj) for u in hom_basis(cat, obj, obj)]
     phi = tuple(_residue_of(mat) for mat in left)
     if None in phi:
@@ -517,7 +486,7 @@ def validate_category(cat: FinLinCategory) -> Report:
     the P_k(a), k in Hom(b, d), weighted by the structure constants."""
     rep = Report()
     gens = cat.generators
-    objs = {g: ObjectExpr((g,)) for g in gens}
+    objs = {g: (g,) for g in gens}
 
     ones = {g: Morphism.identity(cat, objs[g]) for g in gens}
     for a, b in itertools.product(gens, repeat=2):
@@ -579,18 +548,18 @@ def iso_class(cat: FinLinCategory, g: str):
     return classes[g]
 
 
-def is_isomorphic(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr) -> bool:
+def is_isomorphic(cat: FinLinCategory, a: tuple, b: tuple) -> bool:
     """Decide a ~ b by Krull-Schmidt: equal multiplicities of generators,
     or else of their isomorphism classes.  UndecidedError when the
     generator multiplicities differ and a generator involved has no local
     End ring."""
-    if a.multiplicities() == b.multiplicities():
+    if Counter(a) == Counter(b):
         return True
-    return (Counter(iso_class(cat, g) for g in a.summands)
-            == Counter(iso_class(cat, g) for g in b.summands))
+    return (Counter(iso_class(cat, g) for g in a)
+            == Counter(iso_class(cat, g) for g in b))
 
 
-def ideal_subspace(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, x: Subcategory) -> SubspaceBasis:
+def ideal_subspace(cat: FinLinCategory, a: tuple, b: tuple, x: Subcategory) -> SubspaceBasis:
     """Span of all composites a -> X_i -> b over member generators X_i.
 
     Factorizations through sums reduce to sums of these, so member
@@ -598,7 +567,7 @@ def ideal_subspace(cat: FinLinCategory, a: ObjectExpr, b: ObjectExpr, x: Subcate
     """
     vectors = []
     for m in x.members:
-        mid = ObjectExpr((m,))
+        mid = (m,)
         for h in hom_basis(cat, mid, b):
             post = postcompose_mat(h, a)
             vectors.extend(post.col(j) for j in range(post.cols))
@@ -620,5 +589,4 @@ def restrict_category(cat: FinLinCategory, members, name: str = "") -> FinLinCat
 def morphism_in(cat: FinLinCategory, mor: Morphism) -> Morphism:
     """The same coordinate data read in another presentation (e.g. a full
     subcategory) sharing generator names and bases."""
-    return Morphism(cat, ObjectExpr(mor.source.summands), ObjectExpr(mor.target.summands),
-                    mor.coords)
+    return Morphism(cat, mor.source, mor.target, mor.coords)

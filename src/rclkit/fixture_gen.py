@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 
 from .adjunction import Adjunction
-from .category import FinLinCategory, Morphism, ObjectExpr, Subcategory
+from .category import FinLinCategory, Morphism, Subcategory
 from .field import QQ
 from .functor import LinearFunctor, NatTransform, compose_functors, identity_functor
 from .linalg import Mat, SubspaceBasis, invert, invertible_point, nullspace, solve
@@ -165,7 +165,7 @@ class _Concrete:
         self.cat = FinLinCategory(field, gens, hom_bases, comp, identities, name=name)
 
     def single(self, a, b, mor) -> Morphism:
-        return Morphism.single(self.cat, a, b, self.coords(a, b, mor))
+        return Morphism(self.cat, (a,), (b,), self.coords(a, b, mor))
 
 
 def _rep_concrete(field, models, name) -> _Concrete:
@@ -179,8 +179,7 @@ def _rep_concrete(field, models, name) -> _Concrete:
 def _rep_functor(cc_src: _Concrete, cc_tgt: _Concrete, name, obj_names, push):
     """Functor with single-generator-or-zero images evaluated on basis models."""
     src, tgt = cc_src.cat, cc_tgt.cat
-    object_map = {g: ObjectExpr((obj_names[g],) if obj_names[g] else ())
-                  for g in src.generators}
+    object_map = {g: (obj_names[g],) if obj_names[g] else () for g in src.generators}
     hom_maps = {}
     for a in src.generators:
         for b in src.generators:
@@ -255,7 +254,7 @@ def build_fix_a2(field=QQ) -> Workspace:
 
     e01 = Mat.zeros(field, 0, 1)
     e10 = Mat.zeros(field, 1, 0)
-    A2, zero = cc.cat, ObjectExpr(())
+    A2, zero = cc.cat, ()
     units = {
         # Unit of (iu, il): corestriction onto the cokernel part.
         "adj_i": {"S1": Morphism.zero(A2, A2.obj("S1"), zero),
@@ -395,19 +394,15 @@ def _stable_triangles(field, core: _StableCore, cat, t):
     """The triangles of the two defining short exact sequences plus the
     identity triangle of the approximating generator."""
     m1, m2 = cat.obj("M1"), cat.obj("M2")
-    zero = ObjectExpr(())
-    sig = Morphism.single(cat, "M1", "M2",
-                          core.stable_coords("M1", "M2", core.sigma_model))
-    pi = Morphism.single(cat, "M2", "M1",
-                         core.stable_coords("M2", "M1", core.pi_model))
-    h1 = Morphism.single(cat, "M1", "M2",
-                         core.stable_coords("M1", "M2", core.h1))
+    zero = ()
+    sig = Morphism(cat, m1, m2, core.stable_coords("M1", "M2", core.sigma_model))
+    pi = Morphism(cat, m2, m1, core.stable_coords("M2", "M1", core.pi_model))
+    h1 = Morphism(cat, m1, m2, core.stable_coords("M1", "M2", core.h1))
     t1 = Triangle(m1, m2, m1, sig, pi, h1, name="t1")
-    h2 = Morphism.single(cat, "M1", "M1",
-                         core.stable_coords("M1", "M1", core.h2))
+    h2 = Morphism(cat, m1, m1, core.stable_coords("M1", "M1", core.h2))
     t2 = Triangle(m2, zero, m1, Morphism.zero(cat, m2, zero),
                   Morphism.zero(cat, zero, m1), h2, name="t2")
-    t3 = Triangle(m2, ObjectExpr(("M2",)), zero, Morphism.identity(cat, m2),
+    t3 = Triangle(m2, m2, zero, Morphism.identity(cat, m2),
                   Morphism.zero(cat, m2, zero),
                   Morphism.zero(cat, zero, t.apply_obj(m2)), name="t3")
     return [t1, t2, t3]
@@ -458,7 +453,7 @@ def _component_shift(field, core: _StableCore, cat, prefixes, name):
     object_map, hom_maps, inv_maps = {}, {}, {}
     for p in prefixes:
         for g in core.gens:
-            object_map[p + g] = ObjectExpr((p + core.shift_obj[g],))
+            object_map[p + g] = (p + core.shift_obj[g],)
         for (a, b), mat in core.shift_mats.items():
             key = (p + a, p + b)
             if cat.hom_dim(*key):
@@ -474,7 +469,7 @@ def _component_shift(field, core: _StableCore, cat, prefixes, name):
 
 def _embed_triangle(cat, t_on_cat, core_triangle: Triangle, prefix, name):
     def conv_obj(obj):
-        return ObjectExpr(tuple(prefix + g for g in obj.summands))
+        return tuple(prefix + g for g in obj)
 
     def conv_mor(mor, src, tgt):
         return Morphism(cat, src, tgt, mor.coords)
@@ -496,7 +491,7 @@ def _rename_functor(src_cat, tgt_cat, old, new, name):
     def rename(g):
         return new + g[len(old):] if g.startswith(old) else None
 
-    object_map = {g: ObjectExpr((rename(g),) if rename(g) else ()) for g in src_cat.generators}
+    object_map = {g: (rename(g),) if rename(g) else () for g in src_cat.generators}
     hom_maps = {}
     for a in src_cat.generators:
         for b in src_cat.generators:
@@ -517,9 +512,9 @@ def _component_identity(cat, prefix, unit):
         if g.startswith(prefix):
             out[g] = Morphism.identity(cat, obj)
         elif unit:
-            out[g] = Morphism.zero(cat, obj, ObjectExpr(()))
+            out[g] = Morphism.zero(cat, obj, ())
         else:
-            out[g] = Morphism.zero(cat, ObjectExpr(()), obj)
+            out[g] = Morphism.zero(cat, (), obj)
     return out
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       block_diagonal, block_offsets, hom_basis, hom_dim_expr,
+from .category import (FinLinCategory, Morphism, Subcategory, block_diagonal,
+                       block_offsets, hom_basis, hom_dim_expr, obj_text,
                        postcompose_mat, precompose_mat)
 from .errors import PresentationError
 from .linalg import Mat, rank
@@ -33,10 +33,8 @@ class LinearFunctor:
         for g in source.generators:
             if g not in object_map:
                 raise PresentationError("functor %s: no image for generator %s" % (name, g))
-            img = object_map[g]
-            if not isinstance(img, ObjectExpr):
-                img = ObjectExpr(img)
-            for s in img.summands:
+            img = tuple(object_map[g])
+            for s in img:
                 if s not in known:
                     raise PresentationError("functor %s: image summand %s unknown" % (name, s))
             self.object_map[g] = img
@@ -57,16 +55,16 @@ class LinearFunctor:
         self._actions = {}
         self._composites = {}  # see compose_functors
 
-    def apply_obj(self, obj: ObjectExpr) -> ObjectExpr:
-        out = []
-        for g in obj.summands:
-            out.extend(self.object_map[g].summands)
-        return ObjectExpr(out)
+    def apply_obj(self, obj: tuple) -> tuple:
+        out = ()
+        for g in obj:
+            out += self.object_map[g]
+        return out
 
-    def action(self, a: ObjectExpr, b: ObjectExpr) -> Mat:
+    def action(self, a: tuple, b: tuple) -> Mat:
         """The block matrix of Hom(a, b) -> Hom(F a, F b) in flat coordinates,
-        assembled from hom_maps and cached per (a.summands, b.summands)."""
-        key = (a.summands, b.summands)
+        assembled from hom_maps and cached per (a, b)."""
+        key = (a, b)
         if key in self._actions:
             return self._actions[key]
         # Row r of hom_maps[(g, h)] is coordinate r of Hom(F g, F h), which
@@ -75,21 +73,21 @@ class LinearFunctor:
         out_off, rows = block_offsets(tgt, self.apply_obj(a), self.apply_obj(b))
         in_off, cols = block_offsets(self.source, a, b)
         soff = [0]
-        for g in a.summands:
-            soff.append(soff[-1] + len(self.object_map[g].summands))
+        for g in a:
+            soff.append(soff[-1] + len(self.object_map[g]))
         toff = [0]
-        for h in b.summands:
-            toff.append(toff[-1] + len(self.object_map[h].summands))
+        for h in b:
+            toff.append(toff[-1] + len(self.object_map[h]))
         data = [[tgt.field.zero] * cols for _ in range(rows)]
-        for i, h in enumerate(b.summands):
-            for j, g in enumerate(a.summands):
+        for i, h in enumerate(b):
+            for j, g in enumerate(a):
                 mat = self.hom_maps[(g, h)]
                 if not mat.cols:
                     continue
                 c0 = in_off[i][j]
                 local = iter(mat.data)
-                for ti, t in enumerate(self.object_map[h].summands):
-                    for sj, s in enumerate(self.object_map[g].summands):
+                for ti, t in enumerate(self.object_map[h]):
+                    for sj, s in enumerate(self.object_map[g]):
                         r0 = out_off[toff[i] + ti][soff[j] + sj]
                         for r in range(tgt.hom_dim(s, t)):
                             data[r0 + r][c0:c0 + mat.cols] = next(local)
@@ -118,7 +116,7 @@ def identity_functor(cat: FinLinCategory) -> LinearFunctor:
     if functor is None:
         hom_maps = {key: Mat.identity(cat.field, d) for key, d in cat._dims.items()}
         functor = _identity_functors[id(cat)] = LinearFunctor(
-            cat, cat, {g: ObjectExpr((g,)) for g in cat.generators}, hom_maps, name="id")
+            cat, cat, {g: (g,) for g in cat.generators}, hom_maps, name="id")
     return functor
 
 
@@ -153,9 +151,10 @@ def functor_mismatches(f: LinearFunctor, g: LinearFunctor):
     gens = f.source.generators
     differ = set()
     for x in gens:
-        if f.object_map[x].summands != g.object_map[x].summands:
+        if f.object_map[x] != g.object_map[x]:
             differ.add(x)
-            yield "objects", "at %s: %r vs %r" % (x, f.object_map[x], g.object_map[x])
+            yield "objects", "at %s: %s vs %s" % (x, obj_text(f.object_map[x]),
+                                                  obj_text(g.object_map[x]))
     for x in gens:
         for y in gens:
             fm, gm = f.hom_maps[(x, y)], g.hom_maps[(x, y)]
@@ -191,7 +190,7 @@ def validate_functor(f: LinearFunctor) -> Report:
             rep.fail("preserves-identity", "at %s" % g)
     rep.close("preserves-identity")
 
-    objs = {g: ObjectExpr((g,)) for g in gens}
+    objs = {g: (g,) for g in gens}
     images = {(b, c): [(x, f.apply(x)) for x in hom_basis(src, objs[b], objs[c])]
               for b in gens for c in gens}
     for a, b, c in itertools.product(gens, repeat=3):
@@ -213,12 +212,12 @@ def validate_functor(f: LinearFunctor) -> Report:
 def image_subcategory(f: LinearFunctor) -> Subcategory:
     gens = set()
     for g in f.source.generators:
-        gens |= f.object_map[g].support()
+        gens.update(f.object_map[g])
     return Subcategory(f.target, gens)
 
 
 def kernel_subcategory(f: LinearFunctor) -> Subcategory:
-    gens = [g for g in f.source.generators if f.object_map[g].is_zero()]
+    gens = [g for g in f.source.generators if not f.object_map[g]]
     return Subcategory(f.source, gens)
 
 
@@ -268,14 +267,13 @@ class NatTransform:
             if g not in components:
                 raise PresentationError("nat %s: missing component at %s" % (name, g))
             comp = components[g]
-            if comp.source.summands != from_f.object_map[g].summands \
-                    or comp.target.summands != to_f.object_map[g].summands:
+            if comp.source != from_f.object_map[g] or comp.target != to_f.object_map[g]:
                 raise PresentationError("nat %s: component at %s has wrong boundary" % (name, g))
             self.components[g] = comp
 
-    def at(self, obj: ObjectExpr) -> Morphism:
+    def at(self, obj: tuple) -> Morphism:
         """Component at a formal sum: block diagonal of generator components."""
-        return block_diagonal(self.from_f.target, [self.components[g] for g in obj.summands])
+        return block_diagonal(self.from_f.target, [self.components[g] for g in obj])
 
     def __repr__(self):
         return "NatTransform(%s: %s => %s)" % (self.name or "?",

@@ -14,10 +14,9 @@ octahedron axioms are reported as unchecked.
 
 from __future__ import annotations
 
-from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       compose, hom_basis, hom_dim_expr, iso_class,
-                       morphism_in, morphism_inverse, postcompose_mat,
-                       precompose_mat, restrict_category)
+from .category import (FinLinCategory, Morphism, Subcategory, compose, hom_basis,
+                       hom_dim_expr, iso_class, morphism_in, morphism_inverse,
+                       obj_text, postcompose_mat, precompose_mat, restrict_category)
 from .errors import InconsistentDataError, PreconditionError, UndecidedError
 from .functor import (LinearFunctor, compose_functors, functor_mismatches,
                       non_bijective_pairs, non_full_pairs, validate_functor,
@@ -83,7 +82,7 @@ class MutationData:
     def to_quotient(self, mor: Morphism) -> Morphism:
         return self.quotient.projection.apply(morphism_in(self.restricted, mor))
 
-    def to_quotient_obj(self, obj: ObjectExpr) -> ObjectExpr:
+    def to_quotient_obj(self, obj: tuple) -> tuple:
         return self.quotient.projection.apply_obj(obj)
 
     def to_quotient_triangle(self, t: Triangle, h: Morphism, name: str = "") -> Triangle:
@@ -138,13 +137,12 @@ class MutationData:
 
 def make_D_monic(m: MutationData, f: Morphism) -> Morphism:
     """Replace f: X -> Y by the monic-side representative (f; alpha_X)."""
-    x = f.source.summands
+    x = f.source
     if len(x) != 1:
         raise PreconditionError("monic replacement needs a single-generator source")
     alpha = m.fixed[x[0]].f
     cat = m.tri.cat
-    tgt = ObjectExpr(f.target.summands + alpha.target.summands)
-    return Morphism(cat, ObjectExpr(f.source.summands), tgt, f.coords + alpha.coords)
+    return Morphism(cat, x, f.target + alpha.target, f.coords + alpha.coords)
 
 
 def check_mutation_pair(m: MutationData) -> Report:
@@ -189,8 +187,8 @@ def check_mutation_pair(m: MutationData) -> Report:
             rep.ok(key, "via %s" % (t.name or "triangle"))
 
     for t in m.tri.triangles:
-        if t.x.support() <= m.z.member_set() and t.z.support() <= m.z.member_set():
-            if not t.y.support() <= m.z.member_set():
+        if set(t.x) <= m.z.member_set() and set(t.z) <= m.z.member_set():
+            if not set(t.y) <= m.z.member_set():
                 rep.fail("extension-closed",
                          "triangle %s has middle term outside z" % (t.name or "?"))
     rep.close("extension-closed")
@@ -203,11 +201,11 @@ def _approximation_problems(m: MutationData, t: Triangle, gen: str, first: bool)
     (condition 2), the middle term must lie in d and the other end in z, the
     first map must be a left and the second a right d-approximation."""
     end, far = (t.x, t.z) if first else (t.z, t.x)
-    if end.summands != (gen,):
-        yield "%s vertex is %r" % ("first" if first else "third", end)
-    if not t.y.support() <= m.d.member_set():
+    if end != (gen,):
+        yield "%s vertex is %s" % ("first" if first else "third", obj_text(end))
+    if not set(t.y) <= m.d.member_set():
         yield "middle term outside d"
-    if not far.support() <= m.z.member_set():
+    if not set(far) <= m.z.member_set():
         yield "%s term outside z" % ("third" if first else "first")
     if not is_D_monic(t.f, m.d):
         yield "left map is not a left approximation"
@@ -241,7 +239,7 @@ def standard_triangle(m: MutationData, f: Morphism, witness=None,
     """Ladder a distinguished completion of a monic-side morphism down to the
     fixed triangle and return the resulting quotient sextuple."""
     cat = m.tri.cat
-    x = f.source.summands
+    x = f.source
     if len(x) != 1 or x[0] not in m.fixed:
         raise PreconditionError("source must be a single generator with a fixed triangle")
     x = x[0]
@@ -281,8 +279,8 @@ def _sigma_is_equivalence(m: MutationData, rep: Report):
         return
     image = {}
     for xg in q.survivors:
-        summands = sigma.object_map[xg].summands
-        image[class_of[xg]] = class_of[summands[0]] if len(summands) == 1 else None
+        img = sigma.object_map[xg]
+        image[class_of[xg]] = class_of[img[0]] if len(img) == 1 else None
     if set(image.values()) == set(image):
         rep.ok("sigma.object-bijection")
     else:
@@ -301,7 +299,7 @@ def _tr1(m: MutationData) -> tuple:
     pres = q.presentation
     for xg in q.survivors:
         for yg in q.survivors:
-            src, tgt = ObjectExpr((xg,)), ObjectExpr((yg,))
+            src, tgt = (xg,), (yg,)
             classes = [("basis%d" % qidx, fbar)
                        for qidx, fbar in enumerate(hom_basis(pres, src, tgt))]
             classes.append(("zero", Morphism.zero(pres, src, tgt)))
@@ -429,7 +427,7 @@ class ExactFunctorData:
         self.shift_iso = shift_iso  # None means strict commutation
         self.name = name or functor.name
 
-    def shift_twist(self, obj: ObjectExpr) -> Morphism:
+    def shift_twist(self, obj: tuple) -> Morphism:
         """Component F(T obj) -> T'(F obj) of the commutation isomorphism."""
         if self.shift_iso is None:
             src = self.functor.apply_obj(self.source_tri.shift.apply_obj(obj))
@@ -506,7 +504,7 @@ def image_mutation_pair(e: ExactFunctorData, m: MutationData,
     for g2 in z2.members:
         src_gen = None
         for x in m.z.members:
-            if F.object_map[x].summands == (g2,):
+            if F.object_map[x] == (g2,):
                 src_gen = x
                 break
         if src_gen is None:
@@ -515,7 +513,7 @@ def image_mutation_pair(e: ExactFunctorData, m: MutationData,
         fixed2[g2] = e.push_triangle(m.fixed[src_gen], name="F.%s" % src_gen)
     cofixed2 = {}
     for y, t in sorted(m.cofixed.items()):
-        img = F.object_map[y].summands
+        img = F.object_map[y]
         if len(img) == 1:
             cofixed2[img[0]] = e.push_triangle(t, name="F.co.%s" % y)
     m2 = MutationData(e.target_tri, z2, d2, fixed2, cofixed2,
@@ -584,7 +582,7 @@ def _image_is_standard(e: ExactFunctorData, m2: MutationData,
     img = m2.to_quotient_triangle(pushed, e.functor.apply(st.ladder_z))
     if any(prev.data_equal(img) for prev in m2.registered):
         return True
-    if img.x.is_zero():
+    if not img.x:
         pres = m2.quotient.presentation
         ref = Triangle(img.x, img.y, img.y, Morphism.zero(pres, img.x, img.y),
                        Morphism.identity(pres, img.y), Morphism.zero(pres, img.y, img.x))
@@ -617,7 +615,7 @@ def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,
         rep.merge(sub, prefix="input.%s." % slot)
 
     bad = [g for g in d.members
-           if not rec.j_up.apply_obj(ObjectExpr((g,))).is_zero()]
+           if rec.j_up.apply_obj((g,))]
     if bad:
         rep.fail("precondition.d-in-ker-j_up",
                  "generator %s has nonzero image under j_up" % bad[0])

@@ -8,8 +8,8 @@ quotient data is reproducible across runs.
 
 from __future__ import annotations
 
-from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       block_offsets, hom_basis, ideal_subspace, postcompose_mat,
+from .category import (FinLinCategory, Morphism, Subcategory, block_offsets,
+                       hom_basis, ideal_subspace, obj_text, postcompose_mat,
                        precompose_mat, validate_category)
 from .errors import PreconditionError
 from .functor import LinearFunctor, compose_functors
@@ -29,8 +29,7 @@ class MorphismIdeal:
         self.table = {}
         for a in parent.generators:
             for b in parent.generators:
-                self.table[(a, b)] = ideal_subspace(
-                    parent, ObjectExpr((a,)), ObjectExpr((b,)), through)
+                self.table[(a, b)] = ideal_subspace(parent, (a,), (b,), through)
 
     def subspace(self, a: str, b: str) -> SubspaceBasis:
         return self.table[(a, b)]
@@ -41,7 +40,7 @@ class MorphismIdeal:
         Q_v(b) into [X](c, b); and the identities of members."""
         rep = Report()
         cat = self.parent
-        objs = {g: ObjectExpr((g,)) for g in cat.generators}
+        objs = {g: (g,) for g in cat.generators}
         for (a, b), sub in self.table.items():
             if not sub.rows:
                 continue
@@ -112,7 +111,7 @@ class QuotientCategory:
                         continue
                     # Row p: reduce o (lift(g_p) o -) o section on Hom(a, b).
                     red, sec = self.reduction[(a, c)], self.section[(a, b)]
-                    src = ObjectExpr((a,))
+                    src = (a,)
                     comp[(a, b, c)] = [
                         red.mul(postcompose_mat(self.lift_basis(b, c, p), src)).mul(sec)
                         .transpose().data for p in range(db)]
@@ -124,7 +123,7 @@ class QuotientCategory:
         proj_objects = {}
         proj_maps = {}
         for g in parent.generators:
-            proj_objects[g] = ObjectExpr((g,)) if g in surv_set else ObjectExpr(())
+            proj_objects[g] = (g,) if g in surv_set else ()
         for g in parent.generators:
             for h in parent.generators:
                 d = parent.hom_dim(g, h)
@@ -143,15 +142,15 @@ class QuotientCategory:
     def lift_basis(self, a: str, b: str, q: int) -> Morphism:
         """Parent representative of the q-th quotient basis element."""
         col = self.section[(a, b)].col(q)
-        return Morphism(self.parent, ObjectExpr((a,)), ObjectExpr((b,)), col)
+        return Morphism(self.parent, (a,), (b,), col)
 
     def lift_morphism(self, mor: Morphism) -> Morphism:
         """Canonical parent representative of a quotient morphism (section)."""
-        src, tgt = ObjectExpr(mor.source.summands), ObjectExpr(mor.target.summands)
+        src, tgt = mor.source, mor.target
         offsets, _ = block_offsets(mor.cat, src, tgt)
         coords = []
-        for i, b in enumerate(tgt.summands):
-            for j, a in enumerate(src.summands):
+        for i, b in enumerate(tgt):
+            for j, a in enumerate(src):
                 start = offsets[i][j]
                 coords.extend(self.section[(a, b)].apply(
                     mor.coords[start:start + mor.cat.hom_dim(a, b)]))
@@ -194,9 +193,9 @@ def factor_through_quotient(f: LinearFunctor, q: QuotientCategory,
     if f.source is not q.parent:
         raise PreconditionError("functor does not start at the quotient's parent")
     for m in q.ideal.through.members:
-        if not f.object_map[m].is_zero():
+        if f.object_map[m]:
             raise PreconditionError("functor does not kill the subcategory",
-                                    witness="%s -> %r" % (m, f.object_map[m]))
+                                    witness="%s -> %s" % (m, obj_text(f.object_map[m])))
     object_map = {g: f.object_map[g] for g in q.survivors}
     hom_maps = {}
     for a in q.survivors:
@@ -226,10 +225,10 @@ def induce_functor(f: LinearFunctor, q_src: QuotientCategory,
     x_tgt = q_tgt.ideal.through.member_set()
     for m in q_src.ideal.through.members:
         img = f.object_map[m]
-        if not img.support() <= x_tgt:
+        if not set(img) <= x_tgt:
             raise PreconditionError(
                 "subcategory containment fails",
-                witness="%s maps to %r outside the target subcategory" % (m, img))
+                witness="%s maps to %s outside the target subcategory" % (m, obj_text(img)))
     return factor_through_quotient(compose_functors(q_tgt.projection, f), q_src,
                                    name=f.name + "~")
 
@@ -259,15 +258,14 @@ def induce_adjunction(adj: Adjunction, q_src: QuotientCategory,
 
     A = L.source
     for a in A.generators:
-        la = L.apply_obj(ObjectExpr((a,)))
+        la = L.apply_obj((a,))
         for b in R.source.generators:
-            bobj = ObjectExpr((b,))
+            bobj = (b,)
             ide = ideal_subspace(R.source, la, bobj, q_tgt.ideal.through)
             if ide.dim == 0:
                 continue
             fwd = transpose_mat(R, adj.unit.components[a], la, bobj)
-            target_ideal = ideal_subspace(A, ObjectExpr((a,)),
-                                          R.apply_obj(bobj), q_src.ideal.through)
+            target_ideal = ideal_subspace(A, (a,), R.apply_obj(bobj), q_src.ideal.through)
             for vec in ide.rows:
                 img = fwd.apply(vec)
                 if not target_ideal.contains_vector(img):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from .adjunction import (Adjunction, make_adjunction, normalize_embedding,
                          rewire_adjunction, validate_adjunction)
-from .category import (FinLinCategory, ObjectExpr, Subcategory, is_isomorphic,
-                       morphism_in, restrict_category)
+from .category import (FinLinCategory, Subcategory, is_isomorphic, morphism_in,
+                       restrict_category)
 from .errors import InconsistentDataError, PreconditionError, UndecidedError
 from .functor import (LinearFunctor, compose_functors, image_subcategory,
                       is_identity_functor, kernel_subcategory, non_bijective_pairs,
@@ -80,7 +80,7 @@ def _embedded(slot: str):
 def supp_image(f: LinearFunctor, members) -> set:
     out = set()
     for g in members:
-        out |= f.object_map[g].support()
+        out.update(f.object_map[g])
     return out
 
 
@@ -136,7 +136,7 @@ def _iso_closure(cat: FinLinCategory, members) -> set:
     UndecidedError as in `is_isomorphic`."""
     out = set(members)
     for g in cat.generators:
-        if g not in out and any(is_isomorphic(cat, ObjectExpr((g,)), ObjectExpr((h,)))
+        if g not in out and any(is_isomorphic(cat, (g,), (h,))
                                 for h in members):
             out.add(g)
     return out
@@ -214,8 +214,8 @@ def _hypotheses(r: Recollement, x: Subcategory, rep: Report):
     member_set = x.member_set()
     for g in x.members:
         for label, inner, outer in checks:
-            img = outer.apply_obj(inner.apply_obj(ObjectExpr((g,))))
-            bad = img.support() - member_set
+            img = outer.apply_obj(inner.apply_obj((g,)))
+            bad = set(img) - member_set
             if bad:
                 raise PreconditionError(
                     "closure hypothesis fails",
@@ -229,11 +229,11 @@ def _restricted_functor(f: LinearFunctor, src: FinLinCategory,
     object_map = {}
     for g in src.generators:
         img = f.object_map[g]
-        bad = img.support() - tgt_gens
+        bad = set(img) - tgt_gens
         if bad:
             raise PreconditionError("restriction not well-defined",
                                     witness="%s(%s) contains %s" % (f.name, g, sorted(bad)[0]))
-        object_map[g] = ObjectExpr(img.summands)
+        object_map[g] = img
     hom_maps = {}
     for g in src.generators:
         for h in src.generators:
@@ -373,7 +373,7 @@ def _quotient(r: Recollement, x: Subcategory, semantics: str, rep: Report):
         rep.info("r3-alt.strict",
                  "would pass" if strict_ok else "would fail: %s" % strict_witness)
 
-    predicate = all(r.j_up.apply_obj(ObjectExpr((g,))).is_zero() for g in x.members)
+    predicate = all(not r.j_up.apply_obj((g,)) for g in x.members)
     rep.info("predicate.x-in-ker-j_up", "true" if predicate else "false")
     if semantics == "strict":
         verdict = not rep.has_failures()
@@ -397,12 +397,12 @@ def lift_subcategory_pair(r: Recollement, xp: Subcategory, xpp: Subcategory,
     if xp.parent is not r.left or xpp.parent is not r.right:
         raise PreconditionError("subcategories do not live in the outer categories")
     for g in xpp.members:
-        img = supp_image(r.i_up, r.j_lo.apply_obj(ObjectExpr((g,))).support())
+        img = supp_image(r.i_up, r.j_lo.apply_obj((g,)))
         bad = img - xp.member_set()
         if bad:
             raise PreconditionError("hypothesis i_up(j_lo(x'')) inside x' fails",
                                     witness="%s gives %s" % (g, sorted(bad)[0]))
-        img = supp_image(r.i_bang, r.j_bang.apply_obj(ObjectExpr((g,))).support())
+        img = supp_image(r.i_bang, r.j_bang.apply_obj((g,)))
         bad = img - xp.member_set()
         if bad:
             raise PreconditionError("hypothesis i_bang(j_bang(x'')) inside x' fails",

@@ -21,8 +21,10 @@ records not-checked.
 
 from __future__ import annotations
 
-from .category import (Morphism, ObjectExpr, block_diagonal, block_offsets,
-                       commuting_space, compose, hom_dim_expr, morphism_inverse,
+from collections import Counter
+
+from .category import (Morphism, block_diagonal, block_offsets, commuting_space,
+                       compose, hom_dim_expr, morphism_inverse, obj_text,
                        postcompose_mat, precompose_mat, residue)
 from .errors import PresentationError, UndecidedError
 from .functor import LinearFunctor, compose_functors, is_identity_functor, validate_functor
@@ -44,15 +46,14 @@ class Triangle:
         return (self.x, self.y, self.z)
 
     def data_equal(self, other: "Triangle") -> bool:
-        return (self.x.summands == other.x.summands
-                and self.y.summands == other.y.summands
-                and self.z.summands == other.z.summands
+        return (self.x == other.x and self.y == other.y and self.z == other.z
                 and self.f.coords == other.f.coords
                 and self.g.coords == other.g.coords
                 and self.h.coords == other.h.coords)
 
     def __repr__(self):
-        return "Triangle(%s: %r -> %r -> %r)" % (self.name or "?", self.x, self.y, self.z)
+        return "Triangle(%s: %s)" % (self.name or "?",
+                                     " -> ".join(map(obj_text, self.vertices())))
 
 
 class TriangulatedPresentation:
@@ -79,10 +80,8 @@ class TriangulatedPresentation:
         for t in self.triangles:
             key = "tri.triangle.%s" % (t.name or "?")
             ok = True
-            if t.f.source.summands != t.x.summands or t.f.target.summands != t.y.summands \
-                    or t.g.source.summands != t.y.summands or t.g.target.summands != t.z.summands \
-                    or t.h.source.summands != t.z.summands \
-                    or t.h.target.summands != self.shift.apply_obj(t.x).summands:
+            if (t.f.source, t.f.target, t.g.source, t.g.target, t.h.source, t.h.target) \
+                    != (t.x, t.y, t.y, t.z, t.z, self.shift.apply_obj(t.x)):
                 rep.fail(key + ".boundaries", "maps do not match the vertices")
                 continue
             if not compose(t.g, t.f).is_zero():
@@ -111,8 +110,7 @@ class TriangulatedPresentation:
     def rotate(self, t: Triangle) -> Triangle:
         """(y, z, Tx, g, h, -T f)."""
         tf = self.shift.apply(t.f)
-        return Triangle(ObjectExpr(t.y.summands), ObjectExpr(t.z.summands),
-                        self.shift.apply_obj(t.x), t.g, t.h,
+        return Triangle(t.y, t.z, self.shift.apply_obj(t.x), t.g, t.h,
                         tf.scale(self.cat.field.neg(self.cat.field.one)),
                         name=t.name + "'")
 
@@ -131,7 +129,7 @@ class TriangulatedPresentation:
             else:
                 raise PresentationError("rotation of %s does not cycle" % t.name)
         self._atoms = out
-        self._atom_counts = [[v.multiplicities() for v in a.vertices()] for a in out]
+        self._atom_counts = [[Counter(v) for v in a.vertices()] for a in out]
         return out
 
     def direct_sum(self, parts) -> Triangle:
@@ -147,7 +145,7 @@ class TriangulatedPresentation:
         the vertex multisets of objs.
 
         Memoized per vertex multiset: callers must not mutate the lists."""
-        targets = [o.multiplicities() for o in objs]
+        targets = [Counter(o) for o in objs]
         key = tuple(tuple(sorted(t.items())) for t in targets)
         if key in self._combos:
             return self._combos[key]
@@ -189,7 +187,7 @@ class TriangulatedPresentation:
         undecided = None
         for combo in self._candidate_combos(t.vertices()):
             if not combo:
-                if t.x.is_zero() and t.y.is_zero() and t.z.is_zero():
+                if not (t.x or t.y or t.z):
                     return {"combo": (), "iso": None}
                 continue
             try:
@@ -228,9 +226,7 @@ class TriangulatedPresentation:
             (_, a_inv), (b, _) = pair
             g2 = compose(ts.g, b)
             h2 = compose(self.shift.apply(a_inv), ts.h)
-            return Triangle(ObjectExpr(f.source.summands), ObjectExpr(f.target.summands),
-                            ObjectExpr(ts.z.summands), f, g2, h2,
-                            name="completion")
+            return Triangle(f.source, f.target, ts.z, f, g2, h2, name="completion")
         if undecided:
             raise undecided
         return None
@@ -249,9 +245,9 @@ def _subtract(small, big):
 
 def identity_triangle(tri: TriangulatedPresentation, g: str) -> Triangle:
     cat = tri.cat
-    gobj = ObjectExpr((g,))
-    zero = ObjectExpr(())
-    return Triangle(gobj, ObjectExpr((g,)), zero,
+    gobj = (g,)
+    zero = ()
+    return Triangle(gobj, gobj, zero,
                     Morphism.identity(cat, gobj),
                     Morphism.zero(cat, gobj, zero),
                     Morphism.zero(cat, zero, tri.shift.apply_obj(gobj)),
@@ -321,9 +317,9 @@ def _top_blocks(cat, forms, spaces, basis):
     base = 0
     for s, t in spaces:
         offsets, size = block_offsets(cat, s, t)
-        for g in dict.fromkeys(s.summands + t.summands):
-            rows = [i for i, x in enumerate(t.summands) if x == g]
-            cols = [j for j, x in enumerate(s.summands) if x == g]
+        for g in dict.fromkeys(s + t):
+            rows = [i for i, x in enumerate(t) if x == g]
+            cols = [j for j, x in enumerate(s) if x == g]
             if len(rows) != len(cols):
                 return None
             tops.append((forms[g], cat.hom_dim(g, g), rows, cols, base, offsets))
@@ -370,7 +366,7 @@ def d_approximation_failure(f: Morphism, d, monic: bool):
     (post-composition onto Hom(D, f.target))."""
     hom_mat = precompose_mat if monic else postcompose_mat
     for m in d.members:
-        mat = hom_mat(f, ObjectExpr((m,)))
+        mat = hom_mat(f, (m,))
         if rank(mat) != mat.rows:
             return m
     return None

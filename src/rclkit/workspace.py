@@ -78,8 +78,8 @@ import hashlib
 import re
 
 from .adjunction import Adjunction
-from .category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                       block_offsets, hom_dim_expr)
+from .category import (FinLinCategory, Morphism, Subcategory, block_offsets,
+                       hom_dim_expr, obj_text)
 from .errors import InputError
 from .field import make_field
 from .functor import (LinearFunctor, NatTransform, compose_functors,
@@ -452,7 +452,10 @@ def _parse_category(p):
             names = []
             if p.at("basis"):
                 p.pos += 1
-                names = [t.value for t in p.parse_names()]
+                for tok in p.parse_names():
+                    if tok.value in names:
+                        p.error("duplicate basis name %r of Hom(%s,%s)" % (tok.value, a, b), tok)
+                    names.append(tok.value)
             p.expect("}")
             body["homs"].append((a, b, names, item))
             head = (a, b)
@@ -613,6 +616,8 @@ def _build_category(ws: Workspace, tok, body):
 
     identities = {}
     for (g, coeffs, item) in body["identities"]:
+        if g not in gen_set:
+            raise _input_error(item, "identity %s: unknown generator" % g)
         identities[g] = coeff_vec(g, g, coeffs)
     comp = {}
     for (b1, c1, gname, a2, b2, fname, coeffs, item) in body["composes"]:
@@ -643,25 +648,25 @@ def _number(field, tok):
         raise _input_error(tok, "invalid number %r" % tok.value) from None
 
 
-def _objexpr(cat, names) -> ObjectExpr:
+def _objexpr(cat, names) -> tuple:
     """The object with the given generator tokens, each checked against cat."""
     gens = set(cat.generators)
     for tok in names:
         if tok.value not in gens:
             raise _input_error(tok, "unknown generator %r in %s" % (tok.value, cat.name))
-    return ObjectExpr(tuple(tok.value for tok in names))
+    return tuple(tok.value for tok in names)
 
 
-def _coords(cat, src: ObjectExpr, tgt: ObjectExpr, morph):
+def _coords(cat, src: tuple, tgt: tuple, morph):
     """The flat coordinates (see block_offsets) of the morphism src -> tgt
     whose blocks `morph` writes."""
     field = cat.field
     offsets, size = block_offsets(cat, src, tgt)
     coords = [field.zero] * size
     for ((i, j), coeffs, tok) in morph:
-        if not (0 <= i < len(tgt.summands) and 0 <= j < len(src.summands)):
+        if not (0 <= i < len(tgt) and 0 <= j < len(src)):
             raise _input_error(tok, "block (%d,%d) outside morphism shape" % (i, j))
-        a, b = src.summands[j], tgt.summands[i]
+        a, b = src[j], tgt[i]
         names = {n: k for k, n in enumerate(cat.basis_names(a, b))}
         start = offsets[i][j]
         for (bname, num, name_tok) in coeffs:
@@ -672,7 +677,7 @@ def _coords(cat, src: ObjectExpr, tgt: ObjectExpr, morph):
     return coords
 
 
-def _build_morphism(cat, src: ObjectExpr, tgt: ObjectExpr, morph) -> Morphism:
+def _build_morphism(cat, src: tuple, tgt: tuple, morph) -> Morphism:
     return Morphism(cat, src, tgt, _coords(cat, src, tgt, morph))
 
 
@@ -693,7 +698,7 @@ def _build_triangle(cat, shift, block, name, values) -> Triangle:
 def _build_subcategory(ws: Workspace, tok, body):
     (of, members), _ = body
     cat = _lookup(ws, "category", of)
-    return Subcategory(cat, _objexpr(cat, members).summands)
+    return Subcategory(cat, _objexpr(cat, members))
 
 
 def _build_functor(ws: Workspace, tok, body):
@@ -739,7 +744,7 @@ def _build_nattrans(ws: Workspace, tok, body):
     given = {g.value: morph for _, g, morph in items}
     comps = {}
     for g in from_f.source.generators:
-        x = ObjectExpr((g,))
+        x = (g,)
         comps[g] = _build_morphism(from_f.target, from_f.apply_obj(x),
                                    to_f.apply_obj(x), given.get(g, []))
     return NatTransform(from_f, to_f, comps, name=tok.value)
@@ -806,17 +811,13 @@ def _fmt_morph(cat, mor: Morphism) -> str:
     field = cat.field
     offsets, _ = block_offsets(cat, mor.source, mor.target)
     parts = []
-    for i, t in enumerate(mor.target.summands):
-        for j, s in enumerate(mor.source.summands):
+    for i, t in enumerate(mor.target):
+        for j, s in enumerate(mor.source):
             vec = mor.coords[offsets[i][j]:offsets[i][j] + cat.hom_dim(s, t)]
             if any(not field.is_zero(c) for c in vec):
                 parts.append("(%d %d) %s"
                              % (i, j, _fmt_coeffs(field, cat.basis_names(s, t), vec)))
     return "{ %s }" % " ".join(parts) if parts else "{ }"
-
-
-def _fmt_objexpr(obj: ObjectExpr) -> str:
-    return "+".join(obj.summands) if obj.summands else "0"
 
 
 def _ref(ws: Workspace, kind, obj) -> str:
@@ -858,7 +859,7 @@ def _write_triangle(cat, block, name, t: Triangle):
     lines = ["  %s %s {" % (block, name)]
     for word, attr, kind in TRIANGLE_BLOCKS[block][1]:
         value = getattr(t, attr)
-        lines.append("    %s %s" % (word, _fmt_objexpr(value) if kind == "obj"
+        lines.append("    %s %s" % (word, obj_text(value) if kind == "obj"
                                      else _fmt_morph(cat, value)))
     return lines + ["  }"]
 
@@ -890,7 +891,7 @@ def _write_category(ws: Workspace, kind, name, cat):
 
 
 def _write_functor(ws: Workspace, kind, name, f):
-    body = ["  object %s -> %s" % (g, _fmt_objexpr(f.object_map[g]))
+    body = ["  object %s -> %s" % (g, obj_text(f.object_map[g]))
             for g in f.source.generators]
     gi = {g: i for i, g in enumerate(f.source.generators)}
     for (a, b) in sorted(f.hom_maps, key=lambda k: (gi[k[0]], gi[k[1]])):

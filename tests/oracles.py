@@ -1,11 +1,11 @@
 """Independent brute-force oracles shared by the test modules."""
 
 import itertools
+from collections import Counter
 
 from rclkit.adjunction import _nat_solution_space, make_adjunction, validate_adjunction
-from rclkit.category import (Morphism, ObjectExpr, block_diagonal, compose,
-                             hom_basis, hom_dim_expr, morphism_inverse, postcompose_mat,
-                             precompose_mat)
+from rclkit.category import (Morphism, block_diagonal, compose, hom_basis, hom_dim_expr,
+                             morphism_inverse, postcompose_mat, precompose_mat)
 from rclkit.errors import InputError
 from rclkit.functor import compose_functors, identity_functor
 from rclkit.linalg import Mat, SubspaceBasis, difference_rows, nullspace, solve
@@ -20,8 +20,7 @@ def brute_force_ideal(cat, a, b, members, max_mult=2):
     vectors = []
     mids = []
     for k in range(1, max_mult + 1):
-        mids.extend(ObjectExpr(comb)
-                    for comb in itertools.combinations_with_replacement(members, k))
+        mids.extend(itertools.combinations_with_replacement(members, k))
     for mid in mids:
         d_in = hom_dim_expr(cat, a, mid)
         d_out = hom_dim_expr(cat, mid, b)
@@ -63,7 +62,7 @@ def brute_force_isomorphic(cat, g, h):
     """Whether some f: g -> h and f': h -> g satisfy f' o f = 1 and
     f o f' = 1.  Every pair of coordinate vectors over the prime field is
     tried, so keep p^(dim Hom(g, h) + dim Hom(h, g)) small."""
-    src, tgt = ObjectExpr((g,)), ObjectExpr((h,))
+    src, tgt = (g,), (h,)
     one_g, one_h = Morphism.identity(cat, src), Morphism.identity(cat, tgt)
     backs = list(every_morphism(cat, tgt, src))
     return any(compose(back, f).equal(one_g) and compose(f, back).equal(one_h)
@@ -78,8 +77,8 @@ def blocks_of(mor):
     coordinates are cut target row by row, source column by column, with
     each block's length taken from hom_dim, not from `block_offsets`."""
     cat, coords = mor.cat, iter(mor.coords)
-    blocks = [[tuple(itertools.islice(coords, cat.hom_dim(s, t))) for s in mor.source.summands]
-              for t in mor.target.summands]
+    blocks = [[tuple(itertools.islice(coords, cat.hom_dim(s, t))) for s in mor.source]
+              for t in mor.target]
     assert next(coords, None) is None
     return blocks
 
@@ -88,7 +87,7 @@ def from_blocks(cat, source, target, blocks):
     """The morphism source -> target whose nested blocks (as `blocks_of`
     reads them) are the given ones."""
     assert [[len(vec) for vec in row] for row in blocks] == \
-        [[cat.hom_dim(s, t) for s in source.summands] for t in target.summands]
+        [[cat.hom_dim(s, t) for s in source] for t in target]
     return Morphism(cat, source, target, [x for row in blocks for vec in row for x in vec])
 
 
@@ -107,11 +106,11 @@ def per_basis_compose(g, f):
     F = cat.field
     gblocks, fblocks = blocks_of(g), blocks_of(f)
     blocks = []
-    for i, c in enumerate(g.target.summands):
+    for i, c in enumerate(g.target):
         row = []
-        for j, a in enumerate(f.source.summands):
+        for j, a in enumerate(f.source):
             acc = [F.zero] * cat.hom_dim(a, c)
-            for m, b in enumerate(f.target.summands):
+            for m, b in enumerate(f.target):
                 for p, gc in enumerate(gblocks[i][m]):
                     for q, fc in enumerate(fblocks[m][j]):
                         cv = cat.comp_vec(a, b, c, p, q)
@@ -145,15 +144,15 @@ def per_basis_apply(functor, mor):
     src_img = functor.apply_obj(mor.source)
     tgt_img = functor.apply_obj(mor.target)
     soff, toff = [0], [0]
-    for g in mor.source.summands:
-        soff.append(soff[-1] + len(functor.object_map[g].summands))
-    for h in mor.target.summands:
-        toff.append(toff[-1] + len(functor.object_map[h].summands))
-    blocks = [[(F.zero,) * tgt.hom_dim(s, t) for s in src_img.summands]
-              for t in tgt_img.summands]
+    for g in mor.source:
+        soff.append(soff[-1] + len(functor.object_map[g]))
+    for h in mor.target:
+        toff.append(toff[-1] + len(functor.object_map[h]))
+    blocks = [[(F.zero,) * tgt.hom_dim(s, t) for s in src_img]
+              for t in tgt_img]
     mblocks = blocks_of(mor)
-    for i, h in enumerate(mor.target.summands):
-        for j, g in enumerate(mor.source.summands):
+    for i, h in enumerate(mor.target):
+        for j, g in enumerate(mor.source):
             vec = mblocks[i][j]
             if not vec:
                 continue
@@ -178,7 +177,7 @@ def per_basis_compose_functors(outer, inner):
         hom_maps[(g, h)] = Mat.from_columns(
             outer.target.field, hom_dim_expr(outer.target, src_img, tgt_img),
             [per_basis_apply(outer, per_basis_apply(inner, f)).coords
-             for f in hom_basis(inner.source, ObjectExpr(g), ObjectExpr(h))])
+             for f in hom_basis(inner.source, (g,), (h,))])
     return hom_maps
 
 
@@ -226,14 +225,14 @@ def per_basis_validate_category(cat):
     rep = Report()
     gens = cat.generators
     for g in gens:
-        ident = Morphism.single(cat, g, g, cat.identities[g])
+        ident = Morphism(cat, (g,), (g,), cat.identities[g])
         for h in gens:
             for q in range(cat.hom_dim(g, h)):
                 f = Morphism.basis_element(cat, g, h, q)
                 name = cat.basis_names(g, h)[q]
                 if not compose(f, ident).equal(f):
                     rep.fail("identity.right", "%s o 1_%s != %s" % (name, g, name))
-                ident_h = Morphism.single(cat, h, h, cat.identities[h])
+                ident_h = Morphism(cat, (h,), (h,), cat.identities[h])
                 if not compose(ident_h, f).equal(f):
                     rep.fail("identity.left", "1_%s o %s != %s" % (h, name, name))
     rep.close("identity")
@@ -265,7 +264,7 @@ def per_basis_validate_functor(f):
     rep = Report()
     src = f.source
     for g in src.generators:
-        img = per_basis_apply(f, Morphism.identity(src, ObjectExpr((g,))))
+        img = per_basis_apply(f, Morphism.identity(src, (g,)))
         if not img.equal(Morphism.identity(f.target, f.object_map[g])):
             rep.fail("preserves-identity", "at %s" % g)
     rep.close("preserves-identity")
@@ -291,7 +290,7 @@ def per_basis_ideal_validate(ideal):
     cat = ideal.parent
     for (a, b), sub in ideal.table.items():
         for vec in sub.rows:
-            w = Morphism(cat, ObjectExpr((a,)), ObjectExpr((b,)), vec)
+            w = Morphism(cat, (a,), (b,), vec)
             for c in cat.generators:
                 for p in range(cat.hom_dim(b, c)):
                     u = Morphism.basis_element(cat, b, c, p)
@@ -339,7 +338,7 @@ def _stacked_offsets(obj, offset):
     """Global unknown-vector offsets for the stacked component coordinates of
     the summands of obj, in order."""
     out = []
-    for s in obj.summands:
+    for s in obj:
         o, d = offset[s]
         for c in range(d):
             out.append(o + c)
@@ -350,10 +349,10 @@ def _counit_placement(lr, obj):
     """Matrix sending stacked per-summand counit coordinates to the flat
     coordinates of the block-diagonal morphism lr(obj) -> obj."""
     B = lr.source
-    parts = [Morphism.zero(B, lr.object_map[s], ObjectExpr(s)) for s in obj.summands]
+    parts = [Morphism.zero(B, lr.object_map[s], (s,)) for s in obj]
     cols = []
-    for k, s in enumerate(obj.summands):
-        for e in hom_basis(B, lr.object_map[s], ObjectExpr(s)):
+    for k, s in enumerate(obj):
+        for e in hom_basis(B, lr.object_map[s], (s,)):
             cols.append(block_diagonal(B, parts[:k] + [e] + parts[k + 1:]).coords)
     return Mat.from_columns(B.field, hom_dim_expr(B, lr.apply_obj(obj), obj), cols)
 
@@ -369,14 +368,14 @@ def solve_counit_given_unit(left, right, unit_comps, name):
     shape = []
     total = 0
     for y in B.generators:
-        d = hom_dim_expr(B, lr.object_map[y], ObjectExpr((y,)))
+        d = hom_dim_expr(B, lr.object_map[y], (y,))
         shape.append((y, total, d))
         total += d
     offset = {y: (o, d) for (y, o, d) in shape}
 
     # Naturality: eps_b o lr(f) = f o eps_a for every basis f: a -> b in B.
     rows = difference_rows(F, total, [
-        (precompose_mat(lr.apply(f), ObjectExpr(b)), offset[b][0],
+        (precompose_mat(lr.apply(f), (b,)), offset[b][0],
          postcompose_mat(f, lr.object_map[a]), offset[a][0])
         for a, b, _, f in basis_morphisms(B)])
     rhs = [F.zero] * len(rows)
@@ -399,9 +398,9 @@ def solve_counit_given_unit(left, right, unit_comps, name):
     for y in B.generators:
         ry = right.object_map[y]
         o, d = offset[y]
-        eta_ry = block_diagonal(A, [unit_comps[g] for g in ry.summands])
+        eta_ry = block_diagonal(A, [unit_comps[g] for g in ry])
         ident = Morphism.identity(A, ry).coords
-        mat = precompose_mat(eta_ry, ry).mul(right.action(lr.object_map[y], ObjectExpr(y)))
+        mat = precompose_mat(eta_ry, ry).mul(right.action(lr.object_map[y], (y,)))
         for r in range(len(ident)):
             row = [F.zero] * total
             row[o:o + d] = mat.data[r]
@@ -415,7 +414,7 @@ def solve_counit_given_unit(left, right, unit_comps, name):
         if sol is None:
             return None
         sol_vec = sol.col(0)
-    counit_comps = {y: Morphism(B, lr.object_map[y], ObjectExpr((y,)), sol_vec[o:o + d])
+    counit_comps = {y: Morphism(B, lr.object_map[y], (y,), sol_vec[o:o + d])
                     for (y, o, d) in shape}
     adj = make_adjunction(left, right, unit_comps, counit_comps, name=name)
     return adj if validate_adjunction(adj).ok_all else None
@@ -459,7 +458,7 @@ def sampled_tr3(m, t1, t2):
 
     def candidates(src, tgt):
         out = [Morphism.zero(pres, src, tgt)] + list(hom_basis(pres, src, tgt))
-        if src.summands == tgt.summands and not src.is_zero():
+        if src == tgt and src:
             out.append(Morphism.identity(pres, src))
         return out
 
@@ -476,7 +475,7 @@ def ladder_shift(m, fbar):
     gamma_y o z = T(f) o gamma_x with every matrix built one basis element
     at a time, and take the class of z."""
     cat = m.tri.cat
-    (x,), (y,) = fbar.source.summands, fbar.target.summands
+    (x,), (y,) = fbar.source, fbar.target
     tx, ty = m.fixed[x], m.fixed[y]
     f = m.lift(fbar)
 
@@ -497,7 +496,7 @@ def ladder_classes(m, f):
     c o beta_x = beta_y o b and gamma_y o c = T(f) o gamma_x through
     `mutation._ladder_matrix`."""
     cat = m.tri.cat
-    (x,), (y,) = f.source.summands, f.target.summands
+    (x,), (y,) = f.source, f.target
     tx, ty = m.fixed[x], m.fixed[y]
     alpha = precompose_mat(tx.f, ty.y)
     b0 = Morphism(cat, tx.y, ty.y,
@@ -549,7 +548,7 @@ def candidate_combos(tri, objs):
         if idx == len(atoms):
             return
         a = atoms[idx]
-        counts = [v.multiplicities() for v in a.vertices()[:k]]
+        counts = [Counter(v) for v in a.vertices()[:k]]
         copies = 0
         rest = [dict(r) for r in rems]
         while True:
@@ -564,7 +563,7 @@ def candidate_combos(tri, objs):
             else:
                 break
 
-    rec(0, [dict(o.multiplicities()) for o in objs], [])
+    rec(0, [dict(Counter(o)) for o in objs], [])
     return results
 
 

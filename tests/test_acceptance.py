@@ -9,8 +9,8 @@ import random
 import pytest
 
 from rclkit.adjunction import hom_bijection, make_adjunction, validate_adjunction
-from rclkit.category import (Morphism, ObjectExpr, Subcategory, hom_dim_expr,
-                             ideal_subspace)
+from rclkit.category import (Morphism, Subcategory, hom_dim_expr, ideal_subspace,
+                             obj_text)
 from rclkit.cli import main as cli_main
 from rclkit.errors import (InconsistentDataError, PreconditionError,
                            PresentationError)
@@ -126,12 +126,11 @@ def _enumerate_mutants(ws):
         f = base_functors[fname]
         tgt_gens = f.target.generators
         for gen in f.source.generators:
-            current = f.object_map[gen].summands
-            alternatives = [ObjectExpr((t,)) for t in tgt_gens
-                            if (t,) != current]
+            current = f.object_map[gen]
+            alternatives = [(t,) for t in tgt_gens if (t,) != current]
             if current:
-                alternatives.append(ObjectExpr(()))
-                alternatives.append(ObjectExpr(current + current))
+                alternatives.append(())
+                alternatives.append(current + current)
             for alt in alternatives:
                 def build(fname=fname, gen=gen, alt=alt):
                     f0 = base_functors[fname]
@@ -143,7 +142,7 @@ def _enumerate_mutants(ws):
                     functors[fname] = mutated
                     return _rebuild(ws, functors,
                                     _remake_adjunctions(ws, functors))
-                yield ("%s.object[%s->%r]" % (fname, gen, alt), build)
+                yield ("%s.object[%s->%s]" % (fname, gen, obj_text(alt)), build)
 
 
 def _mutant_detected(build):
@@ -243,9 +242,8 @@ def test_criterion_4_well_definedness(field):
     gens = cat.generators
     trials = 0
     while trials < 100:
-        a = ObjectExpr(tuple(rng.choice(gens) for _ in range(rng.randint(1, 2))))
-        b = ObjectExpr(tuple(rng.choice(modkl.generators)
-                             for _ in range(rng.randint(1, 2))))
+        a = tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))
+        b = tuple(rng.choice(modkl.generators) for _ in range(rng.randint(1, 2)))
         la = adj.left.apply_obj(a)
         d = hom_dim_expr(modkl, la, b)
         ide = ideal_subspace(modkl, la, b, xp)
@@ -317,9 +315,8 @@ def test_criterion_6_mutation_layer(ws_stab3):
     checked = 0
     for a in cat.generators:
         for b in cat.generators:
-            fast = ideal_subspace(cat, ObjectExpr((a,)), ObjectExpr((b,)), m.d)
-            slow = brute_force_ideal(cat, ObjectExpr((a,)), ObjectExpr((b,)),
-                                     list(m.d.members), max_mult=2)
+            fast = ideal_subspace(cat, (a,), (b,), m.d)
+            slow = brute_force_ideal(cat, (a,), (b,), list(m.d.members), max_mult=2)
             assert fast == slow, (a, b)
             checked += 1
     print("\nACCEPTANCE 6: mutation pair + quotient triangulation on "

@@ -5,7 +5,7 @@ import pytest
 from rclkit.adjunction import (hom_bijection, make_adjunction, morphism_inverse,
                                normalize_embedding, rewire_adjunction,
                                solve_unit_counit, validate_adjunction)
-from rclkit.category import FinLinCategory, Morphism, ObjectExpr, compose
+from rclkit.category import FinLinCategory, Morphism, compose
 from rclkit.errors import PreconditionError, PresentationError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2, build_fix_prod
@@ -195,10 +195,10 @@ def test_solve_unit_counit_fixture_pair(ws_a2):
 def test_solve_unit_counit_none_for_zero_functor(ws_a2):
     cat = ws_a2.categories["A2"]
     modk = ws_a2.categories["ModKL"]
-    zero = LinearFunctor(modk, cat, {"V": ObjectExpr(())}, {}, name="zero")
+    zero = LinearFunctor(modk, cat, {"V": ()}, {}, name="zero")
     idf = identity_functor(cat)
     back = LinearFunctor(cat, modk,
-                         {g: ObjectExpr(("V",)) for g in cat.generators},
+                         {g: ("V",) for g in cat.generators},
                          {(g, h): Mat.zeros(QQ, 1, cat.hom_dim(g, h))
                           for g in cat.generators for h in cat.generators
                           if cat.hom_dim(g, h)},

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                             block_diagonal, compose, hom_dim_expr,
-                             ideal_subspace, is_isomorphic, validate_category)
+from rclkit.category import (FinLinCategory, Morphism, Subcategory, block_diagonal,
+                             compose, hom_dim_expr, ideal_subspace, is_isomorphic,
+                             validate_category)
 from rclkit.errors import PresentationError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_StableCore, _component_category, build_fix_a2,
@@ -41,7 +41,7 @@ def test_hom_space_dims(ws_a2):
     cat = ws_a2.categories["A2"]
     assert hom_dim_expr(cat, cat.obj("P1"), cat.obj("S1")) == 1
     assert hom_dim_expr(cat, cat.obj("S1"), cat.obj("S2")) == 0
-    assert hom_dim_expr(cat, ObjectExpr(()), cat.obj("S2")) == 0
+    assert hom_dim_expr(cat, (), cat.obj("S2")) == 0
 
 
 def test_hom_additivity(ws_a2):
@@ -49,7 +49,7 @@ def test_hom_additivity(ws_a2):
     a = cat.obj("P1", "S2")
     ap = cat.obj("S1")
     b = cat.obj("P1", "S1")
-    lhs = hom_dim_expr(cat, ObjectExpr(a.summands + ap.summands), b)
+    lhs = hom_dim_expr(cat, a + ap, b)
     assert lhs == hom_dim_expr(cat, a, b) + hom_dim_expr(cat, ap, b)
 
 
@@ -160,9 +160,9 @@ def test_subcategory_membership(ws_a2):
 
 def test_block_diagonal_with_zero_target_summand(ws_a2):
     cat = ws_a2.categories["A2"]
-    soc = Morphism.single(cat, "S2", "P1", (Fraction(2),))
-    to_zero = Morphism.zero(cat, cat.obj("S1"), ObjectExpr(()))
-    top = Morphism.single(cat, "P1", "S1", (Fraction(3),))
+    soc = Morphism(cat, ("S2",), ("P1",), (Fraction(2),))
+    to_zero = Morphism.zero(cat, cat.obj("S1"), ())
+    top = Morphism(cat, ("P1",), ("S1",), (Fraction(3),))
     got = block_diagonal(cat, [soc, to_zero, top])
     # Rows are the targets P1, S1; columns the sources S2, S1, P1.  The
     # middle part adds a column and no row.
@@ -176,7 +176,7 @@ def test_block_diagonal_with_zero_target_summand(ws_a2):
 def test_block_diagonal_of_no_parts(ws_a2):
     cat = ws_a2.categories["A2"]
     got = block_diagonal(cat, [])
-    assert got.source.summands == () and got.target.summands == ()
+    assert got.source == () and got.target == ()
     assert got.coords == ()
 
 
@@ -186,9 +186,19 @@ def test_block_diagonal_of_no_parts(ws_a2):
     (("S2",), ("P1",), (), "morphism S2 -> P1 has 0 coords, expected 1"),
     (("S2", "P1"), ("P1", "S1"), (1,), r"morphism S2\+P1 -> P1\+S1 has 1 coords, expected 3"),
     (("S2", "P1"), ("P1",), (1,), r"morphism S2\+P1 -> P1 has 1 coords, expected 2"),
+    ((), ("P1",), (1,), "morphism 0 -> P1 has 1 coords, expected 0"),
 ], ids=["too-many", "too-many-over-two-blocks", "none-for-a-nonzero-hom",
-        "too-few-over-four-blocks", "too-few-over-two-blocks"])
+        "too-few-over-four-blocks", "too-few-over-two-blocks", "some-from-zero"])
 def test_morphism_rejects_the_wrong_coordinate_count(ws_a2, source, target, coords, message):
     cat = ws_a2.categories["A2"]
     with pytest.raises(PresentationError, match="^%s$" % message):
-        Morphism(cat, ObjectExpr(source), ObjectExpr(target), coords)
+        Morphism(cat, source, target, coords)
+
+
+def test_compose_names_both_morphisms_on_a_boundary_mismatch(ws_a2):
+    cat = ws_a2.categories["A2"]
+    f = Morphism.zero(cat, ("S2", "P1"), ("P1",))
+    g = Morphism.zero(cat, ("S1",), ())
+    with pytest.raises(PresentationError) as exc:
+        compose(g, f)
+    assert str(exc.value) == "boundary mismatch: Morphism(S2+P1 -> P1) then Morphism(S1 -> 0)"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rclkit.category import Morphism, ObjectExpr
+from rclkit.category import Morphism
 from rclkit.field import QQ
 from rclkit.linalg import Mat
 
@@ -51,7 +51,7 @@ def test_rational_parse_fmt_round_trip(text, value, shown):
 def test_int_and_fraction_entries_compare_equal(ws_a2):
     assert Mat(QQ, 1, 2, [[1, 0]]) == Mat(QQ, 1, 2, [[Fraction(1), Fraction(0)]])
     cat = ws_a2.categories["A2"]
-    obj = ObjectExpr(("S1",))
+    obj = ("S1",)
     one = Morphism(cat, obj, obj, (1,))
     assert one.equal(Morphism(cat, obj, obj, (Fraction(1),)))
     assert one.equal(Morphism.identity(cat, obj))

@@ -20,9 +20,9 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from rclkit.category import (FinLinCategory, Morphism, ObjectExpr, Subcategory,
-                             block_diagonal, compose, hom_basis, hom_dim_expr,
-                             postcompose_mat, precompose_mat, validate_category)
+from rclkit.category import (FinLinCategory, Morphism, Subcategory, block_diagonal,
+                             compose, hom_basis, hom_dim_expr, postcompose_mat,
+                             precompose_mat, validate_category)
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_component_category, _component_shift, _StableCore,
                                 build_fix_a2, build_fix_prod, build_fix_stab3)
@@ -54,7 +54,7 @@ def doubling(cat):
             hom_maps[(g, h)] = Mat(cat.field, 4 * d, d,
                                    [[cat.field.one if r - q in (0, 3 * d) else cat.field.zero
                                      for q in range(d)] for r in range(4 * d)])
-    return LinearFunctor(cat, cat, {g: ObjectExpr((g, g)) for g in cat.generators},
+    return LinearFunctor(cat, cat, {g: (g, g) for g in cat.generators},
                          hom_maps, name="double")
 
 
@@ -71,7 +71,7 @@ def kronecker(field):
                          {"G": (one,), "H": (one,)}, name="K")
     hom_maps = dict(identity_functor(cat).hom_maps)
     hom_maps[("G", "H")] = Mat(field, 2, 2, [[one, zero], [zero, field.of_int(2)]])
-    return LinearFunctor(cat, cat, {g: ObjectExpr((g,)) for g in cat.generators},
+    return LinearFunctor(cat, cat, {g: (g,) for g in cat.generators},
                          hom_maps, name="S")
 
 
@@ -111,7 +111,7 @@ def functor_cases(draw):
 
 @st.composite
 def objects(draw, cat):
-    return ObjectExpr(draw(st.lists(st.sampled_from(cat.generators), max_size=3)))
+    return tuple(draw(st.lists(st.sampled_from(cat.generators), max_size=3)))
 
 
 @st.composite
@@ -159,7 +159,7 @@ def test_composition_kernels_on_kronecker_basis():
     """Every composable pair of basis morphisms of `kronecker`, where the
     two indices of the structure constants have different ranges."""
     cat = kronecker(QQ).source
-    objs = [ObjectExpr((g,)) for g in cat.generators] + [ObjectExpr(("G", "H"))]
+    objs = [(g,) for g in cat.generators] + [("G", "H")]
     for a in objs:
         for b in objs:
             for f in hom_basis(cat, a, b):
@@ -191,7 +191,7 @@ def kronecker_nat(field):
     space must keep their order."""
     s = kronecker(field)
     return NatTransform(identity_functor(s.source), s,
-                        {g: Morphism.identity(s.source, ObjectExpr((g,)))
+                        {g: Morphism.identity(s.source, (g,))
                          for g in s.source.generators}, name="k")
 
 
@@ -309,8 +309,8 @@ def quotient(cat, members):
 
 
 def zero_blocks(cat, source, target):
-    return [[(cat.field.zero,) * cat.hom_dim(s, t) for s in source.summands]
-            for t in target.summands]
+    return [[(cat.field.zero,) * cat.hom_dim(s, t) for s in source]
+            for t in target]
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,13 +331,13 @@ def test_layout_helpers_match_the_per_block_reader(data):
     for p in parts:
         for li, row in enumerate(blocks_of(p)):
             want[toff + li][soff:soff + len(row)] = row
-        soff += len(p.source.summands)
-        toff += len(p.target.summands)
+        soff += len(p.source)
+        toff += len(p.target)
     assert blocks_of(diag) == want
 
     obj = data.draw(objects(cat))
     want = zero_blocks(cat, obj, obj)
-    for i, g in enumerate(obj.summands):
+    for i, g in enumerate(obj):
         want[i][i] = cat.identities[g]
     assert blocks_of(Morphism.identity(cat, obj)) == want
 
@@ -346,19 +346,19 @@ def test_layout_helpers_match_the_per_block_reader(data):
     written = {(i, j): {name: field.parse(num.value) for name, num, _ in coeffs}
                for (i, j), coeffs, _ in parsed}
     want = {(i, j): {n: x for n, x in zip(cat.basis_names(s, t), vec) if x}
-            for i, (t, row) in enumerate(zip(mor.target.summands, blocks_of(mor)))
-            for j, (s, vec) in enumerate(zip(mor.source.summands, row)) if any(vec)}
+            for i, (t, row) in enumerate(zip(mor.target, blocks_of(mor)))
+            for j, (s, vec) in enumerate(zip(mor.source, row)) if any(vec)}
     assert written == want
     assert _build_morphism(cat, mor.source, mor.target, parsed).equal(mor)
 
     q = quotient(cat, tuple(data.draw(st.lists(st.sampled_from(cat.generators), unique=True))))
     if q.presentation.generators:
         mor = data.draw(morphisms(q.presentation))
-        want = [[q.section[(s, t)].apply(vec) for s, vec in zip(mor.source.summands, row)]
-                for t, row in zip(mor.target.summands, blocks_of(mor))]
+        want = [[q.section[(s, t)].apply(vec) for s, vec in zip(mor.source, row)]
+                for t, row in zip(mor.target, blocks_of(mor))]
         assert blocks_of(q.lift_morphism(mor)) == want
 
     m = mutation_data(field)
     x = data.draw(st.sampled_from(sorted(m.fixed)))
-    f = data.draw(morphisms(m.tri.cat, source=ObjectExpr((x,))))
+    f = data.draw(morphisms(m.tri.cat, source=(x,)))
     assert blocks_of(make_D_monic(m, f)) == blocks_of(f) + blocks_of(m.fixed[x].f)

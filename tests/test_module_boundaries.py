@@ -86,6 +86,22 @@ def test_morphisms_are_built_by_init_and_read_flat():
     assert found == []
 
 
+def test_an_object_is_a_plain_tuple():
+    """An object is the tuple of its generator names: no module of the
+    package or its tests names an `ObjectExpr` wrapper or loads a
+    `.summands` attribute off one."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = {getattr(node, field, None) for field in ("id", "name", "attr")}
+            if "ObjectExpr" in names or (isinstance(node, ast.Attribute)
+                                         and node.attr == "summands"
+                                         and isinstance(node.ctx, ast.Load)):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def _attribute_loads(tree, attr, scope=()):
     """The dotted scope (classes and functions) of every load of `.attr`."""
     for node in ast.iter_child_nodes(tree):

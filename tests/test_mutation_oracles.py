@@ -70,7 +70,7 @@ def brute_force_image_is_standard(e, m2, st):
     pushed = e.push_triangle(st.ambient)
     img = m2.to_quotient_triangle(pushed, e.functor.apply(st.ladder_z))
     pres = m2.quotient.presentation
-    if img.x.is_zero():
+    if not img.x:
         ref = Triangle(img.x, img.y, img.y, Morphism.zero(pres, img.x, img.y),
                        Morphism.identity(pres, img.y), Morphism.zero(pres, img.y, img.x))
     else:

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from rclkit.category import (Morphism, ObjectExpr, Subcategory, compose,
-                             hom_dim_expr, ideal_subspace)
+from rclkit.category import Morphism, Subcategory, compose, hom_dim_expr, ideal_subspace
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2
-from rclkit.functor import compose_functors, functor_equal, identity_functor, validate_functor
+from rclkit.functor import (LinearFunctor, compose_functors, functor_equal, identity_functor,
+                            validate_functor)
 from rclkit.linalg import SubspaceBasis
 from rclkit.quotient import (MorphismIdeal, build_quotient, factor_through_quotient,
                              induce_adjunction, induce_functor)
@@ -21,8 +21,7 @@ def brute_force_ideal(cat, a, b, members, max_mult=2):
     vectors = []
     mids = []
     for k in range(1, max_mult + 1):
-        mids.extend(ObjectExpr(comb)
-                    for comb in itertools.combinations_with_replacement(members, k))
+        mids.extend(itertools.combinations_with_replacement(members, k))
     for mid in mids:
         d_in = hom_dim_expr(cat, a, mid)
         d_out = hom_dim_expr(cat, mid, b)
@@ -44,9 +43,8 @@ def test_ideal_matches_brute_force(ws_a2):
         sub = Subcategory(cat, members)
         for a in cat.generators:
             for b in cat.generators:
-                fast = ideal_subspace(cat, ObjectExpr((a,)), ObjectExpr((b,)), sub)
-                slow = brute_force_ideal(cat, ObjectExpr((a,)), ObjectExpr((b,)),
-                                         members)
+                fast = ideal_subspace(cat, (a,), (b,), sub)
+                slow = brute_force_ideal(cat, (a,), (b,), members)
                 assert fast == slow, (a, b, members)
 
 
@@ -58,7 +56,7 @@ def test_build_quotient_by_empty(ws_a2):
         for b in cat.generators:
             assert q.presentation.hom_dim(a, b) == cat.hom_dim(a, b)
     assert functor_equal(q.projection, identity_functor(cat)) or all(
-        q.projection.object_map[g].summands == (g,) for g in cat.generators)
+        q.projection.object_map[g] == (g,) for g in cat.generators)
     assert q.validate().ok_all
 
 
@@ -102,13 +100,20 @@ def test_factor_through_quotient(ws_a2):
     assert functor_equal(tq, identity_functor(q.presentation))
 
 
+def _doubling(cat):
+    """g -> g+g with zero hom maps: only its object map is read."""
+    return LinearFunctor(cat, cat, {g: (g, g) for g in cat.generators}, {}, name="double")
+
+
 def test_factor_through_quotient_precondition(ws_a2):
     cat = ws_a2.categories["A2"]
     q = build_quotient(cat, Subcategory(cat, ["S2"]))
     ib = ws_a2.functors["ib"]  # does not kill S2
-    with pytest.raises(PreconditionError) as exc:
-        factor_through_quotient(ib, q)
-    assert "S2" in str(exc.value) or "S2" in exc.value.witness
+    for f, witness in ((ib, "S2 -> V"), (_doubling(cat), "S2 -> S2+S2")):
+        with pytest.raises(PreconditionError) as exc:
+            factor_through_quotient(f, q)
+        assert str(exc.value) == "functor does not kill the subcategory"
+        assert exc.value.witness == witness
 
 
 def test_factorization_unique_on_representatives(ws_a2):
@@ -127,13 +132,15 @@ def test_induce_functor_examples(ws_a2):
     q_right = build_quotient(modkr, Subcategory(modkr, []))
     tilde = induce_functor(ws_a2.functors["ju"], q_mid, q_right)
     assert validate_functor(tilde).ok_all
-    assert tilde.object_map["S1"].summands == ("W",)
-    assert tilde.object_map["P1"].summands == ("W",)
+    assert tilde.object_map["S1"] == ("W",)
+    assert tilde.object_map["P1"] == ("W",)
 
     q_bad = build_quotient(cat, Subcategory(cat, ["P1"]))
-    with pytest.raises(PreconditionError) as exc:
-        induce_functor(ws_a2.functors["ju"], q_bad, q_right)
-    assert "P1" in exc.value.witness
+    for f, q_tgt, image in ((ws_a2.functors["ju"], q_right, "W"),
+                            (_doubling(cat), q_mid, "P1+P1")):
+        with pytest.raises(PreconditionError) as exc:
+            induce_functor(f, q_bad, q_tgt)
+        assert exc.value.witness == "P1 maps to %s outside the target subcategory" % image
 
 
 def test_induce_adjunction_audit(ws_a2):
@@ -169,9 +176,8 @@ def test_well_definedness_randomized(field):
     gens = cat.generators
     trials = 0
     while trials < 100:
-        a = ObjectExpr(tuple(rng.choice(gens) for _ in range(rng.randint(1, 2))))
-        b = ObjectExpr(tuple(rng.choice(modkl.generators)
-                             for _ in range(rng.randint(1, 2))))
+        a = tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))
+        b = tuple(rng.choice(modkl.generators) for _ in range(rng.randint(1, 2)))
         la = adj.left.apply_obj(a)
         d = hom_dim_expr(modkl, la, b)
         ide = ideal_subspace(modkl, la, b, xp)

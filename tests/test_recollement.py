@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rclkit.category import ObjectExpr, Subcategory
+from rclkit.category import Subcategory
 from rclkit.cli import run_command
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ
@@ -38,7 +38,7 @@ def test_degenerate_identity_recollement(ws_a2):
     idf = identity_functor(cat)
     adj_id = solve_unit_counit(idf, idf, name="adj")
     to_zero = LinearFunctor(cat, zero_cat,
-                            {g: ObjectExpr(()) for g in cat.generators}, {},
+                            {g: () for g in cat.generators}, {},
                             name="tozero")
     from_zero = LinearFunctor(zero_cat, cat, {}, {}, name="fromzero")
     adj_z1 = solve_unit_counit(from_zero, to_zero, name="z1")
@@ -81,7 +81,7 @@ def test_checker_flags_wrong_embedding(ws_a2):
     rec = ws_a2.recollements["R"]
     modkl = ws_a2.categories["ModKL"]
     cat = ws_a2.categories["A2"]
-    il_bad = LinearFunctor(modkl, cat, {"V": ObjectExpr(("S1",))},
+    il_bad = LinearFunctor(modkl, cat, {"V": ("S1",)},
                            {("V", "V"): Mat(QQ, 1, 1, [[Fraction(1)]])},
                            name="il_bad")
     mutant = Recollement(**{**vars(rec), "i_lo": il_bad})

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from rclkit.category import Morphism, ObjectExpr, Subcategory, compose
+from rclkit.category import Morphism, Subcategory, compose
 from rclkit.field import QQ
 from rclkit.fixture_gen import (_component_category, _component_shift, _embed_triangle,
                                 _shift_functors, _stable_category, _stable_triangles,
@@ -20,8 +20,8 @@ def test_presentation_validates(ws_stab3):
 
 def test_shift_swaps_generators(ws_stab3):
     t = ws_stab3.functors["T"]
-    assert t.object_map["M1"].summands == ("M2",)
-    assert t.object_map["M2"].summands == ("M1",)
+    assert t.object_map["M1"] == ("M2",)
+    assert t.object_map["M2"] == ("M1",)
 
 
 def test_identity_triangles_in_closure(ws_stab3):
@@ -51,9 +51,9 @@ def test_non_triangle_rejected(ws_stab3):
     tri = ws_stab3.triangulated["TC"]
     cat = tri.cat
     m1 = cat.obj("M1")
-    bogus = Triangle(m1, ObjectExpr(()), m1,
-                     Morphism.zero(cat, m1, ObjectExpr(())),
-                     Morphism.zero(cat, ObjectExpr(()), m1),
+    bogus = Triangle(m1, (), m1,
+                     Morphism.zero(cat, m1, ()),
+                     Morphism.zero(cat, (), m1),
                      Morphism.zero(cat, m1, cat.obj("M2")), name="bogus")
     # (M1, 0, M1, 0, 0, 0) has no invertible connecting map, so it is not
     # isomorphic to any sum of rotations.
@@ -135,12 +135,12 @@ def vertex_queries(draw):
     for i in range(k):
         kind = draw(st.sampled_from(("atoms", "atoms", "zero", "generators")))
         if kind == "atoms":
-            summands = [g for a in atoms for g in a.vertices()[i].summands]
+            summands = [g for a in atoms for g in a.vertices()[i]]
         elif kind == "zero":
             summands = []
         else:
             summands = draw(st.lists(gens, max_size=3))
-        objs.append(ObjectExpr(draw(st.permutations(summands))))
+        objs.append(tuple(draw(st.permutations(summands))))
     return tri, tuple(objs)
 
 
@@ -151,5 +151,5 @@ def test_candidate_combos_match_the_unmemoized_recursion(query):
     found = tri._candidate_combos(objs)
     assert [[id(a) for a in c] for c in found] == \
         [[id(a) for a in c] for c in candidate_combos(tri, objs)]
-    again = tri._candidate_combos(tuple(ObjectExpr(o.summands[::-1]) for o in objs))
+    again = tri._candidate_combos(tuple(o[::-1] for o in objs))
     assert again == found

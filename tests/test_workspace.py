@@ -49,7 +49,7 @@ category A { object G hom G G { basis e } identity G { e 1 } compose (G G e) (G 
 field { kind rationals }
 """
     ws = parse(text)
-    assert ws.functors["f"].object_map["G"].summands == ("G",)
+    assert ws.functors["f"].object_map["G"] == ("G",)
 
 
 def test_unknown_category_reference():
@@ -161,6 +161,11 @@ DIAGNOSTICS = [
      ["line 3, col 14: unknown field kind 'reals'"]),
     ("category-unknown-generator", "hom M1 M2 { basis a0 }", "hom M1 NOPE { basis a0 }",
      ["line 9, col 3: hom pair (M1,NOPE): unknown generator"]),
+    ("category-identity-unknown-generator", "  identity M2 { a0 1 }\n",
+     "  identity M2 { a0 1 }\n  identity NOPE { }\n",
+     ["line 14, col 3: identity NOPE: unknown generator"]),
+    ("category-repeated-basis-name", "hom M1 M2 { basis a0 }", "hom M1 M2 { basis a0 a0 }",
+     ["line 9, col 24: duplicate basis name 'a0' of Hom(M1,M2)"]),
     ("subcategory-unknown-category", "of STAB members M2", "of NOPE members M2",
      ["line 25, col 22: unknown category 'NOPE'"]),
     ("subcategory-unknown-member", "of STAB members M2", "of STAB members NOPE",
