@@ -15,7 +15,6 @@ line on stderr).
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .adjunction import validate_adjunction
@@ -264,6 +263,8 @@ def run_command(command, ws, options) -> Certificate:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it; importing rclkit.cli stays light
+
     ap = argparse.ArgumentParser(
         prog="rclkit",
         description="Machine-check recollement and mutation-pair constructions "

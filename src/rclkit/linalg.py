@@ -167,7 +167,7 @@ def rref(m: Mat):
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(rref(m)[1]) if m.rows and m.cols else 0
 
 
 def solve(a: Mat, b: Mat):

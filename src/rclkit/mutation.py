@@ -312,8 +312,7 @@ def _tr1(m: MutationData) -> tuple:
                 seen.add(fbar.coords)
                 key = "tr1.%s-%s.%s" % (xg, yg, label)
                 try:
-                    st = standard_triangle(m, make_D_monic(m, m.lift(fbar)),
-                                           name="tr1.%s" % key)
+                    st = standard_triangle(m, make_D_monic(m, m.lift(fbar)), name=key)
                 except (PreconditionError, InconsistentDataError) as exc:
                     rep.fail(key, str(exc))
                 except UndecidedError as exc:
@@ -361,9 +360,10 @@ def _check_triangles(m: MutationData, triangles: tuple) -> Report:
     rep.close("composites.zero")
 
     squares = 0
+    mats = _HomMats()
     for i1, t1 in enumerate(triangles):
         for i2, t2 in enumerate(triangles):
-            dim, completes = _tr3_pair(m, t1, t2)
+            dim, completes = _tr3_pair(m, t1, t2, mats)
             squares += dim
             if not completes:
                 rep.fail("tr3", "no completion between %d and %d" % (i1, i2))
@@ -372,26 +372,44 @@ def _check_triangles(m: MutationData, triangles: tuple) -> Report:
     return rep
 
 
-def _tr3_pair(m: MutationData, t1, t2):
+class _HomMats(dict):
+    """Memo of Hom-action matrices: mats[act, mor, obj] is act(mor, obj) for
+    act `postcompose_mat` or `precompose_mat`, built on first use."""
+
+    def __missing__(self, key):
+        act, mor, obj = key
+        mat = self[key] = act(mor, obj)
+        return mat
+
+
+def _tr3_pair(m: MutationData, t1, t2, mats=None):
     """(dim, completes): the dimension of the space of commuting squares
     (a, b) with f2 o a = b o f1, and whether every such square extends to a
     morphism of triangles.
 
     The ladder right-hand side (g2 o b, sigma(a) o h1) is linear in (a, b),
     so every square completes exactly when the images of a basis of the
-    square space lie in the column space of `_ladder_matrix(g1, h2)`: one
-    solve, against all of them at once."""
-    F = m.quotient.presentation.field
-    post_a = postcompose_mat(t2.f, t1.x)
+    square space lie in the column space of the ladder matrix of (g1, h2)
+    (`_ladder_matrix`): one solve, against all of them at once.  The matrices
+    come from mats, which a caller shares across pairs; with Hom(x1, x2) and
+    Hom(y1, y2) both zero nothing is built."""
+    pres = m.quotient.presentation
+    if not (hom_dim_expr(pres, t1.x, t2.x) or hom_dim_expr(pres, t1.y, t2.y)):
+        return 0, True
+    mats = _HomMats() if mats is None else mats
+    post_a = mats[postcompose_mat, t2.f, t1.x]
     da = post_a.cols
-    squares = nullspace(post_a.hstack(precompose_mat(t1.f, t2.y).neg()))
+    squares = nullspace(post_a.hstack(mats[precompose_mat, t1.f, t2.y].neg()))
     if not squares:
         return 0, True
+    F = pres.field
     na = Mat.from_columns(F, da, [v[:da] for v in squares])
     nb = Mat.from_columns(F, len(squares[0]) - da, [v[da:] for v in squares])
-    images = postcompose_mat(t2.g, t1.y).mul(nb).vstack(
-        precompose_mat(t1.h, t2.h.target).mul(m.sigma.action(t1.x, t2.x)).mul(na))
-    return len(squares), solve(_ladder_matrix(t1.g, t2.h), images) is not None
+    images = mats[postcompose_mat, t2.g, t1.y].mul(nb).vstack(
+        mats[precompose_mat, t1.h, t2.h.target].mul(m.sigma.action(t1.x, t2.x)).mul(na))
+    ladder = mats[precompose_mat, t1.g, t2.h.source].vstack(
+        mats[postcompose_mat, t2.h, t1.g.target])
+    return len(squares), solve(ladder, images) is not None
 
 
 def _ladder_matrix(g: Morphism, h: Morphism) -> Mat:

@@ -17,11 +17,14 @@ and otherwise the grid lemma gives a point (`linalg.invertible_point`),
 which `morphism_inverse` verifies.  Where the premise fails, a search that
 finds no verified point raises UndecidedError, and the check that asked
 records not-checked.
+
+A presentation decides each membership once and remembers the answer or the
+error.  `complete_monic` skips, without a search, every candidate sum whose
+first map has another rank profile than f: ranks of Hom-action maps are
+invariant under isomorphism of arrows, so a mismatch is a proof.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .category import (Morphism, block_diagonal, block_offsets, commuting_space,
                        compose, hom_dim_expr, morphism_inverse, obj_text,
@@ -65,8 +68,11 @@ class TriangulatedPresentation:
         self.triangles = tuple(triangles)
         self.name = name
         self._atoms = None
-        self._atom_counts = None  # vertex multiplicities of the atoms
+        self._atom_vectors = None
+        self._gen_index = {g: i for i, g in enumerate(cat.generators)}
         self._combos = {}
+        self._memberships = {}
+        self._profiles = {}
 
     def validate(self) -> Report:
         rep = Report()
@@ -129,7 +135,9 @@ class TriangulatedPresentation:
             else:
                 raise PresentationError("rotation of %s does not cycle" % t.name)
         self._atoms = out
-        self._atom_counts = [[Counter(v) for v in a.vertices()] for a in out]
+        # Each atom's count vector (`_count_vector`) as its nonzero entries.
+        self._atom_vectors = [[(p, c) for p, c in enumerate(self._count_vector(a.vertices()))
+                               if c] for a in out]
         return out
 
     def direct_sum(self, parts) -> Triangle:
@@ -140,42 +148,63 @@ class TriangulatedPresentation:
         return Triangle(f.source, f.target, g.target, f, g, h,
                         name="+".join(p.name or "?" for p in parts))
 
+    def _count_vector(self, objs):
+        """The generator multiplicities of objs, vertex after vertex: the
+        count of generator g in objs[i] at position i * n + index of g."""
+        n, index = len(self._gen_index), self._gen_index
+        counts = [0] * (n * len(objs))
+        for i, obj in enumerate(objs):
+            for g in obj:
+                counts[i * n + index[g]] += 1
+        return counts
+
     def _candidate_combos(self, objs):
         """Multisets of atoms whose leading len(objs) vertices, summed, have
         the vertex multisets of objs.
 
-        Memoized per vertex multiset: callers must not mutate the lists."""
-        targets = [Counter(o) for o in objs]
-        key = tuple(tuple(sorted(t.items())) for t in targets)
+        Enumerated on count vectors (`_count_vector`) and memoized per
+        vector: callers must not mutate the lists."""
+        need = self._count_vector(objs)
+        key = tuple(need)
         if key in self._combos:
             return self._combos[key]
-        atoms, k = self.atoms(), len(objs)
         # Remainders only shrink, so an atom that does not fit at the start
         # is never used; skipping it keeps the results and their order.
-        usable = [(a, counts[:k]) for a, counts in zip(atoms, self._atom_counts)
-                  if any(counts[:k]) and all(_fits(c, t) for c, t in zip(counts, targets))]
+        usable = []
+        for a, full in zip(self.atoms(), self._atom_vectors):
+            vec = [(p, c) for p, c in full if p < len(need)]
+            if vec and all(need[p] >= c for p, c in vec):
+                usable.append((a, vec))
+        # cover[idx]: the positions that some atom from idx on can fill.
+        cover = [0] * (len(usable) + 1)
+        for idx in range(len(usable) - 1, -1, -1):
+            cover[idx] = cover[idx + 1]
+            for p, _ in usable[idx][1]:
+                cover[idx] |= 1 << p
         results = []
 
-        def rec(idx, rems, chosen):
-            if not any(rems):
-                results.append(list(chosen))
+        def rec(idx, rem, chosen):
+            unfilled = 0
+            for p, r in enumerate(rem):
+                if r:
+                    unfilled |= 1 << p
+            if not unfilled:
+                results.append(chosen)
                 return
-            if idx == len(usable):
+            if unfilled & ~cover[idx]:
                 return
-            a, counts = usable[idx]
+            a, vec = usable[idx]
             # Try zero or more copies of atom idx.
-            copies = 0
-            rest = [dict(r) for r in rems]
             while True:
-                rec(idx + 1, rest, chosen + [a] * copies)
-                if all(_fits(c, r) for c, r in zip(counts, rest)):
-                    for c, r in zip(counts, rest):
-                        _subtract(c, r)
-                    copies += 1
-                else:
+                rec(idx + 1, rem, chosen)
+                if not all(rem[p] >= c for p, c in vec):
                     break
+                rem = list(rem)
+                for p, c in vec:
+                    rem[p] -= c
+                chosen = chosen + [a]
 
-        rec(0, [dict(t) for t in targets], [])
+        rec(0, need, [])
         self._combos[key] = results
         return results
 
@@ -183,7 +212,20 @@ class TriangulatedPresentation:
         """Witness that t is isomorphic to a sum of rotated basic triangles,
         or None when it is not.  The witness records the combination and the
         isomorphism.  Raises UndecidedError when no combination gives a
-        witness and some search was undecided."""
+        witness and some search was undecided.  The answer, or the error, is
+        remembered per vertices and coordinates of t."""
+        key = (t.x, t.y, t.z, t.f.coords, t.g.coords, t.h.coords)
+        if key not in self._memberships:
+            try:
+                self._memberships[key] = self._search_membership(t)
+            except UndecidedError as exc:
+                self._memberships[key] = exc
+        found = self._memberships[key]
+        if isinstance(found, UndecidedError):
+            raise found
+        return found
+
+    def _search_membership(self, t: Triangle):
         undecided = None
         for combo in self._candidate_combos(t.vertices()):
             if not combo:
@@ -201,16 +243,35 @@ class TriangulatedPresentation:
             raise undecided
         return None
 
+    def _rank_profile(self, f: Morphism):
+        """For each generator G, the ranks of Hom(G, f) and Hom(f, G),
+        remembered per first map; 0 where that Hom space is 0.  The profile
+        is invariant under isomorphism of arrows and additive over direct
+        sums."""
+        key = (f.source, f.target, f.coords)
+        profile = self._profiles.get(key)
+        if profile is None:
+            profile = self._profiles[key] = tuple(
+                rank(hom_mat(f, (g,))) for g in self.cat.generators
+                for hom_mat in (postcompose_mat, precompose_mat))
+        return profile
+
     def complete_monic(self, f: Morphism):
         """A distinguished triangle whose first map is exactly f, or None
         when there is none; UndecidedError as in `membership`.
 
         Searches sums of atoms with matching first two vertices and
-        transports along an isomorphism of the first map.
+        transports along an isomorphism of the first map.  A sum whose first
+        map has another rank profile (`_rank_profile`) than f is not
+        isomorphic to it, so it is skipped without a search.
         """
         undecided = None
+        want = self._rank_profile(f)
         for combo in self._candidate_combos((f.source, f.target)):
             if not combo:
+                continue
+            profile = tuple(map(sum, zip(*(self._rank_profile(a.f) for a in combo))))
+            if profile != want:
                 continue
             ts = self.direct_sum(combo)
             # a: f.source -> ts.x, b: f.target -> ts.y with ts.f a = b f
@@ -230,17 +291,6 @@ class TriangulatedPresentation:
         if undecided:
             raise undecided
         return None
-
-
-def _fits(small, big):
-    return all(big.get(k, 0) >= v for k, v in small.items())
-
-
-def _subtract(small, big):
-    for k, v in small.items():
-        big[k] -= v
-        if big[k] == 0:
-            del big[k]
 
 
 def identity_triangle(tri: TriangulatedPresentation, g: str) -> Triangle:

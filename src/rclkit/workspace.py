@@ -69,7 +69,9 @@ Declaration order is irrelevant; references are resolved in a second pass,
 one declaration kind at a time in the dependency order of _KINDS, which is
 also the order in which the writer emits them.  The writer emits a canonical
 form (sorted names, generator-order items, nonzero coefficients only) so
-that serialize(parse(text)) is idempotent.
+that serialize(parse(text)) is idempotent.  Text the writer could not give
+back is an error at the repeat: a basis name twice in one coefficient
+list, a block twice in one morph, a member twice in one subcategory.
 """
 
 from __future__ import annotations
@@ -317,11 +319,15 @@ class _Parser:
         return out
 
     def parse_coeffs(self):
-        """{ name number ... } as an ordered list of (name, number token, name token)."""
+        """{ name number ... } as an ordered list of (name, number token, name
+        token); a name that repeats an earlier one is an error."""
         self.expect("{")
-        out = []
+        out, names = [], []
         while not self.at("}"):
             name = self.expect_ident("basis name")
+            if name.value in names:
+                self.error("duplicate coefficient of %r" % name.value, name)
+            names.append(name.value)
             num = self.expect_number()
             out.append((name.value, num, name))
         self.expect("}")
@@ -339,15 +345,19 @@ class _Parser:
         return names
 
     def parse_morph(self):
-        """{ (i j) { coeffs } ... } as list of ((i, j), coeff list, '(' token)."""
+        """{ (i j) { coeffs } ... } as list of ((i, j), coeff list, '(' token);
+        a block that repeats an earlier one is an error."""
         self.expect("{")
-        out = []
+        out, blocks = [], []
         while not self.at("}"):
             tok = self.peek()
             self.expect("(")
             i = self.expect_int()
             j = self.expect_int()
             self.expect(")")
+            if (i, j) in blocks:
+                self.error("duplicate block (%d,%d)" % (i, j), tok)
+            blocks.append((i, j))
             out.append(((i, j), self.parse_coeffs(), tok))
         self.expect("}")
         return out
@@ -698,6 +708,9 @@ def _build_triangle(cat, shift, block, name, values) -> Triangle:
 def _build_subcategory(ws: Workspace, tok, body):
     (of, members), _ = body
     cat = _lookup(ws, "category", of)
+    for i, member in enumerate(members):
+        if any(member.value == prev.value for prev in members[:i]):
+            raise _input_error(member, "duplicate member %r" % member.value)
     return Subcategory(cat, _objexpr(cat, members))
 
 

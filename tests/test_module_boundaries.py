@@ -130,10 +130,11 @@ def test_structure_constants_read_in_one_place():
 
 def test_cli_import_stays_light():
     """`import rclkit.cli` in a fresh isolated interpreter loads neither
-    `dataclasses` nor the `inspect` module it pulls in, and no package
-    module imports `dataclasses`."""
+    `dataclasses` nor the `inspect` module it pulls in, nor `argparse`,
+    which only `cli.main` needs; and no package module imports
+    `dataclasses`."""
     probe = ("import sys; sys.path.insert(0, 'src'); import rclkit.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-c", probe], cwd=TESTS.parent,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -123,6 +123,12 @@ def test_standard_triangle_leaves_the_register_alone(ws_stab3):
     assert m.registered == before and len(before) == 2
 
 
+def test_registered_triangles_are_named_by_their_tr1_key(ws_stab3):
+    """Each registered triangle carries the TR1 key it was built under, once."""
+    m = ws_stab3.mutations["MU"]
+    assert [t.name for t in m.registered] == ["tr1.M1-M1.basis0", "tr1.M1-M1.zero"]
+
+
 def test_standard_triangle_rejects_non_monic(ws_stab3):
     m = ws_stab3.mutations["MU"]
     cat = m.tri.cat

@@ -21,7 +21,8 @@ from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_prod, build_fix_stab3
 from rclkit.linalg import (_determinant, _evaluate, _linear_form, _nonvanishing_point,
                            invertible_point)
-from rclkit.triangulated import Triangle, identity_triangle, invertible_commuting_tuple
+from rclkit.triangulated import (Triangle, TriangulatedPresentation, identity_triangle,
+                                 invertible_commuting_tuple)
 from rclkit.workspace import parse
 
 from oracles import brute_force_invertible_point
@@ -360,47 +361,66 @@ def test_identity_closure_undecided_is_not_checked():
     assert "fail" not in statuses.values()
 
 
+def test_repeated_membership_raises_the_remembered_error(monkeypatch):
+    """An undecided membership is remembered with its error: asking again,
+    with an equal triangle, raises the same UndecidedError without a
+    search."""
+    tri = parse(QQ_I_WORKSPACE).triangulated["TR"]
+    with pytest.raises(UndecidedError) as first:
+        tri.membership(identity_triangle(tri, "G"))
+    searches = []
+    search = triangulated._invertible_candidate
+    monkeypatch.setattr(triangulated, "_invertible_candidate",
+                        lambda *args: searches.append(args) or search(*args))
+    with pytest.raises(UndecidedError) as again:
+        tri.membership(identity_triangle(tri, "G"))
+    assert again.value is first.value
+    assert searches == []
+
+
 # -- counter guard ----------------------------------------------------------
 
 def test_search_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 makes 137 searches, 77 of which
-    return a tuple: 42 memberships (each exact functor's triangle images
-    are searched once, in its input validation), 84 first-map isomorphisms in
-    complete_monic (24 found, 60 proved absent), and in the exact functors'
-    standard-triangle check 6 memberships of pushed witnesses and 5
-    sextuple isomorphisms (an image equal as data to its reference needs
-    none).  A search that returns None is decided without a single
-    morphism_inverse call."""
-    searches, inverses = [], [0]
-    search, inverse = triangulated._invertible_candidate, triangulated.morphism_inverse
+    """tri-recollement fix_prod --d C1.M2 asks 57 memberships, of which 25
+    are distinct; each distinct one is decided once.  Two of those are zero
+    triangles and need no search; the other 23 make one search each: 8
+    identity closures, 8 triangle images of the exact functors' input
+    validation, 2 fixed and 2 cofixed triangles of the mutation check, and
+    3 pushed witnesses in the exact functors' standard-triangle check.
+    complete_monic makes 24 first-map searches: the rank profile rules out
+    every other candidate sum without one.  The image check adds 5 sextuple
+    isomorphisms (an image equal as data to its reference needs none).  So
+    there are 52 searches, and every one returns a tuple."""
+    searches, memberships = [], []
+    search, membership = triangulated._invertible_candidate, TriangulatedPresentation.membership
 
-    def counting_inverse(m):
-        inverses[0] += 1
-        return inverse(m)
+    def counting_membership(tri, t):
+        memberships.append((id(tri), t.vertices(), t.f.coords, t.g.coords, t.h.coords))
+        return membership(tri, t)
 
     def counting_search(*args):
-        before = inverses[0]
         found = search(*args)
-        searches.append((found is not None, inverses[0] - before))
+        searches.append(found is not None)
         return found
 
-    monkeypatch.setattr(triangulated, "morphism_inverse", counting_inverse)
+    monkeypatch.setattr(TriangulatedPresentation, "membership", counting_membership)
     monkeypatch.setattr(triangulated, "_invertible_candidate", counting_search)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert len(searches) == 137
-    assert sum(hit for hit, _ in searches) == 77
-    assert [n for hit, n in searches if not hit] == [0] * 60
+    assert len(memberships) == 57
+    assert len(set(memberships)) == 25
+    assert len(searches) == 52
+    assert sum(searches) == 52
 
 
 def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 solves for 207 inverses, all in
-    the searches, one per component of each tuple found: 126 in the 42
-    memberships, 48 in the 24 first-map isomorphisms found by
-    complete_monic, 18 in the 6 memberships of pushed witnesses and 15 in
-    the 5 sextuple isomorphisms of the image check.  An image equal as data
-    to its reference (every all-zero one among them) is passed without a
-    search, and complete_monic reuses the inverse its search verified."""
+    """tri-recollement fix_prod --d C1.M2 solves for 132 inverses, all in
+    the searches, one per component of each tuple found: 69 in the 23
+    membership searches, 48 in the 24 first-map isomorphisms found by
+    complete_monic and 15 in the 5 sextuple isomorphisms of the image
+    check.  A repeated membership, and an image equal as data to its
+    reference (every all-zero one among them), is passed without a search,
+    and complete_monic reuses the inverse its search verified."""
     calls = [0]
 
     def counting_inverse(m):
@@ -413,4 +433,4 @@ def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
             monkeypatch.setattr(module, "morphism_inverse", counting_inverse)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert calls[0] == 207
+    assert calls[0] == 132

@@ -3,13 +3,14 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from rclkit.category import Morphism, Subcategory, compose
-from rclkit.field import QQ
+from rclkit.category import Morphism, Subcategory, compose, postcompose_mat, precompose_mat
+from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_component_category, _component_shift, _embed_triangle,
                                 _shift_functors, _stable_category, _stable_triangles,
                                 _StableCore, build_fix_prod)
+from rclkit.linalg import rank
 from rclkit.triangulated import (Triangle, TriangulatedPresentation, identity_triangle,
-                                 is_D_epic, is_D_monic)
+                                 invertible_commuting_tuple, is_D_epic, is_D_monic)
 
 from oracles import candidate_combos
 
@@ -106,17 +107,18 @@ def test_exact_data_validates(ws_prod):
 # -- the combination enumerator against the unmemoized recursion -------------
 
 @lru_cache(maxsize=None)
-def presentation(name):
+def presentation(name, field=QQ):
     """stab<m> (m copies of stable k[x]/(x^3), each with fix_stab3's
-    triangles) or fix_prod's middle presentation, over QQ."""
+    triangles) or fix_prod's middle presentation, over field."""
     if name == "fix_prod":
-        return build_fix_prod().triangulated["TRI_C"]
-    core = _StableCore(QQ)
+        return build_fix_prod(field).triangulated["TRI_C"]
+    core = _StableCore(field)
     prefixes = tuple("C%d." % i for i in range(1, int(name[4:]) + 1))
-    cat = _component_category(QQ, core, prefixes, "C")
-    shift, shift_inv = _component_shift(QQ, core, cat, prefixes, "TC")
-    base = _stable_category(QQ, core)
-    core_triangles = _stable_triangles(QQ, core, base, _shift_functors(QQ, core, base)[0])
+    cat = _component_category(field, core, prefixes, "C")
+    shift, shift_inv = _component_shift(field, core, cat, prefixes, "TC")
+    base = _stable_category(field, core)
+    core_triangles = _stable_triangles(field, core, base,
+                                       _shift_functors(field, core, base)[0])
     return TriangulatedPresentation(cat, shift, shift_inv,
                                     [_embed_triangle(cat, shift, t, p, p + t.name)
                                      for p in prefixes for t in core_triangles])
@@ -153,3 +155,59 @@ def test_candidate_combos_match_the_unmemoized_recursion(query):
         [[id(a) for a in c] for c in candidate_combos(tri, objs)]
     again = tri._candidate_combos(tuple(o[::-1] for o in objs))
     assert again == found
+
+
+# -- the rank profile that prunes complete_monic ----------------------------
+
+GF3 = PrimeField(3)
+
+
+@st.composite
+def first_maps(draw):
+    """(presentation, f) over QQ or GF(3): f runs between the first two
+    vertices of a sum of one or two atoms, and is either that sum's first
+    map, scaled, or has random coordinates in {-1, 0, 1}."""
+    field = draw(st.sampled_from((QQ, GF3)))
+    tri = presentation(draw(st.sampled_from(("stab1", "stab2", "fix_prod"))), field)
+    t = tri.direct_sum(draw(st.lists(st.sampled_from(tri.atoms()), min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        return tri, t.f.scale(field.of_int(draw(st.sampled_from((1, 2)))))
+    n = len(t.f.coords)
+    coords = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    return tri, Morphism(tri.cat, t.f.source, t.f.target, map(field.of_int, coords))
+
+
+def direct_rank_profile(f):
+    """The ranks of Hom(G, f) and Hom(f, G), read off the matrices of f."""
+    return tuple(rank(hom_mat(f, (g,))) for g in f.cat.generators
+                 for hom_mat in (postcompose_mat, precompose_mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(first_maps())
+def test_rank_profile_rules_out_only_sums_without_an_isomorphism(query):
+    """A candidate sum's profile, summed over its atoms, is the profile of
+    its first map; every sum whose profile differs from f's has no
+    isomorphism of first maps onto f; and complete_monic gives the same
+    triangle as a run that searches every candidate."""
+    tri, f = query
+    want = tri._rank_profile(f)
+    assert want == direct_rank_profile(f)
+    for combo in tri._candidate_combos((f.source, f.target)):
+        if not combo:
+            continue
+        ts = tri.direct_sum(combo)
+        profile = tuple(map(sum, zip(*(tri._rank_profile(a.f) for a in combo))))
+        assert profile == direct_rank_profile(ts.f)
+        if profile != want:
+            assert invertible_commuting_tuple(
+                tri.cat, ((f.source, ts.x), (f.target, ts.y)),
+                ((postcompose_mat(ts.f, f.source), 0, precompose_mat(f, ts.y), 1),)) is None
+    pruned = tri.complete_monic(f)
+    tri._rank_profile = lambda f: ()  # every sum has the one empty profile
+    try:
+        unpruned = tri.complete_monic(f)
+    finally:
+        del tri._rank_profile
+    assert (pruned is None) == (unpruned is None)
+    assert pruned is None or pruned.data_equal(unpruned)

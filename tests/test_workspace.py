@@ -166,6 +166,16 @@ DIAGNOSTICS = [
      ["line 14, col 3: identity NOPE: unknown generator"]),
     ("category-repeated-basis-name", "hom M1 M2 { basis a0 }", "hom M1 M2 { basis a0 a0 }",
      ["line 9, col 24: duplicate basis name 'a0' of Hom(M1,M2)"]),
+    ("category-repeated-coefficient", "identity M1 { a0 1 }", "identity M1 { a0 1 a0 2 }",
+     ["line 12, col 22: duplicate coefficient of 'a0'"]),
+    ("morph-repeated-coefficient", "map (M1 M2 a0) -> { (0 0) { a0 1 } }",
+     "map (M1 M2 a0) -> { (0 0) { a0 1 a0 2 } }",
+     ["line 34, col 36: duplicate coefficient of 'a0'"]),
+    ("morph-repeated-block", "map (M1 M2 a0) -> { (0 0) { a0 1 } }",
+     "map (M1 M2 a0) -> { (0 0) { a0 1 } (0 0) { a0 2 } }",
+     ["line 34, col 38: duplicate block (0,0)"]),
+    ("subcategory-repeated-member", "of STAB members M2", "of STAB members M2 M2",
+     ["line 25, col 38: duplicate member 'M2'"]),
     ("subcategory-unknown-category", "of STAB members M2", "of NOPE members M2",
      ["line 25, col 22: unknown category 'NOPE'"]),
     ("subcategory-unknown-member", "of STAB members M2", "of STAB members NOPE",
