@@ -390,9 +390,10 @@ def _tr3_pair(m: MutationData, t1, t2, mats=None):
     The ladder right-hand side (g2 o b, sigma(a) o h1) is linear in (a, b),
     so every square completes exactly when the images of a basis of the
     square space lie in the column space of the ladder matrix of (g1, h2)
-    (`_ladder_matrix`): one solve, against all of them at once.  The matrices
-    come from mats, which a caller shares across pairs; with Hom(x1, x2) and
-    Hom(y1, y2) both zero nothing is built."""
+    (`_ladder_matrix`): one solve, against all of them at once, and none
+    when every image is zero.  The matrices come from mats, which a caller
+    shares across pairs; with Hom(x1, x2) and Hom(y1, y2) both zero nothing
+    is built."""
     pres = m.quotient.presentation
     if not (hom_dim_expr(pres, t1.x, t2.x) or hom_dim_expr(pres, t1.y, t2.y)):
         return 0, True
@@ -407,6 +408,8 @@ def _tr3_pair(m: MutationData, t1, t2, mats=None):
     nb = Mat.from_columns(F, len(squares[0]) - da, [v[da:] for v in squares])
     images = mats[postcompose_mat, t2.g, t1.y].mul(nb).vstack(
         mats[precompose_mat, t1.h, t2.h.target].mul(m.sigma.action(t1.x, t2.x)).mul(na))
+    if images.is_zero():  # c = 0 completes every square
+        return len(squares), True
     ladder = mats[precompose_mat, t1.g, t2.h.source].vstack(
         mats[postcompose_mat, t2.h, t1.g.target])
     return len(squares), solve(ladder, images) is not None
