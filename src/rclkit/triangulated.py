@@ -222,7 +222,7 @@ class TriangulatedPresentation:
                 self._memberships[key] = exc
         found = self._memberships[key]
         if isinstance(found, UndecidedError):
-            raise found
+            raise found.with_traceback(None)  # a repeat does not grow its traceback
         return found
 
     def _search_membership(self, t: Triangle):

@@ -364,7 +364,10 @@ def test_identity_closure_undecided_is_not_checked():
 def test_repeated_membership_raises_the_remembered_error(monkeypatch):
     """An undecided membership is remembered with its error: asking again,
     with an equal triangle, raises the same UndecidedError without a
-    search."""
+    search, and its traceback does not grow with the repeats."""
+    def depth(tb):
+        return 0 if tb is None else 1 + depth(tb.tb_next)
+
     tri = parse(QQ_I_WORKSPACE).triangulated["TR"]
     with pytest.raises(UndecidedError) as first:
         tri.membership(identity_triangle(tri, "G"))
@@ -372,10 +375,14 @@ def test_repeated_membership_raises_the_remembered_error(monkeypatch):
     search = triangulated._invertible_candidate
     monkeypatch.setattr(triangulated, "_invertible_candidate",
                         lambda *args: searches.append(args) or search(*args))
-    with pytest.raises(UndecidedError) as again:
-        tri.membership(identity_triangle(tri, "G"))
+    depths = []
+    for _ in range(2):
+        with pytest.raises(UndecidedError) as again:
+            tri.membership(identity_triangle(tri, "G"))
+        depths.append(depth(again.value.__traceback__))
     assert again.value is first.value
     assert searches == []
+    assert depths[0] == depths[1]  # a repeat keeps no frames of the earlier ones
 
 
 # -- counter guard ----------------------------------------------------------
