@@ -8,8 +8,8 @@ generators, held as the plain tuple of their names in summand order: () is
 the zero object, and `obj_text` gives the text form.  A morphism between sums
 is the flat vector of its Hom coordinates, block by block in `block_offsets`
 order.  `_composition_blocks` alone lays the composition law out over the
-blocks of three sums, once per category and triple of sums, and `compose`,
-`postcompose_mat` and `precompose_mat` read it through that walk.
+blocks of three sums, and `compose`, `postcompose_mat` and `precompose_mat`
+read it through that walk.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class FinLinCategory:
             self.comp[key] = tuple(tuple(tuple(vec) for vec in row) for row in table)
         self.identities = {g: tuple(v) for g, v in identities.items()}
         self._residues = None
-        self._layouts = {}  # see _composition_blocks
         gen_set = set(self.generators)
         if len(gen_set) != len(self.generators):
             raise PresentationError("duplicate generator names in %r" % (name,))
@@ -219,11 +218,7 @@ def _composition_blocks(cat: FinLinCategory, a: tuple, b: tuple, c: tuple):
     (terms, dim Hom(a, c), dim Hom(b, c), dim Hom(a, b)): one term
     (table, r0, g0, f0) per block triple (i, m, j) with structure constants,
     table = comp[(a_j, b_m, c_i)], and r0, g0, f0 where blocks (i, j) of
-    Hom(a, c), (i, m) of Hom(b, c) and (m, j) of Hom(a, b) start.  The
-    tables are never mutated, so each layout is built once per category."""
-    layout = cat._layouts.get((a, b, c))
-    if layout is not None:
-        return layout
+    Hom(a, c), (i, m) of Hom(b, c) and (m, j) of Hom(a, b) start."""
     comp, dims = cat.comp, cat._dims
     f_offs, fpos = [], 0
     for t in b:
@@ -243,8 +238,7 @@ def _composition_blocks(cat: FinLinCategory, a: tuple, b: tuple, c: tuple):
             gpos += dims.get((t, ci), 0)
         for s in a:
             rpos += dims.get((s, ci), 0)
-    layout = cat._layouts[(a, b, c)] = (tuple(terms), rpos, gpos, fpos)
-    return layout
+    return terms, rpos, gpos, fpos
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:

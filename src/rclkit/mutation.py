@@ -382,42 +382,33 @@ class _HomMats(dict):
         return mat
 
 
-def _tr3_pair(m: MutationData, t1, t2, mats=None):
+def _tr3_pair(m: MutationData, t1, t2, mats):
     """(dim, completes): the dimension of the space of commuting squares
     (a, b) with f2 o a = b o f1, and whether every such square extends to a
     morphism of triangles.
 
     The ladder right-hand side (g2 o b, sigma(a) o h1) is linear in (a, b),
     so every square completes exactly when the images of a basis of the
-    square space lie in the column space of the ladder matrix of (g1, h2)
-    (`_ladder_matrix`): one solve, against all of them at once, and none
-    when every image is zero.  The matrices come from mats, which a caller
-    shares across pairs; with Hom(x1, x2) and Hom(y1, y2) both zero nothing
-    is built."""
-    pres = m.quotient.presentation
-    if not (hom_dim_expr(pres, t1.x, t2.x) or hom_dim_expr(pres, t1.y, t2.y)):
-        return 0, True
-    mats = _HomMats() if mats is None else mats
+    square space lie in the column space of `_ladder_matrix(g1, h2)`: one
+    solve, against all of them at once.  The matrices come from mats, which
+    a caller shares across pairs."""
+    F = m.quotient.presentation.field
     post_a = mats[postcompose_mat, t2.f, t1.x]
     da = post_a.cols
     squares = nullspace(post_a.hstack(mats[precompose_mat, t1.f, t2.y].neg()))
     if not squares:
         return 0, True
-    F = pres.field
     na = Mat.from_columns(F, da, [v[:da] for v in squares])
     nb = Mat.from_columns(F, len(squares[0]) - da, [v[da:] for v in squares])
     images = mats[postcompose_mat, t2.g, t1.y].mul(nb).vstack(
         mats[precompose_mat, t1.h, t2.h.target].mul(m.sigma.action(t1.x, t2.x)).mul(na))
-    if images.is_zero():  # c = 0 completes every square
-        return len(squares), True
-    ladder = mats[precompose_mat, t1.g, t2.h.source].vstack(
-        mats[postcompose_mat, t2.h, t1.g.target])
-    return len(squares), solve(ladder, images) is not None
+    return len(squares), solve(_ladder_matrix(t1.g, t2.h, mats), images) is not None
 
 
-def _ladder_matrix(g: Morphism, h: Morphism) -> Mat:
-    """Matrix of c |-> (c o g, h o c) on Hom(g.target, h.source)."""
-    return precompose_mat(g, h.source).vstack(postcompose_mat(h, g.target))
+def _ladder_matrix(g: Morphism, h: Morphism, mats) -> Mat:
+    """Matrix of c |-> (c o g, h o c) on Hom(g.target, h.source), from the
+    memo mats (`_HomMats`)."""
+    return mats[precompose_mat, g, h.source].vstack(mats[postcompose_mat, h, g.target])
 
 
 def _ladder(shift: LinearFunctor, s: Triangle, t: Triangle, a: Morphism):
@@ -430,7 +421,7 @@ def _ladder(shift: LinearFunctor, s: Triangle, t: Triangle, a: Morphism):
         return None
     b = Morphism(cat, s.y, t.y, sol.col(0))
     rhs = compose(t.g, b).coords + compose(shift.apply(a), s.h).coords
-    sol = solve(_ladder_matrix(s.g, t.h), Mat.column(cat.field, rhs))
+    sol = solve(_ladder_matrix(s.g, t.h, _HomMats()), Mat.column(cat.field, rhs))
     if sol is None:
         return None
     return b, Morphism(cat, s.g.target, t.h.source, sol.col(0))

@@ -175,23 +175,13 @@ class TriangulatedPresentation:
             vec = [(p, c) for p, c in full if p < len(need)]
             if vec and all(need[p] >= c for p, c in vec):
                 usable.append((a, vec))
-        # cover[idx]: the positions that some atom from idx on can fill.
-        cover = [0] * (len(usable) + 1)
-        for idx in range(len(usable) - 1, -1, -1):
-            cover[idx] = cover[idx + 1]
-            for p, _ in usable[idx][1]:
-                cover[idx] |= 1 << p
         results = []
 
         def rec(idx, rem, chosen):
-            unfilled = 0
-            for p, r in enumerate(rem):
-                if r:
-                    unfilled |= 1 << p
-            if not unfilled:
+            if not any(rem):
                 results.append(chosen)
                 return
-            if unfilled & ~cover[idx]:
+            if idx == len(usable):
                 return
             a, vec = usable[idx]
             # Try zero or more copies of atom idx.

@@ -9,7 +9,7 @@ from rclkit.category import (Morphism, block_diagonal, compose, hom_basis, hom_d
 from rclkit.errors import InputError
 from rclkit.functor import compose_functors, identity_functor
 from rclkit.linalg import Mat, SubspaceBasis, difference_rows, nullspace, solve
-from rclkit.mutation import _ladder_matrix
+from rclkit.mutation import _HomMats, _ladder_matrix
 from rclkit.report import Report
 from rclkit.workspace import Diagnostic
 
@@ -506,7 +506,7 @@ def ladder_classes(m, f):
     classes = []
     for b in bs:
         rhs = Mat.column(cat.field, compose(ty.g, b).coords + tail)
-        c = solve(_ladder_matrix(tx.g, ty.h), rhs)
+        c = solve(_ladder_matrix(tx.g, ty.h, _HomMats()), rhs)
         classes.append(m.to_quotient(Morphism(cat, tx.z, ty.z, c.col(0))))
     return classes
 

@@ -420,6 +420,34 @@ def test_search_counts_on_tri_recollement(monkeypatch, capsys):
     assert sum(searches) == 52
 
 
+def test_failed_searches_make_no_inverse_call(monkeypatch, capsys):
+    """With the rank profile disabled, complete_monic on tri-recollement
+    fix_prod --d C1.M2 also searches the 60 candidate sums that the profile
+    rules out, and every one of those searches returns None.  Each None is
+    decided by the top blocks, without a single morphism_inverse call."""
+    searches, inverses = [], [0]
+    search, inverse = triangulated._invertible_candidate, triangulated.morphism_inverse
+
+    def counting_inverse(m):
+        inverses[0] += 1
+        return inverse(m)
+
+    def counting_search(*args):
+        before = inverses[0]
+        found = search(*args)
+        searches.append((found is not None, inverses[0] - before))
+        return found
+
+    monkeypatch.setattr(TriangulatedPresentation, "_rank_profile", lambda tri, f: ())
+    monkeypatch.setattr(triangulated, "morphism_inverse", counting_inverse)
+    monkeypatch.setattr(triangulated, "_invertible_candidate", counting_search)
+    assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
+    capsys.readouterr()
+    assert len(searches) == 112
+    assert sum(hit for hit, _ in searches) == 52
+    assert [n for hit, n in searches if not hit] == [0] * 60
+
+
 def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
     """tri-recollement fix_prod --d C1.M2 solves for 132 inverses, all in
     the searches, one per component of each tuple found: 69 in the 23

@@ -17,7 +17,7 @@ import pytest
 from rclkit.category import Morphism, hom_basis
 from rclkit.field import PrimeField
 from rclkit.fixture_gen import build_fix_prod, build_fix_stab3
-from rclkit.mutation import (StandardTriangle, _check_triangles, _tr3_pair,
+from rclkit.mutation import (StandardTriangle, _check_triangles, _HomMats, _tr3_pair,
                              verify_quotient_triangulation)
 from rclkit.triangulated import Triangle
 
@@ -51,7 +51,7 @@ def third_map_variants(st):
 
 
 def assert_pair_agrees(m, t1, t2):
-    dim, completes = _tr3_pair(m, t1, t2)
+    dim, completes = _tr3_pair(m, t1, t2, _HomMats())
     commuting, failing = brute_force_tr3(m, t1, t2)
     assert commuting == m.tri.cat.field.characteristic ** dim
     assert completes == (not failing)
@@ -121,5 +121,5 @@ def test_sampled_tr3_misses_squares_outside_its_candidates():
         assert commuting == 3
         assert sorted((a.coords, b.coords) for a, b in failing) == [((1,), (2,)),
                                                                            ((2,), (1,))]
-        assert _tr3_pair(m, *pair) == (1, False)
+        assert _tr3_pair(m, *pair, _HomMats()) == (1, False)
         assert sampled_tr3(m, *pair)
