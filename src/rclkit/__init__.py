@@ -9,8 +9,7 @@ from .category import (FinLinCategory, Morphism, Subcategory, compose,
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, image_subcategory, kernel_subcategory,
                       validate_functor, validate_nat)
-from .adjunction import (Adjunction, hom_bijection, make_adjunction,
-                         normalize_embedding, solve_unit_counit,
+from .adjunction import (Adjunction, make_adjunction, normalize_embedding,
                          validate_adjunction)
 from .quotient import (MorphismIdeal, QuotientCategory, build_quotient,
                        factor_through_quotient, induce_adjunction,

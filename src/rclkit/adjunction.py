@@ -1,14 +1,13 @@
-"""Adjoint pairs: validation, Hom bijections, strictification, witness search."""
+"""Adjoint pairs: validation, the transpose along a unit, strictification."""
 
 from __future__ import annotations
 
-from .category import (Morphism, block_diagonal, commuting_space, compose, hom_basis,
-                       hom_dim_expr, morphism_inverse, postcompose_mat, precompose_mat)
+from .category import (Morphism, block_diagonal, compose, morphism_inverse,
+                       postcompose_mat, precompose_mat)
 from .errors import InconsistentDataError, PreconditionError
 from .functor import (LinearFunctor, NatTransform, compose_functors,
                       identity_functor, identity_nat, is_full_embedding,
                       is_identity_functor, nat_equal, validate_nat)
-from .linalg import Mat, invertible_point, solve, span_point
 from .report import Report
 
 
@@ -61,18 +60,6 @@ def validate_adjunction(adj: Adjunction) -> Report:
             rep.fail("triangle.right", "at generator %s" % h)
     rep.close("triangle.right")
     return rep
-
-
-def hom_bijection(adj: Adjunction, a: tuple, b: tuple):
-    """The bijection Hom(L a, b) -> Hom(a, R b) and its inverse, as matrices.
-
-    Forward: f |-> R(f) o unit_a.  Backward: g |-> counit_b o L(g).
-    """
-    L, R = adj.left, adj.right
-    la = L.apply_obj(a)
-    fwd = transpose_mat(R, adj.unit.at(a), la, b)
-    bwd = postcompose_mat(adj.counit.at(b), la).mul(L.action(a, R.apply_obj(b)))
-    return fwd, bwd
 
 
 def transpose_mat(right: LinearFunctor, eta_a: Morphism, la: tuple, b: tuple):
@@ -182,74 +169,3 @@ def rewire_adjunction(adj: Adjunction, side: str, new: LinearFunctor,
                         for y in R.source.generators}
         return make_adjunction(L, new, unit_comps, counit_comps, name=adj.name)
     raise ValueError("side must be left or right")
-
-
-def solve_unit_counit(left: LinearFunctor, right: LinearFunctor, name: str = ""):
-    """Unit and counit witnessing that (left, right) is adjoint, as a
-    validated Adjunction, or None when the pair is not adjoint.
-
-    By Yoneda a natural family eta: Id => right o left is a unit exactly
-    when, for all generators a and b, the map Hom(L a, b) -> Hom(a, R b),
-    f |-> R(f) o eta_a, is bijective.  Its matrix is linear in eta: one block
-    per generator pair, with one coefficient per basis vector of the natural
-    families.  None is returned only with a proof: a pair whose two Hom
-    spaces differ in dimension, or, from `linalg.invertible_point`, a
-    determinant that vanishes identically or no point of GF(p)^n.  The
-    Laplace expansion of a block costs 2^(block size) memoised minors, and
-    the block size is dim Hom(L a, b).  With the unit fixed, the counit at b
-    is the unique preimage of 1_{R b} under the bijection at (R b, b).
-    """
-    A, B = left.source, right.source
-    if left.target is not B or right.target is not A:
-        raise PreconditionError("solve_unit_counit: functor boundaries mismatch")
-    F = A.field
-    rl = compose_functors(right, left)
-    ida = identity_functor(A)
-    basis, split = _nat_solution_space(ida, rl)
-    families = [split(v) for v in basis]
-    blocks = []
-    for i, a in enumerate(A.generators):
-        la = left.object_map[a]
-        for b in B.generators:
-            size = hom_dim_expr(B, la, (b,))
-            if size != hom_dim_expr(A, (a,), right.object_map[b]):
-                return None
-            mats = [transpose_mat(right, eta[i], la, (b,)) for eta in families]
-            blocks.append([[[m.data[r][c] for m in mats] for c in range(size)]
-                           for r in range(size)])
-    point = invertible_point(F, len(basis), blocks)
-    if point is None:
-        return None
-    unit = dict(zip(A.generators, split(span_point(F, point, basis))))
-    counit = {}
-    for b in B.generators:
-        rb = right.object_map[b]
-        lrb = left.apply_obj(rb)
-        eta_rb = block_diagonal(A, [unit[s] for s in rb])
-        eps = solve(transpose_mat(right, eta_rb, lrb, (b,)),
-                    Mat.column(F, Morphism.identity(A, rb).coords))
-        if eps is None:
-            raise InconsistentDataError("solve_unit_counit: no counit at %s for "
-                                        "an invertible unit" % b)
-        counit[b] = Morphism(B, lrb, (b,), eps.col(0))
-    adj = make_adjunction(left, right, unit, counit, name=name)
-    if not validate_adjunction(adj).ok_all:
-        raise InconsistentDataError("solve_unit_counit: the unit and counit found "
-                                    "for %s do not validate" % (name or "?"))
-    return adj
-
-
-def _nat_solution_space(from_f: LinearFunctor, to_f: LinearFunctor):
-    """(basis, split) of the space of natural families from_f => to_f, as
-    `commuting_space` gives them: one component per source generator, in
-    generator order, with to_f(f) o comp_a = comp_b o from_f(f) for every
-    basis morphism f: a -> b."""
-    src = from_f.source
-    gens = src.generators
-    index = {g: i for i, g in enumerate(gens)}
-    return commuting_space(
-        from_f.target, [(from_f.object_map[g], to_f.object_map[g]) for g in gens],
-        [(postcompose_mat(to_f.apply(f), from_f.object_map[a]), index[a],
-          precompose_mat(from_f.apply(f), to_f.object_map[b]), index[b])
-         for a in gens for b in gens
-         for f in hom_basis(src, (a,), (b,))])

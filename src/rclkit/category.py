@@ -162,13 +162,6 @@ class Morphism:
             coords[offsets[i][i]:offsets[i][i] + len(one)] = one
         return cls(cat, obj, obj, coords)
 
-    @classmethod
-    def basis_element(cls, cat, src_gen: str, tgt_gen: str, index: int):
-        dim = cat.hom_dim(src_gen, tgt_gen)
-        coords = [cat.field.zero] * dim
-        coords[index] = cat.field.one
-        return cls(cat, (src_gen,), (tgt_gen,), coords)
-
     def add(self, other: "Morphism") -> "Morphism":
         return Morphism(self.cat, self.source, self.target,
                         map(self.cat.field.add, self.coords, other.coords))

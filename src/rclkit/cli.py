@@ -84,6 +84,9 @@ def _resolve_subcat(ws, arg: str, expect_cat=None) -> Subcategory:
             raise InputError(["generators %s are ambiguous; qualify as CAT:..."
                               % ",".join(names)])
         cat = owners[0]
+    repeated = [s for i, s in enumerate(names) if s in names[:i]]
+    if repeated:
+        raise InputError(["duplicate member %r in subcategory %r" % (repeated[0], arg)])
     if expect_cat is not None and cat is not expect_cat:
         raise InputError(["subcategory %r does not live in the expected "
                           "category %s" % (arg, expect_cat.name)])

@@ -25,7 +25,7 @@ from .adjunction import Adjunction
 from .category import FinLinCategory, Morphism, Subcategory
 from .field import QQ
 from .functor import LinearFunctor, NatTransform, compose_functors, identity_functor
-from .linalg import Mat, SubspaceBasis, invert, invertible_point, nullspace, solve
+from .linalg import Mat, SubspaceBasis, invertible_point, nullspace, solve
 from .mutation import ExactFunctorData, MutationData
 from .recollement import ADJUNCTION_SLOTS, FUNCTOR_SLOTS, PARTS, Recollement
 from .triangulated import Triangle, TriangulatedPresentation
@@ -49,6 +49,16 @@ def _coords_in(field, basis_flats, flat):
     return sol.col(0)
 
 
+def invert(m: Mat):
+    """Two-sided inverse of a square matrix, or None."""
+    if m.rows != m.cols:
+        return None
+    sol = solve(m, Mat.identity(m.field, m.rows))
+    if sol is None or m.mul(sol) != Mat.identity(m.field, m.rows):
+        return None
+    return sol
+
+
 def _combination(field, rows, cols, coeffs, mats):
     """The rows x cols matrix sum of c * m over the pairs of coeffs and mats."""
     out = Mat.zeros(field, rows, cols)
@@ -65,7 +75,7 @@ def _coker(field, mat: Mat):
 def _on_cosets(field, mat: Mat, src_sub, tgt_sub) -> Mat:
     """The map k^n / src_sub -> k^m / tgt_sub that mat induces (mat must send
     src_sub into tgt_sub), in the canonical complement coordinates of both."""
-    return Mat.from_columns(field, tgt_sub.quotient_dim(),
+    return Mat.from_columns(field, tgt_sub.ambient - tgt_sub.dim,
                             [tgt_sub.coset_coords(mat.col(j))
                              for j in src_sub.complement_coords()])
 
@@ -243,7 +253,8 @@ def build_fix_a2(field=QQ) -> Workspace:
 
     functors = {
         "i_up": _rep_functor(
-            cc, ccl, "iu", {g: ("V" if cokers[g].quotient_dim() == 1 else None) for g in models},
+            cc, ccl, "iu",
+            {g: ("V" if cokers[g].ambient - cokers[g].dim == 1 else None) for g in models},
             lambda a, b, mor: (_on_cosets(field, mor[1], cokers[a], cokers[b]),)),
         "i_lo": _rep_functor(ccl, cc, "il", {"V": "S2"}, lambda a, b, mor: (e00, mor[0])),
         "i_bang": _rep_functor(cc, ccl, "ib", on_vertex(1, "V"), lambda a, b, mor: (mor[1],)),

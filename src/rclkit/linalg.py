@@ -6,7 +6,7 @@ data.  Dimensions are desk scale; no attempt at sparsity.
 
 `invertible_point` decides whether square matrices that depend linearly on
 n unknowns are invertible together at some point; the triangle-isomorphism
-search and the adjunction search both call it.
+search and the fixture generator's module isomorphism call it.
 """
 
 from __future__ import annotations
@@ -261,9 +261,6 @@ class SubspaceBasis:
         red = self.reduce(vec)
         return tuple(red[i] for i in self.complement_coords())
 
-    def quotient_dim(self) -> int:
-        return self.ambient - self.dim
-
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.field == other.field
                 and self.ambient == other.ambient and self.rows == other.rows)
@@ -289,18 +286,6 @@ def difference_rows(field, total: int, constraints):
                 row[q_off + c] = field.sub(row[q_off + c], q_mat.data[r][c])
             rows.append(row)
     return rows
-
-
-def invert(m: Mat):
-    """Two-sided inverse of a square matrix, or None."""
-    if m.rows != m.cols:
-        return None
-    sol = solve(m, Mat.identity(m.field, m.rows))
-    if sol is None:
-        return None
-    if not m.mul(sol).__eq__(Mat.identity(m.field, m.rows)):
-        return None
-    return sol
 
 
 def invertible_point(F, n, blocks):

@@ -3,12 +3,11 @@
 import itertools
 from collections import Counter
 
-from rclkit.adjunction import _nat_solution_space, make_adjunction, validate_adjunction
-from rclkit.category import (Morphism, block_diagonal, compose, hom_basis, hom_dim_expr,
-                             morphism_inverse, postcompose_mat, precompose_mat)
+from rclkit.adjunction import transpose_mat
+from rclkit.category import (Morphism, compose, hom_basis, hom_dim_expr, morphism_inverse,
+                             postcompose_mat, precompose_mat)
 from rclkit.errors import InputError
-from rclkit.functor import compose_functors, identity_functor
-from rclkit.linalg import Mat, SubspaceBasis, difference_rows, nullspace, solve
+from rclkit.linalg import Mat, SubspaceBasis, nullspace, solve
 from rclkit.mutation import _HomMats, _ladder_matrix
 from rclkit.report import Report
 from rclkit.workspace import Diagnostic
@@ -69,6 +68,23 @@ def brute_force_isomorphic(cat, g, h):
                for f in every_morphism(cat, src, tgt) for back in backs)
 
 
+def basis_element(cat, a, b, q):
+    """The basis morphism q of Hom(a, b), for generators a and b."""
+    return list(hom_basis(cat, (a,), (b,)))[q]
+
+
+def hom_bijection(adj, a, b):
+    """The bijection Hom(L a, b) -> Hom(a, R b) and its inverse, as matrices.
+
+    Forward: f |-> R(f) o unit_a.  Backward: g |-> counit_b o L(g).
+    """
+    L, R = adj.left, adj.right
+    la = L.apply_obj(a)
+    fwd = transpose_mat(R, adj.unit.at(a), la, b)
+    bwd = postcompose_mat(adj.counit.at(b), la).mul(L.action(a, R.apply_obj(b)))
+    return fwd, bwd
+
+
 # -- the block layout, read with hom_dim alone --
 
 def blocks_of(mor):
@@ -96,7 +112,7 @@ def from_blocks(cat, source, target, blocks):
 def basis_morphisms(cat):
     """Every (a, b, q, f) with f the basis morphism q of Hom(a, b), for
     generators a and b, in generator order."""
-    return [(a, b, q, Morphism.basis_element(cat, a, b, q))
+    return [(a, b, q, basis_element(cat, a, b, q))
             for a in cat.generators for b in cat.generators for q in range(cat.hom_dim(a, b))]
 
 
@@ -228,7 +244,7 @@ def per_basis_validate_category(cat):
         ident = Morphism(cat, (g,), (g,), cat.identities[g])
         for h in gens:
             for q in range(cat.hom_dim(g, h)):
-                f = Morphism.basis_element(cat, g, h, q)
+                f = basis_element(cat, g, h, q)
                 name = cat.basis_names(g, h)[q]
                 if not compose(f, ident).equal(f):
                     rep.fail("identity.right", "%s o 1_%s != %s" % (name, g, name))
@@ -239,11 +255,11 @@ def per_basis_validate_category(cat):
     for a, b, q1, f in basis_morphisms(cat):
         for c in gens:
             for q2 in range(cat.hom_dim(b, c)):
-                g = Morphism.basis_element(cat, b, c, q2)
+                g = basis_element(cat, b, c, q2)
                 gf = compose(g, f)
                 for d in gens:
                     for q3 in range(cat.hom_dim(c, d)):
-                        h = Morphism.basis_element(cat, c, d, q3)
+                        h = basis_element(cat, c, d, q3)
                         if not compose(h, gf).equal(compose(compose(h, g), f)):
                             rep.fail("associativity",
                                      "witness (%s in Hom(%s,%s), %s in Hom(%s,%s), "
@@ -271,7 +287,7 @@ def per_basis_validate_functor(f):
     for a, b, q1, mor_f in basis_morphisms(src):
         for c in src.generators:
             for q2 in range(src.hom_dim(b, c)):
-                mor_g = Morphism.basis_element(src, b, c, q2)
+                mor_g = basis_element(src, b, c, q2)
                 lhs = per_basis_apply(f, compose(mor_g, mor_f))
                 rhs = compose(per_basis_apply(f, mor_g), per_basis_apply(f, mor_f))
                 if not lhs.equal(rhs):
@@ -293,12 +309,12 @@ def per_basis_ideal_validate(ideal):
             w = Morphism(cat, (a,), (b,), vec)
             for c in cat.generators:
                 for p in range(cat.hom_dim(b, c)):
-                    u = Morphism.basis_element(cat, b, c, p)
+                    u = basis_element(cat, b, c, p)
                     if not ideal.table[(a, c)].contains_vector(compose(u, w).coords):
                         rep.fail("ideal.two-sided.post-compose",
                                  "(%s,%s) composed into Hom(%s,%s)" % (a, b, a, c))
                 for p in range(cat.hom_dim(c, a)):
-                    v = Morphism.basis_element(cat, c, a, p)
+                    v = basis_element(cat, c, a, p)
                     if not ideal.table[(c, b)].contains_vector(compose(w, v).coords):
                         rep.fail("ideal.two-sided.pre-compose",
                                  "(%s,%s) composed into Hom(%s,%s)" % (a, b, c, b))
@@ -308,116 +324,6 @@ def per_basis_ideal_validate(ideal):
             rep.fail("ideal.member-identity", m)
     rep.close("ideal.member-identity")
     return rep
-
-
-# -- adjunctions: every natural family, each with the counit linear system --
-
-def brute_force_adjoint(left, right):
-    """A validated Adjunction (left, right), or None when there is none.
-    Every natural family Id => right o left over the prime field is tried as
-    the unit, and the counit for it is found by the reference linear system
-    `solve_counit_given_unit`.  Keep p^(dimension of the natural families)
-    small."""
-    F = left.source.field
-    rl = compose_functors(right, left)
-    ida = identity_functor(left.source)
-    basis, split = _nat_solution_space(ida, rl)
-    total = len(basis[0]) if basis else 0
-    for coeffs in itertools.product(range(F.characteristic), repeat=len(basis)):
-        vec = [F.zero] * total
-        for c, b in zip(coeffs, basis):
-            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-        unit = dict(zip(left.source.generators, split(vec)))
-        adj = solve_counit_given_unit(left, right, unit, "")
-        if adj is not None:
-            return adj
-    return None
-
-
-def _stacked_offsets(obj, offset):
-    """Global unknown-vector offsets for the stacked component coordinates of
-    the summands of obj, in order."""
-    out = []
-    for s in obj:
-        o, d = offset[s]
-        for c in range(d):
-            out.append(o + c)
-    return out
-
-
-def _counit_placement(lr, obj):
-    """Matrix sending stacked per-summand counit coordinates to the flat
-    coordinates of the block-diagonal morphism lr(obj) -> obj."""
-    B = lr.source
-    parts = [Morphism.zero(B, lr.object_map[s], (s,)) for s in obj]
-    cols = []
-    for k, s in enumerate(obj):
-        for e in hom_basis(B, lr.object_map[s], (s,)):
-            cols.append(block_diagonal(B, parts[:k] + [e] + parts[k + 1:]).coords)
-    return Mat.from_columns(B.field, hom_dim_expr(B, lr.apply_obj(obj), obj), cols)
-
-
-def solve_counit_given_unit(left, right, unit_comps, name):
-    """The counit for fixed unit components, from one linear system:
-    naturality and both triangle identities are linear in the counit.  The
-    result is validated; None when the system has no solution or the
-    adjunction does not validate."""
-    A, B = left.source, right.source
-    F = B.field
-    lr = compose_functors(left, right)
-    shape = []
-    total = 0
-    for y in B.generators:
-        d = hom_dim_expr(B, lr.object_map[y], (y,))
-        shape.append((y, total, d))
-        total += d
-    offset = {y: (o, d) for (y, o, d) in shape}
-
-    # Naturality: eps_b o lr(f) = f o eps_a for every basis f: a -> b in B.
-    rows = difference_rows(F, total, [
-        (precompose_mat(lr.apply(f), (b,)), offset[b][0],
-         postcompose_mat(f, lr.object_map[a]), offset[a][0])
-        for a, b, _, f in basis_morphisms(B)])
-    rhs = [F.zero] * len(rows)
-
-    # Triangle 1: counit at (L g) composed with L(unit_g) equals 1_{L g}.
-    for g in A.generators:
-        lg = left.object_map[g]
-        pre = precompose_mat(left.apply(unit_comps[g]), lg)
-        comp_mat = pre.mul(_counit_placement(lr, lg))
-        stacked = _stacked_offsets(lg, offset)
-        ident = Morphism.identity(B, lg).coords
-        for r in range(comp_mat.rows):
-            row = [F.zero] * total
-            for col, glob in enumerate(stacked):
-                row[glob] = F.add(row[glob], comp_mat.data[r][col])
-            rows.append(row)
-            rhs.append(ident[r])
-
-    # Triangle 2: R(counit_y) composed with unit at (R y) equals 1_{R y}.
-    for y in B.generators:
-        ry = right.object_map[y]
-        o, d = offset[y]
-        eta_ry = block_diagonal(A, [unit_comps[g] for g in ry])
-        ident = Morphism.identity(A, ry).coords
-        mat = precompose_mat(eta_ry, ry).mul(right.action(lr.object_map[y], (y,)))
-        for r in range(len(ident)):
-            row = [F.zero] * total
-            row[o:o + d] = mat.data[r]
-            rows.append(row)
-            rhs.append(ident[r])
-
-    if total == 0:
-        sol_vec = ()
-    else:
-        sol = solve(Mat(F, len(rows), total, rows), Mat.column(F, rhs))
-        if sol is None:
-            return None
-        sol_vec = sol.col(0)
-    counit_comps = {y: Morphism(B, lr.object_map[y], (y,), sol_vec[o:o + d])
-                    for (y, o, d) in shape}
-    adj = make_adjunction(left, right, unit_comps, counit_comps, name=name)
-    return adj if validate_adjunction(adj).ok_all else None
 
 
 # -- the triangulated layer --------------------------------------------------

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from rclkit.adjunction import hom_bijection, make_adjunction, validate_adjunction
+from rclkit.adjunction import make_adjunction, validate_adjunction
 from rclkit.category import (Morphism, Subcategory, hom_dim_expr, ideal_subspace,
                              obj_text)
 from rclkit.cli import main as cli_main
@@ -25,7 +25,7 @@ from rclkit.recollement import (Recollement, check_recollement,
                                 quotient_by_left_subcategory,
                                 quotient_recollement, restrict_to_subcategory)
 
-from oracles import brute_force_ideal
+from oracles import brute_force_ideal, hom_bijection
 
 ALL_SUBSETS = [tuple(c) for k in range(4)
                for c in itertools.combinations(("S1", "S2", "P1"), k)]

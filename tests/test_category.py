@@ -11,7 +11,7 @@ from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_StableCore, _component_category, build_fix_a2,
                                 build_fix_prod)
 
-from oracles import brute_force_isomorphic, from_blocks
+from oracles import basis_element, brute_force_isomorphic, from_blocks
 
 
 def test_validate_single_generator():
@@ -55,21 +55,21 @@ def test_hom_additivity(ws_a2):
 
 def test_compose_identity_law(ws_a2):
     cat = ws_a2.categories["A2"]
-    soc = Morphism.basis_element(cat, "S2", "P1", 0)
+    soc = basis_element(cat, "S2", "P1", 0)
     assert compose(Morphism.identity(cat, cat.obj("P1")), soc).equal(soc)
     assert compose(soc, Morphism.identity(cat, cat.obj("S2"))).equal(soc)
 
 
 def test_compose_socle_projection_vanishes(ws_a2):
     cat = ws_a2.categories["A2"]
-    soc = Morphism.basis_element(cat, "S2", "P1", 0)
-    top = Morphism.basis_element(cat, "P1", "S1", 0)
+    soc = basis_element(cat, "S2", "P1", 0)
+    top = basis_element(cat, "P1", "S1", 0)
     assert compose(top, soc).is_zero()
 
 
 def test_compose_boundary_mismatch(ws_a2):
     cat = ws_a2.categories["A2"]
-    soc = Morphism.basis_element(cat, "S2", "P1", 0)
+    soc = basis_element(cat, "S2", "P1", 0)
     with pytest.raises(PresentationError):
         compose(soc, soc)
 

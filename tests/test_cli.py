@@ -181,6 +181,22 @@ def test_unknown_qualified_generator_exit2(fixture_dir, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,fixture,flag,arg,member", [
+    ("quotient", "fix_a2.rcl", "--x", "S2,S2", "S2"),
+    ("quotient", "fix_a2.rcl", "--x", "A2:S2,S2", "S2"),
+    ("triangulate-quotient", "fix_stab3.rcl", "--d", "M2,M2", "M2"),
+], ids=["bare", "qualified", "approximating"])
+def test_repeated_subcategory_member_exit2(fixture_dir, capsys, command, fixture, flag,
+                                           arg, member):
+    """A generator named twice in a subcategory argument is bad input, as a
+    member named twice in a workspace subcategory is: the certificate would
+    otherwise echo an argument the check did not read as given."""
+    code, out, err = run([command, str(fixture_dir / fixture), flag, arg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate member %r in subcategory %r\n" % (member, arg)
+
+
 def test_unwritable_out_exit2(fixture_dir, tmp_path, capsys):
     out = tmp_path / "missing-dir" / "c.cert"
     code, _, err = run(["check-recollement", str(fixture_dir / "fix_a2.rcl"),

@@ -5,9 +5,10 @@ import pytest
 
 from rclkit.category import validate_category
 from rclkit.functor import compose_functors, is_identity_functor, validate_functor
-from rclkit.fixture_gen import BUILDERS, _Rep, _StableCore, _cyclic, _hom_basis, _module_iso
+from rclkit.fixture_gen import (BUILDERS, _Rep, _StableCore, _cyclic, _hom_basis, _module_iso,
+                                invert)
 from rclkit.field import QQ, PrimeField
-from rclkit.linalg import Mat, invert, rank
+from rclkit.linalg import Mat, rank
 from rclkit.workspace import serialize
 
 from oracles import brute_force_rep_maps, intertwines

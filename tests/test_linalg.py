@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rclkit.field import QQ, PrimeField
-from rclkit.linalg import Mat, SubspaceBasis, invert, nullspace, rank, solve
+from rclkit.fixture_gen import invert
+from rclkit.linalg import Mat, SubspaceBasis, nullspace, rank, solve
 
 
 def qmat(rows):

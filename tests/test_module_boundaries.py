@@ -144,3 +144,48 @@ def test_cli_import_stays_light():
         found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
                   if _imports_of(node, "dataclasses")]
     assert found == []
+
+
+def _loaded_names(tree):
+    """Every name the module loads, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def _engine_defs(tree):
+    """The top-level defs and the methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (inner.name for inner in node.body
+                        if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_every_engine_def_has_an_engine_reader():
+    """The package keeps only code that a check depends on: every top-level
+    def and method of a package module is loaded by name in some package
+    module other than the fixture generator and `__init__`, and every name a
+    module imports from a sibling is loaded in it.  `workspace.serialize`,
+    the writer the fixture generator and the round-trip tests call, is the
+    one def read from outside."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = {stem: _loaded_names(tree) for stem, tree in trees.items()}
+    engine_loads = set().union(*(names for stem, names in loaded.items()
+                                 if stem not in ("fixture_gen", "__init__")))
+    unread = ["%s.%s" % (stem, name) for stem, tree in trees.items()
+              if stem != "fixture_gen"
+              for name in _engine_defs(tree)
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in engine_loads]
+    assert unread == ["workspace.serialize"]
+    stale = ["%s:%d %s" % (stem, node.lineno, alias.asname or alias.name)
+             for stem, tree in trees.items() if stem != "__init__"
+             for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level > 0
+             for alias in node.names
+             if (alias.asname or alias.name) not in loaded[stem]]
+    assert stale == []

@@ -17,7 +17,7 @@ from rclkit.mutation import (ExactFunctorData, MutationData, check_mutation_pair
 from rclkit.recollement import FUNCTOR_SLOTS
 from rclkit.triangulated import Triangle, TriangulatedPresentation, identity_triangle
 
-from oracles import ladder_classes
+from oracles import basis_element, ladder_classes
 
 
 def test_check_mutation_pair_fixture(ws_stab3):
@@ -105,7 +105,7 @@ def test_standard_triangle_socle(ws_stab3):
     (M1, 0, M1) with an invertible connecting class."""
     m = ws_stab3.mutations["MU"]
     cat = m.tri.cat
-    soc = Morphism.basis_element(cat, "M1", "M2", 0)
+    soc = basis_element(cat, "M1", "M2", 0)
     st = standard_triangle(m, soc)
     assert st.y == ()
     assert st.z == ("M1",)
@@ -118,7 +118,7 @@ def test_standard_triangle_leaves_the_register_alone(ws_stab3):
     does not register it."""
     m = ws_stab3.mutations["MU"]
     before = m.registered
-    st = standard_triangle(m, Morphism.basis_element(m.tri.cat, "M1", "M2", 0))
+    st = standard_triangle(m, basis_element(m.tri.cat, "M1", "M2", 0))
     assert not any(st.data_equal(t) for t in before)
     assert m.registered == before and len(before) == 2
 
@@ -141,7 +141,7 @@ def test_standard_triangle_rejects_non_monic(ws_stab3):
 def test_standard_triangle_rejects_bad_witness(ws_stab3):
     m = ws_stab3.mutations["MU"]
     cat = m.tri.cat
-    soc = Morphism.basis_element(cat, "M1", "M2", 0)
+    soc = basis_element(cat, "M1", "M2", 0)
     bogus = Triangle(cat.obj("M1"), cat.obj("M2"), cat.obj("M2"),
                      soc, Morphism.zero(cat, cat.obj("M2"), cat.obj("M2")),
                      Morphism.zero(cat, cat.obj("M2"), cat.obj("M2")),

@@ -14,6 +14,8 @@ from rclkit.quotient import (MorphismIdeal, build_quotient, factor_through_quoti
                              induce_adjunction, induce_functor)
 from rclkit.adjunction import validate_adjunction
 
+from oracles import hom_bijection
+
 
 def brute_force_ideal(cat, a, b, members, max_mult=2):
     """Independent oracle: span of composites through explicit sums of
@@ -171,7 +173,6 @@ def test_well_definedness_randomized(field):
     x = Subcategory(cat, ["S2"])
     modkl = ws.categories["ModKL"]
     xp = Subcategory(modkl, ["V"])
-    from rclkit.adjunction import hom_bijection
     rng = random.Random(42)
     gens = cat.generators
     trials = 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rclkit.category import Subcategory
+from rclkit.category import Morphism, Subcategory
 from rclkit.cli import run_command
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ
@@ -16,7 +16,7 @@ from rclkit.recollement import (ADJUNCTION_SLOTS, FUNCTOR_SLOTS, PARTS, Recollem
                                 normalize_recollement,
                                 quotient_by_left_subcategory,
                                 quotient_recollement, restrict_to_subcategory)
-from rclkit.adjunction import make_adjunction, solve_unit_counit
+from rclkit.adjunction import make_adjunction, validate_adjunction
 
 ALL_SUBSETS = [tuple(c) for k in range(4)
                for c in itertools.combinations(("S1", "S2", "P1"), k)]
@@ -31,24 +31,31 @@ def test_fixture_passes_both_semantics(ws_a2):
 
 
 def test_degenerate_identity_recollement(ws_a2):
-    """A' = A, A'' = zero category, i functors all the identity."""
+    """A' = A, A'' = zero category, i functors all the identity; the
+    adjunctions are built from explicit identity and zero components."""
     cat = ws_a2.categories["A2"]
     from rclkit.category import FinLinCategory
     zero_cat = FinLinCategory(QQ, [], {}, {}, {}, name="Zero")
     idf = identity_functor(cat)
-    adj_id = solve_unit_counit(idf, idf, name="adj")
+    ident = {g: Morphism.identity(cat, (g,)) for g in cat.generators}
+    adj_id = make_adjunction(idf, idf, ident, ident, name="adj")
     to_zero = LinearFunctor(cat, zero_cat,
                             {g: () for g in cat.generators}, {},
                             name="tozero")
     from_zero = LinearFunctor(zero_cat, cat, {}, {}, name="fromzero")
-    adj_z1 = solve_unit_counit(from_zero, to_zero, name="z1")
-    adj_z2 = solve_unit_counit(to_zero, from_zero, name="z2")
-    assert adj_z1 is not None and adj_z2 is not None
+    adj_z1 = make_adjunction(from_zero, to_zero, {},
+                             {g: Morphism.zero(cat, (), (g,)) for g in cat.generators},
+                             name="z1")
+    adj_z2 = make_adjunction(to_zero, from_zero,
+                             {g: Morphism.zero(cat, (g,), ()) for g in cat.generators}, {},
+                             name="z2")
+    for adj in (adj_id, adj_z1, adj_z2):
+        assert validate_adjunction(adj).ok_all, adj.name
     rec = Recollement(left=cat, middle=cat, right=zero_cat,
                       i_up=adj_id.left, i_lo=adj_id.right, i_bang=adj_id.left,
                       j_bang=adj_z1.left, j_up=adj_z1.right, j_lo=adj_z2.right,
                       adj_i=adj_id,
-                      adj_ib=solve_unit_counit(adj_id.right, adj_id.left, name="b"),
+                      adj_ib=make_adjunction(idf, idf, ident, ident, name="b"),
                       adj_jb=adj_z1, adj_j=adj_z2)
     rep = check_recollement(rec, "strict")
     assert rep.ok_all, [str(e) for e in rep.failures()]

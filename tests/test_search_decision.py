@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import rclkit.mutation as mutation
 import rclkit.recollement as recollement
 import rclkit.triangulated as triangulated
-from rclkit.category import (FinLinCategory, Morphism, is_isomorphic, morphism_inverse,
+from rclkit.category import (FinLinCategory, Morphism, compose, is_isomorphic,
+                             morphism_inverse, postcompose_mat, precompose_mat,
                              validate_category)
 from rclkit.cli import main
 from rclkit.errors import UndecidedError
@@ -220,6 +221,35 @@ def test_multiplicity_mismatch_proves_that_no_isomorphism_exists(ws_stab3, monke
     assert calls == []
     (a, a_inv), = invertible_commuting_tuple(cat, ((cat.obj("M1", "M2"), cat.obj("M2", "M1")),), ())
     assert len(calls) == 1 and morphism_inverse(a).equal(a_inv)
+
+
+# End(G) = k[e]/(e^2).
+DUAL = {("one", "one"): (1, 0), ("one", "e"): (0, 1), ("e", "one"): (0, 1),
+        ("e", "e"): (0, 0)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["QQ", "GF2", "GF3"])
+def test_vanishing_determinant_proves_that_no_pair_exists(field, monkeypatch):
+    """Over End(G) = k[e]/(e^2), a pair (u, v) with u = v o e has u in the
+    radical, so the determinant of u's block vanishes identically: None,
+    without a single inverse, since no isomorphism takes e to 1.  With e on
+    both sides, e o u = v o e, the search finds a pair."""
+    cat = one_generator(field, ("one", "e"), DUAL)
+    g = cat.obj("G")
+    one = Morphism.identity(cat, g)
+    e = Morphism(cat, g, g, (field.zero, field.one))
+    calls = []
+    monkeypatch.setattr(triangulated, "morphism_inverse",
+                        lambda m: calls.append(m) or morphism_inverse(m))
+    assert invertible_commuting_tuple(
+        cat, ((g, g), (g, g)),
+        ((postcompose_mat(one, g), 0, precompose_mat(e, g), 1),)) is None
+    assert calls == []
+    (u, u_inv), (v, v_inv) = invertible_commuting_tuple(
+        cat, ((g, g), (g, g)), ((postcompose_mat(e, g), 0, precompose_mat(e, g), 1),))
+    assert compose(e, u).equal(compose(v, e))
+    for m, m_inv in ((u, u_inv), (v, v_inv)):
+        assert compose(m_inv, m).equal(one) and compose(m, m_inv).equal(one)
 
 
 # -- agreement with the brute-force oracle over GF(2) and GF(3) -------------
