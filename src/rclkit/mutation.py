@@ -294,7 +294,7 @@ def _tr1(m: MutationData) -> tuple:
     a standard triangle.  The triangles are the distinct ones built, in
     order; they are the register `MutationData.registered`."""
     rep = Report()
-    built = []
+    built, registered = [], set()
     q = m.quotient
     pres = q.presentation
     for xg in q.survivors:
@@ -319,7 +319,8 @@ def _tr1(m: MutationData) -> tuple:
                     rep.not_checked(key, str(exc))
                 else:
                     rep.ok(key)
-                    if not any(prev.data_equal(st) for prev in built):
+                    if st.data_key() not in registered:
+                        registered.add(st.data_key())
                         built.append(st)
     return rep, tuple(built)
 

@@ -19,9 +19,14 @@ finds no verified point raises UndecidedError, and the check that asked
 records not-checked.
 
 A presentation decides each membership once and remembers the answer or the
-error.  `complete_monic` skips, without a search, every candidate sum whose
-first map has another rank profile than f: ranks of Hom-action maps are
-invariant under isomorphism of arrows, so a mismatch is a proof.
+error, keyed by `Triangle.data_key`.  The atoms (the rotations of the basic
+triangles) are members by definition: when `atoms` first builds them it
+records each one with itself and the identity as witness, so a triangle
+equal as data to an atom is decided by lookup, without a search, even where
+the premise fails.  `complete_monic` skips, without a search, every
+candidate sum whose first map has another rank profile than f: ranks of
+Hom-action maps are invariant under isomorphism of arrows, so a mismatch is
+a proof.
 """
 
 from __future__ import annotations
@@ -48,11 +53,13 @@ class Triangle:
     def vertices(self):
         return (self.x, self.y, self.z)
 
+    def data_key(self) -> tuple:
+        """The vertices and the coordinates of f, g and h: equal exactly when
+        the triangles are equal as data.  The name is not part of it."""
+        return (self.x, self.y, self.z, self.f.coords, self.g.coords, self.h.coords)
+
     def data_equal(self, other: "Triangle") -> bool:
-        return (self.x == other.x and self.y == other.y and self.z == other.z
-                and self.f.coords == other.f.coords
-                and self.g.coords == other.g.coords
-                and self.h.coords == other.h.coords)
+        return self.data_key() == other.data_key()
 
     def __repr__(self):
         return "Triangle(%s: %s)" % (self.name or "?",
@@ -121,19 +128,26 @@ class TriangulatedPresentation:
                         name=t.name + "'")
 
     def atoms(self):
-        """All distinct rotations of the basic triangles."""
+        """All distinct rotations of the basic triangles, in the order built.
+
+        Built on first use.  Each atom is then recorded as a member of the
+        distinguished class (`membership`), witnessed by itself and the
+        identity."""
         if self._atoms is not None:
             return self._atoms
-        out = []
+        out, members = [], {}
         for t in self.triangles:
             cur = t
             for _ in range(64):
-                if any(cur.data_equal(a) for a in out):
+                key = cur.data_key()
+                if key in members:
                     break
+                members[key] = {"combo": (cur.name,), "iso": None}
                 out.append(cur)
                 cur = self.rotate(cur)
             else:
                 raise PresentationError("rotation of %s does not cycle" % t.name)
+        self._memberships.update(members)
         self._atoms = out
         # Each atom's count vector (`_count_vector`) as its nonzero entries.
         self._atom_vectors = [[(p, c) for p, c in enumerate(self._count_vector(a.vertices()))
@@ -201,10 +215,13 @@ class TriangulatedPresentation:
     def membership(self, t: Triangle):
         """Witness that t is isomorphic to a sum of rotated basic triangles,
         or None when it is not.  The witness records the combination and the
-        isomorphism.  Raises UndecidedError when no combination gives a
-        witness and some search was undecided.  The answer, or the error, is
-        remembered per vertices and coordinates of t."""
-        key = (t.x, t.y, t.z, t.f.coords, t.g.coords, t.h.coords)
+        isomorphism; an iso of None means the identity.  Raises
+        UndecidedError when no combination gives a witness and some search
+        was undecided.  The answer, or the error, is remembered per
+        `Triangle.data_key`, and an atom (`atoms`) is answered without a
+        search: it is its own witness."""
+        self.atoms()
+        key = t.data_key()
         if key not in self._memberships:
             try:
                 self._memberships[key] = self._search_membership(t)

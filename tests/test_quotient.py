@@ -1,9 +1,8 @@
-import itertools
 import random
 
 import pytest
 
-from rclkit.category import Morphism, Subcategory, compose, hom_dim_expr, ideal_subspace
+from rclkit.category import Subcategory, hom_dim_expr, ideal_subspace
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2
@@ -14,29 +13,7 @@ from rclkit.quotient import (MorphismIdeal, build_quotient, factor_through_quoti
                              induce_adjunction, induce_functor)
 from rclkit.adjunction import validate_adjunction
 
-from oracles import hom_bijection
-
-
-def brute_force_ideal(cat, a, b, members, max_mult=2):
-    """Independent oracle: span of composites through explicit sums of
-    members with multiplicity up to max_mult."""
-    vectors = []
-    mids = []
-    for k in range(1, max_mult + 1):
-        mids.extend(itertools.combinations_with_replacement(members, k))
-    for mid in mids:
-        d_in = hom_dim_expr(cat, a, mid)
-        d_out = hom_dim_expr(cat, mid, b)
-        for q in range(d_in):
-            cin = [cat.field.zero] * d_in
-            cin[q] = cat.field.one
-            g = Morphism(cat, a, mid, cin)
-            for p in range(d_out):
-                cout = [cat.field.zero] * d_out
-                cout[p] = cat.field.one
-                h = Morphism(cat, mid, b, cout)
-                vectors.append(compose(h, g).coords)
-    return SubspaceBasis.from_vectors(cat.field, hom_dim_expr(cat, a, b), vectors)
+from oracles import brute_force_ideal, hom_bijection
 
 
 def test_ideal_matches_brute_force(ws_a2):

@@ -1,10 +1,11 @@
 """The exact decision behind the triangle-isomorphism search: the
 Krull-Schmidt premise check, the choice of a point, agreement with a
 brute-force oracle, the undecided paths of the search and of isomorphism
-between objects, and a counter guard."""
+between objects, membership of an atom by lookup, and a counter guard."""
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -415,19 +416,84 @@ def test_repeated_membership_raises_the_remembered_error(monkeypatch):
     assert depths[0] == depths[1]  # a repeat keeps no frames of the earlier ones
 
 
+def test_basic_triangle_is_a_member_without_a_search(monkeypatch):
+    """End(G) = QQ(i) fails the premise, so a search could not decide it,
+    but the basic triangle zero and its rotation are atoms: each is its own
+    witness, with the identity, and no search is made."""
+    tri = parse(QQ_I_WORKSPACE).triangulated["TR"]
+    searches = []
+    search = triangulated._invertible_candidate
+    monkeypatch.setattr(triangulated, "_invertible_candidate",
+                        lambda *args: searches.append(args) or search(*args))
+    zero = tri.triangles[0]
+    assert tri.membership(zero) == {"combo": ("zero",), "iso": None}
+    assert tri.membership(tri.rotate(zero)) == {"combo": ("zero'",), "iso": None}
+    assert searches == []
+
+
+# -- atoms are decided by lookup ----------------------------------------------
+
+@lru_cache(maxsize=None)
+def fixture_presentation(p, name):
+    """stab1 (TC of fix_stab3) or one of fix_prod's three presentations
+    (stab2 is its middle TRI_C) over QQ (p = 0) or GF(p)."""
+    field = PrimeField(p) if p else QQ
+    ws = build_fix_stab3(field) if name == "TC" else build_fix_prod(field)
+    return ws.triangulated[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((0, 2, 3)), st.sampled_from(("TC", "TRI_C", "TRI_L", "TRI_R")),
+       st.data())
+def test_atom_membership_is_a_lookup_that_agrees_with_the_search(p, name, data):
+    """Every atom is a member by lookup: no search, a witness naming that
+    atom with the identity, and the search, where it decides, agrees."""
+    tri = fixture_presentation(p, name)
+    atom = data.draw(st.sampled_from(tri.atoms()))
+    searches = []
+    original = triangulated._invertible_candidate
+    triangulated._invertible_candidate = lambda *args: searches.append(args) or original(*args)
+    try:
+        found = tri.membership(atom)
+    finally:
+        triangulated._invertible_candidate = original
+    assert searches == []
+    assert found == {"combo": (atom.name,), "iso": None}
+    try:
+        assert tri._search_membership(atom) is not None
+    except UndecidedError:
+        pass
+
+
+def test_renamed_atom_gets_the_atom_answer(ws_stab3):
+    """The memo key excludes the name: a copy of an atom under another
+    name, and a rotation that cycles back onto an atom, get that atom's
+    witness."""
+    tri = ws_stab3.triangulated["TC"]
+    atoms = {a.data_key(): a for a in tri.atoms()}
+    for a in tri.atoms():
+        copy = Triangle(a.x, a.y, a.z, a.f, a.g, a.h, name="copy")
+        assert tri.membership(copy) is tri.membership(a)
+        assert tri.membership(copy)["combo"] == (a.name,)
+        turned = tri.rotate(a)
+        assert tri.membership(turned)["combo"] == (atoms[turned.data_key()].name,)
+
+
 # -- counter guard ----------------------------------------------------------
 
 def test_search_counts_on_tri_recollement(monkeypatch, capsys):
     """tri-recollement fix_prod --d C1.M2 asks 57 memberships, of which 25
-    are distinct; each distinct one is decided once.  Two of those are zero
-    triangles and need no search; the other 23 make one search each: 8
-    identity closures, 8 triangle images of the exact functors' input
-    validation, 2 fixed and 2 cofixed triangles of the mutation check, and
-    3 pushed witnesses in the exact functors' standard-triangle check.
-    complete_monic makes 24 first-map searches: the rank profile rules out
-    every other candidate sum without one.  The image check adds 5 sextuple
-    isomorphisms (an image equal as data to its reference needs none).  So
-    there are 52 searches, and every one returns a tuple."""
+    are distinct; each distinct one is decided once, and none by a search.
+    Two of those are zero triangles, matched by the empty sum.  The other
+    23 are each equal as data to an atom of their presentation and are
+    answered by lookup: 8 identity closures, 8 triangle images of the exact
+    functors' input validation, 2 fixed and 2 cofixed triangles of the
+    mutation check, and 3 pushed witnesses in the exact functors'
+    standard-triangle check.  complete_monic makes 24 first-map searches:
+    the rank profile rules out every other candidate sum without one.  The
+    image check adds 5 sextuple isomorphisms (an image equal as data to its
+    reference needs none).  So there are 29 searches, 24 + 5, and every one
+    returns a tuple."""
     searches, memberships = [], []
     search, membership = triangulated._invertible_candidate, TriangulatedPresentation.membership
 
@@ -446,15 +512,17 @@ def test_search_counts_on_tri_recollement(monkeypatch, capsys):
     capsys.readouterr()
     assert len(memberships) == 57
     assert len(set(memberships)) == 25
-    assert len(searches) == 52
-    assert sum(searches) == 52
+    assert len(searches) == 29
+    assert sum(searches) == 29
 
 
 def test_failed_searches_make_no_inverse_call(monkeypatch, capsys):
     """With the rank profile disabled, complete_monic on tri-recollement
     fix_prod --d C1.M2 also searches the 60 candidate sums that the profile
-    rules out, and every one of those searches returns None.  Each None is
-    decided by the top blocks, without a single morphism_inverse call."""
+    rules out, and every one of those searches returns None: 89 searches,
+    of which the 29 of `test_search_counts_on_tri_recollement` return a
+    tuple.  Each None is decided by the top blocks, without a single
+    morphism_inverse call."""
     searches, inverses = [], [0]
     search, inverse = triangulated._invertible_candidate, triangulated.morphism_inverse
 
@@ -473,19 +541,20 @@ def test_failed_searches_make_no_inverse_call(monkeypatch, capsys):
     monkeypatch.setattr(triangulated, "_invertible_candidate", counting_search)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert len(searches) == 112
-    assert sum(hit for hit, _ in searches) == 52
+    assert len(searches) == 89
+    assert sum(hit for hit, _ in searches) == 29
     assert [n for hit, n in searches if not hit] == [0] * 60
 
 
 def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
-    """tri-recollement fix_prod --d C1.M2 solves for 132 inverses, all in
-    the searches, one per component of each tuple found: 69 in the 23
-    membership searches, 48 in the 24 first-map isomorphisms found by
-    complete_monic and 15 in the 5 sextuple isomorphisms of the image
-    check.  A repeated membership, and an image equal as data to its
-    reference (every all-zero one among them), is passed without a search,
-    and complete_monic reuses the inverse its search verified."""
+    """tri-recollement fix_prod --d C1.M2 solves for 63 inverses, all in
+    the searches, one per component of each tuple found: 48 in the 24
+    first-map isomorphisms found by complete_monic and 15 in the 5 sextuple
+    isomorphisms of the image check.  Every membership is answered without
+    a search (an atom by lookup, a zero triangle by the empty sum, a repeat
+    from the memo), an image equal as data to its reference (every
+    all-zero one among them) is passed without a search, and
+    complete_monic reuses the inverse its search verified."""
     calls = [0]
 
     def counting_inverse(m):
@@ -498,4 +567,4 @@ def test_morphism_inverse_counts_on_tri_recollement(monkeypatch, capsys):
             monkeypatch.setattr(module, "morphism_inverse", counting_inverse)
     assert main(["tri-recollement", str(FIXTURES / "fix_prod.rcl"), "--d", "C1.M2"]) == 0
     capsys.readouterr()
-    assert calls[0] == 132
+    assert calls[0] == 63
