@@ -255,16 +255,13 @@ def test_vanishing_determinant_proves_that_no_pair_exists(field, monkeypatch):
 
 # -- agreement with the brute-force oracle over GF(2) and GF(3) -------------
 
-PRESENTATIONS = {}
-
-
-def presentation(p, copies):
-    """stab1 (fix_stab3) or stab2 (the middle of fix_prod) over GF(p)."""
-    if (p, copies) not in PRESENTATIONS:
-        F = PrimeField(p)
-        ws = build_fix_stab3(F) if copies == 1 else build_fix_prod(F)
-        PRESENTATIONS[p, copies] = ws.triangulated["TC" if copies == 1 else "TRI_C"]
-    return PRESENTATIONS[p, copies]
+@lru_cache(maxsize=None)
+def fixture_presentation(p, name):
+    """stab1 (TC of fix_stab3) or one of fix_prod's three presentations
+    (stab2 is its middle TRI_C) over QQ (p = 0) or GF(p)."""
+    field = PrimeField(p) if p else QQ
+    ws = build_fix_stab3(field) if name == "TC" else build_fix_prod(field)
+    return ws.triangulated[name]
 
 
 @st.composite
@@ -274,7 +271,7 @@ def queries(draw):
     non-triangles), or a complete_monic query on a scaled or arbitrary map."""
     p = draw(st.sampled_from((2, 3)))
     copies = draw(st.sampled_from((1, 2)))
-    tri = presentation(p, copies)
+    tri = fixture_presentation(p, "TC" if copies == 1 else "TRI_C")
     atoms = tri.atoms()
     parts = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=2 if copies == 1 else 1))
     t = tri.direct_sum(parts) if len(parts) > 1 else parts[0]
@@ -432,15 +429,6 @@ def test_basic_triangle_is_a_member_without_a_search(monkeypatch):
 
 
 # -- atoms are decided by lookup ----------------------------------------------
-
-@lru_cache(maxsize=None)
-def fixture_presentation(p, name):
-    """stab1 (TC of fix_stab3) or one of fix_prod's three presentations
-    (stab2 is its middle TRI_C) over QQ (p = 0) or GF(p)."""
-    field = PrimeField(p) if p else QQ
-    ws = build_fix_stab3(field) if name == "TC" else build_fix_prod(field)
-    return ws.triangulated[name]
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((0, 2, 3)), st.sampled_from(("TC", "TRI_C", "TRI_L", "TRI_R")),
