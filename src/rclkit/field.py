@@ -26,7 +26,6 @@ class RationalField:
     that is not is a Fraction, so most arithmetic stays on small ints; ints
     and Fractions of equal value compare and hash equal."""
 
-    kind = "rationals"
     characteristic = 0
     zero = 0
     one = 1
@@ -86,8 +85,6 @@ class RationalField:
 
 
 class PrimeField:
-    kind = "prime-field"
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
@@ -149,6 +146,6 @@ QQ = RationalField()
 def make_field(kind: str, characteristic: int = 0):
     if kind == "rationals":
         return QQ
-    if kind in ("prime", "prime-field"):
+    if kind == "prime":
         return PrimeField(characteristic)
     raise ValueError("unknown field kind %r" % (kind,))

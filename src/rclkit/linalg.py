@@ -383,21 +383,14 @@ def _substitute(F, poly, k, c):
 
 def _nonvanishing_point(F, n, factors):
     """A point of k^n at which no factor vanishes, or None when there is
-    none.  The unit vectors and then their pairwise sums e_i + e_j (i < j)
-    are tried first; then the grid lemma (Schwartz-Zippel, DeMillo-Lipton):
-    with D the sum of the degrees, each variable in turn takes the first
-    value in {0..D} that leaves every factor nonzero, and at most D values
-    fail.  Over GF(p) with p <= D those values are not distinct, and
-    GF(p)^n is searched instead."""
+    none, by the grid lemma (Schwartz-Zippel, DeMillo-Lipton): with D the
+    sum of the degrees, each variable in turn takes the first value in
+    {0..D} that leaves every factor nonzero, and at most D values fail.
+    Over GF(p) with p <= D those values are not distinct, and GF(p)^n is
+    searched instead."""
     def nonvanishing(point):
         return not any(F.is_zero(_evaluate(F, f, point)) for f in factors)
 
-    units = [tuple(F.one if k == i else F.zero for k in range(n)) for i in range(n)]
-    pair_sums = (tuple(map(F.add, units[i], units[j]))
-                 for i in range(n) for j in range(i + 1, n))
-    for point in itertools.chain(units, pair_sums):
-        if nonvanishing(point):
-            return point
     degree = sum(max(sum(e) for e in f) for f in factors)
     if F.characteristic and F.characteristic <= degree:
         for point in itertools.product(range(F.characteristic), repeat=n):

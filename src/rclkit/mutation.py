@@ -33,15 +33,16 @@ from .triangulated import (Triangle, TriangulatedPresentation,
 
 class StandardTriangle(Triangle):
     """A registered sextuple of the quotient (the inherited x, y, z, f, g, h),
-    with the ambient distinguished triangle it comes from and the ladder
-    (1, ladder_y, ladder_z) from that triangle onto the fixed triangle of x."""
+    with the ambient distinguished triangle it comes from and the third map
+    ladder_z of the ladder (1, y, ladder_z) from that triangle onto the fixed
+    triangle of x."""
 
-    __slots__ = ("ambient", "ladder_y", "ladder_z")
+    __slots__ = ("ambient", "ladder_z")
 
-    def __init__(self, quotient: Triangle, ambient: Triangle, ladder_y, ladder_z):
+    def __init__(self, quotient: Triangle, ambient: Triangle, ladder_z):
         super().__init__(quotient.x, quotient.y, quotient.z, quotient.f,
                          quotient.g, quotient.h, name=quotient.name)
-        self.ambient, self.ladder_y, self.ladder_z = ambient, ladder_y, ladder_z
+        self.ambient, self.ladder_z = ambient, ladder_z
 
 
 class MutationData:
@@ -125,10 +126,10 @@ class MutationData:
                 cols = []
                 for qidx in range(pres.hom_dim(x, y)):
                     lift = morphism_in(self.tri.cat, q.lift_basis(x, y, qidx))
-                    ladder = _ladder(self.tri.shift, self.fixed[x], self.fixed[y], lift)
-                    if ladder is None:
+                    zmor = _ladder(self.tri.shift, self.fixed[x], self.fixed[y], lift)
+                    if zmor is None:
                         raise InconsistentDataError("no shift ladder for %s -> %s" % (x, y))
-                    cols.append(self.to_quotient(ladder[1]).coords)
+                    cols.append(self.to_quotient(zmor).coords)
                 if cols:
                     hom_maps[(x, y)] = Mat.from_columns(
                         pres.field, hom_dim_expr(pres, object_map[x], object_map[y]), cols)
@@ -256,11 +257,10 @@ def standard_triangle(m: MutationData, f: Morphism, witness=None,
             raise PreconditionError("witness triangle does not start with the morphism")
         if m.tri.membership(witness) is None:
             raise PreconditionError("witness triangle is not distinguished")
-    ladder = _ladder(m.tri.shift, witness, m.fixed[x], Morphism.identity(cat, f.source))
-    if ladder is None:
+    zmor = _ladder(m.tri.shift, witness, m.fixed[x], Morphism.identity(cat, f.source))
+    if zmor is None:
         raise InconsistentDataError("no ladder completion onto the fixed triangle")
-    ymor, zmor = ladder
-    return StandardTriangle(m.to_quotient_triangle(witness, zmor, name), witness, ymor, zmor)
+    return StandardTriangle(m.to_quotient_triangle(witness, zmor, name), witness, zmor)
 
 
 def _sigma_is_equivalence(m: MutationData, rep: Report):
@@ -413,9 +413,9 @@ def _ladder_matrix(g: Morphism, h: Morphism, mats) -> Mat:
 
 
 def _ladder(shift: LinearFunctor, s: Triangle, t: Triangle, a: Morphism):
-    """The canonical (b, c) completing a: s.x -> t.x to a morphism of
-    triangles s -> t, with b o s.f = t.f o a, c o s.g = t.g o b and
-    t.h o c = T(a) o s.h; or None when there is no such completion."""
+    """The third map c of the canonical (b, c) completing a: s.x -> t.x to
+    a morphism of triangles s -> t, with b o s.f = t.f o a, c o s.g = t.g o b
+    and t.h o c = T(a) o s.h; or None when there is no such completion."""
     cat = a.cat
     sol = solve(precompose_mat(s.f, t.y), Mat.column(cat.field, compose(t.f, a).coords))
     if sol is None:
@@ -425,7 +425,7 @@ def _ladder(shift: LinearFunctor, s: Triangle, t: Triangle, a: Morphism):
     sol = solve(_ladder_matrix(s.g, t.h, _HomMats()), Mat.column(cat.field, rhs))
     if sol is None:
         return None
-    return b, Morphism(cat, s.g.target, t.h.source, sol.col(0))
+    return Morphism(cat, s.g.target, t.h.source, sol.col(0))
 
 
 class ExactFunctorData:

@@ -8,6 +8,8 @@ quotient data is reproducible across runs.
 
 from __future__ import annotations
 
+import itertools
+
 from .category import (FinLinCategory, Morphism, Subcategory, block_offsets,
                        hom_basis, ideal_subspace, obj_text, postcompose_mat,
                        precompose_mat, validate_category)
@@ -69,27 +71,22 @@ class QuotientCategory:
     For each pair of survivors the quotient Hom basis is the canonical
     echelon complement of the ideal, named after the surviving parent basis
     elements; `section` lifts quotient coordinates to parent coordinates and
-    `reduction` projects parent coordinates to quotient coordinates.
+    the hom maps of `projection` reduce parent coordinates to quotient
+    coordinates (the coset coordinates of the ideal).
     """
 
     def __init__(self, parent: FinLinCategory, x: Subcategory):
         self.parent = parent
         self.ideal = MorphismIdeal(parent, x)
         F = parent.field
-
-        survivors = []
-        for g in parent.generators:
-            ident = tuple(parent.identities[g])
-            if not self.ideal.subspace(g, g).contains_vector(ident):
-                survivors.append(g)
-        self.survivors = tuple(survivors)
-        surv_set = set(survivors)
+        self.survivors = tuple(
+            g for g in parent.generators
+            if not self.ideal.subspace(g, g).contains_vector(tuple(parent.identities[g])))
 
         self.section = {}
-        self.reduction = {}
-        hom_bases, comp, identities = {}, {}, {}
-        for a in survivors:
-            for b in survivors:
+        reduction, hom_bases, comp = {}, {}, {}
+        for a in self.survivors:
+            for b in self.survivors:
                 d = parent.hom_dim(a, b)
                 sub = self.ideal.subspace(a, b)
                 free = sub.complement_coords()
@@ -98,46 +95,27 @@ class QuotientCategory:
                     hom_bases[(a, b)] = names
                 ident = Mat.identity(F, d)
                 self.section[(a, b)] = Mat.from_columns(F, d, [ident.col(i) for i in free])
-                self.reduction[(a, b)] = Mat.from_columns(
+                reduction[(a, b)] = Mat.from_columns(
                     F, len(free), [sub.coset_coords(ident.col(r)) for r in range(d)])
-        for a in survivors:
-            identities[a] = self.reduce_coords(a, a, parent.identities[a])
-        for a in survivors:
-            for b in survivors:
-                for c in survivors:
-                    da = len(hom_bases.get((a, b), ()))
-                    db = len(hom_bases.get((b, c), ()))
-                    if da == 0 or db == 0:
-                        continue
-                    # Row p: reduce o (lift(g_p) o -) o section on Hom(a, b).
-                    red, sec = self.reduction[(a, c)], self.section[(a, b)]
-                    src = (a,)
-                    comp[(a, b, c)] = [
-                        red.mul(postcompose_mat(self.lift_basis(b, c, p), src)).mul(sec)
-                        .transpose().data for p in range(db)]
+        identities = {a: reduction[(a, a)].apply(tuple(parent.identities[a]))
+                      for a in self.survivors}
+        for a, b, c in itertools.product(self.survivors, repeat=3):
+            if (a, b) in hom_bases and (b, c) in hom_bases:
+                # Row p: reduce o (lift(g_p) o -) o section on Hom(a, b).
+                red, sec = reduction[(a, c)], self.section[(a, b)]
+                comp[(a, b, c)] = [
+                    red.mul(postcompose_mat(self.lift_basis(b, c, p), (a,))).mul(sec)
+                    .transpose().data for p in range(len(hom_bases[(b, c)]))]
 
         self.presentation = FinLinCategory(
-            F, survivors, hom_bases, comp, identities,
+            F, self.survivors, hom_bases, comp, identities,
             name=parent.name + "/" + ("+".join(x.members) or "0"))
-
-        proj_objects = {}
-        proj_maps = {}
-        for g in parent.generators:
-            proj_objects[g] = (g,) if g in surv_set else ()
-        for g in parent.generators:
-            for h in parent.generators:
-                d = parent.hom_dim(g, h)
-                if d == 0:
-                    continue
-                if g in surv_set and h in surv_set:
-                    proj_maps[(g, h)] = self.reduction[(g, h)]
-                else:
-                    proj_maps[(g, h)] = Mat.zeros(F, 0, d)
-        self.projection = LinearFunctor(parent, self.presentation, proj_objects,
-                                        proj_maps, name="Q")
-
-    def reduce_coords(self, a: str, b: str, parent_coords):
-        return tuple(self.reduction[(a, b)].apply(tuple(parent_coords)))
+        # A generator that dies goes to the zero object; LinearFunctor fills
+        # the hom maps of its pairs with zeros.
+        self.projection = LinearFunctor(
+            parent, self.presentation,
+            {g: (g,) if g in self.survivors else () for g in parent.generators},
+            reduction, name="Q")
 
     def lift_basis(self, a: str, b: str, q: int) -> Morphism:
         """Parent representative of the q-th quotient basis element."""
@@ -163,15 +141,7 @@ class QuotientCategory:
             for b in self.parent.generators:
                 d = self.parent.hom_dim(a, b)
                 di = self.ideal.subspace(a, b).dim
-                if a in set(self.survivors) and b in set(self.survivors):
-                    dq = self.presentation.hom_dim(a, b)
-                else:
-                    dq = 0
-                    if d - di != 0:
-                        rep.fail("quotient.dimension",
-                                 "(%s,%s): parent %d, ideal %d but a generator died"
-                                 % (a, b, d, di))
-                        continue
+                dq = self.presentation.hom_dim(a, b)
                 if dq != d - di:
                     rep.fail("quotient.dimension",
                              "(%s,%s): %d != %d - %d" % (a, b, dq, d, di))

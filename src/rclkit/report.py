@@ -113,15 +113,21 @@ class Certificate:
         self.fields[key] = str(value)
 
     def finalize(self, rep: Report):
-        """Record each entry of rep under check.<key>, then the verdict."""
-        unchecked = []
+        """Record the entries of rep under check.<key>, then the verdict.  A
+        key recorded more than once keeps every witness, joined in report
+        order with "; ", and is `fail` when any of its entries failed."""
+        status, witnesses = {}, {}
         for e in rep.entries:
             key = "check." + e.key
-            self.fields[key + ".status"] = e.status
+            if status.get(key) != FAIL:
+                status[key] = e.status
             if e.witness:
-                self.fields[key + ".witness"] = e.witness
-            if e.status == NOT_CHECKED:
-                unchecked.append(key)
+                witnesses.setdefault(key, []).append(e.witness)
+        for key, value in status.items():
+            self.fields[key + ".status"] = value
+        for key, texts in witnesses.items():
+            self.fields[key + ".witness"] = "; ".join(texts)
+        unchecked = [key for key, value in status.items() if value == NOT_CHECKED]
         self.fields["result.failed-checks"] = str(len(rep.failures()))
         self.fields["result.verdict"] = PASS if rep.ok_all else FAIL
         if unchecked:

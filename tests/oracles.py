@@ -225,9 +225,9 @@ def per_basis_quotient_comp(q):
                 da, db = pres.hom_dim(a, b), pres.hom_dim(b, c)
                 if da == 0 or db == 0:
                     continue
+                reduce = q.projection.hom_maps[(a, c)].apply
                 comp[(a, b, c)] = tuple(
-                    tuple(q.reduce_coords(a, c, compose(q.lift_basis(b, c, p),
-                                                        q.lift_basis(a, b, r)).coords)
+                    tuple(reduce(compose(q.lift_basis(b, c, p), q.lift_basis(a, b, r)).coords)
                           for r in range(da))
                     for p in range(db))
     return comp

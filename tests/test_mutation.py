@@ -1,9 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rclkit.category import Morphism, Subcategory, compose
-from rclkit.cli import _tri_bundle
+from rclkit.cli import _tri_bundle, main
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ
 from rclkit.fixture_gen import build_fix_prod
@@ -322,3 +323,27 @@ def test_induced_exact_functors_do_not_depend_on_slot_order():
         assert [(e.key, e.status, e.witness) for e in sub.entries] == \
             [(e.key[len(prefix):], e.status, e.witness)
              for e in rep.entries if e.key.startswith(prefix)]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_triangulate_quotient_on_a_proper_z(tmp_path, capsys):
+    """With z the first factor of fix_prod, the mutation restricts to a
+    full subcategory before it quotients, and the certificate is the one of
+    fix_stab3 under the names of that factor."""
+    text = (ROOT / "src" / "rclkit" / "fixtures" / "fix_prod.rcl").read_text()
+    assert "  z Zall\n" in text
+    text = text.replace("  z Zall\n", "  z Z1\n").replace(
+        "subcategory Zall {", "subcategory Z1 { of C members C1.M1 C1.M2 }\nsubcategory Zall {")
+    src, out = tmp_path / "z1.rcl", tmp_path / "z1.cert"
+    src.write_text(text)
+    assert main(["triangulate-quotient", str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def lines(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith("meta.input-digest ")]
+
+    got = [line.replace("C1.", "").replace("c1_", "") for line in lines(out)]
+    assert got == lines(ROOT / "tests" / "golden" / "triangulate-quotient.cert")

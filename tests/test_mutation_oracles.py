@@ -84,7 +84,7 @@ def brute_force_image_is_standard(e, m2, st):
 def ladder_z_variants(st, cat):
     """st with ladder_z replaced by each other element of its Hom space."""
     z = st.ladder_z
-    return [StandardTriangle(st, st.ambient, st.ladder_y, other)
+    return [StandardTriangle(st, st.ambient, other)
             for other in every_morphism(cat, z.source, z.target) if not other.equal(z)]
 
 

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from rclkit.category import Subcategory, hom_dim_expr, ideal_subspace
+from rclkit import quotient
+from rclkit.category import Morphism, Subcategory, hom_dim_expr, ideal_subspace
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2
 from rclkit.functor import (LinearFunctor, compose_functors, functor_equal, identity_functor,
                             validate_functor)
-from rclkit.linalg import SubspaceBasis
+from rclkit.linalg import Mat, SubspaceBasis
 from rclkit.quotient import (MorphismIdeal, build_quotient, factor_through_quotient,
                              induce_adjunction, induce_functor)
-from rclkit.adjunction import validate_adjunction
+from rclkit.adjunction import make_adjunction, transpose_mat, validate_adjunction
+from rclkit.workspace import parse
 
 from oracles import brute_force_ideal, hom_bijection
 
@@ -188,3 +190,84 @@ def test_ideal_failures_lie_under_two_sided(ws_a2):
     assert [(e.key, e.status, e.witness) for e in rep.entries] == [
         ("ideal.two-sided.pre-compose", "fail", "(S1,S1) composed into Hom(P1,S1)"),
         ("ideal.member-identity", "pass", "")]
+
+
+# End(G) = k[x]/(x^2) with x = v o u, the composite G -> H -> G, so the ideal
+# through H is nonzero between survivors: [H](G, G) = span(x).
+THROUGH_H = """rclkit workspace 1
+
+field { kind rationals }
+
+category K {
+  object G
+  object H
+  hom G G { basis e x }
+  hom G H { basis u }
+  hom H G { basis v }
+  hom H H { basis e }
+  identity G { e 1 }
+  identity H { e 1 }
+  compose (G G e) (G G e) { e 1 }
+  compose (G G e) (G G x) { x 1 }
+  compose (G G x) (G G e) { x 1 }
+  compose (G H u) (G G e) { u 1 }
+  compose (H G v) (G H u) { x 1 }
+  compose (G G e) (H G v) { v 1 }
+  compose (H H e) (G H u) { u 1 }
+  compose (H G v) (H H e) { v 1 }
+  compose (H H e) (H H e) { e 1 }
+}
+"""
+
+
+def _quotient_by_h():
+    cat = parse(THROUGH_H).categories["K"]
+    return cat, build_quotient(cat, Subcategory(cat, ["H"]))
+
+
+def test_quotient_dimension_fails_where_the_ideal_table_disagrees():
+    """The quotient is built from the ideal table, so quotient.dimension
+    fails only when the table changes after the build, that is on an engine
+    bug.  The test empties the entry of the surviving pair (G,G) and of the
+    pair (G,H), whose H died; each gives a witness."""
+    cat, q = _quotient_by_h()
+    assert q.survivors == ("G",)
+    assert q.validate().ok_all
+    for pair in (("G", "G"), ("G", "H")):
+        q.ideal.table[pair] = SubspaceBasis(cat.field, cat.hom_dim(*pair), (), ())
+    rep = q.validate()
+    assert [(e.status, e.witness) for e in rep.entries if e.key == "quotient.dimension"] == [
+        ("fail", "(G,G): 1 != 2 - 0"), ("fail", "(G,H): 0 != 1 - 0")]
+
+
+def test_factor_through_quotient_rejects_maps_that_keep_the_ideal():
+    """A functor that kills H kills [H].  Hom maps that keep x = v o u but
+    send u to zero are not functorial, and the ideal check names the pair."""
+    cat, q = _quotient_by_h()
+    f = LinearFunctor(cat, cat, {"G": ("G",), "H": ()},
+                      {("G", "G"): Mat.identity(cat.field, 2)}, name="keep-x")
+    with pytest.raises(PreconditionError) as exc:
+        factor_through_quotient(f, q)
+    assert str(exc.value) == "functor does not kill the ideal"
+    assert exc.value.witness == "pair (G,G)"
+
+
+def test_induce_adjunction_audit_fails_on_a_wrong_transpose(monkeypatch):
+    """Once both induced functors exist, R maps the ideal into the ideal, so
+    R(f) o eta_a does too and the audit fails only on an engine bug.  The
+    test patches the engine: its transpose_mat reverses the rows of the
+    true matrix, which on the identity adjunction sends x to e."""
+    cat, q = _quotient_by_h()
+    idf = identity_functor(cat)
+    ident = {g: Morphism.identity(cat, (g,)) for g in cat.generators}
+    adj = make_adjunction(idf, idf, ident, ident, name="id")
+    assert induce_adjunction(adj, q, q)[1].ok_all
+
+    def reversed_transpose(right, eta_a, la, b):
+        mat = transpose_mat(right, eta_a, la, b)
+        return Mat(mat.field, mat.rows, mat.cols, mat.data[::-1])
+
+    monkeypatch.setattr(quotient, "transpose_mat", reversed_transpose)
+    _, rep = induce_adjunction(adj, q, q)
+    assert [(e.key, e.status, e.witness) for e in rep.entries] == [
+        ("well-defined", "fail", "ideal element of Hom(L G, G) maps outside the ideal")]

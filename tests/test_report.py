@@ -1,4 +1,9 @@
-from rclkit.report import FAIL, NOT_CHECKED, PASS, Report
+from pathlib import Path
+
+from rclkit.cli import main
+from rclkit.report import FAIL, NOT_CHECKED, PASS, Certificate, Report
+
+ALL_KINDS = Path(__file__).resolve().parent / "golden" / "workspace-all-kinds.rcl"
 
 
 def entries(rep):
@@ -46,3 +51,36 @@ def test_has_failures_matches_the_key_and_its_subkeys():
     assert rep.has_failures("ideal.two-sided")
     assert not rep.has_failures("ideal.two")
     assert not rep.has_failures("ideal.member-identity")
+
+
+def test_a_repeated_key_keeps_every_witness_and_fails_when_one_entry_did():
+    rep = Report()
+    rep.fail("naturality", "at basis a")
+    rep.ok("naturality", "unused")
+    rep.fail("naturality", "at basis b")
+    rep.not_checked("search", "gave up")
+    rep.not_checked("search")
+    cert = Certificate("validate")
+    cert.finalize(rep)
+    assert cert.fields["check.naturality.status"] == FAIL
+    assert cert.fields["check.naturality.witness"] == "at basis a; unused; at basis b"
+    assert cert.fields["check.search.witness"] == "gave up"
+    assert cert.fields["result.unchecked"] == "check.search"
+    assert cert.fields["result.failed-checks"] == "2"
+
+
+def test_validate_keeps_both_counterexamples_of_a_natural_transformation(tmp_path, capsys):
+    """workspace-all-kinds records five failures under three keys; the first
+    counterexample of each naturality check is kept beside the second."""
+    out = tmp_path / "v.cert"
+    assert main(["validate", str(ALL_KINDS), "--out", str(out)]) == 1
+    capsys.readouterr()
+    fields = dict(line.split(" = ", 1) for line in out.read_text().splitlines())
+    both = "at basis M1.a0 of Hom(M1,M2); at basis M2.a0 of Hom(M2,M1)"
+    assert fields["check.nattrans.tw.naturality.witness"] == both
+    assert fields["check.exactdata.E.exact.shift-iso.naturality.witness"] == both
+    assert fields["result.failed-checks"] == "5"
+    assert sorted(k for k, v in fields.items() if v == FAIL and k.startswith("check.")) == [
+        "check.exactdata.E.exact.shift-iso.naturality.status",
+        "check.exactdata.E.exact.triangle-image.status",
+        "check.nattrans.tw.naturality.status"]

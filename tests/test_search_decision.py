@@ -180,14 +180,15 @@ def test_determinant_of_dependent_rows_is_identically_zero():
     ([poly(QQ, [(1, (0, 1))])], (0, 1)),
     ([poly(QQ, [(1, (1, 0))]), poly(QQ, [(1, (0, 1))])], (1, 1)),
 ])
-def test_unit_vectors_then_pair_sums(factors, point):
-    # x alone, y alone, then both: e_1, e_2, then the pair sum e_1 + e_2.
+def test_grid_point_of_coordinate_factors(factors, point):
+    # D = 1 or 2: a variable takes 0 unless its own factor needs 1, so x
+    # alone, y alone and both give (1,0), (0,1) and (1,1).
     assert _nonvanishing_point(QQ, 2, factors) == point
 
 
-def test_point_from_the_grid_when_units_and_pair_sums_vanish():
-    # x, y and x + y - 2 vanish on (1,0), (0,1) and (1,1); the grid gives
-    # x = 1 (x = 0 kills x), then y = 2 (y = 0, 1 kill y and x + y - 2).
+def test_grid_skips_every_value_that_kills_a_factor():
+    # x, y and x + y - 2, D = 3: x = 1 (x = 0 kills x), then y = 2 (y = 0
+    # kills y and y = 1 kills x + y - 2).
     factors = [poly(QQ, [(1, (1, 0))]), poly(QQ, [(1, (0, 1))]),
                poly(QQ, [(1, (1, 0)), (1, (0, 1)), (-2, (0, 0))])]
     assert _nonvanishing_point(QQ, 2, factors) == (1, 2)

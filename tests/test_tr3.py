@@ -39,7 +39,7 @@ def replaced(st, **maps):
     """A copy of a registered triangle with some of f, g, h replaced."""
     f, g, h = (maps.get(k, getattr(st, k)) for k in ("f", "g", "h"))
     return StandardTriangle(Triangle(st.x, st.y, st.z, f, g, h, name=st.name + "'"),
-                            st.ambient, st.ladder_y, st.ladder_z)
+                            st.ambient, st.ladder_z)
 
 
 def third_map_variants(st):

@@ -120,6 +120,71 @@ def test_all_kinds_round_trip_byte_identical():
     assert serialize(parse(text)) == text
 
 
+SUMS = """rclkit workspace 1
+
+field { kind rationals }
+
+category C {
+  object G
+  object H
+  hom G G { basis e }
+  hom H H { basis e }
+  identity G { e 1 }
+  identity H { e 1 }
+  compose (G G e) (G G e) { e 1 }
+  compose (H H e) (H H e) { e 1 }
+}
+
+functor S {
+  source C
+  target C
+  object G -> G + H
+  object H -> 0
+  map (G G e) -> { (0 0) { e 1 } (1 1) { e 1 } }
+}
+
+functor Id {
+  source C
+  target C
+  object G -> G
+  object H -> H
+  map (G G e) -> { (0 0) { e 1 } }
+  map (H H e) -> { (0 0) { e 1 } }
+}
+
+triangulated T {
+  base C
+  shift Id
+  shift_inv Id
+  triangle t {
+    x G
+    y G + H
+    z H
+    f { (0 0) { e 1 } }
+    g { (0 1) { e 1 } }
+    h { }
+  }
+}
+"""
+
+
+def test_objects_written_as_sums_round_trip():
+    """A functor image and a triangle vertex written as G + H resolve to
+    the tuple of their summands; the writer spells them G+H, which parses
+    back to the same objects and text."""
+    ws = parse(SUMS)
+    assert ws.functors["S"].object_map == {"G": ("G", "H"), "H": ()}
+    (t,) = ws.triangulated["T"].triangles
+    assert (t.x, t.y, t.z) == (("G",), ("G", "H"), ("H",))
+    assert t.f.coords == (1,) and t.g.coords == (1,)
+    text = serialize(ws)
+    assert "  object G -> G+H\n" in text and "    y G+H\n" in text
+    again = parse(text)
+    assert again.functors["S"].object_map == ws.functors["S"].object_map
+    assert again.triangulated["T"].triangles[0].data_key() == t.data_key()
+    assert serialize(again) == text
+
+
 TABLES = ("categories", "subcategories", "functors", "nats", "adjunctions",
           "recollements", "triangulated", "exactdata", "mutations")
 
