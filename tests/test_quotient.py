@@ -4,6 +4,7 @@ import pytest
 
 from rclkit import quotient
 from rclkit.category import Morphism, Subcategory, hom_dim_expr, ideal_subspace
+from rclkit.cli import main
 from rclkit.errors import PreconditionError
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import build_fix_a2
@@ -226,10 +227,10 @@ def _quotient_by_h():
 
 
 def test_quotient_dimension_fails_where_the_ideal_table_disagrees():
-    """The quotient is built from the ideal table, so quotient.dimension
-    fails only when the table changes after the build, that is on an engine
-    bug.  The test empties the entry of the surviving pair (G,G) and of the
-    pair (G,H), whose H died; each gives a witness."""
+    """The quotient is built from the ideal table, so on a valid category
+    quotient.dimension fails only when the table changes after the build.
+    The test empties the entry of the surviving pair (G,G) and of the pair
+    (G,H), whose H died; each gives a witness."""
     cat, q = _quotient_by_h()
     assert q.survivors == ("G",)
     assert q.validate().ok_all
@@ -238,6 +239,40 @@ def test_quotient_dimension_fails_where_the_ideal_table_disagrees():
     rep = q.validate()
     assert [(e.status, e.witness) for e in rep.entries if e.key == "quotient.dimension"] == [
         ("fail", "(G,G): 1 != 2 - 0"), ("fail", "(G,H): 0 != 1 - 0")]
+
+
+DEAD_GENERATOR = """rclkit workspace 1
+
+field { kind rationals }
+
+category P {
+  object G
+  object H
+  hom G G { basis e }
+  hom G H { basis u }
+  hom H H { basis i }
+  identity G { e 1 }
+  identity H { i 1 }
+  compose (G G e) (G G e) { e 1 }
+  compose (H H i) (H H i) { i 1 }
+  compose (H H i) (G H u) { u 1 }
+}
+"""
+
+
+def test_quotient_dimension_fails_on_a_dead_generator_of_an_invalid_category(tmp_path):
+    """u o e = 0 breaks the right identity law at u.  Quotienting by G kills
+    G, and the quotient has no Hom(G,H), but the ideal [G](G,H) is zero:
+    u o e = 0 does not reach u.  The ideal itself is two-sided."""
+    src, out = tmp_path / "p.rcl", tmp_path / "p.cert"
+    src.write_text(DEAD_GENERATOR)
+    assert main(["validate", str(src), "--out", str(out)]) == 1
+    assert "check.category.P.identity.right.witness = u o 1_G != u\n" in out.read_text()
+    assert main(["quotient", str(src), "--x", "G", "--out", str(out)]) == 1
+    cert = out.read_text()
+    assert "check.ideal.two-sided.status = pass\n" in cert
+    assert "check.quotient.dimension.status = fail\n" in cert
+    assert "check.quotient.dimension.witness = (G,H): 0 != 1 - 0\n" in cert
 
 
 def test_factor_through_quotient_rejects_maps_that_keep_the_ideal():
