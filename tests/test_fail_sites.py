@@ -8,6 +8,7 @@ so."""
 from fractions import Fraction
 
 from rclkit import mutation, recollement
+from rclkit.adjunction import make_adjunction, validate_adjunction
 from rclkit.category import Morphism, Subcategory
 from rclkit.cli import _tri_bundle
 from rclkit.field import QQ
@@ -74,6 +75,14 @@ def test_a_triangle_with_nonzero_composites_names_each(ws_stab3):
     assert_no_pass(rep, "tri.triangle.bad")
 
 
+def test_a_presentation_without_triangles_misses_the_identity_triangles(ws_stab3):
+    tri = ws_stab3.triangulated["TC"]
+    rep = TriangulatedPresentation(tri.cat, tri.shift, tri.shift_inv, ()).validate()
+    assert_fails(rep, "tri.identity-closure", "identity triangle of M1 not found",
+                 "identity triangle of M2 not found")
+    assert_no_pass(rep, "tri.identity-closure")
+
+
 # -- mutation pairs --------------------------------------------------------
 
 def d_outside_z(ws):
@@ -85,9 +94,12 @@ def d_outside_z(ws):
 
 
 def test_d_outside_z_fails(ws_stab3):
+    """t1 = (M1, M2, M1) also has its middle term outside z = add(M1)."""
     rep = check_mutation_pair(d_outside_z(ws_stab3))
     assert_fails(rep, "structure.d-in-z", "members ['M2'] outside z")
-    assert_no_pass(rep, "structure.d-in-z")
+    assert_fails(rep, "extension-closed", "triangle t1 has middle term outside z")
+    for key in ("structure.d-in-z", "extension-closed"):
+        assert_no_pass(rep, key)
 
 
 def test_a_z_member_without_a_fixed_triangle_fails(ws_stab3):
@@ -100,7 +112,8 @@ def test_a_z_member_without_a_fixed_triangle_fails(ws_stab3):
 def test_a_sigma_that_merges_classes_fails(ws_stab3):
     """sigma is built from the fixed triangles, and on a mutation pair it is
     an equivalence; the test patches the engine by replacing it with the
-    diagonal M1 -> M1 + M1, which is no bijection of isomorphism classes."""
+    diagonal M1 -> M1 + M1, which is no bijection of isomorphism classes and
+    not full on End(M1)."""
     mu = ws_stab3.mutations["MU"]
     m = MutationData(mu.tri, mu.z, mu.d, mu.fixed)
     pres = m.quotient.presentation
@@ -108,9 +121,42 @@ def test_a_sigma_that_merges_classes_fails(ws_stab3):
                              {("M1", "M1"): Mat.column(QQ, (1, 0, 0, 1))}, name="diagonal")
     rep = Report()
     mutation._sigma_is_equivalence(m, rep)
+    assert_fails(rep, "sigma.fully-faithful", "Hom(M1,M1)")
     assert_fails(rep, "sigma.object-bijection",
                  "object map is not a bijection of isomorphism classes")
-    assert_no_pass(rep, "sigma.object-bijection")
+    for key in ("sigma.fully-faithful", "sigma.object-bijection"):
+        assert_no_pass(rep, key)
+
+
+def test_a_registered_triangle_with_nonzero_composites_fails(ws_stab3):
+    """The register holds only standard triangles, whose composites vanish;
+    the test hands `_check_triangles` the quotient sextuple
+    (M1, M1, M1, 1, 1, 1) instead of a register."""
+    mu = ws_stab3.mutations["MU"]
+    m1 = ("M1",)
+    one = Morphism.identity(mu.quotient.presentation, m1)
+    rep = mutation._check_triangles(mu, (Triangle(m1, m1, m1, one, one, one, name="bad"),))
+    assert_fails(rep, "composites.zero", "bad: second o first != 0",
+                 "bad: third o second != 0")
+    assert_no_pass(rep, "composites.zero")
+
+
+def test_exact_data_on_other_presentations_fails(ws_stab3, ws_prod):
+    tri = ws_stab3.triangulated["TC"]
+    e = ExactFunctorData(identity_functor(tri.cat), ws_prod.triangulated["TRI_C"], tri, None)
+    rep = e.validate()
+    assert_fails(rep, "exact.boundaries", "functor does not match the presentations")
+    assert_no_pass(rep, "exact.boundaries")
+
+
+def test_exact_data_on_a_functor_that_is_not_full_fails(ws_prod):
+    ju = ws_prod.functors["ju"]
+    hom_maps = {**ju.hom_maps, ("C2.M1", "C2.M2"): Mat.zeros(QQ, 1, 1)}
+    bad = LinearFunctor(ju.source, ju.target, ju.object_map, hom_maps, name="bad")
+    rep = ExactFunctorData(bad, ws_prod.triangulated["TRI_C"],
+                           ws_prod.triangulated["TRI_R"], None).validate()
+    assert_fails(rep, "exact.full", "Hom map (C2.M1,C2.M2) not surjective")
+    assert_no_pass(rep, "exact.full")
 
 
 def test_a_zero_shift_iso_is_natural_but_not_invertible(ws_stab3):
@@ -149,9 +195,34 @@ def test_an_approximating_subcategory_outside_the_closed_image_fails():
     assert_fails(rep, "preimage-subcategory",
                  "no left subcategory maps onto the approximating one")
     assert_no_pass(rep, "preimage-subcategory")
+    # The adjunctions still hold the old i_lo, so the additive quotient stops.
+    assert_fails(rep, "additive.hypotheses",
+                 "adjunction functors differ from the diagram (adj_i)")
+
+
+def test_a_mutation_pair_on_part_of_the_middle_fails():
+    ws = build_fix_prod()
+    rec = ws.recollements["R"]
+    tris, exact, m = _tri_bundle(ws, "R", rec)
+    part = MutationData(m.tri, Subcategory(m.tri.cat, ["C1.M1", "C1.M2"]), m.d, m.fixed)
+    out, rep = triangulated_quotient_recollement(rec, tris, exact, part)
+    assert out is None
+    assert_fails(rep, "precondition.z-is-everything",
+                 "mutation data does not cover the whole middle category")
+    assert_no_pass(rep, "precondition.z-is-everything")
 
 
 # -- recollements ----------------------------------------------------------
+
+def test_a_counit_scaled_by_two_breaks_both_triangle_identities(ws_a2):
+    adj = ws_a2.adjunctions["adj_i"]
+    counit = {g: c.scale(Fraction(2)) for g, c in adj.counit.components.items()}
+    rep = validate_adjunction(make_adjunction(adj.left, adj.right, adj.unit.components,
+                                              counit, name="doubled"))
+    assert_fails(rep, "triangle.left", "at generator S2")
+    assert_fails(rep, "triangle.right", "at generator V")
+    assert_no_pass(rep, "triangle.right")
+
 
 def test_an_embedding_with_a_zero_hom_map_fails_r2(ws_a2):
     rec = ws_a2.recollements["R"]
