@@ -103,7 +103,8 @@ class FinLinCategory:
 
 
 class Subcategory:
-    """Additively closed full subcategory, recorded by its member generators."""
+    """Additively closed full subcategory, recorded by its member generators.
+    Compared by identity, as categories are."""
 
     def __init__(self, parent: FinLinCategory, members):
         members = set(members)
@@ -116,13 +117,6 @@ class Subcategory:
 
     def member_set(self):
         return set(self.members)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subcategory) and other.parent is self.parent
-                and other.members == self.members)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.members))
 
     def __repr__(self):
         return "Subcategory{%s}" % (",".join(self.members) or "")

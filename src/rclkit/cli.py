@@ -123,21 +123,16 @@ def _with_d(ws, m, options):
 
 def _validate_all(ws) -> Report:
     rep = Report()
-    for name in sorted(ws.categories):
-        rep.merge(validate_category(ws.categories[name]), prefix="category.%s." % name)
-    for name in sorted(ws.functors):
-        rep.merge(validate_functor(ws.functors[name]), prefix="functor.%s." % name)
-    for name in sorted(ws.nats):
-        rep.merge(validate_nat(ws.nats[name]), prefix="nattrans.%s." % name)
-    for name in sorted(ws.adjunctions):
-        rep.merge(validate_adjunction(ws.adjunctions[name]),
-                  prefix="adjunction.%s." % name)
-    for name in sorted(ws.triangulated):
-        rep.merge(ws.triangulated[name].validate(), prefix="triangulated.%s." % name)
-    for name in sorted(ws.exactdata):
-        rep.merge(ws.exactdata[name].validate(), prefix="exactdata.%s." % name)
-    for name in sorted(ws.mutations):
-        rep.merge(check_mutation_pair(ws.mutations[name]), prefix="mutation.%s." % name)
+    for prefix, table, validate in (
+            ("category", ws.categories, validate_category),
+            ("functor", ws.functors, validate_functor),
+            ("nattrans", ws.nats, validate_nat),
+            ("adjunction", ws.adjunctions, validate_adjunction),
+            ("triangulated", ws.triangulated, lambda tri: tri.validate()),
+            ("exactdata", ws.exactdata, lambda e: e.validate()),
+            ("mutation", ws.mutations, check_mutation_pair)):
+        for name in sorted(table):
+            rep.merge(validate(table[name]), prefix="%s.%s." % (prefix, name))
     return rep
 
 

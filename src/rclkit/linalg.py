@@ -130,9 +130,6 @@ class Mat:
                 and self.rows == other.rows and self.cols == other.cols
                 and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in r) for r in self.data)
         return "Mat(%dx%d: %s)" % (self.rows, self.cols, body)
@@ -264,9 +261,6 @@ class SubspaceBasis:
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.field == other.field
                 and self.ambient == other.ambient and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return "SubspaceBasis(dim %d in k^%d)" % (self.dim, self.ambient)

@@ -152,8 +152,7 @@ def check_mutation_pair(m: MutationData) -> Report:
     if not set(m.d.members) <= set(m.z.members):
         rep.fail("structure.d-in-z",
                  "members %s outside z" % sorted(set(m.d.members) - set(m.z.members)))
-    else:
-        rep.ok("structure.d-in-z")
+    rep.close("structure.d-in-z")
 
     for x in m.z.members:
         key = "condition1.%s" % x
@@ -170,10 +169,7 @@ def check_mutation_pair(m: MutationData) -> Report:
             undecided = str(exc)
         if problems:
             rep.fail(key, "; ".join(problems))
-        elif undecided:
-            rep.not_checked(key, undecided)
-        else:
-            rep.ok(key)
+        rep.close(key, undecided)
 
     for y in m.z.members:
         key = "condition2.%s" % y
@@ -185,7 +181,7 @@ def check_mutation_pair(m: MutationData) -> Report:
         if t is None:
             rep.fail(key, "no co-approximation triangle ending at %s" % y)
         else:
-            rep.ok(key, "via %s" % (t.name or "triangle"))
+            rep.close(key, witness="via %s" % (t.name or "triangle"))
 
     for t in m.tri.triangles:
         if set(t.x) <= m.z.member_set() and set(t.z) <= m.z.member_set():
@@ -281,11 +277,10 @@ def _sigma_is_equivalence(m: MutationData, rep: Report):
     for xg in q.survivors:
         img = sigma.object_map[xg]
         image[class_of[xg]] = class_of[img[0]] if len(img) == 1 else None
-    if set(image.values()) == set(image):
-        rep.ok("sigma.object-bijection")
-    else:
+    if set(image.values()) != set(image):
         rep.fail("sigma.object-bijection",
                  "object map is not a bijection of isomorphism classes")
+    rep.close("sigma.object-bijection")
 
 
 def _tr1(m: MutationData) -> tuple:
@@ -318,7 +313,7 @@ def _tr1(m: MutationData) -> tuple:
                 except UndecidedError as exc:
                     rep.not_checked(key, str(exc))
                 else:
-                    rep.ok(key)
+                    rep.close(key)
                     if st.data_key() not in registered:
                         registered.add(st.data_key())
                         built.append(st)
@@ -464,25 +459,24 @@ class ExactFunctorData:
         tf = compose_functors(self.target_tri.shift, F)
         if self.shift_iso is None:
             first = next(functor_mismatches(ft, tf), None)
-            if first is None:
-                rep.ok("exact.shift-commutation", "strict")
-            else:
+            if first is not None:
                 rep.fail("exact.shift-commutation",
                          "composites differ on %s, %s; no comparison isomorphism "
                          "given" % first)
+            rep.close("exact.shift-commutation", witness="strict")
         else:
+            # validate_nat fails under "naturality", which is not a sub-key
+            # of "exact.shift-iso.natural": close it only when nothing failed.
             sub = validate_nat(self.shift_iso)
+            for e in sub.failures():
+                rep.fail("exact.shift-iso.%s" % e.key, e.witness)
             if sub.ok_all:
-                rep.ok("exact.shift-iso.natural")
-            else:
-                for e in sub.failures():
-                    rep.fail("exact.shift-iso.%s" % e.key, e.witness)
+                rep.close("exact.shift-iso.natural")
             bad = [g for g in F.source.generators
                    if morphism_inverse(self.shift_iso.components[g]) is None]
             if bad:
                 rep.fail("exact.shift-iso.invertible", "at %s" % bad[0])
-            else:
-                rep.ok("exact.shift-iso.invertible")
+            rep.close("exact.shift-iso.invertible")
         for g, h in non_full_pairs(F):
             rep.fail("exact.full", "Hom map (%s,%s) not surjective" % (g, h))
         rep.close("exact.full")
@@ -536,8 +530,7 @@ def image_mutation_pair(e: ExactFunctorData, m: MutationData,
     if not sub.ok_all:
         rep.fail("push.image-is-mutation-pair",
                  "pushed pair fails the mutation-pair check")
-    else:
-        rep.ok("push.image-is-mutation-pair")
+    rep.close("push.image-is-mutation-pair")
     return m2, rep
 
 
@@ -633,7 +626,7 @@ def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,
         rep.fail("precondition.d-in-ker-j_up",
                  "generator %s has nonzero image under j_up" % bad[0])
         return None, rep
-    rep.ok("precondition.d-in-ker-j_up")
+    rep.close("precondition.d-in-ker-j_up")
 
     if set(m.z.members) != set(rec.middle.generators):
         rep.fail("precondition.z-is-everything",
@@ -646,11 +639,10 @@ def triangulated_quotient_recollement(rec: Recollement, tris: dict, exact: dict,
 
     d_pre = [g for g in rec.left.generators
              if supp_image(rec.i_lo, [g]) <= set(d.members)]
-    if supp_image(rec.i_lo, d_pre) == set(d.members):
-        rep.ok("preimage-subcategory", ",".join(d_pre) or "(zero)")
-    else:
+    if supp_image(rec.i_lo, d_pre) != set(d.members):
         rep.fail("preimage-subcategory",
                  "no left subcategory maps onto the approximating one")
+    rep.close("preimage-subcategory", witness=",".join(d_pre) or "(zero)")
 
     try:
         diagram, sub = quotient_recollement(rec, d, semantics)

@@ -159,10 +159,9 @@ def check_r2(r: Recollement, rep: Report):
     """Every functor that some adjunction embeds is a full embedding."""
     for slot in dict.fromkeys(_embedded(adj)[0] for adj in ADJUNCTION_SLOTS):
         bad = next(non_bijective_pairs(getattr(r, slot)), None)
-        if bad is None:
-            rep.ok("r2.%s" % slot)
-        else:
+        if bad is not None:
             rep.fail("r2.%s" % slot, bad[2])
+        rep.close("r2.%s" % slot)
 
 
 def _im_ker_mismatch(im: set, ker: set, label: str = "Im") -> str:
@@ -187,8 +186,7 @@ def check_r3(r: Recollement, rep: Report, semantics: str):
     witness = _im_ker_mismatch(im, ker)
     if witness:
         rep.fail("r3", witness)
-    else:
-        rep.ok("r3", "Im = Ker = {%s}" % ",".join(sorted(im)))
+    rep.close("r3", witness="Im = Ker = {%s}" % ",".join(sorted(im)))
 
 
 def check_recollement(r: Recollement, semantics: str = "strict") -> Report:
@@ -220,7 +218,7 @@ def _hypotheses(r: Recollement, x: Subcategory, rep: Report):
                 raise PreconditionError(
                     "closure hypothesis fails",
                     witness=(label % g) + " contains %s" % sorted(bad)[0])
-    rep.ok("hypotheses", "all four closure composites stay inside")
+    rep.close("hypotheses", witness="all four closure composites stay inside")
 
 
 def _restricted_functor(f: LinearFunctor, src: FinLinCategory,
@@ -345,44 +343,41 @@ def _quotient(r: Recollement, x: Subcategory, semantics: str, rep: Report):
     ker_parent = {g for g in r.middle.generators
                   if supp_image(r.j_up, [g]) <= dead_right}
     im_parent = set(image_subcategory(r.i_lo).members)
-    strict_witness = _im_ker_mismatch(im_parent, ker_parent)
-    strict_ok = not strict_witness
     survivors = set(q_mid.survivors)
     dead_mid = set(r.middle.generators) - survivors
+    im_iso, iso_mismatch, undecided = set(), "", ""
     try:
         im_iso = dead_mid | _iso_closure(q_mid.presentation, im_parent & survivors)
-        iso_witness = _im_ker_mismatch(im_iso, ker_parent, "Im-closure")
-        undecided = ""
+        iso_mismatch = _im_ker_mismatch(im_iso, ker_parent, "Im-closure")
     except UndecidedError as exc:
         undecided = str(exc)
-
-    if semantics == "strict":
-        rep.add("r3", "pass" if strict_ok else "fail",
-                strict_witness or "Im = Ker = {%s}" % ",".join(sorted(im_parent)))
+    # reading -> (mismatch, undecided reason, witness of agreement)
+    readings = {
+        "strict": (_im_ker_mismatch(im_parent, ker_parent), "",
+                   "Im = Ker = {%s}" % ",".join(sorted(im_parent))),
+        "iso-closed": (iso_mismatch, undecided,
+                       "Im-closure = Ker = {%s}" % ",".join(sorted(im_iso))),
+    }
+    mismatch, undecided, agreement = readings.pop(semantics)
+    if mismatch:
+        rep.fail("r3", mismatch)
+    rep.close("r3", undecided, agreement)
+    for reading, (mismatch, undecided, _) in readings.items():
         if undecided:
-            rep.not_checked("r3-alt.iso-closed", undecided)
+            rep.not_checked("r3-alt." + reading, undecided)
         else:
-            rep.info("r3-alt.iso-closed",
-                     "would fail: %s" % iso_witness if iso_witness else "would pass")
-    else:
-        if undecided:
-            rep.not_checked("r3", undecided)
-        else:
-            rep.add("r3", "fail" if iso_witness else "pass",
-                    iso_witness or "Im-closure = Ker = {%s}" % ",".join(sorted(im_iso)))
-        rep.info("r3-alt.strict",
-                 "would pass" if strict_ok else "would fail: %s" % strict_witness)
+            rep.info("r3-alt." + reading,
+                     "would fail: %s" % mismatch if mismatch else "would pass")
 
     predicate = all(not r.j_up.apply_obj((g,)) for g in x.members)
     rep.info("predicate.x-in-ker-j_up", "true" if predicate else "false")
     if semantics == "strict":
         verdict = not rep.has_failures()
-        if verdict == predicate:
-            rep.ok("iff-consistency",
-                   "verdict %s matches predicate" % ("pass" if verdict else "fail"))
-        else:
+        if verdict != predicate:
             rep.fail("iff-consistency",
                      "verdict %s but predicate %s" % (verdict, predicate))
+        rep.close("iff-consistency",
+                  witness="verdict %s matches predicate" % ("pass" if verdict else "fail"))
     return QuotientDiagram(q_left, q_mid, q_right, out), rep
 
 
@@ -396,17 +391,14 @@ def lift_subcategory_pair(r: Recollement, xp: Subcategory, xpp: Subcategory,
     r, rep = normalize_recollement(r)
     if xp.parent is not r.left or xpp.parent is not r.right:
         raise PreconditionError("subcategories do not live in the outer categories")
+    checks = (("i_up(j_lo(x''))", r.j_lo, r.i_up),
+              ("i_bang(j_bang(x''))", r.j_bang, r.i_bang))
     for g in xpp.members:
-        img = supp_image(r.i_up, r.j_lo.apply_obj((g,)))
-        bad = img - xp.member_set()
-        if bad:
-            raise PreconditionError("hypothesis i_up(j_lo(x'')) inside x' fails",
-                                    witness="%s gives %s" % (g, sorted(bad)[0]))
-        img = supp_image(r.i_bang, r.j_bang.apply_obj((g,)))
-        bad = img - xp.member_set()
-        if bad:
-            raise PreconditionError("hypothesis i_bang(j_bang(x'')) inside x' fails",
-                                    witness="%s gives %s" % (g, sorted(bad)[0]))
+        for label, inner, outer in checks:
+            bad = supp_image(outer, inner.apply_obj((g,))) - xp.member_set()
+            if bad:
+                raise PreconditionError("hypothesis %s inside x' fails" % label,
+                                        witness="%s gives %s" % (g, sorted(bad)[0]))
     inside = {"left": xp.member_set(), "right": xpp.member_set()}
     projections = [(getattr(r, slot), inside[tgt])
                    for slot, (src, tgt) in FUNCTOR_SLOTS.items() if src == "middle"]
@@ -415,18 +407,13 @@ def lift_subcategory_pair(r: Recollement, xp: Subcategory, xpp: Subcategory,
                                       for f, allowed in projections)])
     rep.info("lifted-subcategory", ",".join(x.members) or "(zero)")
 
-    got_xp = supp_image(r.i_up, x.members)
-    if got_xp == xp.member_set():
-        rep.ok("recovers-left", ",".join(sorted(got_xp)) or "(zero)")
-    else:
-        rep.fail("recovers-left", "i_up(x) = {%s} != {%s}"
-                 % (",".join(sorted(got_xp)), ",".join(xp.members)))
-    got_xpp = supp_image(r.j_up, x.members)
-    if got_xpp == xpp.member_set():
-        rep.ok("recovers-right", ",".join(sorted(got_xpp)) or "(zero)")
-    else:
-        rep.fail("recovers-right", "j_up(x) = {%s} != {%s}"
-                 % (",".join(sorted(got_xpp)), ",".join(xpp.members)))
+    for key, label, f, want in (("recovers-left", "i_up", r.i_up, xp),
+                                ("recovers-right", "j_up", r.j_up, xpp)):
+        got = supp_image(f, x.members)
+        if got != want.member_set():
+            rep.fail(key, "%s(x) = {%s} != {%s}"
+                     % (label, ",".join(sorted(got)), ",".join(want.members)))
+        rep.close(key, witness=",".join(sorted(got)) or "(zero)")
 
     restricted, rep = _restrict(r, x, semantics, rep)
     return x, restricted, rep

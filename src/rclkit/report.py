@@ -1,8 +1,11 @@
 """Validation reports and machine-readable certificates.
 
-A Report is an ordered list of (key, status, witness) entries; a Certificate
-wraps a report with tool metadata and renders to a canonical sorted-key text
-form, so byte-identical inputs yield byte-identical certificates.
+A Report is an ordered list of (key, status, witness) entries.  A check
+records its failures with `fail` and then concludes with `close`, the only
+way a pass is recorded, so no check decides by hand that it passed.  A
+Certificate wraps a report with tool metadata and renders to a canonical
+sorted-key text form, so byte-identical inputs yield byte-identical
+certificates.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ class Report:
     def add(self, key: str, status: str, witness: str = ""):
         self.entries.append(Entry(key, status, witness))
 
-    def ok(self, key: str, witness: str = ""):
-        self.add(key, PASS, witness)
-
     def fail(self, key: str, witness: str = ""):
         self.add(key, FAIL, witness)
 
@@ -46,20 +46,20 @@ class Report:
         self.add(key, NOT_CHECKED, witness)
 
     def close(self, key: str, undecided: str = "", witness: str = ""):
-        """Conclude a check of several parts whose failures are already
-        recorded under key or key.sub: nothing more when a part failed, else
-        not-checked with the reason when a part was undecided, else ok with
-        the witness."""
+        """Conclude the check key, whose failures are already recorded under
+        key or key.sub: nothing more when one is, else not-checked with the
+        reason when the check was undecided, else pass with the witness.
+        This is the only way a pass is recorded."""
         if self.has_failures(key):
             return
         if undecided:
             self.not_checked(key, undecided)
         else:
-            self.ok(key, witness)
+            self.add(key, PASS, witness)
 
     def record(self, key: str, sub: "Report"):
-        """sub's failures under key, then `close(key)`: one ok entry only when
-        nothing under key failed, sub's checks included."""
+        """sub's failures under key, then `close(key)`: one pass entry only
+        when nothing under key failed, sub's checks included."""
         for e in sub.failures():
             self.fail("%s.%s" % (key, e.key), e.witness)
         self.close(key)

@@ -85,29 +85,21 @@ class TriangulatedPresentation:
         rep = Report()
         for label, f in (("shift", self.shift), ("shift-inverse", self.shift_inv)):
             rep.record("tri.%s.functor" % label, validate_functor(f))
-        if is_identity_functor(compose_functors(self.shift, self.shift_inv)) and \
-                is_identity_functor(compose_functors(self.shift_inv, self.shift)):
-            rep.ok("tri.shift.strict-inverse")
-        else:
+        if not (is_identity_functor(compose_functors(self.shift, self.shift_inv)) and
+                is_identity_functor(compose_functors(self.shift_inv, self.shift))):
             rep.fail("tri.shift.strict-inverse", "T o T^-1 or T^-1 o T is not Id")
+        rep.close("tri.shift.strict-inverse")
         for t in self.triangles:
             key = "tri.triangle.%s" % (t.name or "?")
-            ok = True
             if (t.f.source, t.f.target, t.g.source, t.g.target, t.h.source, t.h.target) \
                     != (t.x, t.y, t.y, t.z, t.z, self.shift.apply_obj(t.x)):
                 rep.fail(key + ".boundaries", "maps do not match the vertices")
                 continue
-            if not compose(t.g, t.f).is_zero():
-                ok = False
-                rep.fail(key + ".composite", "g o f != 0")
-            if not compose(t.h, t.g).is_zero():
-                ok = False
-                rep.fail(key + ".composite", "h o g != 0")
-            if not compose(self.shift.apply(t.f), t.h).is_zero():
-                ok = False
-                rep.fail(key + ".composite", "T(f) o h != 0")
-            if ok:
-                rep.ok(key)
+            for second, first, text in ((t.g, t.f, "g o f"), (t.h, t.g, "h o g"),
+                                        (self.shift.apply(t.f), t.h, "T(f) o h")):
+                if not compose(second, first).is_zero():
+                    rep.fail(key + ".composite", text + " != 0")
+            rep.close(key)
         undecided = ""
         for g in self.cat.generators:
             try:

@@ -201,16 +201,13 @@ def per_basis_validate_nat(nt):
     """Naturality square by square, one basis morphism at a time."""
     rep = Report()
     src = nt.from_f.source
-    ok = True
     for a, b, q, f in basis_morphisms(src):
         lhs = per_basis_compose(per_basis_apply(nt.to_f, f), nt.components[a])
         rhs = per_basis_compose(nt.components[b], per_basis_apply(nt.from_f, f))
         if lhs.coords != rhs.coords:
-            ok = False
             rep.fail("naturality", "at basis %s.%s of Hom(%s,%s)"
                      % (a, src.basis_names(a, b)[q], a, b))
-    if ok:
-        rep.ok("naturality")
+    rep.close("naturality")
     return rep
 
 

@@ -189,3 +189,24 @@ def test_every_engine_def_has_an_engine_reader():
              for alias in node.names
              if (alias.asname or alias.name) not in loaded[stem]]
     assert stale == []
+
+
+def test_only_close_records_a_pass():
+    """`Report.close` is the one way a check passes: `Report` has no `ok`,
+    and no package module but report.py calls `.ok(` or hands `.add(` the
+    pass status."""
+    from rclkit.report import Report
+    assert not hasattr(Report, "ok")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            passes = [a for a in node.args if (isinstance(a, ast.Constant) and a.value == "pass")
+                      or (isinstance(a, ast.Name) and a.id == "PASS")]
+            if node.func.attr == "ok" or (node.func.attr == "add" and passes):
+                found.append("%s:%d .%s" % (path.name, node.lineno, node.func.attr))
+    assert found == []

@@ -12,7 +12,7 @@ def entries(rep):
 
 def test_close_passes_with_its_witness():
     rep = Report()
-    rep.ok("other")
+    rep.close("other")
     rep.close("tr3", witness="total dimension 4")
     assert entries(rep) == [("other", PASS, ""), ("tr3", PASS, "total dimension 4")]
 
@@ -56,7 +56,7 @@ def test_has_failures_matches_the_key_and_its_subkeys():
 def test_a_repeated_key_keeps_every_witness_and_fails_when_one_entry_did():
     rep = Report()
     rep.fail("naturality", "at basis a")
-    rep.ok("naturality", "unused")
+    rep.add("naturality", PASS, "unused")
     rep.fail("naturality", "at basis b")
     rep.not_checked("search", "gave up")
     rep.not_checked("search")
