@@ -16,7 +16,8 @@ from rclkit.fixture_gen import build_fix_a2, build_fix_prod
 from rclkit.functor import LinearFunctor, NatTransform, compose_functors, identity_functor
 from rclkit.linalg import Mat
 from rclkit.mutation import (ExactFunctorData, MutationData, check_mutation_pair,
-                             image_mutation_pair, triangulated_quotient_recollement)
+                             image_mutation_pair, triangulated_quotient_recollement,
+                             verify_quotient_triangulation)
 from rclkit.recollement import (Recollement, check_recollement, lift_subcategory_pair,
                                 quotient_recollement)
 from rclkit.report import Report
@@ -128,6 +129,16 @@ def test_a_sigma_that_merges_classes_fails(ws_stab3):
         assert_no_pass(rep, key)
 
 
+def test_sigma_without_a_shift_ladder_fails(ws_stab3, monkeypatch):
+    """On a mutation pair every shift ladder exists; the test patches the
+    engine so that none does, and building sigma fails."""
+    mu = ws_stab3.mutations["MU"]
+    monkeypatch.setattr(mutation, "_ladder", lambda *args: None)
+    rep = verify_quotient_triangulation(MutationData(mu.tri, mu.z, mu.d, mu.fixed))
+    assert_fails(rep, "sigma", "no shift ladder for M1 -> M1")
+    assert_no_pass(rep, "sigma")
+
+
 def test_a_registered_triangle_with_nonzero_composites_fails(ws_stab3):
     """The register holds only standard triangles, whose composites vanish;
     the test hands `_check_triangles` the quotient sextuple
@@ -210,6 +221,82 @@ def test_a_mutation_pair_on_part_of_the_middle_fails():
     assert_fails(rep, "precondition.z-is-everything",
                  "mutation data does not cover the whole middle category")
     assert_no_pass(rep, "precondition.z-is-everything")
+
+
+# End(X) = k x k: the functor X -> Y1 + Y2 that sends the two idempotents to
+# the two identities is full, but no generator maps onto Y1 alone.
+SPLIT = """rclkit workspace 1
+
+field { kind rationals }
+
+category S {
+  object X
+  hom X X { basis e1 e2 }
+  identity X { e1 1 e2 1 }
+  compose (X X e1) (X X e1) { e1 1 }
+  compose (X X e2) (X X e2) { e2 1 }
+}
+
+category B {
+  object Y1
+  object Y2
+  hom Y1 Y1 { basis e }
+  hom Y2 Y2 { basis e }
+  identity Y1 { e 1 }
+  identity Y2 { e 1 }
+  compose (Y1 Y1 e) (Y1 Y1 e) { e 1 }
+  compose (Y2 Y2 e) (Y2 Y2 e) { e 1 }
+}
+"""
+
+
+def test_the_push_through_a_full_functor_onto_a_sum_is_not_dense():
+    ws = parse(SPLIT)
+    src, tgt = ws.categories["S"], ws.categories["B"]
+    split = LinearFunctor(src, tgt, {"X": ("Y1", "Y2")}, {("X", "X"): Mat.identity(QQ, 2)},
+                          name="split")
+    tris = [TriangulatedPresentation(c, identity_functor(c), identity_functor(c), ())
+            for c in (src, tgt)]
+    m = MutationData(tris[0], Subcategory(src, ["X"]), Subcategory(src, []), {})
+    m2, rep = image_mutation_pair(ExactFunctorData(split, *tris, None), m)
+    assert m2 is None
+    assert_fails(rep, "push.dense", "no source generator maps onto Y1")
+    assert_no_pass(rep, "push.dense")
+
+
+def test_an_induced_functor_that_breaks_a_standard_triangle_fails():
+    """fix_prod's i_bang with its map Hom(C1.M1, C1.M2) doubled: the images
+    of two zero-class standard triangles are not standard."""
+    ws = build_fix_prod()
+    rec = ws.recollements["R"]
+    tris, exact, m = _tri_bundle(ws, "R", rec)
+    e = exact["i_bang"]
+    hom_maps = {**e.functor.hom_maps, ("C1.M1", "C1.M2"): Mat(QQ, 1, 1, [[Fraction(2)]])}
+    doubled = LinearFunctor(e.functor.source, e.functor.target, e.functor.object_map,
+                            hom_maps, name="doubled")
+    exact = {**exact, "i_bang": ExactFunctorData(doubled, e.source_tri, e.target_tri, None)}
+    _, rep = triangulated_quotient_recollement(rec, tris, exact, m)
+    key = "exact.i_bang.exact.standard-triangle-image"
+    assert_fails(rep, key, "tr1.C1.M1-C2.M1.zero", "tr1.C1.M1-C2.M2.zero")
+    assert_no_pass(rep, key)
+
+
+def test_an_induced_functor_that_moves_the_approximating_subcategory_fails():
+    """i_lo with L.M1 and L.M2 swapped sends the left D = add(L.M2) to C1.M1,
+    outside D = add(C1.M2)."""
+    ws = build_fix_prod()
+    rec = ws.recollements["R"]
+    tris, exact, m = _tri_bundle(ws, "R", rec)
+    e = exact["i_lo"]
+    one = Mat(QQ, 1, 1, [[Fraction(1)]])
+    swap = LinearFunctor(e.functor.source, e.functor.target,
+                         {"L.M1": ("C1.M2",), "L.M2": ("C1.M1",)},
+                         {key: one for key in e.functor.hom_maps}, name="swap")
+    exact = {**exact, "i_lo": ExactFunctorData(swap, e.source_tri, e.target_tri, None)}
+    _, rep = triangulated_quotient_recollement(rec, tris, exact, m)
+    assert_fails(rep, "exact.i_lo",
+                 "functor does not preserve the approximating subcategories")
+    assert_no_pass(rep, "exact.i_lo")
 
 
 # -- recollements ----------------------------------------------------------
