@@ -8,8 +8,14 @@ generators, held as the plain tuple of their names in summand order: () is
 the zero object, and `obj_text` gives the text form.  A morphism between sums
 is the flat vector of its Hom coordinates, block by block in `block_offsets`
 order.  `_composition_blocks` alone lays the composition law out over the
-blocks of three sums, and `compose`, `postcompose_mat` and `precompose_mat`
-read it through that walk.
+blocks of three sums, and `compose`, `postcompose_mat`, `precompose_mat` and
+`ideal_subspace` read it through that walk; `comp_vec` reads one constant.
+
+Each category keeps two tables that it fixes once: its residue data
+(`residue_data`, built on first use), and its layout table, which
+`block_offsets` and `hom_dim_expr` fill per pair of objects and
+`_composition_blocks` per triple, with tuples, on first use.  Both die with
+the category; a quotient or restricted presentation has its own.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ class FinLinCategory:
             self.comp[key] = tuple(tuple(tuple(vec) for vec in row) for row in table)
         self.identities = {g: tuple(v) for g, v in identities.items()}
         self._residues = None
+        # (a, b) -> `block_offsets`, (a, b, c) -> `_composition_blocks`
+        self._layouts = {}
         gen_set = set(self.generators)
         if len(gen_set) != len(self.generators):
             raise PresentationError("duplicate generator names in %r" % (name,))
@@ -178,26 +186,30 @@ class Morphism:
 
 
 def hom_dim_expr(cat: FinLinCategory, a: tuple, b: tuple) -> int:
-    dims = cat._dims
-    n = 0
-    for t in b:
-        for s in a:
-            n += dims.get((s, t), 0)
-    return n
+    """dim Hom(a, b), the size that `block_offsets` lays out."""
+    layout = cat._layouts.get((a, b))
+    if layout is None:
+        layout = block_offsets(cat, a, b)
+    return layout[1]
 
 
 def block_offsets(cat: FinLinCategory, a: tuple, b: tuple):
     """(offsets, dimension) of Hom(a, b): offsets[i][j] is where block (i, j),
-    Hom(a[j], b[i]), starts in the flat coordinates."""
-    dims = cat._dims
-    offsets, pos = [], 0
-    for t in b:
-        row = []
-        for s in a:
-            row.append(pos)
-            pos += dims.get((s, t), 0)
-        offsets.append(row)
-    return offsets, pos
+    Hom(a[j], b[i]), starts in the flat coordinates.  Laid out once per
+    pair and kept in the category's layout table."""
+    key = (a, b)
+    layout = cat._layouts.get(key)
+    if layout is None:
+        dims = cat._dims
+        offsets, pos = [], 0
+        for t in b:
+            row = []
+            for s in a:
+                row.append(pos)
+                pos += dims.get((s, t), 0)
+            offsets.append(tuple(row))
+        layout = cat._layouts[key] = (tuple(offsets), pos)
+    return layout
 
 
 def _composition_blocks(cat: FinLinCategory, a: tuple, b: tuple, c: tuple):
@@ -205,7 +217,12 @@ def _composition_blocks(cat: FinLinCategory, a: tuple, b: tuple, c: tuple):
     (terms, dim Hom(a, c), dim Hom(b, c), dim Hom(a, b)): one term
     (table, r0, g0, f0) per block triple (i, m, j) with structure constants,
     table = comp[(a_j, b_m, c_i)], and r0, g0, f0 where blocks (i, j) of
-    Hom(a, c), (i, m) of Hom(b, c) and (m, j) of Hom(a, b) start."""
+    Hom(a, c), (i, m) of Hom(b, c) and (m, j) of Hom(a, b) start.  Laid out
+    once per triple and kept in the category's layout table."""
+    key = (a, b, c)
+    layout = cat._layouts.get(key)
+    if layout is not None:
+        return layout
     comp, dims = cat.comp, cat._dims
     f_offs, fpos = [], 0
     for t in b:
@@ -225,7 +242,8 @@ def _composition_blocks(cat: FinLinCategory, a: tuple, b: tuple, c: tuple):
             gpos += dims.get((t, ci), 0)
         for s in a:
             rpos += dims.get((s, ci), 0)
-    return terms, rpos, gpos, fpos
+    layout = cat._layouts[key] = (tuple(terms), rpos, gpos, fpos)
+    return layout
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -256,7 +274,11 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 def hom_basis(cat: FinLinCategory, a: tuple, b: tuple):
     """The basis morphisms of Hom(a, b), in flat coordinate order."""
-    for coords in Mat.identity(cat.field, hom_dim_expr(cat, a, b)).data:
+    F = cat.field
+    n = hom_dim_expr(cat, a, b)
+    for i in range(n):
+        coords = [F.zero] * n
+        coords[i] = F.one
         yield Morphism(cat, a, b, coords)
 
 
@@ -550,15 +572,21 @@ def ideal_subspace(cat: FinLinCategory, a: tuple, b: tuple, x: Subcategory) -> S
     """Span of all composites a -> X_i -> b over member generators X_i.
 
     Factorizations through sums reduce to sums of these, so member
-    generators suffice.
+    generators suffice, and by bilinearity so do composites of basis
+    elements: the structure constants of each block of the walk
+    a -> (X_i) -> b, placed at the block where they land.
     """
+    F = cat.field
     vectors = []
     for m in x.members:
-        mid = (m,)
-        for h in hom_basis(cat, mid, b):
-            post = postcompose_mat(h, a)
-            vectors.extend(post.col(j) for j in range(post.cols))
-    return SubspaceBasis.from_vectors(cat.field, hom_dim_expr(cat, a, b), vectors)
+        terms, rows, _, _ = _composition_blocks(cat, a, (m,), b)
+        for table, r0, _, _ in terms:
+            for trow in table:
+                for cv in trow:
+                    vec = [F.zero] * rows
+                    vec[r0:r0 + len(cv)] = cv
+                    vectors.append(vec)
+    return SubspaceBasis.from_vectors(F, hom_dim_expr(cat, a, b), vectors)
 
 
 def restrict_category(cat: FinLinCategory, members, name: str = "") -> FinLinCategory:

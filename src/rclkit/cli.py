@@ -181,7 +181,9 @@ def run_command(command, ws, options) -> Certificate:
         elif command == "quotient":
             x = _resolve_subcat(ws, _require(options, "x", command))
             q = build_quotient(x.parent, x)
-            rep = q.validate()
+            # A parent that breaks a law shows here, not as a quotient fault.
+            rep.merge(validate_category(x.parent), prefix="parent.")
+            rep.merge(q.validate())
             cert.set("result.survivors", ",".join(q.survivors) or "(zero)")
             for a in q.survivors:
                 for b in q.survivors:

@@ -106,10 +106,6 @@ class Mat:
     def neg(self) -> "Mat":
         return self.scale(self.field.neg(self.field.one))
 
-    def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")

@@ -1,9 +1,13 @@
 """Morphism ideals, additive quotient categories, and induced data.
 
 The ideal of morphisms factoring through a subcategory is computed per
-generator pair; the quotient is re-presented on the generators whose identity
-survives, with canonical echelon-complement coset representatives so that
-quotient data is reproducible across runs.
+generator pair, as the span of the parent's structure constants through the
+members (`ideal_subspace`); the quotient is re-presented on the generators
+whose identity survives, with canonical echelon-complement coset
+representatives so that quotient data is reproducible across runs.  Its
+structure constants are the parent's constants at those representatives
+(`comp_vec`), reduced modulo the ideal; the quotient presentation keeps its
+own layout table.
 """
 
 from __future__ import annotations
@@ -84,28 +88,29 @@ class QuotientCategory:
             if not self.ideal.subspace(g, g).contains_vector(tuple(parent.identities[g])))
 
         self.section = {}
-        reduction, hom_bases, comp = {}, {}, {}
+        reduction, free, hom_bases, comp = {}, {}, {}, {}
         for a in self.survivors:
             for b in self.survivors:
                 d = parent.hom_dim(a, b)
                 sub = self.ideal.subspace(a, b)
-                free = sub.complement_coords()
-                names = tuple(parent.basis_names(a, b)[i] for i in free)
+                free[(a, b)] = sub.complement_coords()
+                names = tuple(parent.basis_names(a, b)[i] for i in free[(a, b)])
                 if names:
                     hom_bases[(a, b)] = names
                 ident = Mat.identity(F, d)
-                self.section[(a, b)] = Mat.from_columns(F, d, [ident.col(i) for i in free])
+                self.section[(a, b)] = Mat.from_columns(
+                    F, d, [ident.data[i] for i in free[(a, b)]])
                 reduction[(a, b)] = Mat.from_columns(
-                    F, len(free), [sub.coset_coords(ident.col(r)) for r in range(d)])
+                    F, len(names), [sub.coset_coords(row) for row in ident.data])
         identities = {a: reduction[(a, a)].apply(tuple(parent.identities[a]))
                       for a in self.survivors}
         for a, b, c in itertools.product(self.survivors, repeat=3):
             if (a, b) in hom_bases and (b, c) in hom_bases:
-                # Row p: reduce o (lift(g_p) o -) o section on Hom(a, b).
-                red, sec = reduction[(a, c)], self.section[(a, b)]
-                comp[(a, b, c)] = [
-                    red.mul(postcompose_mat(self.lift_basis(b, c, p), (a,))).mul(sec)
-                    .transpose().data for p in range(len(hom_bases[(b, c)]))]
+                # [p][q]: the reduced composite of the lifts of g_p and f_q,
+                # which are the parent basis elements at the free coordinates.
+                red = reduction[(a, c)].apply
+                comp[(a, b, c)] = [[red(parent.comp_vec(a, b, c, p, q)) for q in free[(a, b)]]
+                                   for p in free[(b, c)]]
 
         self.presentation = FinLinCategory(
             F, self.survivors, hom_bases, comp, identities,

@@ -174,7 +174,15 @@ def _im_ker_mismatch(im: set, ker: set, label: str = "Im") -> str:
         label, ",".join(sorted(im)), ",".join(sorted(ker)), ",".join(diff))
 
 
+def _require_semantics(semantics: str):
+    """ValueError unless semantics is a reading of r3 that the checks know."""
+    if semantics not in ("strict", "iso-closed"):
+        raise ValueError("unknown r3 semantics %r: expected \"strict\" or \"iso-closed\""
+                         % (semantics,))
+
+
 def check_r3(r: Recollement, rep: Report, semantics: str):
+    _require_semantics(semantics)
     im = set(image_subcategory(r.i_lo).members)
     ker = set(kernel_subcategory(r.j_up).members)
     if semantics == "iso-closed":
@@ -315,6 +323,7 @@ def quotient_recollement(r: Recollement, x: Subcategory, semantics: str = "stric
 
 def _quotient(r: Recollement, x: Subcategory, semantics: str, rep: Report):
     """quotient_recollement of a normalized r, recording into rep."""
+    _require_semantics(semantics)
     _hypotheses(r, x, rep)
     xp = Subcategory(r.left, supp_image(r.i_up, x.members))
     xpp = Subcategory(r.right, supp_image(r.j_up, x.members))

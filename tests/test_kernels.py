@@ -15,14 +15,16 @@ postcompose(g) applied to f and precompose(f) applied to g.  The helpers
 that place blocks in a morphism's flat coordinates are checked against
 `blocks_of`, a reader of the layout that uses hom_dim alone."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
 from rclkit.category import (FinLinCategory, Morphism, Subcategory, block_diagonal,
-                             compose, hom_basis, hom_dim_expr, postcompose_mat,
-                             precompose_mat, validate_category)
+                             block_offsets, compose, hom_basis, hom_dim_expr,
+                             ideal_subspace, postcompose_mat, precompose_mat,
+                             validate_category)
 from rclkit.field import QQ, PrimeField
 from rclkit.fixture_gen import (_component_category, _component_shift, _StableCore,
                                 build_fix_a2, build_fix_prod, build_fix_stab3)
@@ -33,9 +35,9 @@ from rclkit.mutation import make_D_monic
 from rclkit.quotient import MorphismIdeal, build_quotient
 from rclkit.workspace import _build_morphism, _fmt_morph, _Parser, _Tokens
 
-from oracles import (blocks_of, per_basis_apply, per_basis_compose, per_basis_compose_functors,
-                     per_basis_ideal_validate, per_basis_postcompose_mat,
-                     per_basis_precompose_mat, per_basis_quotient_comp,
+from oracles import (blocks_of, brute_force_ideal, per_basis_apply, per_basis_compose,
+                     per_basis_compose_functors, per_basis_ideal_validate,
+                     per_basis_postcompose_mat, per_basis_precompose_mat, per_basis_quotient_comp,
                      per_basis_validate_category, per_basis_validate_functor,
                      per_basis_validate_nat)
 
@@ -235,6 +237,47 @@ def test_quotient_structure_constants_match_per_basis_oracle(data):
     members = data.draw(st.lists(st.sampled_from(cat.generators), unique=True))
     q = build_quotient(cat, Subcategory(cat, members))
     assert q.presentation.comp == per_basis_quotient_comp(q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ideal_subspace_on_sums_matches_brute_force(data):
+    """The ideal between sums of up to two summands, which the `well-defined`
+    audit of induce_adjunction reads, is the span of every composite through
+    a sum of up to two members."""
+    cat = data.draw(st.sampled_from(fixture_categories(data.draw(st.sampled_from(FIELDS)))))
+    members = data.draw(st.lists(st.sampled_from(cat.generators), unique=True))
+    a, b = (tuple(data.draw(st.lists(st.sampled_from(cat.generators), max_size=2)))
+            for _ in range(2))
+    assert (ideal_subspace(cat, a, b, Subcategory(cat, members))
+            == brute_force_ideal(cat, a, b, members))
+
+
+def only_tuples(value):
+    return not isinstance(value, (list, dict, set)) and (
+        not isinstance(value, tuple) or all(map(only_tuples, value)))
+
+
+def test_layout_table_is_per_category():
+    """A2 and its quotient by S2 share generator names, and the same sums
+    have other Hom dimensions in each (S2 is zero in the quotient).  Calls
+    interleaved between the two read each category's own layout table,
+    whose values are tuples."""
+    a2 = build_fix_a2(QQ).categories["A2"]
+    quo = build_quotient(a2, Subcategory(a2, ["S2"])).presentation
+    sums = [(), ("P1",), ("S2", "P1"), ("P1", "S1", "S2")]
+    assert any(hom_dim_expr(a2, a, b) != hom_dim_expr(quo, a, b)
+               for a, b in itertools.product(sums, repeat=2))
+    for a, b in itertools.product(sums, repeat=2):
+        for cat in (a2, quo, a2, quo):
+            starts = [0, *itertools.accumulate(cat.hom_dim(s, t) for t in b for s in a)]
+            rows = tuple(tuple(starts[i * len(a):(i + 1) * len(a)]) for i in range(len(b)))
+            assert block_offsets(cat, a, b) == (rows, starts[-1])
+            assert hom_dim_expr(cat, a, b) == starts[-1]
+            for g in hom_basis(cat, b, ("S1", "P1")):
+                assert postcompose_mat(g, a) == per_basis_postcompose_mat(g, a)
+    for cat in (a2, quo):
+        assert cat._layouts and only_tuples(tuple(cat._layouts.values()))
 
 
 @settings(max_examples=300, deadline=None)

@@ -263,7 +263,9 @@ category P {
 def test_quotient_dimension_fails_on_a_dead_generator_of_an_invalid_category(tmp_path):
     """u o e = 0 breaks the right identity law at u.  Quotienting by G kills
     G, and the quotient has no Hom(G,H), but the ideal [G](G,H) is zero:
-    u o e = 0 does not reach u.  The ideal itself is two-sided."""
+    u o e = 0 does not reach u.  The ideal itself is two-sided.  The
+    certificate also validates the parent, so it names the broken law as
+    well as the quotient check it breaks."""
     src, out = tmp_path / "p.rcl", tmp_path / "p.cert"
     src.write_text(DEAD_GENERATOR)
     assert main(["validate", str(src), "--out", str(out)]) == 1
@@ -273,6 +275,8 @@ def test_quotient_dimension_fails_on_a_dead_generator_of_an_invalid_category(tmp
     assert "check.ideal.two-sided.status = pass\n" in cert
     assert "check.quotient.dimension.status = fail\n" in cert
     assert "check.quotient.dimension.witness = (G,H): 0 != 1 - 0\n" in cert
+    assert "check.parent.identity.right.status = fail\n" in cert
+    assert "check.parent.identity.right.witness = u o 1_G != u\n" in cert
 
 
 def test_factor_through_quotient_rejects_maps_that_keep_the_ideal():

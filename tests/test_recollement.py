@@ -30,6 +30,18 @@ def test_fixture_passes_both_semantics(ws_a2):
         assert rep.ok_all, (sem, [str(e) for e in rep.failures()])
 
 
+def test_unknown_semantics_is_refused_by_name(ws_a2):
+    """"iso" is the CLI's spelling, which `run_command` maps to "iso-closed";
+    the engine knows only "strict" and "iso-closed" and names any other
+    reading instead of taking it for one of them."""
+    rec = ws_a2.recollements["R"]
+    x = Subcategory(rec.middle, ["S2"])
+    for call in (lambda: check_recollement(rec, "iso"),
+                 lambda: quotient_recollement(rec, x, "iso")):
+        with pytest.raises(ValueError, match="unknown r3 semantics 'iso'"):
+            call()
+
+
 def test_degenerate_identity_recollement(ws_a2):
     """A' = A, A'' = zero category, i functors all the identity; the
     adjunctions are built from explicit identity and zero components."""
